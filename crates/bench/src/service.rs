@@ -17,8 +17,8 @@
 
 use crate::native::{baseline_path, ALGOS, PHASE_PASSES};
 use ptm_server::{
-    preload, run_workload, DurabilityConfig, DurableKv, KvBackend, Mix, ServiceConfig, ShardedKv,
-    Workload, WorkloadConfig, WorkloadStats,
+    preload, run_workload, DurabilityConfig, Mix, ServiceConfig, ShardedKv, Workload,
+    WorkloadConfig, WorkloadStats,
 };
 use ptm_stm::Algorithm;
 use std::path::{Path, PathBuf};
@@ -70,6 +70,48 @@ fn best_pass(mut passes: Vec<WorkloadStats>) -> WorkloadStats {
         .expect("at least one pass")
 }
 
+/// The measurement every family shares, now that every store is one
+/// type: preload each labelled store, run [`PHASE_PASSES`] passes of
+/// `workload` interleaved across the stores, and report each store's
+/// best pass as a `name` row with its label in the `algo` column.
+fn measure(
+    name: &str,
+    stores: &[(&str, ShardedKv<u64, u64>)],
+    workload: &Workload,
+    threads: usize,
+    ops_per_thread: u64,
+) -> Vec<ServiceResult> {
+    // Stores are shared across passes, so later passes run against a
+    // warmed (fully populated) store.
+    for (_, kv) in stores {
+        preload(kv, workload.config().keys, 100);
+    }
+    let mut passes: Vec<Vec<WorkloadStats>> = stores.iter().map(|_| Vec::new()).collect();
+    for pass in 0..PHASE_PASSES {
+        for (i, (_, kv)) in stores.iter().enumerate() {
+            let seed = 0x5eed + pass as u64;
+            passes[i].push(run_workload(kv, workload, threads, ops_per_thread, seed));
+        }
+    }
+    let rows = stores
+        .iter()
+        .zip(passes)
+        .map(|((label, kv), store_passes)| {
+            let mut best = best_pass(store_passes);
+            ServiceResult {
+                name: name.to_string(),
+                algo: (*label).to_string(),
+                shards: kv.shard_count(),
+                threads,
+                ops: best.ops,
+                nanos: best.nanos,
+                p50_ns: best.latencies.percentile(50.0),
+                p99_ns: best.latencies.percentile(99.0),
+            }
+        });
+    rows.collect()
+}
+
 /// Runs one named workload shape across every algorithm and the given
 /// shard counts, passes interleaved across algorithms per shard count.
 pub fn bench_service_family(
@@ -80,86 +122,21 @@ pub fn bench_service_family(
     ops_per_thread: u64,
     keys: u64,
 ) -> Vec<ServiceResult> {
-    let cfg = WorkloadConfig {
+    let workload = Workload::new(WorkloadConfig {
         keys,
         zipf_theta: 0.99,
         mix,
         multi_span: 2,
-    };
-    let workload = Workload::new(cfg);
+    });
     let mut out = Vec::new();
     for &shards in shard_counts {
-        // Fresh stores per shard count, shared across passes so later
-        // passes run against a warmed (fully populated) store.
-        let stores: Vec<(&'static str, ShardedKv<u64, u64>)> = ALGOS
+        let stores: Vec<(&str, ShardedKv<u64, u64>)> = ALGOS
             .iter()
-            .map(|&(algo_name, algo)| {
-                let kv = ShardedKv::new(shards, algo);
-                preload(&kv, keys, 100);
-                (algo_name, kv)
-            })
+            .map(|&(algo_name, algo)| (algo_name, ShardedKv::new(shards, algo)))
             .collect();
-        let mut passes: Vec<Vec<WorkloadStats>> = stores.iter().map(|_| Vec::new()).collect();
-        for pass in 0..PHASE_PASSES {
-            for (i, (_, kv)) in stores.iter().enumerate() {
-                passes[i].push(run_workload(
-                    kv,
-                    &workload,
-                    threads,
-                    ops_per_thread,
-                    0x5eed + pass as u64,
-                ));
-            }
-        }
-        for ((algo_name, _), algo_passes) in stores.iter().zip(passes) {
-            let mut best = best_pass(algo_passes);
-            out.push(ServiceResult {
-                name: name.to_string(),
-                algo: (*algo_name).to_string(),
-                shards,
-                threads,
-                ops: best.ops,
-                nanos: best.nanos,
-                p50_ns: best.latencies.percentile(50.0),
-                p99_ns: best.latencies.percentile(99.0),
-            });
-        }
+        out.extend(measure(name, &stores, &workload, threads, ops_per_thread));
     }
     out
-}
-
-/// A store under durability measurement: the same workload runs against
-/// the plain sharded KV and the WAL-backed one.
-enum DurStore {
-    Off(ShardedKv<u64, u64>),
-    Wal(DurableKv<u64, u64>),
-}
-
-impl KvBackend for DurStore {
-    fn get(&self, key: &u64) -> Option<u64> {
-        match self {
-            DurStore::Off(kv) => KvBackend::get(kv, key),
-            DurStore::Wal(kv) => KvBackend::get(kv, key),
-        }
-    }
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        match self {
-            DurStore::Off(kv) => KvBackend::put(kv, key, value),
-            DurStore::Wal(kv) => KvBackend::put(kv, key, value),
-        }
-    }
-    fn scan(&self) -> Vec<(u64, u64)> {
-        match self {
-            DurStore::Off(kv) => KvBackend::scan(kv),
-            DurStore::Wal(kv) => KvBackend::scan(kv),
-        }
-    }
-    fn transfer(&self, keys: &[u64]) {
-        match self {
-            DurStore::Off(kv) => KvBackend::transfer(kv, keys),
-            DurStore::Wal(kv) => KvBackend::transfer(kv, keys),
-        }
-    }
 }
 
 /// Where the durability bench keeps its logs: a RAM-backed filesystem
@@ -175,11 +152,11 @@ fn durability_bench_root() -> PathBuf {
 }
 
 /// The durability cost benchmark: one algorithm (tl2), 4 shards, 8
-/// threads, both workload shapes, three store configurations —
-/// durability off, WAL with synchronous acks (the full contract), and
-/// WAL buffered (`sync_acks: false`). Variants are interleaved per pass
-/// like the algorithm families, and the variant lands in the `algo`
-/// column (`tl2/off`, `tl2/wal-sync`, `tl2/wal-buffered`).
+/// threads, both workload shapes, one store type built three ways —
+/// without a log, opened with synchronous acks (the full contract), and
+/// opened buffered (`sync_acks: false`). Variants are interleaved per
+/// pass like the algorithm families, and the variant lands in the
+/// `algo` column (`tl2/off`, `tl2/wal-sync`, `tl2/wal-buffered`).
 pub fn bench_durability_family(quick: bool) -> Vec<ServiceResult> {
     let threads = 8;
     let shards = 4;
@@ -205,7 +182,7 @@ pub fn bench_durability_family(quick: bool) -> Vec<ServiceResult> {
             ));
             let _ = std::fs::remove_dir_all(&dir);
             dirs.push(dir.clone());
-            DurableKv::open(DurabilityConfig {
+            ShardedKv::open(DurabilityConfig {
                 service: ServiceConfig {
                     shards,
                     algorithm: Algorithm::Tl2,
@@ -217,42 +194,13 @@ pub fn bench_durability_family(quick: bool) -> Vec<ServiceResult> {
             })
             .expect("open bench WAL store")
         };
-        let stores = [
-            (
-                "tl2/off",
-                DurStore::Off(ShardedKv::new(shards, Algorithm::Tl2)),
-            ),
-            ("tl2/wal-sync", DurStore::Wal(open_wal("sync", true))),
-            ("tl2/wal-buffered", DurStore::Wal(open_wal("buf", false))),
+        let stores: [(&str, ShardedKv<u64, u64>); 3] = [
+            ("tl2/off", ShardedKv::new(shards, Algorithm::Tl2)),
+            ("tl2/wal-sync", open_wal("sync", true)),
+            ("tl2/wal-buffered", open_wal("buf", false)),
         ];
-        for (_, kv) in &stores {
-            preload(kv, keys, 100);
-        }
-        let mut passes: Vec<Vec<WorkloadStats>> = stores.iter().map(|_| Vec::new()).collect();
-        for pass in 0..PHASE_PASSES {
-            for (i, (_, kv)) in stores.iter().enumerate() {
-                passes[i].push(run_workload(
-                    kv,
-                    &workload,
-                    threads,
-                    ops,
-                    0x5eed + pass as u64,
-                ));
-            }
-        }
-        for ((variant, _), variant_passes) in stores.iter().zip(passes) {
-            let mut best = best_pass(variant_passes);
-            out.push(ServiceResult {
-                name: format!("durability_{mix_name}"),
-                algo: (*variant).to_string(),
-                shards,
-                threads,
-                ops: best.ops,
-                nanos: best.nanos,
-                p50_ns: best.latencies.percentile(50.0),
-                p99_ns: best.latencies.percentile(99.0),
-            });
-        }
+        let name = format!("durability_{mix_name}");
+        out.extend(measure(&name, &stores, &workload, threads, ops));
         drop(stores);
         for dir in dirs {
             let _ = std::fs::remove_dir_all(dir);

@@ -1,15 +1,19 @@
-//! The durable serving tier: per-shard write-ahead logs, point-in-time
-//! snapshots, and crash recovery for [`ShardedKv`].
+//! Durability for [`ShardedKv`]: per-shard write-ahead logs,
+//! point-in-time snapshots, and crash recovery.
 //!
-//! A [`DurableKv`] wraps a [`ShardedKv`] whose every shard carries one
-//! group-committed [`Wal`] (see `ptm_stm::wal` for the commit→log→fsync
-//! ordering argument). Each acknowledged operation is **logged before it
-//! is acknowledged**: the write set is staged on the shard transaction,
-//! the engine appends it to the shard's log *inside* the publish
-//! critical section (so log order is commit order), and the ack waits
-//! for the group-committed fsync covering that append. Cross-shard
-//! transactions stage the **full** record (every participant's ops) on
-//! every writing shard, which is what recovery's roll-forward leans on.
+//! A store opened with [`ShardedKv::open`] (a [`DurableKv`] — the same
+//! type) carries a `Journal`: one group-committed [`Wal`] per shard
+//! (see `ptm_stm::wal` for the commit→log→fsync ordering argument). The
+//! store's own write paths (`crate::kv`) journal into it, so each
+//! acknowledged operation is **logged before it is acknowledged**: the
+//! write set is staged on the shard transaction, the engine appends it
+//! to the shard's log *inside* the publish critical section (so log
+//! order is commit order), and the ack waits for the group-committed
+//! fsync covering that append. Cross-shard transactions stage the
+//! **full** record (every participant's ops) on every writing shard,
+//! which is what recovery's roll-forward leans on. This module owns what
+//! is durability's alone: the on-disk format, `open`/recovery,
+//! `checkpoint`/rebaseline, and the ack.
 //!
 //! ## On-disk layout and the era protocol
 //!
@@ -17,7 +21,7 @@
 //! snapshot. `dir/LOCK` is an advisory `flock` guard held for the
 //! store's lifetime: recovery and checkpoints truncate logs and replace
 //! snapshots, so two processes working the same directory would destroy
-//! each other's evidence — the second [`open`](DurableKv::open) fails
+//! each other's evidence — the second [`open`](ShardedKv::open) fails
 //! instead. (The kernel drops the lock when the holder dies, so a
 //! SIGKILLed store never wedges the directory.) Snapshots and meta
 //! records both carry the shard-routing hasher id alongside the
@@ -81,11 +85,9 @@
 //! must not keep acknowledging them, and recovery from the on-disk
 //! prefix is the correctness path (the PANIC discipline databases use).
 
-use crate::kv::{ServiceConfig, ServiceTx, ShardedKv, SHARD_HASHER_ID};
-use ptm_stm::wal::{
-    codec, fsync_parent_dir, DurabilityHook, DurableTicket, Wal, WalValue, FLAG_META,
-};
-use ptm_stm::{Retry, Stm, TxValue};
+use crate::kv::{ServiceConfig, ShardedKv, SHARD_HASHER_ID};
+use ptm_stm::wal::{codec, fsync_parent_dir, DurableTicket, Wal, WalValue, FLAG_META};
+use ptm_stm::{Prepared, Transaction, TxValue};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
@@ -98,7 +100,7 @@ use std::sync::Arc;
 /// Magic prefix of a snapshot file.
 const SNAP_MAGIC: &[u8; 4] = b"PSNP";
 
-/// Durability knobs for a [`DurableKv`].
+/// Durability knobs for [`ShardedKv::open`].
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
     /// Geometry and algorithm of the underlying [`ShardedKv`].
@@ -108,7 +110,7 @@ pub struct DurabilityConfig {
     /// If `true` (the default), every write acknowledgement waits for
     /// the group-committed fsync covering its log record — the full
     /// durability contract. If `false`, writes are logged in memory and
-    /// flushed only by batch piggybacking, [`DurableKv::flush`], or a
+    /// flushed only by batch piggybacking, [`ShardedKv::flush`], or a
     /// checkpoint: a crash may lose the unflushed suffix (still a clean
     /// prefix), trading the contract for write latency.
     pub sync_acks: bool,
@@ -125,8 +127,9 @@ impl DurabilityConfig {
     }
 }
 
-/// What [`DurableKv::open`] found and did; see the module docs for the
-/// recovery procedure.
+/// What [`ShardedKv::open`] found and did; see the module docs for the
+/// recovery procedure. All zero on a store that was never opened from
+/// a directory.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// The store's era after the post-recovery rebaseline.
@@ -146,7 +149,7 @@ pub struct RecoveryReport {
 
 /// One logged mutation, tagged with its owning shard.
 #[derive(Debug, Clone)]
-enum LoggedOp<K, V> {
+pub(crate) enum LoggedOp<K, V> {
     Put { shard: usize, key: K, value: V },
     Remove { shard: usize, key: K },
 }
@@ -404,8 +407,84 @@ fn parse_log<K: WalValue, V: WalValue>(
     Ok(ShardLog { era, records })
 }
 
+/// [`encode_ops`] at a store's key/value types, captured at `open` so
+/// the store's write paths need no [`WalValue`] bound.
+type EncodeOps<K, V> = fn(u64, &[LoggedOp<K, V>]) -> Arc<[u8]>;
+
+/// The log set that makes a [`ShardedKv`] durable: present on a store
+/// opened with [`ShardedKv::open`], journaled into by every write.
+pub(crate) struct Journal<K, V> {
+    wals: Vec<Arc<Wal>>,
+    dir: PathBuf,
+    sync_acks: bool,
+    era: AtomicU64,
+    /// Global transaction-id allocator; ids order cross-shard
+    /// roll-forward (drawn while all participants' locks are held).
+    next_txn: AtomicU64,
+    report: RecoveryReport,
+    encode_ops: EncodeOps<K, V>,
+    /// Holds the advisory `flock` on `dir/LOCK` for the store's
+    /// lifetime; released on drop (or by the kernel on process death).
+    _lock: fs::File,
+}
+
+impl<K, V> fmt::Debug for Journal<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Journal")
+            .field("dir", &self.dir)
+            .field("era", &self.era.load(Ordering::Relaxed))
+            .field("sync_acks", &self.sync_acks)
+            .finish()
+    }
+}
+
+impl<K, V> Journal<K, V> {
+    /// Encodes `ops` as one record under the next global transaction id.
+    pub(crate) fn encode(&self, ops: &[LoggedOp<K, V>]) -> Arc<[u8]> {
+        let txn_id = self.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
+        (self.encode_ops)(txn_id, ops)
+    }
+
+    /// Stages the full record of a cross-shard transaction on every
+    /// prepared shard that `ops` writes, returning each one's ticket.
+    /// All prepares hold: the commit cannot fail and every
+    /// participant's locks are the caller's, so the id drawn here is
+    /// conflict-ordered on each shard.
+    pub(crate) fn stage(
+        &self,
+        ops: &[LoggedOp<K, V>],
+        prepared: &mut [(usize, Transaction<'_>, Prepared)],
+    ) -> Vec<(usize, DurableTicket)> {
+        let payload = self.encode(ops);
+        let mut tickets = Vec::new();
+        for (shard, tx, _) in prepared {
+            if ops.iter().any(|op| op.shard() == *shard) {
+                let ticket = DurableTicket::new();
+                tx.stage_durable(Arc::clone(&payload), &ticket);
+                tickets.push((*shard, ticket));
+            }
+        }
+        tickets
+    }
+
+    /// Blocks until the shard's log has fsynced past `ticket`, then
+    /// returns; **panics** on a poisoned log (fail-stop, module docs).
+    pub(crate) fn ack(&self, shard: usize, ticket: &DurableTicket) {
+        if !self.sync_acks {
+            return;
+        }
+        if let Some(lsn) = ticket.lsn() {
+            if let Err(e) = self.wals[shard].wait_durable(lsn) {
+                panic!("shard {shard} log failed ({e}); fail-stop: restart and recover");
+            }
+        }
+    }
+}
+
 /// A durable, crash-recoverable [`ShardedKv`]: write-ahead logged,
-/// snapshotted, recovered on [`open`](DurableKv::open).
+/// snapshotted, recovered on [`open`](ShardedKv::open). The same type —
+/// durability is a property a store acquires by being opened over a
+/// directory.
 ///
 /// # Examples
 ///
@@ -433,40 +512,34 @@ fn parse_log<K: WalValue, V: WalValue>(
 /// assert_eq!(kv.get(&2), Some(5));
 /// std::fs::remove_dir_all(&dir).unwrap();
 /// ```
-pub struct DurableKv<K, V> {
-    kv: ShardedKv<K, V>,
-    wals: Vec<Arc<Wal>>,
-    dir: PathBuf,
-    sync_acks: bool,
-    era: AtomicU64,
-    /// Global transaction-id allocator; ids order cross-shard
-    /// roll-forward (drawn while all participants' locks are held).
-    next_txn: AtomicU64,
-    report: RecoveryReport,
-    /// Holds the advisory `flock` on `dir/LOCK` for the store's
-    /// lifetime; released on drop (or by the kernel on process death).
-    _lock: fs::File,
+pub type DurableKv<K, V> = ShardedKv<K, V>;
+
+/// Applies recovered ops to `kv`, atomically. `kv` has no journal yet,
+/// so nothing is re-logged.
+fn replay<'a, K, V>(kv: &ShardedKv<K, V>, ops: impl Iterator<Item = &'a LoggedOp<K, V>> + Clone)
+where
+    K: TxValue + Hash + Eq,
+    V: TxValue,
+{
+    kv.transact(|tx| {
+        for op in ops.clone() {
+            match op {
+                LoggedOp::Put { key, value, .. } => tx.put(key.clone(), value.clone())?,
+                LoggedOp::Remove { key, .. } => tx.remove(key)?,
+            };
+        }
+        Ok(())
+    });
 }
 
-impl<K, V> fmt::Debug for DurableKv<K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableKv")
-            .field("kv", &self.kv)
-            .field("dir", &self.dir)
-            .field("era", &self.era.load(Ordering::Relaxed))
-            .field("sync_acks", &self.sync_acks)
-            .finish()
-    }
-}
-
-impl<K, V> DurableKv<K, V>
+impl<K, V> ShardedKv<K, V>
 where
     K: TxValue + WalValue + Hash + Eq,
     V: TxValue + WalValue,
 {
-    /// Opens (or creates) the store under `cfg.dir`, running the full
-    /// recovery procedure from the module docs; the outcome is readable
-    /// via [`recovery_report`](Self::recovery_report).
+    /// Opens (or creates) the durable store under `cfg.dir`, running the
+    /// full recovery procedure from the module docs; the outcome is
+    /// readable via [`recovery_report`](Self::recovery_report).
     ///
     /// # Errors
     ///
@@ -478,7 +551,7 @@ where
     /// store (this process or another) fails with
     /// [`io::ErrorKind::WouldBlock`].
     pub fn open(cfg: DurabilityConfig) -> io::Result<Self> {
-        let shards = cfg.service.shards.max(1);
+        let shards = cfg.service.shard_count();
         fs::create_dir_all(&cfg.dir)?;
         // One live store per directory: recovery and checkpoints rewrite
         // logs and snapshots, so a second opener would truncate evidence
@@ -528,23 +601,17 @@ where
             }
         }
 
-        let kv = ShardedKv::with_hooks(
-            ServiceConfig {
-                shards,
-                ..cfg.service
-            },
-            |i| Some(Arc::clone(&wals[i]) as Arc<dyn DurabilityHook>),
-        );
+        // Recovery writes through the store's ordinary surface while it
+        // still has no journal, so nothing below is re-logged.
+        let mut kv = ShardedKv::build(cfg.service, &wals);
 
-        // Snapshots first, then own-log replay in log order. Replay
-        // transactions stage nothing, so nothing is re-logged.
+        // Snapshots first, then own-log replay in log order.
         let mut max_txn = 0u64;
         for i in 0..shards {
-            let (stm, map) = kv.shard_parts(i);
             if let Some(snap) = &snaps[i] {
                 report.snapshot_entries += snap.entries.len();
                 for (k, v) in &snap.entries {
-                    stm.atomically(|tx| map.insert(tx, k.clone(), v.clone()));
+                    kv.put(k.clone(), v.clone());
                 }
             }
             if !valid[i] {
@@ -552,19 +619,7 @@ where
             }
             for (txn_id, ops) in &logs[i].records {
                 max_txn = max_txn.max(*txn_id);
-                stm.atomically(|tx| {
-                    for op in ops.iter().filter(|op| op.shard() == i) {
-                        match op {
-                            LoggedOp::Put { key, value, .. } => {
-                                map.insert(tx, key.clone(), value.clone())?;
-                            }
-                            LoggedOp::Remove { key, .. } => {
-                                map.remove(tx, key)?;
-                            }
-                        }
-                    }
-                    Ok(())
-                });
+                replay(&kv, ops.iter().filter(|op| op.shard() == i));
                 report.records_applied += 1;
             }
         }
@@ -604,211 +659,77 @@ where
         type MissingEntry<'ops, K, V> = ((usize, u64), Vec<&'ops LoggedOp<K, V>>);
         let mut missing: Vec<MissingEntry<'_, K, V>> = missing.into_iter().collect();
         missing.sort_by_key(|((_, txn), _)| *txn);
-        for ((p, _), ops) in missing {
-            let (stm, map) = kv.shard_parts(p);
-            stm.atomically(|tx| {
-                for op in &ops {
-                    match op {
-                        LoggedOp::Put { key, value, .. } => {
-                            map.insert(tx, key.clone(), value.clone())?;
-                        }
-                        LoggedOp::Remove { key, .. } => {
-                            map.remove(tx, key)?;
-                        }
-                    }
-                }
-                Ok(())
-            });
+        for (_, ops) in missing {
+            replay(&kv, ops.into_iter());
             report.rolled_forward += 1;
         }
 
-        let store = DurableKv {
-            kv,
+        // Rebaseline: the recovered state becomes the new snapshots,
+        // logs restart empty at the next era — where the report says
+        // the store landed.
+        let era = eras.iter().copied().max().unwrap_or(0);
+        report.era = era + 1;
+        kv.journal = Some(Journal {
             wals,
             dir: cfg.dir,
             sync_acks: cfg.sync_acks,
-            era: AtomicU64::new(eras.iter().copied().max().unwrap_or(0)),
+            era: AtomicU64::new(era),
             next_txn: AtomicU64::new(max_txn),
             report,
+            encode_ops,
             _lock: lock,
-        };
-        // Rebaseline: the recovered state becomes the new snapshots,
-        // logs restart empty at the next era.
-        store.rebaseline()?;
-        let mut store = store;
-        store.report.era = store.era.load(Ordering::Relaxed);
-        Ok(store)
+        });
+        kv.checkpoint()?;
+        Ok(kv)
     }
 
     /// What recovery found and did at [`open`](Self::open).
     pub fn recovery_report(&self) -> &RecoveryReport {
-        &self.report
+        const NOTHING: RecoveryReport = RecoveryReport {
+            era: 0,
+            snapshot_entries: 0,
+            records_applied: 0,
+            rolled_forward: 0,
+            stale_logs: 0,
+            torn_tails: 0,
+        };
+        self.journal.as_ref().map_or(&NOTHING, |j| &j.report)
     }
 
-    /// The wrapped in-memory store — direct reads bypass no durability
-    /// (reads are never logged); direct *writes* through this reference
-    /// would bypass the log, so it is read-only.
+    /// The store itself: `DurableKv` *is* `ShardedKv`, so this is the
+    /// identity, kept for callers written against the former wrapper.
+    /// Writes through the returned reference are journaled and
+    /// acknowledged exactly like writes through `self` — there is no
+    /// unlogged side door.
     pub fn store(&self) -> &ShardedKv<K, V> {
-        &self.kv
-    }
-
-    /// Blocks until the shard's log has fsynced past `ticket`, then
-    /// returns; **panics** on a poisoned log (fail-stop, module docs).
-    fn ack(&self, shard: usize, ticket: &DurableTicket) {
-        if !self.sync_acks {
-            return;
-        }
-        if let Some(lsn) = ticket.lsn() {
-            if let Err(e) = self.wals[shard].wait_durable(lsn) {
-                panic!("shard {shard} log failed ({e}); fail-stop: restart and recover");
-            }
-        }
-    }
-
-    /// Reads one key (never logged, never waits).
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.kv.get(key)
-    }
-
-    /// Durably writes one key: committed, logged in commit order, and
-    /// (with `sync_acks`) fsynced before this returns.
-    pub fn put(&self, key: K, value: V) -> Option<V> {
-        let shard = self.kv.shard_of(&key);
-        let op = LoggedOp::Put {
-            shard,
-            key: key.clone(),
-            value: value.clone(),
-        };
-        self.single_shard(shard, op, |stm, map, payload, ticket| {
-            stm.atomically(|tx| {
-                let prev = map.insert(tx, key.clone(), value.clone())?;
-                tx.stage_durable(Arc::clone(payload), ticket);
-                Ok(prev)
-            })
-        })
-    }
-
-    /// Durably removes one key.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        let shard = self.kv.shard_of(key);
-        let op = LoggedOp::Remove {
-            shard,
-            key: key.clone(),
-        };
-        self.single_shard(shard, op, |stm, map, payload, ticket| {
-            stm.atomically(|tx| {
-                let prev = map.remove(tx, key)?;
-                tx.stage_durable(Arc::clone(payload), ticket);
-                Ok(prev)
-            })
-        })
-    }
-
-    fn single_shard<T>(
-        &self,
-        shard: usize,
-        op: LoggedOp<K, V>,
-        run: impl FnOnce(&Stm, &ptm_structs::THashMap<K, V>, &Arc<[u8]>, &DurableTicket) -> T,
-    ) -> T {
-        // One ticket per thread, reset per op: the previous op on this
-        // thread was acked before we got here, so its slot is free.
-        thread_local! {
-            static TICKET: DurableTicket = DurableTicket::new();
-        }
-        let txn_id = self.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
-        let payload = encode_ops(txn_id, std::slice::from_ref(&op));
-        TICKET.with(|ticket| {
-            ticket.reset();
-            let (stm, map) = self.kv.shard_parts(shard);
-            let out = run(stm, map, &payload, ticket);
-            self.ack(shard, ticket);
-            out
-        })
-    }
-
-    /// A consistent (cross-shard serialized) snapshot of every entry.
-    pub fn scan(&self) -> Vec<(K, V)> {
-        self.kv.scan()
-    }
-
-    /// Runs `body` as one atomic cross-shard transaction, durably: the
-    /// full write set is logged on **every** shard it writes (inside
-    /// the ordered 2PC's publish window, all locks held) and the return
-    /// waits for every participant's fsync. See
-    /// [`ShardedKv::transact`] for the transaction semantics.
-    pub fn transact<T>(
-        &self,
-        mut body: impl FnMut(&mut DurableTx<'_, K, V>) -> Result<T, Retry>,
-    ) -> T {
-        let mut attempt = 0u64;
-        loop {
-            let mut dtx = DurableTx {
-                store: self,
-                inner: ServiceTx::begin(&self.kv),
-                ops: Vec::new(),
-            };
-            match body(&mut dtx) {
-                Ok(out) => {
-                    let DurableTx { inner, ops, .. } = dtx;
-                    let mut tickets: Vec<(usize, DurableTicket)> = Vec::new();
-                    let committed = inner.commit_with(|prepared| {
-                        if ops.is_empty() {
-                            return;
-                        }
-                        // All prepares hold: the commit cannot fail and
-                        // every participant's locks are ours, so the id
-                        // drawn here is conflict-ordered on each shard.
-                        let txn_id = self.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
-                        let payload = encode_ops(txn_id, &ops);
-                        let writers: HashSet<usize> = ops.iter().map(|op| op.shard()).collect();
-                        for (shard, tx, _) in prepared.iter_mut() {
-                            if writers.contains(shard) {
-                                let ticket = DurableTicket::new();
-                                tx.stage_durable(Arc::clone(&payload), &ticket);
-                                tickets.push((*shard, ticket));
-                            }
-                        }
-                    });
-                    if committed {
-                        for (shard, ticket) in &tickets {
-                            self.ack(*shard, ticket);
-                        }
-                        return out;
-                    }
-                }
-                Err(Retry) => dtx.inner.rollback(),
-            }
-            attempt += 1;
-            if attempt > 3 {
-                std::thread::yield_now();
-            } else {
-                for _ in 0..(1u32 << attempt.min(10)) {
-                    std::hint::spin_loop();
-                }
-            }
-        }
+        self
     }
 
     /// Forces every shard's pending log records to disk (useful with
-    /// `sync_acks: false` before a graceful shutdown).
+    /// `sync_acks: false` before a graceful shutdown). Nothing to do on
+    /// a store without a log.
     ///
     /// # Errors
     ///
     /// The first shard's I/O error; that log is poisoned (fail-stop).
     pub fn flush(&self) -> io::Result<()> {
-        for wal in &self.wals {
+        for wal in self.journal.iter().flat_map(|j| &j.wals) {
             wal.flush()?;
         }
         Ok(())
     }
 
     /// Checkpoint: snapshot every shard's current state and truncate
-    /// every log, bumping the era. **Requires quiescence** — the caller
-    /// must guarantee no concurrent transactions for the duration (the
-    /// snapshot-then-truncate window has no internal synchronization
-    /// against writers; a record committed mid-checkpoint could land in
-    /// a log about to be truncated). `&mut self` enforces exclusivity
-    /// against everything borrowing the store.
+    /// every log, bumping the era — snapshot-all then truncate-all at
+    /// `era + 1`; that ordering (all snapshots durable before any log
+    /// rewrite) is what the recovery era rule relies on. Nothing to do
+    /// on a store without a log.
+    ///
+    /// **Requires quiescence** — the snapshot-then-truncate window has
+    /// no internal synchronization against writers (a record committed
+    /// mid-checkpoint could land in a log about to be truncated);
+    /// `&mut self` enforces exclusivity against everything borrowing
+    /// the store.
     ///
     /// # Errors
     ///
@@ -816,113 +737,38 @@ where
     /// old-era rule covers every crash window, and a failed open leaves
     /// disk state untouched for a retry).
     pub fn checkpoint(&mut self) -> io::Result<()> {
-        self.rebaseline()
-    }
-
-    /// Snapshot-all then truncate-all at `era + 1`; the ordering (all
-    /// snapshots durable before any log rewrite) is what the recovery
-    /// era rule relies on.
-    fn rebaseline(&self) -> io::Result<()> {
-        let shards = self.kv.shard_count();
-        let era = self.era.load(Ordering::Relaxed) + 1;
-        let mut watermarks = Vec::with_capacity(shards);
-        for (i, wal) in self.wals.iter().enumerate() {
+        let Some(journal) = &self.journal else {
+            return Ok(());
+        };
+        let shards = self.shard_count();
+        let era = journal.era.load(Ordering::Relaxed) + 1;
+        for (i, wal) in journal.wals.iter().enumerate() {
             wal.flush()?;
             let decoded = wal.read_records()?;
-            watermarks.push(
-                decoded
-                    .records
-                    .iter()
-                    .filter(|r| !r.is_meta())
-                    .map(|r| r.stamp)
-                    .max()
-                    .unwrap_or(0),
-            );
-            let entries = self.kv.transact(|tx| tx.shard_snapshot(i));
+            let watermark = decoded
+                .records
+                .iter()
+                .filter(|r| !r.is_meta())
+                .map(|r| r.stamp)
+                .max()
+                .unwrap_or(0);
+            let entries = self.transact(|tx| tx.shard_snapshot(i));
             write_snapshot(
-                &snap_path(&self.dir, i),
+                &snap_path(&journal.dir, i),
                 era,
                 shards,
                 i,
-                watermarks[i],
+                watermark,
                 &entries,
             )?;
         }
-        for (i, wal) in self.wals.iter().enumerate() {
+        for (i, wal) in journal.wals.iter().enumerate() {
             wal.rewrite(|_| false)?;
             wal.append(0, FLAG_META, &encode_meta(era, shards, i));
             wal.flush()?;
         }
-        self.era.store(era, Ordering::Relaxed);
+        journal.era.store(era, Ordering::Relaxed);
         Ok(())
-    }
-}
-
-/// One in-flight durable cross-shard transaction: a [`ServiceTx`] plus
-/// the journal of mutations that becomes the WAL record at commit.
-pub struct DurableTx<'kv, K, V> {
-    store: &'kv DurableKv<K, V>,
-    inner: ServiceTx<'kv, K, V>,
-    ops: Vec<LoggedOp<K, V>>,
-}
-
-impl<K, V> fmt::Debug for DurableTx<'_, K, V> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DurableTx")
-            .field("inner", &self.inner)
-            .field("journaled_ops", &self.ops.len())
-            .finish()
-    }
-}
-
-impl<K, V> DurableTx<'_, K, V>
-where
-    K: TxValue + WalValue + Hash + Eq,
-    V: TxValue + WalValue,
-{
-    /// Reads `key` within the transaction (not journaled).
-    ///
-    /// # Errors
-    ///
-    /// [`Retry`] on a shard-level conflict; the coordinator re-runs.
-    pub fn get(&mut self, key: &K) -> Result<Option<V>, Retry> {
-        self.inner.get(key)
-    }
-
-    /// Writes `key` within the transaction; journaled for the WAL.
-    ///
-    /// # Errors
-    ///
-    /// [`Retry`] on a shard-level conflict; the coordinator re-runs.
-    pub fn put(&mut self, key: K, value: V) -> Result<Option<V>, Retry> {
-        let shard = self.store.kv.shard_of(&key);
-        let prev = self.inner.put(key.clone(), value.clone())?;
-        self.ops.push(LoggedOp::Put { shard, key, value });
-        Ok(prev)
-    }
-
-    /// Removes `key` within the transaction; journaled for the WAL.
-    ///
-    /// # Errors
-    ///
-    /// [`Retry`] on a shard-level conflict; the coordinator re-runs.
-    pub fn remove(&mut self, key: &K) -> Result<Option<V>, Retry> {
-        let shard = self.store.kv.shard_of(key);
-        let prev = self.inner.remove(key)?;
-        self.ops.push(LoggedOp::Remove {
-            shard,
-            key: key.clone(),
-        });
-        Ok(prev)
-    }
-
-    /// Every entry of one shard, read into the transaction's footprint.
-    ///
-    /// # Errors
-    ///
-    /// [`Retry`] on a shard-level conflict; the coordinator re-runs.
-    pub fn shard_snapshot(&mut self, shard: usize) -> Result<Vec<(K, V)>, Retry> {
-        self.inner.shard_snapshot(shard)
     }
 }
 
@@ -1040,6 +886,29 @@ mod tests {
         assert_eq!(report.snapshot_entries, 64, "{report:?}");
         assert_eq!(report.records_applied, 1, "{report:?}");
         assert_eq!(kv.get(&64), Some(64));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `store()` used to hand out the wrapped in-memory store, whose
+    /// writes committed without touching the log.
+    #[test]
+    fn writes_through_store_are_logged_and_recovered() {
+        let dir = temp_dir("sidedoor");
+        {
+            let mut kv: DurableKv<u64, u64> = DurableKv::open(cfg(&dir, Algorithm::Tl2)).unwrap();
+            kv.put(2, 20);
+            kv.checkpoint().unwrap();
+            kv.store().put(1, 10);
+            kv.store().remove(&2);
+            kv.store().transact(|tx| tx.put(3, 30));
+        }
+        let kv: DurableKv<u64, u64> = DurableKv::open(cfg(&dir, Algorithm::Tl2)).unwrap();
+        assert_eq!(kv.get(&1), Some(10));
+        assert_eq!(kv.get(&2), None);
+        assert_eq!(kv.get(&3), Some(30));
+        let report = kv.recovery_report();
+        assert_eq!(report.snapshot_entries, 1, "{report:?}");
+        assert_eq!(report.records_applied, 3, "{report:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -7,6 +7,15 @@
 //! ([`ShardedKv::transact`]) and consistent scans ([`ShardedKv::scan`])
 //! span shards and commit through the coordinator in this module.
 //!
+//! Durability is a property of the store, not a second store: a
+//! `ShardedKv` opened over a directory ([`ShardedKv::open`]) carries a
+//! per-shard write-ahead log, and every write through this one surface
+//! — `put`, `remove`, and [`ServiceTx`] writes — is journaled, logged
+//! inside the publish critical section and acknowledged only once
+//! durable. The on-disk format, recovery and checkpoints live in
+//! [`crate::durability`]; a store built with [`ShardedKv::new`] has no
+//! log and pays one `Option` test per write for the possibility.
+//!
 //! ## The coordinator's protocol
 //!
 //! 1. run the body, lazily opening one [`Transaction`] per touched
@@ -14,7 +23,8 @@
 //! 2. **prepare in ascending shard index**:
 //!    [`Transaction::prepare_commit`] acquires that shard's commit locks
 //!    and validates its read set, publishing nothing;
-//! 3. if every prepare held, **publish all**
+//! 3. if every prepare held, stage the journaled write set on every
+//!    writing shard (durable stores only) and **publish all**
 //!    ([`Transaction::commit_prepared`]); if any failed, abort the ones
 //!    already prepared ([`Transaction::abort_prepared`]) — no shard
 //!    observes anything — and re-run the body.
@@ -30,9 +40,9 @@
 //! NOrec's sequence-lock spin only ever waits on a lower-indexed holder
 //! chain that terminates at a coordinator free to publish.
 
-use ptm_stm::{
-    AdaptiveConfig, Algorithm, DurabilityHook, Prepared, Retry, Stm, StmStats, Transaction, TxValue,
-};
+use crate::durability::{Journal, LoggedOp};
+use ptm_stm::wal::{DurableTicket, Wal};
+use ptm_stm::{AdaptiveConfig, Algorithm, Prepared, Retry, Stm, StmStats, Transaction, TxValue};
 use ptm_structs::THashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -116,6 +126,14 @@ pub struct ServiceConfig {
     pub adaptive: Option<AdaptiveConfig>,
 }
 
+impl ServiceConfig {
+    /// The shard count a store is actually built with (`shards`,
+    /// minimum 1).
+    pub(crate) fn shard_count(&self) -> usize {
+        self.shards.max(1)
+    }
+}
+
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
@@ -159,6 +177,9 @@ struct Shard<K, V> {
 /// ```
 pub struct ShardedKv<K, V> {
     shards: Box<[Shard<K, V>]>,
+    /// The store's write-ahead log set, present on a store opened with
+    /// [`ShardedKv::open`]: every write is journaled into it.
+    pub(crate) journal: Option<Journal<K, V>>,
 }
 
 impl<K, V> fmt::Debug for ShardedKv<K, V> {
@@ -166,6 +187,7 @@ impl<K, V> fmt::Debug for ShardedKv<K, V> {
         f.debug_struct("ShardedKv")
             .field("shards", &self.shards.len())
             .field("algorithm", &self.shards[0].stm.algorithm())
+            .field("journal", &self.journal)
             .finish()
     }
 }
@@ -183,29 +205,23 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
 
     /// A store with explicit geometry.
     pub fn with_config(cfg: ServiceConfig) -> Self {
-        ShardedKv::build(cfg, |_| None)
+        ShardedKv::build(cfg, &[])
     }
 
-    /// A store whose shard `i` runs with the durability hook
-    /// `hook(i)` attached (the durable tier hangs one WAL per shard).
-    pub(crate) fn with_hooks(
-        cfg: ServiceConfig,
-        hook: impl Fn(usize) -> Option<Arc<dyn DurabilityHook>>,
-    ) -> Self {
-        ShardedKv::build(cfg, hook)
-    }
-
-    fn build(cfg: ServiceConfig, hook: impl Fn(usize) -> Option<Arc<dyn DurabilityHook>>) -> Self {
-        let n = cfg.shards.max(1);
+    /// A store without a journal whose shard `i` logs staged payloads
+    /// to `wals[i]` (none when `wals` is empty): what
+    /// [`ShardedKv::open`] replays recovered records into — unlogged —
+    /// before attaching its journal.
+    pub(crate) fn build(cfg: ServiceConfig, wals: &[Arc<Wal>]) -> Self {
         ShardedKv {
-            shards: (0..n)
+            shards: (0..cfg.shard_count())
                 .map(|i| {
                     let mut b = Stm::builder(cfg.algorithm);
                     if let Some(a) = cfg.adaptive {
                         b = b.adaptive_config(a);
                     }
-                    if let Some(h) = hook(i) {
-                        b = b.durability_hook(h);
+                    if let Some(wal) = wals.get(i) {
+                        b = b.durability_hook(Arc::clone(wal) as _);
                     }
                     Shard {
                         stm: b.build(),
@@ -213,14 +229,8 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
                     }
                 })
                 .collect(),
+            journal: None,
         }
-    }
-
-    /// Direct access to one shard's engine and partition (the durable
-    /// tier routes its replay and single-key staging through this).
-    pub(crate) fn shard_parts(&self, shard: usize) -> (&Stm, &THashMap<K, V>) {
-        let s = &self.shards[shard];
-        (&s.stm, &s.map)
     }
 
     /// Number of shards.
@@ -248,17 +258,63 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
         s.stm.atomically(|tx| s.map.get(tx, key))
     }
 
-    /// Writes one key, returning the previous value. Single-shard.
+    /// Writes one key, returning the previous value. Single-shard; on a
+    /// durable store, logged in commit order and (with `sync_acks`)
+    /// fsynced before this returns.
     pub fn put(&self, key: K, value: V) -> Option<V> {
-        let s = &self.shards[self.shard_of(&key)];
-        s.stm
-            .atomically(|tx| s.map.insert(tx, key.clone(), value.clone()))
+        let shard = self.shard_of(&key);
+        let op = || LoggedOp::Put {
+            shard,
+            key: key.clone(),
+            value: value.clone(),
+        };
+        self.write_one(shard, op, |tx, map| {
+            map.insert(tx, key.clone(), value.clone())
+        })
     }
 
-    /// Removes one key, returning its value. Single-shard.
+    /// Removes one key, returning its value. Single-shard; durable like
+    /// [`put`](Self::put).
     pub fn remove(&self, key: &K) -> Option<V> {
-        let s = &self.shards[self.shard_of(key)];
-        s.stm.atomically(|tx| s.map.remove(tx, key))
+        let shard = self.shard_of(key);
+        let op = || LoggedOp::Remove {
+            shard,
+            key: key.clone(),
+        };
+        self.write_one(shard, op, |tx, map| map.remove(tx, key))
+    }
+
+    /// One single-key write: an ordinary one-shot transaction on the
+    /// owning shard. With a journal, `op` is encoded under a fresh
+    /// global id and staged on the transaction — the engine logs it
+    /// inside the publish critical section — and the return waits for
+    /// the ack.
+    fn write_one<T>(
+        &self,
+        shard: usize,
+        op: impl FnOnce() -> LoggedOp<K, V>,
+        mut body: impl FnMut(&mut Transaction<'_>, &THashMap<K, V>) -> Result<T, Retry>,
+    ) -> T {
+        let s = &self.shards[shard];
+        let Some(journal) = &self.journal else {
+            return s.stm.atomically(|tx| body(tx, &s.map));
+        };
+        // One ticket per thread, reset per op: the previous op on this
+        // thread was acked before we got here, so its slot is free.
+        thread_local! {
+            static TICKET: DurableTicket = DurableTicket::new();
+        }
+        let payload = journal.encode(std::slice::from_ref(&op()));
+        TICKET.with(|ticket| {
+            ticket.reset();
+            let out = s.stm.atomically(|tx| {
+                let out = body(tx, &s.map)?;
+                tx.stage_durable(Arc::clone(&payload), ticket);
+                Ok(out)
+            });
+            journal.ack(shard, ticket);
+            out
+        })
     }
 
     /// A **consistent** snapshot of the whole store: every entry of
@@ -286,6 +342,10 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
     /// module docs. Re-runs the body on conflict ([`Retry`] from any
     /// operation, a failed prepare, or an `Err(Retry)` return).
     ///
+    /// On a durable store the full write set is logged on **every**
+    /// shard it writes (inside the publish window, all locks held) and
+    /// the return waits for every participant's fsync.
+    ///
     /// The service tier has no blocking `retry` semantics: an
     /// `Err(Retry)` out of the body means "conflict, run me again", not
     /// "park until the data changes".
@@ -310,7 +370,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
             if attempt > 3 {
                 std::thread::yield_now();
             } else {
-                for _ in 0..(1u32 << attempt.min(10)) {
+                for _ in 0..(1u32 << attempt) {
                     std::hint::spin_loop();
                 }
             }
@@ -327,53 +387,76 @@ pub struct ServiceTx<'kv, K, V> {
     /// `slots[i]` is the open transaction on shard `i`, if touched.
     /// Index order doubles as the global prepare order.
     slots: Vec<Option<Transaction<'kv>>>,
+    /// The mutations so far, which become the WAL record at commit.
+    /// Stays empty on a store without a journal.
+    ops: Vec<LoggedOp<K, V>>,
 }
 
 impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
     /// Opens an empty cross-shard transaction on `kv`.
-    pub(crate) fn begin(kv: &'kv ShardedKv<K, V>) -> Self {
+    fn begin(kv: &'kv ShardedKv<K, V>) -> Self {
         ServiceTx {
             kv,
             slots: (0..kv.shards.len()).map(|_| None).collect(),
+            ops: Vec::new(),
         }
     }
 
-    /// Reads `key` within the transaction.
+    /// The shard's partition and this transaction's (lazily opened)
+    /// attempt on it.
+    fn on(&mut self, shard: usize) -> (&'kv THashMap<K, V>, &mut Transaction<'kv>) {
+        let kv = self.kv;
+        let s = &kv.shards[shard];
+        let tx = self.slots[shard].get_or_insert_with(|| s.stm.transaction());
+        (&s.map, tx)
+    }
+
+    /// Reads `key` within the transaction (never journaled).
     ///
     /// # Errors
     ///
     /// [`Retry`] if the owning shard's read validation failed; the
     /// coordinator re-runs the body.
     pub fn get(&mut self, key: &K) -> Result<Option<V>, Retry> {
-        let kv = self.kv;
-        let shard = kv.shard_of(key);
-        let tx = self.slots[shard].get_or_insert_with(|| kv.shards[shard].stm.transaction());
-        kv.shards[shard].map.get(tx, key)
+        let (map, tx) = self.on(self.kv.shard_of(key));
+        map.get(tx, key)
     }
 
     /// Writes `key` within the transaction, returning the previous
-    /// value (buffered or committed).
+    /// value (buffered or committed). Journaled on a durable store.
     ///
     /// # Errors
     ///
     /// [`Retry`] on a shard-level conflict; the coordinator re-runs.
     pub fn put(&mut self, key: K, value: V) -> Result<Option<V>, Retry> {
-        let kv = self.kv;
-        let shard = kv.shard_of(&key);
-        let tx = self.slots[shard].get_or_insert_with(|| kv.shards[shard].stm.transaction());
-        kv.shards[shard].map.insert(tx, key, value)
+        let shard = self.kv.shard_of(&key);
+        if self.kv.journal.is_some() {
+            self.ops.push(LoggedOp::Put {
+                shard,
+                key: key.clone(),
+                value: value.clone(),
+            });
+        }
+        let (map, tx) = self.on(shard);
+        map.insert(tx, key, value)
     }
 
-    /// Removes `key` within the transaction.
+    /// Removes `key` within the transaction. Journaled on a durable
+    /// store.
     ///
     /// # Errors
     ///
     /// [`Retry`] on a shard-level conflict; the coordinator re-runs.
     pub fn remove(&mut self, key: &K) -> Result<Option<V>, Retry> {
-        let kv = self.kv;
-        let shard = kv.shard_of(key);
-        let tx = self.slots[shard].get_or_insert_with(|| kv.shards[shard].stm.transaction());
-        kv.shards[shard].map.remove(tx, key)
+        let shard = self.kv.shard_of(key);
+        if self.kv.journal.is_some() {
+            self.ops.push(LoggedOp::Remove {
+                shard,
+                key: key.clone(),
+            });
+        }
+        let (map, tx) = self.on(shard);
+        map.remove(tx, key)
     }
 
     /// Every entry of one shard, read into this transaction's footprint.
@@ -382,31 +465,22 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
     ///
     /// [`Retry`] on a shard-level conflict; the coordinator re-runs.
     pub fn shard_snapshot(&mut self, shard: usize) -> Result<Vec<(K, V)>, Retry> {
-        let kv = self.kv;
-        let tx = self.slots[shard].get_or_insert_with(|| kv.shards[shard].stm.transaction());
-        kv.shards[shard].map.snapshot(tx)
+        let (map, tx) = self.on(shard);
+        map.snapshot(tx)
     }
 
     /// The ordered two-phase commit: prepare ascending, then publish
     /// all or abort all. Returns whether the transaction committed.
+    ///
+    /// Between the last prepare and the first publish — the commit can
+    /// no longer fail and every participant's locks are held — a
+    /// durable store draws one global transaction id and stages the
+    /// encoded write set on each writing shard, which is what makes WAL
+    /// ids conflict-ordered per shard (two cross-shard transactions
+    /// sharing a shard have disjoint lock-hold windows there, so id
+    /// draw order matches publish order). The return then waits for
+    /// every participant's ack.
     fn commit(self) -> bool {
-        self.commit_with(|_| {})
-    }
-
-    /// [`commit`](Self::commit) with a staging window: after *every*
-    /// prepare holds — so the commit can no longer fail and every
-    /// participant's locks are held — `stage` runs over the prepared
-    /// shard transactions (shard index, transaction, prepare token),
-    /// then all shards publish. The durable tier uses the window to
-    /// draw one global transaction id and stage the encoded write set
-    /// on each participating shard, which is what makes WAL ids
-    /// conflict-ordered per shard (two cross-shard transactions sharing
-    /// a shard have disjoint lock-hold windows there, so id draw order
-    /// matches publish order).
-    pub(crate) fn commit_with(
-        self,
-        stage: impl FnOnce(&mut [(usize, Transaction<'kv>, Prepared)]),
-    ) -> bool {
         let mut prepared: Vec<(usize, Transaction<'kv>, Prepared)> = Vec::new();
         // `slots` is indexed by shard, so iteration order *is* the
         // global prepare order the deadlock-freedom argument needs.
@@ -425,15 +499,25 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
                 }
             }
         }
-        stage(&mut prepared);
+        let staged = match &self.kv.journal {
+            Some(journal) if !self.ops.is_empty() => {
+                Some((journal, journal.stage(&self.ops, &mut prepared)))
+            }
+            _ => None,
+        };
         for (_, tx, p) in prepared {
             tx.commit_prepared(p);
+        }
+        if let Some((journal, tickets)) = staged {
+            for (shard, ticket) in &tickets {
+                journal.ack(*shard, ticket);
+            }
         }
         true
     }
 
     /// Abandons every open shard transaction (body said [`Retry`]).
-    pub(crate) fn rollback(self) {
+    fn rollback(self) {
         for tx in self.slots.into_iter().flatten() {
             tx.rollback();
         }

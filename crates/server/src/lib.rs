@@ -23,6 +23,15 @@
 //! deadlock-freedom arguments; this crate's obligation is the ascending
 //! prepare order.
 //!
+//! Durability is a property of the same store, not a second type:
+//! [`ShardedKv::open`] (also reachable as [`DurableKv::open`] —
+//! [`DurableKv`] is an alias) attaches one write-ahead log per shard,
+//! after which every write through the one
+//! `get`/`put`/`remove`/`scan`/`transact` surface — and through the one
+//! transaction type, [`ServiceTx`] — is logged inside the publish
+//! critical section and acknowledged only once durable. The on-disk
+//! format, recovery and checkpoints live in [`durability`].
+//!
 //! The [`workload`] module supplies the YCSB-style driver side: zipfian
 //! key skew, a configurable read/write/scan/multi-key mix, and latency
 //! recording for p50/p99 percentiles.
@@ -31,9 +40,9 @@ pub mod durability;
 pub mod kv;
 pub mod workload;
 
-pub use durability::{DurabilityConfig, DurableKv, DurableTx, RecoveryReport};
+pub use durability::{DurabilityConfig, DurableKv, RecoveryReport};
 pub use kv::{ServiceConfig, ServiceTx, ShardedKv};
 pub use workload::{
-    percentile, preload, run_workload, KvBackend, LatencyRecorder, Mix, Workload, WorkloadConfig,
-    WorkloadOp, WorkloadStats,
+    percentile, preload, run_workload, LatencyRecorder, Mix, Workload, WorkloadConfig, WorkloadOp,
+    WorkloadStats,
 };

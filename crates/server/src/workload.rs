@@ -8,83 +8,33 @@
 //! [`ShardedKv`] with it from N threads, recording **per-operation
 //! latency** so the report can show p50/p99 tails, not just throughput
 //! — a service that commits fast on average but stalls its tail behind
-//! a conflict storm fails its users either way.
+//! a conflict storm fails its users either way. The store may or may
+//! not carry a log: the durability on/off bench rows differ only in how
+//! it was built.
 //!
 //! Everything is deterministic per thread: a seeded LCG supplies both
 //! the op choice and the zipfian uniform draw, so two runs of the same
 //! configuration replay the same operation streams.
 
-use crate::durability::DurableKv;
 use crate::kv::ShardedKv;
 use std::time::Instant;
 
-/// The store operations the workload driver needs, so the same driver
-/// measures the in-memory [`ShardedKv`] and the durable, write-ahead
-/// logged [`DurableKv`] (the durability on/off bench rows differ only
-/// in the backend).
-pub trait KvBackend: Sync {
-    /// Reads one key.
-    fn get(&self, key: &u64) -> Option<u64>;
-    /// Writes one key.
-    fn put(&self, key: u64, value: u64) -> Option<u64>;
-    /// A consistent whole-store scan.
-    fn scan(&self) -> Vec<(u64, u64)>;
-    /// The balance-preserving multi-key transfer the mix's `multi` ops
-    /// run: move 1 from `keys[0]` to `keys[last]` (saturating at zero),
-    /// pinning the middle keys into the footprint.
-    fn transfer(&self, keys: &[u64]);
-}
-
-impl KvBackend for ShardedKv<u64, u64> {
-    fn get(&self, key: &u64) -> Option<u64> {
-        ShardedKv::get(self, key)
-    }
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        ShardedKv::put(self, key, value)
-    }
-    fn scan(&self) -> Vec<(u64, u64)> {
-        ShardedKv::scan(self)
-    }
-    fn transfer(&self, keys: &[u64]) {
-        self.transact(|tx| {
-            let from = tx.get(&keys[0])?.unwrap_or(0);
-            let to_key = *keys.last().expect("span >= 2");
-            let to = tx.get(&to_key)?.unwrap_or(0);
-            for k in &keys[1..keys.len() - 1] {
-                tx.get(k)?;
-            }
-            let moved = from.min(1);
-            tx.put(keys[0], from - moved)?;
-            tx.put(to_key, to + moved)?;
-            Ok(())
-        });
-    }
-}
-
-impl KvBackend for DurableKv<u64, u64> {
-    fn get(&self, key: &u64) -> Option<u64> {
-        DurableKv::get(self, key)
-    }
-    fn put(&self, key: u64, value: u64) -> Option<u64> {
-        DurableKv::put(self, key, value)
-    }
-    fn scan(&self) -> Vec<(u64, u64)> {
-        DurableKv::scan(self)
-    }
-    fn transfer(&self, keys: &[u64]) {
-        self.transact(|tx| {
-            let from = tx.get(&keys[0])?.unwrap_or(0);
-            let to_key = *keys.last().expect("span >= 2");
-            let to = tx.get(&to_key)?.unwrap_or(0);
-            for k in &keys[1..keys.len() - 1] {
-                tx.get(k)?;
-            }
-            let moved = from.min(1);
-            tx.put(keys[0], from - moved)?;
-            tx.put(to_key, to + moved)?;
-            Ok(())
-        });
-    }
+/// The balance-preserving multi-key transfer the mix's `multi` ops run:
+/// move 1 from `keys[0]` to `keys[last]` (saturating at zero), pinning
+/// the middle keys into the footprint.
+fn transfer(kv: &ShardedKv<u64, u64>, keys: &[u64]) {
+    kv.transact(|tx| {
+        let from = tx.get(&keys[0])?.unwrap_or(0);
+        let to_key = *keys.last().expect("span >= 2");
+        let to = tx.get(&to_key)?.unwrap_or(0);
+        for k in &keys[1..keys.len() - 1] {
+            tx.get(k)?;
+        }
+        let moved = from.min(1);
+        tx.put(keys[0], from - moved)?;
+        tx.put(to_key, to + moved)?;
+        Ok(())
+    });
 }
 
 /// Operation mix, in percent. Must sum to 100.
@@ -352,7 +302,7 @@ impl WorkloadStats {
 /// Preloads every key with `initial` so the balance invariant the
 /// atomicity test checks (`sum == keys * initial`) holds from the start
 /// and transfers never go through missing keys.
-pub fn preload(kv: &impl KvBackend, keys: u64, initial: u64) {
+pub fn preload(kv: &ShardedKv<u64, u64>, keys: u64, initial: u64) {
     for k in 0..keys {
         kv.put(k, initial);
     }
@@ -367,7 +317,7 @@ pub fn preload(kv: &impl KvBackend, keys: u64, initial: u64) {
 /// (saturating at zero so balances stay non-negative), keeping the
 /// store's total sum invariant — concurrent scans can assert it.
 pub fn run_workload(
-    kv: &impl KvBackend,
+    kv: &ShardedKv<u64, u64>,
     workload: &Workload,
     threads: usize,
     ops_per_thread: u64,
@@ -398,7 +348,7 @@ pub fn run_workload(
                                 scans += 1;
                             }
                             WorkloadOp::Multi(keys) => {
-                                kv.transfer(&keys);
+                                transfer(kv, &keys);
                                 multis += 1;
                             }
                         }

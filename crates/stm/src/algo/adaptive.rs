@@ -10,12 +10,12 @@
 //! quantity: a mode controller samples [`StatsSnapshot`] deltas over
 //! commit windows and moves the live engine between
 //!
-//! * **invisible mode** — the Tl2 read/commit hooks over versioned orec
-//!   words (read-mostly phases: reads are two plain loads, no
-//!   shared-memory write),
-//! * **visible mode** — the Tlrw read/commit hooks over reader–writer
-//!   orec words (write-heavy or abort-thrashing phases: per-stripe write
-//!   locks, no global clock hotspot, no read-set validation), and
+//! * **invisible mode** — the Tl2 hooks over versioned orec words
+//!   (read-mostly phases: reads are two plain loads, no shared-memory
+//!   write),
+//! * **visible mode** — the Tlrw hooks over reader–writer orec words
+//!   (write-heavy or abort-thrashing phases: per-stripe write locks, no
+//!   global clock hotspot, no read-set validation), and
 //! * **multiversion mode** — the Mv hooks over versioned orec words
 //!   (scan-heavy phases: long read-only transactions read the snapshot
 //!   named by their start time and *cannot* abort, paying in retained

@@ -12,8 +12,6 @@ use crate::orec;
 use crate::tvar::{TVar, TxValue};
 use std::sync::atomic::Ordering;
 
-pub(crate) use super::versioned::commit;
-
 /// No snapshot clock: consistency comes from re-validation alone.
 pub(crate) fn begin(_stm: &Stm) -> u64 {
     0
@@ -32,7 +30,7 @@ pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Resul
     if word.load(Ordering::Acquire) != m1 {
         return Err(Retry);
     }
-    super::versioned::validate(tx, None)?;
+    super::versioned::validate(tx)?;
     super::versioned::record_read(tx, stripe, m1);
     Ok(v)
 }

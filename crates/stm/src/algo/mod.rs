@@ -1,35 +1,46 @@
 //! The algorithm-strategy layer: one module per validation algorithm,
-//! three hooks each.
+//! four hooks each.
 //!
 //! The engine ([`crate::Stm`] / [`crate::Transaction`]) owns everything
 //! algorithm-*independent* — the transaction log, the retry loop,
 //! contention management, epoch pinning, history recording, statistics —
 //! and delegates the algorithm-*specific* steps to this layer through
-//! exactly three hooks, dispatched once each:
+//! exactly four hooks, dispatched once each:
 //!
 //! | hook | contract |
 //! |------|----------|
 //! | `begin(tx)` | sample the snapshot time (clock, sequence lock, or nothing) at the transaction's first operation — and, for the adaptive controller, pin the attempt's mode |
-//! | `read(tx, var) -> Result<T, Retry>` | produce a value consistent with every earlier read of the attempt, recording whatever the commit hook needs (versioned read, value snapshot, or a held read lock) |
-//! | `commit(tx) -> bool` | atomically publish the buffered write set or fail without trace; only called when the write set is non-empty |
+//! | `read(tx, var) -> Result<T, Retry>` | produce a value consistent with every earlier read of the attempt, recording whatever the prepare hook needs (versioned read, value snapshot, or a held read lock) |
+//! | `prepare(tx) -> bool` | everything of a commit that can fail: acquire the write set's commit locks (recorded in `TxLog::{stripe_buf, held_buf}`) and validate the read set, publishing nothing; on `false` every lock taken is already rolled back |
+//! | `publish(tx)` | infallible: write the buffered values back under the locks `prepare` holds, log the staged durability payload, release, wake waiters |
 //!
-//! Read-only commits are generic: an attempt whose last read validated
-//! (invisible-read algorithms), whose read locks are still held (Tlrw),
-//! or whose every read resolved against its start-time snapshot (Mv) is
-//! already serialized, so the engine commits it without calling back
-//! in here. Likewise generic is read-lock release — the engine undoes
-//! `TxLog::rw_reads` on every exit path, including `Drop`, so a panicking
-//! body cannot leak a visible read's lock.
+//! A commit is `prepare` then `publish` — always. The one-shot commit of
+//! the attempt loop runs the two back to back; the two-phase surface
+//! ([`Transaction::prepare_commit`](crate::Transaction::prepare_commit))
+//! hands the caller the window in between. Both dispatch through the
+//! same two matches in the engine's `twophase` module, so there is one
+//! commit path per algorithm to cost, not two.
+//!
+//! Read-only one-shot commits are generic: an attempt whose last read
+//! validated (invisible-read algorithms), whose read locks are still
+//! held (Tlrw), or whose every read resolved against its start-time
+//! snapshot (Mv) is already serialized, so the engine commits it
+//! without calling back in here. (A read-only *two-phase* prepare does
+//! call `prepare`, which with an empty write set locks nothing and
+//! revalidates the read set — the re-check a coordinator needs to rule
+//! out torn cross-instance cuts.) Likewise generic is read-lock release
+//! — the engine undoes `TxLog::rw_reads` on every exit path, including
+//! `Drop`, so a panicking body cannot leak a visible read's lock.
 //!
 //! Validation helpers shared between algorithms live in [`versioned`]
-//! (orec version equality, used by Tl2 and Incremental) and in the
-//! modules that own them; a new algorithm is one new module plus one
-//! arm in each dispatch below — exactly how [`adaptive`] (the fifth)
-//! arrived, composing the Tl2 and Tlrw hooks behind a mode controller,
-//! and how [`mv`] (the sixth) arrived, swapping the read hook for a
-//! version-chain snapshot walk and the commit hook for an appending
-//! variant of the versioned path — neither touched the engine's generic
-//! machinery.
+//! (orec version equality and the stripe-locking protocol, used by Tl2,
+//! Incremental and Mv) and in the modules that own them; a new
+//! algorithm is one new module plus one arm in each dispatch — exactly
+//! how [`adaptive`] (the fifth) arrived, composing the Tl2 and Tlrw
+//! hooks behind a mode controller, and how [`mv`] (the sixth) arrived,
+//! swapping the read hook for a version-chain snapshot walk and the
+//! publish hook for an appending variant of the versioned one —
+//! neither touched the engine's generic machinery.
 
 pub(crate) mod adaptive;
 pub(crate) mod incremental;
@@ -41,28 +52,6 @@ pub(crate) mod versioned;
 
 use crate::engine::{Algorithm, Retry, Transaction};
 use crate::tvar::{TVar, TxValue};
-
-/// Runs a locking commit body with the write set's stripes collected,
-/// sorted, and deduplicated (several variables may share a stripe), and
-/// with the log's recycled scratch buffers — restored cleared on every
-/// exit path, so a retrying transaction reallocates nothing. Shared by
-/// every stripe-locking commit hook (versioned and Tlrw).
-fn with_write_stripes(
-    tx: &mut Transaction<'_>,
-    body: impl FnOnce(&mut Transaction<'_>, &[usize], &mut Vec<(usize, u64)>) -> bool,
-) -> bool {
-    let mut stripes = std::mem::take(&mut tx.log.stripe_buf);
-    let mut held = std::mem::take(&mut tx.log.held_buf);
-    stripes.extend(tx.log.writes.iter().map(|w| tx.stm.orecs.stripe_of(w.id)));
-    stripes.sort_unstable();
-    stripes.dedup();
-    let ok = body(tx, &stripes, &mut held);
-    stripes.clear();
-    held.clear();
-    tx.log.stripe_buf = stripes;
-    tx.log.held_buf = held;
-    ok
-}
 
 /// Begin hook: samples the algorithm's snapshot time into `tx.rv`
 /// lazily at the attempt's first operation (and pins the adaptive
@@ -89,19 +78,6 @@ pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Resul
         Algorithm::Norec => norec::read(tx, var),
         Algorithm::Tlrw => tlrw::read(tx, var),
         Algorithm::Mv => mv::read(tx, var),
-        Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2, Tlrw, or Mv as the mode"),
-    }
-}
-
-/// Commit hook: publish the (non-empty) write set atomically, or fail
-/// leaving shared state untouched.
-pub(crate) fn commit(tx: &mut Transaction<'_>) -> bool {
-    match tx.mode {
-        Algorithm::Tl2 => tl2::commit(tx),
-        Algorithm::Incremental => incremental::commit(tx),
-        Algorithm::Norec => norec::commit(tx),
-        Algorithm::Tlrw => tlrw::commit(tx),
-        Algorithm::Mv => mv::commit(tx),
         Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2, Tlrw, or Mv as the mode"),
     }
 }

@@ -122,15 +122,14 @@ pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Resul
 
 /// Upper-bound validation of the read set: a stripe that is locked, or
 /// stamped past the snapshot, proves a commit this transaction's reads
-/// did not see. `held` lists stripes this transaction has locked, with
-/// their pre-lock words.
-pub(crate) fn validate(tx: &Transaction<'_>, held: &[(usize, u64)]) -> Result<(), Retry> {
+/// did not see. Stripes this transaction has locked (`TxLog::held_buf`)
+/// validate against their pre-lock words.
+fn validate(tx: &Transaction<'_>) -> Result<(), Retry> {
     tx.tally.probes(tx.log.reads.len() as u64);
     for r in &tx.log.reads {
-        let word = if let Some(pre) = versioned::held_word(held, r.stripe) {
-            pre
-        } else {
-            tx.stm.orecs.word(r.stripe).load(Ordering::Acquire)
+        let word = match versioned::held_word(&tx.log.held_buf, r.stripe) {
+            Some(pre) => pre,
+            None => tx.stm.orecs.word(r.stripe).load(Ordering::Acquire),
         };
         if orec::is_locked(word) || orec::version_of(word) > r.meta {
             return Err(Retry);
@@ -139,44 +138,23 @@ pub(crate) fn validate(tx: &Transaction<'_>, held: &[(usize, u64)]) -> Result<()
     Ok(())
 }
 
-/// Commit hook (updating transactions only; read-only commits are the
-/// engine's generic no-op): lock, validate, append, stamp, trim,
-/// release.
-pub(crate) fn commit(tx: &mut Transaction<'_>) -> bool {
-    super::with_write_stripes(tx, commit_with)
-}
-
-fn commit_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &mut Vec<(usize, u64)>) -> bool {
-    if !prepare_with(tx, stripes, held) {
+/// Prepare half: lock the write stripes and run the upper-bound
+/// validation, appending nothing (a read-only attempt locks nothing and
+/// just revalidates). On failure every lock is released.
+pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
+    if !versioned::lock_write_stripes(tx) {
         return false;
     }
-    publish_with(tx, stripes, held);
-    true
-}
-
-/// First commit half: lock the write stripes and run the upper-bound
-/// validation, appending nothing. On failure every lock is released and
-/// `held` is left empty. Exposed to the engine's two-phase commit.
-pub(crate) fn prepare_with(
-    tx: &mut Transaction<'_>,
-    stripes: &[usize],
-    held: &mut Vec<(usize, u64)>,
-) -> bool {
-    if !versioned::lock_stripes(tx, stripes, held) {
-        held.clear();
-        return false;
-    }
-    if validate(tx, held).is_err() {
-        versioned::release(tx, held, None);
-        held.clear();
+    if validate(tx).is_err() {
+        versioned::rollback(tx);
         return false;
     }
     true
 }
 
-/// Second commit half: append the pending versions, stamp, trim, and
-/// release under the locks [`prepare_with`] acquired. Infallible.
-pub(crate) fn publish_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &[(usize, u64)]) {
+/// Publish half: append the pending versions, stamp, trim, and release
+/// under the locks [`prepare`] acquired. Infallible.
+pub(crate) fn publish(tx: &mut Transaction<'_>) {
     // Point of no return: append pending versions, then make them real.
     // The clock draw must be an RMW that always writes (never the
     // pass-on-failure CAS of `versioned::draw_wv`): snapshot readers
@@ -224,7 +202,7 @@ pub(crate) fn publish_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &[
             }
         }
     }
-    versioned::release(tx, held, Some(stamped(wv)));
+    versioned::release(tx.stm, &tx.log.held_buf, Some(stamped(wv)));
     // Refresh the watermark cache off the hot path (no locks held), rate
     // limited by clock distance so a commit storm amortizes the registry
     // scan to one every `WATERMARK_REFRESH_TICKS` ticks.
@@ -234,5 +212,5 @@ pub(crate) fn publish_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &[
     epoch::retire_batch(retired);
     // Wake waiters parked on the written stripes (after the release
     // restamp, so a woken reader's revalidation sees version > bound).
-    tx.stm.wake_stripes(stripes);
+    tx.stm.wake_stripes(&tx.log.stripe_buf);
 }

@@ -62,44 +62,39 @@ pub(crate) fn validate(tx: &Transaction<'_>) -> Result<u64, Retry> {
     }
 }
 
-/// Commit hook: acquire the sequence lock (odd value), publish, bump to
-/// the next even value.
-pub(crate) fn commit(tx: &mut Transaction<'_>) -> bool {
-    if !acquire_seqlock(tx) {
-        return false;
-    }
-    publish_locked(tx);
-    true
-}
-
-/// First commit half: win the sequence lock (CAS even `rv` to the odd
-/// `rv + 1`), revalidating by value after every lost race. Returns
-/// `false` if validation proves a conflicting commit. On success the
-/// instance's clock is odd and owned by this transaction — every other
-/// reader and committer of the instance waits — so the caller must
-/// promptly [`publish_locked`] or [`release_seqlock`]. Exposed to the
-/// engine's two-phase commit.
-pub(crate) fn acquire_seqlock(tx: &mut Transaction<'_>) -> bool {
+/// Prepare half. An updating attempt wins the sequence lock (CAS even
+/// `rv` to the odd `rv + 1`), revalidating by value after every lost
+/// race; `false` means validation proved a conflicting commit. On
+/// success the instance's clock is odd and owned by this transaction —
+/// every other reader and committer of the instance waits — so the
+/// caller must promptly [`publish`] or [`release_seqlock`]. A read-only
+/// attempt takes no lock and just revalidates by value.
+pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
+    let read_only = tx.log.writes.is_empty();
     loop {
         let rv = tx.rv;
-        if tx
-            .stm
-            .clock
-            .compare_exchange(rv, rv + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+        if !read_only
+            && tx
+                .stm
+                .clock
+                .compare_exchange(rv, rv + 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
         {
             return true;
         }
-        match validate(tx) {
-            Ok(t) => tx.rv = t,
-            Err(Retry) => return false,
+        let Ok(t) = validate(tx) else {
+            return false;
+        };
+        tx.rv = t;
+        if read_only {
+            return true;
         }
     }
 }
 
-/// Second commit half: publish under the held sequence lock and bump the
+/// Publish half: write back under the held sequence lock and bump the
 /// clock to the next even value. Infallible.
-pub(crate) fn publish_locked(tx: &mut Transaction<'_>) {
+pub(crate) fn publish(tx: &mut Transaction<'_>) {
     let retired = tx.log.publish_writes();
     // Log the staged durability payload, stamped with the commit's
     // even sequence value, before the clock store below lets any other

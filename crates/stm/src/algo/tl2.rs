@@ -12,8 +12,6 @@ use crate::orec;
 use crate::tvar::{TVar, TxValue};
 use std::sync::atomic::Ordering;
 
-pub(crate) use super::versioned::commit;
-
 /// Snapshot time: the global version clock at transaction begin.
 pub(crate) fn begin(stm: &Stm) -> u64 {
     stm.clock.load(Ordering::Acquire)

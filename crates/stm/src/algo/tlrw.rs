@@ -67,34 +67,18 @@ pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Resul
     Ok(var.inner.read_snapshot(&tx.pin))
 }
 
-/// Commit hook: upgrade/acquire write locks stripe by stripe, publish,
-/// release. Read locks that were not upgraded are released by the
-/// engine's generic path right after this returns.
-pub(crate) fn commit(tx: &mut Transaction<'_>) -> bool {
-    super::with_write_stripes(tx, commit_with)
-}
-
-/// `held` entries are `(stripe, was_read)`: whether the write lock was
-/// acquired by upgrading our own read lock (1) or from an unowned word
-/// (0) — rollback and release must undo exactly what was done.
-fn commit_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &mut Vec<(usize, u64)>) -> bool {
-    if !prepare_with(tx, stripes, held) {
-        return false;
-    }
-    publish_with(tx, stripes, held);
-    true
-}
-
-/// First commit half: upgrade/acquire the write locks, publishing
-/// nothing. On failure every acquired lock is rolled back (consumed read
-/// locks restored and re-registered) and `held` is left empty. Exposed
-/// to the engine's two-phase commit.
-pub(crate) fn prepare_with(
-    tx: &mut Transaction<'_>,
-    stripes: &[usize],
-    held: &mut Vec<(usize, u64)>,
-) -> bool {
-    for &stripe in stripes.iter() {
+/// Prepare half: upgrade/acquire the write set's locks stripe by stripe
+/// in sorted order, publishing nothing. `TxLog::held_buf` entries are
+/// `(stripe, was_read)`: whether the write lock was acquired by
+/// upgrading our own read lock (1) or from an unowned word (0) —
+/// rollback and release must undo exactly what was done. On failure
+/// every acquired lock is rolled back (consumed read locks restored and
+/// re-registered). A read-only attempt acquires nothing: its held read
+/// locks already are its validation.
+pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
+    tx.log.collect_write_stripes(&tx.stm.orecs);
+    for i in 0..tx.log.stripe_buf.len() {
+        let stripe = tx.log.stripe_buf[i];
         let upgrading = tx.log.rw_contains(stripe);
         let expected = if upgrading { RW_READER } else { 0 };
         let word = tx.stm.orecs.word(stripe);
@@ -103,8 +87,7 @@ pub(crate) fn prepare_with(
             .is_err()
         {
             // Foreign readers or a writer hold the stripe: roll back.
-            rollback(tx, held);
-            held.clear();
+            rollback(tx);
             tx.tally.reader_conflict();
             return false;
         }
@@ -112,15 +95,15 @@ pub(crate) fn prepare_with(
             // The CAS consumed our read lock; track it as a write lock.
             tx.log.rw_remove(stripe);
         }
-        held.push((stripe, u64::from(upgrading)));
+        tx.log.held_buf.push((stripe, u64::from(upgrading)));
     }
     true
 }
 
-/// Second commit half: publish under the write locks [`prepare_with`]
-/// acquired and drop them. Infallible. (Read locks that were not
-/// upgraded stay held; the engine releases them right after.)
-pub(crate) fn publish_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &[(usize, u64)]) {
+/// Publish half: write back under the write locks [`prepare`] acquired
+/// and drop them. Infallible. (Read locks that were not upgraded stay
+/// held; the engine releases them right after.)
+pub(crate) fn publish(tx: &mut Transaction<'_>) {
     // Tlrw's own protocol never touches the clock; a durable commit
     // draws a tick here purely as a log stamp, while the write locks
     // still exclude every conflicting transaction — so stamps (and log
@@ -131,7 +114,7 @@ pub(crate) fn publish_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &[
         tx.durability_record(stamp);
     }
     let retired = tx.log.publish_writes();
-    for &(stripe, _) in held.iter() {
+    for &(stripe, _) in &tx.log.held_buf {
         tx.stm
             .orecs
             .word(stripe)
@@ -140,15 +123,16 @@ pub(crate) fn publish_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &[
     epoch::retire_batch(retired);
     // Wake waiters parked on the written stripes — after the write
     // locks drop, so a woken reader can immediately re-acquire.
-    tx.stm.wake_stripes(stripes);
+    tx.stm.wake_stripes(&tx.log.stripe_buf);
 }
 
 /// Undoes the write locks a failed or abandoned prepare acquired:
 /// upgraded stripes get their read lock back (and re-registered),
 /// fresh acquisitions drop to unowned. `pub(crate)` for the engine's
 /// two-phase abort path.
-pub(crate) fn rollback(tx: &mut Transaction<'_>, held: &[(usize, u64)]) {
-    for &(stripe, was_read) in held {
+pub(crate) fn rollback(tx: &mut Transaction<'_>) {
+    for i in 0..tx.log.held_buf.len() {
+        let (stripe, was_read) = tx.log.held_buf[i];
         let word = tx.stm.orecs.word(stripe);
         if was_read == 1 {
             // Restore the consumed read lock (writer flag off, our
@@ -161,4 +145,5 @@ pub(crate) fn rollback(tx: &mut Transaction<'_>, held: &[(usize, u64)]) {
             word.fetch_sub(RW_WRITER, Ordering::AcqRel);
         }
     }
+    tx.log.held_buf.clear();
 }

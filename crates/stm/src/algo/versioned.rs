@@ -2,7 +2,7 @@
 //! Incremental): version-equality validation of the read set and the
 //! lock–validate–stamp commit over the striped orec table.
 
-use crate::engine::{Retry, Transaction};
+use crate::engine::{Retry, Stm, Transaction};
 use crate::orec;
 use crate::{epoch, txlog::VersionedRead};
 use std::sync::atomic::Ordering;
@@ -21,8 +21,8 @@ const HELD_LINEAR_MAX: usize = 8;
 
 /// The pre-lock word for `stripe`, if it is among this commit's held
 /// locks. `held` is in ascending stripe order by construction
-/// ([`lock_stripes`] walks the sorted, deduplicated write stripes), so
-/// sets past [`HELD_LINEAR_MAX`] resolve in O(log w).
+/// ([`lock_write_stripes`] walks the sorted, deduplicated write
+/// stripes), so sets past [`HELD_LINEAR_MAX`] resolve in O(log w).
 pub(super) fn held_word(held: &[(usize, u64)], stripe: usize) -> Option<u64> {
     debug_assert!(
         held.windows(2).all(|w| w[0].0 < w[1].0),
@@ -39,31 +39,21 @@ pub(super) fn held_word(held: &[(usize, u64)], stripe: usize) -> Option<u64> {
     }
 }
 
-/// Version-equality validation of the read set; `held` lists stripes
-/// this transaction has locked, with their pre-lock words.
-pub(crate) fn validate(tx: &Transaction<'_>, held: Option<&[(usize, u64)]>) -> Result<(), Retry> {
+/// Version-equality validation of the read set. Stripes this
+/// transaction has locked (`TxLog::held_buf`, empty outside a prepare)
+/// validate against their pre-lock words.
+pub(crate) fn validate(tx: &Transaction<'_>) -> Result<(), Retry> {
     tx.tally.probes(tx.log.reads.len() as u64);
     for r in &tx.log.reads {
-        if let Some(held) = held {
-            if let Some(pre) = held_word(held, r.stripe) {
-                if pre != r.meta {
-                    return Err(Retry);
-                }
-                continue;
-            }
-        }
-        if tx.stm.orecs.word(r.stripe).load(Ordering::Acquire) != r.meta {
+        let word = match held_word(&tx.log.held_buf, r.stripe) {
+            Some(pre) => pre,
+            None => tx.stm.orecs.word(r.stripe).load(Ordering::Acquire),
+        };
+        if word != r.meta {
             return Err(Retry);
         }
     }
     Ok(())
-}
-
-/// Commit hook shared by Tl2 and Incremental: try-lock the write set's
-/// stripes in sorted order, validate the read set once against the held
-/// locks, draw a commit timestamp, publish.
-pub(crate) fn commit(tx: &mut Transaction<'_>) -> bool {
-    super::with_write_stripes(tx, commit_with)
 }
 
 /// Draws this commit's write version from the global clock — GV4-style
@@ -72,7 +62,7 @@ pub(crate) fn commit(tx: &mut Transaction<'_>) -> bool {
 /// attempts total rather than k serialized wins on the hottest line in
 /// the system.
 ///
-/// **Single-version commits only** (Tl2/Incremental, `commit_with`
+/// **Single-version commits only** (Tl2/Incremental, [`publish`]
 /// below). Mv's commit must not use this: a failed CAS performs no
 /// write, so an adopting loser leaves **no release edge on the clock**
 /// between its work and a reader that drew `rv >= wv` from the winner's
@@ -81,7 +71,7 @@ pub(crate) fn commit(tx: &mut Transaction<'_>) -> bool {
 /// committer's lock CAS / release-stamp of that word carries the
 /// happens-before — but Mv's snapshot readers probe *nothing* except
 /// the clock, so Mv draws its tick with an always-writing `fetch_add`
-/// instead (see `mv::commit_with` and the `mv` module docs).
+/// instead (see `mv::publish` and the `mv` module docs).
 ///
 /// Why adopting a foreign tick is safe — the caller must invoke this
 /// only **after** its stripe locks are held:
@@ -107,8 +97,8 @@ pub(crate) fn commit(tx: &mut Transaction<'_>) -> bool {
 ///   never through the clock. The adopted tick only has to be a correct
 ///   *number*, which the two bullets above establish; it never has to
 ///   carry an ordering edge.
-fn draw_wv(tx: &Transaction<'_>) -> u64 {
-    let clock = &tx.stm.clock;
+fn draw_wv(stm: &Stm) -> u64 {
+    let clock = &stm.clock;
     let seen = clock.load(Ordering::Acquire);
     match clock.compare_exchange(seen, seen + 1, Ordering::AcqRel, Ordering::Acquire) {
         Ok(_) => seen + 1,
@@ -118,51 +108,38 @@ fn draw_wv(tx: &Transaction<'_>) -> u64 {
     }
 }
 
-fn commit_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &mut Vec<(usize, u64)>) -> bool {
-    if !prepare_with(tx, stripes, held) {
-        return false;
-    }
-    publish_with(tx, stripes, held);
-    true
-}
-
-/// First commit half: try-lock the write stripes and validate the read
-/// set against the held locks, without publishing anything. On failure
-/// every lock taken is released and `held` is left empty. Exposed to the
-/// engine's two-phase commit ([`Transaction::prepare_commit`]), which
-/// holds several instances' prepares open before publishing any.
+/// Prepare half (Tl2 and Incremental): try-lock the write set's stripes
+/// in sorted order and validate the read set once against the held
+/// locks, publishing nothing. A read-only attempt locks nothing and
+/// just revalidates. On failure every lock taken is released. One-shot
+/// commits and the two-phase [`Transaction::prepare_commit`] both come
+/// through here.
 ///
 /// [`Transaction::prepare_commit`]: crate::Transaction::prepare_commit
-pub(crate) fn prepare_with(
-    tx: &mut Transaction<'_>,
-    stripes: &[usize],
-    held: &mut Vec<(usize, u64)>,
-) -> bool {
-    if !lock_stripes(tx, stripes, held) {
-        held.clear();
+pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
+    if !lock_write_stripes(tx) {
         return false;
     }
-    if validate(tx, Some(held)).is_err() {
-        release(tx, held, None);
-        held.clear();
+    if validate(tx).is_err() {
+        rollback(tx);
         return false;
     }
     true
 }
 
-/// Second commit half: publish the write set under the locks
-/// [`prepare_with`] acquired and release them stamped. Infallible — the
-/// prepare already decided the outcome.
-pub(crate) fn publish_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &[(usize, u64)]) {
+/// Publish half: write back under the locks [`prepare`] acquired and
+/// release them stamped with a freshly drawn commit timestamp.
+/// Infallible — the prepare already decided the outcome.
+pub(crate) fn publish(tx: &mut Transaction<'_>) {
     // Locks held: safe to share a lost race's tick (see `draw_wv`).
-    let wv = draw_wv(tx);
+    let wv = draw_wv(tx.stm);
     // Log the staged durability payload before the release below makes
     // the write set reader-visible: a conflicting commit serializes on
     // the held stripes, so log order respects conflict order (see
     // `crate::wal`). Memory-only — no I/O under the locks.
     tx.durability_record(wv);
     let retired = tx.log.publish_writes();
-    release(tx, held, Some(orec::stamped(wv)));
+    release(tx.stm, &tx.log.held_buf, Some(orec::stamped(wv)));
     // Retire only after every swap above: the epoch tag must postdate
     // the last moment a reader could have loaded an old pointer.
     epoch::retire_batch(retired);
@@ -170,20 +147,19 @@ pub(crate) fn publish_with(tx: &mut Transaction<'_>, stripes: &[usize], held: &[
     // stores above, so a woken reader re-reading the stripe sees the
     // new stamp (and the SeqCst fence inside pairs with registration;
     // see `crate::waiter`).
-    tx.stm.wake_stripes(stripes);
+    tx.stm.wake_stripes(&tx.log.stripe_buf);
 }
 
-/// Try-locks the given (sorted, deduplicated) stripes, recording each
-/// `(stripe, pre-lock word)` in `held`. On any already-locked or lost
-/// CAS, releases everything taken so far and returns `false`. Shared by
-/// every versioned-word commit (Tl2/Incremental's and Mv's), so the
-/// locking protocol has exactly one implementation.
-pub(super) fn lock_stripes(
-    tx: &mut Transaction<'_>,
-    stripes: &[usize],
-    held: &mut Vec<(usize, u64)>,
-) -> bool {
-    for &stripe in stripes.iter() {
+/// Collects the write set's stripes into `TxLog::stripe_buf` (sorted,
+/// deduplicated) and try-locks them in that order, recording each
+/// `(stripe, pre-lock word)` in `TxLog::held_buf`. On any already-locked
+/// word or lost CAS, releases everything taken so far and returns
+/// `false`. Shared by every versioned-word prepare (Tl2/Incremental's
+/// and Mv's), so the locking protocol has exactly one implementation.
+pub(super) fn lock_write_stripes(tx: &mut Transaction<'_>) -> bool {
+    tx.log.collect_write_stripes(&tx.stm.orecs);
+    for i in 0..tx.log.stripe_buf.len() {
+        let stripe = tx.log.stripe_buf[i];
         let word = tx.stm.orecs.word(stripe);
         let m = word.load(Ordering::Acquire);
         let lock_ok = !orec::is_locked(m)
@@ -191,21 +167,27 @@ pub(super) fn lock_stripes(
                 .compare_exchange(m, m | 1, Ordering::AcqRel, Ordering::Acquire)
                 .is_ok();
         if !lock_ok {
-            release(tx, held, None);
+            rollback(tx);
             return false;
         }
-        held.push((stripe, m));
+        tx.log.held_buf.push((stripe, m));
     }
     true
 }
 
-/// Releases held stripe locks: to their pre-lock word (on abort) or to a
-/// new stamped word (on commit). `pub(crate)` so the engine's two-phase
-/// commit can abort a prepared (locked, validated, unpublished) attempt.
-pub(crate) fn release(tx: &Transaction<'_>, held: &[(usize, u64)], stamp: Option<u64>) {
+/// Abandons the held stripe locks, restoring every pre-lock word: a
+/// failed prepare's cleanup, and the engine's two-phase abort of a
+/// prepared (locked, validated, unpublished) attempt.
+pub(crate) fn rollback(tx: &mut Transaction<'_>) {
+    release(tx.stm, &tx.log.held_buf, None);
+    tx.log.held_buf.clear();
+}
+
+/// Stores each held stripe's release word: its pre-lock word (abort) or
+/// a new stamped word (commit).
+pub(super) fn release(stm: &Stm, held: &[(usize, u64)], stamp: Option<u64>) {
     for &(stripe, pre) in held {
-        tx.stm
-            .orecs
+        stm.orecs
             .word(stripe)
             .store(stamp.unwrap_or(pre), Ordering::Release);
     }

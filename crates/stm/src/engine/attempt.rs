@@ -1,10 +1,9 @@
 //! The attempt loop: retry-until-commit, contention-manager
-//! consultation, the parking tier (both logical `retry` waits and
-//! [`Decision::Park`] conflict escalations), and the adaptive
-//! controller's commit-path hook.
+//! consultation, and the parking tier (both logical `retry` waits and
+//! [`Decision::Park`] conflict escalations). An attempt commits through
+//! the one pipeline in `twophase`: `prepare`, then `publish`.
 
 use super::{RetriesExhausted, Retry, Stm, Transaction};
-use crate::algo::adaptive;
 use crate::cm::Decision;
 use crate::tvar::{TVar, TxValue};
 use crate::txlog::TxLog;
@@ -41,18 +40,12 @@ impl Stm {
         let mut attempt: u64 = 0;
         loop {
             let mut tx = Transaction::begin(self, log);
-            let committed = match body(&mut tx) {
-                Ok(out) if tx.commit() => Some(out),
-                _ => None,
-            };
-            if let Some(out) = committed {
-                // Drop before the controller hook: the adaptive sampler
-                // may quiesce the instance, which must never wait on the
-                // sampling thread's own (finished) transaction.
-                drop(tx);
-                self.stats.commit();
-                adaptive::after_commit(self);
-                return Ok(out);
+            if let Ok(out) = body(&mut tx) {
+                if tx.commit() {
+                    drop(tx);
+                    self.retire_committed();
+                    return Ok(out);
+                }
             }
             tx.close_aborted();
             self.stats.abort();
@@ -127,25 +120,15 @@ impl Stm {
         body: impl FnOnce(&mut Transaction<'_>) -> Result<A, Retry>,
     ) -> Option<A> {
         let mut tx = Transaction::begin(self, TxLog::default());
-        let committed = match body(&mut tx) {
-            Ok(out) if tx.commit() => Some(out),
-            _ => {
-                tx.close_aborted();
-                None
-            }
-        };
-        drop(tx);
-        match committed {
-            Some(out) => {
-                self.stats.commit();
-                adaptive::after_commit(self);
-                Some(out)
-            }
-            None => {
-                self.stats.abort();
-                None
+        if let Ok(out) = body(&mut tx) {
+            if tx.commit() {
+                drop(tx);
+                self.retire_committed();
+                return Some(out);
             }
         }
+        tx.rollback();
+        None
     }
 
     /// Reads a variable outside any transaction (single-variable

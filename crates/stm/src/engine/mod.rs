@@ -36,7 +36,7 @@
 //!   signals and knobs.
 //!
 //! The algorithm-specific read/commit/snapshot behaviour lives in the
-//! [`crate::algo`] strategy layer (one module per algorithm, three hooks
+//! [`crate::algo`] strategy layer (one module per algorithm, four hooks
 //! each); this module owns everything generic, split by concern:
 //!
 //! * [`builder`] — [`StmBuilder`]: configuration and instance assembly;
@@ -44,10 +44,11 @@
 //!   (operations, poisoning, instrumentation, lock cleanup);
 //! * [`attempt`] — the retry loop ([`Stm::run`] / [`Stm::atomically`] /
 //!   [`Stm::try_once`]) and contention-manager consultation;
-//! * [`twophase`] — the split commit ([`Transaction::prepare_commit`] /
-//!   [`Prepared`]) that lets a coordinator hold several instances'
-//!   commit locks open and publish them together (the `ptm-server`
-//!   cross-shard commit);
+//! * [`twophase`] — the one commit pipeline, prepare then publish: run
+//!   back to back by the attempt loops, and split
+//!   ([`Transaction::prepare_commit`] / [`Prepared`]) for a coordinator
+//!   that holds several instances' commit locks open and publishes them
+//!   together (the `ptm-server` cross-shard commit);
 //! * this file — [`Stm`] itself, the [`Algorithm`] selector, and the
 //!   error types.
 //!

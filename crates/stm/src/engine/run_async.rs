@@ -41,7 +41,6 @@
 //! [`decide`]: crate::cm::ContentionManager::decide
 
 use super::{RetriesExhausted, Retry, Stm, Transaction};
-use crate::algo::adaptive;
 use crate::cm::Decision;
 use crate::txlog::TxLog;
 use crate::waiter::{self, WaitCell, CONFLICT_PARK_TIMEOUT};
@@ -177,15 +176,12 @@ where
         loop {
             let log = this.log.take().unwrap_or_default();
             let mut tx = Transaction::begin(this.stm, log);
-            let committed = match (this.body)(&mut tx) {
-                Ok(out) if tx.commit() => Some(out),
-                _ => None,
-            };
-            if let Some(out) = committed {
-                drop(tx);
-                this.stm.stats.commit();
-                adaptive::after_commit(this.stm);
-                return Poll::Ready(Ok(out));
+            if let Ok(out) = (this.body)(&mut tx) {
+                if tx.commit() {
+                    drop(tx);
+                    this.stm.retire_committed();
+                    return Poll::Ready(Ok(out));
+                }
             }
             tx.close_aborted();
             this.stm.stats.abort();

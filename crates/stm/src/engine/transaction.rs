@@ -555,32 +555,4 @@ impl<'s> Transaction<'s> {
             Algorithm::Tlrw | Algorithm::Adaptive => true,
         }
     }
-
-    /// Attempts to commit; returns whether the transaction is now durable.
-    pub(super) fn commit(&mut self) -> bool {
-        if self.poisoned {
-            return false;
-        }
-        self.ensure_started();
-        self.rec_invoke(TOpDesc::TryCommit);
-        let ok = if self.log.writes.is_empty() {
-            // Read-only: serialized at its last validation (invisible
-            // reads), under its still-held read locks (Tlrw), or at its
-            // snapshot time (Mv — the abort-free case) — either way
-            // nothing to validate, nothing to publish.
-            true
-        } else {
-            algo::commit(self)
-        };
-        // Visible-read algorithms hold per-stripe read locks until the
-        // outcome is decided; release them whatever it was.
-        self.release_read_locks();
-        let res = if ok {
-            TOpResult::Committed
-        } else {
-            TOpResult::Aborted
-        };
-        self.rec_respond(TOpDesc::TryCommit, res);
-        ok
-    }
 }

@@ -1,8 +1,12 @@
-//! Two-phase commit surface: [`Transaction::prepare_commit`] splits a
-//! commit into its *prepare* half (acquire the commit locks, validate —
-//! everything that can fail) and its *publish* half (write back and
-//! release — infallible), so a coordinator can hold several instances'
-//! prepares open and publish them together.
+//! The commit pipeline: every commit is a *prepare* half (acquire the
+//! commit locks, validate — everything that can fail) followed by a
+//! *publish* half (write back and release — infallible). The attempt
+//! loop's one-shot commit runs the two back to back
+//! ([`Transaction::prepare`] then [`Transaction::publish`]); the
+//! two-phase surface ([`Transaction::prepare_commit`]) hands the window
+//! in between to a coordinator, which can hold several instances'
+//! prepares open and publish them together. Both go through the same
+//! two per-algorithm dispatches below — there is no second commit path.
 //!
 //! This is what makes a **cross-instance atomic commit** possible
 //! without any new global metadata: each [`Stm`] keeps its own clock and
@@ -63,25 +67,23 @@ pub struct Prepared {
     stm: *const Stm,
 }
 
-/// What the publish/abort half must do, per algorithm family.
-#[derive(Debug)]
-enum Plan {
-    /// No writes: the prepare-time validation was the serialization
-    /// point; nothing is locked and nothing needs publishing.
+/// What the publish/abort half must do, per algorithm family. The locks
+/// a plan stands for live in the attempt's own log
+/// (`TxLog::{stripe_buf, held_buf}`, filled by the prepare half), so a
+/// commit allocates nothing to carry them from prepare to publish.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Plan {
+    /// No writes: the attempt is already serialized (at its last
+    /// validation, under its held read locks, or at its snapshot time);
+    /// nothing is locked and nothing needs publishing.
     ReadOnly,
-    /// Versioned stripe locks held (Tl2/Incremental when `mv` is false,
-    /// Mv when true — Mv publishes by appending versions instead of
-    /// swapping values).
-    Versioned {
-        stripes: Vec<usize>,
-        held: Vec<(usize, u64)>,
-        mv: bool,
-    },
-    /// Tlrw write locks held; `held` entries are `(stripe, was_read)`.
-    Tlrw {
-        stripes: Vec<usize>,
-        held: Vec<(usize, u64)>,
-    },
+    /// Versioned stripe locks held (Tl2/Incremental); publishes by
+    /// swapping values.
+    Versioned,
+    /// Versioned stripe locks held (Mv); publishes by appending versions.
+    Mv,
+    /// Tlrw write locks held.
+    Tlrw,
     /// The instance's sequence lock is held (clock parked at the odd
     /// `rv + 1`).
     Norec,
@@ -117,14 +119,27 @@ impl Stm {
     pub fn transaction(&self) -> Transaction<'_> {
         Transaction::begin(self, TxLog::default())
     }
+
+    /// The tail of every commit, one-shot or two-phase: count it and
+    /// give the adaptive controller its hook. Called **after** the
+    /// committed transaction is dropped — the sampler may quiesce the
+    /// instance, which must never wait on the sampling thread's own
+    /// (finished) transaction, and the drop is what flushes the
+    /// attempt's operation tallies into the sample. (A by-value
+    /// `Transaction` parameter would say that in the signature, but
+    /// moving the 448-byte attempt measured +20 ns on every commit.)
+    pub(super) fn retire_committed(&self) {
+        self.stats.commit();
+        adaptive::after_commit(self);
+    }
 }
 
 impl Transaction<'_> {
     /// First commit half: acquire this attempt's commit locks and
     /// validate its read set, publishing nothing. On `Ok` the attempt
-    /// holds whatever its algorithm's commit would hold across the write
-    /// back (write-stripe locks, the sequence lock, Tlrw's still-held
-    /// read locks) and *cannot fail anymore* — the returned [`Prepared`]
+    /// holds whatever its algorithm's commit holds across the write back
+    /// (write-stripe locks, the sequence lock, Tlrw's still-held read
+    /// locks) and *cannot fail anymore* — the returned [`Prepared`]
     /// must be resolved promptly with [`Transaction::commit_prepared`]
     /// or [`Transaction::abort_prepared`], since other transactions
     /// conflict against the held locks in the meantime.
@@ -141,77 +156,90 @@ impl Transaction<'_> {
     /// locks are already rolled back; drop it or [`Transaction::rollback`]
     /// it and start over.
     pub fn prepare_commit(&mut self) -> Result<Prepared, Retry> {
+        // An attempt that was already doomed failed (and was counted)
+        // at the operation that doomed it, not here.
         if self.poisoned {
             return Err(Retry);
         }
-        self.ensure_started();
-        self.rec_invoke(TOpDesc::TryCommit);
-        match self.prepare_raw() {
+        match self.prepare(true) {
             Some(plan) => Ok(Prepared {
                 plan,
                 stm: self.stm as *const Stm,
             }),
             None => {
-                // Mirror a failed `commit`: the attempt is dead, its
-                // history marker closes aborted, and the failure counts.
-                self.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);
-                self.poisoned = true;
-                self.release_read_locks();
                 self.stm.stats.abort();
                 Err(Retry)
             }
         }
     }
 
-    /// The per-algorithm prepare dispatch; `None` means the attempt
-    /// aborted with every acquired lock already rolled back.
-    fn prepare_raw(&mut self) -> Option<Plan> {
-        if self.log.writes.is_empty() {
-            let ok = match self.mode {
-                Algorithm::Tl2 | Algorithm::Incremental => versioned::validate(self, None).is_ok(),
-                Algorithm::Mv => mv::validate(self, &[]).is_ok(),
-                Algorithm::Norec => match norec::validate(self) {
-                    Ok(t) => {
-                        self.rv = t;
-                        true
-                    }
-                    Err(Retry) => false,
-                },
-                // Visible reads still hold their stripe locks: no writer
-                // can have committed past them. (Unpinned Adaptive has
-                // read nothing.)
-                Algorithm::Tlrw | Algorithm::Adaptive => true,
-            };
-            return ok.then_some(Plan::ReadOnly);
+    /// The prepare half of every commit, one-shot or two-phase: opens
+    /// the `tryC` history marker and runs the algorithm's prepare hook.
+    /// `None` means the attempt aborted — every acquired lock is rolled
+    /// back, the marker is closed aborted, and the attempt is poisoned;
+    /// the caller counts the abort.
+    ///
+    /// A read-only attempt is already serialized (see
+    /// [`Plan::ReadOnly`]) and prepares trivially, unless `revalidate`
+    /// asks for the read-set re-check a cross-instance coordinator
+    /// needs.
+    pub(super) fn prepare(&mut self, revalidate: bool) -> Option<Plan> {
+        if self.poisoned {
+            return None;
         }
-        let mut stripes: Vec<usize> = self
-            .log
-            .writes
-            .iter()
-            .map(|w| self.stm.orecs.stripe_of(w.id))
-            .collect();
-        stripes.sort_unstable();
-        stripes.dedup();
-        let mut held = Vec::with_capacity(stripes.len());
-        match self.mode {
-            Algorithm::Tl2 | Algorithm::Incremental => {
-                versioned::prepare_with(self, &stripes, &mut held).then_some(Plan::Versioned {
-                    stripes,
-                    held,
-                    mv: false,
-                })
-            }
-            Algorithm::Mv => {
-                mv::prepare_with(self, &stripes, &mut held).then_some(Plan::Versioned {
-                    stripes,
-                    held,
-                    mv: true,
-                })
-            }
-            Algorithm::Tlrw => tlrw::prepare_with(self, &stripes, &mut held)
-                .then_some(Plan::Tlrw { stripes, held }),
-            Algorithm::Norec => norec::acquire_seqlock(self).then_some(Plan::Norec),
+        self.ensure_started();
+        self.rec_invoke(TOpDesc::TryCommit);
+        let read_only = self.log.writes.is_empty();
+        if read_only && !revalidate {
+            return Some(Plan::ReadOnly);
+        }
+        // With an empty write set each hook locks nothing and only
+        // revalidates the read set.
+        let (ok, plan) = match self.mode {
+            Algorithm::Tl2 | Algorithm::Incremental => (versioned::prepare(self), Plan::Versioned),
+            Algorithm::Mv => (mv::prepare(self), Plan::Mv),
+            Algorithm::Tlrw => (tlrw::prepare(self), Plan::Tlrw),
+            Algorithm::Norec => (norec::prepare(self), Plan::Norec),
             Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2, Tlrw, or Mv as the mode"),
+        };
+        if !ok {
+            self.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);
+            self.poisoned = true;
+            self.release_read_locks();
+            return None;
+        }
+        Some(if read_only { Plan::ReadOnly } else { plan })
+    }
+
+    /// The publish half of every commit: write the buffered values back
+    /// under the locks `plan` holds, release everything the attempt
+    /// still holds, and close the `tryC` marker committed. Infallible.
+    /// The caller then drops the transaction and calls
+    /// [`Stm::retire_committed`].
+    pub(super) fn publish(&mut self, plan: Plan) {
+        match plan {
+            Plan::ReadOnly => {}
+            Plan::Versioned => versioned::publish(self),
+            Plan::Mv => mv::publish(self),
+            Plan::Tlrw => tlrw::publish(self),
+            Plan::Norec => norec::publish(self),
+        }
+        // Visible-read algorithms hold per-stripe read locks until the
+        // outcome is decided.
+        self.release_read_locks();
+        self.rec_respond(TOpDesc::TryCommit, TOpResult::Committed);
+    }
+
+    /// The one-shot commit of the attempt loops: prepare, then publish,
+    /// back to back. `false` means the attempt aborted (see
+    /// [`Transaction::prepare`]).
+    pub(super) fn commit(&mut self) -> bool {
+        match self.prepare(false) {
+            Some(plan) => {
+                self.publish(plan);
+                true
+            }
+            None => false,
         }
     }
 
@@ -229,27 +257,10 @@ impl Transaction<'_> {
             std::ptr::eq(prepared.stm, self.stm),
             "Prepared token crossed between Stm instances"
         );
-        match prepared.plan {
-            Plan::ReadOnly => {}
-            Plan::Versioned { stripes, held, mv } => {
-                if mv {
-                    mv::publish_with(&mut self, &stripes, &held);
-                } else {
-                    versioned::publish_with(&mut self, &stripes, &held);
-                }
-            }
-            Plan::Tlrw { stripes, held } => tlrw::publish_with(&mut self, &stripes, &held),
-            Plan::Norec => norec::publish_locked(&mut self),
-        }
-        self.release_read_locks();
-        self.rec_respond(TOpDesc::TryCommit, TOpResult::Committed);
+        self.publish(prepared.plan);
         let stm = self.stm;
-        // Drop before the controller hook, as in the attempt loop: the
-        // adaptive sampler may quiesce the instance, which must never
-        // wait on this (finished) transaction.
         drop(self);
-        stm.stats.commit();
-        adaptive::after_commit(stm);
+        stm.retire_committed();
     }
 
     /// Abandons a prepared commit: every lock `prepared` holds is
@@ -269,8 +280,8 @@ impl Transaction<'_> {
         );
         match prepared.plan {
             Plan::ReadOnly => {}
-            Plan::Versioned { held, .. } => versioned::release(&self, &held, None),
-            Plan::Tlrw { held, .. } => tlrw::rollback(&mut self, &held),
+            Plan::Versioned | Plan::Mv => versioned::rollback(&mut self),
+            Plan::Tlrw => tlrw::rollback(&mut self),
             Plan::Norec => norec::release_seqlock(&self),
         }
         self.release_read_locks();

@@ -75,8 +75,8 @@
 //!
 //! | module | concern |
 //! |--------|---------|
-//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] (`engine::transaction`), the retry loop (`engine::attempt`), the split prepare/publish commit for cross-instance coordinators ([`Prepared`], `engine::twophase`) |
-//! | `algo`  | the strategy layer: one module per algorithm (begin / read / commit hooks), including the adaptive mode controller |
+//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] (`engine::transaction`), the retry loop (`engine::attempt`), the prepare → publish commit pipeline every commit runs and cross-instance coordinators split ([`Prepared`], `engine::twophase`) |
+//! | `algo`  | the strategy layer: one module per algorithm (begin / read / prepare / publish hooks), including the adaptive mode controller |
 //! | `txlog` | read-set / write-set log shared by all algorithms |
 //! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv) or reader–writer locks (Tlrw); Adaptive reinterprets the table between the two formats |
 //! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer with Fenwick-shaped skip links for sublinear snapshot walks (single-version algorithms swap the head; Mv appends, trims, and bounds via [`MvConfig`]) |

@@ -105,40 +105,6 @@ fn thread_slot() -> usize {
     THREAD_SLOT.with(|s| *s)
 }
 
-/// One cache-line-padded block of monotonic counters. All increments
-/// stay `fetch_add`s — but on a line private to (at most) one running
-/// thread, so they never ping-pong.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-struct Shard {
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    validation_probes: AtomicU64,
-    reader_conflicts: AtomicU64,
-    reads: AtomicU64,
-    writes: AtomicU64,
-    snapshot_reads: AtomicU64,
-    chain_walk_steps: AtomicU64,
-    versions_trimmed: AtomicU64,
-    versions_evicted: AtomicU64,
-    eviction_aborts: AtomicU64,
-    /// High-water mark, not a counter (`fetch_max`, summed by `max`).
-    max_chain_len: AtomicU64,
-    /// High-water mark of the post-trim retained chain length — the
-    /// standing space bill, as opposed to `max_chain_len`'s pre-trim
-    /// spike.
-    versions_retained: AtomicU64,
-    recorded_events: AtomicU64,
-    mode_transitions: AtomicU64,
-    parks: AtomicU64,
-    wakes: AtomicU64,
-    spurious_wakes: AtomicU64,
-    async_yields: AtomicU64,
-    log_appends: AtomicU64,
-    fsyncs: AtomicU64,
-    group_commit_records: AtomicU64,
-}
-
 /// Monotonic event counters for one [`Stm`](crate::Stm) instance,
 /// sharded across cache-padded slots (see the module docs).
 #[derive(Debug)]
@@ -210,78 +176,159 @@ impl OpTally {
     }
 }
 
-/// A point-in-time copy of the counters.
-///
-/// # Examples
-///
-/// Windowed deltas via [`StatsSnapshot::since`] — the idiom the
-/// adaptive controller itself uses:
-///
-/// ```
-/// use ptm_stm::{Stm, TVar};
-///
-/// let stm = Stm::tl2();
-/// let v = TVar::new(0u64);
-/// let before = stm.stats().snapshot();
-/// stm.atomically(|tx| tx.modify(&v, |x| x + 1));
-/// let d = stm.stats().snapshot().since(&before);
-/// assert_eq!((d.commits, d.reads, d.writes), (1, 1, 1));
-/// assert_eq!(
-///     d.active_mode,
-///     ptm_stm::ActiveMode::Invisible,
-///     "Tl2 runs invisible reads"
-/// );
-/// assert!(d.to_string().contains("commits=1"));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
+/// Declares every counter exactly once — public field name and docs,
+/// how shards fold (`sum` for monotonic counters, `max` for high-water
+/// marks) and the [`Display`](fmt::Display) label — and generates from
+/// that one table the per-shard atomics (`Shard`), [`StatsSnapshot`],
+/// [`StmStats::snapshot`], [`StatsSnapshot::since`] and the `Display`
+/// line, in table order.
+macro_rules! counters {
+    (@fold sum $acc:expr, $v:expr) => { $acc += $v };
+    (@fold max $acc:expr, $v:expr) => { $acc = $acc.max($v) };
+    (@since sum $later:expr, $earlier:expr) => {
+        $later.checked_sub($earlier).expect("snapshot order")
+    };
+    // High-water marks, not counters: the delta reports the later
+    // snapshot's mark.
+    (@since max $later:expr, $earlier:expr) => { $later };
+    ($($(#[$doc:meta])* $name:ident: $kind:ident, $label:literal;)*) => {
+        /// One cache-line-padded block of monotonic counters. All
+        /// increments stay `fetch_add`s (`fetch_max` for the high-water
+        /// marks) — but on a line private to (at most) one running
+        /// thread, so they never ping-pong.
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        struct Shard {
+            $($name: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of the counters.
+        ///
+        /// # Examples
+        ///
+        /// Windowed deltas via [`StatsSnapshot::since`] — the idiom the
+        /// adaptive controller itself uses:
+        ///
+        /// ```
+        /// use ptm_stm::{Stm, TVar};
+        ///
+        /// let stm = Stm::tl2();
+        /// let v = TVar::new(0u64);
+        /// let before = stm.stats().snapshot();
+        /// stm.atomically(|tx| tx.modify(&v, |x| x + 1));
+        /// let d = stm.stats().snapshot().since(&before);
+        /// assert_eq!((d.commits, d.reads, d.writes), (1, 1, 1));
+        /// assert_eq!(
+        ///     d.active_mode,
+        ///     ptm_stm::ActiveMode::Invisible,
+        ///     "Tl2 runs invisible reads"
+        /// );
+        /// assert!(d.to_string().contains("commits=1"));
+        /// ```
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+            /// The read regime in force when the snapshot was taken:
+            /// [`ActiveMode::Visible`] for `Tlrw`, [`ActiveMode::Multiversion`]
+            /// for `Mv`, [`ActiveMode::Invisible`] for the other static
+            /// algorithms — and, for `Adaptive`, wherever the controller
+            /// currently sits. Point-in-time state, not a counter — [`since`]
+            /// carries the *later* snapshot's value through unchanged.
+            ///
+            /// [`since`]: StatsSnapshot::since
+            pub active_mode: ActiveMode,
+        }
+
+        impl StmStats {
+            /// Takes a snapshot of all counters: counters sum across
+            /// the shards, high-water marks take their max.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let mut out = StatsSnapshot {
+                    active_mode: ActiveMode::from_u8(self.active_mode.load(Ordering::Relaxed)),
+                    ..StatsSnapshot::default()
+                };
+                for s in self.shards.iter() {
+                    $(counters!(@fold $kind out.$name, s.$name.load(Ordering::Relaxed));)*
+                }
+                out
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Counter-wise difference from an earlier snapshot.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `earlier` is not actually earlier.
+            pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: counters!(@since $kind self.$name, earlier.$name),)*
+                    // State, not a counter: the delta reports where the
+                    // window *ended up*.
+                    active_mode: self.active_mode,
+                }
+            }
+        }
+
+        impl fmt::Display for StatsSnapshot {
+            /// One-line counter summary, so bench output and tests do
+            /// not format counters by hand.
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                $(write!(f, concat!($label, "={} "), self.$name)?;)*
+                write!(f, "mode={}", self.active_mode)
+            }
+        }
+    };
+}
+
+counters! {
     /// Transactions that committed.
-    pub commits: u64,
+    commits: sum, "commits";
     /// Transaction attempts that aborted.
-    pub aborts: u64,
+    aborts: sum, "aborts";
+    /// `read` operations executed.
+    reads: sum, "reads";
+    /// `write` operations executed.
+    writes: sum, "writes";
     /// Individual read-set entries re-checked during validation.
-    pub validation_probes: u64,
+    validation_probes: sum, "probes";
     /// Aborts forced by visible-read lock conflicts (`Algorithm::Tlrw`):
     /// a t-read that hit a write-locked stripe, or a committing writer
     /// that found foreign readers (or another writer) on a write stripe.
     /// Always 0 under the invisible-read algorithms.
-    pub reader_conflicts: u64,
-    /// `read` operations executed.
-    pub reads: u64,
-    /// `write` operations executed.
-    pub writes: u64,
+    reader_conflicts: sum, "reader_conflicts";
     /// Reads served from a version chain by snapshot timestamp
     /// ([`Algorithm::Mv`](crate::Algorithm::Mv)): zero orec probes, zero
     /// validation, never an abort. Always 0 under the single-version
     /// algorithms.
-    pub snapshot_reads: u64,
+    snapshot_reads: sum, "snapshot_reads";
     /// Version-chain hops snapshot reads performed past the head
     /// ([`Algorithm::Mv`](crate::Algorithm::Mv)): 0 when every read was
     /// served by the newest version. The cost of camping — with skip
     /// pointers it grows logarithmically in the chain length, not
     /// linearly (see the `long_scan` camped-reader bench rung).
-    pub chain_walk_steps: u64,
+    chain_walk_steps: sum, "walk_steps";
     /// Superseded versions detached from their chains by the
     /// low-watermark collector (`Algorithm::Mv` commits). The space the
     /// multi-version design pays — and reclaims.
-    pub versions_trimmed: u64,
+    versions_trimmed: sum, "trimmed";
     /// Versions cut *past* the low watermark by the
     /// [`MvConfig::max_versions`](crate::MvConfig::max_versions) bound —
     /// versions an active snapshot might still have needed. Always 0
     /// without the bound.
-    pub versions_evicted: u64,
+    versions_evicted: sum, "evicted";
     /// Snapshot reads aborted because the version their snapshot named
     /// had been evicted by the space bound (the oldest-snapshot-abort
     /// rule; the retried attempt draws a fresh snapshot and succeeds).
     /// Always 0 without the bound.
-    pub eviction_aborts: u64,
+    eviction_aborts: sum, "eviction_aborts";
     /// The longest version chain any trim pass observed — a high-water
     /// mark, not a counter: [`since`](StatsSnapshot::since) carries the
     /// *later* snapshot's value through unchanged. Bounded by the span
     /// between the oldest active snapshot and the newest commit; stays 0
     /// under the single-version algorithms (only Mv commits trim, and
     /// their chains never grow).
-    pub max_chain_len: u64,
+    max_chain_len: max, "max_chain";
     /// The longest *post-trim* chain any trim pass left behind — the
     /// standing space bill (versions no watermark could free), where
     /// `max_chain_len` is the pre-trim spike. A high-water mark like
@@ -289,55 +336,46 @@ pub struct StatsSnapshot {
     /// later snapshot's value through. Watch it against
     /// [`MvConfig::max_versions`](crate::MvConfig::max_versions) to see
     /// eviction pressure building.
-    pub versions_retained: u64,
+    versions_retained: max, "retained";
     /// History markers captured by an attached
     /// [`HistoryRecorder`](crate::HistoryRecorder) (0 when recording is
     /// off).
-    pub recorded_events: u64,
+    recorded_events: sum, "recorded";
     /// Mode switches performed by the
     /// [`Algorithm::Adaptive`](crate::Algorithm::Adaptive) controller
     /// (always 0 for the static algorithms).
-    pub mode_transitions: u64,
+    mode_transitions: sum, "transitions";
     /// Attempts that parked on the orec table's waiter lists instead of
     /// re-running: logical waits (`Transaction::retry`) and
     /// contention-manager [`Decision::Park`](crate::Decision::Park)
     /// escalations. A parked attempt does no spinning and no validation
     /// probing until woken.
-    pub parks: u64,
+    parks: sum, "parks";
     /// Parked waiters actually woken by a committing writer's wake sweep
     /// over an overlapping stripe.
-    pub wakes: u64,
+    wakes: sum, "wakes";
     /// Parks that ended by safety-net timeout rather than a writer's
     /// wake — the lost-wakeup canary (≈ 0 in a healthy run; an idle
     /// `retry` with nothing ever committing also lands here).
-    pub spurious_wakes: u64,
+    spurious_wakes: sum, "spurious";
     /// Cooperative yields taken by [`Stm::run_async`](crate::Stm::run_async)
     /// polls: the async loop's translation of the contention manager's
     /// wait tiers (a poll that exhausted its inline retry budget
     /// reschedules itself instead of spinning on the executor thread).
     /// Observes the degradation the async path accepts under contention;
     /// always 0 for purely blocking workloads.
-    pub async_yields: u64,
+    async_yields: sum, "yields";
     /// Committed write sets appended to an attached write-ahead log
     /// ([`crate::wal`]): one per durable commit. Always 0 without a
     /// durability hook.
-    pub log_appends: u64,
+    log_appends: sum, "log_appends";
     /// Fsync batches the log performed. Under group commit this stays
     /// well below `log_appends` — the ratio is the whole point.
-    pub fsyncs: u64,
+    fsyncs: sum, "fsyncs";
     /// Records covered by those fsync batches (every record is covered
     /// exactly once, so this equals `log_appends` once quiescent);
     /// [`StatsSnapshot::group_commit_size`] derives the mean batch.
-    pub group_commit_records: u64,
-    /// The read regime in force when the snapshot was taken:
-    /// [`ActiveMode::Visible`] for `Tlrw`, [`ActiveMode::Multiversion`]
-    /// for `Mv`, [`ActiveMode::Invisible`] for the other static
-    /// algorithms — and, for `Adaptive`, wherever the controller
-    /// currently sits. Point-in-time state, not a counter — [`since`]
-    /// carries the *later* snapshot's value through unchanged.
-    ///
-    /// [`since`]: StatsSnapshot::since
-    pub active_mode: ActiveMode,
+    group_commit_records: sum, "group_commit";
 }
 
 impl StmStats {
@@ -463,41 +501,6 @@ impl StmStats {
             .map(|s| s.commits.load(Ordering::Relaxed))
             .fold(0, u64::wrapping_add)
     }
-
-    /// Takes a snapshot of all counters: counters sum across the shards,
-    /// the chain-length high-water mark takes their max.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let mut out = StatsSnapshot {
-            active_mode: ActiveMode::from_u8(self.active_mode.load(Ordering::Relaxed)),
-            ..StatsSnapshot::default()
-        };
-        for s in self.shards.iter() {
-            let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-            out.commits += ld(&s.commits);
-            out.aborts += ld(&s.aborts);
-            out.validation_probes += ld(&s.validation_probes);
-            out.reader_conflicts += ld(&s.reader_conflicts);
-            out.reads += ld(&s.reads);
-            out.writes += ld(&s.writes);
-            out.snapshot_reads += ld(&s.snapshot_reads);
-            out.chain_walk_steps += ld(&s.chain_walk_steps);
-            out.versions_trimmed += ld(&s.versions_trimmed);
-            out.versions_evicted += ld(&s.versions_evicted);
-            out.eviction_aborts += ld(&s.eviction_aborts);
-            out.max_chain_len = out.max_chain_len.max(ld(&s.max_chain_len));
-            out.versions_retained = out.versions_retained.max(ld(&s.versions_retained));
-            out.recorded_events += ld(&s.recorded_events);
-            out.mode_transitions += ld(&s.mode_transitions);
-            out.parks += ld(&s.parks);
-            out.wakes += ld(&s.wakes);
-            out.spurious_wakes += ld(&s.spurious_wakes);
-            out.async_yields += ld(&s.async_yields);
-            out.log_appends += ld(&s.log_appends);
-            out.fsyncs += ld(&s.fsyncs);
-            out.group_commit_records += ld(&s.group_commit_records);
-        }
-        out
-    }
 }
 
 impl StatsSnapshot {
@@ -509,82 +512,6 @@ impl StatsSnapshot {
             return 0.0;
         }
         self.group_commit_records as f64 / self.fsyncs as f64
-    }
-
-    /// Counter-wise difference from an earlier snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `earlier` is not actually earlier.
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        let d = |a: u64, b: u64| a.checked_sub(b).expect("snapshot order");
-        StatsSnapshot {
-            commits: d(self.commits, earlier.commits),
-            aborts: d(self.aborts, earlier.aborts),
-            validation_probes: d(self.validation_probes, earlier.validation_probes),
-            reader_conflicts: d(self.reader_conflicts, earlier.reader_conflicts),
-            reads: d(self.reads, earlier.reads),
-            writes: d(self.writes, earlier.writes),
-            snapshot_reads: d(self.snapshot_reads, earlier.snapshot_reads),
-            chain_walk_steps: d(self.chain_walk_steps, earlier.chain_walk_steps),
-            versions_trimmed: d(self.versions_trimmed, earlier.versions_trimmed),
-            versions_evicted: d(self.versions_evicted, earlier.versions_evicted),
-            eviction_aborts: d(self.eviction_aborts, earlier.eviction_aborts),
-            // High-water marks, not counters: the delta reports the
-            // later snapshot's mark.
-            max_chain_len: self.max_chain_len,
-            versions_retained: self.versions_retained,
-            recorded_events: d(self.recorded_events, earlier.recorded_events),
-            mode_transitions: d(self.mode_transitions, earlier.mode_transitions),
-            parks: d(self.parks, earlier.parks),
-            wakes: d(self.wakes, earlier.wakes),
-            spurious_wakes: d(self.spurious_wakes, earlier.spurious_wakes),
-            async_yields: d(self.async_yields, earlier.async_yields),
-            log_appends: d(self.log_appends, earlier.log_appends),
-            fsyncs: d(self.fsyncs, earlier.fsyncs),
-            group_commit_records: d(self.group_commit_records, earlier.group_commit_records),
-            // State, not a counter: the delta reports where the window
-            // *ended up*.
-            active_mode: self.active_mode,
-        }
-    }
-}
-
-impl fmt::Display for StatsSnapshot {
-    /// One-line counter summary, so bench output and tests do not format
-    /// counters by hand.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "commits={} aborts={} reads={} writes={} probes={} reader_conflicts={} \
-             snapshot_reads={} walk_steps={} trimmed={} evicted={} eviction_aborts={} \
-             max_chain={} retained={} recorded={} transitions={} \
-             parks={} wakes={} spurious={} yields={} log_appends={} fsyncs={} \
-             group_commit={} mode={}",
-            self.commits,
-            self.aborts,
-            self.reads,
-            self.writes,
-            self.validation_probes,
-            self.reader_conflicts,
-            self.snapshot_reads,
-            self.chain_walk_steps,
-            self.versions_trimmed,
-            self.versions_evicted,
-            self.eviction_aborts,
-            self.max_chain_len,
-            self.versions_retained,
-            self.recorded_events,
-            self.mode_transitions,
-            self.parks,
-            self.wakes,
-            self.spurious_wakes,
-            self.async_yields,
-            self.log_appends,
-            self.fsyncs,
-            self.group_commit_records,
-            self.active_mode,
-        )
     }
 }
 

@@ -18,6 +18,7 @@
 //! vector capacity, so a retrying transaction reallocates nothing.
 
 use crate::epoch::Retired;
+use crate::orec::OrecTable;
 use crate::tvar::AnyTVar;
 use std::any::Any;
 use std::collections::HashMap;
@@ -100,10 +101,13 @@ pub(crate) struct TxLog {
     /// buffered ids to their positions; in linear mode its contents are
     /// stale and unused (the next crossing rebuilds).
     write_index: HashMap<usize, usize>,
-    /// Scratch for commit-time stripe sorting (kept so retries do not
-    /// reallocate).
+    /// The write set's stripes, sorted and deduplicated, filled by
+    /// [`TxLog::collect_write_stripes`] at prepare time and read by the
+    /// publish half (kept so retries do not reallocate).
     pub stripe_buf: Vec<usize>,
-    /// Scratch for commit-time `(stripe, pre-lock word)` bookkeeping.
+    /// The commit locks a successful prepare holds until its publish or
+    /// abort: `(stripe, pre-lock word)` for the versioned algorithms,
+    /// `(stripe, was_read)` for Tlrw. Empty outside that window.
     pub held_buf: Vec<(usize, u64)>,
     /// Open `or_else` checkpoint frames, innermost last. While a frame is
     /// open, `buffer_write` records displaced pre-frame values into
@@ -293,6 +297,18 @@ impl TxLog {
                 self.write_index.insert(id, self.writes.len() - 1);
             }
         }
+    }
+
+    /// Fills `stripe_buf` with the write set's stripes, sorted and
+    /// deduplicated (several variables may share a stripe): the lock
+    /// order of every stripe-locking prepare.
+    pub(crate) fn collect_write_stripes(&mut self, orecs: &OrecTable) {
+        debug_assert!(self.held_buf.is_empty(), "a prepare already holds locks");
+        self.stripe_buf.clear();
+        self.stripe_buf
+            .extend(self.writes.iter().map(|w| orecs.stripe_of(w.id)));
+        self.stripe_buf.sort_unstable();
+        self.stripe_buf.dedup();
     }
 
     /// Swaps every buffered value into its variable, consuming the write
