@@ -6,8 +6,11 @@
 //! the workspace root — the read-heavy throughput baseline successive
 //! PRs compare against.
 
+use ptm_bench::harness::{baseline_path, cli, emit, run};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a.contains("quick"));
-    ptm_bench::native::run_and_emit(quick, &ptm_bench::native::native_baseline_path());
+    let (quick, _) = cli();
+    let rows = run(ptm_bench::native::FAMILIES, quick);
+    let out = baseline_path("BENCH_native_stm.json");
+    emit("native_stm", &rows, quick, Some(&out));
 }

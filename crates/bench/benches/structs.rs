@@ -6,8 +6,11 @@
 //! workspace root — the structure-level throughput baseline successive
 //! PRs compare against.
 
+use ptm_bench::harness::{baseline_path, cli, emit, run};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a.contains("quick"));
-    ptm_bench::structs::run_and_emit(quick, &ptm_bench::structs::structs_baseline_path());
+    let (quick, _) = cli();
+    let rows = run(ptm_bench::structs::FAMILIES, quick);
+    let out = baseline_path("BENCH_structs.json");
+    emit("structs", &rows, quick, Some(&out));
 }

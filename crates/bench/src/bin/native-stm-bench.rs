@@ -6,26 +6,16 @@
 //! baseline file (unless `--out` names one) — the shape before/after
 //! engine comparisons want.
 
+use ptm_bench::harness::{baseline_path, cli, emit, run};
+use ptm_bench::native::FAMILIES;
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if args.iter().any(|a| a == "--thread-scaling") {
-        let results = ptm_bench::native::run_thread_scaling(quick);
-        print!("{}", ptm_bench::native::render_table(&results));
-        if let Some(path) = out {
-            let json = ptm_bench::native::to_json(&results, quick);
-            match std::fs::write(&path, &json) {
-                Ok(()) => eprintln!("results written to {path}"),
-                Err(e) => eprintln!("could not write {path}: {e}"),
-            }
-        }
+    let (quick, out) = cli();
+    if std::env::args().any(|a| a == "--thread-scaling") {
+        let scaling = FAMILIES.iter().filter(|f| f.name == "thread_scaling");
+        emit("native_stm", &run(scaling, quick), quick, out.as_deref());
         return;
     }
-    let out = out.unwrap_or_else(ptm_bench::native::native_baseline_path);
-    ptm_bench::native::run_and_emit(quick, &out);
+    let out = out.unwrap_or_else(|| baseline_path("BENCH_native_stm.json"));
+    emit("native_stm", &run(FAMILIES, quick), quick, Some(&out));
 }

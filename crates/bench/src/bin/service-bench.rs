@@ -1,26 +1,23 @@
 //! Emits the `BENCH_service.json` baseline: YCSB-style workloads over
-//! the sharded KV service, all six algorithms × shard counts, with
-//! p50/p99 latency. `cargo run --release -p ptm-bench --bin
-//! service-bench [-- --quick] [-- --out PATH]`; `--quick` shrinks the
-//! sweep for CI smoke runs, without `--out` the canonical
-//! workspace-root baseline is rewritten.
+//! the sharded KV service, tl2 / mv / adaptive × shard counts, with
+//! p50/p99 latency, plus the durability cost rows. `cargo run --release
+//! -p ptm-bench --bin service-bench [-- --quick] [-- --out PATH]`;
+//! `--quick` shrinks the sweep for CI smoke runs, without `--out` the
+//! canonical workspace-root baseline is rewritten.
+
+use ptm_bench::harness::{baseline_path, cli, emit, run};
+use ptm_bench::service::FAMILIES;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "quick");
-    if args.iter().any(|a| a == "--durability-only") {
+    let (quick, out) = cli();
+    if std::env::args().any(|a| a == "--durability-only") {
         // Iterating on the durability family (or a CI durability job)
-        // without paying for the full algorithm sweep; table only, the
+        // without paying for the algorithm sweep; table only, the
         // canonical baseline is not rewritten.
-        let results = ptm_bench::service::bench_durability_family(quick);
-        print!("{}", ptm_bench::service::render_table(&results));
+        let durability = FAMILIES.iter().filter(|f| f.name == "durability");
+        emit("service", &run(durability, quick), quick, None);
         return;
     }
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(ptm_bench::service::service_baseline_path);
-    ptm_bench::service::run_and_emit(quick, &out);
+    let out = out.unwrap_or_else(|| baseline_path("BENCH_service.json"));
+    emit("service", &run(FAMILIES, quick), quick, Some(&out));
 }

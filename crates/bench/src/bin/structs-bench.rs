@@ -2,14 +2,11 @@
 //! --release -p ptm-bench --bin structs-bench [-- --quick] [-- --out PATH]`;
 //! without `--out` the canonical workspace-root baseline is rewritten.
 
+use ptm_bench::harness::{baseline_path, cli, emit, run};
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "quick");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(ptm_bench::structs::structs_baseline_path);
-    ptm_bench::structs::run_and_emit(quick, &out);
+    let (quick, out) = cli();
+    let out = out.unwrap_or_else(|| baseline_path("BENCH_structs.json"));
+    let rows = run(ptm_bench::structs::FAMILIES, quick);
+    emit("structs", &rows, quick, Some(&out));
 }

@@ -1,6 +1,8 @@
 //! # ptm-bench — the experiment harness
 //!
-//! One module per experiment family from `DESIGN.md` / `EXPERIMENTS.md`:
+//! One module per paper-table experiment (the E-numbers are this
+//! repo's experiment index; ARCHITECTURE.md maps them to the paper's
+//! claims):
 //!
 //! * [`figure1`] — E1/E2: the executions of Figure 1 and Claim 4,
 //!   replayed step by step;
@@ -12,16 +14,21 @@
 //!
 //! The `paper_tables` bench target (`cargo bench -p ptm-bench --bench
 //! paper_tables`, or `cargo run -p ptm-bench --bin paper-tables`) renders
-//! every table; `native_stm` holds the microbenchmarks of the native STM
-//! (E11/E12), `structs` the transactional data-structure workloads
-//! (E13), and [`service`] the YCSB-style workloads against the sharded
-//! KV service (throughput plus p50/p99 latency), each emitting a JSON
-//! baseline.
+//! every table.
+//!
+//! The wall-clock suites are family tables over one [`harness`] (one
+//! row type, one thread spawner, one warm-up + interleaved best-of-five
+//! measurement, one emitter): [`native`] holds the microbenchmarks of
+//! the native STM (E11/E12), [`structs`] the transactional
+//! data-structure workloads (E13), and [`service`] the YCSB-style
+//! workloads against the sharded KV service (throughput plus p50/p99
+//! latency). Each emits one JSON baseline at the workspace root.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod figure1;
+pub mod harness;
 pub mod native;
 pub mod rmr;
 pub mod service;

@@ -1,7 +1,8 @@
 //! E13 — transactional data-structure workloads with a JSON baseline.
 //!
 //! Four workload families over `ptm-structs`, each swept across the
-//! four native algorithms and a thread ladder, emitting
+//! six native algorithms and a thread ladder by the one measurement
+//! policy of [`crate::harness`], emitting
 //! `BENCH_structs.json` so successive PRs can compare structure-level
 //! throughput (the raw-`TVar` suite in [`crate::native`] measures the
 //! engine; this suite measures the layer users actually program
@@ -20,325 +21,200 @@
 //! * `array_transfer/<algo>/<threads>` — two-slot transfers on a
 //!   [`TArray`], the structure-level bank workload.
 
-use crate::native::{next_rand, BenchResult, ALGOS};
-
-/// Canonical workspace-root location of the structure baseline (see
-/// [`crate::native::baseline_path`] for the resolution rules).
-pub fn structs_baseline_path() -> String {
-    crate::native::baseline_path("BENCH_structs.json")
-}
-use ptm_stm::{Algorithm, Stm};
+use crate::harness::{next_rand, run_threads, thread_ladder, timed, Algo, Cells, Family, Spec};
+use crate::native::ALGOS;
+use ptm_stm::Stm;
 use ptm_structs::{TArray, THashMap, TQueue, TSet};
-use std::sync::Arc;
-use std::time::Instant;
-
-fn time<F: FnOnce()>(f: F) -> u128 {
-    let start = Instant::now();
-    f();
-    start.elapsed().as_nanos()
-}
 
 /// 90% lookups / 10% inserts over a pre-filled map of `keys` keys.
-pub fn bench_map_read_mostly(
-    algo: Algorithm,
-    name: &str,
-    keys: u64,
-    threads: usize,
-    ops_per_thread: u64,
-) -> BenchResult {
-    let stm = Arc::new(Stm::new(algo));
-    let map: THashMap<u64, u64> = THashMap::with_buckets(256);
-    stm.atomically(|tx| {
-        for k in 0..keys {
-            map.insert(tx, k, k)?;
-        }
-        Ok(())
-    });
-    let run = || {
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let stm = Arc::clone(&stm);
-                let map = map.clone();
-                s.spawn(move || {
-                    let mut rng = t as u64 + 1;
-                    for _ in 0..ops_per_thread {
-                        // Independent draws: deriving op and key from one
-                        // draw would correlate their parities (an insert
-                        // could only ever hit even keys).
-                        let r = next_rand(&mut rng);
-                        let key = next_rand(&mut rng) % keys;
-                        if r.is_multiple_of(10) {
-                            stm.atomically(|tx| map.insert(tx, key, r).map(drop));
-                        } else {
-                            let got = stm.atomically(|tx| map.get(tx, &key));
-                            assert!(got.is_some());
-                        }
-                    }
-                });
-            }
-        });
+fn bench_map_read_mostly(rung: &[Spec], algos: &[Algo], ops_per_thread: u64) -> Cells {
+    let (_, keys, threads) = rung[0];
+    let keys = keys as u64;
+    let setup = |stm: &Stm| {
+        let map: THashMap<u64, u64> = THashMap::with_buckets(256);
+        stm.atomically(|tx| (0..keys).try_for_each(|k| map.insert(tx, k, k).map(drop)));
+        map
     };
-    run(); // warmup
-    let nanos = time(run);
-    BenchResult {
-        name: "map_read_mostly".into(),
-        algo: name.into(),
-        m: keys as usize,
-        threads,
-        ops: ops_per_thread * threads as u64,
-        nanos,
-    }
+    let body = |stm: &Stm, map: &THashMap<u64, u64>, ops| {
+        run_threads(threads, |t| {
+            let mut rng = t as u64 + 1;
+            for _ in 0..ops {
+                // Independent draws: deriving op and key from one draw
+                // would correlate their parities (an insert could only
+                // ever hit even keys).
+                let r = next_rand(&mut rng);
+                let key = next_rand(&mut rng) % keys;
+                if r.is_multiple_of(10) {
+                    stm.atomically(|tx| map.insert(tx, key, r).map(drop));
+                } else {
+                    let got = stm.atomically(|tx| map.get(tx, &key));
+                    assert!(got.is_some());
+                }
+            }
+        })
+    };
+    let total = ops_per_thread * threads as u64;
+    timed(algos, ops_per_thread, total, setup, body)
 }
 
 /// `threads / 2` producers and `threads / 2` consumers moving
-/// `items_per_producer` elements each through one queue. `threads` must
-/// be at least 2 (one producer/consumer pair); the reported thread count
-/// is always the even `2 * pairs` actually spawned.
-pub fn bench_queue_prod_cons(
-    algo: Algorithm,
-    name: &str,
-    threads: usize,
-    items_per_producer: u64,
-) -> BenchResult {
-    assert!(threads >= 2, "queue_prod_cons needs at least one pair");
+/// `items_per_producer` elements each through one queue, fresh per
+/// pass. `threads` must be even: the rung reports the threads spawned.
+fn bench_queue_prod_cons(rung: &[Spec], algos: &[Algo], items_per_producer: u64) -> Cells {
+    let threads = rung[0].2;
+    assert!(
+        threads >= 2 && threads.is_multiple_of(2),
+        "queue_prod_cons runs producer/consumer pairs"
+    );
     let pairs = threads / 2;
-    let stm = Arc::new(Stm::new(algo));
-    let run = || {
+    let body = |stm: &Stm, _: &(), items| {
         let q: TQueue<u64> = TQueue::new();
-        std::thread::scope(|s| {
-            for p in 0..pairs {
-                let stm = Arc::clone(&stm);
-                let q = q.clone();
-                s.spawn(move || {
-                    for i in 0..items_per_producer {
-                        stm.atomically(|tx| q.enqueue(tx, p as u64 * 1_000_000 + i));
+        run_threads(threads, |t| {
+            if t < pairs {
+                for i in 0..items {
+                    stm.atomically(|tx| q.enqueue(tx, t as u64 * 1_000_000 + i));
+                }
+            } else {
+                let mut got = 0;
+                while got < items {
+                    match stm.atomically(|tx| q.dequeue(tx)) {
+                        Some(_) => got += 1,
+                        None => std::thread::yield_now(),
                     }
-                });
+                }
             }
-            for _ in 0..pairs {
-                let stm = Arc::clone(&stm);
-                let q = q.clone();
-                s.spawn(move || {
-                    let mut got = 0;
-                    while got < items_per_producer {
-                        match stm.atomically(|tx| q.dequeue(tx)) {
-                            Some(_) => got += 1,
-                            None => std::thread::yield_now(),
-                        }
-                    }
-                });
-            }
-        });
+        })
     };
-    run(); // warmup
-    let nanos = time(run);
-    BenchResult {
-        name: "queue_prod_cons".into(),
-        algo: name.into(),
-        m: 0,
-        threads: pairs * 2,
-        ops: 2 * items_per_producer * pairs as u64,
-        nanos,
-    }
+    let total = 2 * items_per_producer * pairs as u64;
+    timed(algos, items_per_producer, total, |_| (), body)
 }
 
 /// Insert/remove/contains mix over a `TSet` of up to `keys` keys, with
 /// an inclusive range scan every 32nd operation.
-pub fn bench_set_mix(
-    algo: Algorithm,
-    name: &str,
-    keys: u64,
-    threads: usize,
-    ops_per_thread: u64,
-) -> BenchResult {
-    let stm = Arc::new(Stm::new(algo));
-    let set: TSet<u64> = TSet::new();
-    stm.atomically(|tx| {
-        for k in (0..keys).step_by(2) {
-            set.insert(tx, k)?;
-        }
-        Ok(())
-    });
-    let run = || {
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let stm = Arc::clone(&stm);
-                let set = set.clone();
-                s.spawn(move || {
-                    let mut rng = 0xBEEF + t as u64;
-                    for op in 0..ops_per_thread {
-                        let key = next_rand(&mut rng) % keys;
-                        if op % 32 == 31 {
-                            let lo = key.saturating_sub(8);
-                            let scanned = stm.atomically(|tx| set.range(tx, &lo, &key));
-                            assert!(scanned.len() as u64 <= keys);
-                        } else {
-                            match next_rand(&mut rng) % 3 {
-                                0 => {
-                                    stm.atomically(|tx| set.insert(tx, key));
-                                }
-                                1 => {
-                                    stm.atomically(|tx| set.remove(tx, &key));
-                                }
-                                _ => {
-                                    stm.atomically(|tx| set.contains(tx, &key));
-                                }
-                            }
+fn bench_set_mix(rung: &[Spec], algos: &[Algo], ops_per_thread: u64) -> Cells {
+    let (_, keys, threads) = rung[0];
+    let keys = keys as u64;
+    let setup = |stm: &Stm| {
+        let set: TSet<u64> = TSet::new();
+        stm.atomically(|tx| {
+            (0..keys)
+                .step_by(2)
+                .try_for_each(|k| set.insert(tx, k).map(drop))
+        });
+        set
+    };
+    let body = |stm: &Stm, set: &TSet<u64>, ops| {
+        run_threads(threads, |t| {
+            let mut rng = 0xBEEF + t as u64;
+            for op in 0..ops {
+                let key = next_rand(&mut rng) % keys;
+                if op % 32 == 31 {
+                    let lo = key.saturating_sub(8);
+                    let scanned = stm.atomically(|tx| set.range(tx, &lo, &key));
+                    assert!(scanned.len() as u64 <= keys);
+                } else {
+                    match next_rand(&mut rng) % 3 {
+                        0 => {
+                            stm.atomically(|tx| set.insert(tx, key));
+                        }
+                        1 => {
+                            stm.atomically(|tx| set.remove(tx, &key));
+                        }
+                        _ => {
+                            stm.atomically(|tx| set.contains(tx, &key));
                         }
                     }
-                });
+                }
             }
-        });
+        })
     };
-    run(); // warmup
-    let nanos = time(run);
-    BenchResult {
-        name: "set_mix".into(),
-        algo: name.into(),
-        m: keys as usize,
-        threads,
-        ops: ops_per_thread * threads as u64,
-        nanos,
-    }
+    let total = ops_per_thread * threads as u64;
+    timed(algos, ops_per_thread, total, setup, body)
 }
 
-/// Two-slot transfers over a `TArray` — the structure-level bank.
-pub fn bench_array_transfer(
-    algo: Algorithm,
-    name: &str,
-    slots: usize,
-    threads: usize,
-    ops_per_thread: u64,
-) -> BenchResult {
-    let stm = Arc::new(Stm::new(algo));
-    let arr = TArray::new(slots, 1_000u64);
-    let run = || {
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let stm = Arc::clone(&stm);
-                let arr = arr.clone();
-                s.spawn(move || {
-                    let mut rng = 7 + t as u64;
-                    for _ in 0..ops_per_thread {
-                        let from = next_rand(&mut rng) as usize % arr.len();
-                        let to = next_rand(&mut rng) as usize % arr.len();
-                        if from == to {
-                            continue;
-                        }
-                        stm.atomically(|tx| {
-                            let a = arr.get(tx, from)?;
-                            let amt = a.min(3);
-                            arr.update(tx, from, |x| x - amt)?;
-                            arr.update(tx, to, |x| x + amt)
-                        });
-                    }
+/// Two-slot transfers over a `TArray` — the structure-level bank, with
+/// conservation asserted after every pass.
+fn bench_array_transfer(rung: &[Spec], algos: &[Algo], ops_per_thread: u64) -> Cells {
+    let (_, slots, threads) = rung[0];
+    let body = |stm: &Stm, arr: &TArray<u64>, ops| {
+        let nanos = run_threads(threads, |t| {
+            let mut rng = 7 + t as u64;
+            for _ in 0..ops {
+                let from = next_rand(&mut rng) as usize % arr.len();
+                let to = next_rand(&mut rng) as usize % arr.len();
+                if from == to {
+                    continue;
+                }
+                stm.atomically(|tx| {
+                    let a = arr.get(tx, from)?;
+                    let amt = a.min(3);
+                    arr.update(tx, from, |x| x - amt)?;
+                    arr.update(tx, to, |x| x + amt)
                 });
             }
         });
         let total: u64 = arr.load_all().iter().sum();
         assert_eq!(total, slots as u64 * 1_000, "conservation violated");
+        nanos
     };
-    run(); // warmup
-    let nanos = time(run);
-    BenchResult {
-        name: "array_transfer".into(),
-        algo: name.into(),
-        m: slots,
-        threads,
-        ops: ops_per_thread * threads as u64,
-        nanos,
+    let total = ops_per_thread * threads as u64;
+    let setup = |_: &Stm| TArray::new(slots, 1_000u64);
+    timed(algos, ops_per_thread, total, setup, body)
+}
+
+/// The thread ladder every structure family shares.
+fn ladder(quick: bool) -> &'static [usize] {
+    if quick {
+        &[2, 4]
+    } else {
+        &[1, 2, 4, 8]
     }
 }
 
-/// Runs the full structure suite. `quick` shrinks every workload for CI.
-pub fn run_all(quick: bool) -> Vec<BenchResult> {
-    let mut out = Vec::new();
-    let map_ops: u64 = if quick { 400 } else { 20_000 };
-    let queue_items: u64 = if quick { 300 } else { 10_000 };
-    let set_ops: u64 = if quick { 200 } else { 5_000 };
-    let array_ops: u64 = if quick { 400 } else { 20_000 };
-    let ladder: &[usize] = if quick { &[2, 4] } else { &[1, 2, 4, 8] };
-
-    for &(name, algo) in ALGOS {
-        for &threads in ladder {
-            out.push(bench_map_read_mostly(algo, name, 512, threads, map_ops));
-        }
-    }
-    for &(name, algo) in ALGOS {
+/// The suite, in emission order. `quick` shrinks every workload and the
+/// ladder for CI.
+pub const FAMILIES: &[Family] = &[
+    Family {
+        name: "map_read_mostly",
+        algos: ALGOS,
+        ladder: |quick| thread_ladder("map_read_mostly", 512, ladder(quick)),
+        algo_major: true,
+        sharded: false,
+        run: |rung, algos, quick| {
+            bench_map_read_mostly(rung, algos, if quick { 400 } else { 20_000 })
+        },
+    },
+    Family {
+        name: "queue_prod_cons",
+        algos: ALGOS,
         // The queue workload needs at least one producer/consumer pair,
         // so its ladder starts at two threads.
-        for &threads in ladder.iter().filter(|&&t| t >= 2) {
-            out.push(bench_queue_prod_cons(algo, name, threads, queue_items));
-        }
-    }
-    for &(name, algo) in ALGOS {
-        for &threads in ladder {
-            out.push(bench_set_mix(algo, name, 128, threads, set_ops));
-        }
-    }
-    for &(name, algo) in ALGOS {
-        for &threads in ladder {
-            out.push(bench_array_transfer(algo, name, 16, threads, array_ops));
-        }
-    }
-    out
-}
-
-/// Full entry point shared by the bench target and the binary: run,
-/// print (with per-workload engine counters via `StatsSnapshot`'s
-/// `Display`), and write the JSON baseline to `path`.
-pub fn run_and_emit(quick: bool, path: &str) {
-    eprintln!(
-        "running transactional data-structure benchmarks ({} mode)...",
-        if quick { "quick" } else { "full" }
-    );
-    // A side run with stats on, so the table is accompanied by engine
-    // counters (the timed runs above stay uninstrumented).
-    for &(name, algo) in ALGOS {
-        let stm = Stm::new(algo);
-        let map: THashMap<u64, u64> = THashMap::with_buckets(64);
-        stm.atomically(|tx| {
-            for k in 0..64 {
-                map.insert(tx, k, k)?;
-            }
-            Ok(())
-        });
-        for k in 0..64 {
-            stm.atomically(|tx| map.get(tx, &k).map(drop));
-        }
-        eprintln!("  {name}: {}", stm.stats().snapshot());
-    }
-    let results = run_all(quick);
-    print!("{}", crate::native::render_table(&results));
-    let json = crate::native::to_json_named("structs", &results, quick);
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("baseline written to {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_suite_produces_complete_results() {
-        let results = vec![
-            bench_map_read_mostly(Algorithm::Tl2, "tl2", 32, 2, 20),
-            bench_queue_prod_cons(Algorithm::Norec, "norec", 2, 20),
-            bench_set_mix(Algorithm::Incremental, "incremental", 16, 2, 20),
-            bench_array_transfer(Algorithm::Tl2, "tl2", 8, 2, 20),
-        ];
-        for r in &results {
-            assert!(r.ops > 0, "{}", r.name);
-            assert!(r.ops_per_sec() > 0.0, "{}", r.name);
-        }
-        let json = crate::native::to_json_named("structs", &results, true);
-        assert!(json.contains("\"bench\": \"structs\""));
-        assert_eq!(json.matches("{\"name\"").count(), results.len());
-        assert!(json.contains("map_read_mostly"));
-        assert!(json.contains("queue_prod_cons"));
-        assert!(json.contains("set_mix"));
-        assert!(json.contains("array_transfer"));
-    }
-}
+        ladder: |quick| {
+            let pairs: Vec<usize> = ladder(quick).iter().copied().filter(|&t| t >= 2).collect();
+            thread_ladder("queue_prod_cons", 0, &pairs)
+        },
+        algo_major: true,
+        sharded: false,
+        run: |rung, algos, quick| {
+            bench_queue_prod_cons(rung, algos, if quick { 300 } else { 10_000 })
+        },
+    },
+    Family {
+        name: "set_mix",
+        algos: ALGOS,
+        ladder: |quick| thread_ladder("set_mix", 128, ladder(quick)),
+        algo_major: true,
+        sharded: false,
+        run: |rung, algos, quick| bench_set_mix(rung, algos, if quick { 200 } else { 5_000 }),
+    },
+    Family {
+        name: "array_transfer",
+        algos: ALGOS,
+        ladder: |quick| thread_ladder("array_transfer", 16, ladder(quick)),
+        algo_major: true,
+        sharded: false,
+        run: |rung, algos, quick| {
+            bench_array_transfer(rung, algos, if quick { 400 } else { 20_000 })
+        },
+    },
+];

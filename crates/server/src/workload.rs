@@ -122,8 +122,8 @@ pub struct Workload {
     eta: f64,
 }
 
-/// The bench crates' shared LCG (PCG-style step), reproduced here so the
-/// server crate stays dependency-free; seed with the thread index.
+/// The LCG (PCG-style step) the workload generator and the bench crate
+/// (which re-exports it) share; seed with the thread index.
 pub fn next_rand(state: &mut u64) -> u64 {
     *state = state
         .wrapping_mul(6364136223846793005)

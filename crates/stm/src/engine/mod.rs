@@ -323,8 +323,8 @@ impl Stm {
         Stm::new(Algorithm::Mv)
     }
 
-    /// Adaptive instance (workload-driven Tl2 ⇄ Tlrw switching) with
-    /// default tuning.
+    /// Adaptive instance (workload-driven switching among the Tl2, Tlrw
+    /// and Mv modes) with default tuning.
     pub fn adaptive() -> Self {
         Stm::new(Algorithm::Adaptive)
     }

@@ -41,7 +41,7 @@ pub struct Transaction<'s> {
     pub(crate) log: TxLog,
     /// The concrete hook set this attempt runs: the instance's algorithm
     /// for static instances; for `Algorithm::Adaptive`, the begin hook
-    /// overwrites it with the pinned mode (`Tl2` or `Tlrw`), so the
+    /// overwrites it with the pinned mode (`Tl2`, `Tlrw` or `Mv`), so the
     /// per-operation dispatch costs one match — no double indirection —
     /// and stays on the pinned hooks even if the controller switches the
     /// instance mid-flight.

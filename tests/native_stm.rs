@@ -950,11 +950,28 @@ fn adaptive_double_transition_through_multiversion_stays_opaque() {
         "the write-heavy tail must land the engine in visible mode"
     );
     assert_eq!(stm.active_mode(), Algorithm::Tlrw);
-    let h = History::from_log(&rec.drain()).expect("recorded history is well-formed");
+    let log = rec.drain();
+    let h = History::from_log(&log).expect("recorded history is well-formed");
     assert!(h.is_complete(), "every attempt is t-complete");
+    // This check fails about 2 runs in 1000 under CPU contention. The
+    // message is only built on failure: it leaves the drained log on
+    // disk, one entry per line, so the schedule can be replayed through
+    // the checker instead of ending as a bare `false`.
     assert!(
         is_opaque(&h),
-        "history recorded across Tl2 -> Mv -> Tlrw must be opaque"
+        "history recorded across Tl2 -> Mv -> Tlrw must be opaque; drained log: {}",
+        {
+            let path = format!(
+                "{}/opacity-failure-{}.log",
+                env!("CARGO_TARGET_TMPDIR"),
+                std::process::id()
+            );
+            let lines: Vec<String> = log.iter().map(|entry| format!("{entry:?}")).collect();
+            match std::fs::write(&path, lines.join("\n")) {
+                Ok(()) => path,
+                Err(e) => format!("(could not write {path}: {e})"),
+            }
+        }
     );
 }
 
