@@ -169,11 +169,6 @@ impl Workload {
         }
     }
 
-    /// The configuration this workload was built from.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.cfg
-    }
-
     /// Draws the next key: a zipfian *rank* (rank 0 hottest), then a
     /// multiplicative scramble so the hot ranks scatter across the key
     /// space (and therefore across shards) instead of clustering at 0 —

@@ -90,7 +90,7 @@
 //! transactions before new-mode ones in real time, so a switch can only
 //! *restrict* the interleavings the checker must serialize.
 
-use crate::engine::{Algorithm, Stm, Transaction};
+use crate::engine::{Stm, Transaction};
 use crate::stats::{ActiveMode, StatsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -200,40 +200,14 @@ impl AdaptiveConfig {
     }
 }
 
-/// The three hook sets an adaptive instance moves between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Mode {
-    /// Tl2 hooks: versioned lock words, optimistic invisible reads.
-    Invisible = 0,
-    /// Tlrw hooks: reader–writer lock words, announced visible reads.
-    Visible = 1,
-    /// Mv hooks: versioned lock words, snapshot reads over version
-    /// chains — abort-free read-only transactions at a space cost.
-    Multiversion = 2,
-}
-
-impl Mode {
-    /// Decodes the mode bits of the packed state word.
-    fn from_bits(bits: u64) -> Mode {
-        match bits & MODE_MASK {
-            1 => Mode::Visible,
-            2 => Mode::Multiversion,
-            _ => Mode::Invisible,
-        }
-    }
-
-    /// The public three-valued mode this maps to in [`StatsSnapshot`].
-    fn active(self) -> ActiveMode {
-        match self {
-            Mode::Invisible => ActiveMode::Invisible,
-            Mode::Visible => ActiveMode::Visible,
-            Mode::Multiversion => ActiveMode::Multiversion,
-        }
-    }
-}
-
-/// Mode bits in the packed state word.
+/// Mode bits in the packed state word: an [`ActiveMode`] discriminant,
+/// naming which of the three hook sets is in force.
 const MODE_MASK: u64 = 3;
+
+/// Decodes the mode bits of the packed state word.
+fn mode_of(state: u64) -> ActiveMode {
+    ActiveMode::from_u8((state & MODE_MASK) as u8)
+}
 
 /// Draining flag in the packed state word (bits 0–1 are the mode).
 const DRAIN: u64 = 4;
@@ -244,7 +218,7 @@ struct Ctl {
     /// Stats at the previous sample, for windowed deltas.
     last: StatsSnapshot,
     /// Mode the recent windows have been voting for, if any.
-    target: Option<Mode>,
+    target: Option<ActiveMode>,
     /// Consecutive windows that voted for `target`.
     streak: u32,
 }
@@ -277,7 +251,7 @@ impl AdaptiveState {
     pub(crate) fn new(cfg: AdaptiveConfig) -> Self {
         AdaptiveState {
             cfg,
-            state: AtomicU64::new(Mode::Invisible as u64),
+            state: AtomicU64::new(ActiveMode::Invisible as u64),
             active: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
             last_sample: AtomicU64::new(0),
             ctl: Mutex::new(Ctl::default()),
@@ -285,8 +259,8 @@ impl AdaptiveState {
     }
 
     /// The mode currently (or about to be) in force.
-    pub(crate) fn mode(&self) -> Mode {
-        Mode::from_bits(self.state.load(Ordering::SeqCst))
+    pub(crate) fn mode(&self) -> ActiveMode {
+        mode_of(self.state.load(Ordering::SeqCst))
     }
 }
 
@@ -307,7 +281,7 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) -> u64 {
             std::thread::yield_now();
             continue;
         }
-        let mode = Mode::from_bits(s);
+        let mode = mode_of(s);
         ad.active[mode as usize].fetch_add(1, Ordering::SeqCst);
         // Registration races the switcher's drain flag: re-check, and
         // back out if a transition started in between (the switcher
@@ -315,22 +289,14 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) -> u64 {
         // flag — never neither).
         if ad.state.load(Ordering::SeqCst) == s {
             tx.pinned = Some(mode);
+            // Resolve the per-operation dispatch to the pinned hooks:
+            // later reads/commits cost one match, exactly like a static
+            // instance.
+            tx.mode = mode.algorithm();
             return match mode {
-                Mode::Invisible => {
-                    // Resolve the per-operation dispatch to the pinned
-                    // hooks: later reads/commits cost one match, exactly
-                    // like a static instance.
-                    tx.mode = Algorithm::Tl2;
-                    tl2::begin(tx.stm)
-                }
-                Mode::Visible => {
-                    tx.mode = Algorithm::Tlrw;
-                    tlrw::begin(tx.stm)
-                }
-                Mode::Multiversion => {
-                    tx.mode = Algorithm::Mv;
-                    mv::begin(tx)
-                }
+                ActiveMode::Invisible => tl2::begin(tx.stm),
+                ActiveMode::Visible => tlrw::begin(tx.stm),
+                ActiveMode::Multiversion => mv::begin(tx),
             };
         }
         ad.active[mode as usize].fetch_sub(1, Ordering::SeqCst);
@@ -406,7 +372,7 @@ fn sample(stm: &Stm, ad: &AdaptiveState, ctl: &mut Ctl) {
 /// dead band). Reads are counted mode-independently (`reads +
 /// snapshot_reads`), so the ratio and scan-length signals mean the same
 /// thing whichever hooks produced them.
-fn desired(cfg: &AdaptiveConfig, mode: Mode, d: &StatsSnapshot) -> Option<Mode> {
+fn desired(cfg: &AdaptiveConfig, mode: ActiveMode, d: &StatsSnapshot) -> Option<ActiveMode> {
     if d.commits == 0 {
         return None;
     }
@@ -416,35 +382,35 @@ fn desired(cfg: &AdaptiveConfig, mode: Mode, d: &StatsSnapshot) -> Option<Mode> 
     // validation-free snapshot reads beat both single-version modes.
     let scanny = reads as f64 / d.commits as f64 >= cfg.mv_scan_reads;
     match mode {
-        Mode::Invisible => {
+        ActiveMode::Invisible => {
             if scanny && ratio > cfg.write_ratio_visible {
-                Some(Mode::Multiversion)
+                Some(ActiveMode::Multiversion)
             } else {
                 (ratio <= cfg.write_ratio_visible || fast_path(cfg, mode, d))
-                    .then_some(Mode::Visible)
+                    .then_some(ActiveMode::Visible)
             }
         }
-        Mode::Visible => {
+        ActiveMode::Visible => {
             let conflicts = d.reader_conflicts as f64 / d.commits as f64;
             (ratio >= cfg.read_ratio_invisible || conflicts >= cfg.reader_conflict_rate).then_some(
                 if scanny {
-                    Mode::Multiversion
+                    ActiveMode::Multiversion
                 } else {
-                    Mode::Invisible
+                    ActiveMode::Invisible
                 },
             )
         }
-        Mode::Multiversion => {
+        ActiveMode::Multiversion => {
             if ratio <= cfg.write_ratio_visible {
                 // Write-heavy: chains churn for readers that no longer
                 // scan; the visible side serves writers best.
-                Some(Mode::Visible)
+                Some(ActiveMode::Visible)
             } else {
                 // Short transactions no longer need snapshots, and
                 // eviction aborts mean the space bound no longer fits
                 // the camping pattern — either way invisible reads serve
                 // the read side without the chains.
-                (!scanny || d.eviction_aborts > 0).then_some(Mode::Invisible)
+                (!scanny || d.eviction_aborts > 0).then_some(ActiveMode::Invisible)
             }
         }
     }
@@ -452,8 +418,8 @@ fn desired(cfg: &AdaptiveConfig, mode: Mode, d: &StatsSnapshot) -> Option<Mode> 
 
 /// Whether the window shows optimistic execution thrashing badly enough
 /// to skip hysteresis on the way out of invisible mode.
-fn fast_path(cfg: &AdaptiveConfig, mode: Mode, d: &StatsSnapshot) -> bool {
-    if mode != Mode::Invisible {
+fn fast_path(cfg: &AdaptiveConfig, mode: ActiveMode, d: &StatsSnapshot) -> bool {
+    if mode != ActiveMode::Invisible {
         return false;
     }
     let attempts = (d.commits + d.aborts).max(1) as f64;
@@ -463,7 +429,7 @@ fn fast_path(cfg: &AdaptiveConfig, mode: Mode, d: &StatsSnapshot) -> bool {
 }
 
 /// The epoch-quiesced transition itself; returns whether it completed.
-fn try_switch(stm: &Stm, ad: &AdaptiveState, from: Mode, to: Mode) -> bool {
+fn try_switch(stm: &Stm, ad: &AdaptiveState, from: ActiveMode, to: ActiveMode) -> bool {
     debug_assert_ne!(from, to);
     ad.state.store(from as u64 | DRAIN, Ordering::SeqCst);
     let deadline = Instant::now() + ad.cfg.max_drain;
@@ -489,7 +455,7 @@ fn try_switch(stm: &Stm, ad: &AdaptiveState, from: Mode, to: Mode) -> bool {
     if let Some(reg) = stm.snapshots.as_ref() {
         reg.refresh_watermark(&stm.clock);
     }
-    stm.stats.mode_transition(to.active());
+    stm.stats.mode_transition(to);
     // The SeqCst store publishing the new mode orders the resets above
     // before any beginner that observes it.
     ad.state.store(to as u64, Ordering::SeqCst);
@@ -515,24 +481,30 @@ mod tests {
         let cfg = AdaptiveConfig::default();
         // Write-heavy: 2 reads / 2 writes per commit.
         let d = delta(100, 0, 200, 200);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), Some(Mode::Visible));
-        assert_eq!(desired(&cfg, Mode::Visible, &d), None);
+        assert_eq!(
+            desired(&cfg, ActiveMode::Invisible, &d),
+            Some(ActiveMode::Visible)
+        );
+        assert_eq!(desired(&cfg, ActiveMode::Visible, &d), None);
         // Read-mostly: 16 reads per write.
         let d = delta(100, 0, 1600, 100);
-        assert_eq!(desired(&cfg, Mode::Visible, &d), Some(Mode::Invisible));
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), None);
+        assert_eq!(
+            desired(&cfg, ActiveMode::Visible, &d),
+            Some(ActiveMode::Invisible)
+        );
+        assert_eq!(desired(&cfg, ActiveMode::Invisible, &d), None);
         // Dead band: neither threshold crossed, no pressure either way.
         let d = delta(100, 0, 500, 100);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), None);
-        assert_eq!(desired(&cfg, Mode::Visible, &d), None);
+        assert_eq!(desired(&cfg, ActiveMode::Invisible, &d), None);
+        assert_eq!(desired(&cfg, ActiveMode::Visible, &d), None);
     }
 
     #[test]
     fn empty_windows_vote_for_nothing() {
         let cfg = AdaptiveConfig::default();
         let d = delta(0, 0, 0, 0);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), None);
-        assert_eq!(desired(&cfg, Mode::Visible, &d), None);
+        assert_eq!(desired(&cfg, ActiveMode::Invisible, &d), None);
+        assert_eq!(desired(&cfg, ActiveMode::Visible, &d), None);
     }
 
     #[test]
@@ -541,17 +513,20 @@ mod tests {
         // Read-mostly by ratio, but every other attempt aborts: the
         // abort-rate accelerator votes visible anyway.
         let d = delta(100, 120, 3200, 100);
-        assert!(fast_path(&cfg, Mode::Invisible, &d));
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), Some(Mode::Visible));
+        assert!(fast_path(&cfg, ActiveMode::Invisible, &d));
+        assert_eq!(
+            desired(&cfg, ActiveMode::Invisible, &d),
+            Some(ActiveMode::Visible)
+        );
         // Validation re-work exceeding double the reads trips the probe
         // accelerator even with a zero abort rate.
         let d = StatsSnapshot {
             validation_probes: 8000,
             ..delta(100, 0, 3200, 100)
         };
-        assert!(fast_path(&cfg, Mode::Invisible, &d));
+        assert!(fast_path(&cfg, ActiveMode::Invisible, &d));
         // The fast path never applies to leaving visible mode.
-        assert!(!fast_path(&cfg, Mode::Visible, &d));
+        assert!(!fast_path(&cfg, ActiveMode::Visible, &d));
     }
 
     #[test]
@@ -563,7 +538,10 @@ mod tests {
             reader_conflicts: 80,
             ..delta(100, 80, 400, 100)
         };
-        assert_eq!(desired(&cfg, Mode::Visible, &d), Some(Mode::Invisible));
+        assert_eq!(
+            desired(&cfg, ActiveMode::Visible, &d),
+            Some(ActiveMode::Invisible)
+        );
     }
 
     #[test]
@@ -573,20 +551,32 @@ mod tests {
         // the read-side departure to multiversion from either
         // single-version mode.
         let d = delta(100, 0, 10_000, 100);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), Some(Mode::Multiversion));
-        assert_eq!(desired(&cfg, Mode::Visible, &d), Some(Mode::Multiversion));
+        assert_eq!(
+            desired(&cfg, ActiveMode::Invisible, &d),
+            Some(ActiveMode::Multiversion)
+        );
+        assert_eq!(
+            desired(&cfg, ActiveMode::Visible, &d),
+            Some(ActiveMode::Multiversion)
+        );
         // Snapshot reads count as reads: a window already in
         // multiversion mode keeps voting to stay (no pressure).
         let d = StatsSnapshot {
             snapshot_reads: 10_000,
             ..delta(100, 0, 0, 100)
         };
-        assert_eq!(desired(&cfg, Mode::Multiversion, &d), None);
+        assert_eq!(desired(&cfg, ActiveMode::Multiversion, &d), None);
         // Long scans but write-heavy overall: versions churn on every
         // commit, visible mode wins the writes.
         let d = delta(100, 0, 10_000, 5_000);
-        assert_eq!(desired(&cfg, Mode::Invisible, &d), Some(Mode::Visible));
-        assert_eq!(desired(&cfg, Mode::Multiversion, &d), Some(Mode::Visible));
+        assert_eq!(
+            desired(&cfg, ActiveMode::Invisible, &d),
+            Some(ActiveMode::Visible)
+        );
+        assert_eq!(
+            desired(&cfg, ActiveMode::Multiversion, &d),
+            Some(ActiveMode::Visible)
+        );
     }
 
     #[test]
@@ -597,7 +587,10 @@ mod tests {
             snapshot_reads: 1600,
             ..delta(100, 0, 0, 100)
         };
-        assert_eq!(desired(&cfg, Mode::Multiversion, &d), Some(Mode::Invisible));
+        assert_eq!(
+            desired(&cfg, ActiveMode::Multiversion, &d),
+            Some(ActiveMode::Invisible)
+        );
         // Still scan-heavy, but snapshots are aging out of the capped
         // chains: the space bound no longer fits the camping pattern.
         let d = StatsSnapshot {
@@ -605,7 +598,10 @@ mod tests {
             eviction_aborts: 3,
             ..delta(100, 0, 0, 100)
         };
-        assert_eq!(desired(&cfg, Mode::Multiversion, &d), Some(Mode::Invisible));
+        assert_eq!(
+            desired(&cfg, ActiveMode::Multiversion, &d),
+            Some(ActiveMode::Invisible)
+        );
     }
 
     #[test]

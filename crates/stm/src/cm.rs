@@ -43,39 +43,37 @@ pub enum Decision {
 /// A retry policy consulted between transaction attempts.
 ///
 /// The policy is split into a **pure decision** and an **optional
-/// blocking wait** so both attempt loops can share one policy value:
+/// blocking wait**: one step, two ways to wait. The engine's one attempt
+/// step calls [`ContentionManager::decide`] after every conflict abort,
+/// whichever driver runs it; what differs is the waiting:
 ///
-/// * the blocking loop ([`Stm::run`](crate::Stm::run)) calls
-///   [`ContentionManager::on_abort`] — wait however the policy likes
-///   (spin, yield, sleep), then decide;
-/// * the async loop ([`Stm::run_async`](crate::Stm::run_async)) calls
-///   [`ContentionManager::decide`] *only* — a future must never burn or
-///   block its executor thread, so the engine translates the wait the
-///   policy would have performed into waker-mediated yields and
-///   waiter-list parking instead.
+/// * the blocking driver ([`Stm::run`](crate::Stm::run)) follows a
+///   [`Decision::Retry`] with [`ContentionManager::wait`] — wait however
+///   the policy likes (spin, yield, sleep) — before the next attempt;
+/// * the async driver ([`Stm::run_async`](crate::Stm::run_async)) never
+///   calls `wait` — a future must never burn or block its executor
+///   thread, so the engine translates the wait the policy would have
+///   performed into waker-mediated yields and waiter-list parking
+///   instead.
 ///
-/// Both are called after the `attempt`-th consecutive abort of one
-/// logical transaction (counting from 0).
+/// Deciding before waiting (rather than waiting, then deciding) is sound
+/// because `decide` is pure: it depends on `attempt` alone, so the
+/// answer cannot change across the wait — and a backoff whose answer is
+/// [`Decision::Park`] or [`Decision::GiveUp`] is never waited out for
+/// nothing.
+///
+/// Both are called after the `attempt`-th consecutive conflict abort of
+/// one logical transaction (counting from 0).
 pub trait ContentionManager: Send + Sync + fmt::Debug {
     /// Decides what the engine should do next, **without blocking** —
     /// no spinning, yielding, or sleeping. Called on executor threads.
     fn decide(&self, attempt: u64) -> Decision;
 
-    /// Waits as the policy dictates before the decision is acted on
-    /// (busy-spin, `yield_now`, sleep — anything goes). Blocking attempt
-    /// loops only; the default waits not at all.
+    /// Waits as the policy dictates before a [`Decision::Retry`] is acted
+    /// on (busy-spin, `yield_now`, sleep — anything goes). The blocking
+    /// driver only; the default waits not at all.
     fn wait(&self, attempt: u64) {
         let _ = attempt;
-    }
-
-    /// The blocking loop's compound consultation: [`wait`], then
-    /// [`decide`].
-    ///
-    /// [`wait`]: ContentionManager::wait
-    /// [`decide`]: ContentionManager::decide
-    fn on_abort(&self, attempt: u64) -> Decision {
-        self.wait(attempt);
-        self.decide(attempt)
     }
 }
 
@@ -118,7 +116,7 @@ impl ExponentialBackoff {
     /// Largest effective spin exponent, whatever `max_spin_shift` says.
     pub const SHIFT_CEILING: u32 = 20;
 
-    /// Busy-wait iterations `on_abort` performs for the given attempt:
+    /// Busy-wait iterations `wait` performs for the given attempt:
     /// `2^min(attempt, max_spin_shift, SHIFT_CEILING)` inside the spin
     /// tier, and **zero** everywhere else — in particular past
     /// `yield_threshold`, where earlier versions of this policy kept
@@ -224,15 +222,17 @@ mod tests {
     #[test]
     fn immediate_always_retries() {
         for a in [0, 1, 1 << 40] {
-            assert_eq!(ImmediateRetry.on_abort(a), Decision::Retry);
+            assert_eq!(ImmediateRetry.decide(a), Decision::Retry);
         }
     }
 
     #[test]
     fn backoff_always_retries_but_waits() {
         let cm = ExponentialBackoff::default();
-        assert_eq!(cm.on_abort(0), Decision::Retry);
-        assert_eq!(cm.on_abort(20), Decision::Retry);
+        for a in [0, 20] {
+            cm.wait(a);
+            assert_eq!(cm.decide(a), Decision::Retry);
+        }
     }
 
     #[test]
@@ -251,7 +251,8 @@ mod tests {
             cm.spin_iterations(100),
             1 << ExponentialBackoff::SHIFT_CEILING
         );
-        assert_eq!(cm.on_abort(100), Decision::Retry);
+        cm.wait(100);
+        assert_eq!(cm.decide(100), Decision::Retry);
     }
 
     #[test]
@@ -266,14 +267,14 @@ mod tests {
         assert!(cm.spin_iterations(10) > 0, "spin tier spins");
         assert_eq!(cm.spin_iterations(17), 0, "yield tier must not spin");
         assert_eq!(cm.spin_iterations(100), 0, "park tier must not spin");
-        assert_eq!(cm.on_abort(17), Decision::Retry);
-        assert_eq!(cm.on_abort(100), Decision::Park);
+        assert_eq!(cm.decide(17), Decision::Retry);
+        assert_eq!(cm.decide(100), Decision::Park);
     }
 
     #[test]
     fn decide_is_pure_across_the_tiers() {
-        // The async loop calls `decide` alone; it must reproduce the
-        // tier boundaries without any of `wait`'s side effects.
+        // The async driver never calls `wait`; `decide` must reproduce
+        // the tier boundaries without any of its side effects.
         let cm = ExponentialBackoff::default();
         assert_eq!(cm.decide(0), Decision::Retry);
         assert_eq!(cm.decide(cm.park_threshold), Decision::Retry);
@@ -299,27 +300,29 @@ mod tests {
 
         let waits = Arc::new(AtomicU64::new(0));
         let cm = CappedAttempts::wrapping(2, Probe(Arc::clone(&waits)));
-        assert_eq!(cm.on_abort(0), Decision::Retry);
+        cm.wait(0);
+        assert_eq!(cm.decide(0), Decision::Retry);
         assert_eq!(waits.load(Ordering::Relaxed), 1, "inner wait ran");
         // The limit-reaching abort gives up without waiting out a backoff
         // the cap is about to veto.
-        assert_eq!(cm.on_abort(1), Decision::GiveUp);
+        cm.wait(1);
+        assert_eq!(cm.decide(1), Decision::GiveUp);
         assert_eq!(waits.load(Ordering::Relaxed), 1, "no wait at the cap");
     }
 
     #[test]
     fn capped_passes_park_through() {
         let cm = CappedAttempts::new(1 << 40);
-        assert_eq!(cm.on_abort(100), Decision::Park);
+        assert_eq!(cm.decide(100), Decision::Park);
     }
 
     #[test]
     fn capped_gives_up_at_limit() {
         let cm = CappedAttempts::wrapping(3, ImmediateRetry);
-        assert_eq!(cm.on_abort(0), Decision::Retry);
-        assert_eq!(cm.on_abort(1), Decision::Retry);
-        assert_eq!(cm.on_abort(2), Decision::GiveUp);
-        assert_eq!(cm.on_abort(7), Decision::GiveUp);
+        assert_eq!(cm.decide(0), Decision::Retry);
+        assert_eq!(cm.decide(1), Decision::Retry);
+        assert_eq!(cm.decide(2), Decision::GiveUp);
+        assert_eq!(cm.decide(7), Decision::GiveUp);
     }
 
     #[test]

@@ -41,11 +41,18 @@
 //!
 //! * [`builder`] — [`StmBuilder`]: configuration and instance assembly;
 //! * [`transaction`] — [`Transaction`]: the per-attempt state machine
-//!   (operations, poisoning, instrumentation, lock cleanup);
-//! * [`attempt`] — the retry loop ([`Stm::run`] / [`Stm::atomically`] /
-//!   [`Stm::try_once`]) and contention-manager consultation;
+//!   (operations, poisoning, instrumentation) and the one resolve point
+//!   every attempt ends in — release what it holds, flush its tallies,
+//!   then count the outcome and run the adaptive hook, in that order
+//!   everywhere;
+//! * [`attempt`] — the attempt lifecycle, written once: a step machine
+//!   that runs one attempt (begin → body → commit → resolve) and owns
+//!   the attempt budget, the contention-manager consultation and the
+//!   park protocol, under three thin drivers that differ only in how
+//!   they wait — [`Stm::run`] / [`Stm::atomically`] block the thread,
+//!   [`run_async`] suspends the task, [`Stm::try_once`] does not wait;
 //! * [`twophase`] — the one commit pipeline, prepare then publish: run
-//!   back to back by the attempt loops, and split
+//!   back to back by the attempt step, and split
 //!   ([`Transaction::prepare_commit`] / [`Prepared`]) for a coordinator
 //!   that holds several instances' commit locks open and publishes them
 //!   together (the `ptm-server` cross-shard commit);
@@ -57,11 +64,11 @@
 //! transaction never dirties shared state. Retry behaviour is a pluggable
 //! [`ContentionManager`](crate::ContentionManager) chosen through
 //! [`StmBuilder`]; past its park threshold (and always for
-//! [`Transaction::retry`] logical waits) the loop stops consuming CPU
-//! entirely and blocks on the orec table's per-stripe waiter lists until
-//! a committing writer overlaps the attempt's footprint. The same lists
-//! back [`Stm::run_async`] ([`run_async`]), which suspends a future
-//! instead of a thread.
+//! [`Transaction::retry`] logical waits) the transaction stops
+//! consuming CPU entirely and blocks on the orec table's per-stripe
+//! waiter lists until a committing writer overlaps the attempt's
+//! footprint. The same lists back [`Stm::run_async`] ([`run_async`]),
+//! which suspends a future instead of a thread.
 
 mod attempt;
 mod builder;
@@ -76,7 +83,7 @@ pub use run_async::RunAsync;
 pub use transaction::Transaction;
 pub use twophase::Prepared;
 
-use crate::algo::adaptive::{AdaptiveState, Mode};
+use crate::algo::adaptive::AdaptiveState;
 use crate::cm::ContentionManager;
 use crate::epoch::SnapshotRegistry;
 use crate::orec::OrecTable;
@@ -350,11 +357,7 @@ impl Stm {
     pub fn active_mode(&self) -> Algorithm {
         match &self.adaptive {
             None => self.algorithm,
-            Some(ad) => match ad.mode() {
-                Mode::Invisible => Algorithm::Tl2,
-                Mode::Visible => Algorithm::Tlrw,
-                Mode::Multiversion => Algorithm::Mv,
-            },
+            Some(ad) => ad.mode().algorithm(),
         }
     }
 

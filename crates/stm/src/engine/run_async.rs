@@ -1,48 +1,49 @@
-//! [`Stm::run_async`]: the async face of the attempt loop.
+//! [`Stm::run_async`]: the async driver of the step machine.
 //!
-//! The blocking loop parks a *thread* on the orec table's waiter lists;
-//! this module parks a *task* — same lists, same register → revalidate →
-//! sleep protocol, but the registered [`WaitCell`] carries the task's
+//! The blocking driver parks a *thread* on the orec table's waiter
+//! lists; this one parks a *task* — the same [`Attempts::step`], hence
+//! the same lists and the same register → revalidate → sleep protocol,
+//! but the [`WaitCell`] it hands the step carries the task's
 //! [`Waker`](std::task::Waker) instead of a thread handle, and "sleep"
 //! is returning [`Poll::Pending`]. A committing writer that overlaps the
 //! footprint wakes the waker exactly once; the executor re-polls; the
-//! poll deregisters the stale cell and re-runs the body.
+//! poll deregisters the spent cell and steps again.
 //!
-//! Two rules keep the loop executor-friendly; both exist because a poll
-//! runs on a thread the engine does not own:
+//! Two rules keep the driver executor-friendly; both exist because a
+//! poll runs on a thread the engine does not own:
 //!
-//! * **The contention manager is consulted, never obeyed bodily.** A
-//!   poll calls the non-blocking [`decide`] tier only — the spin/yield
-//!   *wait* tiers a blocking attempt would burn through are translated
-//!   into waker-mediated yields: each poll runs at most
-//!   [`MAX_ATTEMPTS_PER_POLL`] attempts inline, then reschedules itself
-//!   (`wake_by_ref` + `Pending`, counted as `async_yields` in
-//!   [`StmStats`](crate::StmStats)) so the executor can run other tasks
-//!   between retry bursts. Per-poll work is therefore bounded by the
-//!   body's own cost times a small constant — no `2^k` spin ever runs on
-//!   an executor thread.
-//! * **[`Decision::Park`] parks for real, with a watchdog.** The
-//!   conflict footprint (read ∪ write stripes) registers on the waiter
-//!   lists exactly like the blocking path — register, revalidate, then
-//!   suspend — and, because a conflict wake is only a heuristic (the
-//!   winning writer may have committed and gone before registration),
-//!   the global timer thread ([`crate::waiter`]) re-fires the waker
-//!   after [`CONFLICT_PARK_TIMEOUT`] as a safety net; a timeout-mediated
-//!   wake is counted `spurious_wakes`, mirroring the blocking ledger.
-//!   Earlier versions degraded Park to an *unthrottled* self-wake
-//!   (`wake_by_ref` on every poll), which pegged a core at executor
-//!   speed for the whole storm.
+//! * **The contention manager is consulted, never obeyed bodily.** The
+//!   step calls the policy's non-blocking [`decide`] tier; this driver
+//!   never calls [`wait`] — the spin/yield tiers a blocking attempt
+//!   would burn through are translated into waker-mediated yields: each
+//!   poll runs at most [`MAX_ATTEMPTS_PER_POLL`] steps inline, then
+//!   reschedules itself (`wake_by_ref` + `Pending`, counted as
+//!   `async_yields` in [`StmStats`](crate::StmStats)) so the executor
+//!   can run other tasks between retry bursts. Per-poll work is
+//!   therefore bounded by the body's own cost times a small constant —
+//!   no `2^k` spin ever runs on an executor thread.
+//! * **[`Decision::Park`](crate::Decision::Park) parks for real, with a
+//!   watchdog.** A [`Step::Parked`] conflict footprint (read ∪ write
+//!   stripes) is already on the waiter lists when the step returns, and,
+//!   because a conflict wake is only a heuristic (the winning writer may
+//!   have committed and gone before registration), the global timer
+//!   thread ([`crate::waiter`]) re-fires the waker after
+//!   [`CONFLICT_PARK_TIMEOUT`] as a safety net; a timeout-mediated wake
+//!   is counted `spurious_wakes`, mirroring the blocking ledger. Earlier
+//!   versions degraded Park to an *unthrottled* self-wake (`wake_by_ref`
+//!   on every poll), which pegged a core at executor speed for the whole
+//!   storm.
 //!
-//! Logical waits (`tx.retry()`) register without the watchdog: their
-//! wake condition is "some overlapping commit happens later", which is
-//! exactly what the lists deliver, and the register-then-revalidate step
-//! closes the "it already happened" window.
+//! Logical waits (`tx.retry()`) suspend without the watchdog: their wake
+//! condition is "some overlapping commit happens later", which is
+//! exactly what the lists deliver, and the step's register-then-
+//! revalidate closes the "it already happened" window.
 //!
 //! [`decide`]: crate::cm::ContentionManager::decide
+//! [`wait`]: crate::cm::ContentionManager::wait
 
+use super::attempt::{Attempts, Step};
 use super::{RetriesExhausted, Retry, Stm, Transaction};
-use crate::cm::Decision;
-use crate::txlog::TxLog;
 use crate::waiter::{self, WaitCell, CONFLICT_PARK_TIMEOUT};
 use std::fmt;
 use std::future::Future;
@@ -99,10 +100,8 @@ impl Stm {
         F: FnMut(&mut Transaction<'_>) -> Result<A, Retry> + Unpin,
     {
         RunAsync {
-            stm: self,
+            attempts: Attempts::new(self),
             body,
-            log: None,
-            attempts: 0,
             registration: None,
             _out: PhantomData,
         }
@@ -117,11 +116,8 @@ impl Stm {
 /// because the future moves it on each poll; the crate forbids the
 /// `unsafe` a pin projection would need.
 pub struct RunAsync<'s, A, F> {
-    stm: &'s Stm,
+    attempts: Attempts<'s>,
     body: F,
-    /// Recycled attempt log, `Some` between attempts.
-    log: Option<TxLog>,
-    attempts: u64,
     /// A standing waiter-list registration from the last poll, voided
     /// (deregistered) at the top of the next poll and on drop.
     registration: Option<(Arc<WaitCell>, Vec<usize>)>,
@@ -132,18 +128,12 @@ pub struct RunAsync<'s, A, F> {
 impl<A, F> RunAsync<'_, A, F> {
     fn deregister(&mut self) {
         if let Some((cell, stripes)) = self.registration.take() {
-            self.stm.orecs.waiters().deregister(&stripes, &cell);
+            self.attempts
+                .stm
+                .orecs
+                .waiters()
+                .deregister(&stripes, &cell);
         }
-    }
-
-    /// Cooperative reschedule: the per-poll attempt budget is spent, so
-    /// hand the thread back to the executor and ask to be polled again.
-    /// Counted, so a contention storm is observable as `async_yields`
-    /// instead of as an inexplicably hot core.
-    fn yield_now<T>(&self, cx: &mut Context<'_>) -> Poll<T> {
-        self.stm.stats.async_yield();
-        cx.waker().wake_by_ref();
-        Poll::Pending
     }
 }
 
@@ -168,91 +158,42 @@ where
         // park timing out; keep the same ledger.
         if let Some((cell, _)) = &this.registration {
             if cell.was_timeout() {
-                this.stm.stats.spurious_wake();
+                this.attempts.stm.stats.spurious_wake();
             }
         }
         this.deregister();
-        let mut this_poll: u32 = 0;
-        loop {
-            let log = this.log.take().unwrap_or_default();
-            let mut tx = Transaction::begin(this.stm, log);
-            if let Ok(out) = (this.body)(&mut tx) {
-                if tx.commit() {
-                    drop(tx);
-                    this.stm.retire_committed();
-                    return Poll::Ready(Ok(out));
-                }
-            }
-            tx.close_aborted();
-            this.stm.stats.abort();
-            this_poll += 1;
-            if tx.waiting() {
-                // Same protocol as the blocking park: register, then
-                // revalidate, then suspend — a commit that landed before
-                // registration shows up in the revalidation and skips
-                // the suspend.
-                let stripes = tx.wait_stripes(false);
-                let cell = WaitCell::for_waker(cx.waker().clone());
-                this.stm.orecs.waiters().register(&stripes, &cell);
-                let consistent = tx.revalidate_for_park();
-                this.log = Some(tx.into_log());
-                if !consistent {
-                    this.stm.orecs.waiters().deregister(&stripes, &cell);
-                    if this_poll >= MAX_ATTEMPTS_PER_POLL {
-                        return this.yield_now(cx);
+        for _ in 0..MAX_ATTEMPTS_PER_POLL {
+            let new_cell = || Some(WaitCell::for_waker(cx.waker().clone()));
+            match this.attempts.step(&mut this.body, new_cell) {
+                Step::Committed(out) => return Poll::Ready(Ok(out)),
+                // The policy's wait tiers must not run on the executor
+                // thread (see the module docs): whatever backoff the
+                // step reports, the per-poll budget stands in for it.
+                Step::Again(_) => {}
+                Step::Parked {
+                    cell,
+                    stripes,
+                    conflict,
+                } => {
+                    if conflict {
+                        // The timer watchdog stands in for the blocking
+                        // driver's `park_timeout` as the missed-wake
+                        // safety net.
+                        waiter::watchdog(&cell, CONFLICT_PARK_TIMEOUT);
                     }
-                    continue;
-                }
-                this.stm.stats.park();
-                this.registration = Some((cell, stripes));
-                return Poll::Pending;
-            }
-            this.attempts += 1;
-            if this.attempts >= this.stm.max_attempts {
-                return Poll::Ready(Err(RetriesExhausted {
-                    attempts: this.attempts,
-                }));
-            }
-            tx.release_read_locks();
-            // `decide`, never `on_abort`: the policy's spin/yield wait
-            // tiers must not run on the executor thread (see the module
-            // docs) — the per-poll attempt budget stands in for them.
-            match this.stm.cm.decide(this.attempts - 1) {
-                Decision::Retry => {
-                    this.log = Some(tx.into_log());
-                    if this_poll >= MAX_ATTEMPTS_PER_POLL {
-                        return this.yield_now(cx);
-                    }
-                }
-                Decision::Park => {
-                    // Register the *conflict* footprint (reads ∪ writes)
-                    // and suspend, exactly like the blocking park — with
-                    // the timer watchdog standing in for `park_timeout`
-                    // as the missed-wake safety net.
-                    let stripes = tx.wait_stripes(true);
-                    let cell = WaitCell::for_waker(cx.waker().clone());
-                    this.stm.orecs.waiters().register(&stripes, &cell);
-                    let consistent = tx.revalidate_for_park();
-                    this.log = Some(tx.into_log());
-                    if !consistent {
-                        this.stm.orecs.waiters().deregister(&stripes, &cell);
-                        if this_poll >= MAX_ATTEMPTS_PER_POLL {
-                            return this.yield_now(cx);
-                        }
-                        continue;
-                    }
-                    this.stm.stats.park();
-                    waiter::watchdog(&cell, CONFLICT_PARK_TIMEOUT);
                     this.registration = Some((cell, stripes));
                     return Poll::Pending;
                 }
-                Decision::GiveUp => {
-                    return Poll::Ready(Err(RetriesExhausted {
-                        attempts: this.attempts,
-                    }));
-                }
+                Step::Exhausted(e) => return Poll::Ready(Err(e)),
             }
         }
+        // Cooperative reschedule: the per-poll attempt budget is spent, so
+        // hand the thread back to the executor and ask to be polled
+        // again. Counted, so a contention storm is observable as
+        // `async_yields` instead of as an inexplicably hot core.
+        this.attempts.stm.stats.async_yield();
+        cx.waker().wake_by_ref();
+        Poll::Pending
     }
 }
 
@@ -267,7 +208,7 @@ impl<A, F> Drop for RunAsync<'_, A, F> {
 impl<A, F> fmt::Debug for RunAsync<'_, A, F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunAsync")
-            .field("attempts", &self.attempts)
+            .field("attempts", &self.attempts.conflicts)
             .field("parked", &self.registration.is_some())
             .finish()
     }

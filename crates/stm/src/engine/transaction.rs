@@ -1,14 +1,15 @@
 //! [`Transaction`]: the per-attempt state machine — operations,
-//! poisoning, history-marker placement, epoch pinning, and lock cleanup
-//! on every exit path.
+//! poisoning, history-marker placement, epoch pinning, and the one
+//! resolve point ([`Transaction::committed`] / [`Transaction::aborted`])
+//! every way an attempt can end goes through.
 
 use super::{Algorithm, Retry, Stm};
 use crate::algo;
-use crate::algo::adaptive::{self, Mode};
+use crate::algo::adaptive;
 use crate::epoch;
 use crate::orec;
 use crate::recorder::{word_of, HistoryRecorder, RecTx};
-use crate::stats::OpTally;
+use crate::stats::{ActiveMode, OpTally};
 use crate::tvar::{TVar, TxValue};
 use crate::txlog::TxLog;
 use crate::wal::DurableTicket;
@@ -33,11 +34,16 @@ pub struct Transaction<'s> {
     /// whose prepare failed.)
     pub(super) poisoned: bool,
     /// Set by [`Transaction::retry`]: the attempt aborted because the
-    /// *data* said wait, not because a conflict said hurry. The attempt
-    /// loop parks such attempts on their read footprint's waiter lists
+    /// *data* said wait, not because a conflict said hurry. The step
+    /// machine parks such attempts on their read footprint's waiter lists
     /// instead of consulting the contention manager (a logical wait is
     /// not contention — it must not consume backoff or attempt budget).
-    waiting: bool,
+    pub(super) waiting: bool,
+    /// Set by the resolve point: the attempt's outcome is counted and
+    /// everything it held is released, so `Drop` has nothing left to do
+    /// and a second resolution (a `rollback` after a failed
+    /// `prepare_commit`) counts nothing twice.
+    resolved: bool,
     pub(crate) log: TxLog,
     /// The concrete hook set this attempt runs: the instance's algorithm
     /// for static instances; for `Algorithm::Adaptive`, the begin hook
@@ -47,19 +53,22 @@ pub struct Transaction<'s> {
     /// instance mid-flight.
     pub(crate) mode: Algorithm,
     /// The adaptive mode this attempt registered in (`Algorithm::
-    /// Adaptive` only): names the active counter to release on drop.
-    pub(crate) pinned: Option<Mode>,
+    /// Adaptive` only): names the active counter to release when the
+    /// attempt resolves.
+    pub(crate) pinned: Option<ActiveMode>,
     /// The published snapshot slot of an `Algorithm::Mv` attempt: keeps
     /// the low-watermark collector from trimming versions this
-    /// transaction's snapshot can still reach. Withdrawn on drop.
+    /// transaction's snapshot can still reach. Withdrawn when the attempt
+    /// resolves.
     pub(crate) snap: Option<epoch::SnapshotGuard>,
     /// History-recording state for this attempt, when the instance has a
     /// recorder attached.
     rec: Option<RecTx>,
     /// Per-attempt operation counters (plain, non-atomic): bumped on the
     /// hot path, folded into the instance's sharded [`StmStats`] exactly
-    /// once when this attempt resolves (the `Drop` below) — so a t-read
-    /// costs zero shared RMWs of instrumentation.
+    /// once when this attempt resolves ([`Transaction::committed`] /
+    /// [`Transaction::aborted`]) — so a t-read costs zero shared RMWs of
+    /// instrumentation.
     ///
     /// [`StmStats`]: crate::stats::StmStats
     pub(crate) tally: OpTally,
@@ -69,33 +78,22 @@ pub struct Transaction<'s> {
     /// `None` on instances without a durability hook and on attempts
     /// that staged nothing.
     staged: Option<(Arc<[u8]>, DurableTicket)>,
-    /// Clock sample taken before the first operation when a durability
-    /// hook is attached: the snapshot watermark for algorithms whose
-    /// `rv` does not track the clock (Incremental, Tlrw) — see
-    /// [`Transaction::durable_watermark`].
-    wm0: u64,
     /// Epoch pin: keeps every pointer this transaction may dereference
     /// alive for its whole lifetime (also makes `Transaction: !Send`).
     pub(crate) pin: epoch::Guard,
 }
 
 impl Drop for Transaction<'_> {
-    /// Last-resort release of visible-read locks: commit and the abort
-    /// paths release them eagerly, but a panicking body (or a dropped
-    /// `try_once` attempt) must not leave reader counts behind — a leaked
-    /// read lock would starve every later writer on the stripe. Also
-    /// deregisters the attempt from its pinned mode's active counter
-    /// (adaptive instances), on which a pending mode switch may be
-    /// waiting; the snapshot slot (`snap`, Mv instances) is withdrawn by
-    /// its own field drop right after this body. Also flushes the
-    /// attempt's operation tallies into the shared counters — the attempt
-    /// loop drops the transaction *before* sampling stats (commit bump,
-    /// adaptive window check), so snapshots taken at those points include
-    /// this attempt's operations.
+    /// Last resort for an attempt that never reached the resolve point —
+    /// a panicking body, a manual [`Stm::transaction`] the caller simply
+    /// dropped: it must not leave reader counts behind (a leaked read
+    /// lock would starve every later writer on the stripe) nor hold its
+    /// mode slot against a pending switch. Such an attempt has no outcome
+    /// to count.
     fn drop(&mut self) {
-        self.release_read_locks();
-        adaptive::release_slot(self);
-        self.stm.stats.flush(&self.tally);
+        if !self.resolved {
+            self.release();
+        }
     }
 }
 
@@ -117,6 +115,7 @@ impl<'s> Transaction<'s> {
             started: false,
             poisoned: false,
             waiting: false,
+            resolved: false,
             log,
             mode: stm.algorithm,
             pinned: None,
@@ -124,46 +123,24 @@ impl<'s> Transaction<'s> {
             rec: stm.recorder.as_ref().map(HistoryRecorder::begin_tx),
             tally: OpTally::default(),
             staged: None,
-            wm0: 0,
             pin: epoch::pin(),
-        }
-    }
-
-    /// Recovers the log for reuse by the next attempt (capacity is kept,
-    /// entries are cleared), releasing any read locks the aborted
-    /// attempt still holds.
-    pub(super) fn into_log(mut self) -> TxLog {
-        self.release_read_locks();
-        let mut log = std::mem::take(&mut self.log);
-        log.reset();
-        log
-    }
-
-    /// Undoes every visible-read lock this attempt still holds (no-op
-    /// under the invisible-read algorithms, whose `rw_reads` stays
-    /// empty). Arithmetic release: transient foreign increments survive.
-    pub(crate) fn release_read_locks(&mut self) {
-        for stripe in self.log.rw_drain() {
-            self.stm
-                .orecs
-                .word(stripe)
-                .fetch_sub(orec::RW_READER, Ordering::AcqRel);
         }
     }
 
     /// Lazily samples the snapshot time (and, for adaptive instances,
     /// pins the mode) at the first operation.
+    ///
+    /// Call it *after* recording the operation's invocation marker:
+    /// opacity's real-time order is judged on the recorded markers, so
+    /// the sample must fall inside the attempt's recorded interval. Drawn
+    /// before the attempt's first marker, a commit landing between the
+    /// two is real-time-before this attempt in the history yet invisible
+    /// to its snapshot — and Mv, which returns the superseded value
+    /// instead of aborting, turns that into a recorded opacity violation
+    /// the engine never committed.
     pub(super) fn ensure_started(&mut self) {
         if self.started {
             return;
-        }
-        // Durable instances sample the clock before the first operation:
-        // `wm0` is a sound snapshot watermark even for the algorithms
-        // whose own `rv` never tracks the clock (see
-        // `durable_watermark`). Gated so non-durable instances pay no
-        // extra clock traffic.
-        if self.stm.durability.is_some() {
-            self.wm0 = self.stm.clock.load(Ordering::Acquire);
         }
         algo::begin(self);
         self.started = true;
@@ -185,15 +162,65 @@ impl<'s> Transaction<'s> {
         }
     }
 
-    /// Closes an abandoned attempt in the recorded history with a
-    /// `tryC -> A_k` pair: a user body that returned its own error never
-    /// reaches commit, but the history needs every transaction
-    /// t-complete before its process starts the next one.
-    pub(super) fn close_aborted(&mut self) {
+    /// Releases, in place, everything an attempt holds that must not
+    /// outlive it, and flushes its operation tallies.
+    fn release(&mut self) {
+        // Visible-read locks (none under the invisible-read algorithms,
+        // whose `rw_reads` stays empty). Arithmetic release: transient
+        // foreign increments survive.
+        for stripe in self.log.rw_drain() {
+            self.stm
+                .orecs
+                .word(stripe)
+                .fetch_sub(orec::RW_READER, Ordering::AcqRel);
+        }
+        // The Mv snapshot slot, before the mode slot: a switch that sees
+        // the mode drained rebases the snapshot registry's watermark and
+        // must find this attempt's snapshot gone.
+        self.snap = None;
+        adaptive::release_slot(self);
+        self.stm.stats.flush(&self.tally);
+        self.resolved = true;
+    }
+
+    /// The resolve point, commit side: every committed attempt, one-shot
+    /// or two-phase, arrives here from [`Transaction::publish`].
+    ///
+    /// One order, here and in [`Transaction::aborted`]: release what the
+    /// attempt holds (flushing its tallies), *then* count the outcome,
+    /// *then* run the adaptive hook — so a stats sample taken at the
+    /// count includes this attempt's operations, and the controller,
+    /// which may quiesce the instance, never waits on the sampling
+    /// thread's own finished attempt. `&mut self`, released in place:
+    /// moving the attempt state into a consuming resolver measured
+    /// +20 ns on every commit (PR 12).
+    pub(super) fn committed(&mut self) {
+        self.release();
+        self.stm.stats.commit();
+        adaptive::after_commit(self.stm);
+    }
+
+    /// The resolve point, abort side: a failed body or commit in the
+    /// attempt step, a failed [`Transaction::prepare_commit`],
+    /// [`Transaction::abort_prepared`], [`Transaction::rollback`]. An
+    /// abort's *cause* belongs here.
+    ///
+    /// Closes the recorded history first if the attempt left it open: a
+    /// user body that returned its own error never reaches commit, but
+    /// the history needs every transaction t-complete (`tryC -> A_k`)
+    /// before its process starts the next one. Idempotent: `rollback`
+    /// is the documented cleanup after a failed `prepare_commit`, which
+    /// already resolved the attempt here.
+    pub(super) fn aborted(&mut self) {
+        if self.resolved {
+            return;
+        }
         if self.rec.as_ref().is_some_and(RecTx::needs_close) {
             self.rec_invoke(TOpDesc::TryCommit);
             self.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);
         }
+        self.release();
+        self.stm.stats.abort();
     }
 
     /// Reads a variable.
@@ -207,12 +234,13 @@ impl<'s> Transaction<'s> {
         if self.poisoned {
             return Err(Retry);
         }
-        self.ensure_started();
         self.tally.read();
         let op = self.rec.as_ref().map(|r| TOpDesc::Read(r.object_of(var)));
         if let Some(op) = op {
             self.rec_invoke(op);
         }
+        // After the invocation marker (see `ensure_started`).
+        self.ensure_started();
         let out = self.read_raw(var);
         if let Some(op) = op {
             match &out {
@@ -273,7 +301,6 @@ impl<'s> Transaction<'s> {
         if self.poisoned {
             return Err(Retry);
         }
-        self.ensure_started();
         self.tally.write();
         let op = self
             .rec
@@ -282,6 +309,8 @@ impl<'s> Transaction<'s> {
         if let Some(op) = op {
             self.rec_invoke(op);
         }
+        // After the invocation marker (see `ensure_started`).
+        self.ensure_started();
         self.log
             .buffer_write(var.id(), var.as_dyn(), Box::new(value));
         if let Some(op) = op {
@@ -334,31 +363,6 @@ impl<'s> Transaction<'s> {
         }
     }
 
-    /// A clock watermark `w` such that this attempt's snapshot contains
-    /// **every** committed transaction whose log record carries a stamp
-    /// `<= w` — what a consistent point-in-time snapshot of the value
-    /// layer should advertise, so recovery replays exactly the log
-    /// records stamped after it.
-    ///
-    /// Per algorithm: Tl2 and Mv read at their begin-time clock sample
-    /// (`rv` — exact); NOrec's `rv` is the sequence-lock value its last
-    /// validation proved current, and commits stamp `rv + 2` (exact);
-    /// Incremental and Tlrw have no snapshot clock, so this falls back
-    /// to `wm0`, the clock sampled before the attempt's first operation
-    /// — a *lower* bound: any commit not contained in the attempt's
-    /// reads drew its stamp after them, hence after `wm0`. The
-    /// replay-side cost of the bound being low is re-applying records
-    /// the snapshot already contains, which is harmless because records
-    /// carry absolute values and replay runs in log order (idempotent).
-    pub fn durable_watermark(&mut self) -> u64 {
-        self.ensure_started();
-        match self.mode {
-            Algorithm::Tl2 | Algorithm::Mv => self.rv,
-            Algorithm::Norec => self.rv,
-            Algorithm::Incremental | Algorithm::Tlrw | Algorithm::Adaptive => self.wm0,
-        }
-    }
-
     /// Abandons this attempt because the data is not ready: the engine
     /// blocks the thread until another transaction commits a write that
     /// overlaps this attempt's read set, then re-runs the body —
@@ -402,9 +406,11 @@ impl<'s> Transaction<'s> {
     /// ```
     pub fn retry<A>(&mut self) -> Result<A, Retry> {
         if !self.poisoned {
-            // Pin the mode / sample the snapshot even if retry() is the
-            // first operation, so the park path knows how to wait.
-            self.ensure_started();
+            // No `ensure_started` here: a logical wait records no history
+            // marker, so a snapshot drawn now could predate the attempt's
+            // first recorded event if `or_else` revives it. An attempt
+            // that waits before any operation parks on an empty footprint
+            // (see `revalidate_for_park`).
             self.waiting = true;
             self.poisoned = true;
         }
@@ -463,7 +469,6 @@ impl<'s> Transaction<'s> {
         if self.poisoned {
             return Err(Retry);
         }
-        self.ensure_started();
         self.log.checkpoint();
         match first(self) {
             Ok(v) => {
@@ -489,11 +494,6 @@ impl<'s> Transaction<'s> {
                 Err(Retry)
             }
         }
-    }
-
-    /// Whether this attempt aborted via [`Transaction::retry`].
-    pub(super) fn waiting(&self) -> bool {
-        self.waiting
     }
 
     /// The orec stripes a parked instance of this attempt must be woken
@@ -548,10 +548,13 @@ impl<'s> Transaction<'s> {
                 let w = self.stm.orecs.word(r.stripe).load(Ordering::Acquire);
                 !orec::is_locked(w) && orec::version_of(w) <= r.meta
             }),
-            Algorithm::Norec => self.stm.clock.load(Ordering::Acquire) == self.rv,
-            // Visible reads still hold their stripe locks at this point:
-            // no writer can have committed past them, so the snapshot
-            // cannot be stale. (Unpinned Adaptive has read nothing.)
+            // An attempt that waits before its first operation never
+            // sampled the sequence lock and has read nothing to go stale.
+            Algorithm::Norec => !self.started || self.stm.clock.load(Ordering::Acquire) == self.rv,
+            // Visible reads still hold their stripe locks at this point
+            // (the resolve point releases them *after* registration): no
+            // writer can have committed past them, so the snapshot cannot
+            // be stale. (Unpinned Adaptive has read nothing.)
             Algorithm::Tlrw | Algorithm::Adaptive => true,
         }
     }

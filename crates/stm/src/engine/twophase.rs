@@ -1,12 +1,14 @@
 //! The commit pipeline: every commit is a *prepare* half (acquire the
 //! commit locks, validate — everything that can fail) followed by a
-//! *publish* half (write back and release — infallible). The attempt
-//! loop's one-shot commit runs the two back to back
+//! *publish* half (write back and release — infallible). The step
+//! machine's one-shot commit runs the two back to back
 //! ([`Transaction::prepare`] then [`Transaction::publish`]); the
 //! two-phase surface ([`Transaction::prepare_commit`]) hands the window
 //! in between to a coordinator, which can hold several instances'
 //! prepares open and publish them together. Both go through the same
-//! two per-algorithm dispatches below — there is no second commit path.
+//! two per-algorithm dispatches below — there is no second commit path
+//! — and every outcome, one-shot or two-phase, ends in the one resolve
+//! point ([`Transaction::committed`] / [`Transaction::aborted`]).
 //!
 //! This is what makes a **cross-instance atomic commit** possible
 //! without any new global metadata: each [`Stm`] keeps its own clock and
@@ -48,7 +50,7 @@
 //! [`prepare_commit`]: Transaction::prepare_commit
 
 use super::{Algorithm, Retry, Stm, Transaction};
-use crate::algo::{adaptive, mv, norec, tlrw, versioned};
+use crate::algo::{mv, norec, tlrw, versioned};
 use crate::txlog::TxLog;
 use ptm_sim::{TOpDesc, TOpResult};
 
@@ -90,7 +92,7 @@ pub(super) enum Plan {
 }
 
 impl Stm {
-    /// Begins a transaction whose attempt loop the *caller* drives —
+    /// Begins a transaction whose attempts the *caller* drives —
     /// the manual counterpart of [`Stm::atomically`], for coordinators
     /// that need to hold the commit open across instances (see
     /// [`Transaction::prepare_commit`]).
@@ -118,19 +120,6 @@ impl Stm {
     /// ```
     pub fn transaction(&self) -> Transaction<'_> {
         Transaction::begin(self, TxLog::default())
-    }
-
-    /// The tail of every commit, one-shot or two-phase: count it and
-    /// give the adaptive controller its hook. Called **after** the
-    /// committed transaction is dropped — the sampler may quiesce the
-    /// instance, which must never wait on the sampling thread's own
-    /// (finished) transaction, and the drop is what flushes the
-    /// attempt's operation tallies into the sample. (A by-value
-    /// `Transaction` parameter would say that in the signature, but
-    /// moving the 448-byte attempt measured +20 ns on every commit.)
-    pub(super) fn retire_committed(&self) {
-        self.stats.commit();
-        adaptive::after_commit(self);
     }
 }
 
@@ -167,7 +156,7 @@ impl Transaction<'_> {
                 stm: self.stm as *const Stm,
             }),
             None => {
-                self.stm.stats.abort();
+                self.aborted();
                 Err(Retry)
             }
         }
@@ -175,9 +164,9 @@ impl Transaction<'_> {
 
     /// The prepare half of every commit, one-shot or two-phase: opens
     /// the `tryC` history marker and runs the algorithm's prepare hook.
-    /// `None` means the attempt aborted — every acquired lock is rolled
-    /// back, the marker is closed aborted, and the attempt is poisoned;
-    /// the caller counts the abort.
+    /// `None` means the attempt aborted — every acquired commit lock is
+    /// rolled back, the marker is closed aborted, and the attempt is
+    /// poisoned; the caller resolves it ([`Transaction::aborted`]).
     ///
     /// A read-only attempt is already serialized (see
     /// [`Plan::ReadOnly`]) and prepares trivially, unless `revalidate`
@@ -187,8 +176,11 @@ impl Transaction<'_> {
         if self.poisoned {
             return None;
         }
-        self.ensure_started();
+        // Marker first: an attempt whose first operation is its commit
+        // samples its snapshot inside the `tryC` interval (see
+        // `ensure_started`).
         self.rec_invoke(TOpDesc::TryCommit);
+        self.ensure_started();
         let read_only = self.log.writes.is_empty();
         if read_only && !revalidate {
             return Some(Plan::ReadOnly);
@@ -205,17 +197,16 @@ impl Transaction<'_> {
         if !ok {
             self.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);
             self.poisoned = true;
-            self.release_read_locks();
             return None;
         }
         Some(if read_only { Plan::ReadOnly } else { plan })
     }
 
     /// The publish half of every commit: write the buffered values back
-    /// under the locks `plan` holds, release everything the attempt
-    /// still holds, and close the `tryC` marker committed. Infallible.
-    /// The caller then drops the transaction and calls
-    /// [`Stm::retire_committed`].
+    /// under the locks `plan` holds, close the `tryC` marker committed,
+    /// and resolve the attempt ([`Transaction::committed`], which
+    /// releases the read locks visible-read algorithms hold until the
+    /// outcome is decided). Infallible.
     pub(super) fn publish(&mut self, plan: Plan) {
         match plan {
             Plan::ReadOnly => {}
@@ -224,23 +215,8 @@ impl Transaction<'_> {
             Plan::Tlrw => tlrw::publish(self),
             Plan::Norec => norec::publish(self),
         }
-        // Visible-read algorithms hold per-stripe read locks until the
-        // outcome is decided.
-        self.release_read_locks();
         self.rec_respond(TOpDesc::TryCommit, TOpResult::Committed);
-    }
-
-    /// The one-shot commit of the attempt loops: prepare, then publish,
-    /// back to back. `false` means the attempt aborted (see
-    /// [`Transaction::prepare`]).
-    pub(super) fn commit(&mut self) -> bool {
-        match self.prepare(false) {
-            Some(plan) => {
-                self.publish(plan);
-                true
-            }
-            None => false,
-        }
+        self.committed();
     }
 
     /// Second commit half: publish the write set under the locks
@@ -258,9 +234,6 @@ impl Transaction<'_> {
             "Prepared token crossed between Stm instances"
         );
         self.publish(prepared.plan);
-        let stm = self.stm;
-        drop(self);
-        stm.retire_committed();
     }
 
     /// Abandons a prepared commit: every lock `prepared` holds is
@@ -284,21 +257,17 @@ impl Transaction<'_> {
             Plan::Tlrw => tlrw::rollback(&mut self),
             Plan::Norec => norec::release_seqlock(&self),
         }
-        self.release_read_locks();
         self.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);
-        let stm = self.stm;
-        drop(self);
-        stm.stats.abort();
+        self.aborted();
     }
 
     /// Abandons an unprepared transaction: nothing was published, so
     /// this only closes the attempt (read locks released, history marker
     /// closed aborted, abort counted). Equivalent to dropping it, plus
-    /// the bookkeeping the attempt loop would have done.
+    /// the bookkeeping the step machine would have done; after a failed
+    /// [`Transaction::prepare_commit`], which already resolved the
+    /// attempt, it counts nothing a second time.
     pub fn rollback(mut self) {
-        self.close_aborted();
-        let stm = self.stm;
-        drop(self);
-        stm.stats.abort();
+        self.aborted();
     }
 }

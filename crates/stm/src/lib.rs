@@ -75,7 +75,7 @@
 //!
 //! | module | concern |
 //! |--------|---------|
-//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] (`engine::transaction`), the retry loop (`engine::attempt`), the prepare → publish commit pipeline every commit runs and cross-instance coordinators split ([`Prepared`], `engine::twophase`) |
+//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] and the one resolve point (`engine::transaction`), the one attempt step and its three drivers (`engine::attempt`, `engine::run_async`), the prepare → publish commit pipeline every commit runs and cross-instance coordinators split ([`Prepared`], `engine::twophase`) |
 //! | `algo`  | the strategy layer: one module per algorithm (begin / read / prepare / publish hooks), including the adaptive mode controller |
 //! | `txlog` | read-set / write-set log shared by all algorithms |
 //! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv) or reader–writer locks (Tlrw); Adaptive reinterprets the table between the two formats |

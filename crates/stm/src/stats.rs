@@ -39,6 +39,7 @@
 //! samples *after* the committing transaction is dropped — already
 //! orders itself after the flush.
 
+use crate::engine::Algorithm;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -62,11 +63,22 @@ pub enum ActiveMode {
 }
 
 impl ActiveMode {
-    fn from_u8(v: u8) -> ActiveMode {
+    /// Decodes a discriminant: the stats byte, or the mode bits of the
+    /// adaptive controller's state word.
+    pub(crate) fn from_u8(v: u8) -> ActiveMode {
         match v {
             1 => ActiveMode::Visible,
             2 => ActiveMode::Multiversion,
             _ => ActiveMode::Invisible,
+        }
+    }
+
+    /// The hook set an adaptive instance runs in this regime.
+    pub(crate) fn algorithm(self) -> Algorithm {
+        match self {
+            ActiveMode::Invisible => Algorithm::Tl2,
+            ActiveMode::Visible => Algorithm::Tlrw,
+            ActiveMode::Multiversion => Algorithm::Mv,
         }
     }
 }
@@ -359,7 +371,7 @@ counters! {
     /// `retry` with nothing ever committing also lands here).
     spurious_wakes: sum, "spurious";
     /// Cooperative yields taken by [`Stm::run_async`](crate::Stm::run_async)
-    /// polls: the async loop's translation of the contention manager's
+    /// polls: the async driver's translation of the contention manager's
     /// wait tiers (a poll that exhausted its inline retry budget
     /// reschedules itself instead of spinning on the executor thread).
     /// Observes the degradation the async path accepts under contention;

@@ -8,7 +8,9 @@
 //! rescue it, but a *systematic* loss would rescue-loop forever), so the
 //! watchdog converts "hung" into "failed" instead of stalling CI.
 
-use progressive_tm::stm::{AdaptiveConfig, Algorithm, Retry, Stm, TVar};
+use progressive_tm::stm::{
+    AdaptiveConfig, Algorithm, RetriesExhausted, Retry, Stm, TVar, Transaction,
+};
 use progressive_tm::structs::TQueue;
 use std::collections::HashSet;
 use std::future::Future;
@@ -574,4 +576,225 @@ fn run_async_is_cancel_safe() {
         stm.atomically(|tx| tx.write(&inbox, Some(i)));
     }
     assert_eq!(inbox.load(), Some(99));
+}
+
+// --- one lifecycle, three drivers -----------------------------------------
+
+/// A scripted transaction body over one shared counter.
+type Script = fn(&Stm, &TVar<u64>, &mut Transaction<'_>) -> Result<u64, Retry>;
+
+/// Commits first try.
+fn bump(_: &Stm, v: &TVar<u64>, tx: &mut Transaction<'_>) -> Result<u64, Retry> {
+    let x = tx.read(v)?;
+    tx.write(v, x + 1)?;
+    Ok(x + 1)
+}
+
+/// Conflicts on every attempt: a nested one-shot transaction commits an
+/// overlapping write between the outer read and the outer commit.
+fn always_conflicts(stm: &Stm, v: &TVar<u64>, tx: &mut Transaction<'_>) -> Result<u64, Retry> {
+    let x = tx.read(v)?;
+    stm.try_once(|t| t.modify(v, |y| y + 1))
+        .expect("nested bump commits");
+    tx.write(v, x)?;
+    Ok(x)
+}
+
+/// Waits (logically) until someone else fills the counter.
+fn wait_for_value(_: &Stm, v: &TVar<u64>, tx: &mut Transaction<'_>) -> Result<u64, Retry> {
+    match tx.read(v)? {
+        0 => tx.retry(),
+        x => Ok(x),
+    }
+}
+
+/// Waits on a value its own nested transaction has just supplied: the
+/// wake-up happened before the park, which the revalidation must notice.
+fn wait_already_satisfied(
+    stm: &Stm,
+    v: &TVar<u64>,
+    tx: &mut Transaction<'_>,
+) -> Result<u64, Retry> {
+    match tx.read(v)? {
+        0 => {
+            stm.try_once(|t| t.write(v, 9))
+                .expect("nested fill commits");
+            tx.retry()
+        }
+        x => Ok(x),
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Driver {
+    Run,
+    RunAsync,
+    TryOnce,
+}
+
+/// Runs `script` to its end through one driver. `Err(None)` is
+/// `try_once` declining to retry.
+fn drive(
+    driver: Driver,
+    stm: &Stm,
+    v: &TVar<u64>,
+    script: Script,
+) -> Result<u64, Option<RetriesExhausted>> {
+    match driver {
+        Driver::Run => stm.run(|tx| script(stm, v, tx)).map_err(Some),
+        Driver::RunAsync => {
+            block_on(std::pin::pin!(stm.run_async(|tx| script(stm, v, tx)))).map_err(Some)
+        }
+        Driver::TryOnce => stm.try_once(|tx| script(stm, v, tx)).ok_or(None),
+    }
+}
+
+/// One row of the differential table: an instance, a script, and what
+/// every driver must make of them.
+struct Case {
+    name: &'static str,
+    build: fn(Algorithm) -> Stm,
+    script: Script,
+    /// Whether the script needs another thread to fill the counter once
+    /// the attempt has parked.
+    released_by_writer: bool,
+    /// Nested overlapping commits need invisible reads: a Tlrw outer read
+    /// lock would exclude the nested writer instead of losing to it.
+    tlrw: bool,
+    /// `Ok(value)`, or `Err(attempts)` when the budget runs out.
+    expect: Result<u64, u64>,
+    /// Whether a single non-waiting step reaches the same end.
+    try_once: bool,
+    /// `(commits, aborts, parks)` on the instance afterwards, nested and
+    /// writer commits included.
+    stats: (u64, u64, u64),
+}
+
+#[test]
+fn run_run_async_and_try_once_agree_on_every_script() {
+    use progressive_tm::stm::{CappedAttempts, ImmediateRetry};
+
+    // A budget of one attempt: the first conflict exhausts it, so a
+    // script that still commits after waiting proves the wait spent none.
+    let one_attempt = |algo| Stm::builder(algo).max_attempts(1).build();
+    let cases = [
+        Case {
+            name: "first-try commit",
+            build: Stm::new,
+            script: bump,
+            released_by_writer: false,
+            tlrw: true,
+            expect: Ok(1),
+            try_once: true,
+            stats: (1, 0, 0),
+        },
+        Case {
+            name: "always conflicting, CappedAttempts(3)",
+            build: |algo| {
+                Stm::builder(algo)
+                    .contention_manager(CappedAttempts::new(3))
+                    .build()
+            },
+            script: always_conflicts,
+            released_by_writer: false,
+            tlrw: false,
+            expect: Err(3),
+            try_once: false,
+            stats: (3, 3, 0),
+        },
+        Case {
+            name: "always conflicting, max_attempts(3) under ImmediateRetry",
+            build: |algo| {
+                Stm::builder(algo)
+                    .max_attempts(3)
+                    .contention_manager(ImmediateRetry)
+                    .build()
+            },
+            script: always_conflicts,
+            released_by_writer: false,
+            tlrw: false,
+            expect: Err(3),
+            try_once: false,
+            stats: (3, 3, 0),
+        },
+        Case {
+            name: "one conflict against a budget of one",
+            build: one_attempt,
+            script: always_conflicts,
+            released_by_writer: false,
+            tlrw: false,
+            expect: Err(1),
+            try_once: true,
+            stats: (1, 1, 0),
+        },
+        Case {
+            name: "retry() released by a writer, budget of one",
+            build: one_attempt,
+            script: wait_for_value,
+            released_by_writer: true,
+            tlrw: true,
+            expect: Ok(9),
+            try_once: false,
+            stats: (2, 1, 1),
+        },
+        Case {
+            name: "retry() already satisfied at registration, budget of one",
+            build: one_attempt,
+            script: wait_already_satisfied,
+            released_by_writer: false,
+            tlrw: false,
+            expect: Ok(9),
+            try_once: false,
+            stats: (2, 1, 0),
+        },
+    ];
+
+    for case in cases {
+        for algo in all_algorithms() {
+            if algo == Algorithm::Tlrw && !case.tlrw {
+                continue;
+            }
+            for driver in [Driver::Run, Driver::RunAsync, Driver::TryOnce] {
+                if driver == Driver::TryOnce && !case.try_once {
+                    continue;
+                }
+                let ctx = format!("{} / {algo:?} / {driver:?}", case.name);
+                let stm = Arc::new((case.build)(algo));
+                let v = Arc::new(TVar::new(0u64));
+                let (stm2, v2, ctx2) = (Arc::clone(&stm), Arc::clone(&v), ctx.clone());
+                watchdog(Duration::from_secs(60), move || {
+                    // A fresh thread per run: a wake that beat its park
+                    // leaves an unpark token behind, which must not
+                    // re-poll the next run's future early.
+                    thread::scope(|s| {
+                        let runner = s.spawn(|| drive(driver, &stm2, &v2, case.script));
+                        if case.released_by_writer {
+                            // The park is counted once the attempt is on
+                            // the waiter lists, so this write wakes it.
+                            while stm2.stats().snapshot().parks == 0 {
+                                thread::yield_now();
+                            }
+                            stm2.atomically(|tx| tx.write(&v2, 9));
+                        }
+                        let got = runner.join().expect("runner");
+                        match driver {
+                            Driver::TryOnce => assert_eq!(got.ok(), case.expect.ok(), "{ctx2}"),
+                            _ => assert_eq!(
+                                got,
+                                case.expect
+                                    .map_err(|attempts| Some(RetriesExhausted { attempts })),
+                                "{ctx2}"
+                            ),
+                        }
+                    });
+                });
+                let snap = stm.stats().snapshot();
+                assert_eq!(
+                    (snap.commits, snap.aborts, snap.parks),
+                    case.stats,
+                    "{ctx}: (commits, aborts, parks) in {snap}"
+                );
+            }
+        }
+    }
 }

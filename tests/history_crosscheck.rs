@@ -14,6 +14,7 @@ use progressive_tm::sim::{
 use progressive_tm::stm::wal::{codec, DurableTicket, MemSink, Wal, WalValue};
 use progressive_tm::stm::{Algorithm, HistoryRecorder, Retry, Stm, TVar};
 use progressive_tm::structs::TArray;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const ALGOS: [Algorithm; 6] = [
@@ -287,18 +288,33 @@ fn corrupted_read_value_is_rejected_by_the_checker() {
     for algo in ALGOS {
         let (mut log, _) = record_counter_run(algo, 2, 3);
         assert!(is_opaque(&history_of(&log)), "{algo:?}: pristine log");
-        // Flip the first read response to a value nothing ever wrote.
+        // Flip the first read response of a *committed* transaction to a
+        // value nothing ever wrote. (An aborted attempt's reads constrain
+        // opacity but not strict serializability, which judges committed
+        // transactions only — corrupting one would leave the second
+        // assertion below nothing to reject.)
+        let committed: HashSet<TxId> = log
+            .iter()
+            .filter_map(|e| match e.marker() {
+                Some(Marker::TxResponse {
+                    tx,
+                    res: TOpResult::Committed,
+                    ..
+                }) => Some(*tx),
+                _ => None,
+            })
+            .collect();
         let target = log
             .iter_mut()
             .find_map(|e| match &mut e.payload {
                 LogPayload::Marker(Marker::TxResponse {
+                    tx,
                     op: TOpDesc::Read(_),
                     res: res @ TOpResult::Value(_),
-                    ..
-                }) => Some(res),
+                }) if committed.contains(tx) => Some(res),
                 _ => None,
             })
-            .expect("counter runs contain read responses");
+            .expect("committed counter transactions contain read responses");
         *target = TOpResult::Value(1_000_003);
         let h = history_of(&log);
         assert!(
