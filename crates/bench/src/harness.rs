@@ -1,5 +1,5 @@
-//! The one wall-clock bench harness behind `BENCH_native_stm.json`,
-//! `BENCH_structs.json` and `BENCH_service.json`.
+//! The one wall-clock bench harness behind `BENCH_native_stm.json` and
+//! `BENCH_structs.json`.
 //!
 //! A suite is a table of [`Family`] entries. An entry declares its
 //! algorithms and its ladder — which names every row it will emit, so
@@ -27,15 +27,14 @@ use std::time::Instant;
 /// algorithm (or controller) runs in.
 pub const PHASE_PASSES: usize = 5;
 
-/// An algorithm (or store variant) under measurement, with its report
-/// label.
+/// An algorithm under measurement, with its report label.
 pub type Algo = (&'static str, Algorithm);
 
-/// One row a rung emits per algorithm: row name, `m` (or the shard
-/// count, for a [`Family::sharded`] family) and worker threads.
+/// One row a rung emits per algorithm: row name, `m` and worker
+/// threads.
 pub type Spec = (&'static str, usize, usize);
 
-/// A row's identity: `(name, algo, m or shards, threads)`.
+/// A row's identity: `(name, algo, m, threads)`.
 pub type Key = (&'static str, &'static str, usize, usize);
 
 /// What a family measured for one [`Spec`] and one algorithm.
@@ -46,19 +45,12 @@ pub struct Cell {
     pub ops: u64,
     /// Wall-clock nanoseconds of the best pass.
     pub nanos: u128,
-    /// Median and 99th-percentile per-operation latency of the best
-    /// pass, where the family times single operations.
-    pub latency_ns: Option<(u64, u64)>,
 }
 
 impl Cell {
-    /// A cell without latency percentiles.
+    /// A cell of `ops` operations in `nanos` nanoseconds.
     pub fn new(ops: u64, nanos: u128) -> Cell {
-        Cell {
-            ops,
-            nanos,
-            latency_ns: None,
-        }
+        Cell { ops, nanos }
     }
 }
 
@@ -69,16 +61,13 @@ pub type Cells = Vec<Vec<Cell>>;
 /// One measured configuration, as emitted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
-    /// Row name (`read_only_txn`, `service_update_heavy`, ...).
+    /// Row name (`read_only_txn`, `map_read_mostly`, ...).
     pub name: &'static str,
-    /// Algorithm label (one of [`crate::native::ALGOS`]) or store
-    /// variant (`tl2/wal-sync`).
+    /// Algorithm label (one of [`crate::native::ALGOS`]).
     pub algo: &'static str,
     /// Read-set size, variable count or chain length, where applicable
-    /// (0 otherwise, and for serving-tier rows).
+    /// (0 otherwise).
     pub m: usize,
-    /// Shard count: serving-tier rows carry it in place of `m`.
-    pub shards: Option<usize>,
     /// Worker thread count.
     pub threads: usize,
     /// Committed transactions (or completed operations) across all
@@ -86,10 +75,6 @@ pub struct Row {
     pub ops: u64,
     /// Wall-clock nanoseconds of the best pass.
     pub nanos: u128,
-    /// Median per-operation latency of the best pass, nanoseconds.
-    pub p50_ns: Option<u64>,
-    /// 99th-percentile per-operation latency of the best pass.
-    pub p99_ns: Option<u64>,
 }
 
 impl Row {
@@ -104,12 +89,7 @@ impl Row {
 
     /// This row's identity.
     pub fn key(&self) -> Key {
-        (
-            self.name,
-            self.algo,
-            self.shards.unwrap_or(self.m),
-            self.threads,
-        )
+        (self.name, self.algo, self.m, self.threads)
     }
 }
 
@@ -118,7 +98,7 @@ impl Row {
 pub struct Family {
     /// Family name; bins select sub-suites by it.
     pub name: &'static str,
-    /// The algorithms (or store variants) swept.
+    /// The algorithms swept.
     pub algos: &'static [Algo],
     /// The ladder for quick or full mode: one rung per configuration,
     /// each rung listing the rows it emits per algorithm.
@@ -126,8 +106,6 @@ pub struct Family {
     /// Row order: algorithm-outer, rung-inner when set; otherwise
     /// rung-outer. Measurement is interleaved per rung either way.
     pub algo_major: bool,
-    /// The ladder dimension is a shard count, emitted as `shards`.
-    pub sharded: bool,
     /// Setup plus pass body for one rung.
     pub run: fn(rung: &[Spec], algos: &[Algo], quick: bool) -> Cells,
 }
@@ -174,13 +152,10 @@ impl Family {
                 rows.push(Row {
                     name,
                     algo: self.algos[a].0,
-                    m: if self.sharded { 0 } else { m },
-                    shards: self.sharded.then_some(m),
+                    m,
                     threads,
                     ops: cell.ops,
                     nanos: cell.nanos,
-                    p50_ns: cell.latency_ns.map(|l| l.0),
-                    p99_ns: cell.latency_ns.map(|l| l.1),
                 });
             }
         }
@@ -276,9 +251,15 @@ pub fn thread_ladder(name: &'static str, m: usize, threads: &[usize]) -> Vec<Vec
     threads.iter().map(|&t| vec![(name, m, t)]).collect()
 }
 
-/// The small deterministic PRNG every bench workload draws from; seed it
-/// with the thread index for reproducible per-thread streams.
-pub use ptm_server::workload::next_rand;
+/// The small deterministic PRNG (an LCG, PCG-style step) every bench
+/// workload draws from; seed it with the thread index for reproducible
+/// per-thread streams.
+pub fn next_rand(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 11
+}
 
 /// Canonical location of a baseline file: the workspace root, regardless
 /// of the working directory `cargo bench` or `cargo run` chose (bench
@@ -324,21 +305,10 @@ pub fn cli() -> (bool, Option<String>) {
 /// row's rate is `null`, never the non-JSON `inf`.
 pub fn emit(bench: &str, rows: &[Row], quick: bool, path: Option<&str>) {
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let sharded = rows.iter().any(|r| r.shards.is_some());
-    let timed_ops = rows.iter().any(|r| r.p50_ns.is_some());
     let mut table = format!(
-        "{:<28} {:>16} {:>7} {:>8} {:>12} {:>14}",
-        "bench",
-        "algo",
-        if sharded { "shards" } else { "m" },
-        "threads",
-        "ops",
-        "ops/sec"
+        "{:<28} {:>16} {:>7} {:>8} {:>12} {:>14}\n",
+        "bench", "algo", "m", "threads", "ops", "ops/sec"
     );
-    if timed_ops {
-        table.push_str(&format!(" {:>10} {:>10}", "p50(ns)", "p99(ns)"));
-    }
-    table.push('\n');
     let mut json = format!(
         "{{\n  \"bench\": \"{bench}\",\n  \"quick\": {quick},\n  \"hardware_threads\": {hw},\n  \"results\": [\n"
     );
@@ -347,22 +317,16 @@ pub fn emit(bench: &str, rows: &[Row], quick: bool, path: Option<&str>) {
         let Row { ops, nanos, .. } = *r;
         let rate = r.ops_per_sec();
         table.push_str(&format!(
-            "{name:<28} {algo:>16} {m:>7} {threads:>8} {ops:>12} {rate:>14.0}"
+            "{name:<28} {algo:>16} {m:>7} {threads:>8} {ops:>12} {rate:>14.0}\n"
         ));
-        let dim = if r.shards.is_some() { "shards" } else { "m" };
         json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"algo\": \"{algo}\", \"{dim}\": {m}, \"threads\": {threads}, \"ops\": {ops}, \"nanos\": {nanos}, \"ops_per_sec\": "
+            "    {{\"name\": \"{name}\", \"algo\": \"{algo}\", \"m\": {m}, \"threads\": {threads}, \"ops\": {ops}, \"nanos\": {nanos}, \"ops_per_sec\": "
         ));
         if rate.is_finite() {
             json.push_str(&format!("{rate:.1}"));
         } else {
             json.push_str("null");
         }
-        if let (Some(p50), Some(p99)) = (r.p50_ns, r.p99_ns) {
-            table.push_str(&format!(" {p50:>10} {p99:>10}"));
-            json.push_str(&format!(", \"p50_ns\": {p50}, \"p99_ns\": {p99}"));
-        }
-        table.push('\n');
         if threads > hw {
             json.push_str(", \"oversubscribed\": true");
         }

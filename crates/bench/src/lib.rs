@@ -19,10 +19,12 @@
 //! The wall-clock suites are family tables over one [`harness`] (one
 //! row type, one thread spawner, one warm-up + interleaved best-of-five
 //! measurement, one emitter): [`native`] holds the microbenchmarks of
-//! the native STM (E11/E12), [`structs`] the transactional
-//! data-structure workloads (E13), and [`service`] the YCSB-style
-//! workloads against the sharded KV service (throughput plus p50/p99
-//! latency). Each emits one JSON baseline at the workspace root.
+//! the native STM (E11/E12) and [`structs`] the transactional
+//! data-structure workloads (E13). Each emits one JSON baseline at the
+//! workspace root. The serving tier (`ptm-server`) is not measured
+//! here: the repo benchmark under `benchmark/` (declared by
+//! `BENCHMARK.json`) owns its workloads, bounds and per-layer cost
+//! ladder.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -31,7 +33,6 @@ pub mod figure1;
 pub mod harness;
 pub mod native;
 pub mod rmr;
-pub mod service;
 pub mod space;
 pub mod structs;
 pub mod table;

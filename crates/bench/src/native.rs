@@ -610,7 +610,6 @@ pub const FAMILIES: &[Family] = &[
             [16, 64, 256].iter().map(rung).collect()
         },
         algo_major: false,
-        sharded: false,
         run: |rung, algos, quick| {
             let txns = if quick { 300 } else { 5_000 };
             over_vars(rung, algos, 1, txns, pass_read_only)
@@ -621,7 +620,6 @@ pub const FAMILIES: &[Family] = &[
         algos: ALGOS,
         ladder: |_| thread_ladder("read_scaling", 128, &[1, 2, 4, 8]),
         algo_major: true,
-        sharded: false,
         run: |rung, algos, quick| {
             let txns = if quick { 200 } else { 2_000 };
             over_vars(rung, algos, 1, txns, pass_read_only)
@@ -632,7 +630,6 @@ pub const FAMILIES: &[Family] = &[
         algos: ALGOS,
         ladder: |_| thread_ladder("read_mostly", 128, &[1, 2, 4, 8]),
         algo_major: true,
-        sharded: false,
         run: |rung, algos, quick| {
             let txns = if quick { 200 } else { 2_000 };
             over_vars(rung, algos, 1, txns, |stm, vars, threads, txns| {
@@ -645,7 +642,6 @@ pub const FAMILIES: &[Family] = &[
         algos: ALGOS,
         ladder: |_| thread_ladder("counter_increment", 1, &[1]),
         algo_major: false,
-        sharded: false,
         run: |rung, algos, quick| {
             let txns = if quick { 5_000 } else { 200_000 };
             over_vars(rung, algos, 0, txns, pass_counter)
@@ -656,7 +652,6 @@ pub const FAMILIES: &[Family] = &[
         algos: ALGOS,
         ladder: |_| thread_ladder("bank_contended", 8, &[4]),
         algo_major: false,
-        sharded: false,
         run: |rung, algos, quick| {
             let txns = if quick { 500 } else { 5_000 };
             over_vars(rung, algos, 1_000, txns, pass_bank)
@@ -674,7 +669,6 @@ pub const FAMILIES: &[Family] = &[
             ]]
         },
         algo_major: false,
-        sharded: false,
         run: |rung, algos, quick| {
             let (_, scan_vars, threads) = rung[0];
             let txns = if quick { 2_500 } else { 25_000 };
@@ -701,7 +695,6 @@ pub const FAMILIES: &[Family] = &[
             ]]
         },
         algo_major: false,
-        sharded: false,
         // Quick mode shrinks the scans per phase so CI stays fast while
         // still crossing the controller's windows in every phase.
         run: |rung, algos, quick| {
@@ -731,7 +724,6 @@ pub const FAMILIES: &[Family] = &[
             chains.iter().map(rung).collect()
         },
         algo_major: false,
-        sharded: false,
         run: |rung, algos, quick| {
             let chain = rung[0].1;
             let txns = if quick { 100 } else { 400 };
@@ -762,7 +754,6 @@ pub const FAMILIES: &[Family] = &[
             [1, 2, 4].iter().map(rung).collect()
         },
         algo_major: false,
-        sharded: false,
         run: |rung, algos, quick| {
             let (_, m, writers) = rung[0];
             bench_long_scan(algos, m, writers, if quick { 60 } else { 400 })
@@ -781,7 +772,6 @@ pub const FAMILIES: &[Family] = &[
             ]]
         },
         algo_major: false,
-        sharded: false,
         run: |_, algos, quick| {
             let items = if quick { 2_000 } else { 20_000 };
             let idle_window = Duration::from_millis(if quick { 20 } else { 100 });
@@ -814,7 +804,6 @@ pub const FAMILIES: &[Family] = &[
             threads.iter().flat_map(rungs).collect()
         },
         algo_major: false,
-        sharded: false,
         run: |rung, algos, quick| {
             let (name, _, threads) = rung[0];
             let txns = if quick { 2_000 } else { 16_000 } / threads as u64;

@@ -179,7 +179,6 @@ pub const FAMILIES: &[Family] = &[
         algos: ALGOS,
         ladder: |quick| thread_ladder("map_read_mostly", 512, ladder(quick)),
         algo_major: true,
-        sharded: false,
         run: |rung, algos, quick| {
             bench_map_read_mostly(rung, algos, if quick { 400 } else { 20_000 })
         },
@@ -194,7 +193,6 @@ pub const FAMILIES: &[Family] = &[
             thread_ladder("queue_prod_cons", 0, &pairs)
         },
         algo_major: true,
-        sharded: false,
         run: |rung, algos, quick| {
             bench_queue_prod_cons(rung, algos, if quick { 300 } else { 10_000 })
         },
@@ -204,7 +202,6 @@ pub const FAMILIES: &[Family] = &[
         algos: ALGOS,
         ladder: |quick| thread_ladder("set_mix", 128, ladder(quick)),
         algo_major: true,
-        sharded: false,
         run: |rung, algos, quick| bench_set_mix(rung, algos, if quick { 200 } else { 5_000 }),
     },
     Family {
@@ -212,7 +209,6 @@ pub const FAMILIES: &[Family] = &[
         algos: ALGOS,
         ladder: |quick| thread_ladder("array_transfer", 16, ladder(quick)),
         algo_major: true,
-        sharded: false,
         run: |rung, algos, quick| {
             bench_array_transfer(rung, algos, if quick { 400 } else { 20_000 })
         },

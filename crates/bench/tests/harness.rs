@@ -2,31 +2,27 @@
 //! the one emitter writes for them.
 
 use ptm_bench::harness::{emit, keys, run, Family, Key, Row};
-use ptm_bench::{native, service, structs};
+use ptm_bench::{native, structs};
 
-/// `bench name algo m|shards threads` per line: the quick-mode rows of
-/// the three suites as emitted at the commit before the family tables
-/// (PR 12), in emission order.
+/// `bench name algo m threads` per line: the quick-mode rows of the two
+/// suites as emitted at the commit before the family tables (PR 12), in
+/// emission order.
 const PARENT_QUICK_KEYS: &str = include_str!("parent_quick_keys.txt");
 
 fn suite(bench: &str) -> &'static [Family] {
     match bench {
         "native_stm" => native::FAMILIES,
-        "structs" => structs::FAMILIES,
-        _ => service::FAMILIES,
+        _ => structs::FAMILIES,
     }
 }
 
 #[test]
 fn row_keys_are_pinned() {
-    for bench in ["native_stm", "structs", "service"] {
+    for bench in ["native_stm", "structs"] {
         let pinned: Vec<Vec<&str>> = PARENT_QUICK_KEYS
             .lines()
             .map(|l| l.split(' ').collect())
             .filter(|f: &Vec<&str>| f[0] == bench)
-            // The service sweep dropped to tl2 / mv / adaptive; every
-            // other row of every suite is where it was.
-            .filter(|f| bench != "service" || !["incremental", "norec", "tlrw"].contains(&f[2]))
             .collect();
         let table = keys(suite(bench), true);
         assert!(!pinned.is_empty(), "{bench}");
@@ -48,7 +44,6 @@ fn emitted_keys_equal_the_tables() {
         family("native_stm", "counter_increment"),
         family("native_stm", "read_mostly"),
         family("native_stm", "bank_contended"),
-        family("service", "service_read_mostly"),
     ];
     let small = small.into_iter().chain(structs::FAMILIES);
     let rows = run(small.clone(), true);
@@ -57,8 +52,6 @@ fn emitted_keys_equal_the_tables() {
     for r in &rows {
         assert!(r.ops > 0 && r.nanos > 0, "{r:?}");
         assert!(r.ops_per_sec() > 0.0, "{r:?}");
-        assert_eq!(r.shards.is_some(), r.p50_ns.is_some(), "{r:?}");
-        assert!(r.p99_ns >= r.p50_ns, "{r:?}");
     }
 }
 
@@ -67,12 +60,9 @@ fn row(threads: usize, nanos: u128) -> Row {
         name: "probe",
         algo: "tl2",
         m: 7,
-        shards: None,
         threads,
         ops: 1,
         nanos,
-        p50_ns: None,
-        p99_ns: None,
     }
 }
 
@@ -96,17 +86,7 @@ fn unmeasured_rows_emit_valid_json() {
 #[test]
 fn oversubscribed_rows_are_flagged_in_the_json() {
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let service_row = Row {
-        m: 0,
-        shards: Some(4),
-        p50_ns: Some(900),
-        p99_ns: Some(12_000),
-        ..row(hw + 1, 2_000_000)
-    };
-    let json = emitted(
-        "oversubscribed.json",
-        &[row(1, 1), row(hw + 1, 1), service_row],
-    );
+    let json = emitted("oversubscribed.json", &[row(1, 1), row(hw + 1, 1)]);
     parse_value(json.trim()).unwrap_or_else(|e| panic!("{e}:\n{json}"));
     assert!(json.contains("\"bench\": \"probe\""), "{json}");
     assert!(json.contains("\"quick\": true"), "{json}");
@@ -115,23 +95,20 @@ fn oversubscribed_rows_are_flagged_in_the_json() {
         "{json}"
     );
     let rows: Vec<&str> = json.lines().filter(|l| l.contains("{\"name\"")).collect();
-    assert_eq!(rows.len(), 3, "one result object per line");
+    assert_eq!(rows.len(), 2, "one result object per line");
     assert!(!rows[0].contains("oversubscribed"), "{json}");
     assert!(rows[0].contains("\"m\": 7, \"threads\": 1,"), "{json}");
-    for over in &rows[1..] {
-        let object = over.trim_end_matches(',');
-        assert!(object.ends_with("\"oversubscribed\": true}"), "{json}");
+    assert!(rows[1].ends_with("\"oversubscribed\": true}"), "{json}");
+    // Exactly these columns, so one cannot creep back unnoticed. Every
+    // member is `"key": value`: a key is what precedes `": `.
+    for (row, flag) in rows.iter().zip(["", " oversubscribed"]) {
+        let mut members: Vec<&str> = row.split("\": ").collect();
+        members.pop();
+        let key = |m: &str| m.rsplit('"').next().expect("a key").to_owned();
+        let keys: Vec<String> = members.into_iter().map(key).collect();
+        let columns = format!("name algo m threads ops nanos ops_per_sec{flag}");
+        assert_eq!(keys.join(" "), columns, "{json}");
     }
-    // A serving-tier row: `shards` in place of `m`, then the latency
-    // fields, then the flag.
-    assert!(
-        rows[2].contains("\"shards\": 4, ") && !rows[2].contains("\"m\""),
-        "{json}"
-    );
-    assert!(
-        rows[2].ends_with("\"p50_ns\": 900, \"p99_ns\": 12000, \"oversubscribed\": true}"),
-        "{json}"
-    );
 }
 
 /// Consumes one JSON value from the front of `s` and returns the rest:

@@ -32,17 +32,13 @@
 //! critical section and acknowledged only once durable. The on-disk
 //! format, recovery and checkpoints live in [`durability`].
 //!
-//! The [`workload`] module supplies the YCSB-style driver side: zipfian
-//! key skew, a configurable read/write/scan/multi-key mix, and latency
-//! recording for p50/p99 percentiles.
+//! The crate holds the store and nothing that drives it: load
+//! generation, latency histograms and the per-layer cost ladder belong
+//! to the repo benchmark (`benchmark/`, declared by `BENCHMARK.json`),
+//! which reaches this crate through its public API only.
 
 pub mod durability;
 pub mod kv;
-pub mod workload;
 
 pub use durability::{DurabilityConfig, DurableKv, RecoveryReport};
 pub use kv::{ServiceConfig, ServiceTx, ShardedKv};
-pub use workload::{
-    percentile, preload, run_workload, LatencyRecorder, Mix, Workload, WorkloadConfig, WorkloadOp,
-    WorkloadStats,
-};

@@ -1,11 +1,8 @@
 //! Service-tier integration tests: routing, cross-shard atomicity under
-//! concurrency (the 2PC acceptance test), and the workload generator's
-//! statistical contract.
+//! concurrency (the 2PC acceptance test), and a mixed closed loop that
+//! must conserve the store's total.
 
-use ptm_server::{
-    percentile, preload, run_workload, Mix, ServiceConfig, ShardedKv, Workload, WorkloadConfig,
-    WorkloadOp,
-};
+use ptm_server::{ServiceConfig, ShardedKv};
 use ptm_stm::Algorithm;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -17,6 +14,22 @@ const ALGOS: &[Algorithm] = &[
     Algorithm::Mv,
     Algorithm::Adaptive,
 ];
+
+/// The tests' PRNG: an LCG, PCG-style step.
+fn next_rand(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 11
+}
+
+/// Puts `initial` under every key of `0..keys`, so a conserved sum is
+/// `keys * initial` and no transfer goes through a missing key.
+fn preload(kv: &ShardedKv<u64, u64>, keys: u64, initial: u64) {
+    for k in 0..keys {
+        kv.put(k, initial);
+    }
+}
 
 #[test]
 fn single_key_roundtrip_every_algorithm_and_shard_count() {
@@ -95,8 +108,8 @@ fn cross_shard_transfers_are_never_observed_torn() {
                         s.spawn(move || {
                             let mut state = (w as u64 + 1) * 0x9E37_79B9;
                             for _ in 0..TRANSFERS {
-                                let a = ptm_server::workload::next_rand(&mut state) % KEYS;
-                                let mut b = ptm_server::workload::next_rand(&mut state) % KEYS;
+                                let a = next_rand(&mut state) % KEYS;
+                                let mut b = next_rand(&mut state) % KEYS;
                                 if b == a {
                                     b = (b + 1) % KEYS;
                                 }
@@ -147,122 +160,66 @@ fn cross_shard_transfers_are_never_observed_torn() {
     }
 }
 
+/// A closed loop over the whole surface at once: gets, consistent scans
+/// and 3-key transfers (debit the first key, credit the last, pin the
+/// middle one into the footprint) on uniformly drawn keys, from three
+/// threads, for every algorithm. Transfers move balance and never
+/// create it, so every scan — each concurrent with the other threads'
+/// transfers — and the final state must show the preloaded total.
 #[test]
-fn workload_runner_preserves_the_balance_invariant() {
-    // End-to-end through the YCSB runner itself (reads, scans, and
-    // transfer multis — no plain writes, which would break the sum).
-    for algo in [Algorithm::Tl2, Algorithm::Tlrw] {
-        let kv = ShardedKv::new(3, algo);
-        let cfg = WorkloadConfig {
-            keys: 64,
-            zipf_theta: 0.9,
-            mix: Mix {
-                read: 80,
-                write: 0,
-                scan: 2,
-                multi: 18,
-            },
-            multi_span: 3,
-        };
-        preload(&kv, cfg.keys, 10);
-        let w = Workload::new(cfg);
-        let stats = run_workload(&kv, &w, 3, 500, 42);
-        assert_eq!(stats.ops, 1500);
-        assert_eq!(
-            stats.ops,
-            stats.reads + stats.writes + stats.scans + stats.multis
-        );
-        assert_eq!(stats.latencies.len(), 1500, "every op timed");
+fn closed_loop_of_gets_scans_and_transfers_conserves_the_sum() {
+    const KEYS: u64 = 64;
+    const INITIAL: u64 = 10;
+    const THREADS: u64 = 3;
+    const OPS: usize = 500;
+
+    for &algo in ALGOS {
+        let kv: ShardedKv<u64, u64> = ShardedKv::new(3, algo);
+        preload(&kv, KEYS, INITIAL);
+        let (mut scans, mut cross_shard) = (0u32, 0u32);
+        std::thread::scope(|s| {
+            let clients: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let kv = &kv;
+                    s.spawn(move || {
+                        let mut state = (t + 1) * 0x9E37_79B9;
+                        let (mut scans, mut cross_shard) = (0u32, 0u32);
+                        for _ in 0..OPS {
+                            let roll = next_rand(&mut state) % 100;
+                            let a = next_rand(&mut state) % KEYS;
+                            if roll < 80 {
+                                assert!(kv.get(&a).is_some(), "{algo:?}: preloaded key {a}");
+                            } else if roll < 82 {
+                                let total: u64 = kv.scan().into_iter().map(|(_, v)| v).sum();
+                                assert_eq!(total, KEYS * INITIAL, "{algo:?}: torn scan");
+                                scans += 1;
+                            } else {
+                                let (mid, to) = ((a + 1) % KEYS, (a + 2) % KEYS);
+                                kv.transact(|tx| {
+                                    let from = tx.get(&a)?.unwrap_or(0);
+                                    tx.get(&mid)?;
+                                    let credit = tx.get(&to)?.unwrap_or(0);
+                                    let moved = from.min(1);
+                                    tx.put(a, from - moved)?;
+                                    tx.put(to, credit + moved)?;
+                                    Ok(())
+                                });
+                                cross_shard += u32::from(kv.shard_of(&a) != kv.shard_of(&to));
+                            }
+                        }
+                        (scans, cross_shard)
+                    })
+                })
+                .collect();
+            for h in clients {
+                let (s, c) = h.join().expect("client thread");
+                scans += s;
+                cross_shard += c;
+            }
+        });
+        assert!(scans > 0, "{algo:?}: no scan ran");
+        assert!(cross_shard > 0, "{algo:?}: no transfer crossed shards");
         let total: u64 = kv.scan().into_iter().map(|(_, v)| v).sum();
-        assert_eq!(total, cfg.keys * 10, "{algo:?}: transfers moved, not lost");
+        assert_eq!(total, KEYS * INITIAL, "{algo:?}: transfers moved, not lost");
     }
-}
-
-#[test]
-fn zipfian_draws_stay_in_range_and_skew() {
-    let w = Workload::new(WorkloadConfig {
-        keys: 1000,
-        zipf_theta: 0.99,
-        ..WorkloadConfig::default()
-    });
-    let mut state = 7u64;
-    let mut counts = vec![0u64; 1000];
-    for _ in 0..200_000 {
-        let k = w.next_key(&mut state) as usize;
-        counts[k] += 1;
-    }
-    let max = *counts.iter().max().expect("nonempty");
-    // Uniform would put ~200 draws on each key; zipfian θ=0.99 puts a
-    // double-digit percentage on the hottest. Conservative bound: 20×
-    // uniform.
-    assert!(
-        max > 4000,
-        "hottest key drew only {max} of 200k — not skewed"
-    );
-
-    let uniform = Workload::new(WorkloadConfig {
-        keys: 1000,
-        zipf_theta: 0.0,
-        ..WorkloadConfig::default()
-    });
-    let mut counts = vec![0u64; 1000];
-    for _ in 0..200_000 {
-        counts[uniform.next_key(&mut state) as usize] += 1;
-    }
-    let max = *counts.iter().max().expect("nonempty");
-    assert!(max < 1000, "uniform draw is skewed: max bucket {max}");
-}
-
-#[test]
-fn mix_draws_match_their_percentages() {
-    let w = Workload::new(WorkloadConfig {
-        keys: 100,
-        zipf_theta: 0.5,
-        mix: Mix {
-            read: 50,
-            write: 30,
-            scan: 5,
-            multi: 15,
-        },
-        multi_span: 2,
-    });
-    let mut state = 99u64;
-    let (mut r, mut wr, mut sc, mut mu) = (0u32, 0u32, 0u32, 0u32);
-    for _ in 0..100_000 {
-        match w.next_op(&mut state) {
-            WorkloadOp::Read(k) => {
-                assert!(k < 100);
-                r += 1;
-            }
-            WorkloadOp::Write(k, _) => {
-                assert!(k < 100);
-                wr += 1;
-            }
-            WorkloadOp::Scan => sc += 1,
-            WorkloadOp::Multi(keys) => {
-                assert_eq!(keys.len(), 2);
-                assert_ne!(keys[0], keys[1], "transfer keys must differ");
-                mu += 1;
-            }
-        }
-    }
-    let close = |got: u32, want: u32| {
-        let got_pct = got as f64 / 1000.0;
-        (got_pct - want as f64).abs() < 2.0
-    };
-    assert!(close(r, 50), "reads {r}");
-    assert!(close(wr, 30), "writes {wr}");
-    assert!(close(sc, 5), "scans {sc}");
-    assert!(close(mu, 15), "multis {mu}");
-}
-
-#[test]
-fn percentile_is_nearest_rank() {
-    let mut one = [42u64];
-    assert_eq!(percentile(&mut one, 50.0), 42);
-    assert_eq!(percentile(&mut [], 99.0), 0);
-    let mut v: Vec<u64> = (1..=100).rev().collect();
-    assert_eq!(percentile(&mut v, 50.0), 50);
-    assert_eq!(percentile(&mut v, 99.0), 99);
-    assert_eq!(percentile(&mut v, 100.0), 100);
 }

@@ -28,11 +28,11 @@
 //! snapshot_reads`, so the signals stay comparable across modes):
 //!
 //! * the **read/write-set size ratio** `reads / writes` — the primary
-//!   time-axis signal: at or below
-//!   [`AdaptiveConfig::write_ratio_visible`] the window was write-heavy
-//!   (go visible), at or above [`AdaptiveConfig::read_ratio_invisible`]
-//!   it was read-mostly (leave visible); the band between the two
-//!   thresholds is dead — no switching pressure either way;
+//!   time-axis signal: at or below `WRITE_RATIO_VISIBLE` (3) the
+//!   window was write-heavy (go visible), at or above
+//!   `READ_RATIO_INVISIBLE` (8) it was read-mostly (leave visible); the
+//!   band between the two thresholds is dead — no switching pressure
+//!   either way;
 //! * the **scan length** `reads / commits` — the space-axis signal: at
 //!   or above [`AdaptiveConfig::mv_scan_reads`] the window's
 //!   transactions are long scans, which Mv serves without aborts or
@@ -125,26 +125,6 @@ pub struct AdaptiveConfig {
     /// Commits per sampling window: the controller inspects the stats
     /// delta once every `window_commits` commits. Must be at least 1.
     pub window_commits: u64,
-    /// Read/write ratio at or below which a window counts as
-    /// write-heavy and votes for **visible** mode. Must stay below
-    /// `read_ratio_invisible`; the gap between them is the dead band
-    /// that prevents flapping on mixed workloads.
-    pub write_ratio_visible: f64,
-    /// Read/write ratio at or above which a window counts as
-    /// read-mostly and votes for **invisible** mode.
-    pub read_ratio_invisible: f64,
-    /// Abort rate (aborts / attempts) at or above which a vote for
-    /// visible mode skips hysteresis: optimistic execution is thrashing
-    /// and every extra window spent invisible re-runs work.
-    pub abort_rate_fast: f64,
-    /// Validation probes per read at or above which a vote for visible
-    /// mode skips hysteresis: validation re-work has outgrown the read
-    /// work it protects.
-    pub probe_rate_fast: f64,
-    /// Reader conflicts per commit at or above which visible mode is
-    /// abandoned regardless of the read/write ratio: visible-read lock
-    /// churn is aborting transactions the invisible mode would commit.
-    pub reader_conflict_rate: f64,
     /// Reads per commit (scan length, counting snapshot reads) at or
     /// above which a read-leaning window counts as scan-heavy and
     /// routes to **multiversion** mode, where long read-only
@@ -164,11 +144,6 @@ impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
             window_commits: 256,
-            write_ratio_visible: 3.0,
-            read_ratio_invisible: 8.0,
-            abort_rate_fast: 0.25,
-            probe_rate_fast: 2.0,
-            reader_conflict_rate: 0.5,
             mv_scan_reads: 64.0,
             hysteresis_windows: 2,
             max_drain: Duration::from_millis(5),
@@ -189,16 +164,38 @@ impl AdaptiveConfig {
             "hysteresis_windows must be at least 1"
         );
         assert!(
-            self.write_ratio_visible < self.read_ratio_invisible,
-            "the visible/invisible ratio thresholds must leave a dead band \
-             (write_ratio_visible < read_ratio_invisible)"
-        );
-        assert!(
             self.mv_scan_reads >= 1.0,
             "mv_scan_reads must be at least 1"
         );
     }
 }
+
+/// Read/write ratio at or below which a window counts as write-heavy
+/// and votes for **visible** mode.
+const WRITE_RATIO_VISIBLE: f64 = 3.0;
+
+/// Read/write ratio at or above which a window counts as read-mostly
+/// and votes for **invisible** mode.
+const READ_RATIO_INVISIBLE: f64 = 8.0;
+
+// The gap between the two ratios is the dead band that prevents
+// flapping on mixed workloads.
+const _: () = assert!(WRITE_RATIO_VISIBLE < READ_RATIO_INVISIBLE);
+
+/// Abort rate (aborts / attempts) at or above which a vote for visible
+/// mode skips hysteresis: optimistic execution is thrashing and every
+/// extra window spent invisible re-runs work.
+const ABORT_RATE_FAST: f64 = 0.25;
+
+/// Validation probes per read at or above which a vote for visible mode
+/// skips hysteresis: validation re-work has outgrown the read work it
+/// protects.
+const PROBE_RATE_FAST: f64 = 2.0;
+
+/// Reader conflicts per commit at or above which visible mode is
+/// abandoned regardless of the read/write ratio: visible-read lock
+/// churn is aborting transactions the invisible mode would commit.
+const READER_CONFLICT_RATE: f64 = 0.5;
 
 /// Mode bits in the packed state word: an [`ActiveMode`] discriminant,
 /// naming which of the three hook sets is in force.
@@ -359,7 +356,7 @@ fn sample(stm: &Stm, ad: &AdaptiveState, ctl: &mut Ctl) {
         ctl.target = Some(want);
         ctl.streak = 1;
     }
-    let decided = ctl.streak >= ad.cfg.hysteresis_windows || fast_path(&ad.cfg, mode, &d);
+    let decided = ctl.streak >= ad.cfg.hysteresis_windows || fast_path(mode, &d);
     // A failed drain keeps the streak: the switch re-fires at the next
     // window boundary without re-earning hysteresis.
     if decided && try_switch(stm, ad, mode, want) {
@@ -383,16 +380,15 @@ fn desired(cfg: &AdaptiveConfig, mode: ActiveMode, d: &StatsSnapshot) -> Option<
     let scanny = reads as f64 / d.commits as f64 >= cfg.mv_scan_reads;
     match mode {
         ActiveMode::Invisible => {
-            if scanny && ratio > cfg.write_ratio_visible {
+            if scanny && ratio > WRITE_RATIO_VISIBLE {
                 Some(ActiveMode::Multiversion)
             } else {
-                (ratio <= cfg.write_ratio_visible || fast_path(cfg, mode, d))
-                    .then_some(ActiveMode::Visible)
+                (ratio <= WRITE_RATIO_VISIBLE || fast_path(mode, d)).then_some(ActiveMode::Visible)
             }
         }
         ActiveMode::Visible => {
             let conflicts = d.reader_conflicts as f64 / d.commits as f64;
-            (ratio >= cfg.read_ratio_invisible || conflicts >= cfg.reader_conflict_rate).then_some(
+            (ratio >= READ_RATIO_INVISIBLE || conflicts >= READER_CONFLICT_RATE).then_some(
                 if scanny {
                     ActiveMode::Multiversion
                 } else {
@@ -401,7 +397,7 @@ fn desired(cfg: &AdaptiveConfig, mode: ActiveMode, d: &StatsSnapshot) -> Option<
             )
         }
         ActiveMode::Multiversion => {
-            if ratio <= cfg.write_ratio_visible {
+            if ratio <= WRITE_RATIO_VISIBLE {
                 // Write-heavy: chains churn for readers that no longer
                 // scan; the visible side serves writers best.
                 Some(ActiveMode::Visible)
@@ -418,14 +414,14 @@ fn desired(cfg: &AdaptiveConfig, mode: ActiveMode, d: &StatsSnapshot) -> Option<
 
 /// Whether the window shows optimistic execution thrashing badly enough
 /// to skip hysteresis on the way out of invisible mode.
-fn fast_path(cfg: &AdaptiveConfig, mode: ActiveMode, d: &StatsSnapshot) -> bool {
+fn fast_path(mode: ActiveMode, d: &StatsSnapshot) -> bool {
     if mode != ActiveMode::Invisible {
         return false;
     }
     let attempts = (d.commits + d.aborts).max(1) as f64;
     let abort_rate = d.aborts as f64 / attempts;
     let probes_per_read = d.validation_probes as f64 / d.reads.max(1) as f64;
-    abort_rate >= cfg.abort_rate_fast || probes_per_read >= cfg.probe_rate_fast
+    abort_rate >= ABORT_RATE_FAST || probes_per_read >= PROBE_RATE_FAST
 }
 
 /// The epoch-quiesced transition itself; returns whether it completed.
@@ -513,7 +509,7 @@ mod tests {
         // Read-mostly by ratio, but every other attempt aborts: the
         // abort-rate accelerator votes visible anyway.
         let d = delta(100, 120, 3200, 100);
-        assert!(fast_path(&cfg, ActiveMode::Invisible, &d));
+        assert!(fast_path(ActiveMode::Invisible, &d));
         assert_eq!(
             desired(&cfg, ActiveMode::Invisible, &d),
             Some(ActiveMode::Visible)
@@ -524,9 +520,9 @@ mod tests {
             validation_probes: 8000,
             ..delta(100, 0, 3200, 100)
         };
-        assert!(fast_path(&cfg, ActiveMode::Invisible, &d));
+        assert!(fast_path(ActiveMode::Invisible, &d));
         // The fast path never applies to leaving visible mode.
-        assert!(!fast_path(&cfg, ActiveMode::Visible, &d));
+        assert!(!fast_path(ActiveMode::Visible, &d));
     }
 
     #[test]
@@ -609,17 +605,6 @@ mod tests {
     fn sub_one_scan_threshold_is_rejected() {
         AdaptiveConfig {
             mv_scan_reads: 0.5,
-            ..AdaptiveConfig::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "dead band")]
-    fn overlapping_thresholds_are_rejected() {
-        AdaptiveConfig {
-            write_ratio_visible: 8.0,
-            read_ratio_invisible: 3.0,
             ..AdaptiveConfig::default()
         }
         .validate();

@@ -28,8 +28,8 @@
 //! * [`server`] — the serving tier: a sharded transactional KV store
 //!   (`ShardedKv`) routing keys across N independent `Stm` shards, with
 //!   cross-shard transactions and consistent scans committed via an
-//!   ordered two-phase commit over the per-shard clocks, plus a
-//!   YCSB-style workload generator.
+//!   ordered two-phase commit over the per-shard clocks, and optional
+//!   per-shard write-ahead logs with crash recovery.
 //!
 //! See `README.md` for the quick start, the crate map, and how to run
 //! the benchmarks.
