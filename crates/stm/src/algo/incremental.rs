@@ -19,18 +19,22 @@ pub(crate) fn begin(_stm: &Stm) -> u64 {
 
 /// Invisible read followed by full read-set re-validation — every prior
 /// read, every time (the Θ(m²) signature of Theorem 3(1)).
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+pub(crate) fn read<T: TxValue, R>(
+    tx: &mut Transaction<'_>,
+    var: &TVar<T>,
+    f: impl FnOnce(&T) -> R,
+) -> Result<R, Retry> {
     let stripe = tx.stm.orecs.stripe_of(var.id());
     let word = tx.stm.orecs.word(stripe);
     let m1 = word.load(Ordering::Acquire);
     if orec::is_locked(m1) {
         return Err(Retry);
     }
-    let v = var.inner.read_snapshot(&tx.pin);
+    let out = var.inner.read_snapshot(&tx.pin, f);
     if word.load(Ordering::Acquire) != m1 {
         return Err(Retry);
     }
     super::versioned::validate(tx)?;
     super::versioned::record_read(tx, stripe, m1);
-    Ok(v)
+    Ok(out)
 }

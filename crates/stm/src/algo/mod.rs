@@ -10,7 +10,7 @@
 //! | hook | contract |
 //! |------|----------|
 //! | `begin(tx)` | sample the snapshot time (clock, sequence lock, or nothing) at the transaction's first operation — and, for the adaptive controller, pin the attempt's mode |
-//! | `read(tx, var) -> Result<T, Retry>` | produce a value consistent with every earlier read of the attempt, recording whatever the prepare hook needs (versioned read, value snapshot, or a held read lock) |
+//! | `read(tx, var, f) -> Result<R, Retry>` | apply `f`, in place, to a value consistent with every earlier read of the attempt (no clone unless `f` makes one), recording whatever the prepare hook needs (versioned read, value snapshot, or a held read lock) |
 //! | `prepare(tx) -> bool` | everything of a commit that can fail: acquire the write set's commit locks (recorded in `TxLog::{stripe_buf, held_buf}`) and validate the read set, publishing nothing; on `false` every lock taken is already rolled back |
 //! | `publish(tx)` | infallible: write the buffered values back under the locks `prepare` holds, log the staged durability payload, release, wake waiters |
 //!
@@ -71,13 +71,22 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) {
 /// has already consulted the write set). Dispatches on the
 /// *transaction's* resolved mode, so an adaptive attempt costs exactly
 /// one match here — the same as a static instance.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+///
+/// `f` runs on the version node itself, under the attempt's epoch pin,
+/// inside whatever window the algorithm brackets the value load with —
+/// so it may see a value the hook then rejects (its result is dropped
+/// and the read returns [`Retry`]).
+pub(crate) fn read<T: TxValue, R>(
+    tx: &mut Transaction<'_>,
+    var: &TVar<T>,
+    f: impl FnOnce(&T) -> R,
+) -> Result<R, Retry> {
     match tx.mode {
-        Algorithm::Tl2 => tl2::read(tx, var),
-        Algorithm::Incremental => incremental::read(tx, var),
-        Algorithm::Norec => norec::read(tx, var),
-        Algorithm::Tlrw => tlrw::read(tx, var),
-        Algorithm::Mv => mv::read(tx, var),
+        Algorithm::Tl2 => tl2::read(tx, var, f),
+        Algorithm::Incremental => incremental::read(tx, var, f),
+        Algorithm::Norec => norec::read(tx, var, f),
+        Algorithm::Tlrw => tlrw::read(tx, var, f),
+        Algorithm::Mv => mv::read(tx, var, f),
         Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2, Tlrw, or Mv as the mode"),
     }
 }

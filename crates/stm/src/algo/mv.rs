@@ -101,17 +101,21 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) -> u64 {
 /// oldest-snapshot rule: under a [`max_versions`](crate::MvConfig)
 /// bound, a snapshot whose version was evicted retries with a fresh
 /// (hence retained) snapshot.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+pub(crate) fn read<T: TxValue, R>(
+    tx: &mut Transaction<'_>,
+    var: &TVar<T>,
+    f: impl FnOnce(&T) -> R,
+) -> Result<R, Retry> {
     let stripe = tx.stm.orecs.stripe_of(var.id());
     tx.log.reads.push(VersionedRead {
         stripe,
         meta: tx.rv,
     });
     tx.tally.snapshot_read();
-    match var.inner.read_at_counted(&tx.pin, tx.rv) {
-        Ok((value, steps)) => {
+    match var.inner.read_at_counted(&tx.pin, tx.rv, f) {
+        Ok((out, steps)) => {
             tx.tally.chain_walk(steps);
-            Ok(value)
+            Ok(out)
         }
         Err(Evicted) => {
             tx.stm.stats.eviction_abort();
@@ -161,14 +165,16 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
     // probe no orecs, so this release write to the clock is the only
     // happens-before edge from the appends above to a reader drawing
     // `rv >= wv` — see the module docs.
-    let written = tx.log.append_writes();
+    tx.log.append_writes();
     let wv = tx.stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
     // Log the staged durability payload before the pending stamps
     // resolve: a snapshot reader cannot consume a `wv` version until
     // `stamp_head` lands, so the record is in the log before anything
     // observes the commit (see `crate::wal`). Memory-only.
     tx.durability_record(wv);
-    for var in &written {
+    let stm = tx.stm;
+    let log = &mut *tx.log;
+    for var in &log.written {
         var.stamp_head(wv);
     }
     // Trim under the still-held stripe locks (one chain mutator at a
@@ -178,39 +184,36 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
     // section: a stale cache is only ever below the true floor
     // (watermarks never decrease), so staleness under-trims — extra
     // retained versions, never a torn snapshot (see `crate::epoch`).
-    let reg = tx
-        .stm
+    let reg = stm
         .snapshots
         .as_ref()
         .expect("Algorithm::Mv instances carry a snapshot registry");
-    let watermark = reg.cached_watermark(&tx.stm.clock);
-    let mut retired = Vec::new();
-    for var in &written {
-        let (retained, trimmed) = var.trim_chain(watermark, &mut retired);
-        tx.stm
-            .stats
-            .trim((retained + trimmed) as u64, trimmed as u64);
+    let watermark = reg.cached_watermark(&stm.clock);
+    for var in &log.written {
+        let (retained, trimmed) = var.trim_chain(watermark, &mut log.retired);
+        stm.stats.trim((retained + trimmed) as u64, trimmed as u64);
         // The space bound: if liveness-based trimming still leaves the
         // chain over `max_versions`, evict the oldest suffix anyway and
         // record the cut — a camped snapshot older than the cut aborts
         // at its next read of this chain (oldest-snapshot-abort) instead
         // of holding memory hostage.
-        if let Some(max) = tx.stm.mv.max_versions {
+        if let Some(max) = stm.mv.max_versions {
             if retained > max {
-                let evicted = var.cap_chain(max, &mut retired);
-                tx.stm.stats.evict(evicted as u64);
+                let evicted = var.cap_chain(max, &mut log.retired);
+                stm.stats.evict(evicted as u64);
             }
         }
     }
-    versioned::release(tx.stm, &tx.log.held_buf, Some(stamped(wv)));
+    versioned::release(stm, &log.held_buf, Some(stamped(wv)));
     // Refresh the watermark cache off the hot path (no locks held), rate
     // limited by clock distance so a commit storm amortizes the registry
     // scan to one every `WATERMARK_REFRESH_TICKS` ticks.
-    reg.refresh_if_stale(&tx.stm.clock);
+    reg.refresh_if_stale(&stm.clock);
     // Retire only after every append above: the epoch tag must postdate
     // the last moment a reader could have loaded a detached pointer.
-    epoch::retire_batch(retired);
+    epoch::retire_batch(&mut log.retired);
     // Wake waiters parked on the written stripes (after the release
     // restamp, so a woken reader's revalidation sees version > bound).
-    tx.stm.wake_stripes(&tx.log.stripe_buf);
+    stm.wake_stripes(&log.stripe_buf);
+    log.written.clear();
 }

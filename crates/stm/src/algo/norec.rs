@@ -24,16 +24,23 @@ pub(crate) fn begin(stm: &Stm) -> u64 {
 
 /// Value-snapshot read: consistent as long as the sequence clock has not
 /// moved; otherwise revalidate everything by value and retry the read.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+/// The one read hook that still clones (and boxes) the value: validation
+/// compares against that snapshot later, so `f` is applied to it.
+pub(crate) fn read<T: TxValue, R>(
+    tx: &mut Transaction<'_>,
+    var: &TVar<T>,
+    f: impl FnOnce(&T) -> R,
+) -> Result<R, Retry> {
     loop {
-        let v = var.inner.read_snapshot(&tx.pin);
+        let v = var.inner.read_snapshot(&tx.pin, T::clone);
         let t = tx.stm.clock.load(Ordering::Acquire);
         if t == tx.rv {
+            let out = f(&v);
             tx.log.value_reads.push(ValueRead {
                 var: var.as_dyn(),
-                snapshot: Box::new(v.clone()),
+                snapshot: Box::new(v),
             });
-            return Ok(v);
+            return Ok(out);
         }
         tx.rv = validate(tx)?;
     }
@@ -95,7 +102,7 @@ pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
 /// Publish half: write back under the held sequence lock and bump the
 /// clock to the next even value. Infallible.
 pub(crate) fn publish(tx: &mut Transaction<'_>) {
-    let retired = tx.log.publish_writes();
+    tx.log.publish_writes();
     // Log the staged durability payload, stamped with the commit's
     // even sequence value, before the clock store below lets any other
     // transaction proceed: the sequence lock serializes all commits, so
@@ -103,7 +110,7 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
     let stamp = tx.rv + 2;
     tx.durability_record(stamp);
     tx.stm.clock.store(tx.rv + 2, Ordering::Release);
-    epoch::retire_batch(retired);
+    epoch::retire_batch(&mut tx.log.retired);
     // One sequence lock means one conflict channel: every commit may
     // ready every waiter (they all wait on the clock, registered under
     // stripe 0 — see `Transaction::wait_stripes`).

@@ -18,18 +18,24 @@ pub(crate) fn begin(stm: &Stm) -> u64 {
 }
 
 /// Optimistic invisible read: any stripe version newer than the
-/// snapshot (or a held lock) means a concurrent commit and aborts.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+/// snapshot (or a held lock) means a concurrent commit and aborts. `f`
+/// runs between the check and the re-check; a failed re-check drops its
+/// result.
+pub(crate) fn read<T: TxValue, R>(
+    tx: &mut Transaction<'_>,
+    var: &TVar<T>,
+    f: impl FnOnce(&T) -> R,
+) -> Result<R, Retry> {
     let stripe = tx.stm.orecs.stripe_of(var.id());
     let word = tx.stm.orecs.word(stripe);
     let m1 = word.load(Ordering::Acquire);
     if orec::is_locked(m1) || orec::version_of(m1) > tx.rv {
         return Err(Retry);
     }
-    let v = var.inner.read_snapshot(&tx.pin);
+    let out = var.inner.read_snapshot(&tx.pin, f);
     if word.load(Ordering::Acquire) != m1 {
         return Err(Retry);
     }
     super::versioned::record_read(tx, stripe, m1);
-    Ok(v)
+    Ok(out)
 }

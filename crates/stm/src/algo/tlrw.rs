@@ -48,8 +48,12 @@ pub(crate) fn begin(_stm: &Stm) -> u64 {
 }
 
 /// Visible read: announce a reader on the stripe (one `fetch_add`), then
-/// load the value under the held lock. O(1), no validation.
-pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Result<T, Retry> {
+/// apply `f` to the value under the held lock. O(1), no validation.
+pub(crate) fn read<T: TxValue, R>(
+    tx: &mut Transaction<'_>,
+    var: &TVar<T>,
+    f: impl FnOnce(&T) -> R,
+) -> Result<R, Retry> {
     let stripe = tx.stm.orecs.stripe_of(var.id());
     if !tx.log.rw_contains(stripe) {
         let word = tx.stm.orecs.word(stripe);
@@ -64,7 +68,7 @@ pub(crate) fn read<T: TxValue>(tx: &mut Transaction<'_>, var: &TVar<T>) -> Resul
     }
     // The held read lock excludes writers until this transaction
     // resolves, so the loaded value cannot be concurrently replaced.
-    Ok(var.inner.read_snapshot(&tx.pin))
+    Ok(var.inner.read_snapshot(&tx.pin, f))
 }
 
 /// Prepare half: upgrade/acquire the write set's locks stripe by stripe
@@ -113,14 +117,14 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
         let stamp = tx.stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
         tx.durability_record(stamp);
     }
-    let retired = tx.log.publish_writes();
+    tx.log.publish_writes();
     for &(stripe, _) in &tx.log.held_buf {
         tx.stm
             .orecs
             .word(stripe)
             .fetch_sub(RW_WRITER, Ordering::AcqRel);
     }
-    epoch::retire_batch(retired);
+    epoch::retire_batch(&mut tx.log.retired);
     // Wake waiters parked on the written stripes — after the write
     // locks drop, so a woken reader can immediately re-acquire.
     tx.stm.wake_stripes(&tx.log.stripe_buf);

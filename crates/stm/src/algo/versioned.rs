@@ -138,11 +138,11 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
     // the held stripes, so log order respects conflict order (see
     // `crate::wal`). Memory-only — no I/O under the locks.
     tx.durability_record(wv);
-    let retired = tx.log.publish_writes();
+    tx.log.publish_writes();
     release(tx.stm, &tx.log.held_buf, Some(orec::stamped(wv)));
     // Retire only after every swap above: the epoch tag must postdate
     // the last moment a reader could have loaded an old pointer.
-    epoch::retire_batch(retired);
+    epoch::retire_batch(&mut tx.log.retired);
     // Wake waiters parked on the written stripes — after the release
     // stores above, so a woken reader re-reading the stripe sees the
     // new stamp (and the SeqCst fence inside pairs with registration;

@@ -11,16 +11,12 @@
 use super::{RetriesExhausted, Retry, Stm, Transaction};
 use crate::cm::Decision;
 use crate::tvar::{TVar, TxValue};
-use crate::txlog::TxLog;
 use crate::waiter::{WaitCell, CONFLICT_PARK_TIMEOUT, RETRY_PARK_TIMEOUT};
 use std::sync::Arc;
 
 /// One logical transaction's run of attempts.
 pub(super) struct Attempts<'s> {
     pub(super) stm: &'s Stm,
-    /// Recycled attempt log, `Some` between attempts (the first attempt
-    /// builds its own, so a first-try commit constructs exactly one).
-    log: Option<TxLog>,
     /// Conflict aborts so far — what `max_attempts` and the contention
     /// manager count. Logical waits are not conflicts.
     pub(super) conflicts: u64,
@@ -53,11 +49,7 @@ pub(super) enum Step<A> {
 
 impl<'s> Attempts<'s> {
     pub(super) fn new(stm: &'s Stm) -> Self {
-        Attempts {
-            stm,
-            log: None,
-            conflicts: 0,
-        }
+        Attempts { stm, conflicts: 0 }
     }
 
     /// Runs `body` in one attempt and resolves it. `new_cell` builds the
@@ -72,7 +64,7 @@ impl<'s> Attempts<'s> {
         body: impl FnOnce(&mut Transaction<'s>) -> Result<A, Retry>,
         new_cell: impl FnOnce() -> Option<Arc<WaitCell>>,
     ) -> Step<A> {
-        let mut tx = Transaction::begin(self.stm, self.log.take().unwrap_or_default());
+        let mut tx = Transaction::begin(self.stm);
         if let Ok(out) = body(&mut tx) {
             if let Some(plan) = tx.prepare(false) {
                 tx.publish(plan);
@@ -104,9 +96,6 @@ impl<'s> Attempts<'s> {
             Decision::Park => self.park(&tx, !tx.waiting, new_cell()),
         };
         tx.aborted();
-        let mut log = std::mem::take(&mut tx.log);
-        log.reset();
-        self.log = Some(log);
         next
     }
 

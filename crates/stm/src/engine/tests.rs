@@ -8,6 +8,7 @@ use crate::cm::{CappedAttempts, ImmediateRetry};
 use crate::orec;
 use crate::stats::ActiveMode;
 use crate::tvar::TVar;
+use crate::txlog::{LogLoan, TxLog, POOL_DEPTH, POOL_RETAINED_CAP};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -901,4 +902,131 @@ fn twophase_prepared_token_cannot_cross_instances() {
     // debug builds refuse it. (The leaked locks don't matter here: the
     // panic ends the test.)
     tx_b.commit_prepared(prepared);
+}
+
+/// Where a transaction's log lives — the identity of its loan.
+fn log_addr(tx: &Transaction<'_>) -> *const TxLog {
+    &*tx.log
+}
+
+#[test]
+fn live_transactions_hold_distinct_logs_and_all_come_back() {
+    // `ShardedKv::scan`'s shape: one manual transaction per shard, all
+    // alive at once on one thread.
+    let stm = Stm::tl2();
+    let v = TVar::new(1u64);
+    assert!(LogLoan::pooled_read_capacities().is_empty(), "fresh thread");
+    let mut live: Vec<Transaction<'_>> = (0..4).map(|_| stm.transaction()).collect();
+    for tx in &mut live {
+        assert_eq!(tx.read(&v), Ok(1));
+    }
+    let mut addrs: Vec<_> = live.iter().map(log_addr).collect();
+    addrs.sort_unstable();
+    addrs.dedup();
+    assert_eq!(addrs.len(), 4, "two live transactions share a log");
+    drop(live);
+    let pooled = LogLoan::pooled_read_capacities();
+    assert_eq!(pooled.len(), 4, "every loan returns to the pool");
+    assert!(
+        pooled.iter().all(|&c| c > 0),
+        "with its capacity: {pooled:?}"
+    );
+    // The next four are those same four logs, and they come back empty.
+    let again: Vec<Transaction<'_>> = (0..4).map(|_| stm.transaction()).collect();
+    assert!(LogLoan::pooled_read_capacities().is_empty());
+    for tx in &again {
+        assert!(addrs.contains(&log_addr(tx)), "a pooled log was not reused");
+        assert!(tx.log.reads.is_empty() && tx.log.reads.capacity() > 0);
+    }
+    // The pool is bounded: more loans than `POOL_DEPTH` return, only
+    // `POOL_DEPTH` are kept.
+    let many: Vec<Transaction<'_>> = (0..2 * POOL_DEPTH).map(|_| stm.transaction()).collect();
+    drop((again, many));
+    assert_eq!(LogLoan::pooled_read_capacities().len(), POOL_DEPTH);
+}
+
+#[test]
+fn a_panicking_tlrw_body_leaves_no_reader_and_an_empty_log() {
+    // Release before reset: the dropped attempt's read locks are undone
+    // from `rw_reads` first, and only then does the log — wiped — go
+    // back to the pool for the thread's next transaction.
+    let stm = Stm::tlrw();
+    let v = TVar::new(3u64);
+    let w = TVar::new(4u64);
+    let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        stm.atomically(|tx| {
+            tx.read(&v)?;
+            tx.write(&w, 5)?;
+            panic!("body dies holding a read lock");
+            #[allow(unreachable_code)]
+            Ok(())
+        })
+    }));
+    assert!(res.is_err());
+    assert_orecs_quiescent(&stm);
+    assert_eq!(LogLoan::pooled_read_capacities().len(), 1, "log came back");
+    let tx = stm.transaction();
+    assert!(
+        LogLoan::pooled_read_capacities().is_empty(),
+        "and is reused"
+    );
+    assert!(tx.log.rw_reads.is_empty() && tx.log.writes.is_empty() && tx.log.reads.is_empty());
+    drop(tx);
+    assert_eq!(w.load(), 4, "the dead attempt's write never published");
+}
+
+#[test]
+fn a_log_grown_past_the_cap_is_not_pooled() {
+    let stm = Stm::tl2();
+    let vars: Vec<TVar<u64>> = (0..=POOL_RETAINED_CAP as u64).map(TVar::new).collect();
+    let sum = stm.atomically(|tx| {
+        let mut sum = 0;
+        for v in &vars {
+            sum += tx.read(v)?;
+        }
+        Ok(sum)
+    });
+    assert_eq!(sum, (0..=POOL_RETAINED_CAP as u64).sum::<u64>());
+    assert!(
+        LogLoan::pooled_read_capacities().is_empty(),
+        "a {}-read log was kept",
+        vars.len()
+    );
+    // An ordinary transaction's log is.
+    stm.atomically(|tx| tx.read(&vars[0]));
+    let pooled = LogLoan::pooled_read_capacities();
+    assert_eq!(pooled.len(), 1);
+    assert!(pooled[0] > 0 && pooled[0] <= POOL_RETAINED_CAP);
+}
+
+#[test]
+fn a_transaction_in_a_thread_local_destructor_falls_back_to_a_fresh_log() {
+    // Thread-local destructors run newest-registered first. The thread
+    // below registers the epoch slot (a `load`), then `AtExit`, then —
+    // with its first transaction — the log pool; at exit the pool is
+    // therefore already gone when `AtExit::drop` runs a transaction,
+    // which must build a fresh log (and drop it afterwards) instead of
+    // panicking on the dead thread-local.
+    struct AtExit(Arc<Stm>, TVar<u64>);
+    impl Drop for AtExit {
+        fn drop(&mut self) {
+            let (stm, v) = (&self.0, &self.1);
+            stm.atomically(|tx| tx.modify(v, |x| x + 1));
+        }
+    }
+    thread_local! {
+        static AT_EXIT: std::cell::RefCell<Option<AtExit>> =
+            const { std::cell::RefCell::new(None) };
+    }
+    let stm = Arc::new(Stm::tl2());
+    let v = TVar::new(0u64);
+    let (stm2, v2) = (Arc::clone(&stm), v.clone());
+    std::thread::spawn(move || {
+        assert_eq!(v2.load(), 0);
+        AT_EXIT.with(|slot| *slot.borrow_mut() = Some(AtExit(Arc::clone(&stm2), v2.clone())));
+        stm2.atomically(|tx| tx.modify(&v2, |x| x + 10));
+    })
+    .join()
+    .expect("neither the thread nor its destructors panic");
+    assert_eq!(v.load(), 11, "the destructor's transaction committed");
 }

@@ -11,7 +11,7 @@ use crate::orec;
 use crate::recorder::{word_of, HistoryRecorder, RecTx};
 use crate::stats::{ActiveMode, OpTally};
 use crate::tvar::{TVar, TxValue};
-use crate::txlog::TxLog;
+use crate::txlog::LogLoan;
 use crate::wal::DurableTicket;
 use ptm_sim::{TOpDesc, TOpResult};
 use std::fmt;
@@ -44,7 +44,12 @@ pub struct Transaction<'s> {
     /// and a second resolution (a `rollback` after a failed
     /// `prepare_commit`) counts nothing twice.
     resolved: bool,
-    pub(crate) log: TxLog,
+    /// Read set, write set and commit scratch, on loan from this
+    /// thread's pool: the loan's own `Drop` resets the log and hands it
+    /// back, and — being a field — runs after `Transaction::drop` has
+    /// released whatever an unresolved attempt still held (read locks
+    /// first, reset second; see [`LogLoan`]).
+    pub(crate) log: LogLoan,
     /// The concrete hook set this attempt runs: the instance's algorithm
     /// for static instances; for `Algorithm::Adaptive`, the begin hook
     /// overwrites it with the pinned mode (`Tl2`, `Tlrw` or `Mv`), so the
@@ -89,7 +94,8 @@ impl Drop for Transaction<'_> {
     /// dropped: it must not leave reader counts behind (a leaked read
     /// lock would starve every later writer on the stripe) nor hold its
     /// mode slot against a pending switch. Such an attempt has no outcome
-    /// to count.
+    /// to count. (The log goes back to the thread's pool right after,
+    /// when the `log` field drops.)
     fn drop(&mut self) {
         if !self.resolved {
             self.release();
@@ -102,13 +108,13 @@ impl fmt::Debug for Transaction<'_> {
         f.debug_struct("Transaction")
             .field("rv", &self.rv)
             .field("poisoned", &self.poisoned)
-            .field("log", &self.log)
+            .field("log", &*self.log)
             .finish()
     }
 }
 
 impl<'s> Transaction<'s> {
-    pub(super) fn begin(stm: &'s Stm, log: TxLog) -> Self {
+    pub(super) fn begin(stm: &'s Stm) -> Self {
         Transaction {
             stm,
             rv: 0,
@@ -116,7 +122,7 @@ impl<'s> Transaction<'s> {
             poisoned: false,
             waiting: false,
             resolved: false,
-            log,
+            log: LogLoan::take(),
             mode: stm.algorithm,
             pinned: None,
             snap: None,
@@ -223,7 +229,8 @@ impl<'s> Transaction<'s> {
         self.stm.stats.abort();
     }
 
-    /// Reads a variable.
+    /// Reads a variable, returning a clone of its value:
+    /// [`read_with`](Self::read_with)`(var, T::clone)`.
     ///
     /// # Errors
     ///
@@ -231,6 +238,53 @@ impl<'s> Transaction<'s> {
     /// impossible, or if this attempt already returned [`Retry`] once;
     /// propagate it with `?`.
     pub fn read<T: TxValue>(&mut self, var: &TVar<T>) -> Result<T, Retry> {
+        self.read_with(var, T::clone)
+    }
+
+    /// Reads a variable **in place**: applies `f` to the value where it
+    /// lives — the version node, or this attempt's own buffered write —
+    /// and returns what `f` made of it. Nothing is cloned unless `f`
+    /// clones it, so looking one entry up in a `TVar<Vec<_>>`, or testing
+    /// an `Option<Arc<_>>` for `None`, costs no allocation and no
+    /// reference-count traffic. It is *the* read path: the probes, the
+    /// read-set entry and the recorded history are exactly
+    /// [`read`](Self::read)'s, which is this with `T::clone`.
+    ///
+    /// `R` cannot borrow from the value (the signature forbids it): the
+    /// node is only guaranteed alive, and only known consistent, while
+    /// the read is in progress.
+    ///
+    /// `f` runs *inside* the algorithm's read window — between Tl2's and
+    /// Incremental's orec check and re-check, under Tlrw's read lock, on
+    /// Mv's chain node — so keep it short, and as tolerant of being run
+    /// for nothing as the transaction body itself: when the re-check
+    /// fails the result is dropped and the read returns [`Retry`]. It
+    /// must not touch the transaction (it cannot: `self` is borrowed).
+    /// NOrec applies `f` to the value snapshot it keeps for validation.
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Self::read); a poisoned attempt returns [`Retry`]
+    /// without calling `f`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ptm_stm::{Stm, TVar};
+    ///
+    /// let stm = Stm::tl2();
+    /// let names = TVar::new(vec!["ada".to_string(), "grace".to_string()]);
+    /// // One length and one flag: the strings are never cloned.
+    /// let (n, has_ada) = stm.atomically(|tx| {
+    ///     tx.read_with(&names, |v| (v.len(), v.iter().any(|s| s == "ada")))
+    /// });
+    /// assert_eq!((n, has_ada), (2, true));
+    /// ```
+    pub fn read_with<T: TxValue, R>(
+        &mut self,
+        var: &TVar<T>,
+        f: impl FnOnce(&T) -> R,
+    ) -> Result<R, Retry> {
         if self.poisoned {
             return Err(Retry);
         }
@@ -241,27 +295,38 @@ impl<'s> Transaction<'s> {
         }
         // After the invocation marker (see `ensure_started`).
         self.ensure_started();
-        let out = self.read_raw(var);
-        if let Some(op) = op {
-            match &out {
-                Ok(v) => self.rec_respond(op, TOpResult::Value(word_of(v))),
-                Err(Retry) => self.rec_respond(op, TOpResult::Aborted),
+        // The recorded response carries the word of the *whole* value —
+        // what the history checker compares against writes — never of
+        // `f`'s projection, so it is taken inside the same closure.
+        match self.read_raw(var, |v| (op.map(|_| word_of(v)), f(v))) {
+            Ok((word, out)) => {
+                if let Some((op, word)) = op.zip(word) {
+                    self.rec_respond(op, TOpResult::Value(word));
+                }
+                Ok(out)
+            }
+            Err(Retry) => {
+                if let Some(op) = op {
+                    self.rec_respond(op, TOpResult::Aborted);
+                }
+                self.poisoned = true;
+                Err(Retry)
             }
         }
-        if out.is_err() {
-            self.poisoned = true;
-        }
-        out
     }
 
     /// The algorithm-specific read path (the [`crate::algo`] read hook),
-    /// without instrumentation.
-    fn read_raw<T: TxValue>(&mut self, var: &TVar<T>) -> Result<T, Retry> {
+    /// without instrumentation: `f` on this attempt's own buffered value
+    /// if it wrote `var`, on the shared one otherwise.
+    fn read_raw<T: TxValue, R>(
+        &mut self,
+        var: &TVar<T>,
+        f: impl FnOnce(&T) -> R,
+    ) -> Result<R, Retry> {
         if let Some(w) = self.log.lookup_write(var.id()) {
-            let v = w.value.downcast_ref::<T>().expect("write-set type");
-            return Ok(v.clone());
+            return Ok(f(w.value.downcast_ref::<T>().expect("write-set type")));
         }
-        algo::read(self, var)
+        algo::read(self, var, f)
     }
 
     /// Reads, applies `f`, and writes back — the read-modify-write

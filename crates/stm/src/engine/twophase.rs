@@ -51,7 +51,6 @@
 
 use super::{Algorithm, Retry, Stm, Transaction};
 use crate::algo::{mv, norec, tlrw, versioned};
-use crate::txlog::TxLog;
 use ptm_sim::{TOpDesc, TOpResult};
 
 /// A successfully prepared commit: locks held, validation passed, nothing
@@ -119,7 +118,7 @@ impl Stm {
     /// assert_eq!(v.load(), 2);
     /// ```
     pub fn transaction(&self) -> Transaction<'_> {
-        Transaction::begin(self, TxLog::default())
+        Transaction::begin(self)
     }
 }
 

@@ -243,20 +243,23 @@ impl Drop for Guard {
     }
 }
 
-/// Retires value boxes swapped out by one commit. Must be called *after*
-/// all the pointer swaps it covers (the epoch tag must postdate them).
-pub(crate) fn retire_batch(mut retired: Vec<Retired>) {
+/// Retires value boxes swapped out by one commit, draining `retired`
+/// (the caller keeps the emptied buffer — the commit path's lives in the
+/// recycled transaction log, so retiring allocates nothing). Must be
+/// called *after* all the pointer swaps it covers (the epoch tag must
+/// postdate them).
+pub(crate) fn retire_batch(retired: &mut Vec<Retired>) {
     if retired.is_empty() {
         return;
     }
     let tag = EPOCH.fetch_add(1, Ordering::SeqCst) + 1;
-    for r in &mut retired {
+    for r in retired.iter_mut() {
         r.epoch = tag;
     }
     let mut to_free: Vec<Retired> = Vec::new();
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
-        l.bag.append(&mut retired);
+        l.bag.append(retired);
         if l.bag.len() >= COLLECT_THRESHOLD
             || ORPHAN_PRESSURE.load(Ordering::Relaxed) >= COLLECT_THRESHOLD as u64
         {
@@ -598,7 +601,7 @@ mod tests {
         // keep retiring until the collector catches up.
         for round in 0.. {
             let b = Box::into_raw(Box::new(Counted(Arc::clone(&drops))));
-            retire_batch(vec![Retired::new(b)]);
+            retire_batch(&mut vec![Retired::new(b)]);
             if drops.load(Ordering::SeqCst) > 0 {
                 break;
             }
@@ -615,7 +618,7 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         for _ in 0..(COLLECT_THRESHOLD * 2) {
             let b = Box::into_raw(Box::new(Counted(Arc::clone(&drops))));
-            retire_batch(vec![Retired::new(b)]);
+            retire_batch(&mut vec![Retired::new(b)]);
         }
         // Everything retired after our pin carries a newer epoch than our
         // slot publishes, so nothing may be freed while we are pinned.

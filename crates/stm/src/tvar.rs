@@ -4,8 +4,10 @@
 //! transaction. Values live in a **timestamped version chain**: the
 //! newest version is published through an `AtomicPtr` head (the
 //! latest-pointer fast path — single-version algorithms load it and
-//! clone, **no lock, no reference-count traffic, no tearing**, exactly
-//! the one-load read of the previous single-cell design), and each
+//! hand the reader's closure a reference to the value, **no lock, no
+//! reference-count traffic, no tearing, no clone the reader did not ask
+//! for**, exactly the one-load read of the previous single-cell
+//! design), and each
 //! version links to the one it superseded. The chain is what
 //! [`Algorithm::Mv`](crate::Algorithm::Mv) reads: a snapshot reader
 //! traverses to the newest version no newer than its start time and
@@ -219,13 +221,15 @@ impl<T: TxValue> TVarInner<T> {
         }
     }
 
-    /// Clones the newest value without any lock — the latest-pointer
-    /// fast path: one load and one dereference, exactly the cost the
-    /// single-cell design paid, chain or no chain.
+    /// Applies `f` to the newest value in place, without any lock — the
+    /// latest-pointer fast path: one load and one dereference, exactly
+    /// the cost the single-cell design paid, chain or no chain, and no
+    /// clone unless `f` makes one.
     ///
     /// The `pin` witness proves an epoch guard is held, which is what
-    /// keeps the loaded node alive across the dereference.
-    pub(crate) fn read_snapshot(&self, _pin: &Guard) -> T {
+    /// keeps the loaded node alive across the dereference — and so for
+    /// as long as `f` runs; `R` cannot borrow from the node.
+    pub(crate) fn read_snapshot<R>(&self, _pin: &Guard, f: impl FnOnce(&T) -> R) -> R {
         let p = self.head.load(Ordering::Acquire);
         // SAFETY: `p` was published by `new`, `publish_boxed` or
         // `append_boxed` (Acquire pairs with their Release, so the node
@@ -233,7 +237,7 @@ impl<T: TxValue> TVarInner<T> {
         // it cannot be freed while this thread is pinned: retirement tags
         // postdate the unlink, and the collector only frees tags newer
         // than every pinned epoch.
-        unsafe { (*p).value.clone() }
+        f(unsafe { &(*p).value })
     }
 
     /// Clones the newest version stamped `<= rv` — the multi-version
@@ -243,15 +247,15 @@ impl<T: TxValue> TVarInner<T> {
     /// return `Evicted`).
     #[cfg(test)]
     pub(crate) fn read_at(&self, pin: &Guard, rv: u64) -> T {
-        match self.read_at_counted(pin, rv) {
+        match self.read_at_counted(pin, rv, T::clone) {
             Ok((value, _)) => value,
-            Err(Evicted) => self.read_snapshot(pin),
+            Err(Evicted) => self.read_snapshot(pin, T::clone),
         }
     }
 
-    /// The snapshot read proper: clones the newest version stamped
-    /// `<= rv` and reports how many chain hops past the head the walk
-    /// took. No orec probe, no validation: the trim rule keeps the
+    /// The snapshot read proper: applies `f` in place to the newest
+    /// version stamped `<= rv` and reports how many chain hops past the
+    /// head the walk took. No orec probe, no validation: the trim rule keeps the
     /// chain's oldest retained version at or below every snapshot drawn
     /// from this instance's clock, so in-instance walks always find
     /// their version — except when [`AnyTVar::cap_chain`] evicted it,
@@ -272,7 +276,12 @@ impl<T: TxValue> TVarInner<T> {
     /// Against the Fenwick-shaped skips `append_boxed` builds this is
     /// O(log² chain) hops; correctness never depends on the skips, only
     /// on `prev`.
-    pub(crate) fn read_at_counted(&self, pin: &Guard, rv: u64) -> Result<(T, u64), Evicted> {
+    pub(crate) fn read_at_counted<R>(
+        &self,
+        pin: &Guard,
+        rv: u64,
+        f: impl FnOnce(&T) -> R,
+    ) -> Result<(R, u64), Evicted> {
         let mut steps = 0u64;
         let mut p = self.head.load(Ordering::Acquire);
         loop {
@@ -285,7 +294,7 @@ impl<T: TxValue> TVarInner<T> {
             // any detach.
             let node = unsafe { &*p };
             if node.stamp() <= rv {
-                return Ok((node.value.clone(), steps));
+                return Ok((f(&node.value), steps));
             }
             steps += 1;
             let skip = node.skip.load(Ordering::Acquire);
@@ -302,7 +311,7 @@ impl<T: TxValue> TVarInner<T> {
                 return if self.evicted_stamp.load(Ordering::Acquire) != 0 {
                     Err(Evicted)
                 } else {
-                    Ok((self.read_snapshot(pin), steps))
+                    Ok((self.read_snapshot(pin, f), steps))
                 };
             }
             p = prev;
@@ -524,15 +533,9 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
     }
 
     fn value_eq(&self, pin: &Guard, snapshot: &(dyn Any + Send)) -> bool {
-        match snapshot.downcast_ref::<T>() {
-            Some(snap) => {
-                let p = self.head.load(Ordering::Acquire);
-                // SAFETY: as in `read_snapshot`; `pin` keeps the node alive.
-                let _ = pin;
-                unsafe { (*p).value == *snap }
-            }
-            None => false,
-        }
+        snapshot
+            .downcast_ref::<T>()
+            .is_some_and(|snap| self.read_snapshot(pin, |v| v == snap))
     }
 }
 
@@ -596,7 +599,7 @@ impl<T: TxValue> TVar<T> {
     /// concurrent phase is over.
     pub fn load(&self) -> T {
         let pin = crate::epoch::pin();
-        self.inner.read_snapshot(&pin)
+        self.inner.read_snapshot(&pin, T::clone)
     }
 
     /// How many versions of this variable are currently retained: 1
@@ -640,7 +643,9 @@ mod tests {
         let a = TVar::new(String::from("x"));
         let b = a.clone();
         assert_eq!(a.id(), b.id());
-        epoch::retire_batch(vec![a.inner.publish_boxed(Box::new(String::from("y")))]);
+        epoch::retire_batch(&mut vec![a
+            .inner
+            .publish_boxed(Box::new(String::from("y")))]);
         assert_eq!(b.load(), "y");
     }
 
@@ -657,7 +662,7 @@ mod tests {
         let pin = epoch::pin();
         let snap: Box<dyn Any + Send> = Box::new(7i64);
         assert!(v.inner.value_eq(&pin, snap.as_ref()));
-        epoch::retire_batch(vec![v.inner.publish_boxed(Box::new(9i64))]);
+        epoch::retire_batch(&mut vec![v.inner.publish_boxed(Box::new(9i64))]);
         assert!(!v.inner.value_eq(&pin, snap.as_ref()));
         assert_eq!(v.load(), 9);
         assert_eq!(v.versions_retained(), 1, "publish swaps, never chains");
@@ -714,7 +719,7 @@ mod tests {
         assert_eq!((retained, trimmed), (1, 2));
         assert_eq!(v.versions_retained(), 1);
         drop(pin);
-        epoch::retire_batch(out);
+        epoch::retire_batch(&mut out);
     }
 
     #[test]
@@ -736,7 +741,7 @@ mod tests {
             assert_eq!((retained, trimmed), (1, 0));
             assert_eq!(v.inner.read_at(&pin, 10), 2, "oldest retained wins");
         }
-        epoch::retire_batch(out);
+        epoch::retire_batch(&mut out);
     }
 
     #[test]
@@ -758,7 +763,7 @@ mod tests {
         // its history is still in epoch bags.
         let v = TVar::new(vec![0u8; 64]);
         for i in 0..10u8 {
-            epoch::retire_batch(vec![v.inner.publish_boxed(Box::new(vec![i; 64]))]);
+            epoch::retire_batch(&mut vec![v.inner.publish_boxed(Box::new(vec![i; 64]))]);
         }
         assert_eq!(v.load(), vec![9u8; 64]);
         drop(v);
@@ -808,17 +813,17 @@ mod tests {
             v.inner.stamp_head(wv);
         }
         let pin = epoch::pin();
-        let (val, steps) = v.inner.read_at_counted(&pin, 0).unwrap();
+        let (val, steps) = v.inner.read_at_counted(&pin, 0, |v| *v).unwrap();
         assert_eq!(val, 0);
         assert!(
             steps <= 150,
             "camped walk took {steps} hops on a 1024-version chain"
         );
-        let (val, steps) = v.inner.read_at_counted(&pin, 512).unwrap();
+        let (val, steps) = v.inner.read_at_counted(&pin, 512, |v| *v).unwrap();
         assert_eq!(val, 512);
         assert!(steps <= 150, "mid-chain walk took {steps} hops");
         // The head fast path stays free.
-        let (val, steps) = v.inner.read_at_counted(&pin, 1024).unwrap();
+        let (val, steps) = v.inner.read_at_counted(&pin, 1024, |v| *v).unwrap();
         assert_eq!((val, steps), (1024, 0));
     }
 
@@ -840,15 +845,15 @@ mod tests {
         assert_eq!(v.inner.evicted_stamp.load(Ordering::Relaxed), 5);
         let pin = epoch::pin();
         // Snapshots at or past the cut still resolve...
-        assert_eq!(v.inner.read_at_counted(&pin, 6).unwrap().0, 60);
-        assert_eq!(v.inner.read_at_counted(&pin, 8).unwrap().0, 80);
+        assert_eq!(v.inner.read_at_counted(&pin, 6, |v| *v).unwrap().0, 60);
+        assert_eq!(v.inner.read_at_counted(&pin, 8, |v| *v).unwrap().0, 80);
         // ...an older snapshot aborts instead of mis-reading.
-        assert!(v.inner.read_at_counted(&pin, 4).is_err());
+        assert!(v.inner.read_at_counted(&pin, 4, |v| *v).is_err());
         // A zero cap behaves as 1: the head is never evicted.
         assert_eq!(v.inner.cap_chain(0, &mut out), 2);
         assert_eq!(v.versions_retained(), 1);
         drop(pin);
-        epoch::retire_batch(out);
+        epoch::retire_batch(&mut out);
     }
 
     #[test]
@@ -864,15 +869,18 @@ mod tests {
             v.inner.stamp_head(wv);
             if wv % 16 == 0 {
                 v.inner.trim_chain(wv - 5, &mut out);
-                epoch::retire_batch(std::mem::take(&mut out));
+                epoch::retire_batch(&mut out);
             } else if wv % 7 == 0 {
                 v.inner.cap_chain(9, &mut out);
-                epoch::retire_batch(std::mem::take(&mut out));
+                epoch::retire_batch(&mut out);
             }
         }
         let pin = epoch::pin();
         for rv in 91..=97u64 {
-            assert_eq!(v.inner.read_at_counted(&pin, rv).unwrap().0, rv.min(96));
+            assert_eq!(
+                v.inner.read_at_counted(&pin, rv, |v| *v).unwrap().0,
+                rv.min(96)
+            );
         }
     }
 
@@ -912,10 +920,10 @@ mod tests {
                             v.inner.cap_chain(1 + arg as usize, &mut out);
                         }
                     }
-                    epoch::retire_batch(std::mem::take(&mut out));
+                    epoch::retire_batch(&mut out);
                     let pin = epoch::pin();
                     for rv in 0..=clock + 1 {
-                        match (v.inner.read_at_counted(&pin, rv), linear_read(&v, rv)) {
+                        match (v.inner.read_at_counted(&pin, rv, |v| *v), linear_read(&v, rv)) {
                             (Ok((val, _)), Some(lin)) => prop_assert_eq!(val, lin),
                             (Err(Evicted), None) => {
                                 // Both walked off the end of a capped

@@ -14,14 +14,18 @@
 //! * `writes` — buffered `(variable, value)` updates, published only at
 //!   commit.
 //!
-//! The log survives aborts: [`TxLog::reset`] clears entries but keeps the
-//! vector capacity, so a retrying transaction reallocates nothing.
+//! The log outlives its transaction: [`TxLog::reset`] clears entries but
+//! keeps the vector capacity, and a [`LogLoan`] hands the emptied log
+//! back to a per-thread free list, so neither a retry nor the thread's
+//! next transaction reallocates anything.
 
 use crate::epoch::Retired;
 use crate::orec::OrecTable;
 use crate::tvar::AnyTVar;
 use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A versioned read observation (TL2 / Incremental / Mv).
@@ -66,8 +70,8 @@ const RW_INDEX_THRESHOLD: usize = 64;
 /// check), not just the visible-read path.
 const WRITE_INDEX_THRESHOLD: usize = 32;
 
-/// Read-set / write-set storage for one transaction, reused across
-/// attempts.
+/// Read-set / write-set storage for one transaction, recycled through
+/// the thread's pool (see [`LogLoan`]).
 #[derive(Default)]
 pub(crate) struct TxLog {
     pub reads: Vec<VersionedRead>,
@@ -120,6 +124,109 @@ pub(crate) struct TxLog {
     /// Displaced pre-frame values, `(index in writes, old value)`, shared
     /// by all open frames and partitioned by each frame's `undo_base`.
     undo: Vec<(usize, Box<dyn Any + Send>)>,
+    /// The commit's garbage: version nodes displaced by
+    /// [`TxLog::publish_writes`] or detached by Mv's trims, handed to
+    /// [`epoch::retire_batch`](crate::epoch::retire_batch) (which drains
+    /// it) once every swap of the commit is done. Empty outside a
+    /// publish.
+    pub retired: Vec<Retired>,
+    /// The variables [`TxLog::append_writes`] pushed a pending version
+    /// onto, for Mv's publish to stamp and trim. Empty outside a publish.
+    pub written: Vec<Arc<dyn AnyTVar>>,
+}
+
+/// Logs a thread keeps for reuse. `ptm-server`'s `ShardedKv::scan` holds
+/// one transaction per shard on one thread, so anything under its shard
+/// count (4 by default) would send every scan back to the allocator.
+pub(crate) const POOL_DEPTH: usize = 8;
+const _: () = assert!(POOL_DEPTH >= 4);
+
+/// Largest capacity (in entries) any one of a log's buffers may keep
+/// into the pool. A log some giant transaction grew past this is dropped
+/// instead of pooled, so an idle thread retains at most
+/// `POOL_DEPTH` × a few buffers × this many entries (16–32 bytes each).
+pub(crate) const POOL_RETAINED_CAP: usize = 1024;
+
+thread_local! {
+    /// This thread's free list of emptied logs, newest last. Boxed so a
+    /// loan moves one pointer in and out, not the log's dozen buffers.
+    #[allow(clippy::vec_box)]
+    static POOL: RefCell<Vec<Box<TxLog>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A transaction's loan of a [`TxLog`] from its thread's pool: taken at
+/// `Transaction::begin`, reset and returned when the transaction drops.
+/// One mechanism covers retry-to-retry and transaction-to-transaction
+/// reuse, for the step machine and [`Stm::transaction`](crate::Stm::transaction)
+/// alike.
+///
+/// Invariants:
+///
+/// * **Release before reset.** `reset` forgets `rw_reads` without
+///   undoing the `fetch_add`s it stands for, so the read locks must be
+///   released first. `Transaction` keeps the order structurally: its
+///   `Drop` (which releases an unresolved attempt) runs before its
+///   fields — this loan among them — are dropped.
+/// * **Same thread.** `Transaction` is `!Send` (it holds an epoch pin),
+///   so a log always returns to the pool it came from.
+/// * **Bounded.** At most [`POOL_DEPTH`] logs per thread, none with a
+///   buffer over [`POOL_RETAINED_CAP`] entries.
+/// * **Teardown-safe.** Both directions use `try_with`: a transaction
+///   run while the thread's locals are being destroyed builds a fresh
+///   log and drops it afterwards.
+pub(crate) struct LogLoan(Option<Box<TxLog>>);
+
+impl LogLoan {
+    /// Takes a log from this thread's pool, or builds one if the pool is
+    /// empty (or already destroyed).
+    pub(crate) fn take() -> LogLoan {
+        let pooled = POOL.try_with(|p| p.borrow_mut().pop()).ok().flatten();
+        LogLoan(Some(pooled.unwrap_or_default()))
+    }
+}
+
+#[cfg(test)]
+impl LogLoan {
+    /// The `reads` capacity of every log in this thread's pool, oldest
+    /// first — how the pool tests see what came back and how big.
+    pub(crate) fn pooled_read_capacities() -> Vec<usize> {
+        POOL.with(|p| p.borrow().iter().map(|l| l.reads.capacity()).collect())
+    }
+}
+
+impl Deref for LogLoan {
+    type Target = TxLog;
+    #[inline]
+    fn deref(&self) -> &TxLog {
+        self.0.as_deref().expect("log is on loan until drop")
+    }
+}
+
+impl DerefMut for LogLoan {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut TxLog {
+        self.0.as_deref_mut().expect("log is on loan until drop")
+    }
+}
+
+impl Drop for LogLoan {
+    fn drop(&mut self) {
+        let Some(mut log) = self.0.take() else {
+            return;
+        };
+        // Outside the pool borrow: dropping buffered user values may run
+        // transactions of its own.
+        log.reset();
+        if log.oversized() {
+            return;
+        }
+        let _ = POOL.try_with(|p| {
+            let mut p = p.borrow_mut();
+            if p.len() < POOL_DEPTH {
+                p.push(log);
+            }
+        });
+    }
 }
 
 /// One open `or_else` checkpoint: enough to restore the write set to its
@@ -142,7 +249,8 @@ impl std::fmt::Debug for TxLog {
 }
 
 impl TxLog {
-    /// Clears all entries, keeping allocated capacity for the retry.
+    /// Clears all entries, keeping allocated capacity for the next
+    /// attempt.
     ///
     /// The caller must have released any read locks tracked in
     /// `rw_reads` first (clearing the vector does not undo the
@@ -158,6 +266,27 @@ impl TxLog {
         self.held_buf.clear();
         self.frames.clear();
         self.undo.clear();
+        self.retired.clear();
+        self.written.clear();
+    }
+
+    /// Whether any buffer grew past [`POOL_RETAINED_CAP`].
+    fn oversized(&self) -> bool {
+        let caps = [
+            self.reads.capacity(),
+            self.value_reads.capacity(),
+            self.rw_reads.capacity(),
+            self.rw_index.capacity(),
+            self.writes.capacity(),
+            self.write_index.capacity(),
+            self.stripe_buf.capacity(),
+            self.held_buf.capacity(),
+            self.frames.capacity(),
+            self.undo.capacity(),
+            self.retired.capacity(),
+            self.written.capacity(),
+        ];
+        caps.into_iter().any(|c| c > POOL_RETAINED_CAP)
     }
 
     /// Opens an `or_else` checkpoint over the write set.
@@ -312,33 +441,29 @@ impl TxLog {
     }
 
     /// Swaps every buffered value into its variable, consuming the write
-    /// set. Returns the displaced boxes for epoch retirement.
+    /// set. The displaced boxes land in `retired`, for the caller to
+    /// hand to the epoch collector after its release stores.
     ///
     /// The caller must hold whatever exclusion the algorithm requires
     /// (orec stripe locks, or the NOrec sequence lock).
-    pub(crate) fn publish_writes(&mut self) -> Vec<Retired> {
-        self.writes
-            .drain(..)
-            .map(|w| w.var.publish_boxed(w.value))
-            .collect()
+    pub(crate) fn publish_writes(&mut self) {
+        self.retired
+            .extend(self.writes.drain(..).map(|w| w.var.publish_boxed(w.value)));
     }
 
     /// Appends every buffered value to its variable's version chain with
-    /// a pending stamp, consuming the write set (`Algorithm::Mv`).
-    /// Returns the written variables so the committer can resolve the
-    /// stamps and trim the chains.
+    /// a pending stamp, consuming the write set (`Algorithm::Mv`). The
+    /// written variables land in `written` so the committer can resolve
+    /// the stamps and trim the chains.
     ///
     /// The caller must hold the write set's stripe locks and be past
     /// validation: appended versions are never unlinked by their own
     /// commit.
-    pub(crate) fn append_writes(&mut self) -> Vec<Arc<dyn AnyTVar>> {
-        self.writes
-            .drain(..)
-            .map(|w| {
-                w.var.append_boxed(w.value);
-                w.var
-            })
-            .collect()
+    pub(crate) fn append_writes(&mut self) {
+        for w in self.writes.drain(..) {
+            w.var.append_boxed(w.value);
+            self.written.push(w.var);
+        }
     }
 }
 
@@ -551,11 +676,12 @@ mod tests {
         let b = TVar::new(String::from("old"));
         log.buffer_write(a.id(), a.as_dyn(), Box::new(7u64));
         log.buffer_write(b.id(), b.as_dyn(), Box::new(String::from("new")));
-        let retired = log.publish_writes();
-        assert_eq!(retired.len(), 2);
+        log.publish_writes();
+        assert_eq!(log.retired.len(), 2);
         assert!(log.writes.is_empty());
         assert_eq!(a.load(), 7);
         assert_eq!(b.load(), "new");
-        epoch::retire_batch(retired);
+        epoch::retire_batch(&mut log.retired);
+        assert!(log.retired.is_empty(), "retiring drains the buffer");
     }
 }

@@ -1,7 +1,6 @@
 //! A bucket-striped transactional hash map.
 
 use ptm_stm::{Retry, TVar, Transaction, TxValue};
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -21,6 +20,12 @@ const DEFAULT_BUCKETS: usize = 64;
 /// `len` is computed by scanning the buckets rather than kept in a
 /// counter `TVar`: a shared counter would serialize every insert/remove
 /// pair on one hot variable and destroy the parallelism striping buys.
+///
+/// Reads borrow: `get`, `contains_key`, `len`, `is_empty` and `snapshot`
+/// look at each bucket in place ([`Transaction::read_with`]) and clone
+/// only what they return — `get` one `V`, the tests nothing. Writers are
+/// copy-on-write: `insert` / `remove` clone the bucket once, edit the
+/// copy and buffer it.
 ///
 /// # Examples
 ///
@@ -43,6 +48,67 @@ pub struct THashMap<K, V> {
 
 /// One bucket: a small association list behind a single `TVar`.
 type Bucket<K, V> = TVar<Vec<(K, V)>>;
+
+/// The bucket-index hasher: folds the `Hash` stream eight bytes at a
+/// time with rotate–xor–multiply (one multiply per word) and finishes
+/// with an xorshift–multiply–xorshift avalanche, so every input bit
+/// reaches the low bits [`THashMap::bucket_of`] keeps.
+///
+/// **Memory-only**: bucket indices are never persisted or compared
+/// across processes, so — unlike `ptm-server`'s frozen shard router —
+/// this function may change freely. It is deliberately *not* that
+/// router's function (FNV-1a + splitmix64): a sharded store sends a key
+/// to shard `router(key) % shards`, so a map that bucketed by the same
+/// hash would see only keys whose low bits are already fixed, and leave
+/// all but `1 / shards` of its buckets empty. It is unkeyed, like the
+/// zero-keyed SipHash it replaces: no HashDoS resistance was or is on
+/// offer here.
+#[derive(Default)]
+struct BucketHasher(u64);
+
+impl BucketHasher {
+    /// 2^64 / φ, odd.
+    const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+    /// The second multiplier of MurmurHash3's 64-bit finalizer.
+    const FINISH: u64 = 0xc4ce_b9fe_1a85_ec53;
+
+    #[inline]
+    fn fold(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::FOLD);
+    }
+}
+
+impl Hasher for BucketHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.fold(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.fold(u64::from_le_bytes(last));
+        }
+    }
+
+    // The common key: one fold, no byte loop. (Every other integer
+    // width reaches `write` as a fixed-size slice and folds as one
+    // zero-padded word there.)
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.fold(n);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z ^= z >> 32;
+        z = z.wrapping_mul(Self::FINISH);
+        z ^ (z >> 29)
+    }
+}
 
 impl<K, V> Clone for THashMap<K, V> {
     fn clone(&self) -> Self {
@@ -86,10 +152,16 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
         self.buckets.len()
     }
 
-    fn bucket_of(&self, key: &K) -> &Bucket<K, V> {
-        let mut h = DefaultHasher::new();
+    /// Index of `key`'s bucket: the low bits of its [`BucketHasher`]
+    /// hash (the bucket count is a power of two).
+    fn bucket_index(&self, key: &K) -> usize {
+        let mut h = BucketHasher::default();
         key.hash(&mut h);
-        &self.buckets[(h.finish() as usize) & (self.buckets.len() - 1)]
+        (h.finish() as usize) & (self.buckets.len() - 1)
+    }
+
+    fn bucket_of(&self, key: &K) -> &Bucket<K, V> {
+        &self.buckets[self.bucket_index(key)]
     }
 
     /// The value for `key`, if present.
@@ -98,10 +170,11 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     ///
     /// [`Retry`] on conflict.
     pub fn get(&self, tx: &mut Transaction<'_>, key: &K) -> Result<Option<V>, Retry> {
-        let bucket = tx.read(self.bucket_of(key))?;
-        Ok(bucket
-            .into_iter()
-            .find_map(|(k, v)| (k == *key).then_some(v)))
+        tx.read_with(self.bucket_of(key), |bucket| {
+            bucket
+                .iter()
+                .find_map(|(k, v)| (k == key).then(|| v.clone()))
+        })
     }
 
     /// Whether `key` is present.
@@ -110,7 +183,9 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     ///
     /// [`Retry`] on conflict.
     pub fn contains_key(&self, tx: &mut Transaction<'_>, key: &K) -> Result<bool, Retry> {
-        Ok(self.get(tx, key)?.is_some())
+        tx.read_with(self.bucket_of(key), |bucket| {
+            bucket.iter().any(|(k, _)| k == key)
+        })
     }
 
     /// The value for `key`, **blocking** (via [`Transaction::retry`])
@@ -176,7 +251,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     pub fn len(&self, tx: &mut Transaction<'_>) -> Result<usize, Retry> {
         let mut n = 0;
         for b in self.buckets.iter() {
-            n += tx.read(b)?.len();
+            n += tx.read_with(b, Vec::len)?;
         }
         Ok(n)
     }
@@ -188,7 +263,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     /// [`Retry`] on conflict.
     pub fn is_empty(&self, tx: &mut Transaction<'_>) -> Result<bool, Retry> {
         for b in self.buckets.iter() {
-            if !tx.read(b)?.is_empty() {
+            if !tx.read_with(b, Vec::is_empty)? {
                 return Ok(false);
             }
         }
@@ -203,7 +278,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     pub fn snapshot(&self, tx: &mut Transaction<'_>) -> Result<Vec<(K, V)>, Retry> {
         let mut out = Vec::new();
         for b in self.buckets.iter() {
-            out.extend(tx.read(b)?);
+            tx.read_with(b, |bucket| out.extend_from_slice(bucket))?;
         }
         Ok(out)
     }
@@ -297,6 +372,75 @@ mod tests {
         });
         assert_eq!(stm.atomically(|tx| m.get(tx, &2)), Some(20));
         assert_eq!(stm.atomically(|tx| m.len(tx)), 1);
+    }
+
+    /// `ptm-server`'s frozen shard router, copied: FNV-1a 64 over the
+    /// little-endian bytes, splitmix64 finisher.
+    fn shard_router(key: u64) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in key.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        let mut z = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn bucket_hash_is_independent_of_the_shard_router() {
+        // A sharded store hands each shard's map only the keys with
+        // `router(key) % shards == shard`. A bucket hash correlated with
+        // the router would crowd them into `1 / shards` of the buckets;
+        // this one must spread every shard's quarter of the key space
+        // like a random function would (expected: ~98 % of 1 024 buckets
+        // occupied by ~4 096 keys, longest bucket around a dozen).
+        const SHARDS: u64 = 4;
+        const BUCKETS: usize = 1_024;
+        let m: THashMap<u64, u64> = THashMap::with_buckets(BUCKETS);
+        for shard in 0..SHARDS {
+            let mut load = [0usize; BUCKETS];
+            for key in (0..16_384u64).filter(|&k| shard_router(k) % SHARDS == shard) {
+                load[m.bucket_index(&key)] += 1;
+            }
+            let filled = load.iter().filter(|&&n| n > 0).count();
+            let longest = load.iter().copied().max().unwrap_or(0);
+            assert!(
+                filled * 100 >= BUCKETS * 95,
+                "shard {shard}: only {filled} of {BUCKETS} buckets used"
+            );
+            assert!(
+                longest <= 16,
+                "shard {shard}: a bucket holds {longest} keys"
+            );
+        }
+    }
+
+    #[test]
+    fn bucket_hash_reads_every_byte_of_a_key() {
+        // Byte-stream keys: the tail shorter than a word, and the word
+        // boundaries, all reach the index.
+        let m: THashMap<String, u64> = THashMap::with_buckets(1 << 16);
+        let keys = [
+            "",
+            "a",
+            "b",
+            "abcdefgh",
+            "abcdefgi",
+            "abcdefgh1",
+            "abcdefgh2",
+        ];
+        let mut idx: Vec<usize> = keys
+            .iter()
+            .map(|k| m.bucket_index(&k.to_string()))
+            .collect();
+        idx.sort_unstable();
+        idx.dedup();
+        assert_eq!(
+            idx.len(),
+            keys.len(),
+            "distinct keys collided in 65 536 buckets"
+        );
     }
 
     #[test]

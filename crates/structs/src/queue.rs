@@ -175,8 +175,10 @@ impl<T: TxValue> TQueue<T> {
     ///
     /// [`Retry`] on conflict.
     pub fn is_empty(&self, tx: &mut Transaction<'_>) -> Result<bool, Retry> {
+        // The sentinel is needed (its `next` is the next read); its
+        // `next` link is only tested, so no reference count moves.
         let sentinel = tx.read(&self.head)?;
-        Ok(tx.read(&sentinel.0.next)?.is_none())
+        tx.read_with(&sentinel.0.next, Option::is_none)
     }
 
     /// Number of queued elements (walks the whole chain; the entire

@@ -206,7 +206,9 @@ impl<T: TxValue + Ord> TSet<T> {
     ///
     /// [`Retry`] on conflict.
     pub fn is_empty(&self, tx: &mut Transaction<'_>) -> Result<bool, Retry> {
-        Ok(tx.read(&self.head)?.is_none())
+        // Tested in place: cloning the link would bump the head node's
+        // reference count — a shared-line RMW pair — to read one tag.
+        tx.read_with(&self.head, Option::is_none)
     }
 }
 

@@ -1,0 +1,149 @@
+//! The allocation budget of the hot paths, counted — not timed — so it
+//! holds on any machine: a committed read-only operation touches the
+//! heap **zero** times once its thread is warm. Reads borrow
+//! (`Transaction::read_with`), the transaction log is a per-thread
+//! recycled loan, and the commit's garbage buffer lives in that log.
+//!
+//! The read budgets are exact and the put budget is exact per put (plus
+//! a bounded amortized share for the epoch collector's sweeps). A change
+//! that removes an allocation moves a number down here; one that adds an
+//! allocation fails here first.
+
+use progressive_tm::server::{ServiceConfig, ShardedKv};
+use progressive_tm::stm::{Algorithm, Stm, TVar};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread. Per thread, so the test
+    /// harness's other threads cannot disturb a count; `const` and
+    /// without a destructor, so the allocator may touch it at any time.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: defers every request to `System` unchanged; the counter is a
+// plain thread-local `Cell` whose access neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: as in `dealloc`, and the caller's contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const OPS: u64 = 1_000;
+const KEYS: u64 = 256;
+
+/// Heap allocations this thread makes while `work` runs.
+fn allocations_in(work: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    work();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// A 4-shard store holding keys `0..KEYS`, warmed by one get per key on
+/// this thread (thread-locals registered, the log pool stocked).
+fn warm_store(algorithm: Algorithm) -> ShardedKv<u64, u64> {
+    let kv = ShardedKv::with_config(ServiceConfig {
+        shards: 4,
+        algorithm,
+        buckets_per_shard: 16,
+        adaptive: None,
+    });
+    for k in 0..KEYS {
+        kv.put(k, k * 10);
+    }
+    for k in 0..KEYS {
+        assert_eq!(kv.get(&k), Some(k * 10));
+    }
+    kv
+}
+
+#[test]
+fn a_get_allocates_nothing() {
+    // Parent commit: 2 per get (the bucket `Vec` clone, the fresh log's
+    // first read-set push).
+    for algorithm in [Algorithm::Tl2, Algorithm::Mv] {
+        let kv = warm_store(algorithm);
+        let n = allocations_in(|| {
+            for i in 0..OPS {
+                // Hits and misses alike.
+                std::hint::black_box(kv.get(&(i % (2 * KEYS))));
+            }
+        });
+        assert_eq!(n, 0, "{algorithm:?}: {OPS} gets allocated {n} times");
+    }
+}
+
+#[test]
+fn a_read_only_transaction_allocates_nothing_except_norecs_snapshot() {
+    let v = TVar::new(7u64);
+    for (algorithm, per_read) in [
+        (Algorithm::Tl2, 0),
+        (Algorithm::Incremental, 0),
+        (Algorithm::Tlrw, 0),
+        (Algorithm::Mv, 0),
+        // NOrec validates by value, so each read boxes a snapshot of
+        // what it saw; that box is the read-set entry.
+        (Algorithm::Norec, 1),
+    ] {
+        let stm = Stm::new(algorithm);
+        for _ in 0..8 {
+            assert_eq!(stm.atomically(|tx| tx.read(&v)), 7);
+        }
+        let n = allocations_in(|| {
+            for _ in 0..OPS {
+                std::hint::black_box(stm.atomically(|tx| tx.read(&v)));
+            }
+        });
+        assert_eq!(
+            n,
+            per_read * OPS,
+            "{algorithm:?}: {OPS} one-read transactions allocated {n} times"
+        );
+    }
+}
+
+#[test]
+fn an_in_memory_put_is_pinned_at_three() {
+    // Overwriting an existing key on a Tl2 store: the copy-on-write
+    // bucket clone, the write-set box, and the version node the commit
+    // publishes. The next change that removes one of the three has this
+    // number to move. On top of them comes the epoch collector's
+    // amortized share: every `COLLECT_THRESHOLD` retirements one sweep
+    // grows a scratch list of what it frees — well under one allocation
+    // per ten puts.
+    const PER_PUT: u64 = 3;
+    let kv = warm_store(Algorithm::Tl2);
+    // Grow the epoch bag to its steady size first.
+    for i in 0..4 * OPS {
+        kv.put(i % KEYS, i);
+    }
+    let n = allocations_in(|| {
+        for i in 0..OPS {
+            std::hint::black_box(kv.put(i % KEYS, i));
+        }
+    });
+    let sweeps = n.saturating_sub(PER_PUT * OPS);
+    assert!(
+        n >= PER_PUT * OPS && sweeps < OPS / 10,
+        "{OPS} puts allocated {n} times, expected {PER_PUT} each plus under {} for collector sweeps",
+        OPS / 10
+    );
+}

@@ -142,6 +142,57 @@ fn eight_thread_histories_parse_and_serialize() {
 }
 
 #[test]
+fn projected_reads_record_the_whole_value() {
+    // `read_with` hands the caller its closure's projection, but the
+    // history must carry the value the read *saw*. A marker holding the
+    // projection instead (here a bool: word 0 or 1) would make every
+    // observation of a counter past 1 an illegal read.
+    for algo in ALGOS {
+        let (stm, rec) = recording_stm(algo);
+        let counter = TVar::new(0u64);
+        let sightings = TVar::new(0u64);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let (stm, counter) = (Arc::clone(&stm), counter.clone());
+                s.spawn(move || {
+                    for _ in 0..4 {
+                        stm.atomically(|tx| tx.modify(&counter, |x| x + 1));
+                    }
+                });
+            }
+            let (stm, counter, sightings) = (Arc::clone(&stm), counter.clone(), sightings.clone());
+            s.spawn(move || {
+                for _ in 0..4 {
+                    stm.atomically(|tx| {
+                        let nonzero = tx.read_with(&counter, |x| *x != 0)?;
+                        tx.modify(&sightings, |n| n + u64::from(nonzero))
+                    });
+                }
+            });
+        });
+        assert_eq!(counter.load(), 8, "{algo:?}");
+        // One last projected read, alone: its marker is the log's last
+        // read response and must name the counter's value.
+        assert!(stm.atomically(|tx| tx.read_with(&counter, |x| *x != 0)));
+        let log = rec.drain();
+        let last_read = log
+            .iter()
+            .rev()
+            .find_map(|e| match e.marker() {
+                Some(Marker::TxResponse {
+                    op: TOpDesc::Read(_),
+                    res: TOpResult::Value(w),
+                    ..
+                }) => Some(*w),
+                _ => None,
+            })
+            .expect("the run recorded reads");
+        assert_eq!(last_read, 8, "{algo:?}: recorded the projection");
+        assert_checker_accepts(&history_of(&log), &format!("{algo:?}/projected"));
+    }
+}
+
+#[test]
 fn nonzero_initial_values_are_installed_by_the_preamble() {
     for algo in ALGOS {
         let (stm, rec) = recording_stm(algo);

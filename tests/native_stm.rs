@@ -240,6 +240,70 @@ mod conformance {
             assert!(x.load() + y.load() <= 1, "{algo:?}");
         }
     }
+
+    /// `read_with` applies its closure to the attempt's own buffered
+    /// write, exactly as `read` returns it.
+    pub fn read_with_sees_own_write(algo: Algorithm) {
+        let stm = Stm::new(algo);
+        let v = TVar::new(vec![1u64, 2, 3]);
+        let (before, after, cloned) = stm.atomically(|tx| {
+            let before = tx.read_with(&v, Vec::len)?;
+            tx.write(&v, vec![9, 9])?;
+            let after = tx.read_with(&v, |x| (x.len(), x[0]))?;
+            Ok((before, after, tx.read(&v)?))
+        });
+        assert_eq!((before, after), (3, (2, 9)), "{algo:?}");
+        assert_eq!(cloned, vec![9, 9], "{algo:?}");
+        assert_eq!(v.load(), vec![9, 9], "{algo:?}");
+    }
+
+    /// Once an attempt is poisoned, `read_with` returns `Retry` without
+    /// running its closure.
+    pub fn read_with_on_a_poisoned_attempt_skips_the_closure(algo: Algorithm) {
+        let stm = Stm::new(algo);
+        let v = TVar::new(5u64);
+        let mut called = false;
+        let out = stm.try_once(|tx| {
+            let _ = tx.retry::<()>();
+            tx.read_with(&v, |x| {
+                called = true;
+                *x
+            })
+        });
+        assert_eq!(out, None, "{algo:?}");
+        assert!(!called, "{algo:?}: closure ran on a poisoned attempt");
+    }
+
+    /// `read(v)` and `read_with(v, Clone::clone)` are the same read:
+    /// inside one transaction they agree, whatever a concurrent writer
+    /// is doing to the variable.
+    pub fn read_and_read_with_agree_under_a_writer(algo: Algorithm) {
+        let stm = Arc::new(Stm::new(algo));
+        let v = TVar::new((0u64, 0u64));
+        let rounds = 2_000u64;
+        std::thread::scope(|s| {
+            let (stm1, v1) = (Arc::clone(&stm), v.clone());
+            s.spawn(move || {
+                for i in 1..=rounds {
+                    stm1.atomically(|tx| tx.write(&v1, (i, 2 * i)));
+                }
+            });
+            let (stm2, v2) = (Arc::clone(&stm), v.clone());
+            s.spawn(move || {
+                for _ in 0..rounds {
+                    let (a, b, sum) = stm2.atomically(|tx| {
+                        let a = tx.read(&v2)?;
+                        let b = tx.read_with(&v2, Clone::clone)?;
+                        Ok((a, b, tx.read_with(&v2, |p| p.0 + p.1)?))
+                    });
+                    assert_eq!(a, b, "{algo:?}: the two read forms disagree");
+                    assert_eq!(a.1, 2 * a.0, "{algo:?}: torn value");
+                    assert_eq!(sum, 3 * a.0, "{algo:?}: projection of another value");
+                }
+            });
+        });
+        assert_eq!(v.load(), (rounds, 2 * rounds), "{algo:?}");
+    }
 }
 
 /// Instantiates the whole conformance suite for one algorithm per macro
@@ -282,6 +346,21 @@ macro_rules! conformance_suite {
             #[test]
             fn no_write_skew() {
                 conformance::no_write_skew($algo);
+            }
+
+            #[test]
+            fn read_with_sees_own_write() {
+                conformance::read_with_sees_own_write($algo);
+            }
+
+            #[test]
+            fn read_with_on_a_poisoned_attempt_skips_the_closure() {
+                conformance::read_with_on_a_poisoned_attempt_skips_the_closure($algo);
+            }
+
+            #[test]
+            fn read_and_read_with_agree_under_a_writer() {
+                conformance::read_and_read_with_agree_under_a_writer($algo);
             }
         }
     )*};
