@@ -9,6 +9,14 @@
 //! writes the result. Every thread a family spawns goes through
 //! [`run_threads`].
 //!
+//! Ladders come from the machine: a family's ladder is a function of
+//! [`hardware_threads`], so no committed row runs more threads than the
+//! machine has (thread ladders climb 1, 2, 4, … up to it; role-shaped
+//! families spawn `hw.max(2)` threads in total). `quick` shrinks the
+//! work per row, never the row set, and every row's `threads` is the
+//! number of threads its pass really spawned — [`Family::run`] asserts
+//! it.
+//!
 //! The harness is deliberately criterion-free (the build environment is
 //! offline): fixed-size workloads, wall-clock timing. There is one
 //! measurement policy, [`measure`]: a warm-up, then [`PHASE_PASSES`]
@@ -19,6 +27,7 @@
 //! the comparison would measure the neighbours, not the algorithms.
 
 use ptm_stm::{Algorithm, Stm};
+use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// Passes per measurement: the first pass absorbs an adaptive
@@ -30,8 +39,8 @@ pub const PHASE_PASSES: usize = 5;
 /// An algorithm under measurement, with its report label.
 pub type Algo = (&'static str, Algorithm);
 
-/// One row a rung emits per algorithm: row name, `m` and worker
-/// threads.
+/// One row a rung emits per algorithm: row name, `m` and the threads
+/// the rung's pass spawns.
 pub type Spec = (&'static str, usize, usize);
 
 /// A row's identity: `(name, algo, m, threads)`.
@@ -68,7 +77,7 @@ pub struct Row {
     /// Read-set size, variable count or chain length, where applicable
     /// (0 otherwise).
     pub m: usize,
-    /// Worker thread count.
+    /// Threads the pass spawned (1 for an inline pass).
     pub threads: usize,
     /// Committed transactions (or completed operations) across all
     /// threads in the best pass; companion rows carry a counter here.
@@ -100,9 +109,9 @@ pub struct Family {
     pub name: &'static str,
     /// The algorithms swept.
     pub algos: &'static [Algo],
-    /// The ladder for quick or full mode: one rung per configuration,
-    /// each rung listing the rows it emits per algorithm.
-    pub ladder: fn(quick: bool) -> Vec<Vec<Spec>>,
+    /// The ladder on a machine of `hw` hardware threads: one rung per
+    /// configuration, each rung listing the rows it emits per algorithm.
+    pub ladder: fn(hw: usize) -> Vec<Vec<Spec>>,
     /// Row order: algorithm-outer, rung-inner when set; otherwise
     /// rung-outer. Measurement is interleaved per rung either way.
     pub algo_major: bool,
@@ -125,9 +134,10 @@ impl Family {
         }
     }
 
-    /// The rows this family emits, without running anything.
-    pub fn keys(&self, quick: bool) -> Vec<Key> {
-        let ladder = (self.ladder)(quick);
+    /// The rows this family emits on a machine of `hw` hardware
+    /// threads, without running anything.
+    pub fn keys(&self, hw: usize) -> Vec<Key> {
+        let ladder = (self.ladder)(hw);
         let order = self.order(ladder.len());
         let key = |(r, a): (usize, usize)| {
             let rung: &Vec<Spec> = &ladder[r];
@@ -138,13 +148,28 @@ impl Family {
         order.into_iter().flat_map(key).collect()
     }
 
-    /// Measures every rung and returns the rows in emission order.
+    /// Measures every rung of this machine's ladder and returns the rows
+    /// in emission order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a rung's `threads` column differs from the most threads
+    /// one [`run_threads`] call of its pass spawned.
     pub fn run(&self, quick: bool) -> Vec<Row> {
-        let ladder = (self.ladder)(quick);
-        let cells: Vec<Cells> = ladder
-            .iter()
-            .map(|rung| (self.run)(rung, self.algos, quick))
-            .collect();
+        let ladder = (self.ladder)(hardware_threads());
+        let measure_rung = |rung: &Vec<Spec>| {
+            SPAWNED.set(1);
+            let cells = (self.run)(rung, self.algos, quick);
+            let spawned = SPAWNED.get();
+            for &(name, _, threads) in rung {
+                assert_eq!(
+                    threads, spawned,
+                    "{name}: threads must count the spawned threads"
+                );
+            }
+            cells
+        };
+        let cells: Vec<Cells> = ladder.iter().map(measure_rung).collect();
         let mut rows = Vec::new();
         for (r, a) in self.order(ladder.len()) {
             assert_eq!(cells[r][a].len(), ladder[r].len(), "{}", self.name);
@@ -163,17 +188,29 @@ impl Family {
     }
 }
 
-/// The row keys of `families`, in emission order, without running
-/// anything.
-pub fn keys<'a>(families: impl IntoIterator<Item = &'a Family>, quick: bool) -> Vec<Key> {
-    let keys = |f: &Family| f.keys(quick);
+/// The row keys of `families` on a machine of `hw` hardware threads, in
+/// emission order, without running anything.
+pub fn keys<'a>(families: impl IntoIterator<Item = &'a Family>, hw: usize) -> Vec<Key> {
+    let keys = |f: &Family| f.keys(hw);
     families.into_iter().flat_map(keys).collect()
 }
 
-/// Runs `families` in table order.
+/// Runs `families` in table order, on this machine's ladders.
 pub fn run<'a>(families: impl IntoIterator<Item = &'a Family>, quick: bool) -> Vec<Row> {
     let run = |f: &Family| f.run(quick);
     families.into_iter().flat_map(run).collect()
+}
+
+/// The hardware threads of this machine: what every ladder is sized to
+/// and what [`emit`] flags rows against.
+pub fn hardware_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+thread_local! {
+    /// The most threads one [`run_threads`] call on this thread used
+    /// since [`Family::run`] last reset it to 1 (an inline pass).
+    static SPAWNED: std::cell::Cell<usize> = const { std::cell::Cell::new(1) };
 }
 
 /// Runs `f(t)` for `t in 0..n` on `n` scoped threads (inline for
@@ -181,6 +218,7 @@ pub fn run<'a>(families: impl IntoIterator<Item = &'a Family>, quick: bool) -> V
 /// wall-clock nanoseconds from before the first spawn to after the last
 /// join. A family with several roles dispatches on `t`.
 pub fn run_threads(n: usize, f: impl Fn(usize) + Sync) -> u128 {
+    SPAWNED.set(SPAWNED.get().max(n));
     let start = Instant::now();
     if n == 1 {
         f(0);
@@ -246,9 +284,15 @@ pub fn timed<I>(
     best.into_iter().map(row).collect()
 }
 
-/// A one-row-per-rung ladder over `threads`, at a fixed `m`.
-pub fn thread_ladder(name: &'static str, m: usize, threads: &[usize]) -> Vec<Vec<Spec>> {
-    threads.iter().map(|&t| vec![(name, m, t)]).collect()
+/// 1, 2, 4, … up to `max` inclusive (nothing for `max == 0`).
+pub(crate) fn doublings(max: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(1usize), |t| t.checked_mul(2)).take_while(move |&t| t <= max)
+}
+
+/// A one-row-per-rung ladder at a fixed `m` over 1, 2, 4, … ≤ `hw`
+/// threads.
+pub fn thread_ladder(name: &'static str, m: usize, hw: usize) -> Vec<Vec<Spec>> {
+    doublings(hw).map(|t| vec![(name, m, t)]).collect()
 }
 
 /// The small deterministic PRNG (an LCG, PCG-style step) every bench
@@ -261,14 +305,13 @@ pub fn next_rand(state: &mut u64) -> u64 {
     *state >> 11
 }
 
-/// Canonical location of a baseline file: the workspace root, regardless
-/// of the working directory `cargo bench` or `cargo run` chose (bench
-/// targets run from the package directory, binaries from wherever the
-/// user stands — the two used to scatter duplicate `BENCH_*.json`
-/// files). The root is found at runtime by walking up from the current
-/// directory to the nearest ancestor holding a `Cargo.lock`, so a moved
-/// or copied checkout still writes next to its own code; out-of-tree
-/// invocations fall back to this crate's compile-time workspace.
+/// Canonical location of a baseline file: the workspace root, wherever
+/// the user stands when invoking a bin (or the package directory `cargo
+/// test` runs from). The root is found at runtime by walking up from the
+/// current directory to the nearest ancestor holding a `Cargo.lock`, so
+/// a moved or copied checkout still writes next to its own code;
+/// out-of-tree invocations fall back to this crate's compile-time
+/// workspace.
 pub fn baseline_path(file: &str) -> String {
     let mut dir = std::env::current_dir().ok();
     while let Some(d) = dir {
@@ -286,11 +329,11 @@ pub fn baseline_path(file: &str) -> String {
     format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"))
 }
 
-/// The flags every bench bin and bench target shares: `quick` (or
-/// `--quick`) shrinks the workloads, `--out PATH` redirects the JSON.
+/// The flags both suite bins share: `--quick` shrinks the workloads,
+/// `--out PATH` redirects the JSON.
 pub fn cli() -> (bool, Option<String>) {
     let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "quick");
+    let quick = args.iter().any(|a| a == "--quick");
     let out = args.iter().position(|a| a == "--out");
     (quick, out.and_then(|i| args.get(i + 1)).cloned())
 }
@@ -301,10 +344,12 @@ pub fn cli() -> (bool, Option<String>) {
 ///
 /// Rows whose `threads` exceed the hardware threads measure the
 /// scheduler, not the algorithm: they carry `"oversubscribed": true` so
-/// baseline comparisons can discount (or reject) them. An unmeasured
-/// row's rate is `null`, never the non-JSON `inf`.
+/// baseline comparisons can discount (or reject) them. The ladders never
+/// ask for such a row except for a role-shaped family's two threads on a
+/// one-thread machine. An unmeasured row's rate is `null`, never the
+/// non-JSON `inf`.
 pub fn emit(bench: &str, rows: &[Row], quick: bool, path: Option<&str>) {
-    let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let hw = hardware_threads();
     let mut table = format!(
         "{:<28} {:>16} {:>7} {:>8} {:>12} {:>14}\n",
         "bench", "algo", "m", "threads", "ops", "ops/sec"

@@ -12,16 +12,15 @@
 //! * [`rmr`] — E5/E6: Theorem 9's RMR accounting of the Algorithm 1
 //!   reduction against the classic mutex baselines.
 //!
-//! The `paper_tables` bench target (`cargo bench -p ptm-bench --bench
-//! paper_tables`, or `cargo run -p ptm-bench --bin paper-tables`) renders
-//! every table.
+//! `cargo run --release -p ptm-bench --bin paper-tables [-- --quick]`
+//! renders every table.
 //!
 //! The wall-clock suites are family tables over one [`harness`] (one
 //! row type, one thread spawner, one warm-up + interleaved best-of-five
 //! measurement, one emitter): [`native`] holds the microbenchmarks of
 //! the native STM (E11/E12) and [`structs`] the transactional
-//! data-structure workloads (E13). Each emits one JSON baseline at the
-//! workspace root. The serving tier (`ptm-server`) is not measured
+//! data-structure workloads (E13). Each has one bin (`native-stm-bench`,
+//! `structs-bench`) that emits one JSON baseline at the workspace root. The serving tier (`ptm-server`) is not measured
 //! here: the repo benchmark under `benchmark/` (declared by
 //! `BENCHMARK.json`) owns its workloads, bounds and per-layer cost
 //! ladder.

@@ -4,30 +4,20 @@
 //! `BENCH_native_stm.json` so successive PRs can compare read-path
 //! throughput against a recorded baseline:
 //!
-//! * `read_only_txn/<algo>/<m>` — wall-clock cost of a read-only
-//!   transaction over `m` TVars: the hardware echo of Theorem 3(1)
-//!   (incremental mode scales quadratically, TL2/NOrec linearly);
-//! * `thread_scaling_{read_mostly,write_mixed}/<algo>/<threads>` — a
-//!   **fixed** total workload split across a 1→8 thread ladder, the
-//!   direct scalability picture of the hot path (see the
-//!   `thread_scaling` entry of [`FAMILIES`]);
-//! * `read_scaling/<algo>/<threads>` — concurrent read-only scans of a
-//!   shared array: the payoff of the lock-free read path (the seed's
-//!   mutex-per-read design serialized here);
+//! * `read_only_txn/<algo>/<m>` — wall-clock cost of a single-thread
+//!   read-only transaction over `m` TVars: the hardware echo of Theorem
+//!   3(1) (incremental mode scales quadratically, TL2/NOrec linearly);
 //! * `read_mostly/<algo>/<threads>` — the paper's time–space tradeoff,
 //!   measured: a read-dominated mix (16-variable scans, every 8th
 //!   transaction also writes) contrasting Tlrw's O(1) visible reads
 //!   against Tl2's snapshot validation and Incremental's quadratic
 //!   re-validation across a thread ladder;
-//! * `counter_increment/<algo>` — uncontended update-transaction latency;
-//! * `bank_contended/<algo>` — 4 threads hammering 8 accounts:
-//!   end-to-end throughput with retries (E12);
-//! * `long_scan/<algo>/<writers>` — the multi-version experiment: large
-//!   read-only scans (every variable of a 256-slot array) racing a
-//!   blind-writer ladder. `Algorithm::Mv` is the acceptance picture:
-//!   its scans resolve against start-time snapshots, so the
-//!   `long_scan_ro_aborts` and `long_scan_probes` companion rows are 0
-//!   while every single-version algorithm pays retries
+//! * `long_scan/<algo>/<threads>` — the multi-version experiment: one
+//!   reader's large read-only scans (every variable of a 256-slot array)
+//!   racing `threads − 1` blind writers. `Algorithm::Mv` is the
+//!   acceptance picture: its scans resolve against start-time snapshots,
+//!   so the `long_scan_ro_aborts` and `long_scan_probes` companion rows
+//!   are 0 while every single-version algorithm pays retries
 //!   (`long_scan_aborts`, `long_scan_ro_aborts`) or validation probes
 //!   under the same storm;
 //! * `blocking_queue*/<algo>` — the parking-tier experiment: a
@@ -71,13 +61,15 @@
 //! Every family is an entry of [`FAMILIES`] measured by the one policy of
 //! [`crate::harness`]: a warm-up, then [`crate::harness::PHASE_PASSES`] passes
 //! interleaved across algorithms, best pass reported. Companion rows
-//! carry a counter, not a rate, in `ops`. Rows whose `threads` exceed
-//! the machine's hardware threads are marked `"oversubscribed": true` in
-//! the JSON (and summarized in a warning): their timings measure the
-//! scheduler, not the algorithm.
+//! carry a counter, not a rate, in `ops`. The multi-threaded families
+//! are sized to the machine's hardware threads `hw`: `read_mostly` climbs
+//! 1, 2, 4, … ≤ `hw`; the phases, the queue pipeline and the idle pair
+//! spawn `hw.max(2)` threads; `long_scan` runs one reader against 1, 2,
+//! 4, … writers while the total stays within `hw.max(2)`.
 
 use crate::harness::{
-    measure, next_rand, run_threads, thread_ladder, timed, Algo, Cell, Cells, Family, Spec,
+    doublings, measure, next_rand, run_threads, thread_ladder, timed, Algo, Cell, Cells, Family,
+    Spec,
 };
 use ptm_stm::{Algorithm, Retry, StatsSnapshot, Stm, TVar, Transaction};
 use ptm_structs::TQueue;
@@ -153,16 +145,10 @@ fn pass_read_only(stm: &Stm, vars: &[TVar<u64>], threads: usize, txns: u64) -> u
     pass_scans(stm, vars, 0, threads, txns).0
 }
 
-/// Scanner threads of the scan-heavy phase shape at `threads` threads:
-/// every thread but one (the blind writer).
-fn scanners(threads: usize) -> usize {
-    threads.saturating_sub(1).max(1)
-}
-
 /// One timed pass of the scan-heavy phase shape: [`pass_scans`] with
-/// one writer against [`scanners`] readers.
+/// one blind writer against `threads − 1` scanners.
 fn pass_scan_heavy(stm: &Stm, vars: &[TVar<u64>], threads: usize, txns: u64) -> u128 {
-    pass_scans(stm, vars, usize::from(threads > 1), scanners(threads), txns).0
+    pass_scans(stm, vars, 1, threads - 1, txns).0
 }
 
 /// One timed pass of the read-mostly shape over one shared array: every
@@ -201,8 +187,8 @@ pub fn pass_window_scans(
     })
 }
 
-/// [`pass_window_scans`] at the 32-variable window of the phase and
-/// `thread_scaling` families. Public so demos (e.g.
+/// [`pass_window_scans`] at the 32-variable window of the phase
+/// families. Public so demos (e.g.
 /// `examples/adaptive.rs`) drive the *same* workload the baseline
 /// measures.
 pub fn pass_read_mostly(stm: &Stm, vars: &[TVar<u64>], threads: usize, txns: u64) -> u128 {
@@ -234,34 +220,12 @@ pub fn pass_write_heavy(stm: &Stm, accounts: &[TVar<u64>], threads: usize, txns:
     })
 }
 
-/// [`pass_write_heavy`] with conservation asserted after the pass.
-fn pass_bank(stm: &Stm, accounts: &[TVar<u64>], threads: usize, txns: u64) -> u128 {
-    let before: u64 = accounts.iter().map(TVar::load).sum();
-    let nanos = pass_write_heavy(stm, accounts, threads, txns);
-    let after: u64 = accounts.iter().map(TVar::load).sum();
-    assert_eq!(before, after, "conservation violated");
-    nanos
-}
-
-/// One timed pass of read-then-write increments of `vars[0]`.
-fn pass_counter(stm: &Stm, vars: &[TVar<u64>], threads: usize, txns: u64) -> u128 {
-    run_threads(threads, |_| {
-        for _ in 0..txns {
-            stm.atomically(|tx| {
-                let x = tx.read(&vars[0])?;
-                tx.write(&vars[0], x.wrapping_add(1))
-            });
-        }
-    })
-}
-
 /// The single-array family shape: per algorithm a fresh array of the
-/// rung's `m` variables holding `init`, one timed row of `txns`
-/// transactions on each of the rung's threads.
+/// rung's `m` variables holding 1, one timed row of `txns` transactions
+/// on each of the rung's threads.
 fn over_vars(
     rung: &[Spec],
     algos: &[Algo],
-    init: u64,
     txns: u64,
     body: impl Fn(&Stm, &[TVar<u64>], usize, u64) -> u128,
 ) -> Cells {
@@ -270,7 +234,7 @@ fn over_vars(
         algos,
         txns,
         txns * threads as u64,
-        |_| vars(m, init),
+        |_| vars(m, 1),
         |stm, vars, n| body(stm, vars, threads, n),
     )
 }
@@ -320,10 +284,11 @@ impl Phase {
         }
     }
 
-    /// Transactions one pass commits.
+    /// Transactions one pass commits (the scan-heavy writer's are not
+    /// counted).
     fn ops(self, threads: usize, txns: u64) -> u64 {
         let workers = match self {
-            Phase::ScanHeavy => scanners(threads),
+            Phase::ScanHeavy => threads - 1,
             _ => threads,
         };
         txns * workers as u64
@@ -399,13 +364,9 @@ fn bench_phases(
     instances.iter().enumerate().map(cells).collect()
 }
 
-/// Reader threads of the `long_scan` experiment (the ladder varies the
-/// writers).
-const LONG_SCAN_READERS: usize = 2;
-
-/// The multi-version experiment: large read-only scans (every variable
-/// of an `m`-slot array) racing `writers` blind writers, a fresh
-/// instance per algorithm.
+/// The multi-version experiment: one reader's large read-only scans
+/// (every variable of an `m`-slot array) racing `writers` blind
+/// writers, a fresh instance per algorithm.
 ///
 /// Besides the timing cell, three companion cells per algorithm carry
 /// the storm's cost accounting in `ops`, accumulated over all timed
@@ -425,8 +386,7 @@ fn bench_long_scan(algos: &[Algo], m: usize, writers: usize, txns: u64) -> Cells
         .iter()
         .map(|&(_, algo)| Instance::new(algo, m, 0))
         .collect();
-    let pass =
-        |inst: &Instance, txns| pass_scans(&inst.stm, &inst.vars, writers, LONG_SCAN_READERS, txns);
+    let pass = |inst: &Instance, txns| pass_scans(&inst.stm, &inst.vars, writers, 1, txns);
     let best = measure(
         &mut instances,
         |inst| {
@@ -441,8 +401,7 @@ fn bench_long_scan(algos: &[Algo], m: usize, writers: usize, txns: u64) -> Cells
     );
     let cells = |(inst, nanos): (&Instance, u128)| {
         let delta = inst.delta();
-        let scans = txns * LONG_SCAN_READERS as u64;
-        let ops = [scans, inst.ro_aborts, delta.validation_probes, delta.aborts];
+        let ops = [txns, inst.ro_aborts, delta.validation_probes, delta.aborts];
         ops.iter().map(|&ops| Cell::new(ops, nanos)).collect()
     };
     instances.iter().zip(best).map(cells).collect()
@@ -494,14 +453,17 @@ fn pass_camped(algo: Algorithm, chain: usize, txns: u64) -> (u128, u64) {
 /// Sentinel telling a bench queue consumer to stop.
 const QSTOP: u64 = u64::MAX;
 
-/// Producer/consumer wall clock: 2 producers push `items` total, 2
-/// consumers drain — blocking (`dequeue_wait`) or polling (`dequeue`
-/// re-run on empty). The last producer to finish stops both consumers.
-fn queue_throughput(stm: &Stm, items: u64, blocking: bool) -> u128 {
+/// Producer/consumer wall clock on `threads` threads: `threads / 2`
+/// producers push `items` in total, the rest drain — blocking
+/// (`dequeue_wait`) or polling (`dequeue` re-run on empty). The last
+/// producer to finish stops every consumer.
+fn queue_throughput(stm: &Stm, threads: usize, items: u64, blocking: bool) -> u128 {
     let q: TQueue<u64> = TQueue::new();
+    let producers = threads / 2;
+    let consumers = threads - producers;
     let producers_done = AtomicUsize::new(0);
-    run_threads(4, |t| {
-        if t < 2 {
+    run_threads(threads, |t| {
+        if t < consumers {
             loop {
                 let v = if blocking {
                     stm.atomically(|tx| q.dequeue_wait(tx))
@@ -516,11 +478,11 @@ fn queue_throughput(stm: &Stm, items: u64, blocking: bool) -> u128 {
                 }
             }
         } else {
-            for i in 0..items / 2 {
-                stm.atomically(|tx| q.enqueue(tx, t as u64 * items + i));
+            for i in ((t - consumers) as u64..items).step_by(producers) {
+                stm.atomically(|tx| q.enqueue(tx, i));
             }
-            if producers_done.fetch_add(1, Ordering::AcqRel) == 1 {
-                for _ in 0..2 {
+            if producers_done.fetch_add(1, Ordering::AcqRel) + 1 == producers {
+                for _ in 0..consumers {
                     stm.atomically(|tx| q.enqueue(tx, QSTOP));
                 }
             }
@@ -528,17 +490,18 @@ fn queue_throughput(stm: &Stm, items: u64, blocking: bool) -> u128 {
     })
 }
 
-/// Transactional work (commits + aborts + validation probes + reads) two
-/// consumers accumulate over an idle `window` against an **empty**
-/// queue, plus the instance's park count: the CPU-waste comparison the
-/// parking tier exists to win. The third thread holds the stopwatch.
-/// Returns `(idle_work, parks)`.
-fn queue_idle_work(stm: &Stm, blocking: bool, window: Duration) -> (u64, u64) {
+/// Transactional work (commits + aborts + validation probes + reads)
+/// `threads − 1` consumers accumulate over an idle `window` against an
+/// **empty** queue, plus the instance's park count: the CPU-waste
+/// comparison the parking tier exists to win. The last thread holds the
+/// stopwatch. Returns `(idle_work, parks)`.
+fn queue_idle_work(stm: &Stm, threads: usize, blocking: bool, window: Duration) -> (u64, u64) {
     let q: TQueue<u64> = TQueue::new();
+    let consumers = threads - 1;
     let stop = AtomicBool::new(false);
     let measured = Mutex::new((0, 0));
-    run_threads(3, |t| {
-        if t == 2 {
+    run_threads(threads, |t| {
+        if t == consumers {
             // Let the consumers reach their steady state (parked, for
             // the blocking pair) before opening the measurement window.
             std::thread::sleep(Duration::from_millis(30));
@@ -552,7 +515,7 @@ fn queue_idle_work(stm: &Stm, blocking: bool, window: Duration) -> (u64, u64) {
             );
             stop.store(true, Ordering::Relaxed);
             if blocking {
-                for _ in 0..2 {
+                for _ in 0..consumers {
                     stm.atomically(|tx| q.enqueue(tx, QSTOP));
                 }
             }
@@ -567,12 +530,17 @@ fn queue_idle_work(stm: &Stm, blocking: bool, window: Duration) -> (u64, u64) {
     measured.into_inner().expect("stopwatch thread finished")
 }
 
-/// The `blocking_queue` family (see the module docs): per algorithm the
-/// throughput pair, measured interleaved across algorithms and both
-/// consumer kinds, then the idle-waste pair and the park count. The idle
-/// cells are counters over a fixed window, read once on a fresh
-/// instance; their `nanos` is the window.
-fn bench_blocking_queue(algos: &[Algo], items: u64, idle_window: Duration) -> Cells {
+/// The `blocking_queue` family (see the module docs) on `threads`
+/// threads: per algorithm the throughput pair, measured interleaved
+/// across algorithms and both consumer kinds, then the idle-waste pair
+/// and the park count. The idle cells are counters over a fixed window,
+/// read once on a fresh instance; their `nanos` is the window.
+fn bench_blocking_queue(
+    algos: &[Algo],
+    threads: usize,
+    items: u64,
+    idle_window: Duration,
+) -> Cells {
     let mut instances: Vec<(Stm, bool)> = algos
         .iter()
         .flat_map(|&(_, algo)| [true, false].map(|blocking| (Stm::new(algo), blocking)))
@@ -580,13 +548,13 @@ fn bench_blocking_queue(algos: &[Algo], items: u64, idle_window: Duration) -> Ce
     let best = measure(
         &mut instances,
         |(stm, blocking)| {
-            queue_throughput(stm, items / 10 + 1, *blocking);
+            queue_throughput(stm, threads, items / 10 + 1, *blocking);
         },
-        |(stm, blocking)| queue_throughput(stm, items, *blocking),
+        |(stm, blocking)| queue_throughput(stm, threads, items, *blocking),
     );
     let window = idle_window.as_nanos();
     let cells = |(&(_, algo), pair): (&Algo, &[u128])| {
-        let idle = |blocking| queue_idle_work(&Stm::new(algo), blocking, idle_window);
+        let idle = |blocking| queue_idle_work(&Stm::new(algo), threads, blocking, idle_window);
         let ((parked_work, parks), (polling_work, _)) = (idle(true), idle(false));
         vec![
             Cell::new(items, pair[0]),
@@ -599,8 +567,15 @@ fn bench_blocking_queue(algos: &[Algo], items: u64, idle_window: Duration) -> Ce
     algos.iter().zip(best.chunks(2)).map(cells).collect()
 }
 
-/// The suite, in emission order. `quick` shrinks every workload (and a
-/// few ladders) for CI.
+/// The one-rung ladder of a role-shaped family: every row at the
+/// `hw.max(2)` threads its pass spawns.
+fn role_rung(hw: usize, rows: &[(&'static str, usize)]) -> Vec<Vec<Spec>> {
+    let threads = hw.max(2);
+    vec![rows.iter().map(|&(name, m)| (name, m, threads)).collect()]
+}
+
+/// The suite, in emission order. `quick` shrinks every workload for CI,
+/// never the row set.
 pub const FAMILIES: &[Family] = &[
     Family {
         name: "read_only_txn",
@@ -612,61 +587,34 @@ pub const FAMILIES: &[Family] = &[
         algo_major: false,
         run: |rung, algos, quick| {
             let txns = if quick { 300 } else { 5_000 };
-            over_vars(rung, algos, 1, txns, pass_read_only)
-        },
-    },
-    Family {
-        name: "read_scaling",
-        algos: ALGOS,
-        ladder: |_| thread_ladder("read_scaling", 128, &[1, 2, 4, 8]),
-        algo_major: true,
-        run: |rung, algos, quick| {
-            let txns = if quick { 200 } else { 2_000 };
-            over_vars(rung, algos, 1, txns, pass_read_only)
+            over_vars(rung, algos, txns, pass_read_only)
         },
     },
     Family {
         name: "read_mostly",
         algos: ALGOS,
-        ladder: |_| thread_ladder("read_mostly", 128, &[1, 2, 4, 8]),
+        ladder: |hw| thread_ladder("read_mostly", 128, hw),
         algo_major: true,
         run: |rung, algos, quick| {
             let txns = if quick { 200 } else { 2_000 };
-            over_vars(rung, algos, 1, txns, |stm, vars, threads, txns| {
+            over_vars(rung, algos, txns, |stm, vars, threads, txns| {
                 pass_window_scans(stm, vars, 16, threads, txns)
             })
         },
     },
     Family {
-        name: "counter_increment",
-        algos: ALGOS,
-        ladder: |_| thread_ladder("counter_increment", 1, &[1]),
-        algo_major: false,
-        run: |rung, algos, quick| {
-            let txns = if quick { 5_000 } else { 200_000 };
-            over_vars(rung, algos, 0, txns, pass_counter)
-        },
-    },
-    Family {
-        name: "bank_contended",
-        algos: ALGOS,
-        ladder: |_| thread_ladder("bank_contended", 8, &[4]),
-        algo_major: false,
-        run: |rung, algos, quick| {
-            let txns = if quick { 500 } else { 5_000 };
-            over_vars(rung, algos, 1_000, txns, pass_bank)
-        },
-    },
-    Family {
         name: "phase_shift",
         algos: ALGOS,
-        ladder: |_| {
-            vec![vec![
-                ("phase_shift_read_mostly_1", 128, 4),
-                ("phase_shift_write_heavy", PHASE_ACCOUNTS, 4),
-                ("phase_shift_read_mostly_2", 128, 4),
-                ("phase_shift_mode_transitions", 0, 4),
-            ]]
+        ladder: |hw| {
+            role_rung(
+                hw,
+                &[
+                    ("phase_shift_read_mostly_1", 128),
+                    ("phase_shift_write_heavy", PHASE_ACCOUNTS),
+                    ("phase_shift_read_mostly_2", 128),
+                    ("phase_shift_mode_transitions", 0),
+                ],
+            )
         },
         algo_major: false,
         run: |rung, algos, quick| {
@@ -685,14 +633,17 @@ pub const FAMILIES: &[Family] = &[
     Family {
         name: "phase_scan",
         algos: ALGOS,
-        ladder: |_| {
-            vec![vec![
-                ("phase_scan_scan_heavy", 256, 4),
-                ("phase_scan_write_heavy", PHASE_ACCOUNTS, 4),
-                ("phase_scan_mixed", 256, 4),
-                ("phase_scan_mode_transitions", 0, 4),
-                ("phase_scan_snapshot_reads", 0, 4),
-            ]]
+        ladder: |hw| {
+            role_rung(
+                hw,
+                &[
+                    ("phase_scan_scan_heavy", 256),
+                    ("phase_scan_write_heavy", PHASE_ACCOUNTS),
+                    ("phase_scan_mixed", 256),
+                    ("phase_scan_mode_transitions", 0),
+                    ("phase_scan_snapshot_reads", 0),
+                ],
+            )
         },
         algo_major: false,
         // Quick mode shrinks the scans per phase so CI stays fast while
@@ -713,15 +664,14 @@ pub const FAMILIES: &[Family] = &[
     Family {
         name: "long_scan_camped",
         algos: &[("mv", Algorithm::Mv)],
-        ladder: |quick| {
-            let chains: &[usize] = if quick { &[64, 256] } else { &[64, 256, 1024] };
+        ladder: |_| {
             let rung = |&chain| {
                 vec![
                     ("long_scan_camped", chain, 1),
                     ("long_scan_camped_walk_steps", chain, 1),
                 ]
             };
-            chains.iter().map(rung).collect()
+            [64, 256, 1024].iter().map(rung).collect()
         },
         algo_major: false,
         run: |rung, algos, quick| {
@@ -742,76 +692,45 @@ pub const FAMILIES: &[Family] = &[
     Family {
         name: "long_scan",
         algos: ALGOS,
-        ladder: |_| {
-            let rung = |&writers| {
+        // One reader plus 1, 2, 4, … writers.
+        ladder: |hw| {
+            let rung = |writers: usize| {
+                let threads = writers + 1;
                 vec![
-                    ("long_scan", 256, writers),
-                    ("long_scan_ro_aborts", 256, writers),
-                    ("long_scan_probes", 256, writers),
-                    ("long_scan_aborts", 256, writers),
+                    ("long_scan", 256, threads),
+                    ("long_scan_ro_aborts", 256, threads),
+                    ("long_scan_probes", 256, threads),
+                    ("long_scan_aborts", 256, threads),
                 ]
             };
-            [1, 2, 4].iter().map(rung).collect()
+            doublings(hw.max(2) - 1).map(rung).collect()
         },
         algo_major: false,
         run: |rung, algos, quick| {
-            let (_, m, writers) = rung[0];
-            bench_long_scan(algos, m, writers, if quick { 60 } else { 400 })
+            let (_, m, threads) = rung[0];
+            bench_long_scan(algos, m, threads - 1, if quick { 60 } else { 400 })
         },
     },
     Family {
         name: "blocking_queue",
         algos: ALGOS,
-        ladder: |_| {
-            vec![vec![
-                ("blocking_queue", 0, 4),
-                ("polling_queue", 0, 4),
-                ("blocking_queue_idle_work", 0, 2),
-                ("blocking_queue_idle_parks", 0, 2),
-                ("polling_queue_idle_work", 0, 2),
-            ]]
-        },
-        algo_major: false,
-        run: |_, algos, quick| {
-            let items = if quick { 2_000 } else { 20_000 };
-            let idle_window = Duration::from_millis(if quick { 20 } else { 100 });
-            bench_blocking_queue(algos, items, idle_window)
-        },
-    },
-    // The scalability picture this engine's hot path is tuned for: a
-    // **fixed** total amount of work split across a thread-count ladder,
-    // so a flat wall-clock line means perfect scaling and each rung's
-    // throughput is directly comparable. Two shapes per rung:
-    // `read_mostly` (32-variable scans over 128 slots, every 8th
-    // transaction writes) is dominated by the per-read cost, where
-    // instrumentation RMWs and write-set scans would serialize
-    // otherwise-independent readers; `write_mixed` (2-read/2-write
-    // transfers over 32 accounts) by commit cost, where the global clock
-    // draw is the shared hotspot. Also reachable alone through the
-    // binary's `--thread-scaling` flag, for before/after engine
-    // comparisons; quick mode shrinks the ladder to its endpoints.
-    Family {
-        name: "thread_scaling",
-        algos: ALGOS,
-        ladder: |quick| {
-            let threads: &[usize] = if quick { &[1, 8] } else { &[1, 2, 4, 8] };
-            let rungs = |&t| {
-                [
-                    vec![("thread_scaling_read_mostly", 128, t)],
-                    vec![("thread_scaling_write_mixed", 32, t)],
-                ]
-            };
-            threads.iter().flat_map(rungs).collect()
+        ladder: |hw| {
+            role_rung(
+                hw,
+                &[
+                    ("blocking_queue", 0),
+                    ("polling_queue", 0),
+                    ("blocking_queue_idle_work", 0),
+                    ("blocking_queue_idle_parks", 0),
+                    ("polling_queue_idle_work", 0),
+                ],
+            )
         },
         algo_major: false,
         run: |rung, algos, quick| {
-            let (name, _, threads) = rung[0];
-            let txns = if quick { 2_000 } else { 16_000 } / threads as u64;
-            if name == "thread_scaling_write_mixed" {
-                over_vars(rung, algos, 1_000_000, txns, pass_write_heavy)
-            } else {
-                over_vars(rung, algos, 1, txns, pass_read_mostly)
-            }
+            let items = if quick { 2_000 } else { 20_000 };
+            let idle_window = Duration::from_millis(if quick { 20 } else { 100 });
+            bench_blocking_queue(algos, rung[0].2, items, idle_window)
         },
     },
 ];
@@ -829,8 +748,8 @@ mod tests {
         // against an empty queue, parked consumers must do (almost) no
         // transactional work while polling consumers churn.
         let window = Duration::from_millis(50);
-        let (parked_work, parks) = queue_idle_work(&Stm::tl2(), true, window);
-        let (polling_work, _) = queue_idle_work(&Stm::tl2(), false, window);
+        let (parked_work, parks) = queue_idle_work(&Stm::tl2(), 3, true, window);
+        let (polling_work, _) = queue_idle_work(&Stm::tl2(), 3, false, window);
         assert!(parks >= 2, "both consumers should have parked ({parks})");
         assert!(
             polling_work >= 100,
@@ -950,22 +869,20 @@ mod tests {
     }
 
     #[test]
-    fn thread_scaling_covers_the_ladder_with_fixed_work() {
-        let family = FAMILIES
-            .iter()
-            .find(|f| f.name == "thread_scaling")
-            .expect("thread_scaling entry");
-        let small = Family {
-            algos: &[("tl2", Algorithm::Tl2), ("mv", Algorithm::Mv)],
-            ..*family
-        };
-        let rows = small.run(true);
-        // 2 quick rungs × 2 shapes × 2 algorithms.
-        assert_eq!(rows.len(), 8);
-        for r in &rows {
-            // Fixed total work: ops match on every rung.
-            assert_eq!(r.ops, 2_000, "{r:?}");
-            assert!(r.nanos > 0, "{r:?}");
+    fn role_shaped_rows_count_every_thread_they_spawn() {
+        // `Family::run` asserts that every rung's `threads` equals the
+        // threads its pass spawned. These are the two families whose
+        // labels used to undercount: writers only, consumers only.
+        let hw = crate::harness::hardware_threads();
+        for name in ["long_scan", "blocking_queue"] {
+            let family = FAMILIES.iter().find(|f| f.name == name).expect(name);
+            let small = Family {
+                algos: &[("tl2", Algorithm::Tl2)],
+                ..*family
+            };
+            for r in small.run(true) {
+                assert!(r.threads >= 2 && r.threads <= hw.max(2), "{r:?}");
+            }
         }
     }
 }

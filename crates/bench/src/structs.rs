@@ -1,8 +1,9 @@
 //! E13 — transactional data-structure workloads with a JSON baseline.
 //!
 //! Four workload families over `ptm-structs`, each swept across the
-//! six native algorithms and a thread ladder by the one measurement
-//! policy of [`crate::harness`], emitting
+//! six native algorithms and a thread ladder of 1, 2, 4, … up to the
+//! machine's hardware threads by the one measurement policy of
+//! [`crate::harness`], emitting
 //! `BENCH_structs.json` so successive PRs can compare structure-level
 //! throughput (the raw-`TVar` suite in [`crate::native`] measures the
 //! engine; this suite measures the layer users actually program
@@ -12,8 +13,9 @@
 //!   a pre-filled bucket-striped [`THashMap`]: the payoff of striping is
 //!   that disjoint keys do not conflict;
 //! * `queue_prod_cons/<algo>/<threads>` — half producers, half
-//!   consumers on one [`TQueue`]: the sentinel keeps head and tail
-//!   traffic disjoint while the queue is non-empty;
+//!   consumers on one [`TQueue`] (rungs from two threads up): the
+//!   sentinel keeps head and tail traffic disjoint while the queue is
+//!   non-empty;
 //! * `set_mix/<algo>/<threads>` — insert/remove/contains on a [`TSet`]
 //!   with a range scan every 32nd operation (scans pull a long prefix
 //!   into the read set — incremental validation pays quadratically,
@@ -162,22 +164,13 @@ fn bench_array_transfer(rung: &[Spec], algos: &[Algo], ops_per_thread: u64) -> C
     timed(algos, ops_per_thread, total, setup, body)
 }
 
-/// The thread ladder every structure family shares.
-fn ladder(quick: bool) -> &'static [usize] {
-    if quick {
-        &[2, 4]
-    } else {
-        &[1, 2, 4, 8]
-    }
-}
-
-/// The suite, in emission order. `quick` shrinks every workload and the
-/// ladder for CI.
+/// The suite, in emission order. `quick` shrinks every workload for CI,
+/// never the row set.
 pub const FAMILIES: &[Family] = &[
     Family {
         name: "map_read_mostly",
         algos: ALGOS,
-        ladder: |quick| thread_ladder("map_read_mostly", 512, ladder(quick)),
+        ladder: |hw| thread_ladder("map_read_mostly", 512, hw),
         algo_major: true,
         run: |rung, algos, quick| {
             bench_map_read_mostly(rung, algos, if quick { 400 } else { 20_000 })
@@ -187,11 +180,8 @@ pub const FAMILIES: &[Family] = &[
         name: "queue_prod_cons",
         algos: ALGOS,
         // The queue workload needs at least one producer/consumer pair,
-        // so its ladder starts at two threads.
-        ladder: |quick| {
-            let pairs: Vec<usize> = ladder(quick).iter().copied().filter(|&t| t >= 2).collect();
-            thread_ladder("queue_prod_cons", 0, &pairs)
-        },
+        // so its ladder starts at two threads, even on one.
+        ladder: |hw| thread_ladder("queue_prod_cons", 0, hw.max(2)).split_off(1),
         algo_major: true,
         run: |rung, algos, quick| {
             bench_queue_prod_cons(rung, algos, if quick { 300 } else { 10_000 })
@@ -200,14 +190,14 @@ pub const FAMILIES: &[Family] = &[
     Family {
         name: "set_mix",
         algos: ALGOS,
-        ladder: |quick| thread_ladder("set_mix", 128, ladder(quick)),
+        ladder: |hw| thread_ladder("set_mix", 128, hw),
         algo_major: true,
         run: |rung, algos, quick| bench_set_mix(rung, algos, if quick { 200 } else { 5_000 }),
     },
     Family {
         name: "array_transfer",
         algos: ALGOS,
-        ladder: |quick| thread_ladder("array_transfer", 16, ladder(quick)),
+        ladder: |hw| thread_ladder("array_transfer", 16, hw),
         algo_major: true,
         run: |rung, algos, quick| {
             bench_array_transfer(rung, algos, if quick { 400 } else { 20_000 })

@@ -1,54 +1,74 @@
 //! The bench harness's contracts: which rows each suite emits, and what
 //! the one emitter writes for them.
 
-use ptm_bench::harness::{emit, keys, run, Family, Key, Row};
+use ptm_bench::harness::{baseline_path, emit, hardware_threads, keys, run, Family, Key, Row};
 use ptm_bench::{native, structs};
 
-/// `bench name algo m threads` per line: the quick-mode rows of the two
-/// suites as emitted at the commit before the family tables (PR 12), in
-/// emission order.
-const PARENT_QUICK_KEYS: &str = include_str!("parent_quick_keys.txt");
+/// The two suites and their committed baselines.
+const SUITES: [(&[Family], &str); 2] = [
+    (native::FAMILIES, "BENCH_native_stm.json"),
+    (structs::FAMILIES, "BENCH_structs.json"),
+];
 
-fn suite(bench: &str) -> &'static [Family] {
-    match bench {
-        "native_stm" => native::FAMILIES,
-        _ => structs::FAMILIES,
-    }
+/// The raw value of member `key` in one emitted line (strings unquoted).
+fn member<'a>(line: &'a str, key: &str) -> &'a str {
+    let pattern = format!("\"{key}\": ");
+    let start = line
+        .find(&pattern)
+        .unwrap_or_else(|| panic!("{key} in {line}"))
+        + pattern.len();
+    let value = &line[start..];
+    let end = value.find([',', '}', '\n']).unwrap_or(value.len());
+    value[..end].trim_matches('"')
 }
 
 #[test]
-fn row_keys_are_pinned() {
-    for bench in ["native_stm", "structs"] {
-        let pinned: Vec<Vec<&str>> = PARENT_QUICK_KEYS
+fn committed_baselines_match_the_tables() {
+    for (families, file) in SUITES {
+        let json = std::fs::read_to_string(baseline_path(file)).expect(file);
+        let rest = parse_value(json.trim()).unwrap_or_else(|e| panic!("{file}: {e}"));
+        assert_eq!(rest, "", "{file}: trailing input");
+        assert_eq!(
+            member(&json, "quick"),
+            "false",
+            "{file}: regenerate in full mode"
+        );
+        assert!(
+            !json.contains("oversubscribed"),
+            "{file}: oversubscribed rows"
+        );
+        let hw: usize = member(&json, "hardware_threads").parse().expect(file);
+        let committed: Vec<String> = json
             .lines()
-            .map(|l| l.split(' ').collect())
-            .filter(|f: &Vec<&str>| f[0] == bench)
+            .filter(|l| l.contains("{\"name\""))
+            .map(|l| {
+                ["name", "algo", "m", "threads"]
+                    .map(|k| member(l, k))
+                    .join(" ")
+            })
             .collect();
-        let table = keys(suite(bench), true);
-        assert!(!pinned.is_empty(), "{bench}");
-        assert_eq!(table.len(), pinned.len(), "{bench}");
-        for ((name, algo, m, threads), line) in table.into_iter().zip(pinned) {
-            let listed = [name, algo, &m.to_string(), &threads.to_string()];
-            assert_eq!(listed[..], line[1..], "{bench}");
-        }
+        let table: Vec<String> = keys(families, hw)
+            .into_iter()
+            .map(|(name, algo, m, threads)| format!("{name} {algo} {m} {threads}"))
+            .collect();
+        assert_eq!(
+            committed, table,
+            "{file}: rows differ from the tables at hw = {hw}"
+        );
     }
 }
 
 #[test]
 fn emitted_keys_equal_the_tables() {
-    let family = |bench: &str, name: &str| {
+    let named = |name: &str| {
         let named = |f: &&Family| f.name == name;
-        suite(bench).iter().find(named).expect("family")
+        native::FAMILIES.iter().find(named).expect("family")
     };
-    let small: Vec<&Family> = vec![
-        family("native_stm", "counter_increment"),
-        family("native_stm", "read_mostly"),
-        family("native_stm", "bank_contended"),
-    ];
+    let small = [named("read_only_txn"), named("read_mostly")];
     let small = small.into_iter().chain(structs::FAMILIES);
     let rows = run(small.clone(), true);
     let emitted: Vec<Key> = rows.iter().map(Row::key).collect();
-    assert_eq!(emitted, keys(small, true));
+    assert_eq!(emitted, keys(small, hardware_threads()));
     for r in &rows {
         assert!(r.ops > 0 && r.nanos > 0, "{r:?}");
         assert!(r.ops_per_sec() > 0.0, "{r:?}");
@@ -85,7 +105,7 @@ fn unmeasured_rows_emit_valid_json() {
 
 #[test]
 fn oversubscribed_rows_are_flagged_in_the_json() {
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let hw = hardware_threads();
     let json = emitted("oversubscribed.json", &[row(1, 1), row(hw + 1, 1)]);
     parse_value(json.trim()).unwrap_or_else(|e| panic!("{e}:\n{json}"));
     assert!(json.contains("\"bench\": \"probe\""), "{json}");

@@ -10,8 +10,10 @@
 //! Both checks are genuinely search problems (opacity checking is
 //! NP-complete in general); this module implements a backtracking search
 //! over serialization orders with real-time-order pruning and memoization
-//! on (placed-set, committed-state) pairs, which is plenty for the
-//! execution sizes our tests and experiments produce.
+//! on (segment, placed-set, committed-state) triples. A history is cut at
+//! its quiescent points (no transaction live) into segments searched in
+//! order, so a long run is limited only by its widest stretch of
+//! overlapping transactions (128), not by its length.
 
 use crate::history::{History, TOp, TxRecord, TxStatus};
 use ptm_sim::{TObjId, TOpDesc, TOpResult, TxId, Word};
@@ -88,86 +90,138 @@ pub fn respects_real_time(h: &History, order: &[TxId]) -> bool {
     true
 }
 
+/// Splits `candidates` at their quiescent cuts: points no candidate's
+/// events span, so every candidate before a cut precedes (in real time)
+/// every candidate after it. Segments come back in real-time order,
+/// each sorted by first event.
+fn quiescent_segments(h: &History, candidates: &[TxId]) -> Vec<Vec<TxId>> {
+    let mut sorted: Vec<&TxRecord> = candidates
+        .iter()
+        .map(|&id| h.tx(id).expect("candidate in history"))
+        .collect();
+    sorted.sort_by_key(|tx| tx.first_seq());
+    let mut segments: Vec<Vec<TxId>> = Vec::new();
+    // Last event of the current segment; a transaction that is not
+    // t-complete precedes nothing, so it spans to the end.
+    let mut reach: Option<usize> = None;
+    for tx in sorted {
+        if reach.is_none_or(|r| r < tx.first_seq()) {
+            segments.push(Vec::new());
+        }
+        let last = if tx.t_complete() {
+            tx.last_seq()
+        } else {
+            usize::MAX
+        };
+        reach = reach.max(Some(last));
+        segments.last_mut().expect("pushed above").push(tx.id);
+    }
+    segments
+}
+
 /// Backtracking search for a legal total order of `candidates` that
 /// respects real-time order. Returns a witness order if one exists.
+///
+/// The search runs segment by segment between quiescent cuts (every
+/// serialization places a segment wholly before the next), with one
+/// `u128` placed-mask per segment. It still backtracks across a cut: two
+/// concurrent blind writes leave a segment in either of two states, and
+/// the next segment may serialize from only one of them.
+///
+/// # Panics
+///
+/// Panics if one segment holds more than 128 transactions.
 fn search_serialization(h: &History, candidates: &[TxId]) -> Option<Vec<TxId>> {
-    let n = candidates.len();
-    assert!(
-        n <= 128,
-        "serialization search supports at most 128 transactions"
-    );
-    // pred_mask[i]: transactions (by candidate index) that must precede i.
-    let mut pred_mask = vec![0u128; n];
-    for (i, &a) in candidates.iter().enumerate() {
-        for (j, &b) in candidates.iter().enumerate() {
-            if i != j && h.precedes(b, a) {
-                pred_mask[i] |= 1 << j;
-            }
-        }
-    }
-
-    struct Dfs<'a> {
-        h: &'a History,
-        candidates: &'a [TxId],
-        pred_mask: Vec<u128>,
-        failed: HashSet<(u128, Vec<(TObjId, Word)>)>,
-    }
-
-    impl Dfs<'_> {
-        fn go(
-            &mut self,
-            placed: u128,
-            state: &BTreeMap<TObjId, Word>,
-            order: &mut Vec<TxId>,
-        ) -> bool {
-            let n = self.candidates.len();
-            if order.len() == n {
-                return true;
-            }
-            let key = (
-                placed,
-                state.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
+    let segments = quiescent_segments(h, candidates);
+    // pred_masks[s][i]: members of segment s (by index) that must precede
+    // member i.
+    let pred_masks: Vec<Vec<u128>> = segments
+        .iter()
+        .map(|seg| {
+            assert!(
+                seg.len() <= 128,
+                "serialization search supports at most 128 transactions per quiescent \
+                 segment; this one has {}",
+                seg.len()
             );
-            if self.failed.contains(&key) {
-                return false;
+            seg.iter()
+                .map(|&a| {
+                    let before = seg.iter().enumerate().filter(|&(_, &b)| h.precedes(b, a));
+                    before.fold(0u128, |mask, (j, _)| mask | 1 << j)
+                })
+                .collect()
+        })
+        .collect();
+
+    // An explicit stack, not recursion: a long run is one node per
+    // transaction deep.
+    let key = |n: &Node| {
+        let state = n.state.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>();
+        (n.seg, n.placed, state)
+    };
+    let mut failed = HashSet::new();
+    let mut order = Vec::with_capacity(candidates.len());
+    let mut stack = vec![Node {
+        seg: 0,
+        placed: 0,
+        state: BTreeMap::new(),
+        next: 0,
+    }];
+    while let Some(node) = stack.last_mut() {
+        let Some(members) = segments.get(node.seg) else {
+            return Some(order);
+        };
+        let mut child = None;
+        while child.is_none() && node.next < members.len() {
+            let i = node.next;
+            node.next += 1;
+            if node.placed & (1 << i) != 0 || pred_masks[node.seg][i] & !node.placed != 0 {
+                continue;
             }
-            for i in 0..n {
-                if placed & (1 << i) != 0 || self.pred_mask[i] & !placed != 0 {
-                    continue;
-                }
-                let tx = self.h.tx(self.candidates[i]).expect("candidate in history");
-                if let Some(overlay) = replay_tx(tx, state) {
-                    order.push(tx.id);
-                    let committed = tx.status() == TxStatus::Committed;
-                    if committed && !overlay.is_empty() {
-                        let mut next = state.clone();
-                        next.extend(overlay);
-                        if self.go(placed | (1 << i), &next, order) {
-                            return true;
-                        }
-                    } else if self.go(placed | (1 << i), state, order) {
-                        return true;
-                    }
-                    order.pop();
-                }
+            let tx = h.tx(members[i]).expect("candidate in history");
+            let Some(overlay) = replay_tx(tx, &node.state) else {
+                continue;
+            };
+            let mut state = node.state.clone();
+            if tx.status() == TxStatus::Committed {
+                state.extend(overlay);
             }
-            self.failed.insert(key);
-            false
+            let placed = node.placed | 1 << i;
+            let (seg, placed) = if placed.count_ones() as usize == members.len() {
+                (node.seg + 1, 0)
+            } else {
+                (node.seg, placed)
+            };
+            let next = Node {
+                seg,
+                placed,
+                state,
+                next: 0,
+            };
+            if !failed.contains(&key(&next)) {
+                child = Some((tx.id, next));
+            }
+        }
+        if let Some((id, next)) = child {
+            order.push(id);
+            stack.push(next);
+        } else {
+            let dead = stack.pop().expect("the node just examined");
+            failed.insert(key(&dead));
+            order.pop();
         }
     }
+    None
+}
 
-    let mut dfs = Dfs {
-        h,
-        candidates,
-        pred_mask,
-        failed: HashSet::new(),
-    };
-    let mut order = Vec::with_capacity(n);
-    if dfs.go(0, &BTreeMap::new(), &mut order) {
-        Some(order)
-    } else {
-        None
-    }
+/// One node of [`search_serialization`]: `placed` members of segment
+/// `seg` are serialized (every earlier segment wholly), leaving the
+/// committed `state`; members from index `next` on are still to try.
+struct Node {
+    seg: usize,
+    placed: u128,
+    state: BTreeMap<TObjId, Word>,
+    next: usize,
 }
 
 /// All completions of `h`: live transactions are aborted; commit-pending
@@ -284,6 +338,73 @@ mod tests {
         let s = find_opaque_serialization(&h).expect("opaque");
         assert_eq!(s, vec![TxId::new(1), TxId::new(2)]);
         assert!(is_strictly_serializable(&h));
+    }
+
+    /// `n` sequential increments of x0 spread over three processes; the
+    /// last one reads `last_read` instead of the value its predecessor
+    /// wrote when given.
+    fn increments(n: u64, last_read: Option<Word>) -> History {
+        let mut b = LogBuilder::new();
+        for i in 1..=n {
+            let pid = (i % 3) as usize;
+            let seen = if i == n {
+                last_read.unwrap_or(i - 1)
+            } else {
+                i - 1
+            };
+            b.read(pid, i, 0, seen).write(pid, i, 0, i).commit(pid, i);
+        }
+        b.history()
+    }
+
+    #[test]
+    fn long_sequential_history_is_searched_segment_by_segment() {
+        // 500 transactions, far past one mask's 128, every one its own
+        // quiescent segment.
+        let h = increments(500, None);
+        assert_eq!(quiescent_segments(&h, &h.committed()).len(), 500);
+        let s = find_opaque_serialization(&h).expect("opaque");
+        assert_eq!(s, (1..=500).map(TxId::new).collect::<Vec<_>>());
+        // One stale read in the last segment is still caught.
+        let corrupted = increments(500, Some(3));
+        assert!(!is_opaque(&corrupted));
+        assert!(!is_strictly_serializable(&corrupted));
+    }
+
+    #[test]
+    fn search_backtracks_across_a_quiescent_cut() {
+        // T1 and T2 blind-write x concurrently (one segment, two possible
+        // end states); T3 starts after both and reads T1's value, so only
+        // the order that placed T1 last lets the next segment serialize.
+        let mut b = LogBuilder::new();
+        let (w1, w2) = (
+            TOpDesc::Write(TObjId::new(0), 1),
+            TOpDesc::Write(TObjId::new(0), 2),
+        );
+        b.invoke(0, 1, w1).invoke(1, 2, w2);
+        b.respond(0, 1, w1, TOpResult::Ok)
+            .respond(1, 2, w2, TOpResult::Ok);
+        b.commit(0, 1).commit(1, 2);
+        b.read(2, 3, 0, 1).commit(2, 3);
+        let h = b.history();
+        assert_eq!(quiescent_segments(&h, &h.committed()).len(), 2);
+        let s = find_opaque_serialization(&h).expect("opaque");
+        assert_eq!(s, [2, 1, 3].map(TxId::new));
+    }
+
+    #[test]
+    #[should_panic(expected = "this one has 129")]
+    fn a_segment_over_128_transactions_is_refused_by_size() {
+        let mut b = LogBuilder::new();
+        let r = TOpDesc::Read(TObjId::new(0));
+        for t in 1..=129 {
+            b.invoke(t as usize, t, r);
+        }
+        for t in 1..=129 {
+            b.respond(t as usize, t, r, TOpResult::Value(0));
+            b.commit(t as usize, t);
+        }
+        is_opaque(&b.history());
     }
 
     #[test]

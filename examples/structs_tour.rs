@@ -121,7 +121,8 @@ fn main() {
     let log = rec.drain();
     let history = History::from_log(&log).expect("recorded histories are well-formed");
     // The opacity search is exponential and caps out at 128 transactions
-    // (every aborted attempt counts); keep recorded runs small, like the
+    // per quiescent segment (every aborted attempt counts; a run with no
+    // idle moment is one segment); keep recorded runs small, like the
     // 12-transaction workload above.
     assert!(history.len() <= 128, "keep recorded runs checker-sized");
     assert!(is_opaque(&history), "the native engine's run is opaque");

@@ -753,8 +753,7 @@ fn mv_capped_chains_stay_bounded_and_evictions_stay_opaque() {
             })
         };
         ready_rx.recv().unwrap();
-        // 16 versions against a 4-cap; the whole run stays under the
-        // opacity checker's 128-transaction search bound.
+        // 16 versions against a 4-cap.
         for i in 1..=16u64 {
             stm.atomically(|t2| t2.write(&v, i));
         }
