@@ -31,25 +31,18 @@
 //!   *empty* queue for a fixed window) is the CPU-waste picture — ≈ 0
 //!   parked, thousands polling — and `blocking_queue_idle_parks`
 //!   confirms the consumers really were parked rather than lucky;
-//! * `phase_shift_*/<algo>` — the adaptive-runtime experiment: one
-//!   shared instance driven through `read_mostly → write_heavy →
-//!   read_mostly` phases, each phase timed separately. The acceptance
-//!   picture is `Algorithm::Adaptive` tracking the best static
-//!   algorithm per phase (invisible Tl2 on the scans, visible Tlrw on
-//!   the transfers) within its controller's switching lag; the
-//!   `phase_shift_mode_transitions` row records (in `ops`) how many
-//!   switches the adaptive controller performed across the three
-//!   measured phases — at least one per phase boundary when adapting.
-//! * `phase_scan_*/<algo>` — the **three-mode** adaptive experiment:
-//!   one shared instance driven through `scan_heavy → write_heavy →
-//!   mixed` phases. The scan-heavy phase (full-array read-only scans
-//!   racing one blind writer) routes Adaptive into multiversion mode,
-//!   the transfer phase into visible mode, the mixed tail back to
-//!   invisible — the acceptance picture is Adaptive at or above the
-//!   best static algorithm per phase, with the
+//! * `phase_scan_*/<algo>` — the adaptive-runtime experiment: one
+//!   shared instance per algorithm driven through `scan_heavy →
+//!   write_heavy → mixed` phases, each timed separately. The scan-heavy
+//!   phase (full-array read-only scans racing one blind writer, whose
+//!   commits outnumber the scans) routes Adaptive into multiversion
+//!   mode; the transfers, which commit nothing read-only, route it back
+//!   to invisible; the mixed tail's 32-read scans are too short to leave
+//!   it. The acceptance picture is Adaptive within its switching lag of
+//!   Mv on the scans and of Tl2 elsewhere, with the
 //!   `phase_scan_mode_transitions` row ≥ 2 and the
-//!   `phase_scan_snapshot_reads` row > 0 as proof the route really went
-//!   through Mv;
+//!   `phase_scan_snapshot_reads` row > 0 (both counted from the fresh
+//!   instance) as proof the route really went through Mv and back;
 //! * `long_scan_camped/mv/<chain>` — the skip-pointer experiment: a
 //!   camped reader pins its snapshot, nested commits grow every version
 //!   chain to `<chain>` links above it, and the camper then re-scans at
@@ -187,10 +180,9 @@ pub fn pass_window_scans(
     })
 }
 
-/// [`pass_window_scans`] at the 32-variable window of the phase
-/// families. Public so demos (e.g.
-/// `examples/adaptive.rs`) drive the *same* workload the baseline
-/// measures.
+/// [`pass_window_scans`] at the 32-variable window of `phase_scan`'s
+/// mixed phase. Public so demos (e.g. `examples/adaptive.rs`) drive the
+/// *same* workload the baseline measures.
 pub fn pass_read_mostly(stm: &Stm, vars: &[TVar<u64>], threads: usize, txns: u64) -> u128 {
     pass_window_scans(stm, vars, 32, threads, txns)
 }
@@ -244,7 +236,8 @@ struct Instance {
     stm: Stm,
     vars: Vec<TVar<u64>>,
     accounts: Vec<TVar<u64>>,
-    /// Counters as of the end of the warm-up.
+    /// Counters as of the end of the warm-up (`long_scan`), or of the
+    /// instance's creation (`phase_scan`).
     before: StatsSnapshot,
     /// Reader-side aborts accumulated over the timed passes.
     ro_aborts: u64,
@@ -261,13 +254,13 @@ impl Instance {
         }
     }
 
-    /// Counter movement since the warm-up ended.
+    /// Counter movement since `before`.
     fn delta(&self) -> StatsSnapshot {
         self.stm.stats().snapshot().since(&self.before)
     }
 }
 
-/// One phase shape of the phase-shifting experiments.
+/// One phase shape of the phase-shifting experiment.
 #[derive(Clone, Copy)]
 enum Phase {
     ReadMostly,
@@ -298,8 +291,11 @@ impl Phase {
 /// Accounts of the write-heavy phase.
 const PHASE_ACCOUNTS: usize = 16;
 
+/// The phases of `phase_scan`, in the order every instance runs them.
+const PHASES: [Phase; 3] = [Phase::ScanHeavy, Phase::WriteHeavy, Phase::ReadMostly];
+
 /// The paper's tradeoff as a *runtime* decision: every algorithm's
-/// instance is driven through `phases` in order, each phase measured
+/// instance is driven through [`PHASES`] in order, each phase measured
 /// across all instances before the next begins. Static algorithms pay
 /// their fixed cost profile in every phase; `Algorithm::Adaptive`
 /// re-decides per phase at the price of its controller overhead — the
@@ -307,35 +303,21 @@ const PHASE_ACCOUNTS: usize = 16;
 /// pass, which best-of excludes along with scheduler noise. Phase
 /// *order* per instance is preserved, so the adaptive controller still
 /// experiences a genuine workload shift; only the first phase warms up
-/// (for Adaptive a short read-mostly pass leaves the engine where a
-/// fresh instance starts anyway, a short scan-heavy pass may already
-/// route it into multiversion).
+/// (for Adaptive, a short scan-heavy pass may already route it into
+/// multiversion).
 ///
-/// Two experiments share it. `phase_shift` is `read_mostly →
-/// write_heavy → read_mostly` (invisible for the scans, visible for the
-/// transfers). `phase_scan` is the *three-mode* one, `scan_heavy →
-/// write_heavy → mixed`: long read-only scans under a blind-write storm
-/// route Adaptive into **multiversion** mode, the transfers into
-/// visible, the read-mostly tail back to invisible.
-///
-/// Per algorithm: one timed cell per phase, then one companion cell per
-/// entry of `counters` carrying that counter's movement across the
-/// measured phases in `ops` — `mode_transitions` is 0 for the static
-/// algorithms and ≥ 2 for a healthy adaptive run, `snapshot_reads` is
-/// > 0 only if reads were actually served by the multiversion hooks.
-fn bench_phases(
-    algos: &[Algo],
-    threads: usize,
-    txns: u64,
-    scan_vars: usize,
-    phases: &[Phase],
-    counters: &[fn(&StatsSnapshot) -> u64],
-) -> Cells {
+/// Per algorithm: one timed cell per phase, then two companion cells
+/// carrying counter movement over the whole route from the fresh
+/// instance, warm-up included, in `ops` — `mode_transitions` is 0 for
+/// the static algorithms and ≥ 2 for a healthy adaptive run (Tl2 → Mv
+/// on the scans, back on the transfers), `snapshot_reads` is > 0 only if
+/// reads were actually served by the multiversion hooks.
+fn bench_phases(algos: &[Algo], threads: usize, txns: u64, scan_vars: usize) -> Cells {
     let mut instances: Vec<Instance> = algos
         .iter()
         .map(|&(_, algo)| Instance::new(algo, scan_vars, PHASE_ACCOUNTS))
         .collect();
-    let best: Vec<Vec<u128>> = phases
+    let best: Vec<Vec<u128>> = PHASES
         .iter()
         .enumerate()
         .map(|(p, phase)| {
@@ -344,7 +326,6 @@ fn bench_phases(
                 |inst| {
                     if p == 0 {
                         phase.pass(inst, threads, txns / 10 + 1);
-                        inst.before = inst.stm.stats().snapshot();
                     }
                 },
                 |inst| phase.pass(inst, threads, txns),
@@ -352,13 +333,15 @@ fn bench_phases(
         })
         .collect();
     let cells = |(a, inst): (usize, &Instance)| {
+        // `before` is still the fresh instance's zero snapshot.
         let delta = inst.delta();
         let total: u128 = best.iter().map(|phase| phase[a]).sum();
-        let timed = phases
+        let timed = PHASES
             .iter()
             .zip(&best)
             .map(|(phase, best)| Cell::new(phase.ops(threads, txns), best[a]));
-        let companions = counters.iter().map(|count| Cell::new(count(&delta), total));
+        let companions =
+            [delta.mode_transitions, delta.snapshot_reads].map(|n| Cell::new(n, total));
         timed.chain(companions).collect()
     };
     instances.iter().enumerate().map(cells).collect()
@@ -603,34 +586,6 @@ pub const FAMILIES: &[Family] = &[
         },
     },
     Family {
-        name: "phase_shift",
-        algos: ALGOS,
-        ladder: |hw| {
-            role_rung(
-                hw,
-                &[
-                    ("phase_shift_read_mostly_1", 128),
-                    ("phase_shift_write_heavy", PHASE_ACCOUNTS),
-                    ("phase_shift_read_mostly_2", 128),
-                    ("phase_shift_mode_transitions", 0),
-                ],
-            )
-        },
-        algo_major: false,
-        run: |rung, algos, quick| {
-            let (_, scan_vars, threads) = rung[0];
-            let txns = if quick { 2_500 } else { 25_000 };
-            bench_phases(
-                algos,
-                threads,
-                txns,
-                scan_vars,
-                SHIFT_PHASES,
-                &[|d| d.mode_transitions],
-            )
-        },
-    },
-    Family {
         name: "phase_scan",
         algos: ALGOS,
         ladder: |hw| {
@@ -651,14 +606,7 @@ pub const FAMILIES: &[Family] = &[
         run: |rung, algos, quick| {
             let (_, scan_vars, threads) = rung[0];
             let txns = if quick { 300 } else { 3_000 };
-            bench_phases(
-                algos,
-                threads,
-                txns,
-                scan_vars,
-                SCAN_PHASES,
-                &[|d| d.mode_transitions, |d| d.snapshot_reads],
-            )
+            bench_phases(algos, threads, txns, scan_vars)
         },
     },
     Family {
@@ -735,9 +683,6 @@ pub const FAMILIES: &[Family] = &[
     },
 ];
 
-const SHIFT_PHASES: &[Phase] = &[Phase::ReadMostly, Phase::WriteHeavy, Phase::ReadMostly];
-const SCAN_PHASES: &[Phase] = &[Phase::ScanHeavy, Phase::WriteHeavy, Phase::ReadMostly];
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,30 +704,6 @@ mod tests {
             parked_work * 10 < polling_work,
             "parked idle work ({parked_work}) must be an order of magnitude \
              below polling ({polling_work})"
-        );
-    }
-
-    #[test]
-    fn phase_shift_reports_adaptive_transitions() {
-        // Enough commits per phase for several default sampling windows:
-        // the adaptive run must record at least one switch, the static
-        // run exactly zero.
-        let cells = bench_phases(
-            &[("adaptive", Algorithm::Adaptive), ("tlrw", Algorithm::Tlrw)],
-            2,
-            1_500,
-            128,
-            SHIFT_PHASES,
-            &[|d| d.mode_transitions],
-        );
-        let [adaptive, tlrw] = &cells[..] else {
-            panic!("one cell list per algorithm");
-        };
-        assert_eq!(adaptive.len(), 4, "3 phases + transitions");
-        assert!(adaptive[3].ops >= 1, "adaptive never switched");
-        assert_eq!(
-            tlrw[3].ops, 0,
-            "static algorithms must report zero transitions"
         );
     }
 
@@ -829,8 +750,6 @@ mod tests {
             2,
             400,
             256,
-            SCAN_PHASES,
-            &[|d| d.mode_transitions, |d| d.snapshot_reads],
         );
         let [adaptive, tl2] = &cells[..] else {
             panic!("one cell list per algorithm");

@@ -1,67 +1,64 @@
-//! Adaptive: workload-driven switching across the paper's time–space
-//! tradeoff.
+//! Adaptive: workload-driven switching between the two sides of the
+//! paper's time–space separation.
 //!
-//! The static single-version algorithms force the user to pick a side
-//! of the tradeoff at [`StmBuilder`](crate::StmBuilder) time: invisible reads
-//! (Tl2) pay validation time and abort–rescan churn when writers are
-//! frequent, visible reads (Tlrw) pay one shared-memory RMW inside every
-//! first read of a stripe and reader–writer conflicts when readers
-//! dominate. `Algorithm::Adaptive` makes the tradeoff a *runtime*
-//! quantity: a mode controller samples [`StatsSnapshot`] deltas over
-//! commit windows and moves the live engine between
+//! A static algorithm fixes at [`StmBuilder`](crate::StmBuilder) time how
+//! its read-only transactions pay. Invisible single-version reads (Tl2)
+//! pay in *time*: validation, and abort–rescan churn when writers overlap
+//! a long scan (Theorem 3). Multiversion reads (Mv) pay in *space*:
+//! retained versions, in exchange for read-only transactions that never
+//! validate and never abort ("On Partial Wait-Freedom in Transactional
+//! Memory", PAPERS.md). `Algorithm::Adaptive` makes that choice a
+//! *runtime* quantity: a mode controller samples [`StatsSnapshot`] deltas
+//! over commit windows and moves the live engine between
 //!
-//! * **invisible mode** — the Tl2 hooks over versioned orec words
-//!   (read-mostly phases: reads are two plain loads, no shared-memory
-//!   write),
-//! * **visible mode** — the Tlrw hooks over reader–writer orec words
-//!   (write-heavy or abort-thrashing phases: per-stripe write locks, no
-//!   global clock hotspot, no read-set validation), and
-//! * **multiversion mode** — the Mv hooks over versioned orec words
-//!   (scan-heavy phases: long read-only transactions read the snapshot
-//!   named by their start time and *cannot* abort, paying in retained
-//!   versions — the paper's space axis as a routing target).
+//! * **invisible mode** — the Tl2 hooks: reads are two plain loads and an
+//!   O(1) check, commits replace values in place, no chains; and
+//! * **multiversion mode** — the Mv hooks: read-only transactions read
+//!   the snapshot named by their start time and cannot abort, commits
+//!   append versions the low-watermark collector trims.
 //!
-//! ## The decision signals
+//! Visible reads stay a static algorithm ([`Algorithm::Tlrw`]): they
+//! trade shared-memory RMWs for fewer aborts among many cores, which is
+//! not a side of this separation.
 //!
-//! Each window of [`AdaptiveConfig::window_commits`] commits, the
-//! controller computes from the stats delta (reads here meaning `reads +
-//! snapshot_reads`, so the signals stay comparable across modes):
+//! ## The vote
 //!
-//! * the **read/write-set size ratio** `reads / writes` — the primary
-//!   time-axis signal: at or below `WRITE_RATIO_VISIBLE` (3) the
-//!   window was write-heavy (go visible), at or above
-//!   `READ_RATIO_INVISIBLE` (8) it was read-mostly (leave visible); the
-//!   band between the two thresholds is dead — no switching pressure
-//!   either way;
-//! * the **scan length** `reads / commits` — the space-axis signal: at
-//!   or above [`AdaptiveConfig::mv_scan_reads`] the window's
-//!   transactions are long scans, which Mv serves without aborts or
-//!   validation; read-mostly departures from the other modes route to
-//!   multiversion instead of invisible when this fires;
-//! * the **abort rate** and **validation probes per read** — fast-path
-//!   accelerators out of invisible mode: when optimistic execution is
-//!   thrashing (aborted attempts re-running, validation work exceeding
-//!   the read work it protects), the switch skips hysteresis;
-//! * **reader conflicts per commit** — an accelerant *out of* visible
-//!   mode: visible-read lock churn means the pessimistic side is paying
-//!   for a workload it no longer fits;
-//! * **eviction aborts** — an accelerant out of multiversion mode: under
-//!   a [`MvConfig`](crate::MvConfig) space bound, snapshots aging out of
-//!   capped chains mean the space budget no longer fits the camping
-//!   pattern, and invisible reads serve it with no chains at all.
+//! Each window of [`AdaptiveConfig::window_commits`] commits votes on one
+//! signal, the window's mean **scan length**: reads per *read-only*
+//! commit (`ro_reads / ro_commits` in [`StatsSnapshot`]; a read counts
+//! the same under either mode's hooks). The window votes multiversion iff
+//! its read-only commits averaged at least
+//! [`AdaptiveConfig::mv_scan_reads`] reads and no snapshot read was
+//! aborted by a [`MvConfig`](crate::MvConfig) space bound
+//! (`eviction_aborts`: the bound no longer fits the camping pattern, and
+//! invisible reads need no chains). Otherwise it votes invisible — also
+//! when the window held no read-only commit at all.
 //!
-//! A switch additionally requires the same target mode for
-//! [`AdaptiveConfig::hysteresis_windows`] consecutive windows, so a
-//! workload oscillating around a threshold does not flap.
+//! Counting per read-only commit, not per commit, makes the vote
+//! flood-proof: ten 256-read scans racing 990 blind one-write commits
+//! average 2.6 reads per commit but 256 per scan, and the scans are what
+//! Mv serves. Updating transactions validate under both modes, so their
+//! reads carry no vote.
 //!
-//! ## The epoch-quiesced transition
+//! A switch additionally requires [`AdaptiveConfig::hysteresis_windows`]
+//! consecutive windows voting against the current mode, so a workload
+//! oscillating around the threshold does not flap.
 //!
-//! The modes interpret the *same* orec table under different word
-//! formats (`version << 1 | locked` for Tl2 and Mv vs `readers << 1 |
-//! writer` for Tlrw), so a switch must never let transactions of
-//! different modes overlap. Every adaptive transaction registers in a
-//! per-mode active counter at its first operation and **pins its
-//! starting mode for the whole attempt**; the switcher
+//! ## The drained transition
+//!
+//! Both modes keep the orec table in one format, `version << 1 | locked`
+//! with every version a tick of the one global clock, and a switch resets
+//! neither: every stamp either mode published is at or below the clock
+//! any later transaction samples, so the table carries across a switch
+//! untouched. What must never overlap are the two *publish* protocols.
+//! Tl2 swaps in a value stamped 0, visible to every snapshot, and may draw
+//! its commit tick by adopting a racing committer's CAS, which writes
+//! nothing to the clock. An Mv snapshot reader racing the first would
+//! read a value its snapshot predates; racing the second, it would miss
+//! the release edge its snapshot relies on (see `versioned::draw_wv`).
+//! So every adaptive transaction registers in its mode's active counter
+//! at its first operation and **pins that mode for the whole attempt**,
+//! and the switcher
 //!
 //! 1. raises a *draining* flag — new transactions spin (yielding) until
 //!    the transition resolves, in-flight ones finish under their pinned
@@ -70,33 +67,24 @@
 //!    (and lowering the flag) after [`AdaptiveConfig::max_drain`] so a
 //!    long-running or nested transaction stalls the switch, never the
 //!    system;
-//! 3. reinterprets the quiesced table by resetting every word to zero —
-//!    sound in every direction: a zero word is "unlocked, version 0" to
-//!    the versioned format and "no readers, no writer" to the
-//!    reader–writer format, and every commit published under the old
-//!    mode happened-before the barrier, so the new mode never needs the
-//!    discarded versions to detect a conflict that predates it (the
-//!    global clock is *not* reset, keeping Tl2 and Mv snapshots
-//!    monotonic across any number of round trips). Quiescence also
-//!    leaves the snapshot registry empty — an Mv transaction holds its
-//!    registry slot for its whole pinned attempt — so a switch out of
-//!    multiversion mode strands no snapshot, and the switcher rebases
-//!    the registry's cached watermark to the current clock, releasing
-//!    every version the departed mode retained;
+//! 3. rebases the snapshot registry's cached watermark to the current
+//!    clock: quiescence leaves the registry empty (an Mv transaction
+//!    holds its slot for its whole pinned attempt), so every version the
+//!    departing mode retained is releasable;
 //! 4. publishes the new mode, which releases the spinning beginners.
 //!
-//! Histories recorded across a switch stay opaque for the same reason
-//! the reset is sound: the quiesce barrier totally orders old-mode
-//! transactions before new-mode ones in real time, so a switch can only
-//! *restrict* the interleavings the checker must serialize.
+//! Histories recorded across a switch stay opaque because the drain
+//! totally orders old-mode transactions before new-mode ones in real
+//! time: a switch can only *restrict* the interleavings the checker must
+//! serialize.
 
-use crate::engine::{Stm, Transaction};
-use crate::stats::{ActiveMode, StatsSnapshot};
+use crate::engine::{Algorithm, Stm, Transaction};
+use crate::stats::StatsSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use super::{mv, tl2, tlrw};
+use super::{mv, tl2};
 
 /// Tuning knobs for [`Algorithm::Adaptive`](crate::Algorithm::Adaptive)'s
 /// mode controller, set through
@@ -125,13 +113,13 @@ pub struct AdaptiveConfig {
     /// Commits per sampling window: the controller inspects the stats
     /// delta once every `window_commits` commits. Must be at least 1.
     pub window_commits: u64,
-    /// Reads per commit (scan length, counting snapshot reads) at or
-    /// above which a read-leaning window counts as scan-heavy and
-    /// routes to **multiversion** mode, where long read-only
-    /// transactions never validate and never abort. Must be at least 1.
+    /// Mean reads per read-only commit (the scan length) at or above
+    /// which a window votes for **multiversion** mode, where long
+    /// read-only transactions never validate and never abort; below it
+    /// the window votes invisible. Must be at least 1.
     pub mv_scan_reads: f64,
-    /// Consecutive windows that must agree on a target mode before the
-    /// switch executes (fast-path signals override). Must be at least 1.
+    /// Consecutive windows that must vote against the current mode
+    /// before the switch executes. Must be at least 1.
     pub hysteresis_windows: u32,
     /// How long a switch may wait for in-flight transactions of the old
     /// mode to finish before giving up and keeping the current mode
@@ -170,53 +158,27 @@ impl AdaptiveConfig {
     }
 }
 
-/// Read/write ratio at or below which a window counts as write-heavy
-/// and votes for **visible** mode.
-const WRITE_RATIO_VISIBLE: f64 = 3.0;
+/// The two hook sets, indexed by the state word's mode bit (and so by
+/// `AdaptiveState::active`).
+const MODES: [Algorithm; 2] = [Algorithm::Tl2, Algorithm::Mv];
 
-/// Read/write ratio at or above which a window counts as read-mostly
-/// and votes for **invisible** mode.
-const READ_RATIO_INVISIBLE: f64 = 8.0;
+/// Mode bit of the packed state word: an index into [`MODES`].
+const MODE: u64 = 1;
 
-// The gap between the two ratios is the dead band that prevents
-// flapping on mixed workloads.
-const _: () = assert!(WRITE_RATIO_VISIBLE < READ_RATIO_INVISIBLE);
+/// Draining flag in the packed state word.
+const DRAIN: u64 = 2;
 
-/// Abort rate (aborts / attempts) at or above which a vote for visible
-/// mode skips hysteresis: optimistic execution is thrashing and every
-/// extra window spent invisible re-runs work.
-const ABORT_RATE_FAST: f64 = 0.25;
-
-/// Validation probes per read at or above which a vote for visible mode
-/// skips hysteresis: validation re-work has outgrown the read work it
-/// protects.
-const PROBE_RATE_FAST: f64 = 2.0;
-
-/// Reader conflicts per commit at or above which visible mode is
-/// abandoned regardless of the read/write ratio: visible-read lock
-/// churn is aborting transactions the invisible mode would commit.
-const READER_CONFLICT_RATE: f64 = 0.5;
-
-/// Mode bits in the packed state word: an [`ActiveMode`] discriminant,
-/// naming which of the three hook sets is in force.
-const MODE_MASK: u64 = 3;
-
-/// Decodes the mode bits of the packed state word.
-fn mode_of(state: u64) -> ActiveMode {
-    ActiveMode::from_u8((state & MODE_MASK) as u8)
+/// The index of a hook set in [`MODES`].
+fn index_of(mode: Algorithm) -> usize {
+    usize::from(mode == Algorithm::Mv)
 }
-
-/// Draining flag in the packed state word (bits 0–1 are the mode).
-const DRAIN: u64 = 4;
 
 /// Controller bookkeeping, touched once per window under the `ctl` lock.
 #[derive(Default)]
 struct Ctl {
     /// Stats at the previous sample, for windowed deltas.
     last: StatsSnapshot,
-    /// Mode the recent windows have been voting for, if any.
-    target: Option<ActiveMode>,
-    /// Consecutive windows that voted for `target`.
+    /// Consecutive windows that voted against the current mode.
     streak: u32,
 }
 
@@ -226,8 +188,8 @@ pub(crate) struct AdaptiveState {
     /// Packed `mode | DRAIN?` word; only the controller mutates it.
     state: AtomicU64,
     /// In-flight transactions per mode; a switch drains the old mode's
-    /// count to zero before reinterpreting the orec table.
-    active: [AtomicU64; 3],
+    /// count to zero before publishing the new one.
+    active: [AtomicU64; 2],
     /// Commit count at the last sample; the window check compares it
     /// against the live commit counter (one plain load per stats shard),
     /// so the per-commit hot path pays no extra RMW.
@@ -248,16 +210,16 @@ impl AdaptiveState {
     pub(crate) fn new(cfg: AdaptiveConfig) -> Self {
         AdaptiveState {
             cfg,
-            state: AtomicU64::new(ActiveMode::Invisible as u64),
-            active: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
+            state: AtomicU64::new(index_of(Algorithm::Tl2) as u64),
+            active: [AtomicU64::new(0), AtomicU64::new(0)],
             last_sample: AtomicU64::new(0),
             ctl: Mutex::new(Ctl::default()),
         }
     }
 
-    /// The mode currently (or about to be) in force.
-    pub(crate) fn mode(&self) -> ActiveMode {
-        mode_of(self.state.load(Ordering::SeqCst))
+    /// The hook set currently (or about to be) in force: `Tl2` or `Mv`.
+    pub(crate) fn mode(&self) -> Algorithm {
+        MODES[(self.state.load(Ordering::SeqCst) & MODE) as usize]
     }
 }
 
@@ -278,51 +240,55 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) -> u64 {
             std::thread::yield_now();
             continue;
         }
-        let mode = mode_of(s);
-        ad.active[mode as usize].fetch_add(1, Ordering::SeqCst);
+        let i = (s & MODE) as usize;
+        ad.active[i].fetch_add(1, Ordering::SeqCst);
         // Registration races the switcher's drain flag: re-check, and
         // back out if a transition started in between (the switcher
         // either saw our increment and is waiting for it, or we saw its
         // flag — never neither).
         if ad.state.load(Ordering::SeqCst) == s {
-            tx.pinned = Some(mode);
+            tx.pinned = true;
             // Resolve the per-operation dispatch to the pinned hooks:
             // later reads/commits cost one match, exactly like a static
             // instance.
-            tx.mode = mode.algorithm();
-            return match mode {
-                ActiveMode::Invisible => tl2::begin(tx.stm),
-                ActiveMode::Visible => tlrw::begin(tx.stm),
-                ActiveMode::Multiversion => mv::begin(tx),
+            tx.mode = MODES[i];
+            return match tx.mode {
+                Algorithm::Mv => mv::begin(tx),
+                _ => tl2::begin(tx.stm),
             };
         }
-        ad.active[mode as usize].fetch_sub(1, Ordering::SeqCst);
+        ad.active[i].fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// Deregisters an attempt from its mode's active counter; called from
 /// the transaction's `Drop` (every attempt, every exit path) and
-/// idempotent through `Option::take`. No-op for static instances.
+/// idempotent through `mem::take`. No-op for static instances.
 pub(crate) fn release_slot(tx: &mut Transaction<'_>) {
-    if let Some(mode) = tx.pinned.take() {
+    if std::mem::take(&mut tx.pinned) {
         if let Some(ad) = tx.stm.adaptive.as_ref() {
-            ad.active[mode as usize].fetch_sub(1, Ordering::SeqCst);
+            ad.active[index_of(tx.mode)].fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
 
-/// Commit-path controller hook: counts the commit towards the sampling
-/// window and, on a window boundary, samples the stats delta and
-/// possibly performs a mode switch. Called by the engine *after* the
-/// committing transaction has been dropped, so the caller never holds an
-/// active-mode slot while the switch drains. No-op for static instances.
-pub(crate) fn after_commit(stm: &Stm) {
+/// Commit-path controller hook: counts a read-only commit's scan length,
+/// counts the commit towards the sampling window and, on a window
+/// boundary, samples the stats delta and possibly performs a mode switch.
+/// Called by the engine *after* the committing attempt has released its
+/// mode slot, so the caller never holds one while the switch drains.
+/// No-op for static instances.
+pub(crate) fn after_commit(tx: &Transaction<'_>) {
+    let stm = tx.stm;
     let Some(ad) = stm.adaptive.as_ref() else {
         return;
     };
+    if let Some(reads) = tx.tally.read_only_reads() {
+        stm.stats.read_only_commit(reads);
+    }
     // Window check on the commit counter the stats layer already
     // maintains: plain loads (one per stats shard), no extra RMW. The
-    // committing transaction was dropped before this runs, so its
+    // committing attempt was released before this runs, so its
     // operation tallies are already flushed into any snapshot sampled
     // here.
     let commits = stm.stats.commit_count();
@@ -345,116 +311,59 @@ fn sample(stm: &Stm, ad: &AdaptiveState, ctl: &mut Ctl) {
     let d = snap.since(&ctl.last);
     ctl.last = snap;
     let mode = ad.mode();
-    let Some(want) = desired(&ad.cfg, mode, &d) else {
-        ctl.target = None;
+    if desired(&ad.cfg, &d) == mode {
         ctl.streak = 0;
         return;
-    };
-    if ctl.target == Some(want) {
-        ctl.streak += 1;
-    } else {
-        ctl.target = Some(want);
-        ctl.streak = 1;
     }
-    let decided = ctl.streak >= ad.cfg.hysteresis_windows || fast_path(mode, &d);
+    ctl.streak += 1;
     // A failed drain keeps the streak: the switch re-fires at the next
     // window boundary without re-earning hysteresis.
-    if decided && try_switch(stm, ad, mode, want) {
-        ctl.target = None;
+    if ctl.streak >= ad.cfg.hysteresis_windows && try_switch(stm, ad, mode) {
         ctl.streak = 0;
     }
 }
 
-/// The mode this window's signals vote for, if any (`None` inside the
-/// dead band). Reads are counted mode-independently (`reads +
-/// snapshot_reads`), so the ratio and scan-length signals mean the same
-/// thing whichever hooks produced them.
-fn desired(cfg: &AdaptiveConfig, mode: ActiveMode, d: &StatsSnapshot) -> Option<ActiveMode> {
-    if d.commits == 0 {
-        return None;
-    }
-    let reads = d.reads + d.snapshot_reads;
-    let ratio = reads as f64 / d.writes.max(1) as f64;
-    // Scan-heavy: transactions long enough that Mv's abort-free
-    // validation-free snapshot reads beat both single-version modes.
-    let scanny = reads as f64 / d.commits as f64 >= cfg.mv_scan_reads;
-    match mode {
-        ActiveMode::Invisible => {
-            if scanny && ratio > WRITE_RATIO_VISIBLE {
-                Some(ActiveMode::Multiversion)
-            } else {
-                (ratio <= WRITE_RATIO_VISIBLE || fast_path(mode, d)).then_some(ActiveMode::Visible)
-            }
-        }
-        ActiveMode::Visible => {
-            let conflicts = d.reader_conflicts as f64 / d.commits as f64;
-            (ratio >= READ_RATIO_INVISIBLE || conflicts >= READER_CONFLICT_RATE).then_some(
-                if scanny {
-                    ActiveMode::Multiversion
-                } else {
-                    ActiveMode::Invisible
-                },
-            )
-        }
-        ActiveMode::Multiversion => {
-            if ratio <= WRITE_RATIO_VISIBLE {
-                // Write-heavy: chains churn for readers that no longer
-                // scan; the visible side serves writers best.
-                Some(ActiveMode::Visible)
-            } else {
-                // Short transactions no longer need snapshots, and
-                // eviction aborts mean the space bound no longer fits
-                // the camping pattern — either way invisible reads serve
-                // the read side without the chains.
-                (!scanny || d.eviction_aborts > 0).then_some(ActiveMode::Invisible)
-            }
-        }
+/// The mode this window votes for: `Mv` iff its read-only commits
+/// averaged at least `mv_scan_reads` reads and no snapshot read was
+/// evicted, `Tl2` otherwise.
+fn desired(cfg: &AdaptiveConfig, d: &StatsSnapshot) -> Algorithm {
+    let scans = d.ro_commits > 0 && d.ro_reads as f64 / d.ro_commits as f64 >= cfg.mv_scan_reads;
+    if scans && d.eviction_aborts == 0 {
+        Algorithm::Mv
+    } else {
+        Algorithm::Tl2
     }
 }
 
-/// Whether the window shows optimistic execution thrashing badly enough
-/// to skip hysteresis on the way out of invisible mode.
-fn fast_path(mode: ActiveMode, d: &StatsSnapshot) -> bool {
-    if mode != ActiveMode::Invisible {
-        return false;
-    }
-    let attempts = (d.commits + d.aborts).max(1) as f64;
-    let abort_rate = d.aborts as f64 / attempts;
-    let probes_per_read = d.validation_probes as f64 / d.reads.max(1) as f64;
-    abort_rate >= ABORT_RATE_FAST || probes_per_read >= PROBE_RATE_FAST
-}
-
-/// The epoch-quiesced transition itself; returns whether it completed.
-fn try_switch(stm: &Stm, ad: &AdaptiveState, from: ActiveMode, to: ActiveMode) -> bool {
-    debug_assert_ne!(from, to);
-    ad.state.store(from as u64 | DRAIN, Ordering::SeqCst);
+/// The drained transition out of `from`; returns whether it completed.
+fn try_switch(stm: &Stm, ad: &AdaptiveState, from: Algorithm) -> bool {
+    let old = index_of(from);
+    ad.state.store(old as u64 | DRAIN, Ordering::SeqCst);
     let deadline = Instant::now() + ad.cfg.max_drain;
-    while ad.active[from as usize].load(Ordering::SeqCst) != 0 {
+    while ad.active[old].load(Ordering::SeqCst) != 0 {
         if Instant::now() >= deadline {
             // In-flight old-mode transactions (a long body, or a nested
             // transaction on the caller's own stack) did not finish in
             // time: keep the current mode rather than stall beginners.
-            ad.state.store(from as u64, Ordering::SeqCst);
+            ad.state.store(old as u64, Ordering::SeqCst);
             return false;
         }
         std::thread::yield_now();
     }
-    // Quiesced: no transaction of any mode is active (beginners spin on
-    // the drain flag, the other modes' counts are zero by the stable-
-    // state invariant), so no thread holds or interprets any orec word.
-    stm.orecs.reset_all();
-    // Quiescence also empties the snapshot registry (an Mv transaction
-    // holds its slot for its whole pinned attempt), so rebase its cached
-    // watermark to the current clock: every version the departing mode
-    // retained for its snapshots is releasable, and the next Mv window
-    // starts from an exact cache instead of a stale floor.
+    // Quiesced: no transaction is active (beginners spin on the drain
+    // flag, the new mode's count is zero by the stable-state invariant),
+    // which also empties the snapshot registry — an Mv transaction holds
+    // its slot for its whole pinned attempt. Rebase the cached watermark
+    // to the current clock: every version the departing mode retained
+    // for its snapshots is releasable, and the next Mv period starts
+    // from an exact cache instead of a stale floor.
     if let Some(reg) = stm.snapshots.as_ref() {
         reg.refresh_watermark(&stm.clock);
     }
-    stm.stats.mode_transition(to);
-    // The SeqCst store publishing the new mode orders the resets above
+    stm.stats.mode_transition();
+    // The SeqCst store publishing the new mode orders everything above
     // before any beginner that observes it.
-    ad.state.store(to as u64, Ordering::SeqCst);
+    ad.state.store(old as u64 ^ MODE, Ordering::SeqCst);
     true
 }
 
@@ -462,142 +371,61 @@ fn try_switch(stm: &Stm, ad: &AdaptiveState, from: ActiveMode, to: ActiveMode) -
 mod tests {
     use super::*;
 
-    fn delta(commits: u64, aborts: u64, reads: u64, writes: u64) -> StatsSnapshot {
+    /// A window of `commits` commits of which `ro_commits` were read-only
+    /// and read `ro_reads` in total.
+    fn window(commits: u64, ro_commits: u64, ro_reads: u64) -> StatsSnapshot {
         StatsSnapshot {
             commits,
-            aborts,
-            reads,
-            writes,
+            ro_commits,
+            ro_reads,
             ..StatsSnapshot::default()
         }
     }
 
     #[test]
-    fn ratio_thresholds_vote_with_a_dead_band() {
+    fn blind_writer_floods_do_not_dilute_the_scan_vote() {
+        // Ten 256-read scans against 990 blind one-write commits: 2.6
+        // reads per commit and a read/write ratio of 2.6, which a
+        // per-commit vote reads as write-heavy. Per read-only commit the
+        // window is 256-read scans, which Mv serves.
         let cfg = AdaptiveConfig::default();
-        // Write-heavy: 2 reads / 2 writes per commit.
-        let d = delta(100, 0, 200, 200);
-        assert_eq!(
-            desired(&cfg, ActiveMode::Invisible, &d),
-            Some(ActiveMode::Visible)
-        );
-        assert_eq!(desired(&cfg, ActiveMode::Visible, &d), None);
-        // Read-mostly: 16 reads per write.
-        let d = delta(100, 0, 1600, 100);
-        assert_eq!(
-            desired(&cfg, ActiveMode::Visible, &d),
-            Some(ActiveMode::Invisible)
-        );
-        assert_eq!(desired(&cfg, ActiveMode::Invisible, &d), None);
-        // Dead band: neither threshold crossed, no pressure either way.
-        let d = delta(100, 0, 500, 100);
-        assert_eq!(desired(&cfg, ActiveMode::Invisible, &d), None);
-        assert_eq!(desired(&cfg, ActiveMode::Visible, &d), None);
-    }
-
-    #[test]
-    fn empty_windows_vote_for_nothing() {
-        let cfg = AdaptiveConfig::default();
-        let d = delta(0, 0, 0, 0);
-        assert_eq!(desired(&cfg, ActiveMode::Invisible, &d), None);
-        assert_eq!(desired(&cfg, ActiveMode::Visible, &d), None);
-    }
-
-    #[test]
-    fn thrashing_takes_the_fast_path_to_visible() {
-        let cfg = AdaptiveConfig::default();
-        // Read-mostly by ratio, but every other attempt aborts: the
-        // abort-rate accelerator votes visible anyway.
-        let d = delta(100, 120, 3200, 100);
-        assert!(fast_path(ActiveMode::Invisible, &d));
-        assert_eq!(
-            desired(&cfg, ActiveMode::Invisible, &d),
-            Some(ActiveMode::Visible)
-        );
-        // Validation re-work exceeding double the reads trips the probe
-        // accelerator even with a zero abort rate.
         let d = StatsSnapshot {
-            validation_probes: 8000,
-            ..delta(100, 0, 3200, 100)
+            reads: 2_560,
+            writes: 990,
+            ..window(1_000, 10, 2_560)
         };
-        assert!(fast_path(ActiveMode::Invisible, &d));
-        // The fast path never applies to leaving visible mode.
-        assert!(!fast_path(ActiveMode::Visible, &d));
+        assert_eq!(desired(&cfg, &d), Algorithm::Mv);
     }
 
     #[test]
-    fn reader_conflicts_evict_visible_mode() {
+    fn short_or_absent_read_only_transactions_vote_invisible() {
         let cfg = AdaptiveConfig::default();
-        // Write-leaning ratio would keep visible mode, but the lock
-        // churn signal forces the way out.
+        // The threshold is inclusive.
+        assert_eq!(desired(&cfg, &window(100, 100, 6_400)), Algorithm::Mv);
+        assert_eq!(desired(&cfg, &window(100, 100, 6_399)), Algorithm::Tl2);
+        // Read-mostly but short: 16-read transactions buy nothing from
+        // snapshots.
+        assert_eq!(desired(&cfg, &window(100, 90, 1_440)), Algorithm::Tl2);
+        // Write-heavy transfers, every commit a writer; an empty window.
         let d = StatsSnapshot {
-            reader_conflicts: 80,
-            ..delta(100, 80, 400, 100)
+            reads: 200,
+            writes: 200,
+            ..window(100, 0, 0)
         };
-        assert_eq!(
-            desired(&cfg, ActiveMode::Visible, &d),
-            Some(ActiveMode::Invisible)
-        );
+        assert_eq!(desired(&cfg, &d), Algorithm::Tl2);
+        assert_eq!(desired(&cfg, &window(0, 0, 0)), Algorithm::Tl2);
     }
 
     #[test]
-    fn scan_heavy_windows_route_to_multiversion() {
+    fn eviction_aborts_vote_invisible_even_for_scans() {
+        // Still scan-heavy, but snapshots are aging out of capped chains:
+        // the space bound no longer fits the camping pattern.
         let cfg = AdaptiveConfig::default();
-        // 100 reads per commit, read-mostly: the scan signal redirects
-        // the read-side departure to multiversion from either
-        // single-version mode.
-        let d = delta(100, 0, 10_000, 100);
-        assert_eq!(
-            desired(&cfg, ActiveMode::Invisible, &d),
-            Some(ActiveMode::Multiversion)
-        );
-        assert_eq!(
-            desired(&cfg, ActiveMode::Visible, &d),
-            Some(ActiveMode::Multiversion)
-        );
-        // Snapshot reads count as reads: a window already in
-        // multiversion mode keeps voting to stay (no pressure).
         let d = StatsSnapshot {
-            snapshot_reads: 10_000,
-            ..delta(100, 0, 0, 100)
-        };
-        assert_eq!(desired(&cfg, ActiveMode::Multiversion, &d), None);
-        // Long scans but write-heavy overall: versions churn on every
-        // commit, visible mode wins the writes.
-        let d = delta(100, 0, 10_000, 5_000);
-        assert_eq!(
-            desired(&cfg, ActiveMode::Invisible, &d),
-            Some(ActiveMode::Visible)
-        );
-        assert_eq!(
-            desired(&cfg, ActiveMode::Multiversion, &d),
-            Some(ActiveMode::Visible)
-        );
-    }
-
-    #[test]
-    fn eviction_pressure_and_short_transactions_leave_multiversion() {
-        let cfg = AdaptiveConfig::default();
-        // Read-mostly but short transactions: snapshots buy nothing.
-        let d = StatsSnapshot {
-            snapshot_reads: 1600,
-            ..delta(100, 0, 0, 100)
-        };
-        assert_eq!(
-            desired(&cfg, ActiveMode::Multiversion, &d),
-            Some(ActiveMode::Invisible)
-        );
-        // Still scan-heavy, but snapshots are aging out of the capped
-        // chains: the space bound no longer fits the camping pattern.
-        let d = StatsSnapshot {
-            snapshot_reads: 10_000,
             eviction_aborts: 3,
-            ..delta(100, 0, 0, 100)
+            ..window(100, 100, 10_000)
         };
-        assert_eq!(
-            desired(&cfg, ActiveMode::Multiversion, &d),
-            Some(ActiveMode::Invisible)
-        );
+        assert_eq!(desired(&cfg, &d), Algorithm::Tl2);
     }
 
     #[test]

@@ -36,8 +36,9 @@
 //! (orec version equality and the stripe-locking protocol, used by Tl2,
 //! Incremental and Mv) and in the modules that own them; a new
 //! algorithm is one new module plus one arm in each dispatch — exactly
-//! how [`adaptive`] (the fifth) arrived, composing the Tl2 and Tlrw
-//! hooks behind a mode controller, and how [`mv`] (the sixth) arrived,
+//! how [`adaptive`] (the fifth) arrived, composing other modules' hooks
+//! (today Tl2's and Mv's) behind a mode controller, and how [`mv`] (the
+//! sixth) arrived,
 //! swapping the read hook for a version-chain snapshot walk and the
 //! publish hook for an appending variant of the versioned one —
 //! neither touched the engine's generic machinery.
@@ -87,6 +88,6 @@ pub(crate) fn read<T: TxValue, R>(
         Algorithm::Norec => norec::read(tx, var, f),
         Algorithm::Tlrw => tlrw::read(tx, var, f),
         Algorithm::Mv => mv::read(tx, var, f),
-        Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2, Tlrw, or Mv as the mode"),
+        Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2 or Mv as the mode"),
     }
 }

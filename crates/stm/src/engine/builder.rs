@@ -6,7 +6,7 @@ use crate::cm::{ContentionManager, ExponentialBackoff};
 use crate::epoch::SnapshotRegistry;
 use crate::orec::{self, OrecTable};
 use crate::recorder::HistoryRecorder;
-use crate::stats::{ActiveMode, StmStats};
+use crate::stats::StmStats;
 use crate::wal::DurabilityHook;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -153,13 +153,6 @@ impl StmBuilder {
             _ => None,
         };
         let stats = Arc::new(StmStats::default());
-        // Adaptive starts in its invisible mode, so only the static
-        // visible/multi-version algorithms begin life elsewhere.
-        stats.set_active_mode(match self.algorithm {
-            Algorithm::Tlrw => ActiveMode::Visible,
-            Algorithm::Mv => ActiveMode::Multiversion,
-            _ => ActiveMode::Invisible,
-        });
         if let Some(hook) = &self.durability {
             hook.attach_stats(stats.clone());
         }

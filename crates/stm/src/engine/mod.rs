@@ -30,10 +30,9 @@
 //!   ([`crate::epoch`]); the paper's *space* axis, on real threads.
 //! * [`Algorithm::Adaptive`] — a mode controller that samples windowed
 //!   [`StatsSnapshot`](crate::StatsSnapshot) deltas and moves the live
-//!   engine between the Tl2 (invisible), Tlrw (visible), and Mv
-//!   (multi-version) hooks through an epoch-quiesced orec-table
-//!   reinterpretation; see [`crate::AdaptiveConfig`] for the decision
-//!   signals and knobs.
+//!   engine between the Tl2 (invisible) and Mv (multi-version) hooks
+//!   through a drained transition, on a scan-length vote; see
+//!   [`crate::AdaptiveConfig`] for the knobs.
 //!
 //! The algorithm-specific read/commit/snapshot behaviour lives in the
 //! [`crate::algo`] strategy layer (one module per algorithm, four hooks
@@ -98,8 +97,8 @@ use std::sync::Arc;
 ///
 /// Five static design points span the paper's time–space tradeoff —
 /// [`Algorithm::Mv`] holds down the *space* end (keep versions, never
-/// abort a reader) — and [`Algorithm::Adaptive`] moves between the two
-/// single-version extremes at runtime.
+/// abort a reader) — and [`Algorithm::Adaptive`] moves between Tl2's
+/// time end and Mv's space end at runtime.
 ///
 /// # Examples
 ///
@@ -151,17 +150,16 @@ pub enum Algorithm {
     /// `ptm-core`'s simulated `MvTm` — with chains trimmed by liveness
     /// instead of a fixed ring, so snapshots are never evicted.
     Mv,
-    /// Workload-driven switching across **both** paper axes: a
-    /// controller samples stats deltas over commit windows (read/write
-    /// ratio, abort rate, validation probes per read, reader conflicts,
-    /// scan length, eviction pressure) and moves the live engine between
-    /// the invisible-read (Tl2), visible-read (Tlrw), and multi-version
-    /// (Mv) hooks, reinterpreting the orec table between its word
-    /// formats through an epoch-quiesced transition — in-flight
-    /// transactions always finish under the mode they started in.
-    /// Starts invisible; tune with [`StmBuilder::adaptive_config`],
-    /// observe through [`StatsSnapshot`](crate::StatsSnapshot)'s
-    /// `mode_transitions` / `active_mode` and [`Stm::active_mode`].
+    /// Workload-driven switching across the paper's time–space
+    /// separation: a controller samples stats deltas over commit windows
+    /// and moves the live engine between the invisible-read (Tl2) and
+    /// multi-version (Mv) hooks — Mv while the window's read-only
+    /// transactions are long scans, Tl2 otherwise — through a drained
+    /// transition: in-flight transactions always finish under the mode
+    /// they started in. Starts invisible; tune with
+    /// [`StmBuilder::adaptive_config`], observe through
+    /// [`StatsSnapshot`](crate::StatsSnapshot)'s `mode_transitions` and
+    /// [`Stm::active_mode`].
     Adaptive,
 }
 
@@ -330,8 +328,8 @@ impl Stm {
         Stm::new(Algorithm::Mv)
     }
 
-    /// Adaptive instance (workload-driven switching among the Tl2, Tlrw
-    /// and Mv modes) with default tuning.
+    /// Adaptive instance (workload-driven switching between the Tl2 and
+    /// Mv modes) with default tuning.
     pub fn adaptive() -> Self {
         Stm::new(Algorithm::Adaptive)
     }
@@ -343,8 +341,8 @@ impl Stm {
 
     /// The read/commit machinery currently in force: the algorithm
     /// itself for static instances; for [`Algorithm::Adaptive`], the
-    /// live mode — [`Algorithm::Tl2`] (invisible), [`Algorithm::Tlrw`]
-    /// (visible), or [`Algorithm::Mv`] (multi-version).
+    /// live mode — [`Algorithm::Tl2`] (invisible) or [`Algorithm::Mv`]
+    /// (multi-version).
     ///
     /// # Examples
     ///
@@ -357,7 +355,7 @@ impl Stm {
     pub fn active_mode(&self) -> Algorithm {
         match &self.adaptive {
             None => self.algorithm,
-            Some(ad) => ad.mode().algorithm(),
+            Some(ad) => ad.mode(),
         }
     }
 

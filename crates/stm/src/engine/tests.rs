@@ -6,7 +6,6 @@ use super::*;
 use crate::algo::adaptive::AdaptiveConfig;
 use crate::cm::{CappedAttempts, ImmediateRetry};
 use crate::orec;
-use crate::stats::ActiveMode;
 use crate::tvar::TVar;
 use crate::txlog::{LogLoan, TxLog, POOL_DEPTH, POOL_RETAINED_CAP};
 use std::sync::atomic::Ordering;
@@ -23,12 +22,14 @@ fn engines() -> Vec<Stm> {
     ]
 }
 
-/// An adaptive instance tuned to switch after a handful of commits.
+/// An adaptive instance tuned to switch after a handful of commits,
+/// counting 8-read transactions as scans.
 fn twitchy_adaptive() -> Stm {
     Stm::builder(Algorithm::Adaptive)
         .adaptive_config(AdaptiveConfig {
             window_commits: 8,
             hysteresis_windows: 1,
+            mv_scan_reads: 8.0,
             ..AdaptiveConfig::default()
         })
         .build()
@@ -392,7 +393,27 @@ fn adaptive_switches_with_the_workload_and_stays_correct() {
     let stm = twitchy_adaptive();
     assert_eq!(stm.active_mode(), Algorithm::Tl2, "starts invisible");
     let vars: Vec<TVar<u64>> = (0..32).map(|_| TVar::new(1)).collect();
-    // Write-heavy: transfers (2 reads / 2 writes) drive it visible.
+    // Scans: 16-read read-only transactions drive it multiversion.
+    for _ in 0..64usize {
+        let sum = stm.atomically(|tx| {
+            let mut acc = 0u64;
+            for v in vars.iter().take(16) {
+                acc = acc.wrapping_add(tx.read(v)?);
+            }
+            Ok(acc)
+        });
+        assert_eq!(sum, 16);
+    }
+    assert_eq!(stm.active_mode(), Algorithm::Mv, "scans → multiversion");
+    let after_first = stm.stats().snapshot();
+    assert_eq!(after_first.mode_transitions, 1);
+    assert_eq!(
+        (after_first.ro_commits, after_first.ro_reads),
+        (64, 64 * 16)
+    );
+    assert!(after_first.snapshot_reads > 0, "Mv hooks served the tail");
+    // Write-heavy: transfers (2 reads / 2 writes, no read-only commit)
+    // drive it back invisible.
     for i in 0..64usize {
         let (a, b) = (i % 32, (i + 7) % 32);
         stm.atomically(|tx| {
@@ -402,25 +423,10 @@ fn adaptive_switches_with_the_workload_and_stays_correct() {
             tx.write(&vars[b], y.wrapping_add(1))
         });
     }
-    assert_eq!(stm.active_mode(), Algorithm::Tlrw, "write-heavy → visible");
-    let after_first = stm.stats().snapshot();
-    assert!(after_first.mode_transitions >= 1);
-    assert_eq!(after_first.active_mode, ActiveMode::Visible);
-    // Read-mostly: 16-read scans drive it back invisible.
-    for _ in 0..64usize {
-        let sum = stm.atomically(|tx| {
-            let mut acc = 0u64;
-            for v in vars.iter().take(16) {
-                acc = acc.wrapping_add(tx.read(v)?);
-            }
-            Ok(acc)
-        });
-        let _ = sum;
-    }
-    assert_eq!(stm.active_mode(), Algorithm::Tl2, "read-mostly → invisible");
+    assert_eq!(stm.active_mode(), Algorithm::Tl2, "write-heavy → invisible");
     let snap = stm.stats().snapshot();
-    assert!(snap.mode_transitions >= 2);
-    assert_eq!(snap.active_mode, ActiveMode::Invisible);
+    assert_eq!(snap.mode_transitions, 2);
+    assert_eq!(snap.ro_commits, 64, "transfers are not read-only");
     // The sum is conserved across both regimes and the switches.
     assert_eq!(vars.iter().map(TVar::load).sum::<u64>(), 32);
     assert_orecs_quiescent(&stm);
@@ -505,53 +511,9 @@ fn adaptive_windows_still_trigger_when_counters_land_in_many_shards() {
             Ok(acc)
         });
     };
-    // Write-heavy from 4 threads: transfers (2 reads / 2 writes).
+    // Scans from 4 threads: 16-read read-only transactions.
     std::thread::scope(|s| {
-        let transfer = &transfer;
-        for t in 0..4usize {
-            s.spawn(move || {
-                for i in 0..64usize {
-                    transfer(t + i);
-                }
-            });
-        }
-    });
-    // Exactness across shards: 4 threads × 64 committed transfers, all
-    // flushed by the time the scope joins. Write *operations* exceed the
-    // committed floor when contention forces retries (an aborted attempt
-    // re-executes its writes).
-    let mid = stm.stats().snapshot();
-    assert_eq!(mid.commits, 4 * 64);
-    assert!(
-        mid.writes >= 2 * mid.commits && mid.writes <= 2 * (mid.commits + mid.aborts),
-        "2 writes per committed transfer, at most 2 more per aborted attempt: {mid}"
-    );
-    assert_eq!(vars.iter().map(TVar::load).sum::<u64>(), 32);
-    // A window sampled at the tail of concurrent traffic may time out
-    // its drain and keep the old mode; settle with a few more commits
-    // (still a spawned thread — the workload shards stay foreign to
-    // this one).
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for i in 0..256usize {
-                if stm.active_mode() == Algorithm::Tlrw {
-                    break;
-                }
-                transfer(i);
-            }
-        });
-    });
-    assert_eq!(
-        stm.active_mode(),
-        Algorithm::Tlrw,
-        "sharded write/read deltas still drive the instance visible"
-    );
-    let mid = stm.stats().snapshot();
-    assert!(mid.mode_transitions >= 1);
-    assert_eq!(mid.active_mode, ActiveMode::Visible);
-    // Read-mostly from fresh threads (fresh shard slots): 16-read scans.
-    std::thread::scope(|s| {
-        for _ in 0..2usize {
+        for _ in 0..4usize {
             s.spawn(|| {
                 for _ in 0..64usize {
                     scan();
@@ -559,20 +521,63 @@ fn adaptive_windows_still_trigger_when_counters_land_in_many_shards() {
             });
         }
     });
+    // Exactness across shards: 4 threads × 64 committed scans, all
+    // flushed by the time the scope joins; a read-only scan is counted
+    // towards the vote once, however many attempts it took.
+    let mid = stm.stats().snapshot();
+    assert_eq!(
+        (mid.commits, mid.ro_commits, mid.ro_reads),
+        (256, 256, 256 * 16)
+    );
+    // A window sampled at the tail of concurrent traffic may time out
+    // its drain and keep the old mode; settle with a few more commits
+    // (still a spawned thread — the workload shards stay foreign to
+    // this one).
     std::thread::scope(|s| {
         s.spawn(|| {
             for _ in 0..256usize {
-                if stm.active_mode() == Algorithm::Tl2 {
+                if stm.active_mode() == Algorithm::Mv {
                     break;
                 }
                 scan();
             }
         });
     });
+    assert_eq!(
+        stm.active_mode(),
+        Algorithm::Mv,
+        "sharded read-only deltas still drive the instance multiversion"
+    );
+    assert!(stm.stats().snapshot().mode_transitions >= 1);
+    // Write-heavy from fresh threads (fresh shard slots): transfers
+    // (2 reads / 2 writes).
+    std::thread::scope(|s| {
+        let transfer = &transfer;
+        for t in 0..2usize {
+            s.spawn(move || {
+                for i in 0..64usize {
+                    transfer(t + i);
+                }
+            });
+        }
+    });
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for i in 0..256usize {
+                if stm.active_mode() == Algorithm::Tl2 {
+                    break;
+                }
+                transfer(i);
+            }
+        });
+    });
     assert_eq!(stm.active_mode(), Algorithm::Tl2, "and back invisible");
     let snap = stm.stats().snapshot();
     assert!(snap.mode_transitions >= 2);
-    assert_eq!(snap.active_mode, ActiveMode::Invisible);
+    assert!(
+        snap.writes >= 2 * (snap.commits - snap.ro_commits),
+        "2 writes per committed transfer: {snap}"
+    );
     assert_eq!(vars.iter().map(TVar::load).sum::<u64>(), 32);
     assert_orecs_quiescent(&stm);
 }
@@ -782,11 +787,10 @@ fn twophase_prepare_detects_overlapping_commits_all_modes() {
     // The invariant cuts two ways, depending on whether the algorithm
     // uses invisible or visible reads:
     //
-    // * invisible (Tl2/Incremental/NOrec/Mv): the nested bump commits,
-    //   so the outer prepare's validation must fail;
-    // * visible (Tlrw, and Adaptive when pinned there): the outer read
-    //   lock physically excludes the bump, so the bump fails and the
-    //   outer prepare must succeed.
+    // * invisible (Tl2/Incremental/NOrec/Mv, and so Adaptive): the
+    //   nested bump commits, so the outer prepare's validation must fail;
+    // * visible (Tlrw): the outer read lock physically excludes the
+    //   bump, so the bump fails and the outer prepare must succeed.
     //
     // Either way, exactly one of the two writers wins.
     for stm in engines() {

@@ -9,7 +9,7 @@ use crate::algo::adaptive;
 use crate::epoch;
 use crate::orec;
 use crate::recorder::{word_of, HistoryRecorder, RecTx};
-use crate::stats::{ActiveMode, OpTally};
+use crate::stats::OpTally;
 use crate::tvar::{TVar, TxValue};
 use crate::txlog::LogLoan;
 use crate::wal::DurableTicket;
@@ -52,15 +52,15 @@ pub struct Transaction<'s> {
     pub(crate) log: LogLoan,
     /// The concrete hook set this attempt runs: the instance's algorithm
     /// for static instances; for `Algorithm::Adaptive`, the begin hook
-    /// overwrites it with the pinned mode (`Tl2`, `Tlrw` or `Mv`), so the
+    /// overwrites it with the pinned mode (`Tl2` or `Mv`), so the
     /// per-operation dispatch costs one match — no double indirection —
     /// and stays on the pinned hooks even if the controller switches the
     /// instance mid-flight.
     pub(crate) mode: Algorithm,
-    /// The adaptive mode this attempt registered in (`Algorithm::
-    /// Adaptive` only): names the active counter to release when the
+    /// Whether this attempt holds a slot in the active counter of its
+    /// adaptive mode (`Algorithm::Adaptive` only), to release when the
     /// attempt resolves.
-    pub(crate) pinned: Option<ActiveMode>,
+    pub(crate) pinned: bool,
     /// The published snapshot slot of an `Algorithm::Mv` attempt: keeps
     /// the low-watermark collector from trimming versions this
     /// transaction's snapshot can still reach. Withdrawn when the attempt
@@ -124,7 +124,7 @@ impl<'s> Transaction<'s> {
             resolved: false,
             log: LogLoan::take(),
             mode: stm.algorithm,
-            pinned: None,
+            pinned: false,
             snap: None,
             rec: stm.recorder.as_ref().map(HistoryRecorder::begin_tx),
             tally: OpTally::default(),
@@ -203,7 +203,7 @@ impl<'s> Transaction<'s> {
     pub(super) fn committed(&mut self) {
         self.release();
         self.stm.stats.commit();
-        adaptive::after_commit(self.stm);
+        adaptive::after_commit(self);
     }
 
     /// The resolve point, abort side: a failed body or commit in the

@@ -191,7 +191,7 @@ impl Transaction<'_> {
             Algorithm::Mv => (mv::prepare(self), Plan::Mv),
             Algorithm::Tlrw => (tlrw::prepare(self), Plan::Tlrw),
             Algorithm::Norec => (norec::prepare(self), Plan::Norec),
-            Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2, Tlrw, or Mv as the mode"),
+            Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2 or Mv as the mode"),
         };
         if !ok {
             self.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);

@@ -29,11 +29,11 @@
 //!   [`StatsSnapshot`]). Time is traded for space — the paper's other
 //!   axis.
 //! * [`Stm::adaptive`] — a mode controller that samples windowed stats
-//!   deltas and moves the live engine between the Tl2, Tlrw, and Mv
-//!   hooks as the workload shifts — both paper axes at runtime —
-//!   reinterpreting the orec table through an epoch-quiesced transition
-//!   (tune with [`AdaptiveConfig`], observe via `mode_transitions` /
-//!   `active_mode` in [`StatsSnapshot`] and [`Stm::active_mode`]).
+//!   deltas and moves the live engine between the Tl2 and Mv hooks —
+//!   Mv while the read-only transactions are long scans, Tl2 otherwise
+//!   — through a drained transition (tune with [`AdaptiveConfig`],
+//!   observe via `mode_transitions` in [`StatsSnapshot`] and
+//!   [`Stm::active_mode`]).
 //!
 //! ## Quick start
 //!
@@ -78,7 +78,7 @@
 //! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] and the one resolve point (`engine::transaction`), the one attempt step and its three drivers (`engine::attempt`, `engine::run_async`), the prepare → publish commit pipeline every commit runs and cross-instance coordinators split ([`Prepared`], `engine::twophase`) |
 //! | `algo`  | the strategy layer: one module per algorithm (begin / read / prepare / publish hooks), including the adaptive mode controller |
 //! | `txlog` | read-set / write-set log shared by all algorithms |
-//! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv) or reader–writer locks (Tlrw); Adaptive reinterprets the table between the two formats |
+//! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
 //! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer with Fenwick-shaped skip links for sublinear snapshot walks (single-version algorithms swap the head; Mv appends, trims, and bounds via [`MvConfig`]) |
 //! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (cached off the commit hot path) bounds version-chain trimming |
 //! | [`cm`](ContentionManager) | pluggable retry policies |
@@ -124,6 +124,6 @@ pub use engine::{
     Algorithm, MvConfig, Prepared, RetriesExhausted, Retry, RunAsync, Stm, StmBuilder, Transaction,
 };
 pub use recorder::HistoryRecorder;
-pub use stats::{ActiveMode, StatsSnapshot, StmStats};
+pub use stats::{StatsSnapshot, StmStats};
 pub use tvar::{TVar, TxValue};
 pub use wal::{DurabilityHook, DurableTicket};

@@ -9,7 +9,8 @@
 //! two word formats, chosen by the instance's algorithm (one instance
 //! runs one algorithm, so the formats never mix):
 //!
-//! * **Versioned lock** (`Tl2` / `Incremental`): `version << 1 | locked`.
+//! * **Versioned lock** (`Tl2` / `Incremental` / `Mv`, and both modes of
+//!   `Adaptive`): `version << 1 | locked`, the version a clock tick.
 //!   Reads validate optimistically — load word, read value, re-check
 //!   word — and acquire nothing; only commits lock stripes, in sorted
 //!   order, for the duration of write-back.
@@ -76,11 +77,8 @@ pub(crate) struct OrecTable {
     mask: usize,
     /// Per-stripe parked-waiter lists, keyed exactly like the words
     /// above so a committing writer's write stripes name the wait
-    /// channels it must sweep. Kept separate from the words themselves:
-    /// [`OrecTable::reset_all`] (the adaptive mode switch) reinterprets
-    /// the word format but must *not* disturb registrations — a consumer
-    /// parked across a mode switch is woken by the first overlapping
-    /// commit of the new mode, whatever format stamped the stripe.
+    /// channels it must sweep — whichever algorithm (or adaptive mode)
+    /// stamped the stripe.
     waiters: WaiterTable,
 }
 
@@ -119,22 +117,6 @@ impl OrecTable {
     /// The lock word of a stripe.
     pub(crate) fn word(&self, stripe: usize) -> &AtomicU64 {
         &self.words[stripe].0
-    }
-
-    /// Resets every word to zero, reinterpreting the table between the
-    /// versioned and reader–writer formats (`Algorithm::Adaptive`'s mode
-    /// switch).
-    ///
-    /// The caller must have quiesced the instance: no transaction may
-    /// hold a lock in, or be validating against, any word. A zero word
-    /// is valid in both formats (unlocked at version 0 / no readers, no
-    /// writer), and dropping versions is sound because the quiesce
-    /// barrier orders every pre-reset commit before every post-reset
-    /// read.
-    pub(crate) fn reset_all(&self) {
-        for w in self.words.iter() {
-            w.0.store(0, std::sync::atomic::Ordering::Release);
-        }
     }
 }
 

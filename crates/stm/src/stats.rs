@@ -39,59 +39,9 @@
 //! samples *after* the committing transaction is dropped — already
 //! orders itself after the flush.
 
-use crate::engine::Algorithm;
 use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-
-/// The read regime an instance is running: which hook family serves its
-/// reads, and therefore where on the paper's time–space tradeoff it
-/// sits. Static algorithms are fixed at build time; `Algorithm::Adaptive`
-/// moves between all three at runtime (see
-/// [`StatsSnapshot::active_mode`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ActiveMode {
-    /// Invisible single-version reads (Tl2-family hooks): optimistic
-    /// loads validated against versioned orec words.
-    #[default]
-    Invisible,
-    /// Visible reads (Tlrw hooks): announced per-stripe read locks.
-    Visible,
-    /// Multi-version snapshot reads (Mv hooks): version-chain walks at a
-    /// registered snapshot timestamp, never validated.
-    Multiversion,
-}
-
-impl ActiveMode {
-    /// Decodes a discriminant: the stats byte, or the mode bits of the
-    /// adaptive controller's state word.
-    pub(crate) fn from_u8(v: u8) -> ActiveMode {
-        match v {
-            1 => ActiveMode::Visible,
-            2 => ActiveMode::Multiversion,
-            _ => ActiveMode::Invisible,
-        }
-    }
-
-    /// The hook set an adaptive instance runs in this regime.
-    pub(crate) fn algorithm(self) -> Algorithm {
-        match self {
-            ActiveMode::Invisible => Algorithm::Tl2,
-            ActiveMode::Visible => Algorithm::Tlrw,
-            ActiveMode::Multiversion => Algorithm::Mv,
-        }
-    }
-}
-
-impl fmt::Display for ActiveMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            ActiveMode::Invisible => "invisible",
-            ActiveMode::Visible => "visible",
-            ActiveMode::Multiversion => "multiversion",
-        })
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counter shards per [`StmStats`] instance (power of two). Slots are
 /// hashed from the thread id, so collisions between concurrent threads
@@ -122,18 +72,12 @@ fn thread_slot() -> usize {
 #[derive(Debug)]
 pub struct StmStats {
     shards: Box<[Shard]>,
-    /// Not a counter: the read regime currently in force (static for the
-    /// fixed algorithms, live for `Adaptive`). Written only at build
-    /// time and on mode switches, so it stays unsharded. Encodes an
-    /// [`ActiveMode`] discriminant.
-    active_mode: AtomicU8,
 }
 
 impl Default for StmStats {
     fn default() -> Self {
         StmStats {
             shards: (0..SHARDS).map(|_| Shard::default()).collect(),
-            active_mode: AtomicU8::new(ActiveMode::Invisible as u8),
         }
     }
 }
@@ -186,6 +130,12 @@ impl OpTally {
     pub(crate) fn recorded(&self, n: u64) {
         bump(&self.recorded_events, n);
     }
+
+    /// The attempt's read count if it performed no write: the scan
+    /// length the adaptive controller votes on.
+    pub(crate) fn read_only_reads(&self) -> Option<u64> {
+        (self.writes.get() == 0).then(|| self.reads.get())
+    }
 }
 
 /// Declares every counter exactly once — public field name and docs,
@@ -230,35 +180,18 @@ macro_rules! counters {
         /// stm.atomically(|tx| tx.modify(&v, |x| x + 1));
         /// let d = stm.stats().snapshot().since(&before);
         /// assert_eq!((d.commits, d.reads, d.writes), (1, 1, 1));
-        /// assert_eq!(
-        ///     d.active_mode,
-        ///     ptm_stm::ActiveMode::Invisible,
-        ///     "Tl2 runs invisible reads"
-        /// );
         /// assert!(d.to_string().contains("commits=1"));
         /// ```
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
         pub struct StatsSnapshot {
             $($(#[$doc])* pub $name: u64,)*
-            /// The read regime in force when the snapshot was taken:
-            /// [`ActiveMode::Visible`] for `Tlrw`, [`ActiveMode::Multiversion`]
-            /// for `Mv`, [`ActiveMode::Invisible`] for the other static
-            /// algorithms — and, for `Adaptive`, wherever the controller
-            /// currently sits. Point-in-time state, not a counter — [`since`]
-            /// carries the *later* snapshot's value through unchanged.
-            ///
-            /// [`since`]: StatsSnapshot::since
-            pub active_mode: ActiveMode,
         }
 
         impl StmStats {
             /// Takes a snapshot of all counters: counters sum across
             /// the shards, high-water marks take their max.
             pub fn snapshot(&self) -> StatsSnapshot {
-                let mut out = StatsSnapshot {
-                    active_mode: ActiveMode::from_u8(self.active_mode.load(Ordering::Relaxed)),
-                    ..StatsSnapshot::default()
-                };
+                let mut out = StatsSnapshot::default();
                 for s in self.shards.iter() {
                     $(counters!(@fold $kind out.$name, s.$name.load(Ordering::Relaxed));)*
                 }
@@ -275,9 +208,6 @@ macro_rules! counters {
             pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
                 StatsSnapshot {
                     $($name: counters!(@since $kind self.$name, earlier.$name),)*
-                    // State, not a counter: the delta reports where the
-                    // window *ended up*.
-                    active_mode: self.active_mode,
                 }
             }
         }
@@ -286,8 +216,12 @@ macro_rules! counters {
             /// One-line counter summary, so bench output and tests do
             /// not format counters by hand.
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                $(write!(f, concat!($label, "={} "), self.$name)?;)*
-                write!(f, "mode={}", self.active_mode)
+                let fields = [$(($label, self.$name)),*];
+                for (i, (label, n)) in fields.into_iter().enumerate() {
+                    let sep = if i == 0 { "" } else { " " };
+                    write!(f, "{sep}{label}={n}")?;
+                }
+                Ok(())
             }
         }
     };
@@ -357,6 +291,16 @@ counters! {
     /// [`Algorithm::Adaptive`](crate::Algorithm::Adaptive) controller
     /// (always 0 for the static algorithms).
     mode_transitions: sum, "transitions";
+    /// Commits of attempts that performed no write, counted by the
+    /// [`Algorithm::Adaptive`](crate::Algorithm::Adaptive) controller
+    /// only (always 0 for the static algorithms): the denominator of its
+    /// scan-length vote.
+    ro_commits: sum, "ro_commits";
+    /// Reads performed by those read-only commits (snapshot reads
+    /// included): `ro_reads / ro_commits` is the mean scan length, which
+    /// blind-writer commits cannot dilute. Adaptive only, like
+    /// `ro_commits`.
+    ro_reads: sum, "ro_reads";
     /// Attempts that parked on the orec table's waiter lists instead of
     /// re-running: logical waits (`Transaction::retry`) and
     /// contention-manager [`Decision::Park`](crate::Decision::Park)
@@ -491,17 +435,18 @@ impl StmStats {
         s.group_commit_records.fetch_add(records, Ordering::Relaxed);
     }
 
-    /// Records an adaptive mode switch and the regime it landed in.
-    pub(crate) fn mode_transition(&self, mode: ActiveMode) {
+    /// Records an adaptive mode switch.
+    pub(crate) fn mode_transition(&self) {
         self.local()
             .mode_transitions
             .fetch_add(1, Ordering::Relaxed);
-        self.active_mode.store(mode as u8, Ordering::Relaxed);
     }
 
-    /// Sets the initial read regime (builder-time).
-    pub(crate) fn set_active_mode(&self, mode: ActiveMode) {
-        self.active_mode.store(mode as u8, Ordering::Relaxed);
+    /// Records an adaptive instance's read-only commit of `reads` reads.
+    pub(crate) fn read_only_commit(&self, reads: u64) {
+        let s = self.local();
+        s.ro_commits.fetch_add(1, Ordering::Relaxed);
+        s.ro_reads.fetch_add(reads, Ordering::Relaxed);
     }
 
     /// The bare commit count, for hot paths that must not pay a full
@@ -560,7 +505,9 @@ mod tests {
         s.evict(2);
         s.evict(0);
         s.eviction_abort();
-        s.mode_transition(ActiveMode::Visible);
+        s.mode_transition();
+        s.read_only_commit(256);
+        s.read_only_commit(0);
         s.park();
         s.park();
         s.woke(3);
@@ -588,6 +535,7 @@ mod tests {
         assert_eq!(snap.max_chain_len, 5, "high-water mark, not a sum");
         assert_eq!(snap.versions_retained, 2, "post-trim high-water mark");
         assert_eq!(snap.mode_transitions, 1);
+        assert_eq!((snap.ro_commits, snap.ro_reads), (2, 256));
         assert_eq!(snap.parks, 2);
         assert_eq!(snap.wakes, 3);
         assert_eq!(snap.spurious_wakes, 1);
@@ -596,13 +544,6 @@ mod tests {
         assert_eq!(snap.fsyncs, 1);
         assert_eq!(snap.group_commit_records, 3);
         assert_eq!(snap.group_commit_size(), 3.0);
-        assert_eq!(snap.active_mode, ActiveMode::Visible);
-        s.mode_transition(ActiveMode::Multiversion);
-        let snap = s.snapshot();
-        assert_eq!(snap.mode_transitions, 2);
-        assert_eq!(snap.active_mode, ActiveMode::Multiversion);
-        s.mode_transition(ActiveMode::Invisible);
-        assert_eq!(s.snapshot().active_mode, ActiveMode::Invisible);
     }
 
     #[test]
@@ -622,23 +563,21 @@ mod tests {
             line,
             "commits=1 aborts=0 reads=0 writes=0 probes=2 reader_conflicts=1 snapshot_reads=0 \
              walk_steps=0 trimmed=0 evicted=0 eviction_aborts=0 max_chain=0 retained=0 \
-             recorded=6 transitions=0 parks=1 wakes=1 spurious=0 \
-             yields=1 log_appends=0 fsyncs=0 group_commit=0 mode=invisible"
+             recorded=6 transitions=0 ro_commits=0 ro_reads=0 parks=1 wakes=1 spurious=0 \
+             yields=1 log_appends=0 fsyncs=0 group_commit=0"
         );
-        s.mode_transition(ActiveMode::Visible);
+        s.mode_transition();
+        s.read_only_commit(64);
         s.log_append();
         s.fsync_batch(1);
         let line = s.snapshot().to_string();
         assert!(
             line.ends_with(
-                "transitions=1 parks=1 wakes=1 spurious=0 yields=1 log_appends=1 fsyncs=1 \
-                 group_commit=1 mode=visible"
+                "transitions=1 ro_commits=1 ro_reads=64 parks=1 wakes=1 spurious=0 yields=1 \
+                 log_appends=1 fsyncs=1 group_commit=1"
             ),
             "{line}"
         );
-        s.mode_transition(ActiveMode::Multiversion);
-        let line = s.snapshot().to_string();
-        assert!(line.ends_with("mode=multiversion"), "{line}");
     }
 
     #[test]
@@ -652,22 +591,6 @@ mod tests {
         let d = b.since(&a);
         assert_eq!(d.commits, 1);
         assert_eq!(d.validation_probes, 3);
-    }
-
-    #[test]
-    fn since_carries_the_later_mode_through() {
-        let s = StmStats::default();
-        s.set_active_mode(ActiveMode::Visible);
-        let a = s.snapshot();
-        s.mode_transition(ActiveMode::Multiversion);
-        let b = s.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.mode_transitions, 1);
-        assert_eq!(
-            d.active_mode,
-            ActiveMode::Multiversion,
-            "delta reports where the window ended up"
-        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * [`stm`] — a native STM for real threads with TL2 / NOrec /
 //!   incremental-validation / TLRW visible-read / multi-version
 //!   snapshot modes plus an adaptive mode controller that switches
-//!   between the invisible- and visible-read machinery as the workload
-//!   shifts: lock-free optimistic (or reader-announcing, or
+//!   between the invisible-read and multi-version machinery as the
+//!   workload shifts: lock-free optimistic (or reader-announcing, or
 //!   chain-walking) reads over a striped orec table and timestamped
 //!   version chains, a shared transaction log, pluggable contention
 //!   management, and opt-in t-operation history recording;

@@ -115,16 +115,17 @@ fn no_lost_wakeups_under_any_algorithm() {
 
 #[test]
 fn parked_consumers_survive_an_adaptive_mode_switch() {
-    // Consumers park under the invisible mode; the write churn below
-    // forces the controller to reinterpret the orec table (reset_all).
-    // The waiter lists live beside the words, not in them, so the parked
-    // registrations must survive and the post-switch enqueues must land.
+    // Consumers park under the invisible mode; the scan churn below
+    // switches the engine to multiversion mode under them, the write
+    // churn after it back to invisible. The parked registrations must
+    // survive both switches, and the enqueues after each must land.
     watchdog(Duration::from_secs(120), || {
         let stm = Arc::new(
             Stm::builder(Algorithm::Adaptive)
                 .adaptive_config(AdaptiveConfig {
                     window_commits: 16,
                     hysteresis_windows: 1,
+                    mv_scan_reads: 8.0,
                     ..AdaptiveConfig::default()
                 })
                 .build(),
@@ -142,21 +143,35 @@ fn parked_consumers_survive_an_adaptive_mode_switch() {
                     got.lock().expect("got").push(v);
                 });
             }
-            // Give the consumers time to park on the empty queue.
-            thread::sleep(Duration::from_millis(50));
-            // Write-heavy churn on unrelated vars drives the controller
-            // toward visible mode while the consumers stay parked.
             let cells: Vec<TVar<u64>> = (0..8).map(TVar::new).collect();
-            for round in 0..64u64 {
-                stm.atomically(|tx| {
-                    for c in &cells {
-                        tx.modify(c, |x| x + round)?;
-                    }
-                    Ok(())
-                });
+            let park_then_churn = |scans: bool| {
+                // Give the consumers time to park on the empty queue.
+                thread::sleep(Duration::from_millis(50));
+                // Churn on unrelated vars while the consumers stay
+                // parked: 8-read scans drive the controller to
+                // multiversion mode, 8-write updates back to invisible.
+                for round in 0..64u64 {
+                    stm.atomically(|tx| {
+                        for c in &cells {
+                            if scans {
+                                tx.read(c)?;
+                            } else {
+                                tx.modify(c, |x| x + round)?;
+                            }
+                        }
+                        Ok(())
+                    });
+                }
+            };
+            park_then_churn(true);
+            assert_eq!(stm.active_mode(), Algorithm::Mv, "scans switched it");
+            // The switched-to mode's enqueues must wake them.
+            for v in 0..16u64 {
+                stm.atomically(|tx| q.enqueue(tx, v));
             }
-            // Whatever mode is live now, the enqueues must wake them.
-            for v in 0..32u64 {
+            park_then_churn(false);
+            assert_eq!(stm.active_mode(), Algorithm::Tl2, "writes switched it back");
+            for v in 16..32u64 {
                 stm.atomically(|tx| q.enqueue(tx, v));
             }
             for _ in 0..2 {
@@ -165,8 +180,8 @@ fn parked_consumers_survive_an_adaptive_mode_switch() {
         });
         let snap = stm.stats().snapshot();
         assert!(
-            snap.mode_transitions >= 1,
-            "churn was meant to force a mode switch (got {snap})"
+            snap.mode_transitions >= 2,
+            "churn was meant to force a round trip (got {snap})"
         );
         let mut got = Arc::try_unwrap(got)
             .expect("threads joined")
