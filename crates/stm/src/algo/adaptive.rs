@@ -11,15 +11,19 @@
 //! *runtime* quantity: a mode controller samples [`StatsSnapshot`] deltas
 //! over commit windows and moves the live engine between
 //!
-//! * **invisible mode** — the Tl2 hooks: reads are two plain loads and an
-//!   O(1) check, commits replace values in place, no chains; and
-//! * **multiversion mode** — the Mv hooks: read-only transactions read
-//!   the snapshot named by their start time and cannot abort, commits
-//!   append versions the low-watermark collector trims.
+//! * **invisible mode** — the Tl2 read hooks: a read is two plain loads
+//!   of the orec word around the head value and an O(1) check; and
+//! * **multiversion mode** — the Mv read hooks: read-only transactions
+//!   read the snapshot named by their start time and cannot abort.
 //!
-//! Visible reads stay a static algorithm ([`Algorithm::Tlrw`]): they
-//! trade shared-memory RMWs for fewer aborts among many cores, which is
-//! not a side of this separation.
+//! Commits publish the same way in both modes: they append versions the
+//! low-watermark collector trims (in invisible mode no snapshot holds
+//! the watermark back, so chains stay near one version).
+//!
+//! Visible reads stay a static algorithm
+//! ([`Algorithm::Tlrw`](crate::Algorithm::Tlrw)): they trade
+//! shared-memory RMWs for fewer aborts among many cores, which is not a
+//! side of this separation.
 //!
 //! ## The vote
 //!
@@ -44,47 +48,43 @@
 //! consecutive windows voting against the current mode, so a workload
 //! oscillating around the threshold does not flap.
 //!
-//! ## The drained transition
+//! ## One publish protocol, two read-hook sets
 //!
-//! Both modes keep the orec table in one format, `version << 1 | locked`
-//! with every version a tick of the one global clock, and a switch resets
-//! neither: every stamp either mode published is at or below the clock
-//! any later transaction samples, so the table carries across a switch
-//! untouched. What must never overlap are the two *publish* protocols.
-//! Tl2 swaps in a value stamped 0, visible to every snapshot, and may draw
-//! its commit tick by adopting a racing committer's CAS, which writes
-//! nothing to the clock. An Mv snapshot reader racing the first would
-//! read a value its snapshot predates; racing the second, it would miss
-//! the release edge its snapshot relies on (see `versioned::draw_wv`).
-//! So every adaptive transaction registers in its mode's active counter
-//! at its first operation and **pins that mode for the whole attempt**,
-//! and the switcher
+//! What varies per attempt is only the **read side**. The **publish**
+//! protocol is the instance's, fixed at build time: every commit of an
+//! adaptive instance goes through `mv::publish` — append a pending
+//! version, draw `wv` with one always-writing `fetch_add` under the held
+//! write locks, stamp, trim — whichever hooks the committing attempt
+//! read with (static Tl2 and Incremental keep the cheaper swap). Both
+//! read-hook sets then see exactly the commits with `wv <= rv`:
 //!
-//! 1. raises a *draining* flag — new transactions spin (yielding) until
-//!    the transition resolves, in-flight ones finish under their pinned
-//!    mode;
-//! 2. waits for the old mode's active count to reach zero, giving up
-//!    (and lowering the flag) after [`AdaptiveConfig::max_drain`] so a
-//!    long-running or nested transaction stalls the switch, never the
-//!    system;
-//! 3. rebases the snapshot registry's cached watermark to the current
-//!    clock: quiescence leaves the registry empty (an Mv transaction
-//!    holds its slot for its whole pinned attempt), so every version the
-//!    departing mode retained is releasable;
-//! 4. publishes the new mode, which releases the spinning beginners.
+//! * a **Tl2-hook** read (orec check / read / re-check against `rv`)
+//!   aborts on a stripe locked or stamped past `rv`; a committer with
+//!   `wv <= rv` took its locks before its clock write, which the
+//!   reader's acquire load of the clock synchronizes with, so the
+//!   reader finds that commit's lock or its stamp, never a half;
+//! * an **Mv-hook** read walks to the newest version stamped `<= rv`;
+//!   the always-writing clock draw is the release edge from the
+//!   appends to any reader that drew `rv >= wv` (see `mv`).
 //!
-//! Histories recorded across a switch stay opaque because the drain
-//! totally orders old-mode transactions before new-mode ones in real
-//! time: a switch can only *restrict* the interleavings the checker must
-//! serialize.
+//! Updaters of either kind validate under their held write locks
+//! before drawing `wv` (`versioned::prepare`: version equality for
+//! Tl2-hook reads, an upper bound for snapshot reads), so attempts of
+//! both kinds serialize by timestamp while running side by side, and a
+//! switch needs no quiescence: it is one relaxed store of the mode,
+//! read by `Stm::hooks` when an attempt begins. An attempt keeps the
+//! hooks it began with; one begun just before a switch finishes on the
+//! old hooks, concurrently with attempts on the new ones. The orec
+//! table keeps one format, `version << 1 | locked` with every version a
+//! tick of the one clock, under both hook sets, and chains are trimmed
+//! against the snapshot registry at every commit, so neither needs
+//! touching at a switch either.
 
-use crate::engine::{Algorithm, Stm, Transaction};
+use super::Hooks;
+use crate::engine::{Stm, Transaction};
 use crate::stats::StatsSnapshot;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-use super::{mv, tl2};
 
 /// Tuning knobs for [`Algorithm::Adaptive`](crate::Algorithm::Adaptive)'s
 /// mode controller, set through
@@ -121,11 +121,6 @@ pub struct AdaptiveConfig {
     /// Consecutive windows that must vote against the current mode
     /// before the switch executes. Must be at least 1.
     pub hysteresis_windows: u32,
-    /// How long a switch may wait for in-flight transactions of the old
-    /// mode to finish before giving up and keeping the current mode
-    /// (retried at the next window). Bounds the stall a long-running —
-    /// or nested, hence undrainable — transaction can impose.
-    pub max_drain: Duration,
 }
 
 impl Default for AdaptiveConfig {
@@ -134,7 +129,6 @@ impl Default for AdaptiveConfig {
             window_commits: 256,
             mv_scan_reads: 64.0,
             hysteresis_windows: 2,
-            max_drain: Duration::from_millis(5),
         }
     }
 }
@@ -158,21 +152,6 @@ impl AdaptiveConfig {
     }
 }
 
-/// The two hook sets, indexed by the state word's mode bit (and so by
-/// `AdaptiveState::active`).
-const MODES: [Algorithm; 2] = [Algorithm::Tl2, Algorithm::Mv];
-
-/// Mode bit of the packed state word: an index into [`MODES`].
-const MODE: u64 = 1;
-
-/// Draining flag in the packed state word.
-const DRAIN: u64 = 2;
-
-/// The index of a hook set in [`MODES`].
-fn index_of(mode: Algorithm) -> usize {
-    usize::from(mode == Algorithm::Mv)
-}
-
 /// Controller bookkeeping, touched once per window under the `ctl` lock.
 #[derive(Default)]
 struct Ctl {
@@ -185,11 +164,13 @@ struct Ctl {
 /// Live mode-controller state owned by an adaptive [`Stm`].
 pub(crate) struct AdaptiveState {
     cfg: AdaptiveConfig,
-    /// Packed `mode | DRAIN?` word; only the controller mutates it.
-    state: AtomicU64,
-    /// In-flight transactions per mode; a switch drains the old mode's
-    /// count to zero before publishing the new one.
-    active: [AtomicU64; 2],
+    /// The live mode: Mv hooks when set, Tl2 hooks otherwise. Written
+    /// only by the sampler holding `ctl`. Relaxed is enough both ways:
+    /// the flag publishes no other data, and every commit of the
+    /// instance publishes the same way, so an attempt beginning on a
+    /// stale mode is as correct as one on the fresh mode (see the
+    /// module docs).
+    multiversion: AtomicBool,
     /// Commit count at the last sample; the window check compares it
     /// against the live commit counter (one plain load per stats shard),
     /// so the per-commit hot path pays no extra RMW.
@@ -210,74 +191,27 @@ impl AdaptiveState {
     pub(crate) fn new(cfg: AdaptiveConfig) -> Self {
         AdaptiveState {
             cfg,
-            state: AtomicU64::new(index_of(Algorithm::Tl2) as u64),
-            active: [AtomicU64::new(0), AtomicU64::new(0)],
+            multiversion: AtomicBool::new(false),
             last_sample: AtomicU64::new(0),
             ctl: Mutex::new(Ctl::default()),
         }
     }
 
-    /// The hook set currently (or about to be) in force: `Tl2` or `Mv`.
-    pub(crate) fn mode(&self) -> Algorithm {
-        MODES[(self.state.load(Ordering::SeqCst) & MODE) as usize]
-    }
-}
-
-/// Begin hook: pin the current mode for this attempt (spinning out any
-/// in-progress transition), register in its active counter, and sample
-/// the mode's snapshot time.
-pub(crate) fn begin(tx: &mut Transaction<'_>) -> u64 {
-    let ad = tx
-        .stm
-        .adaptive
-        .as_ref()
-        .expect("Algorithm::Adaptive instances carry adaptive state");
-    loop {
-        let s = ad.state.load(Ordering::SeqCst);
-        if s & DRAIN != 0 {
-            // A switch is draining the old mode; it needs those threads
-            // scheduled, so yield rather than burn the timeslice.
-            std::thread::yield_now();
-            continue;
-        }
-        let i = (s & MODE) as usize;
-        ad.active[i].fetch_add(1, Ordering::SeqCst);
-        // Registration races the switcher's drain flag: re-check, and
-        // back out if a transition started in between (the switcher
-        // either saw our increment and is waiting for it, or we saw its
-        // flag — never neither).
-        if ad.state.load(Ordering::SeqCst) == s {
-            tx.pinned = true;
-            // Resolve the per-operation dispatch to the pinned hooks:
-            // later reads/commits cost one match, exactly like a static
-            // instance.
-            tx.mode = MODES[i];
-            return match tx.mode {
-                Algorithm::Mv => mv::begin(tx),
-                _ => tl2::begin(tx.stm),
-            };
-        }
-        ad.active[i].fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Deregisters an attempt from its mode's active counter; called from
-/// the transaction's `Drop` (every attempt, every exit path) and
-/// idempotent through `mem::take`. No-op for static instances.
-pub(crate) fn release_slot(tx: &mut Transaction<'_>) {
-    if std::mem::take(&mut tx.pinned) {
-        if let Some(ad) = tx.stm.adaptive.as_ref() {
-            ad.active[index_of(tx.mode)].fetch_sub(1, Ordering::SeqCst);
+    /// The hook set an attempt beginning now runs: `Tl2` or `Mv`.
+    pub(crate) fn mode(&self) -> Hooks {
+        if self.multiversion.load(Ordering::Relaxed) {
+            Hooks::Mv
+        } else {
+            Hooks::Tl2
         }
     }
 }
 
 /// Commit-path controller hook: counts a read-only commit's scan length,
 /// counts the commit towards the sampling window and, on a window
-/// boundary, samples the stats delta and possibly performs a mode switch.
-/// Called by the engine *after* the committing attempt has released its
-/// mode slot, so the caller never holds one while the switch drains.
-/// No-op for static instances.
+/// boundary, samples the stats delta and possibly switches the mode.
+/// Called by the engine after the committing attempt has flushed its
+/// tallies. No-op for static instances.
 pub(crate) fn after_commit(tx: &Transaction<'_>) {
     let stm = tx.stm;
     let Some(ad) = stm.adaptive.as_ref() else {
@@ -287,10 +221,7 @@ pub(crate) fn after_commit(tx: &Transaction<'_>) {
         stm.stats.read_only_commit(reads);
     }
     // Window check on the commit counter the stats layer already
-    // maintains: plain loads (one per stats shard), no extra RMW. The
-    // committing attempt was released before this runs, so its
-    // operation tallies are already flushed into any snapshot sampled
-    // here.
+    // maintains: plain loads (one per stats shard), no extra RMW.
     let commits = stm.stats.commit_count();
     if commits.wrapping_sub(ad.last_sample.load(Ordering::Relaxed)) < ad.cfg.window_commits {
         return;
@@ -310,61 +241,29 @@ fn sample(stm: &Stm, ad: &AdaptiveState, ctl: &mut Ctl) {
     let snap = stm.stats().snapshot();
     let d = snap.since(&ctl.last);
     ctl.last = snap;
-    let mode = ad.mode();
-    if desired(&ad.cfg, &d) == mode {
+    let want = desired(&ad.cfg, &d);
+    if want == ad.mode() {
         ctl.streak = 0;
         return;
     }
     ctl.streak += 1;
-    // A failed drain keeps the streak: the switch re-fires at the next
-    // window boundary without re-earning hysteresis.
-    if ctl.streak >= ad.cfg.hysteresis_windows && try_switch(stm, ad, mode) {
+    if ctl.streak >= ad.cfg.hysteresis_windows {
         ctl.streak = 0;
+        stm.stats.mode_transition();
+        ad.multiversion.store(want == Hooks::Mv, Ordering::Relaxed);
     }
 }
 
 /// The mode this window votes for: `Mv` iff its read-only commits
 /// averaged at least `mv_scan_reads` reads and no snapshot read was
 /// evicted, `Tl2` otherwise.
-fn desired(cfg: &AdaptiveConfig, d: &StatsSnapshot) -> Algorithm {
+fn desired(cfg: &AdaptiveConfig, d: &StatsSnapshot) -> Hooks {
     let scans = d.ro_commits > 0 && d.ro_reads as f64 / d.ro_commits as f64 >= cfg.mv_scan_reads;
     if scans && d.eviction_aborts == 0 {
-        Algorithm::Mv
+        Hooks::Mv
     } else {
-        Algorithm::Tl2
+        Hooks::Tl2
     }
-}
-
-/// The drained transition out of `from`; returns whether it completed.
-fn try_switch(stm: &Stm, ad: &AdaptiveState, from: Algorithm) -> bool {
-    let old = index_of(from);
-    ad.state.store(old as u64 | DRAIN, Ordering::SeqCst);
-    let deadline = Instant::now() + ad.cfg.max_drain;
-    while ad.active[old].load(Ordering::SeqCst) != 0 {
-        if Instant::now() >= deadline {
-            // In-flight old-mode transactions (a long body, or a nested
-            // transaction on the caller's own stack) did not finish in
-            // time: keep the current mode rather than stall beginners.
-            ad.state.store(old as u64, Ordering::SeqCst);
-            return false;
-        }
-        std::thread::yield_now();
-    }
-    // Quiesced: no transaction is active (beginners spin on the drain
-    // flag, the new mode's count is zero by the stable-state invariant),
-    // which also empties the snapshot registry — an Mv transaction holds
-    // its slot for its whole pinned attempt. Rebase the cached watermark
-    // to the current clock: every version the departing mode retained
-    // for its snapshots is releasable, and the next Mv period starts
-    // from an exact cache instead of a stale floor.
-    if let Some(reg) = stm.snapshots.as_ref() {
-        reg.refresh_watermark(&stm.clock);
-    }
-    stm.stats.mode_transition();
-    // The SeqCst store publishing the new mode orders everything above
-    // before any beginner that observes it.
-    ad.state.store(old as u64 ^ MODE, Ordering::SeqCst);
-    true
 }
 
 #[cfg(test)]
@@ -394,26 +293,26 @@ mod tests {
             writes: 990,
             ..window(1_000, 10, 2_560)
         };
-        assert_eq!(desired(&cfg, &d), Algorithm::Mv);
+        assert_eq!(desired(&cfg, &d), Hooks::Mv);
     }
 
     #[test]
     fn short_or_absent_read_only_transactions_vote_invisible() {
         let cfg = AdaptiveConfig::default();
         // The threshold is inclusive.
-        assert_eq!(desired(&cfg, &window(100, 100, 6_400)), Algorithm::Mv);
-        assert_eq!(desired(&cfg, &window(100, 100, 6_399)), Algorithm::Tl2);
+        assert_eq!(desired(&cfg, &window(100, 100, 6_400)), Hooks::Mv);
+        assert_eq!(desired(&cfg, &window(100, 100, 6_399)), Hooks::Tl2);
         // Read-mostly but short: 16-read transactions buy nothing from
         // snapshots.
-        assert_eq!(desired(&cfg, &window(100, 90, 1_440)), Algorithm::Tl2);
+        assert_eq!(desired(&cfg, &window(100, 90, 1_440)), Hooks::Tl2);
         // Write-heavy transfers, every commit a writer; an empty window.
         let d = StatsSnapshot {
             reads: 200,
             writes: 200,
             ..window(100, 0, 0)
         };
-        assert_eq!(desired(&cfg, &d), Algorithm::Tl2);
-        assert_eq!(desired(&cfg, &window(0, 0, 0)), Algorithm::Tl2);
+        assert_eq!(desired(&cfg, &d), Hooks::Tl2);
+        assert_eq!(desired(&cfg, &window(0, 0, 0)), Hooks::Tl2);
     }
 
     #[test]
@@ -425,7 +324,7 @@ mod tests {
             eviction_aborts: 3,
             ..window(100, 100, 10_000)
         };
-        assert_eq!(desired(&cfg, &d), Algorithm::Tl2);
+        assert_eq!(desired(&cfg, &d), Hooks::Tl2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! | hook | contract |
 //! |------|----------|
-//! | `begin(tx)` | sample the snapshot time (clock, sequence lock, or nothing) at the transaction's first operation — and, for the adaptive controller, pin the attempt's mode |
+//! | `begin(tx)` | sample the snapshot time (clock, sequence lock, or nothing) at the transaction's first operation |
 //! | `read(tx, var, f) -> Result<R, Retry>` | apply `f`, in place, to a value consistent with every earlier read of the attempt (no clone unless `f` makes one), recording whatever the prepare hook needs (versioned read, value snapshot, or a held read lock) |
 //! | `prepare(tx) -> bool` | everything of a commit that can fail: acquire the write set's commit locks (recorded in `TxLog::{stripe_buf, held_buf}`) and validate the read set, publishing nothing; on `false` every lock taken is already rolled back |
 //! | `publish(tx)` | infallible: write the buffered values back under the locks `prepare` holds, log the staged durability payload, release, wake waiters |
@@ -32,16 +32,20 @@
 //! — the engine undoes `TxLog::rw_reads` on every exit path, including
 //! `Drop`, so a panicking body cannot leak a visible read's lock.
 //!
+//! The hooks dispatch on the attempt's [`Hooks`], not on the instance's
+//! [`Algorithm`]: `Algorithm::Adaptive` is not a hook set but a choice
+//! between two, made when each attempt begins (`Stm::hooks`). The
+//! publish hook is the one exception — it is the instance's: an
+//! instance that serves snapshots (Mv, Adaptive) appends every commit,
+//! whichever read hooks the committing attempt ran (see [`adaptive`]).
+//!
 //! Validation helpers shared between algorithms live in [`versioned`]
-//! (orec version equality and the stripe-locking protocol, used by Tl2,
-//! Incremental and Mv) and in the modules that own them; a new
+//! (the per-read currency check and the stripe-locking protocol, used by
+//! Tl2, Incremental and Mv) and in the modules that own them; a new
 //! algorithm is one new module plus one arm in each dispatch — exactly
-//! how [`adaptive`] (the fifth) arrived, composing other modules' hooks
-//! (today Tl2's and Mv's) behind a mode controller, and how [`mv`] (the
-//! sixth) arrived,
-//! swapping the read hook for a version-chain snapshot walk and the
-//! publish hook for an appending variant of the versioned one —
-//! neither touched the engine's generic machinery.
+//! how [`mv`] arrived, swapping the read hook for a version-chain
+//! snapshot walk and the publish hook for an appending variant of the
+//! versioned one without touching the engine's generic machinery.
 
 pub(crate) mod adaptive;
 pub(crate) mod incremental;
@@ -54,24 +58,44 @@ pub(crate) mod versioned;
 use crate::engine::{Algorithm, Retry, Transaction};
 use crate::tvar::{TVar, TxValue};
 
-/// Begin hook: samples the algorithm's snapshot time into `tx.rv`
-/// lazily at the attempt's first operation (and pins the adaptive
-/// mode, where applicable).
+/// The hook set one attempt runs: an [`Algorithm`] with `Adaptive`
+/// resolved, when the attempt begins, to its controller's live mode —
+/// so every dispatch below covers exactly the hook sets that exist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Hooks {
+    Tl2,
+    Incremental,
+    Norec,
+    Tlrw,
+    Mv,
+}
+
+impl From<Hooks> for Algorithm {
+    fn from(hooks: Hooks) -> Algorithm {
+        match hooks {
+            Hooks::Tl2 => Algorithm::Tl2,
+            Hooks::Incremental => Algorithm::Incremental,
+            Hooks::Norec => Algorithm::Norec,
+            Hooks::Tlrw => Algorithm::Tlrw,
+            Hooks::Mv => Algorithm::Mv,
+        }
+    }
+}
+
+/// Begin hook: samples the attempt's snapshot time into `tx.rv` lazily
+/// at its first operation.
 pub(crate) fn begin(tx: &mut Transaction<'_>) {
-    tx.rv = match tx.stm.algorithm {
-        Algorithm::Tl2 => tl2::begin(tx.stm),
-        Algorithm::Incremental => incremental::begin(tx.stm),
-        Algorithm::Norec => norec::begin(tx.stm),
-        Algorithm::Tlrw => tlrw::begin(tx.stm),
-        Algorithm::Mv => mv::begin(tx),
-        Algorithm::Adaptive => adaptive::begin(tx),
+    tx.rv = match tx.mode {
+        Hooks::Tl2 => tl2::begin(tx.stm),
+        Hooks::Incremental => incremental::begin(tx.stm),
+        Hooks::Norec => norec::begin(tx.stm),
+        Hooks::Tlrw => tlrw::begin(tx.stm),
+        Hooks::Mv => mv::begin(tx),
     };
 }
 
 /// Read hook: the algorithm-specific consistent-read path (the engine
-/// has already consulted the write set). Dispatches on the
-/// *transaction's* resolved mode, so an adaptive attempt costs exactly
-/// one match here — the same as a static instance.
+/// has already consulted the write set).
 ///
 /// `f` runs on the version node itself, under the attempt's epoch pin,
 /// inside whatever window the algorithm brackets the value load with —
@@ -83,11 +107,10 @@ pub(crate) fn read<T: TxValue, R>(
     f: impl FnOnce(&T) -> R,
 ) -> Result<R, Retry> {
     match tx.mode {
-        Algorithm::Tl2 => tl2::read(tx, var, f),
-        Algorithm::Incremental => incremental::read(tx, var, f),
-        Algorithm::Norec => norec::read(tx, var, f),
-        Algorithm::Tlrw => tlrw::read(tx, var, f),
-        Algorithm::Mv => mv::read(tx, var, f),
-        Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2 or Mv as the mode"),
+        Hooks::Tl2 => tl2::read(tx, var, f),
+        Hooks::Incremental => incremental::read(tx, var, f),
+        Hooks::Norec => norec::read(tx, var, f),
+        Hooks::Tlrw => tlrw::read(tx, var, f),
+        Hooks::Mv => mv::read(tx, var, f),
     }
 }

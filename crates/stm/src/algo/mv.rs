@@ -16,9 +16,11 @@
 //!
 //! Updating transactions pay the usual single-version price: commit
 //! locks the write set's stripes in sorted order (the same versioned
-//! orec words TL2 uses), validates that no stripe a read touched has
-//! advanced past the snapshot, and then **appends** a version stamped
-//! with a freshly drawn commit timestamp instead of replacing the value:
+//! orec words TL2 uses) and validates that no stripe a read touched has
+//! advanced past the snapshot — `versioned::prepare`, whose per-read
+//! check is an upper bound for snapshot reads — and then **appends** a
+//! version stamped with a freshly drawn commit timestamp instead of
+//! replacing the value:
 //!
 //! 1. append each written value with a *pending* stamp (past this point
 //!    the commit cannot fail — validation already passed under the held
@@ -75,7 +77,7 @@
 use super::versioned;
 use crate::engine::{Retry, Transaction};
 use crate::epoch;
-use crate::orec::{self, stamped};
+use crate::orec::stamped;
 use crate::tvar::{Evicted, TVar, TxValue};
 use crate::txlog::VersionedRead;
 use std::sync::atomic::Ordering;
@@ -88,7 +90,7 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) -> u64 {
         .stm
         .snapshots
         .as_ref()
-        .expect("Algorithm::Mv instances carry a snapshot registry");
+        .expect("snapshot-serving instances carry a snapshot registry");
     let (rv, guard) = reg.pin(&tx.stm.clock);
     tx.snap = Some(guard);
     rv
@@ -124,40 +126,10 @@ pub(crate) fn read<T: TxValue, R>(
     }
 }
 
-/// Upper-bound validation of the read set: a stripe that is locked, or
-/// stamped past the snapshot, proves a commit this transaction's reads
-/// did not see. Stripes this transaction has locked (`TxLog::held_buf`)
-/// validate against their pre-lock words.
-fn validate(tx: &Transaction<'_>) -> Result<(), Retry> {
-    tx.tally.probes(tx.log.reads.len() as u64);
-    for r in &tx.log.reads {
-        let word = match versioned::held_word(&tx.log.held_buf, r.stripe) {
-            Some(pre) => pre,
-            None => tx.stm.orecs.word(r.stripe).load(Ordering::Acquire),
-        };
-        if orec::is_locked(word) || orec::version_of(word) > r.meta {
-            return Err(Retry);
-        }
-    }
-    Ok(())
-}
-
-/// Prepare half: lock the write stripes and run the upper-bound
-/// validation, appending nothing (a read-only attempt locks nothing and
-/// just revalidates). On failure every lock is released.
-pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
-    if !versioned::lock_write_stripes(tx) {
-        return false;
-    }
-    if validate(tx).is_err() {
-        versioned::rollback(tx);
-        return false;
-    }
-    true
-}
-
-/// Publish half: append the pending versions, stamp, trim, and release
-/// under the locks [`prepare`] acquired. Infallible.
+/// Append publish, for every commit of an instance that serves
+/// snapshots (Mv, and Adaptive whichever read hooks the attempt ran):
+/// append the pending versions, stamp, trim, and release under the
+/// locks `versioned::prepare` acquired. Infallible.
 pub(crate) fn publish(tx: &mut Transaction<'_>) {
     // Point of no return: append pending versions, then make them real.
     // The clock draw must be an RMW that always writes (never the
@@ -187,7 +159,7 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
     let reg = stm
         .snapshots
         .as_ref()
-        .expect("Algorithm::Mv instances carry a snapshot registry");
+        .expect("snapshot-serving instances carry a snapshot registry");
     let watermark = reg.cached_watermark(&stm.clock);
     for var in &log.written {
         let (retained, trimmed) = var.trim_chain(watermark, &mut log.retired);

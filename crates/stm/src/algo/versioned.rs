@@ -1,7 +1,8 @@
-//! Shared machinery of the versioned-orec algorithms (Tl2 and
-//! Incremental): version-equality validation of the read set and the
-//! lock–validate–stamp commit over the striped orec table.
+//! Shared machinery of the versioned-orec hook sets (Tl2, Incremental
+//! and Mv): validation of the read set, the stripe-locking prepare, and
+//! the swap publish of the instances that serve no snapshots.
 
+use super::Hooks;
 use crate::engine::{Retry, Stm, Transaction};
 use crate::orec;
 use crate::{epoch, txlog::VersionedRead};
@@ -23,7 +24,7 @@ const HELD_LINEAR_MAX: usize = 8;
 /// locks. `held` is in ascending stripe order by construction
 /// ([`lock_write_stripes`] walks the sorted, deduplicated write
 /// stripes), so sets past [`HELD_LINEAR_MAX`] resolve in O(log w).
-pub(super) fn held_word(held: &[(usize, u64)], stripe: usize) -> Option<u64> {
+fn held_word(held: &[(usize, u64)], stripe: usize) -> Option<u64> {
     debug_assert!(
         held.windows(2).all(|w| w[0].0 < w[1].0),
         "held-lock list must be strictly sorted by stripe"
@@ -39,9 +40,23 @@ pub(super) fn held_word(held: &[(usize, u64)], stripe: usize) -> Option<u64> {
     }
 }
 
-/// Version-equality validation of the read set. Stripes this
-/// transaction has locked (`TxLog::held_buf`, empty outside a prepare)
-/// validate against their pre-lock words.
+/// Whether a read recorded as `meta` under the `mode` hooks is still
+/// current against its stripe's `word`. A Tl2 or Incremental read
+/// recorded the word it observed, and is current while the word is
+/// unchanged. An Mv snapshot read recorded its snapshot bound, and is
+/// current while the stripe is unlocked and stamped no later than that:
+/// a lock or a later stamp proves a commit the snapshot did not see.
+pub(crate) fn still_current(mode: Hooks, word: u64, meta: u64) -> bool {
+    if mode == Hooks::Mv {
+        !orec::is_locked(word) && orec::version_of(word) <= meta
+    } else {
+        word == meta
+    }
+}
+
+/// Validation of the read set ([`still_current`] per read). Stripes
+/// this transaction has locked (`TxLog::held_buf`, empty outside a
+/// prepare) validate against their pre-lock words.
 pub(crate) fn validate(tx: &Transaction<'_>) -> Result<(), Retry> {
     tx.tally.probes(tx.log.reads.len() as u64);
     for r in &tx.log.reads {
@@ -49,7 +64,7 @@ pub(crate) fn validate(tx: &Transaction<'_>) -> Result<(), Retry> {
             Some(pre) => pre,
             None => tx.stm.orecs.word(r.stripe).load(Ordering::Acquire),
         };
-        if word != r.meta {
+        if !still_current(tx.mode, word, r.meta) {
             return Err(Retry);
         }
     }
@@ -62,16 +77,17 @@ pub(crate) fn validate(tx: &Transaction<'_>) -> Result<(), Retry> {
 /// attempts total rather than k serialized wins on the hottest line in
 /// the system.
 ///
-/// **Single-version commits only** (Tl2/Incremental, [`publish`]
-/// below). Mv's commit must not use this: a failed CAS performs no
-/// write, so an adopting loser leaves **no release edge on the clock**
-/// between its work and a reader that drew `rv >= wv` from the winner's
-/// write. That is fine here — invisible single-version readers always
-/// probe the stripe's orec word around the value load, and the
-/// committer's lock CAS / release-stamp of that word carries the
-/// happens-before — but Mv's snapshot readers probe *nothing* except
-/// the clock, so Mv draws its tick with an always-writing `fetch_add`
-/// instead (see `mv::publish` and the `mv` module docs).
+/// **Swap publishes only** ([`publish`] below: static Tl2 and
+/// Incremental). An instance that serves snapshots (Mv, Adaptive) must
+/// not use this: a failed CAS performs no write, so an adopting loser
+/// leaves **no release edge on the clock** between its work and a
+/// reader that drew `rv >= wv` from the winner's write. That is fine
+/// here — invisible single-version readers always probe the stripe's
+/// orec word around the value load, and the committer's lock CAS /
+/// release-stamp of that word carries the happens-before — but snapshot
+/// readers probe *nothing* except the clock, so those instances draw
+/// their tick with an always-writing `fetch_add` instead (see
+/// `mv::publish` and the `mv` module docs).
 ///
 /// Why adopting a foreign tick is safe — the caller must invoke this
 /// only **after** its stripe locks are held:
@@ -108,12 +124,13 @@ fn draw_wv(stm: &Stm) -> u64 {
     }
 }
 
-/// Prepare half (Tl2 and Incremental): try-lock the write set's stripes
-/// in sorted order and validate the read set once against the held
-/// locks, publishing nothing. A read-only attempt locks nothing and
-/// just revalidates. On failure every lock taken is released. One-shot
-/// commits and the two-phase [`Transaction::prepare_commit`] both come
-/// through here.
+/// Prepare half (every versioned-orec hook set: Tl2, Incremental, Mv):
+/// try-lock the write set's stripes in sorted order and validate the
+/// read set once against the held locks, publishing nothing. A
+/// read-only attempt locks nothing and just revalidates. On failure
+/// every lock taken is released. One-shot commits and the two-phase
+/// [`Transaction::prepare_commit`] both come through here, and either
+/// publish — this module's swap or `mv::publish`'s append — follows.
 ///
 /// [`Transaction::prepare_commit`]: crate::Transaction::prepare_commit
 pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
@@ -127,7 +144,8 @@ pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
     true
 }
 
-/// Publish half: write back under the locks [`prepare`] acquired and
+/// Swap publish, for instances that serve no snapshots (static Tl2 and
+/// Incremental): write back under the locks [`prepare`] acquired and
 /// release them stamped with a freshly drawn commit timestamp.
 /// Infallible — the prepare already decided the outcome.
 pub(crate) fn publish(tx: &mut Transaction<'_>) {
@@ -154,9 +172,8 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
 /// deduplicated) and try-locks them in that order, recording each
 /// `(stripe, pre-lock word)` in `TxLog::held_buf`. On any already-locked
 /// word or lost CAS, releases everything taken so far and returns
-/// `false`. Shared by every versioned-word prepare (Tl2/Incremental's
-/// and Mv's), so the locking protocol has exactly one implementation.
-pub(super) fn lock_write_stripes(tx: &mut Transaction<'_>) -> bool {
+/// `false`. The stripe-locking half of [`prepare`].
+fn lock_write_stripes(tx: &mut Transaction<'_>) -> bool {
     tx.log.collect_write_stripes(&tx.stm.orecs);
     for i in 0..tx.log.stripe_buf.len() {
         let stripe = tx.log.stripe_buf[i];

@@ -11,15 +11,18 @@
 //! [`Stm`](crate::Stm) instance through
 //! [`StmBuilder::contention_manager`](crate::StmBuilder::contention_manager).
 //!
-//! Three policies ship with the crate:
+//! Two policies ship with the crate:
 //!
 //! * [`ImmediateRetry`] — retry instantly; best when conflicts are rare
 //!   and short, worst under sustained contention;
 //! * [`ExponentialBackoff`] — the default; escalates spin → yield →
 //!   park, each tier *replacing* the cheaper one rather than stacking on
-//!   top of it;
-//! * [`CappedAttempts`] — wraps another policy and gives up after a fixed
-//!   number of attempts, for latency-bounded callers.
+//!   top of it.
+//!
+//! The attempt budget is not a policy: latency-bounded callers set
+//! [`StmBuilder::max_attempts`](crate::StmBuilder::max_attempts), which
+//! gives up at that many aborts whichever policy runs, without waiting
+//! out the last backoff.
 
 use std::fmt;
 
@@ -166,55 +169,6 @@ impl ContentionManager for ExponentialBackoff {
     }
 }
 
-/// Wraps another policy and gives up after `limit` aborted attempts.
-#[derive(Debug, Clone, Copy)]
-pub struct CappedAttempts<C = ExponentialBackoff> {
-    inner: C,
-    limit: u64,
-}
-
-impl CappedAttempts<ExponentialBackoff> {
-    /// Caps the default backoff policy at `limit` attempts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    pub fn new(limit: u64) -> Self {
-        CappedAttempts::wrapping(limit, ExponentialBackoff::default())
-    }
-}
-
-impl<C: ContentionManager> CappedAttempts<C> {
-    /// Caps an arbitrary inner policy at `limit` attempts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit` is zero.
-    pub fn wrapping(limit: u64, inner: C) -> Self {
-        assert!(limit > 0, "attempt cap must be at least 1");
-        CappedAttempts { inner, limit }
-    }
-}
-
-impl<C: ContentionManager> ContentionManager for CappedAttempts<C> {
-    fn decide(&self, attempt: u64) -> Decision {
-        // `attempt` counts aborts so far; the (limit)-th abort exhausts
-        // the budget of `limit` attempts.
-        if attempt + 1 >= self.limit {
-            return Decision::GiveUp;
-        }
-        self.inner.decide(attempt)
-    }
-
-    fn wait(&self, attempt: u64) {
-        // Waiting out a backoff the cap is about to veto would delay the
-        // caller's exhaustion report for nothing.
-        if attempt + 1 < self.limit {
-            self.inner.wait(attempt);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,59 +236,9 @@ mod tests {
     }
 
     #[test]
-    fn capped_skips_the_inner_wait_at_the_limit() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        // A probe policy that counts how often its wait tier runs.
-        #[derive(Debug)]
-        struct Probe(Arc<AtomicU64>);
-        impl ContentionManager for Probe {
-            fn decide(&self, _attempt: u64) -> Decision {
-                Decision::Retry
-            }
-            fn wait(&self, _attempt: u64) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        let waits = Arc::new(AtomicU64::new(0));
-        let cm = CappedAttempts::wrapping(2, Probe(Arc::clone(&waits)));
-        cm.wait(0);
-        assert_eq!(cm.decide(0), Decision::Retry);
-        assert_eq!(waits.load(Ordering::Relaxed), 1, "inner wait ran");
-        // The limit-reaching abort gives up without waiting out a backoff
-        // the cap is about to veto.
-        cm.wait(1);
-        assert_eq!(cm.decide(1), Decision::GiveUp);
-        assert_eq!(waits.load(Ordering::Relaxed), 1, "no wait at the cap");
-    }
-
-    #[test]
-    fn capped_passes_park_through() {
-        let cm = CappedAttempts::new(1 << 40);
-        assert_eq!(cm.decide(100), Decision::Park);
-    }
-
-    #[test]
-    fn capped_gives_up_at_limit() {
-        let cm = CappedAttempts::wrapping(3, ImmediateRetry);
-        assert_eq!(cm.decide(0), Decision::Retry);
-        assert_eq!(cm.decide(1), Decision::Retry);
-        assert_eq!(cm.decide(2), Decision::GiveUp);
-        assert_eq!(cm.decide(7), Decision::GiveUp);
-    }
-
-    #[test]
-    #[should_panic(expected = "attempt cap")]
-    fn zero_cap_is_rejected() {
-        let _ = CappedAttempts::new(0);
-    }
-
-    #[test]
     fn policies_are_debuggable() {
-        let boxed: Box<dyn ContentionManager> = Box::new(CappedAttempts::new(5));
+        let boxed: Box<dyn ContentionManager> = Box::new(ExponentialBackoff::default());
         let s = format!("{boxed:?}");
-        assert!(s.contains("CappedAttempts"), "{s}");
+        assert!(s.contains("ExponentialBackoff"), "{s}");
     }
 }

@@ -16,12 +16,12 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```
-/// use ptm_stm::{Algorithm, CappedAttempts, Stm};
+/// use ptm_stm::{Algorithm, ImmediateRetry, Stm};
 ///
 /// let stm = Stm::builder(Algorithm::Tl2)
 ///     .max_attempts(1_000)
 ///     .orec_stripes(256)
-///     .contention_manager(CappedAttempts::new(500))
+///     .contention_manager(ImmediateRetry)
 ///     .build();
 /// assert!(format!("{stm:?}").contains("max_attempts: 1000"));
 /// ```
@@ -105,7 +105,7 @@ impl StmBuilder {
     }
 
     /// Tuning knobs for [`Algorithm::Adaptive`]'s mode controller:
-    /// sampling window, switch thresholds, hysteresis, drain budget.
+    /// sampling window, scan threshold, hysteresis.
     /// Ignored by the static algorithms.
     pub fn adaptive_config(mut self, cfg: AdaptiveConfig) -> Self {
         self.adaptive = cfg;
@@ -113,7 +113,8 @@ impl StmBuilder {
     }
 
     /// Space-budget knobs for [`Algorithm::Mv`]'s version chains (also
-    /// in force for [`Algorithm::Adaptive`]'s Mv mode): see
+    /// in force for [`Algorithm::Adaptive`], whose every commit appends
+    /// a version): see
     /// [`MvConfig::max_versions`] for the oldest-snapshot-abort
     /// semantics. Ignored by the single-version algorithms.
     pub fn mv_config(mut self, cfg: MvConfig) -> Self {
@@ -145,9 +146,10 @@ impl StmBuilder {
             }
             _ => None,
         };
-        // Adaptive may route to Mv at runtime, so it carries the
-        // registry from birth — an empty registry is one atomic load on
-        // the paths that consult it.
+        // The instances that serve snapshots. Adaptive does whenever
+        // its controller picks the Mv hooks, so it carries the registry
+        // from birth — and with it the append publish for every commit
+        // (`Transaction::prepare`).
         let snapshots = match self.algorithm {
             Algorithm::Mv | Algorithm::Adaptive => Some(SnapshotRegistry::new()),
             _ => None,

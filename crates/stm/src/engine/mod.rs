@@ -29,10 +29,10 @@
 //!   the chain costs is reclaimed by the low-watermark collector
 //!   ([`crate::epoch`]); the paper's *space* axis, on real threads.
 //! * [`Algorithm::Adaptive`] — a mode controller that samples windowed
-//!   [`StatsSnapshot`](crate::StatsSnapshot) deltas and moves the live
-//!   engine between the Tl2 (invisible) and Mv (multi-version) hooks
-//!   through a drained transition, on a scan-length vote; see
-//!   [`crate::AdaptiveConfig`] for the knobs.
+//!   [`StatsSnapshot`](crate::StatsSnapshot) deltas and, on a
+//!   scan-length vote, moves new attempts between the Tl2 (invisible)
+//!   and Mv (multi-version) read hooks, while every commit publishes the
+//!   Mv way; see [`crate::AdaptiveConfig`] for the knobs.
 //!
 //! The algorithm-specific read/commit/snapshot behaviour lives in the
 //! [`crate::algo`] strategy layer (one module per algorithm, four hooks
@@ -83,6 +83,7 @@ pub use transaction::Transaction;
 pub use twophase::Prepared;
 
 use crate::algo::adaptive::AdaptiveState;
+use crate::algo::Hooks;
 use crate::cm::ContentionManager;
 use crate::epoch::SnapshotRegistry;
 use crate::orec::OrecTable;
@@ -153,10 +154,11 @@ pub enum Algorithm {
     /// Workload-driven switching across the paper's time–space
     /// separation: a controller samples stats deltas over commit windows
     /// and moves the live engine between the invisible-read (Tl2) and
-    /// multi-version (Mv) hooks — Mv while the window's read-only
-    /// transactions are long scans, Tl2 otherwise — through a drained
-    /// transition: in-flight transactions always finish under the mode
-    /// they started in. Starts invisible; tune with
+    /// multi-version (Mv) read hooks — Mv while the window's read-only
+    /// transactions are long scans, Tl2 otherwise. Every commit appends
+    /// a version the Mv way, so a switch waits for nothing: attempts
+    /// already running finish on the hooks they began with, side by
+    /// side with attempts on the new ones. Starts invisible; tune with
     /// [`StmBuilder::adaptive_config`], observe through
     /// [`StatsSnapshot`](crate::StatsSnapshot)'s `mode_transitions` and
     /// [`Stm::active_mode`].
@@ -260,12 +262,14 @@ pub struct Stm {
     pub(super) cm: Box<dyn ContentionManager>,
     /// Present when this instance records t-operation histories.
     pub(super) recorder: Option<HistoryRecorder>,
-    /// Present on `Algorithm::Adaptive` instances: the live mode, the
-    /// per-mode active-transaction counters, and the window controller.
+    /// Present on `Algorithm::Adaptive` instances: the live mode and the
+    /// window controller.
     pub(crate) adaptive: Option<AdaptiveState>,
-    /// Present on `Algorithm::Mv` and `Algorithm::Adaptive` instances:
-    /// the active snapshots whose minimum is the version-chain low
-    /// watermark (and its cached copy, see [`crate::epoch`]).
+    /// Present on the instances that serve snapshots, `Algorithm::Mv`
+    /// and `Algorithm::Adaptive`: the active snapshots whose minimum is
+    /// the version-chain low watermark (and its cached copy, see
+    /// [`crate::epoch`]). Its presence also selects the append publish
+    /// for every commit of the instance.
     pub(crate) snapshots: Option<SnapshotRegistry>,
     /// Space-budget knobs for the Mv hooks ([`StmBuilder::mv_config`]).
     pub(crate) mv: MvConfig,
@@ -353,9 +357,23 @@ impl Stm {
     /// assert_eq!(Stm::adaptive().active_mode(), Algorithm::Tl2);
     /// ```
     pub fn active_mode(&self) -> Algorithm {
-        match &self.adaptive {
-            None => self.algorithm,
-            Some(ad) => ad.mode(),
+        self.hooks().into()
+    }
+
+    /// The hook set an attempt beginning now runs: the algorithm itself,
+    /// or an adaptive instance's live mode.
+    pub(crate) fn hooks(&self) -> Hooks {
+        match self.algorithm {
+            Algorithm::Tl2 => Hooks::Tl2,
+            Algorithm::Incremental => Hooks::Incremental,
+            Algorithm::Norec => Hooks::Norec,
+            Algorithm::Tlrw => Hooks::Tlrw,
+            Algorithm::Mv => Hooks::Mv,
+            Algorithm::Adaptive => self
+                .adaptive
+                .as_ref()
+                .expect("Algorithm::Adaptive instances carry adaptive state")
+                .mode(),
         }
     }
 

@@ -4,11 +4,11 @@
 
 use super::*;
 use crate::algo::adaptive::AdaptiveConfig;
-use crate::cm::{CappedAttempts, ImmediateRetry};
+use crate::cm::{ContentionManager, Decision, ImmediateRetry};
 use crate::orec;
 use crate::tvar::TVar;
 use crate::txlog::{LogLoan, TxLog, POOL_DEPTH, POOL_RETAINED_CAP};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 fn engines() -> Vec<Stm> {
@@ -30,7 +30,6 @@ fn twitchy_adaptive() -> Stm {
             window_commits: 8,
             hysteresis_windows: 1,
             mv_scan_reads: 8.0,
-            ..AdaptiveConfig::default()
         })
         .build()
 }
@@ -529,20 +528,8 @@ fn adaptive_windows_still_trigger_when_counters_land_in_many_shards() {
         (mid.commits, mid.ro_commits, mid.ro_reads),
         (256, 256, 256 * 16)
     );
-    // A window sampled at the tail of concurrent traffic may time out
-    // its drain and keep the old mode; settle with a few more commits
-    // (still a spawned thread — the workload shards stay foreign to
-    // this one).
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for _ in 0..256usize {
-                if stm.active_mode() == Algorithm::Mv {
-                    break;
-                }
-                scan();
-            }
-        });
-    });
+    // No switch waits for anything, so the first sampled window has
+    // already landed it.
     assert_eq!(
         stm.active_mode(),
         Algorithm::Mv,
@@ -561,16 +548,6 @@ fn adaptive_windows_still_trigger_when_counters_land_in_many_shards() {
             });
         }
     });
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for i in 0..256usize {
-                if stm.active_mode() == Algorithm::Tl2 {
-                    break;
-                }
-                transfer(i);
-            }
-        });
-    });
     assert_eq!(stm.active_mode(), Algorithm::Tl2, "and back invisible");
     let snap = stm.stats().snapshot();
     assert!(snap.mode_transitions >= 2);
@@ -583,37 +560,34 @@ fn adaptive_windows_still_trigger_when_counters_land_in_many_shards() {
 }
 
 #[test]
-fn adaptive_nested_transaction_cannot_deadlock_the_switch() {
-    // A nested transaction commits (and samples) while the outer one
-    // is still active on the same thread: the drain must time out
-    // and keep the current mode instead of waiting on its own stack.
+fn adaptive_switch_lands_while_a_transaction_on_the_switching_thread_is_open() {
+    // One-commit windows, one-window hysteresis, and every read-only
+    // commit counts as a scan: the inner read-only commit below votes
+    // multiversion and must switch while the outer transaction — on the
+    // same thread, already begun on the Tl2 hooks and holding a buffered
+    // write — is still open. Nothing waits for the outer one to finish.
     let stm = Stm::builder(Algorithm::Adaptive)
         .adaptive_config(AdaptiveConfig {
             window_commits: 1,
             hysteresis_windows: 1,
-            max_drain: std::time::Duration::from_millis(1),
-            ..AdaptiveConfig::default()
+            mv_scan_reads: 1.0,
         })
         .build();
     let v = TVar::new(0u64);
-    let w = TVar::new(0u64);
-    // Every commit is write-heavy, so every one-commit window votes
-    // visible; the nested commits below each attempt the switch
-    // while the outer transaction still occupies the invisible
-    // mode's active counter.
+    let w = TVar::new(5u64);
+    let mut mode_before_outer_commit = None;
     stm.atomically(|tx| {
-        tx.write(&v, 1)?; // pins the mode, holds the active slot
-        for _ in 0..4 {
-            stm.atomically(|tx2| tx2.modify(&w, |y| y + 1));
-        }
+        tx.write(&v, 1)?;
+        assert_eq!(stm.atomically(|tx2| tx2.read(&w)), 5);
+        mode_before_outer_commit = Some(stm.active_mode());
         tx.write(&v, 2)
     });
-    assert_eq!((v.load(), w.load()), (2, 4));
-    // The outer commit's own sample can finally drain and switch;
-    // either way the engine is live and consistent afterwards.
-    stm.atomically(|tx| tx.modify(&v, |x| x + 1));
-    assert_eq!(v.load(), 3);
-    assert!(stm.stats().snapshot().commits >= 6);
+    assert_eq!(mode_before_outer_commit, Some(Algorithm::Mv));
+    assert_eq!(v.load(), 2);
+    // The outer commit, an updater, voted invisible again.
+    assert_eq!(stm.active_mode(), Algorithm::Tl2);
+    assert_eq!(stm.stats().snapshot().mode_transitions, 2);
+    assert_orecs_quiescent(&stm);
 }
 
 #[test]
@@ -628,13 +602,61 @@ fn run_reports_exhaustion_instead_of_panicking() {
     assert_eq!(stm.stats().snapshot().aborts, 3);
 }
 
+/// A policy that retries (counting its waits) until `give_up_at`
+/// aborts, then gives up.
+#[derive(Debug)]
+struct CountingPolicy {
+    give_up_at: u64,
+    waits: Arc<AtomicU64>,
+}
+
+impl ContentionManager for CountingPolicy {
+    fn decide(&self, attempt: u64) -> Decision {
+        if attempt + 1 >= self.give_up_at {
+            Decision::GiveUp
+        } else {
+            Decision::Retry
+        }
+    }
+
+    fn wait(&self, _attempt: u64) {
+        self.waits.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 #[test]
 fn contention_manager_give_up_is_honored() {
+    let waits = Arc::new(AtomicU64::new(0));
     let stm = Stm::builder(Algorithm::Norec)
-        .contention_manager(CappedAttempts::wrapping(2, ImmediateRetry))
+        .contention_manager(CountingPolicy {
+            give_up_at: 2,
+            waits: Arc::clone(&waits),
+        })
         .build();
     let out = stm.run(|_tx| Err::<(), Retry>(Retry));
     assert_eq!(out, Err(RetriesExhausted { attempts: 2 }));
+    assert_eq!(waits.load(Ordering::Relaxed), 1, "no wait after giving up");
+}
+
+#[test]
+fn max_attempts_gives_up_without_waiting_out_the_last_backoff() {
+    // The budget check runs before the policy is consulted, so the
+    // exhausting abort waits for nothing whatever the policy would do.
+    let waits = Arc::new(AtomicU64::new(0));
+    let stm = Stm::builder(Algorithm::Tl2)
+        .max_attempts(3)
+        .contention_manager(CountingPolicy {
+            give_up_at: u64::MAX,
+            waits: Arc::clone(&waits),
+        })
+        .build();
+    let out = stm.run(|_tx| Err::<(), Retry>(Retry));
+    assert_eq!(out, Err(RetriesExhausted { attempts: 3 }));
+    assert_eq!(
+        waits.load(Ordering::Relaxed),
+        2,
+        "waits after aborts 1 and 2 only"
+    );
 }
 
 #[test]

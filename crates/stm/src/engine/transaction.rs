@@ -3,9 +3,8 @@
 //! resolve point ([`Transaction::committed`] / [`Transaction::aborted`])
 //! every way an attempt can end goes through.
 
-use super::{Algorithm, Retry, Stm};
-use crate::algo;
-use crate::algo::adaptive;
+use super::{Retry, Stm};
+use crate::algo::{self, adaptive, versioned, Hooks};
 use crate::epoch;
 use crate::orec;
 use crate::recorder::{word_of, HistoryRecorder, RecTx};
@@ -50,18 +49,14 @@ pub struct Transaction<'s> {
     /// released whatever an unresolved attempt still held (read locks
     /// first, reset second; see [`LogLoan`]).
     pub(crate) log: LogLoan,
-    /// The concrete hook set this attempt runs: the instance's algorithm
-    /// for static instances; for `Algorithm::Adaptive`, the begin hook
-    /// overwrites it with the pinned mode (`Tl2` or `Mv`), so the
-    /// per-operation dispatch costs one match — no double indirection —
-    /// and stays on the pinned hooks even if the controller switches the
-    /// instance mid-flight.
-    pub(crate) mode: Algorithm,
-    /// Whether this attempt holds a slot in the active counter of its
-    /// adaptive mode (`Algorithm::Adaptive` only), to release when the
-    /// attempt resolves.
-    pub(crate) pinned: bool,
-    /// The published snapshot slot of an `Algorithm::Mv` attempt: keeps
+    /// The hook set this attempt runs ([`Stm::hooks`]: the instance's
+    /// algorithm, or an adaptive instance's live mode when the attempt
+    /// began), so the per-operation dispatch costs one match. A switch
+    /// mid-flight leaves it be: every commit of an adaptive instance
+    /// publishes the same way, whichever hooks read (see
+    /// `algo::adaptive`).
+    pub(crate) mode: Hooks,
+    /// The published snapshot slot of an Mv-hook attempt: keeps
     /// the low-watermark collector from trimming versions this
     /// transaction's snapshot can still reach. Withdrawn when the attempt
     /// resolves.
@@ -92,10 +87,9 @@ impl Drop for Transaction<'_> {
     /// Last resort for an attempt that never reached the resolve point —
     /// a panicking body, a manual [`Stm::transaction`] the caller simply
     /// dropped: it must not leave reader counts behind (a leaked read
-    /// lock would starve every later writer on the stripe) nor hold its
-    /// mode slot against a pending switch. Such an attempt has no outcome
-    /// to count. (The log goes back to the thread's pool right after,
-    /// when the `log` field drops.)
+    /// lock would starve every later writer on the stripe). Such an
+    /// attempt has no outcome to count. (The log goes back to the
+    /// thread's pool right after, when the `log` field drops.)
     fn drop(&mut self) {
         if !self.resolved {
             self.release();
@@ -123,8 +117,7 @@ impl<'s> Transaction<'s> {
             waiting: false,
             resolved: false,
             log: LogLoan::take(),
-            mode: stm.algorithm,
-            pinned: false,
+            mode: stm.hooks(),
             snap: None,
             rec: stm.recorder.as_ref().map(HistoryRecorder::begin_tx),
             tally: OpTally::default(),
@@ -133,8 +126,7 @@ impl<'s> Transaction<'s> {
         }
     }
 
-    /// Lazily samples the snapshot time (and, for adaptive instances,
-    /// pins the mode) at the first operation.
+    /// Lazily samples the snapshot time at the first operation.
     ///
     /// Call it *after* recording the operation's invocation marker:
     /// opacity's real-time order is judged on the recorded markers, so
@@ -180,11 +172,7 @@ impl<'s> Transaction<'s> {
                 .word(stripe)
                 .fetch_sub(orec::RW_READER, Ordering::AcqRel);
         }
-        // The Mv snapshot slot, before the mode slot: a switch that sees
-        // the mode drained rebases the snapshot registry's watermark and
-        // must find this attempt's snapshot gone.
         self.snap = None;
-        adaptive::release_slot(self);
         self.stm.stats.flush(&self.tally);
         self.resolved = true;
     }
@@ -195,11 +183,9 @@ impl<'s> Transaction<'s> {
     /// One order, here and in [`Transaction::aborted`]: release what the
     /// attempt holds (flushing its tallies), *then* count the outcome,
     /// *then* run the adaptive hook — so a stats sample taken at the
-    /// count includes this attempt's operations, and the controller,
-    /// which may quiesce the instance, never waits on the sampling
-    /// thread's own finished attempt. `&mut self`, released in place:
-    /// moving the attempt state into a consuming resolver measured
-    /// +20 ns on every commit (PR 12).
+    /// count includes this attempt's operations. `&mut self`, released
+    /// in place: moving the attempt state into a consuming resolver
+    /// measured +20 ns on every commit.
     pub(super) fn committed(&mut self) {
         self.release();
         self.stm.stats.commit();
@@ -568,19 +554,16 @@ impl<'s> Transaction<'s> {
     /// Sorted and deduplicated.
     pub(super) fn wait_stripes(&self, include_writes: bool) -> Vec<usize> {
         let mut stripes = match self.mode {
-            Algorithm::Tl2 | Algorithm::Incremental | Algorithm::Mv => {
+            Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => {
                 self.log.reads.iter().map(|r| r.stripe).collect()
             }
-            Algorithm::Tlrw => self.log.rw_reads.clone(),
+            Hooks::Tlrw => self.log.rw_reads.clone(),
             // NOrec has one conflict channel — the global sequence lock —
             // so every waiter hangs off stripe 0 and every commit sweeps
             // it.
-            Algorithm::Norec => vec![0],
-            // Unpinned adaptive attempt (nothing read, nothing written):
-            // no footprint to wait on.
-            Algorithm::Adaptive => Vec::new(),
+            Hooks::Norec => vec![0],
         };
-        if include_writes && self.mode != Algorithm::Norec {
+        if include_writes && self.mode != Hooks::Norec {
             stripes.extend(
                 self.log
                     .writes
@@ -602,25 +585,18 @@ impl<'s> Transaction<'s> {
     /// must read as idle in the stats.
     pub(super) fn revalidate_for_park(&self) -> bool {
         match self.mode {
-            Algorithm::Tl2 | Algorithm::Incremental => self
-                .log
-                .reads
-                .iter()
-                .all(|r| self.stm.orecs.word(r.stripe).load(Ordering::Acquire) == r.meta),
-            // Mv reads name a snapshot bound, not an observed word: the
-            // set is stale once any read stripe advances past it.
-            Algorithm::Mv => self.log.reads.iter().all(|r| {
-                let w = self.stm.orecs.word(r.stripe).load(Ordering::Acquire);
-                !orec::is_locked(w) && orec::version_of(w) <= r.meta
+            Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => self.log.reads.iter().all(|r| {
+                let word = self.stm.orecs.word(r.stripe).load(Ordering::Acquire);
+                versioned::still_current(self.mode, word, r.meta)
             }),
             // An attempt that waits before its first operation never
             // sampled the sequence lock and has read nothing to go stale.
-            Algorithm::Norec => !self.started || self.stm.clock.load(Ordering::Acquire) == self.rv,
+            Hooks::Norec => !self.started || self.stm.clock.load(Ordering::Acquire) == self.rv,
             // Visible reads still hold their stripe locks at this point
             // (the resolve point releases them *after* registration): no
             // writer can have committed past them, so the snapshot cannot
-            // be stale. (Unpinned Adaptive has read nothing.)
-            Algorithm::Tlrw | Algorithm::Adaptive => true,
+            // be stale.
+            Hooks::Tlrw => true,
         }
     }
 }

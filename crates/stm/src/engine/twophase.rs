@@ -49,8 +49,8 @@
 //!
 //! [`prepare_commit`]: Transaction::prepare_commit
 
-use super::{Algorithm, Retry, Stm, Transaction};
-use crate::algo::{mv, norec, tlrw, versioned};
+use super::{Retry, Stm, Transaction};
+use crate::algo::{mv, norec, tlrw, versioned, Hooks};
 use ptm_sim::{TOpDesc, TOpResult};
 
 /// A successfully prepared commit: locks held, validation passed, nothing
@@ -78,11 +78,12 @@ pub(super) enum Plan {
     /// validation, under its held read locks, or at its snapshot time);
     /// nothing is locked and nothing needs publishing.
     ReadOnly,
-    /// Versioned stripe locks held (Tl2/Incremental); publishes by
-    /// swapping values.
-    Versioned,
-    /// Versioned stripe locks held (Mv); publishes by appending versions.
-    Mv,
+    /// Versioned stripe locks held on an instance that serves no
+    /// snapshots (static Tl2/Incremental); publishes by swapping values.
+    Swap,
+    /// Versioned stripe locks held on an instance that serves snapshots
+    /// (Mv, Adaptive); publishes by appending versions.
+    Append,
     /// Tlrw write locks held.
     Tlrw,
     /// The instance's sequence lock is held (clock parked at the odd
@@ -187,11 +188,20 @@ impl Transaction<'_> {
         // With an empty write set each hook locks nothing and only
         // revalidates the read set.
         let (ok, plan) = match self.mode {
-            Algorithm::Tl2 | Algorithm::Incremental => (versioned::prepare(self), Plan::Versioned),
-            Algorithm::Mv => (mv::prepare(self), Plan::Mv),
-            Algorithm::Tlrw => (tlrw::prepare(self), Plan::Tlrw),
-            Algorithm::Norec => (norec::prepare(self), Plan::Norec),
-            Algorithm::Adaptive => unreachable!("adaptive begin pins Tl2 or Mv as the mode"),
+            // The read hooks are the attempt's, the publish is the
+            // instance's: one that serves snapshots (it carries the
+            // registry) appends every commit, so its Tl2-hook and Mv-hook
+            // attempts serialize by timestamp (see `algo::adaptive`).
+            Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => {
+                let plan = if self.stm.snapshots.is_some() {
+                    Plan::Append
+                } else {
+                    Plan::Swap
+                };
+                (versioned::prepare(self), plan)
+            }
+            Hooks::Tlrw => (tlrw::prepare(self), Plan::Tlrw),
+            Hooks::Norec => (norec::prepare(self), Plan::Norec),
         };
         if !ok {
             self.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);
@@ -209,8 +219,8 @@ impl Transaction<'_> {
     pub(super) fn publish(&mut self, plan: Plan) {
         match plan {
             Plan::ReadOnly => {}
-            Plan::Versioned => versioned::publish(self),
-            Plan::Mv => mv::publish(self),
+            Plan::Swap => versioned::publish(self),
+            Plan::Append => mv::publish(self),
             Plan::Tlrw => tlrw::publish(self),
             Plan::Norec => norec::publish(self),
         }
@@ -252,7 +262,7 @@ impl Transaction<'_> {
         );
         match prepared.plan {
             Plan::ReadOnly => {}
-            Plan::Versioned | Plan::Mv => versioned::rollback(&mut self),
+            Plan::Swap | Plan::Append => versioned::rollback(&mut self),
             Plan::Tlrw => tlrw::rollback(&mut self),
             Plan::Norec => norec::release_seqlock(&self),
         }

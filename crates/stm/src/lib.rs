@@ -29,11 +29,11 @@
 //!   [`StatsSnapshot`]). Time is traded for space — the paper's other
 //!   axis.
 //! * [`Stm::adaptive`] — a mode controller that samples windowed stats
-//!   deltas and moves the live engine between the Tl2 and Mv hooks —
+//!   deltas and moves new attempts between the Tl2 and Mv read hooks —
 //!   Mv while the read-only transactions are long scans, Tl2 otherwise
-//!   — through a drained transition (tune with [`AdaptiveConfig`],
-//!   observe via `mode_transitions` in [`StatsSnapshot`] and
-//!   [`Stm::active_mode`]).
+//!   — with one relaxed store, since every commit publishes the Mv way
+//!   (tune with [`AdaptiveConfig`], observe via `mode_transitions` in
+//!   [`StatsSnapshot`] and [`Stm::active_mode`]).
 //!
 //! ## Quick start
 //!
@@ -59,11 +59,12 @@
 //! Retry policy and orec geometry are configurable per instance:
 //!
 //! ```
-//! use ptm_stm::{Algorithm, CappedAttempts, Stm};
+//! use ptm_stm::{Algorithm, ExponentialBackoff, Stm};
 //!
 //! let stm = Stm::builder(Algorithm::Tl2)
-//!     .max_attempts(100_000)
-//!     .contention_manager(CappedAttempts::new(10_000))
+//!     .max_attempts(10_000)
+//!     .contention_manager(ExponentialBackoff::default())
+//!     .orec_stripes(4096)
 //!     .build();
 //! let v = ptm_stm::TVar::new(1u64);
 //! assert_eq!(stm.run(|tx| tx.read(&v)), Ok(1));
@@ -79,7 +80,7 @@
 //! | `algo`  | the strategy layer: one module per algorithm (begin / read / prepare / publish hooks), including the adaptive mode controller |
 //! | `txlog` | read-set / write-set log shared by all algorithms |
 //! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
-//! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer with Fenwick-shaped skip links for sublinear snapshot walks (single-version algorithms swap the head; Mv appends, trims, and bounds via [`MvConfig`]) |
+//! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer with Fenwick-shaped skip links for sublinear snapshot walks (static Tl2, Incremental, NOrec and Tlrw swap the head; Mv and Adaptive append, trim, and bound via [`MvConfig`]) |
 //! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (cached off the commit hot path) bounds version-chain trimming |
 //! | [`cm`](ContentionManager) | pluggable retry policies |
 //! | `stats` | commit/abort/validation-probe counters |
@@ -119,7 +120,7 @@ mod waiter;
 pub mod wal;
 
 pub use algo::adaptive::AdaptiveConfig;
-pub use cm::{CappedAttempts, ContentionManager, Decision, ExponentialBackoff, ImmediateRetry};
+pub use cm::{ContentionManager, Decision, ExponentialBackoff, ImmediateRetry};
 pub use engine::{
     Algorithm, MvConfig, Prepared, RetriesExhausted, Retry, RunAsync, Stm, StmBuilder, Transaction,
 };

@@ -16,17 +16,17 @@
 //! Writers publish under the algorithm's exclusion (orec stripe locks or
 //! the NOrec sequence lock), in one of two ways:
 //!
-//! * **swap** ([`AnyTVar::publish_boxed`], the single-version
-//!   algorithms): the new version replaces the head and the displaced
+//! * **swap** ([`AnyTVar::publish_boxed`], the instances that serve no
+//!   snapshots): the new version replaces the head and the displaced
 //!   chain goes to the epoch collector ([`crate::epoch`]) — chains never
 //!   grow;
 //! * **append** ([`AnyTVar::append_boxed`] + [`AnyTVar::stamp_head`],
-//!   `Algorithm::Mv`): the new version is pushed with a *pending* stamp,
-//!   the commit draws its write timestamp, resolves the stamp, and then
-//!   [`AnyTVar::trim_chain`] detaches every version no active or future
-//!   snapshot can reach (the low-watermark rule, see
-//!   [`crate::epoch::SnapshotRegistry`]), retiring the suffix through
-//!   the same epoch machinery.
+//!   `Algorithm::Mv` and `Algorithm::Adaptive`): the new version is
+//!   pushed with a *pending* stamp, the commit draws its write
+//!   timestamp, resolves the stamp, and then [`AnyTVar::trim_chain`]
+//!   detaches every version no active or future snapshot can reach (the
+//!   low-watermark rule, see [`crate::epoch::SnapshotRegistry`]),
+//!   retiring the suffix through the same epoch machinery.
 //!
 //! This grew out of the seed design (value under a `parking_lot::Mutex`
 //! beside a per-variable version word, replaced in PR 1 by a single
@@ -86,7 +86,7 @@ struct Version<T> {
     /// O(log² chain) hops instead of O(chain). Purely an accelerator —
     /// every skip target is also reachable through `prev` — but a
     /// *clamped* one: trims re-aim any skip that would cross the cut
-    /// (see `trim_chain`/`cap_chain`), so following a skip can never
+    /// (see `detach_below`), so following a skip can never
     /// leave the retained chain.
     skip: AtomicPtr<Version<T>>,
 }
@@ -331,7 +331,7 @@ impl<T: TxValue> TVarInner<T> {
         // SAFETY: `prev` is the live head (the caller holds the stripe
         // lock), and every skip/prev pointer reachable from it stays
         // within the retained chain (the clamping invariant upheld by
-        // `trim_chain`/`cap_chain`).
+        // `detach_below`).
         unsafe {
             let i = (*prev).idx.wrapping_add(1);
             let target = i & i.wrapping_sub(1);
@@ -349,6 +349,50 @@ impl<T: TxValue> TVarInner<T> {
                 }
             }
             (i, cur)
+        }
+    }
+
+    /// Makes `tail` the chain's oldest retained version and returns how
+    /// many versions that detached. Every skip in the retained prefix
+    /// that aims below `tail` is first re-aimed at `tail` itself — skips
+    /// must never escape the retained chain (readers would chase freed
+    /// nodes), and `tail` preserves most of the jump distance — and
+    /// `tail`'s own skip, whose target always has a strictly smaller
+    /// index, is cleared. The detached suffix goes to `out` for epoch
+    /// retirement; in-flight readers that already loaded a pointer into
+    /// it hold epoch pins, which keep it alive until they unpin.
+    ///
+    /// # Safety
+    ///
+    /// `tail` must be reachable from the head, and the caller must be the
+    /// chain's only mutator (it holds the stripe lock).
+    unsafe fn detach_below(&self, tail: *mut Version<T>, out: &mut Vec<Retired>) -> usize {
+        // SAFETY: head..=tail are live (reachable, lock held), per the
+        // caller's contract; the detached suffix is this thread's alone
+        // once the swap below unlinks it.
+        unsafe {
+            let tail_idx = (*tail).idx;
+            let mut p = self.head.load(Ordering::Relaxed);
+            while p != tail {
+                let s = (*p).skip.load(Ordering::Relaxed);
+                if !s.is_null() && (*s).idx < tail_idx {
+                    (*p).skip.store(tail, Ordering::Release);
+                }
+                p = (*p).prev.load(Ordering::Relaxed);
+            }
+            (*tail).skip.store(std::ptr::null_mut(), Ordering::Release);
+            let dropped = (*tail).prev.swap(std::ptr::null_mut(), Ordering::AcqRel);
+            if dropped.is_null() {
+                return 0;
+            }
+            let mut n = 0;
+            let mut p = dropped;
+            while !p.is_null() {
+                n += 1;
+                p = (*p).prev.load(Ordering::Relaxed);
+            }
+            out.push(Retired::new(dropped));
+            n
         }
     }
 
@@ -436,42 +480,10 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
         }
         // Everything below `keep` is unreachable: an active snapshot has
         // `rv >= watermark >= stamp(keep)`, so its walk stops at `keep`
-        // or newer. Before detaching, clamp every skip in the retained
-        // prefix that aims below the cut onto `keep` itself — skips must
-        // never escape the retained chain (readers would chase freed
-        // nodes), and `keep` preserves most of the jump distance.
-        // SAFETY: head..=keep are live (reachable, lock held); in-flight
-        // readers that already loaded an old skip still hold epoch pins,
-        // which keep the detached suffix alive until they unpin.
-        unsafe {
-            let keep_idx = (*keep).idx;
-            let mut p = self.head.load(Ordering::Relaxed);
-            while p != keep {
-                let s = (*p).skip.load(Ordering::Relaxed);
-                if !s.is_null() && (*s).idx < keep_idx {
-                    (*p).skip.store(keep, Ordering::Release);
-                }
-                p = (*p).prev.load(Ordering::Relaxed);
-            }
-            // `keep` becomes the chain's tail, and its own skip — whose
-            // target always has a strictly smaller index — can only aim
-            // into the detached suffix: clear it.
-            (*keep).skip.store(std::ptr::null_mut(), Ordering::Release);
-        }
-        // SAFETY: `keep` is live (reachable, lock held).
-        let dropped = unsafe { (*keep).prev.swap(std::ptr::null_mut(), Ordering::AcqRel) };
-        if dropped.is_null() {
-            return (retained, 0);
-        }
-        let mut trimmed = 0;
-        let mut p = dropped;
-        while !p.is_null() {
-            trimmed += 1;
-            // SAFETY: the detached suffix is owned by this thread now
-            // (unreachable from the head, single mutator).
-            p = unsafe { (*p).prev.load(Ordering::Relaxed) };
-        }
-        out.push(Retired::new(dropped));
+        // or newer.
+        // SAFETY: `keep` is reachable from the head; the stripe lock
+        // makes this thread the only mutator.
+        let trimmed = unsafe { self.detach_below(keep, out) };
         (retained, trimmed)
     }
 
@@ -489,47 +501,21 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
             last = prev;
         }
         // SAFETY: `last` is live (reachable, lock held).
-        let last_idx = unsafe { (*last).idx };
-        if unsafe { (*last).prev.load(Ordering::Relaxed) }.is_null() {
+        let evicted = unsafe { (*last).prev.load(Ordering::Relaxed) };
+        if evicted.is_null() {
             return 0;
         }
-        // Same clamping invariant as `trim_chain`: re-aim every retained
-        // skip that targets the about-to-be-evicted suffix onto `last`.
-        // SAFETY: head..=last are live; epoch pins keep the evicted
-        // suffix alive for readers that already loaded a pointer into it.
-        unsafe {
-            let mut p = self.head.load(Ordering::Relaxed);
-            while p != last {
-                let s = (*p).skip.load(Ordering::Relaxed);
-                if !s.is_null() && (*s).idx < last_idx {
-                    (*p).skip.store(last, Ordering::Release);
-                }
-                p = (*p).prev.load(Ordering::Relaxed);
-            }
-            // As in `trim_chain`: the new tail's own skip can only aim
-            // into the evicted suffix.
-            (*last).skip.store(std::ptr::null_mut(), Ordering::Release);
-        }
-        // SAFETY: `last` is live; the detached suffix becomes this
-        // thread's to count and retire.
-        let dropped = unsafe { (*last).prev.swap(std::ptr::null_mut(), Ordering::AcqRel) };
-        debug_assert!(!dropped.is_null());
-        // Record the newest stamp we evicted: a snapshot walk that later
-        // falls off the chain end knows its version may have been here,
-        // and must abort rather than mis-read (oldest-snapshot-abort).
-        // SAFETY: the suffix is unreachable from the head, single owner.
-        let mut evicted = 0;
-        unsafe {
-            self.evicted_stamp
-                .fetch_max((*dropped).stamp.load(Ordering::Acquire), Ordering::AcqRel);
-            let mut p = dropped;
-            while !p.is_null() {
-                evicted += 1;
-                p = (*p).prev.load(Ordering::Relaxed);
-            }
-        }
-        out.push(Retired::new(dropped));
-        evicted
+        // Record the newest stamp we evict *before* detaching it: a
+        // snapshot walk that falls off the new chain end acquires the
+        // detaching swap, so it sees this mark and aborts rather than
+        // mis-read (oldest-snapshot-abort).
+        // SAFETY: `evicted` is live (reachable, lock held).
+        self.evicted_stamp.fetch_max(
+            unsafe { (*evicted).stamp.load(Ordering::Acquire) },
+            Ordering::AcqRel,
+        );
+        // SAFETY: `last` is reachable from the head; stripe lock held.
+        unsafe { self.detach_below(last, out) }
     }
 
     fn value_eq(&self, pin: &Guard, snapshot: &(dyn Any + Send)) -> bool {

@@ -126,7 +126,6 @@ fn parked_consumers_survive_an_adaptive_mode_switch() {
                     window_commits: 16,
                     hysteresis_windows: 1,
                     mv_scan_reads: 8.0,
-                    ..AdaptiveConfig::default()
                 })
                 .build(),
         );
@@ -687,7 +686,7 @@ struct Case {
 
 #[test]
 fn run_run_async_and_try_once_agree_on_every_script() {
-    use progressive_tm::stm::{CappedAttempts, ImmediateRetry};
+    use progressive_tm::stm::ImmediateRetry;
 
     // A budget of one attempt: the first conflict exhausts it, so a
     // script that still commits after waiting proves the wait spent none.
@@ -702,20 +701,6 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             expect: Ok(1),
             try_once: true,
             stats: (1, 0, 0),
-        },
-        Case {
-            name: "always conflicting, CappedAttempts(3)",
-            build: |algo| {
-                Stm::builder(algo)
-                    .contention_manager(CappedAttempts::new(3))
-                    .build()
-            },
-            script: always_conflicts,
-            released_by_writer: false,
-            tlrw: false,
-            expect: Err(3),
-            try_once: false,
-            stats: (3, 3, 0),
         },
         Case {
             name: "always conflicting, max_attempts(3) under ImmediateRetry",

@@ -12,11 +12,12 @@
 //! against exactly the algorithm that guarantees them.
 
 use progressive_tm::model::{is_opaque, History};
+use progressive_tm::sim::LogEntry;
 use progressive_tm::stm::{
-    AdaptiveConfig, Algorithm, CappedAttempts, HistoryRecorder, MvConfig, RetriesExhausted, Retry,
-    Stm, TVar,
+    AdaptiveConfig, Algorithm, HistoryRecorder, MvConfig, RetriesExhausted, Retry, Stm, TVar,
+    Transaction,
 };
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 const ALGOS: [Algorithm; 6] = [
     Algorithm::Tl2,
@@ -882,7 +883,6 @@ fn twitchy_adaptive(scan_reads: usize, rec: Option<HistoryRecorder>) -> Arc<Stm>
         window_commits: 4,
         hysteresis_windows: 1,
         mv_scan_reads: scan_reads as f64,
-        ..AdaptiveConfig::default()
     });
     if let Some(rec) = rec {
         b = b.record_history(rec);
@@ -915,10 +915,10 @@ fn adaptive_mode_switch_mid_workload_preserves_balances() {
 #[test]
 fn adaptive_mode_switch_mid_workload_records_an_opaque_history() {
     // Record the phase-shifting run through real mode switches: the
-    // drained history must stay well-formed and pass the opacity checker
-    // — the drain orders old-mode transactions before new-mode ones in
-    // real time, so a switch can only restrict the interleavings the
-    // checker must serialize.
+    // history must stay well-formed and pass the opacity checker, though
+    // attempts begun on the old hooks run on past a switch beside
+    // attempts on the new ones — every commit publishes the same way, so
+    // both kinds serialize by timestamp.
     let rec = HistoryRecorder::new();
     let stm = twitchy_adaptive(4, Some(rec.clone()));
     let balances = phase_shifting_run(&stm, 4, 12);
@@ -940,9 +940,9 @@ fn adaptive_mode_switch_mid_workload_records_an_opaque_history() {
 fn adaptive_double_transition_through_multiversion_stays_opaque() {
     // Tl2 -> Mv -> Tl2 in one longer run: the scans over sixteen accounts
     // route the engine into multiversion mode, the transfers route it
-    // back to invisible mode, and both drained transitions — which leave
-    // the orec table as it is — must preserve balances and record an
-    // opaque history.
+    // back to invisible mode, and both transitions — which wait for
+    // nothing and leave the orec table as it is — must preserve balances
+    // and record an opaque history.
     let baseline = phase_shifting_run(&Arc::new(Stm::tl2()), 16, 24);
     let rec = HistoryRecorder::new();
     let stm = twitchy_adaptive(16, Some(rec.clone()));
@@ -963,15 +963,19 @@ fn adaptive_double_transition_through_multiversion_stays_opaque() {
         Algorithm::Tl2,
         "the write-heavy tail must land the engine back in invisible mode"
     );
-    let log = rec.drain();
-    let h = History::from_log(&log).expect("recorded history is well-formed");
+    assert_opaque_or_dump(&rec.drain(), "Tl2 -> Mv -> Tl2");
+}
+
+/// Asserts that a drained recorder log is a well-formed, complete and
+/// opaque history. On failure the message leaves the log on disk, one
+/// entry per line, so the schedule can be replayed through the checker
+/// instead of ending as a bare `false`.
+fn assert_opaque_or_dump(log: &[LogEntry], what: &str) {
+    let h = History::from_log(log).expect("recorded history is well-formed");
     assert!(h.is_complete(), "every attempt is t-complete");
-    // The message is only built on failure: it leaves the drained log on
-    // disk, one entry per line, so the schedule can be replayed through
-    // the checker instead of ending as a bare `false`.
     assert!(
         is_opaque(&h),
-        "history recorded across Tl2 -> Mv -> Tl2 must be opaque; drained log: {}",
+        "history recorded across {what} must be opaque; drained log: {}",
         {
             let path = format!(
                 "{}/opacity-failure-{}.log",
@@ -985,6 +989,73 @@ fn adaptive_double_transition_through_multiversion_stays_opaque() {
             }
         }
     );
+}
+
+#[test]
+fn adaptive_scan_straddling_a_switch_stays_opaque() {
+    // The interleaving a quiescing switch would forbid: a scan opens on
+    // the Mv hooks, the instance switches to Tl2 under it, and transfers
+    // commit on the Tl2 hooks before the scan reads the rest and
+    // commits. The scan must still read its start-time snapshot — the
+    // balance sum intact, no abort — and the recorded history must be
+    // opaque.
+    const N: usize = 8;
+    let rec = HistoryRecorder::new();
+    let stm = Stm::builder(Algorithm::Adaptive)
+        .adaptive_config(AdaptiveConfig {
+            window_commits: 1,
+            hysteresis_windows: 1,
+            mv_scan_reads: N as f64,
+        })
+        .record_history(rec.clone())
+        .build();
+    let accounts: Vec<TVar<u64>> = (0..N).map(|_| TVar::new(100)).collect();
+    let total = |tx: &mut Transaction<'_>, part: &[TVar<u64>]| {
+        part.iter().try_fold(0u64, |acc, a| Ok(acc + tx.read(a)?))
+    };
+    // A full scan votes multiversion.
+    assert_eq!(stm.atomically(|tx| total(tx, &accounts)), N as u64 * 100);
+    assert_eq!(stm.active_mode(), Algorithm::Mv);
+    std::thread::scope(|s| {
+        // Both channels live in this closure, so a failed assertion below
+        // drops `resume` and the paused scan fails instead of hanging.
+        let (opened, scan_opened) = mpsc::channel();
+        let (resume, scan_resumes) = mpsc::channel::<()>();
+        let scan = s.spawn(|| {
+            let mut pause = Some((opened, scan_resumes));
+            stm.atomically(|tx| {
+                let head = total(tx, &accounts[..N / 2])?;
+                if let Some((opened, resumes)) = pause.take() {
+                    opened.send(()).expect("main thread waits for the scan");
+                    resumes.recv().expect("main thread resumes the scan");
+                }
+                Ok(head + total(tx, &accounts[N / 2..])?)
+            })
+        });
+        scan_opened.recv().expect("the scan opens");
+        // Each transfer moves value from the scanned half into the
+        // unscanned one; the first one's commit votes invisible.
+        for i in 0..N / 2 {
+            stm.atomically(|tx| {
+                let (from, to) = (&accounts[i], &accounts[N / 2 + i]);
+                let (a, b) = (tx.read(from)?, tx.read(to)?);
+                tx.write(from, a - 10)?;
+                tx.write(to, b + 10)
+            });
+            assert_eq!(stm.active_mode(), Algorithm::Tl2);
+        }
+        resume.send(()).expect("the scan waits to resume");
+        assert_eq!(
+            scan.join().expect("the scan thread"),
+            N as u64 * 100,
+            "the scan saw its start-time snapshot"
+        );
+    });
+    let snap = stm.stats().snapshot();
+    assert_eq!(snap.aborts, 0, "the straddling scan never aborted");
+    assert_eq!(snap.mode_transitions, 3, "Tl2 -> Mv -> Tl2 -> Mv");
+    assert!(snap.snapshot_reads >= N as u64, "the scan ran the Mv hooks");
+    assert_opaque_or_dump(&rec.drain(), "a scan straddling a switch");
 }
 
 #[test]
@@ -1082,16 +1153,18 @@ fn heterogeneous_value_types() {
 
 #[test]
 fn capped_contention_manager_reports_exhaustion() {
-    let stm = Stm::builder(Algorithm::Tl2)
-        .contention_manager(CappedAttempts::new(5))
-        .build();
+    // The attempt budget caps every policy; the default backoff's park
+    // tier never runs inside a five-attempt budget.
+    let stm = Stm::builder(Algorithm::Tl2).max_attempts(5).build();
     let v = TVar::new(0u64);
     let out = stm.run(|tx| {
         tx.read(&v)?;
         Err::<(), Retry>(Retry)
     });
     assert_eq!(out, Err(RetriesExhausted { attempts: 5 }));
-    // The instance advertises its policy.
+    assert_eq!(stm.stats().snapshot().parks, 0);
+    // The instance advertises its budget and its policy.
     let dbg = format!("{stm:?}");
-    assert!(dbg.contains("CappedAttempts"), "{dbg}");
+    assert!(dbg.contains("max_attempts: 5"), "{dbg}");
+    assert!(dbg.contains("ExponentialBackoff"), "{dbg}");
 }

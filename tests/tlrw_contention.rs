@@ -9,7 +9,7 @@
 //! releases every read lock before the policy's wait runs, so backing
 //! off never blocks other transactions.
 
-use progressive_tm::stm::{Algorithm, CappedAttempts, ImmediateRetry, RetriesExhausted, Stm, TVar};
+use progressive_tm::stm::{Algorithm, ImmediateRetry, RetriesExhausted, Stm, TVar};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -47,11 +47,12 @@ fn with_held_read_lock<T>(
 fn writer_facing_a_persistent_reader_is_bounded_under_immediate_retry() {
     // The deterministic no-livelock assertion: a reader camps on the
     // stripe for the whole test, so an ImmediateRetry writer would spin
-    // forever — the capped wrapper must stop it at *exactly* its bound,
+    // forever — the attempt budget must stop it at *exactly* its bound,
     // with every attempt accounted as a reader conflict.
     let stm = Arc::new(
         Stm::builder(Algorithm::Tlrw)
-            .contention_manager(CappedAttempts::wrapping(64, ImmediateRetry))
+            .max_attempts(64)
+            .contention_manager(ImmediateRetry)
             .build(),
     );
     let v = TVar::new(0u64);
