@@ -9,7 +9,7 @@ use crate::epoch;
 use crate::orec;
 use crate::recorder::{word_of, HistoryRecorder, RecTx};
 use crate::stats::OpTally;
-use crate::tvar::{TVar, TxValue};
+use crate::tvar::{TVar, TxValue, WriteNode};
 use crate::txlog::LogLoan;
 use crate::wal::DurableTicket;
 use ptm_sim::{TOpDesc, TOpResult};
@@ -310,7 +310,7 @@ impl<'s> Transaction<'s> {
         f: impl FnOnce(&T) -> R,
     ) -> Result<R, Retry> {
         if let Some(w) = self.log.lookup_write(var.id()) {
-            return Ok(f(w.value.downcast_ref::<T>().expect("write-set type")));
+            return Ok(f(w.node.value::<T>()));
         }
         algo::read(self, var, f)
     }
@@ -362,8 +362,9 @@ impl<'s> Transaction<'s> {
         }
         // After the invocation marker (see `ensure_started`).
         self.ensure_started();
+        // Boxed once, as the version node the commit will publish.
         self.log
-            .buffer_write(var.id(), var.as_dyn(), Box::new(value));
+            .buffer_write(var.id(), var.as_dyn(), WriteNode::new(value));
         if let Some(op) = op {
             self.rec_respond(op, TOpResult::Ok);
         }

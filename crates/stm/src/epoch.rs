@@ -6,22 +6,81 @@
 //! side: a commit swaps the pointer and must not free the old box while
 //! some reader is still cloning it.
 //!
-//! This module implements the classic deferred-reclamation answer:
+//! This module runs Fraser's three-epoch scheme, the way crossbeam-epoch
+//! runs it:
 //!
-//! * every transaction **pins** the current global epoch in a per-thread,
-//!   cache-padded slot for its duration (two atomic ops per transaction,
-//!   *not* per read — so reads stay invisible, in the paper's sense);
-//! * a committing writer swaps its pointers first and only then tags the
-//!   retired boxes with a fresh epoch ([`retire_batch`]), so any reader
-//!   that can still hold an old pointer is pinned at a *strictly older*
-//!   epoch;
-//! * garbage with tag `t` is freed once every pinned slot shows an epoch
-//!   `>= t` — at that point the scan proves no reader can dereference it.
+//! * every transaction **pins**: it copies the global epoch into a
+//!   per-thread, cache-padded slot and issues a `SeqCst` fence — once per
+//!   transaction, *not* per read, so reads stay invisible in the paper's
+//!   sense ([`pin`]);
+//! * a committing writer swaps its pointers first and only then
+//!   **retires** the displaced boxes: a `SeqCst` fence, then a plain load
+//!   of the global epoch, which tags the batch ([`retire_batch`]). No
+//!   commit writes the global epoch, so writers on disjoint stores share
+//!   no cache line through it;
+//! * a thread **collects** once it has retired [`COLLECT_THRESHOLD`]
+//!   boxes since its last collection. The collector advances the global
+//!   epoch one CAS at a time, and only when every pinned slot shows the
+//!   current epoch; a box tagged `t` is freed once the epoch reaches
+//!   `t + 2`.
 //!
-//! All epoch traffic uses `SeqCst`: the pin loop (store slot, re-check
-//! the global epoch) and the collector's scan need a total order for the
-//! "the scan cannot miss a dangerous reader" argument, and the cost sits
-//! on transaction boundaries, never inside the read loop.
+//! A thread collects only while unpinned — at its outermost unpin, or
+//! when it retires outside any transaction. Garbage retired inside a
+//! transaction cannot be freed before that transaction unpins anyway
+//! (the thread's own slot holds the epoch back), and at the unpin the
+//! collector may take both advances the bag needs, so a transaction's
+//! garbage does not outlive it by an extra epoch window. While the bag
+//! still holds [`COLLECT_THRESHOLD`] boxes after a collection (another
+//! thread held the epoch back), each unpin counts toward the next one:
+//! a reading thread retries every `COLLECT_THRESHOLD` operations, not
+//! on every unpin.
+//!
+//! ## Why two advances are enough
+//!
+//! Three `SeqCst` fences carry the argument; the C++20 / Rust memory
+//! model orders all of them in one total order `S`:
+//!
+//! * `F_R`, a reader R's pin fence: after R's store to its slot, before
+//!   any pointer R loads;
+//! * `F_W`, a writer W's retire fence: after W unlinked a box `G`,
+//!   before W loads the epoch `t` that tags `G`;
+//! * `F_C`, a collector C's fence: after C loads the epoch, before it
+//!   scans the slots.
+//!
+//! The pairings rest on one rule ([atomics.order] p4): if `X` is a
+//! `SeqCst` fence sequenced before an access `A`, `Y` one sequenced
+//! after an access `B` to the same location, and `A` is coherence-ordered
+//! before `B`, then `X` precedes `Y` in `S`. Suppose R, pinned at epoch
+//! `e`, dereferences `G`, and let C be the collector whose CAS moved the
+//! epoch from `t + 1` to `t + 2`; C loaded `t + 1` before `F_C`.
+//!
+//! 1. **`F_W` precedes `F_C`.** W's load read `t`, older than the
+//!    `t + 1` that C's load read: pairing W's load (after `F_W`) with
+//!    C's load (before `F_C`).
+//! 2. **If `F_W` precedes `F_R`, R never sees `G`.** W's unlink comes
+//!    before `F_W` and R's pointer loads after `F_R`, so those loads see
+//!    the unlink or something newer: pairing W's unlink store with R's
+//!    pointer loads.
+//! 3. **Otherwise `F_R` precedes `F_W`, and then `e <= t`.** Had R's
+//!    epoch load (before `F_R`) read something newer than W's (after
+//!    `F_W`), `F_W` would precede `F_R`: pairing W's epoch load with
+//!    R's.
+//! 4. **And then C did not see R pinned.** `F_R` precedes `F_W`, which
+//!    precedes `F_C` (step 1), so C's slot scan reads R's pin store or a
+//!    newer value: pairing R's slot store with C's slot load. Had C read
+//!    R still pinned at `e <= t < t + 1`, it would not have advanced. So
+//!    C read R's unpin, or a later pin, both `Release` stores R made
+//!    after its last dereference of `G`; C's `Acquire` slot load, C's
+//!    `Release` CAS and the freeing thread's `Acquire` epoch load (which
+//!    reads C's CAS or a later one in its release sequence) order that
+//!    dereference before the free.
+//!
+//! A slot that registers after C's scan took the registry lock is the
+//! late case of step 2: its pin fence follows `F_C` through the lock.
+//! The orderings this needs are exactly these: pin = load, `Release`
+//! store, `fence(SeqCst)`; unpin = `Release` store; retire =
+//! `fence(SeqCst)`, load; collect = `Acquire` load, `fence(SeqCst)`,
+//! `Acquire` slot loads, `AcqRel` CAS.
 //!
 //! ## Snapshot low-watermark (multi-version reclamation)
 //!
@@ -39,8 +98,8 @@
 //! retire the detached suffix through the ordinary epoch machinery
 //! above, which handles the (already-traversing) dereference hazard.
 //!
-//! The registration protocol mirrors the epoch pin: *read clock, store
-//! slot, re-check clock unchanged* — and the watermark scan reads the
+//! The registration protocol is *read clock, store slot, re-check clock
+//! unchanged* — and the watermark scan reads the
 //! clock floor **before** the slots. Together these order every
 //! missed-slot race: a scanner that missed a just-registering reader
 //! read its floor before the reader's final store, so the reader's
@@ -82,16 +141,16 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 /// Epoch value meaning "this slot's thread is not inside a transaction".
 const QUIESCENT: u64 = u64::MAX;
 
-/// Collect the local bag once it holds this many retired boxes.
+/// Collect once this many boxes were retired since the last collection.
 const COLLECT_THRESHOLD: usize = 64;
 
-/// Global epoch counter, bumped once per writing commit.
+/// Global epoch; only collectors write it, one CAS per advance.
 static EPOCH: AtomicU64 = AtomicU64::new(1);
 
 /// All live participant slots; scanned (under the lock) by collectors.
@@ -150,6 +209,13 @@ impl Drop for Retired {
 struct Local {
     slot: Arc<Slot>,
     bag: Vec<Retired>,
+    /// What a collection frees, kept between collections so collecting
+    /// allocates nothing; sized on the retire path to hold the whole
+    /// bag. Taken out while its contents drop (see [`collect`]).
+    scratch: Vec<Retired>,
+    /// Boxes retired, plus unpins with [`COLLECT_THRESHOLD`] boxes still
+    /// bagged, since the last collection.
+    pending: usize,
     pins: usize,
 }
 
@@ -165,6 +231,8 @@ impl Local {
         Local {
             slot,
             bag: Vec::new(),
+            scratch: Vec::new(),
+            pending: 0,
             pins: 0,
         }
     }
@@ -174,7 +242,7 @@ impl Drop for Local {
     fn drop(&mut self) {
         // Hand unfinished garbage to the global orphan list and retire the
         // slot so it no longer blocks collection.
-        self.slot.epoch.store(QUIESCENT, Ordering::SeqCst);
+        self.slot.epoch.store(QUIESCENT, Ordering::Release);
         if !self.bag.is_empty() {
             // Do not drop user values here: thread-local storage is being
             // torn down, and a value's `Drop` may legitimately pin the
@@ -209,17 +277,13 @@ pub(crate) fn pin() -> Guard {
     LOCAL.with(|l| {
         let mut l = l.borrow_mut();
         if l.pins == 0 {
-            // Publish the epoch, then re-check it did not advance under
-            // us: after this loop, collectors are guaranteed to observe
-            // either our published value or a fresher global epoch that
-            // postdates every pointer we can subsequently load.
-            loop {
-                let e = EPOCH.load(Ordering::SeqCst);
-                l.slot.epoch.store(e, Ordering::SeqCst);
-                if EPOCH.load(Ordering::SeqCst) == e {
-                    break;
-                }
-            }
+            // A stale epoch is fine: it only holds collectors back. The
+            // fence is `F_R` of the module docs — it orders the slot store
+            // before every pointer this pin protects.
+            l.slot
+                .epoch
+                .store(EPOCH.load(Ordering::Relaxed), Ordering::Release);
+            fence(Ordering::SeqCst);
         }
         l.pins += 1;
     });
@@ -233,83 +297,131 @@ impl Drop for Guard {
         // A thread-local can be torn down before late guards on the same
         // thread; losing the unpin store then is harmless (the slot was
         // already retired from the registry).
-        let _ = LOCAL.try_with(|l| {
+        let due = LOCAL.try_with(|l| {
             let mut l = l.borrow_mut();
             l.pins -= 1;
-            if l.pins == 0 {
-                l.slot.epoch.store(QUIESCENT, Ordering::SeqCst);
+            if l.pins > 0 {
+                return false;
             }
+            // Release: every dereference this pin covered happens before
+            // a collector that reads this store frees anything.
+            l.slot.epoch.store(QUIESCENT, Ordering::Release);
+            if l.bag.len() >= COLLECT_THRESHOLD {
+                l.pending += 1;
+            }
+            l.pending >= COLLECT_THRESHOLD
         });
+        if due == Ok(true) {
+            collect();
+        }
     }
 }
 
 /// Retires value boxes swapped out by one commit, draining `retired`
 /// (the caller keeps the emptied buffer — the commit path's lives in the
 /// recycled transaction log, so retiring allocates nothing). Must be
-/// called *after* all the pointer swaps it covers (the epoch tag must
-/// postdate them).
+/// called *after* all the pointer swaps it covers: the fence below is
+/// `F_W` of the module docs, and the tag it reads must postdate them.
 pub(crate) fn retire_batch(retired: &mut Vec<Retired>) {
     if retired.is_empty() {
         return;
     }
-    let tag = EPOCH.fetch_add(1, Ordering::SeqCst) + 1;
+    fence(Ordering::SeqCst);
+    let tag = EPOCH.load(Ordering::Relaxed);
     for r in retired.iter_mut() {
         r.epoch = tag;
     }
-    let mut to_free: Vec<Retired> = Vec::new();
-    LOCAL.with(|l| {
+    let due = LOCAL.with(|l| {
         let mut l = l.borrow_mut();
+        l.pending += retired.len();
         l.bag.append(retired);
-        if l.bag.len() >= COLLECT_THRESHOLD
-            || ORPHAN_PRESSURE.load(Ordering::Relaxed) >= COLLECT_THRESHOLD as u64
-        {
-            let min = min_pinned_epoch();
-            let mut i = 0;
-            while i < l.bag.len() {
-                if l.bag[i].epoch < min {
-                    to_free.push(l.bag.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-            drop(l);
-            collect_orphans(min, &mut to_free);
+        // Grow the scratch list here, with the bag, so that no collection
+        // allocates — not even one an unpin starts on a read-only
+        // operation. A no-op once the bag has reached its steady size.
+        let bagged = l.bag.len();
+        l.scratch.reserve(bagged);
+        if ORPHAN_PRESSURE.load(Ordering::Relaxed) >= COLLECT_THRESHOLD as u64 {
+            l.pending = l.pending.max(COLLECT_THRESHOLD);
         }
+        // Inside a transaction, the outermost unpin collects instead.
+        l.pins == 0 && l.pending >= COLLECT_THRESHOLD
     });
-    // Drop collected garbage only now, outside the thread-local borrow
-    // and the orphan lock: a value's `Drop` may itself pin the epoch or
-    // retire more garbage (e.g. it holds or reads `TVar`s).
-    drop(to_free);
+    if due {
+        collect();
+    }
 }
 
-/// The oldest epoch any currently pinned thread could be reading under.
-fn min_pinned_epoch() -> u64 {
-    let registry = REGISTRY.lock().expect("epoch registry poisoned");
-    registry
-        .iter()
-        .map(|s| s.epoch.load(Ordering::SeqCst))
-        .min()
-        .unwrap_or(QUIESCENT)
-}
-
-/// Moves every collectible orphan into `out` (the caller drops them after
-/// releasing all locks and borrows).
-fn collect_orphans(min: u64, out: &mut Vec<Retired>) {
-    if let Ok(mut orphans) = ORPHANS.lock() {
-        let mut freed = 0u64;
-        let mut i = 0;
-        while i < orphans.len() {
-            if orphans[i].epoch < min {
-                out.push(orphans.swap_remove(i));
-                freed += 1;
-            } else {
-                i += 1;
+/// Frees what this thread's bag and the orphan list no longer need:
+/// advances the epoch as far as the bag's newest tag requires (at most
+/// two steps, fewer if some pinned thread holds it back), then moves
+/// every box tagged two advances back into the scratch list and drops it
+/// there — outside the thread-local borrow and the orphan lock, since a
+/// value's `Drop` may itself pin or retire. Called unpinned.
+fn collect() {
+    let Ok(mut to_free) = LOCAL.try_with(|l| {
+        let mut l = l.borrow_mut();
+        l.pending = 0;
+        let newest = l.bag.iter().map(|r| r.epoch).max().unwrap_or(0);
+        let epoch = advance_to(newest + 2);
+        let mut to_free = std::mem::take(&mut l.scratch);
+        take_freeable(&mut l.bag, epoch, &mut to_free);
+        drop(l);
+        if let Ok(mut orphans) = ORPHANS.lock() {
+            let freed = take_freeable(&mut orphans, epoch, &mut to_free);
+            if freed > 0 {
+                ORPHAN_PRESSURE.fetch_sub(freed as u64, Ordering::Relaxed);
             }
         }
-        if freed > 0 {
-            ORPHAN_PRESSURE.fetch_sub(freed, Ordering::Relaxed);
+        to_free
+    }) else {
+        return;
+    };
+    to_free.clear();
+    let _ = LOCAL.try_with(|l| l.borrow_mut().scratch = to_free);
+}
+
+/// Advances the global epoch toward `target`, one CAS per step, each
+/// step only if every pinned slot shows the current epoch. Returns the
+/// epoch reached (possibly moved further by a rival collector).
+fn advance_to(target: u64) -> u64 {
+    let mut epoch = EPOCH.load(Ordering::Acquire);
+    if epoch >= target {
+        return epoch;
+    }
+    let registry = REGISTRY.lock().expect("epoch registry poisoned");
+    while epoch < target {
+        // `F_C` of the module docs: after the load of `epoch` (the one
+        // above, or the CAS below), before the slot scan.
+        fence(Ordering::SeqCst);
+        let lagging = registry.iter().any(|s| {
+            let e = s.epoch.load(Ordering::Acquire);
+            e != QUIESCENT && e != epoch
+        });
+        if lagging {
+            break;
+        }
+        epoch = match EPOCH.compare_exchange(epoch, epoch + 1, Ordering::AcqRel, Ordering::Acquire)
+        {
+            Ok(_) => epoch + 1,
+            Err(now) => now,
+        };
+    }
+    epoch
+}
+
+/// Moves every box of `from` that two advances have passed (`tag + 2 <=
+/// epoch`) into `out`; returns how many.
+fn take_freeable(from: &mut Vec<Retired>, epoch: u64, out: &mut Vec<Retired>) -> usize {
+    let before = out.len();
+    let mut i = 0;
+    while i < from.len() {
+        if from[i].epoch + 2 <= epoch {
+            out.push(from.swap_remove(i));
+        } else {
+            i += 1;
         }
     }
+    out.len() - before
 }
 
 /// Slot value meaning "this thread holds no active snapshot here".
@@ -632,6 +744,116 @@ mod tests {
         drop(a);
         drop(b);
         let _c = pin();
+    }
+
+    #[test]
+    fn garbage_retired_in_a_transaction_is_freed_after_the_thread_leaves_it() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let retired = 2 * COLLECT_THRESHOLD;
+        {
+            let _in_transaction = pin();
+            for _ in 0..retired {
+                let b = Box::into_raw(Box::new(Counted(Arc::clone(&drops))));
+                retire_batch(&mut vec![Retired::new(b)]);
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the pin");
+        }
+        // The unpin above collected, taking both advances this garbage
+        // needs unless another test's thread held the epoch back; then
+        // every `COLLECT_THRESHOLD` unpins retry. No further retirement
+        // is needed — this thread retires nothing more.
+        for round in 0.. {
+            if drops.load(Ordering::SeqCst) == retired {
+                break;
+            }
+            assert!(round < 100_000, "garbage outlived the transaction");
+            drop(pin());
+            if round % 1_000 == 999 {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// A value whose `Drop` overwrites its magic word: a reader that
+    /// ever sees the poison read a node the collector freed (or was
+    /// freeing) under it.
+    #[derive(Clone, PartialEq)]
+    struct Canary {
+        word: u64,
+        n: u64,
+    }
+
+    const MAGIC: u64 = 0x5afe_5afe_5afe_5afe;
+
+    impl Drop for Canary {
+        fn drop(&mut self) {
+            // Volatile, so the dead store is kept.
+            // SAFETY: `&mut self.word` is valid, aligned and exclusive.
+            unsafe { std::ptr::write_volatile(&mut self.word, 0xdead) };
+        }
+    }
+
+    #[test]
+    fn readers_never_see_a_reclaimed_value() {
+        use crate::{Algorithm, Stm, TVar};
+        use std::sync::atomic::AtomicBool;
+        const WRITES: u64 = 5_000;
+        const HOLD: usize = 1_000;
+        for algorithm in [Algorithm::Tl2, Algorithm::Mv] {
+            let stm = Stm::new(algorithm);
+            let var = TVar::new(Canary { word: MAGIC, n: 0 });
+            // A writer on a second instance: its collections advance the
+            // same process-wide epoch under the readers' pins.
+            let other = Stm::tl2();
+            let elsewhere = TVar::new(0u64);
+            let done = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        while !done.load(Ordering::Acquire) {
+                            // Keep the node in hand a while, re-reading
+                            // the word each time, to widen the window in
+                            // which a premature free would land.
+                            stm.atomically(|tx| {
+                                tx.read_with(&var, |c| {
+                                    // Checked inside the read: a read the
+                                    // re-check discards may still have
+                                    // touched a freed node.
+                                    for _ in 0..HOLD {
+                                        // SAFETY: `c.word` is a valid,
+                                        // aligned `u64` behind a live `&`.
+                                        let word = unsafe { std::ptr::read_volatile(&c.word) };
+                                        assert_eq!(
+                                            word, MAGIC,
+                                            "{algorithm:?}: read a reclaimed value"
+                                        );
+                                    }
+                                })
+                            });
+                        }
+                    });
+                }
+                s.spawn(|| {
+                    for i in 0..WRITES {
+                        other.atomically(|tx| tx.write(&elsewhere, i));
+                    }
+                });
+                // Each commit retires a collection's worth of nodes, so
+                // its own unpin collects the `var` node it displaced.
+                let fillers: Vec<TVar<u64>> =
+                    (0..COLLECT_THRESHOLD as u64).map(TVar::new).collect();
+                for n in 1..=WRITES {
+                    stm.atomically(|tx| {
+                        for f in &fillers {
+                            tx.write(f, n)?;
+                        }
+                        tx.write(&var, Canary { word: MAGIC, n })
+                    });
+                }
+                done.store(true, Ordering::Release);
+            });
+            assert_eq!(var.load().n, WRITES);
+        }
     }
 
     #[test]

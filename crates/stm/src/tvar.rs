@@ -13,16 +13,22 @@
 //! traverses to the newest version no newer than its start time and
 //! never validates, never aborts.
 //!
+//! A transactional write allocates the version node it will publish:
+//! the write set holds a [`WriteNode`] — the value already inside an
+//! unlinked `Version` with stamp 0 — and the commit links that very
+//! node, so a written value is boxed once and never copied. An aborted
+//! attempt drops its nodes directly: no reader ever saw them.
+//!
 //! Writers publish under the algorithm's exclusion (orec stripe locks or
 //! the NOrec sequence lock), in one of two ways:
 //!
 //! * **swap** ([`AnyTVar::publish_boxed`], the instances that serve no
-//!   snapshots): the new version replaces the head and the displaced
+//!   snapshots): the node replaces the head and the displaced
 //!   chain goes to the epoch collector ([`crate::epoch`]) — chains never
 //!   grow;
 //! * **append** ([`AnyTVar::append_boxed`] + [`AnyTVar::stamp_head`],
-//!   `Algorithm::Mv` and `Algorithm::Adaptive`): the new version is
-//!   pushed with a *pending* stamp, the commit draws its write
+//!   `Algorithm::Mv` and `Algorithm::Adaptive`): the node is linked
+//!   over the old head with a *pending* stamp, the commit draws its write
 //!   timestamp, resolves the stamp, and then [`AnyTVar::trim_chain`]
 //!   detaches every version no active or future snapshot can reach (the
 //!   low-watermark rule, see [`crate::epoch::SnapshotRegistry`]),
@@ -92,20 +98,16 @@ struct Version<T> {
 }
 
 impl<T> Version<T> {
-    fn boxed(
-        value: T,
-        stamp: u64,
-        prev: *mut Version<T>,
-        idx: u64,
-        skip: *mut Version<T>,
-    ) -> *mut Version<T> {
-        Box::into_raw(Box::new(Version {
+    /// An unlinked node: stamp 0, no `prev`, index 0, no skip — what a
+    /// swap publishes as is, and what an append links in place.
+    fn unlinked(value: T) -> Self {
+        Version {
             value,
-            stamp: AtomicU64::new(stamp),
-            prev: AtomicPtr::new(prev),
-            idx,
-            skip: AtomicPtr::new(skip),
-        }))
+            stamp: AtomicU64::new(0),
+            prev: AtomicPtr::new(std::ptr::null_mut()),
+            idx: 0,
+            skip: AtomicPtr::new(std::ptr::null_mut()),
+        }
     }
 
     /// The resolved stamp, waiting out a committer mid-stamp. The
@@ -147,10 +149,41 @@ impl<T> Drop for Version<T> {
     }
 }
 
+/// A buffered write: the value inside the unlinked version node its
+/// commit will publish ([`AnyTVar::publish_boxed`] swaps this node in,
+/// [`AnyTVar::append_boxed`] links it). Type-erased for the
+/// heterogeneous write set; [`WriteNode::new`] is the only way to make
+/// one, so every node a publisher receives is still unlinked.
+pub(crate) struct WriteNode(Box<dyn Any + Send>);
+
+impl WriteNode {
+    pub(crate) fn new<T: TxValue>(value: T) -> Self {
+        WriteNode(Box::new(Version::unlinked(value)))
+    }
+
+    /// The buffered value — what a read of the attempt's own write sees.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `T` is not the type the node was built with
+    /// (transaction-engine bug, not reachable from the public API).
+    pub(crate) fn value<T: TxValue>(&self) -> &T {
+        &self
+            .0
+            .downcast_ref::<Version<T>>()
+            .expect("write-set type")
+            .value
+    }
+
+    fn into_version<T: TxValue>(self) -> Box<Version<T>> {
+        self.0.downcast().expect("write-set type")
+    }
+}
+
 /// Type-erased view of a `TVarInner<T>`, used by transaction logs, which
 /// are heterogeneous.
 pub(crate) trait AnyTVar: Send + Sync {
-    /// Single-version publish: swaps `value` in as the sole retained
+    /// Single-version publish: swaps `node` in as the sole retained
     /// version and returns the displaced chain for epoch retirement.
     ///
     /// The caller must hold the exclusion covering this variable (its
@@ -159,15 +192,15 @@ pub(crate) trait AnyTVar: Send + Sync {
     ///
     /// # Panics
     ///
-    /// Panics if the boxed value is of the wrong type (transaction-engine
-    /// bug, not reachable from the public API).
-    fn publish_boxed(&self, value: Box<dyn Any + Send>) -> Retired;
+    /// Panics if the node holds the wrong type (transaction-engine bug,
+    /// not reachable from the public API).
+    fn publish_boxed(&self, node: WriteNode) -> Retired;
 
-    /// Multi-version publish, step 1: pushes `value` as the new head
-    /// with a pending stamp. The caller must hold the stripe lock and
-    /// must be past the point of no return (validation done — an
-    /// appended version is never unlinked by its own commit).
-    fn append_boxed(&self, value: Box<dyn Any + Send>);
+    /// Multi-version publish, step 1: links `node` over the head with a
+    /// pending stamp. The caller must hold the stripe lock and must be
+    /// past the point of no return (validation done — an appended
+    /// version is never unlinked by its own commit).
+    fn append_boxed(&self, node: WriteNode);
 
     /// Multi-version publish, step 2: resolves the head's pending stamp
     /// to the commit's write timestamp. Caller still holds the stripe
@@ -210,13 +243,7 @@ pub(crate) struct TVarInner<T> {
 impl<T: TxValue> TVarInner<T> {
     fn new(value: T) -> Self {
         TVarInner {
-            head: AtomicPtr::new(Version::boxed(
-                value,
-                0,
-                std::ptr::null_mut(),
-                0,
-                std::ptr::null_mut(),
-            )),
+            head: AtomicPtr::new(Box::into_raw(Box::new(Version::unlinked(value)))),
             evicted_stamp: AtomicU64::new(0),
         }
     }
@@ -423,28 +450,32 @@ impl<T> Drop for TVarInner<T> {
 }
 
 impl<T: TxValue> AnyTVar for TVarInner<T> {
-    fn publish_boxed(&self, value: Box<dyn Any + Send>) -> Retired {
-        let value: Box<T> = value.downcast().expect("write-set type");
-        // Stamp 0: single-version algorithms never read stamps, and 0
-        // keeps the value visible to every snapshot if the variable is
-        // later handed (sequentially) to an Mv instance. Index restarts
-        // at 0 — the swapped-in node heads a fresh one-element chain.
-        let node = Version::boxed(*value, 0, std::ptr::null_mut(), 0, std::ptr::null_mut());
+    fn publish_boxed(&self, node: WriteNode) -> Retired {
+        // The node goes in as `WriteNode::new` built it. Stamp 0:
+        // single-version algorithms never read stamps, and 0 keeps the
+        // value visible to every snapshot if the variable is later
+        // handed (sequentially) to an Mv instance. Index 0 and null
+        // links — the swapped-in node heads a fresh one-element chain.
+        let node = Box::into_raw(node.into_version::<T>());
         let old = self.head.swap(node, Ordering::AcqRel);
         // The displaced node still owns its `prev` chain; retiring it
         // frees the whole suffix once no pinned reader remains.
         Retired::new(old)
     }
 
-    fn append_boxed(&self, value: Box<dyn Any + Send>) {
-        let value: Box<T> = value.downcast().expect("write-set type");
+    fn append_boxed(&self, node: WriteNode) {
+        let mut node = node.into_version::<T>();
         let prev = self.head.load(Ordering::Relaxed);
         let (idx, skip) = TVarInner::<T>::skip_for(prev);
-        let node = Version::boxed(*value, PENDING, prev, idx, skip);
+        // The node is still this committer's alone: plain field writes.
+        *node.stamp.get_mut() = PENDING;
+        *node.prev.get_mut() = prev;
+        node.idx = idx;
+        *node.skip.get_mut() = skip;
         // Plain store, not a swap: the stripe lock gives this committer
         // sole write access to the chain; Release publishes the node's
         // initialization to readers.
-        self.head.store(node, Ordering::Release);
+        self.head.store(Box::into_raw(node), Ordering::Release);
     }
 
     fn stamp_head(&self, wv: u64) {
@@ -631,7 +662,7 @@ mod tests {
         assert_eq!(a.id(), b.id());
         epoch::retire_batch(&mut vec![a
             .inner
-            .publish_boxed(Box::new(String::from("y")))]);
+            .publish_boxed(WriteNode::new(String::from("y")))]);
         assert_eq!(b.load(), "y");
     }
 
@@ -648,7 +679,7 @@ mod tests {
         let pin = epoch::pin();
         let snap: Box<dyn Any + Send> = Box::new(7i64);
         assert!(v.inner.value_eq(&pin, snap.as_ref()));
-        epoch::retire_batch(&mut vec![v.inner.publish_boxed(Box::new(9i64))]);
+        epoch::retire_batch(&mut vec![v.inner.publish_boxed(WriteNode::new(9i64))]);
         assert!(!v.inner.value_eq(&pin, snap.as_ref()));
         assert_eq!(v.load(), 9);
         assert_eq!(v.versions_retained(), 1, "publish swaps, never chains");
@@ -662,7 +693,7 @@ mod tests {
         let v = TVar::new(10u64);
         let pin = epoch::pin();
         for (wv, val) in [(3u64, 13u64), (5, 15), (9, 19)] {
-            v.inner.append_boxed(Box::new(val));
+            v.inner.append_boxed(WriteNode::new(val));
             v.inner.stamp_head(wv);
         }
         assert_eq!(v.versions_retained(), 4);
@@ -683,7 +714,7 @@ mod tests {
     fn trim_detaches_exactly_the_unreachable_suffix() {
         let v = TVar::new(0u64);
         for wv in [2u64, 4, 6, 8] {
-            v.inner.append_boxed(Box::new(wv * 10));
+            v.inner.append_boxed(WriteNode::new(wv * 10));
             v.inner.stamp_head(wv);
         }
         assert_eq!(v.versions_retained(), 5);
@@ -717,7 +748,7 @@ mod tests {
         let mut out = Vec::new();
         {
             let pin = epoch::pin();
-            v.inner.append_boxed(Box::new(2u64));
+            v.inner.append_boxed(WriteNode::new(2u64));
             v.inner.stamp_head(50);
             let (retained, trimmed) = v.inner.trim_chain(60, &mut out);
             assert_eq!((retained, trimmed), (1, 1)); // initial 0-stamp trimmed
@@ -749,7 +780,9 @@ mod tests {
         // its history is still in epoch bags.
         let v = TVar::new(vec![0u8; 64]);
         for i in 0..10u8 {
-            epoch::retire_batch(&mut vec![v.inner.publish_boxed(Box::new(vec![i; 64]))]);
+            epoch::retire_batch(&mut vec![v
+                .inner
+                .publish_boxed(WriteNode::new(vec![i; 64]))]);
         }
         assert_eq!(v.load(), vec![9u8; 64]);
         drop(v);
@@ -761,7 +794,8 @@ mod tests {
         // stack; `Version::drop` must walk it iteratively.
         let v = TVar::new(vec![0u8; 16]);
         for i in 0..200_000u64 {
-            v.inner.append_boxed(Box::new(vec![(i % 251) as u8; 16]));
+            v.inner
+                .append_boxed(WriteNode::new(vec![(i % 251) as u8; 16]));
             v.inner.stamp_head(i + 1);
         }
         drop(v);
@@ -795,7 +829,7 @@ mod tests {
         // the Fenwick-shaped skips bound it to O(log² chain).
         let v = TVar::new(0u64);
         for wv in 1..=1024u64 {
-            v.inner.append_boxed(Box::new(wv));
+            v.inner.append_boxed(WriteNode::new(wv));
             v.inner.stamp_head(wv);
         }
         let pin = epoch::pin();
@@ -817,7 +851,7 @@ mod tests {
     fn cap_chain_evicts_oldest_and_aborts_stale_snapshots() {
         let v = TVar::new(0u64);
         for wv in 1..=8u64 {
-            v.inner.append_boxed(Box::new(wv * 10));
+            v.inner.append_boxed(WriteNode::new(wv * 10));
             v.inner.stamp_head(wv);
         }
         assert_eq!(v.versions_retained(), 9);
@@ -851,7 +885,7 @@ mod tests {
         let v = TVar::new(0u64);
         let mut out = Vec::new();
         for wv in 1..=96u64 {
-            v.inner.append_boxed(Box::new(wv));
+            v.inner.append_boxed(WriteNode::new(wv));
             v.inner.stamp_head(wv);
             if wv % 16 == 0 {
                 v.inner.trim_chain(wv - 5, &mut out);
@@ -896,7 +930,7 @@ mod tests {
                         // Appends dominate the mix so chains get long.
                         0 | 1 => {
                             clock += 1 + arg % 3;
-                            v.inner.append_boxed(Box::new(clock));
+                            v.inner.append_boxed(WriteNode::new(clock));
                             v.inner.stamp_head(clock);
                         }
                         2 => {

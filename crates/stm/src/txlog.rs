@@ -11,8 +11,9 @@
 //!   value-based validation;
 //! * `rw_reads` — stripes read-locked by Tlrw's visible reads, held to
 //!   commit (nothing to validate, everything to release);
-//! * `writes` — buffered `(variable, value)` updates, published only at
-//!   commit.
+//! * `writes` — buffered `(variable, version node)` updates: each value
+//!   already sits in the node its commit will publish (see
+//!   [`WriteNode`]).
 //!
 //! The log outlives its transaction: [`TxLog::reset`] clears entries but
 //! keeps the vector capacity, and a [`LogLoan`] hands the emptied log
@@ -21,7 +22,7 @@
 
 use crate::epoch::Retired;
 use crate::orec::OrecTable;
-use crate::tvar::AnyTVar;
+use crate::tvar::{AnyTVar, WriteNode};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -55,8 +56,8 @@ pub(crate) struct WriteEntry {
     pub id: usize,
     /// The variable, used to publish at commit.
     pub var: Arc<dyn AnyTVar>,
-    /// The buffered value.
-    pub value: Box<dyn Any + Send>,
+    /// The buffered value, in the node the commit publishes.
+    pub node: WriteNode,
 }
 
 /// Held-stripe counts up to this scan linearly on the Tlrw read path;
@@ -121,9 +122,9 @@ pub(crate) struct TxLog {
     /// makes a double-retry wait on both footprints, and what keeps
     /// validation sound — the branch choice depended on those reads).
     frames: Vec<CheckFrame>,
-    /// Displaced pre-frame values, `(index in writes, old value)`, shared
+    /// Displaced pre-frame nodes, `(index in writes, old node)`, shared
     /// by all open frames and partitioned by each frame's `undo_base`.
-    undo: Vec<(usize, Box<dyn Any + Send>)>,
+    undo: Vec<(usize, WriteNode)>,
     /// The commit's garbage: version nodes displaced by
     /// [`TxLog::publish_writes`] or detached by Mv's trims, handed to
     /// [`epoch::retire_batch`](crate::epoch::retire_batch) (which drains
@@ -314,7 +315,7 @@ impl TxLog {
     pub(crate) fn rollback_to_checkpoint(&mut self) {
         let f = self.frames.pop().expect("rollback without checkpoint");
         for (i, old) in self.undo.drain(f.undo_base..).rev() {
-            self.writes[i].value = old;
+            self.writes[i].node = old;
         }
         for w in self.writes.drain(f.writes_len..) {
             self.write_index.remove(&w.id);
@@ -324,7 +325,7 @@ impl TxLog {
     /// Journals a displaced value if the innermost open frame predates
     /// the entry (entries born inside the frame are simply truncated on
     /// rollback).
-    fn record_undo(&mut self, index: usize, old: Box<dyn Any + Send>) {
+    fn record_undo(&mut self, index: usize, old: WriteNode) {
         if let Some(f) = self.frames.last() {
             if index < f.writes_len {
                 self.undo.push((index, old));
@@ -394,19 +395,14 @@ impl TxLog {
     }
 
     /// Buffers a write, replacing any earlier value for the same cell.
-    pub(crate) fn buffer_write(
-        &mut self,
-        id: usize,
-        var: Arc<dyn AnyTVar>,
-        value: Box<dyn Any + Send>,
-    ) {
+    pub(crate) fn buffer_write(&mut self, id: usize, var: Arc<dyn AnyTVar>, node: WriteNode) {
         if self.writes.len() <= WRITE_INDEX_THRESHOLD {
             if let Some(i) = self.writes.iter().position(|w| w.id == id) {
-                let old = std::mem::replace(&mut self.writes[i].value, value);
+                let old = std::mem::replace(&mut self.writes[i].node, node);
                 self.record_undo(i, old);
                 return;
             }
-            self.writes.push(WriteEntry { id, var, value });
+            self.writes.push(WriteEntry { id, var, node });
             // Crossing the threshold: index everything buffered so far
             // (a clean rebuild — the index is stale in linear mode).
             if self.writes.len() == WRITE_INDEX_THRESHOLD + 1 {
@@ -418,11 +414,11 @@ impl TxLog {
         }
         match self.write_index.get(&id) {
             Some(&i) => {
-                let old = std::mem::replace(&mut self.writes[i].value, value);
+                let old = std::mem::replace(&mut self.writes[i].node, node);
                 self.record_undo(i, old);
             }
             None => {
-                self.writes.push(WriteEntry { id, var, value });
+                self.writes.push(WriteEntry { id, var, node });
                 self.write_index.insert(id, self.writes.len() - 1);
             }
         }
@@ -440,18 +436,18 @@ impl TxLog {
         self.stripe_buf.dedup();
     }
 
-    /// Swaps every buffered value into its variable, consuming the write
-    /// set. The displaced boxes land in `retired`, for the caller to
+    /// Swaps every buffered node into its variable, consuming the write
+    /// set. The displaced nodes land in `retired`, for the caller to
     /// hand to the epoch collector after its release stores.
     ///
     /// The caller must hold whatever exclusion the algorithm requires
     /// (orec stripe locks, or the NOrec sequence lock).
     pub(crate) fn publish_writes(&mut self) {
         self.retired
-            .extend(self.writes.drain(..).map(|w| w.var.publish_boxed(w.value)));
+            .extend(self.writes.drain(..).map(|w| w.var.publish_boxed(w.node)));
     }
 
-    /// Appends every buffered value to its variable's version chain with
+    /// Links every buffered node onto its variable's version chain with
     /// a pending stamp, consuming the write set (`Algorithm::Mv`). The
     /// written variables land in `written` so the committer can resolve
     /// the stamps and trim the chains.
@@ -461,7 +457,7 @@ impl TxLog {
     /// commit.
     pub(crate) fn append_writes(&mut self) {
         for w in self.writes.drain(..) {
-            w.var.append_boxed(w.value);
+            w.var.append_boxed(w.node);
             self.written.push(w.var);
         }
     }
@@ -477,11 +473,11 @@ mod tests {
     fn buffer_write_replaces_in_place() {
         let mut log = TxLog::default();
         let v = TVar::new(1u64);
-        log.buffer_write(v.id(), v.as_dyn(), Box::new(10u64));
-        log.buffer_write(v.id(), v.as_dyn(), Box::new(20u64));
+        log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(10u64));
+        log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(20u64));
         assert_eq!(log.writes.len(), 1);
         let entry = log.lookup_write(v.id()).expect("buffered");
-        assert_eq!(*entry.value.downcast_ref::<u64>().expect("type"), 20);
+        assert_eq!(*entry.node.value::<u64>(), 20);
     }
 
     #[test]
@@ -489,7 +485,7 @@ mod tests {
         let mut log = TxLog::default();
         let vars: Vec<TVar<u64>> = (0..32).map(TVar::new).collect();
         for v in &vars {
-            log.buffer_write(v.id(), v.as_dyn(), Box::new(0u64));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(0u64));
             log.reads.push(VersionedRead { stripe: 0, meta: 0 });
         }
         let (rc, wc) = (log.reads.capacity(), log.writes.capacity());
@@ -539,8 +535,7 @@ mod tests {
         // TVars to key the set with real, stable ids.
         let vars: Vec<TVar<usize>> = (0..(WRITE_INDEX_THRESHOLD + 40)).map(TVar::new).collect();
         let val_of = |log: &TxLog, v: &TVar<usize>| {
-            log.lookup_write(v.id())
-                .map(|w| *w.value.downcast_ref::<usize>().expect("type"))
+            log.lookup_write(v.id()).map(|w| *w.node.value::<usize>())
         };
         let mut log = TxLog::default();
         // Grow past the linear-scan threshold: lookups must answer
@@ -548,7 +543,7 @@ mod tests {
         // must hit the buffered entry wherever it lives.
         for (i, v) in vars.iter().enumerate() {
             assert_eq!(val_of(&log, v), None, "{i} not yet buffered");
-            log.buffer_write(v.id(), v.as_dyn(), Box::new(i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(i));
             assert_eq!(val_of(&log, v), Some(i), "{i} just buffered");
         }
         assert_eq!(
@@ -556,11 +551,11 @@ mod tests {
             Some(0),
             "pre-threshold entries survive indexing"
         );
-        log.buffer_write(vars[3].id(), vars[3].as_dyn(), Box::new(333usize));
+        log.buffer_write(vars[3].id(), vars[3].as_dyn(), WriteNode::new(333usize));
         log.buffer_write(
             vars[WRITE_INDEX_THRESHOLD + 5].id(),
             vars[WRITE_INDEX_THRESHOLD + 5].as_dyn(),
-            Box::new(555usize),
+            WriteNode::new(555usize),
         );
         assert_eq!(
             val_of(&log, &vars[3]),
@@ -575,7 +570,7 @@ mod tests {
         log.reset();
         assert_eq!(val_of(&log, &vars[3]), None, "reset empties the set");
         for (i, v) in vars.iter().enumerate().skip(2) {
-            log.buffer_write(v.id(), v.as_dyn(), Box::new(10 * i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(10 * i));
         }
         assert_eq!(val_of(&log, &vars[0]), None, "pre-reset key stays gone");
         assert_eq!(val_of(&log, &vars[2]), Some(20));
@@ -591,16 +586,16 @@ mod tests {
         let mut log = TxLog::default();
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
-        log.buffer_write(a.id(), a.as_dyn(), Box::new(10u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(10u64));
         log.checkpoint();
         // Replace a pre-frame entry and create a new one inside the frame.
-        log.buffer_write(a.id(), a.as_dyn(), Box::new(11u64));
-        log.buffer_write(a.id(), a.as_dyn(), Box::new(12u64));
-        log.buffer_write(b.id(), b.as_dyn(), Box::new(20u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(11u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(12u64));
+        log.buffer_write(b.id(), b.as_dyn(), WriteNode::new(20u64));
         log.rollback_to_checkpoint();
         assert_eq!(log.writes.len(), 1);
         let w = log.lookup_write(a.id()).expect("kept");
-        assert_eq!(*w.value.downcast_ref::<u64>().expect("type"), 10);
+        assert_eq!(*w.node.value::<u64>(), 10);
         assert!(log.lookup_write(b.id()).is_none());
     }
 
@@ -609,28 +604,27 @@ mod tests {
         let mut log = TxLog::default();
         let a = TVar::new(1u64);
         log.checkpoint();
-        log.buffer_write(a.id(), a.as_dyn(), Box::new(5u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(5u64));
         log.commit_checkpoint();
         let w = log.lookup_write(a.id()).expect("kept");
-        assert_eq!(*w.value.downcast_ref::<u64>().expect("type"), 5);
+        assert_eq!(*w.node.value::<u64>(), 5);
     }
 
     #[test]
     fn nested_frames_roll_back_independently() {
         let mut log = TxLog::default();
         let a = TVar::new(0u64);
-        log.buffer_write(a.id(), a.as_dyn(), Box::new(1u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(1u64));
         log.checkpoint(); // outer
-        log.buffer_write(a.id(), a.as_dyn(), Box::new(2u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(2u64));
         log.checkpoint(); // inner
-        log.buffer_write(a.id(), a.as_dyn(), Box::new(3u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(3u64));
         log.rollback_to_checkpoint(); // undo inner
         let val = |log: &TxLog| {
             *log.lookup_write(a.id())
                 .expect("buffered")
-                .value
-                .downcast_ref::<u64>()
-                .expect("type")
+                .node
+                .value::<u64>()
         };
         assert_eq!(val(&log), 2);
         log.rollback_to_checkpoint(); // undo outer
@@ -644,11 +638,11 @@ mod tests {
         let vars: Vec<TVar<usize>> = (0..(WRITE_INDEX_THRESHOLD + 10)).map(TVar::new).collect();
         let mut log = TxLog::default();
         for (i, v) in vars.iter().take(WRITE_INDEX_THRESHOLD).enumerate() {
-            log.buffer_write(v.id(), v.as_dyn(), Box::new(i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(i));
         }
         log.checkpoint();
         for (i, v) in vars.iter().enumerate().skip(WRITE_INDEX_THRESHOLD) {
-            log.buffer_write(v.id(), v.as_dyn(), Box::new(i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(i));
         }
         assert!(log.writes.len() > WRITE_INDEX_THRESHOLD);
         log.rollback_to_checkpoint();
@@ -658,15 +652,12 @@ mod tests {
             .is_none());
         // Regrow across the threshold: the rebuilt index must be exact.
         for (i, v) in vars.iter().enumerate().skip(WRITE_INDEX_THRESHOLD) {
-            log.buffer_write(v.id(), v.as_dyn(), Box::new(100 + i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(100 + i));
         }
         let w = log
             .lookup_write(vars[WRITE_INDEX_THRESHOLD + 2].id())
             .expect("rebuffered");
-        assert_eq!(
-            *w.value.downcast_ref::<usize>().expect("type"),
-            100 + WRITE_INDEX_THRESHOLD + 2
-        );
+        assert_eq!(*w.node.value::<usize>(), 100 + WRITE_INDEX_THRESHOLD + 2);
     }
 
     #[test]
@@ -674,8 +665,8 @@ mod tests {
         let mut log = TxLog::default();
         let a = TVar::new(1u64);
         let b = TVar::new(String::from("old"));
-        log.buffer_write(a.id(), a.as_dyn(), Box::new(7u64));
-        log.buffer_write(b.id(), b.as_dyn(), Box::new(String::from("new")));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(7u64));
+        log.buffer_write(b.id(), b.as_dyn(), WriteNode::new(String::from("new")));
         log.publish_writes();
         assert_eq!(log.retired.len(), 2);
         assert!(log.writes.is_empty());
