@@ -763,7 +763,7 @@ where
             )?;
         }
         for (i, wal) in journal.wals.iter().enumerate() {
-            wal.rewrite(|_| false)?;
+            wal.truncate()?;
             wal.append(0, FLAG_META, &encode_meta(era, shards, i));
             wal.flush()?;
         }

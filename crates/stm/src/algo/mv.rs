@@ -25,22 +25,17 @@
 //! 1. append each written value with a *pending* stamp (past this point
 //!    the commit cannot fail — validation already passed under the held
 //!    locks);
-//! 2. draw `wv` with one `fetch_add` on the clock — **not** the
-//!    GV4-style pass-on-failure CAS the single-version commits use (see
-//!    `versioned::draw_wv` for why Mv is excluded from that
-//!    optimization);
+//! 2. draw `wv` with one `fetch_add` on the clock (every versioned
+//!    commit draws its tick this way);
 //! 3. resolve the pending stamps to `wv` (readers that raced into the
 //!    one-RMW window spin it out rather than guessing);
-//! 4. trim each written chain against the registry's **cached** low
-//!    watermark (a full registry scan under stripe locks would put every
-//!    camped reader on the commit critical path; the cache is refreshed
-//!    off the hot path and can only lag *below* the true floor, so
-//!    staleness under-trims — see `crate::epoch`), then enforce the
-//!    optional [`MvConfig::max_versions`](crate::MvConfig) bound by
-//!    evicting the oldest suffix, retiring detached versions through the
-//!    epoch collector;
-//! 5. release the stripe locks restamped to `wv` (and then refresh the
-//!    watermark cache if the clock has advanced far enough).
+//! 4. trim each written chain against the registry's low watermark —
+//!    the clock floor while no snapshot is pinned, an exact slot scan
+//!    otherwise (see `crate::epoch`) — then enforce the optional
+//!    [`MvConfig::max_versions`](crate::MvConfig) bound by evicting the
+//!    oldest suffix, retiring detached versions through the epoch
+//!    collector;
+//! 5. release the stripe locks restamped to `wv`.
 //!
 //! Under a `max_versions` bound Mv recovers the simulator's ring
 //! semantics: a camped snapshot whose version was evicted aborts at its
@@ -64,9 +59,7 @@
 //! operation in the clock's modification order, so a reader whose
 //! acquire load returns `c >= wv` synchronizes (through the release
 //! sequence of RMWs ending at `c`) with the committer that wrote `wv`,
-//! and therefore sees its appended heads. A failed CAS writes nothing
-//! and provides no such edge — a reader could adopt-era `rv >= wv` yet
-//! miss the loser's appends on some chains, tearing the snapshot.
+//! and therefore sees its appended heads.
 //!
 //! Costs, in the paper's terms: weak DAP is given up (the global clock
 //! orders commits) and space is spent on superseded versions —
@@ -132,11 +125,9 @@ pub(crate) fn read<T: TxValue, R>(
 /// locks `versioned::prepare` acquired. Infallible.
 pub(crate) fn publish(tx: &mut Transaction<'_>) {
     // Point of no return: append pending versions, then make them real.
-    // The clock draw must be an RMW that always writes (never the
-    // pass-on-failure CAS of `versioned::draw_wv`): snapshot readers
-    // probe no orecs, so this release write to the clock is the only
-    // happens-before edge from the appends above to a reader drawing
-    // `rv >= wv` — see the module docs.
+    // Snapshot readers probe no orecs, so this release write to the
+    // clock is the only happens-before edge from the appends above to a
+    // reader drawing `rv >= wv` — see the module docs.
     tx.log.append_writes();
     let wv = tx.stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
     // Log the staged durability payload before the pending stamps
@@ -151,16 +142,12 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
     }
     // Trim under the still-held stripe locks (one chain mutator at a
     // time); the watermark lower-bounds every active and future
-    // snapshot, so nothing a reader can still walk to is detached. The
-    // *cached* watermark keeps the registry scan out of this locked
-    // section: a stale cache is only ever below the true floor
-    // (watermarks never decrease), so staleness under-trims — extra
-    // retained versions, never a torn snapshot (see `crate::epoch`).
+    // snapshot, so nothing a reader can still walk to is detached.
     let reg = stm
         .snapshots
         .as_ref()
         .expect("snapshot-serving instances carry a snapshot registry");
-    let watermark = reg.cached_watermark(&stm.clock);
+    let watermark = reg.watermark(&stm.clock);
     for var in &log.written {
         let (retained, trimmed) = var.trim_chain(watermark, &mut log.retired);
         stm.stats.trim((retained + trimmed) as u64, trimmed as u64);
@@ -177,10 +164,6 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
         }
     }
     versioned::release(stm, &log.held_buf, Some(stamped(wv)));
-    // Refresh the watermark cache off the hot path (no locks held), rate
-    // limited by clock distance so a commit storm amortizes the registry
-    // scan to one every `WATERMARK_REFRESH_TICKS` ticks.
-    reg.refresh_if_stale(&stm.clock);
     // Retire only after every append above: the epoch tag must postdate
     // the last moment a reader could have loaded a detached pointer.
     epoch::retire_batch(&mut log.retired);

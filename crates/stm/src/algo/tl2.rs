@@ -4,8 +4,8 @@
 //! word-check / read / re-check and **acquires no lock**; commit is the
 //! shared versioned-orec path ([`super::versioned`]): lock the write
 //! set's stripes in sorted order, validate the read set once, stamp the
-//! stripes with a commit timestamp drawn by one GV4-style pass-on-failure
-//! CAS on the global clock.
+//! stripes with a commit timestamp drawn by one `fetch_add` on the global
+//! clock, as the simulated `ptm_core` Tl2 draws it.
 
 use crate::engine::{Retry, Stm, Transaction};
 use crate::orec;

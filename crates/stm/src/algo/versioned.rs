@@ -71,59 +71,6 @@ pub(crate) fn validate(tx: &Transaction<'_>) -> Result<(), Retry> {
     Ok(())
 }
 
-/// Draws this commit's write version from the global clock — GV4-style
-/// "pass on failure": one CAS to advance the clock; a loser adopts the
-/// winner's value instead of retrying, so k racing committers cost k CAS
-/// attempts total rather than k serialized wins on the hottest line in
-/// the system.
-///
-/// **Swap publishes only** ([`publish`] below: static Tl2 and
-/// Incremental). An instance that serves snapshots (Mv, Adaptive) must
-/// not use this: a failed CAS performs no write, so an adopting loser
-/// leaves **no release edge on the clock** between its work and a
-/// reader that drew `rv >= wv` from the winner's write. That is fine
-/// here — invisible single-version readers always probe the stripe's
-/// orec word around the value load, and the committer's lock CAS /
-/// release-stamp of that word carries the happens-before — but snapshot
-/// readers probe *nothing* except the clock, so those instances draw
-/// their tick with an always-writing `fetch_add` instead (see
-/// `mv::publish` and the `mv` module docs).
-///
-/// Why adopting a foreign tick is safe — the caller must invoke this
-/// only **after** its stripe locks are held:
-///
-/// * **Racing committers write disjoint stripes.** Both hold their write
-///   sets' stripe locks at the CAS, so two commits can share a `wv` only
-///   if their write sets are disjoint — same-timestamp commits never
-///   order against each other, and serializing them arbitrarily is
-///   consistent.
-/// * **Stripe stamps still advance.** The stripe's pre-lock version was
-///   ≤ the clock when we loaded it (only stamp/append of an
-///   already-drawn tick publishes a version, and drawing never exceeds
-///   the clock), and `wv` ≥ that load + 1 in the win case or the
-///   winner's strictly larger tick in the loss case — either way the
-///   new stamp strictly exceeds the old.
-/// * **Readers cannot miss an adopted tick.** An invisible reader's
-///   check/read/re-check brackets every value load with acquire loads of
-///   the stripe's orec word, and the committer writes that word twice
-///   (lock CAS, release restamp) around its value swap — so whichever
-///   word the reader observes (pre-lock: old value, consistent;
-///   locked: retry; restamped: new value, published before the restamp
-///   it acquired) the happens-before runs through the **orec word**,
-///   never through the clock. The adopted tick only has to be a correct
-///   *number*, which the two bullets above establish; it never has to
-///   carry an ordering edge.
-fn draw_wv(stm: &Stm) -> u64 {
-    let clock = &stm.clock;
-    let seen = clock.load(Ordering::Acquire);
-    match clock.compare_exchange(seen, seen + 1, Ordering::AcqRel, Ordering::Acquire) {
-        Ok(_) => seen + 1,
-        // Strong CAS: failure means another committer moved the clock
-        // past `seen`; its tick is ours too.
-        Err(current) => current,
-    }
-}
-
 /// Prepare half (every versioned-orec hook set: Tl2, Incremental, Mv):
 /// try-lock the write set's stripes in sorted order and validate the
 /// read set once against the held locks, publishing nothing. A
@@ -146,11 +93,11 @@ pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
 
 /// Swap publish, for instances that serve no snapshots (static Tl2 and
 /// Incremental): write back under the locks [`prepare`] acquired and
-/// release them stamped with a freshly drawn commit timestamp.
-/// Infallible — the prepare already decided the outcome.
+/// release them stamped with a commit timestamp drawn by one
+/// `fetch_add` on the clock, as `mv::publish` draws it. Infallible — the
+/// prepare already decided the outcome.
 pub(crate) fn publish(tx: &mut Transaction<'_>) {
-    // Locks held: safe to share a lost race's tick (see `draw_wv`).
-    let wv = draw_wv(tx.stm);
+    let wv = tx.stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
     // Log the staged durability payload before the release below makes
     // the write set reader-visible: a conflicting commit serializes on
     // the held stripes, so log order respects conflict order (see

@@ -5,8 +5,7 @@
 //!   time with an optimistic word-check/read/re-check and **acquire no
 //!   lock**; commit locks the write set's stripes in sorted order,
 //!   validates the read set once, and stamps the stripes with a commit
-//!   timestamp drawn by one GV4-style pass-on-failure CAS on the clock
-//!   (a lost race adopts the winner's tick instead of retrying).
+//!   timestamp drawn by one `fetch_add` on the clock.
 //! * [`Algorithm::Incremental`] — no clock read on the read path; every
 //!   t-read re-validates the entire read set by version equality. This is
 //!   the paper's invisible-read weak-DAP progressive TM transplanted to
@@ -399,14 +398,6 @@ impl Stm {
     /// load.
     pub(crate) fn wake_stripes(&self, stripes: &[usize]) {
         let n = self.orecs.waiters().wake_stripes(stripes);
-        self.stats.woke(n);
-    }
-
-    /// Wakes every parked waiter, whatever stripe it waits on: NOrec's
-    /// commit path, whose single sequence lock makes every commit
-    /// overlap every footprint.
-    pub(crate) fn wake_all_stripes(&self) {
-        let n = self.orecs.waiters().wake_all();
         self.stats.woke(n);
     }
 }

@@ -60,7 +60,7 @@ pub struct Transaction<'s> {
     /// the low-watermark collector from trimming versions this
     /// transaction's snapshot can still reach. Withdrawn when the attempt
     /// resolves.
-    pub(crate) snap: Option<epoch::SnapshotGuard>,
+    pub(crate) snap: Option<epoch::SnapshotGuard<'s>>,
     /// History-recording state for this attempt, when the instance has a
     /// recorder attached.
     rec: Option<RecTx>,

@@ -106,38 +106,15 @@
 //! re-checked snapshot is at least that floor and everything the scanner
 //! trims is older than what the reader can reach.
 //!
-//! ### The cached watermark
+//! ### The zero-pin fast path
 //!
-//! The full scan ([`SnapshotRegistry::low_watermark`]) takes the slot
-//! lock and walks every registered thread — too expensive to sit inside
-//! an updating commit's stripe-locked section, which is where trimming
-//! happens. [`SnapshotRegistry::cached_watermark`] answers in O(1)
-//! instead, leaning on a one-directional soundness argument: **the true
-//! watermark never decreases** (every new pin draws its snapshot from
-//! the current clock, which is at least any floor an earlier scan read,
-//! and slots only ever withdraw), so *any previously computed watermark
-//! is a valid — merely conservative — watermark now*. A stale cache can
-//! only **under-trim**: it delays reclamation by a bounded number of
-//! clock ticks, it never frees a version a live or future snapshot
-//! could still walk to. Two refinements keep the staleness invisible in
-//! practice:
-//!
-//! * when the registry's active-pin count is at most one, the cached
-//!   read answers exactly: zero pins means the clock floor *is* the
-//!   watermark — sound by the same SeqCst ordering as the scan (a pin
-//!   that the count read missed re-checks the clock *after* publishing,
-//!   so its snapshot is at least the floor returned) — and one pin
-//!   means the caller is the only transaction in flight, so the full
-//!   scan is uncontended and cheap. A lone committer therefore trims as
-//!   precisely as the scan-under-locks design did; the cache is
-//!   consulted only when two or more transactions are live, which is
-//!   exactly when a slot scan inside the stripe-locked section would
-//!   serialize against rival commits and camped readers;
-//! * committers refresh the cache *outside* their locked section
-//!   ([`SnapshotRegistry::refresh_if_stale`], rate-limited by clock
-//!   delta), and the cache advances by `fetch_max`, so concurrent
-//!   refreshes racing each other still leave the newest — most precise —
-//!   sound value in place.
+//! Committers trim inside their stripe-locked section, so
+//! [`SnapshotRegistry::watermark`] skips the slot lock and the scan when
+//! no snapshot is pinned: each outermost pin counts itself in the
+//! registry's `active` word *before* publishing, and a count of zero
+//! makes the clock floor the watermark — a pin the count read missed
+//! re-checks the clock after publishing, so its snapshot is at least the
+//! floor returned. With any pin live the answer is the exact scan.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -427,12 +404,6 @@ fn take_freeable(from: &mut Vec<Retired>, epoch: u64, out: &mut Vec<Retired>) ->
 /// Slot value meaning "this thread holds no active snapshot here".
 const NO_SNAPSHOT: u64 = u64::MAX;
 
-/// Clock ticks between cached-watermark refreshes while snapshots are
-/// pinned: the staleness budget. A commit trimming against the cache
-/// retains at most this many extra versions per chain beyond what a
-/// full scan would keep — space deferred, never a correctness risk.
-const WATERMARK_REFRESH_TICKS: u64 = 8;
-
 static SNAP_REGISTRY_IDS: AtomicU64 = AtomicU64::new(0);
 
 /// One thread's published snapshot timestamp for one registry; padded so
@@ -446,19 +417,12 @@ struct SnapShared {
     /// Distinguishes registries (one per Mv instance) in the per-thread
     /// slot cache.
     id: u64,
-    /// All live slots; scanned (under the lock) by `low_watermark`.
+    /// All live slots; scanned (under the lock) by `watermark`.
     slots: Mutex<Vec<Arc<SnapSlot>>>,
     /// Outermost pins currently published (nested pins share the outer
-    /// slot and do not count). Zero lets `cached_watermark` return the
-    /// exact clock floor without scanning.
+    /// slot and do not count). Zero lets `watermark` return the clock
+    /// floor without scanning.
     active: AtomicU64,
-    /// Cached low watermark: some value `low_watermark` returned in the
-    /// past, advanced by `fetch_max` — always `<=` the true current
-    /// watermark (see the module docs), so trimming against it is sound.
-    cache: AtomicU64,
-    /// Clock value at the last cache refresh, rate-limiting
-    /// `refresh_if_stale`.
-    cache_stamp: AtomicU64,
 }
 
 /// This thread's cached slot for one registry, with its reentrancy
@@ -523,10 +487,6 @@ impl SnapshotRegistry {
                 id: SNAP_REGISTRY_IDS.fetch_add(1, Ordering::Relaxed),
                 slots: Mutex::new(Vec::new()),
                 active: AtomicU64::new(0),
-                // Starting at 0 under-trims until the first refresh —
-                // the sound direction.
-                cache: AtomicU64::new(0),
-                cache_stamp: AtomicU64::new(0),
             }),
         }
     }
@@ -546,7 +506,7 @@ impl SnapshotRegistry {
     /// ticks the clock inside the three-instruction window. The nested
     /// path needs no such loop: the slot already publishes a value no
     /// newer than any rv returned here.
-    pub(crate) fn pin(&self, clock: &AtomicU64) -> (u64, SnapshotGuard) {
+    pub(crate) fn pin(&self, clock: &AtomicU64) -> (u64, SnapshotGuard<'_>) {
         let rv = SNAPSHOTS.with(|m| {
             let mut m = m.borrow_mut();
             if let Some(e) = m.get_mut(&self.shared.id) {
@@ -593,7 +553,7 @@ impl SnapshotRegistry {
         (
             rv,
             SnapshotGuard {
-                registry: self.shared.id,
+                shared: &self.shared,
                 _not_send: std::marker::PhantomData,
             },
         )
@@ -602,9 +562,17 @@ impl SnapshotRegistry {
     /// The oldest snapshot any live transaction of this instance may be
     /// reading under — floored by the clock read *before* the slot scan,
     /// so a registering reader the scan misses is provably protected
-    /// (its re-checked snapshot postdates this floor).
-    pub(crate) fn low_watermark(&self, clock: &AtomicU64) -> u64 {
+    /// (its re-checked snapshot postdates this floor). With no pin
+    /// counted in `active`, the floor itself, without the lock or the
+    /// scan (see the module docs).
+    pub(crate) fn watermark(&self, clock: &AtomicU64) -> u64 {
         let floor = clock.load(Ordering::SeqCst);
+        // No outer pin was published when `active` was read; any pin
+        // racing in re-checks the clock after that read, so its snapshot
+        // is >= `floor`.
+        if self.shared.active.load(Ordering::SeqCst) == 0 {
+            return floor;
+        }
         let slots = self
             .shared
             .slots
@@ -617,73 +585,29 @@ impl SnapshotRegistry {
             .unwrap_or(NO_SNAPSHOT)
             .min(floor)
     }
-
-    /// Sound-but-possibly-stale watermark for the commit hot path (see
-    /// the module docs for the one-directional soundness argument).
-    /// Exact when at most one snapshot is pinned: with zero pins the
-    /// clock floor *is* the watermark, and with one pin the sole
-    /// in-flight transaction is the caller itself — the slot scan is
-    /// uncontended by definition, so paying for it buys back the old
-    /// trim-promptly behaviour for free. Only with two or more pins
-    /// (campers, or rival committers — the case where a scan under
-    /// stripe locks actually hurts) does it answer from the O(1) cache,
-    /// refreshed off the hot path by [`Self::refresh_if_stale`].
-    pub(crate) fn cached_watermark(&self, clock: &AtomicU64) -> u64 {
-        let floor = clock.load(Ordering::SeqCst);
-        match self.shared.active.load(Ordering::SeqCst) {
-            // No outer pin was published when `active` was read; any pin
-            // racing in re-checks the clock after that read, so its
-            // snapshot is >= `floor` and trimming to `floor` is exact.
-            0 => floor,
-            1 => self.low_watermark(clock),
-            _ => self.shared.cache.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Recomputes the cached watermark with a full scan. Call *outside*
-    /// any stripe-locked section. `fetch_max` keeps racing refreshes
-    /// monotone (each computed value is a historically true watermark,
-    /// hence `<=` the current truth).
-    pub(crate) fn refresh_watermark(&self, clock: &AtomicU64) {
-        let floor = clock.load(Ordering::SeqCst);
-        let wm = self.low_watermark(clock);
-        self.shared.cache.fetch_max(wm, Ordering::SeqCst);
-        self.shared.cache_stamp.fetch_max(floor, Ordering::SeqCst);
-    }
-
-    /// [`Self::refresh_watermark`], rate-limited: scans only once the
-    /// clock has advanced [`WATERMARK_REFRESH_TICKS`] past the last
-    /// refresh, bounding both the scan frequency and the staleness
-    /// (extra retained versions per chain) the cache can cost.
-    pub(crate) fn refresh_if_stale(&self, clock: &AtomicU64) {
-        let floor = clock.load(Ordering::SeqCst);
-        let stamp = self.shared.cache_stamp.load(Ordering::SeqCst);
-        if floor.wrapping_sub(stamp) >= WATERMARK_REFRESH_TICKS {
-            self.refresh_watermark(clock);
-        }
-    }
 }
 
 /// Withdraws a snapshot published by [`SnapshotRegistry::pin`] when
-/// dropped. Not `Send` — the snapshot lives in a thread-local slot.
-pub(crate) struct SnapshotGuard {
-    registry: u64,
+/// dropped. Borrows the registry it pinned, so the outermost unpin
+/// reaches `active` directly. Not `Send` — the snapshot lives in a
+/// thread-local slot.
+pub(crate) struct SnapshotGuard<'a> {
+    shared: &'a SnapShared,
     _not_send: std::marker::PhantomData<*mut ()>,
 }
 
-impl Drop for SnapshotGuard {
+impl Drop for SnapshotGuard<'_> {
     fn drop(&mut self) {
         // Thread-local teardown before a late guard is handled by
-        // `SnapEntry::drop`, which clears the slot.
+        // `SnapEntry::drop`, which clears the slot and releases the
+        // count; decrementing only in here keeps it released once.
         let _ = SNAPSHOTS.try_with(|m| {
             let mut m = m.borrow_mut();
-            if let Some(e) = m.get_mut(&self.registry) {
+            if let Some(e) = m.get_mut(&self.shared.id) {
                 e.depth -= 1;
                 if e.depth == 0 {
                     e.slot.rv.store(NO_SNAPSHOT, Ordering::SeqCst);
-                    if let Some(reg) = e.registry.upgrade() {
-                        reg.active.fetch_sub(1, Ordering::SeqCst);
-                    }
+                    self.shared.active.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         });
@@ -857,22 +781,15 @@ mod tests {
     }
 
     #[test]
-    fn watermark_is_the_clock_with_no_active_snapshot() {
-        let reg = SnapshotRegistry::new();
-        let clock = AtomicU64::new(17);
-        assert_eq!(reg.low_watermark(&clock), 17);
-    }
-
-    #[test]
     fn active_snapshots_clamp_the_watermark() {
         let reg = SnapshotRegistry::new();
         let clock = AtomicU64::new(5);
         let (rv, g) = reg.pin(&clock);
         assert_eq!(rv, 5);
         clock.store(40, Ordering::SeqCst);
-        assert_eq!(reg.low_watermark(&clock), 5, "pinned snapshot holds it");
+        assert_eq!(reg.watermark(&clock), 5, "pinned snapshot holds it");
         drop(g);
-        assert_eq!(reg.low_watermark(&clock), 40, "released: clock floor");
+        assert_eq!(reg.watermark(&clock), 40, "released: clock floor");
     }
 
     #[test]
@@ -889,14 +806,14 @@ mod tests {
              able to see the commit that aborted it)"
         );
         assert_eq!(
-            reg.low_watermark(&clock),
+            reg.watermark(&clock),
             3,
             "the slot keeps publishing the outer snapshot, protecting both"
         );
         drop(g2);
-        assert_eq!(reg.low_watermark(&clock), 3, "outer still active");
+        assert_eq!(reg.watermark(&clock), 3, "outer still active");
         drop(g1);
-        assert_eq!(reg.low_watermark(&clock), 9);
+        assert_eq!(reg.watermark(&clock), 9);
     }
 
     #[test]
@@ -923,26 +840,24 @@ mod tests {
     }
 
     #[test]
-    fn cached_watermark_is_exact_with_no_campers() {
+    fn watermark_is_the_clock_with_no_active_snapshot() {
         let reg = SnapshotRegistry::new();
         let clock = AtomicU64::new(17);
-        assert_eq!(reg.cached_watermark(&clock), 17, "fast path: clock floor");
+        assert_eq!(reg.watermark(&clock), 17, "fast path: clock floor");
         clock.store(99, Ordering::SeqCst);
-        assert_eq!(reg.cached_watermark(&clock), 99, "tracks without refresh");
+        assert_eq!(reg.watermark(&clock), 99);
         // A pin/unpin cycle leaves the fast path intact.
         let (_, g) = reg.pin(&clock);
         drop(g);
         clock.store(120, Ordering::SeqCst);
-        assert_eq!(reg.cached_watermark(&clock), 120);
+        assert_eq!(reg.watermark(&clock), 120);
     }
 
     #[test]
-    fn cached_watermark_under_campers_is_stale_only_downward() {
+    fn watermark_under_two_pins_is_exact() {
         use std::sync::mpsc;
         let reg = Arc::new(SnapshotRegistry::new());
         let clock = AtomicU64::new(5);
-        // A second camper on its own thread: only with two or more pins
-        // live does the hot path answer from the cache instead of a scan.
         let (pinned_tx, pinned_rx) = mpsc::channel();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let reg2 = Arc::clone(&reg);
@@ -956,48 +871,12 @@ mod tests {
         let (rv, g) = reg.pin(&clock);
         assert_eq!(rv, 5);
         clock.store(40, Ordering::SeqCst);
-        // The cache has never been refreshed: it answers 0, strictly
-        // below the true watermark (5) — under-trimming, never over.
-        let cached = reg.cached_watermark(&clock);
-        assert!(cached <= reg.low_watermark(&clock), "never over-trims");
-        assert_eq!(cached, 0, "unrefreshed cache is the conservative floor");
-        reg.refresh_watermark(&clock);
-        assert_eq!(reg.cached_watermark(&clock), 5, "refresh lands on truth");
-        // The cache is monotone: a refresh can never move it backwards.
-        reg.refresh_watermark(&clock);
-        assert_eq!(reg.cached_watermark(&clock), 5);
+        assert_eq!(reg.watermark(&clock), 5, "the camper holds it at 5");
         release_tx.send(()).unwrap();
         camper.join().unwrap();
-        // Back to one pin (our own): the uncontended exact scan takes over.
-        assert_eq!(reg.cached_watermark(&clock), 5, "lone pin: exact scan");
+        assert_eq!(reg.watermark(&clock), 5, "our own pin still holds it");
         drop(g);
-        assert_eq!(reg.cached_watermark(&clock), 40, "camper gone: clock floor");
-    }
-
-    #[test]
-    fn refresh_if_stale_is_rate_limited_by_clock_delta() {
-        let reg = SnapshotRegistry::new();
-        let clock = AtomicU64::new(0);
-        let (_, _g) = reg.pin(&clock);
-        clock.store(WATERMARK_REFRESH_TICKS - 1, Ordering::SeqCst);
-        reg.refresh_if_stale(&clock);
-        assert_eq!(
-            reg.shared.cache_stamp.load(Ordering::SeqCst),
-            0,
-            "below the tick budget: no scan"
-        );
-        clock.store(WATERMARK_REFRESH_TICKS, Ordering::SeqCst);
-        reg.refresh_if_stale(&clock);
-        assert_eq!(
-            reg.shared.cache_stamp.load(Ordering::SeqCst),
-            WATERMARK_REFRESH_TICKS,
-            "tick budget reached: the scan ran"
-        );
-        assert_eq!(
-            reg.cached_watermark(&clock),
-            0,
-            "the camper pinned at 0 clamps the refreshed cache"
-        );
+        assert_eq!(reg.watermark(&clock), 40, "no pin: clock floor");
     }
 
     #[test]
@@ -1012,7 +891,7 @@ mod tests {
         drop(g1);
         assert_eq!(reg.shared.active.load(Ordering::SeqCst), 0);
         clock.store(50, Ordering::SeqCst);
-        assert_eq!(reg.cached_watermark(&clock), 50);
+        assert_eq!(reg.watermark(&clock), 50);
     }
 
     #[test]
@@ -1041,8 +920,8 @@ mod tests {
         let ca = AtomicU64::new(1);
         let cb = AtomicU64::new(100);
         let (_, _g) = a.pin(&ca);
-        assert_eq!(a.low_watermark(&ca), 1);
-        assert_eq!(b.low_watermark(&cb), 100, "b never saw a's snapshot");
+        assert_eq!(a.watermark(&ca), 1);
+        assert_eq!(b.watermark(&cb), 100, "b never saw a's snapshot");
     }
 
     #[test]
@@ -1067,9 +946,9 @@ mod tests {
                 std::thread::yield_now();
             }
             clock.store(30, Ordering::SeqCst);
-            assert_eq!(reg.low_watermark(&clock), 7, "remote pin visible");
+            assert_eq!(reg.watermark(&clock), 7, "remote pin visible");
             release.store(true, Ordering::SeqCst);
         });
-        assert_eq!(reg.low_watermark(&clock), 30);
+        assert_eq!(reg.watermark(&clock), 30);
     }
 }

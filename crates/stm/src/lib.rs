@@ -81,7 +81,7 @@
 //! | `txlog` | read-set / write-set log shared by all algorithms |
 //! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
 //! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer with Fenwick-shaped skip links for sublinear snapshot walks (static Tl2, Incremental, NOrec and Tlrw swap the head; Mv and Adaptive append, trim, and bound via [`MvConfig`]) |
-//! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (cached off the commit hot path) bounds version-chain trimming |
+//! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (the clock floor while no snapshot is pinned, an exact slot scan otherwise) bounds version-chain trimming |
 //! | [`cm`](ContentionManager) | pluggable retry policies |
 //! | `stats` | commit/abort/validation-probe counters |
 //! | [`recorder`] | opt-in t-operation history recording for the `ptm-model` checkers |

@@ -119,8 +119,8 @@ struct ObjInfo {
     emitted: bool,
 }
 
-/// Consumer-side cursor shared by every [`HistoryRecorder::tail`] /
-/// [`HistoryRecorder::drain`] call; its mutex is what makes concurrent
+/// Consumer-side cursor shared by every [`HistoryRecorder::drain`]
+/// call; its mutex is what makes concurrent
 /// drains safe (they serialize, each taking a disjoint batch).
 #[derive(Default)]
 struct DrainState {
@@ -293,17 +293,9 @@ impl HistoryRecorder {
         }
     }
 
-    /// Removes and returns every marker recorded so far, exactly like
-    /// [`tail`](Self::tail). Kept as the familiar end-of-run entry point;
-    /// since it is now a streaming drain it is safe to call more than
-    /// once (and concurrently) — each call returns a disjoint batch.
-    pub fn drain(&self) -> Vec<LogEntry> {
-        self.tail()
-    }
-
     /// Streaming drain: removes and returns every marker recorded since
-    /// the previous `tail`/`drain` call, as a well-formed [`LogEntry`]
-    /// batch merged across threads in real-time order. Each batch is
+    /// the previous call, as a well-formed [`LogEntry`] batch merged
+    /// across threads in real-time order. Each batch is
     /// prefixed (when needed) by a synthetic committed transaction that
     /// installs the non-zero initial word of every variable that first
     /// appeared since the last call (the model starts every t-object at
@@ -312,8 +304,8 @@ impl HistoryRecorder {
     /// Entry `seq` numbering continues across calls, so concatenating
     /// the batches in call order yields one well-numbered log — this is
     /// what lets a durability layer tail the recorder incrementally
-    /// without racing a final `drain`. Concurrent calls serialize and
-    /// take disjoint batches.
+    /// while the run continues. Concurrent calls serialize and take
+    /// disjoint batches.
     ///
     /// **Caveat:** a call that overlaps live transactions may split an
     /// attempt's markers across two batches, and can order two
@@ -322,7 +314,7 @@ impl HistoryRecorder {
     /// order the checkers see, so acceptance remains sound (no false
     /// accepts); for byte-faithful single-batch logs, call at a
     /// quiescent point (workload threads joined or parked).
-    pub fn tail(&self) -> Vec<LogEntry> {
+    pub fn drain(&self) -> Vec<LogEntry> {
         // One consumer at a time: serializes concurrent drains and owns
         // the output cursor for the whole batch build.
         let mut st = self.shared.drain.lock().expect("recorder drain state");
@@ -449,7 +441,7 @@ impl RecTx {
         self.touched = true;
         let mut buf = self.thread.events.lock().expect("recorder thread buffer");
         // Draw the global sequence number *inside* the buffer lock: a
-        // concurrent `tail` locking this buffer then sees either both
+        // concurrent `drain` locking this buffer then sees either both
         // the ticket and the event or neither, so a drawn sequence
         // number can never go missing from the drained order.
         let seq = self.shared.seq.fetch_add(1, Ordering::SeqCst);
@@ -525,14 +517,14 @@ mod tests {
     }
 
     #[test]
-    fn tail_streams_disjoint_batches_with_continuous_seq() {
+    fn drain_streams_disjoint_batches_with_continuous_seq() {
         let rec = HistoryRecorder::new();
         let mut tx = rec.begin_tx();
         let op = TOpDesc::Read(TObjId::new(0));
         tx.invoke(op);
         tx.respond(op, TOpResult::Value(3));
 
-        let first = rec.tail();
+        let first = rec.drain();
         assert_eq!(first.len(), 2);
         assert_eq!(first[0].seq, 0);
         assert_eq!(first[1].seq, 1);
@@ -540,17 +532,17 @@ mod tests {
         tx.invoke(TOpDesc::TryCommit);
         tx.respond(TOpDesc::TryCommit, TOpResult::Committed);
 
-        let second = rec.tail();
+        let second = rec.drain();
         assert_eq!(second.len(), 2);
         // Numbering continues where the first batch stopped, so the
         // concatenation is one well-numbered log.
         assert_eq!(second[0].seq, 2);
         assert_eq!(second[1].seq, 3);
-        assert!(rec.tail().is_empty());
+        assert!(rec.drain().is_empty());
     }
 
     #[test]
-    fn tail_emits_each_initial_exactly_once() {
+    fn drain_emits_each_initial_exactly_once() {
         let rec = HistoryRecorder::new();
         let v = TVar::new(41u64);
         let mut tx = rec.begin_tx();

@@ -259,38 +259,6 @@ impl WaiterTable {
         }
         woken
     }
-
-    /// Wake sweep over *every* bucket: NOrec has no per-variable
-    /// metadata (its table is one stripe), so each commit wakes the one
-    /// global channel.
-    pub(crate) fn wake_all(&self) -> u64 {
-        fence(Ordering::SeqCst);
-        if self.population.load(Ordering::Relaxed) == 0 {
-            return 0;
-        }
-        let mut woken = 0;
-        for s in 0..self.buckets.len() {
-            woken += self.wake_bucket(s);
-        }
-        woken
-    }
-
-    fn wake_bucket(&self, s: usize) -> u64 {
-        let b = &self.buckets[s];
-        if b.count.load(Ordering::Relaxed) == 0 {
-            return 0;
-        }
-        let drained = {
-            let mut cells = b.cells.lock().expect("waiter bucket poisoned");
-            let n = cells.len();
-            if n > 0 {
-                b.count.fetch_sub(n, Ordering::Relaxed);
-                self.population.fetch_sub(n, Ordering::Relaxed);
-            }
-            std::mem::take(&mut *cells)
-        };
-        drained.into_iter().filter(|c| c.notify()).count() as u64
-    }
 }
 
 /// The async parking path's safety net: a lazily-started global timer
@@ -476,7 +444,7 @@ mod tests {
         let cell = WaitCell::for_waker(Waker::from(Arc::clone(&counter)));
         let t = WaiterTable::new(2);
         t.register(&[0, 1], &cell);
-        assert_eq!(t.wake_all(), 1);
+        assert_eq!(t.wake_stripes(&[0, 1]), 1);
         assert_eq!(counter.0.load(Ordering::SeqCst), 1, "woken exactly once");
     }
 

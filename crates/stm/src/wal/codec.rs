@@ -8,7 +8,7 @@
 //!
 //! `stamp` is the commit tick the engine drew inside the publish
 //! critical section (see [`crate::wal`]); `flags` carries recovery
-//! metadata ([`FLAG_STRAGGLER`], [`FLAG_META`]); the CRC-64 covers
+//! metadata ([`FLAG_META`]); the CRC-64 covers
 //! everything after the magic (flags, len, stamp, payload), so a torn
 //! or bit-flipped record cannot decode to a *different* record — it
 //! decodes to nothing.
@@ -33,12 +33,6 @@ pub const HEADER_LEN: usize = 4 + 1 + 4 + 8;
 
 /// Fixed bytes after the payload: the CRC-64.
 pub const TRAILER_LEN: usize = 8;
-
-/// Flag bit: this record's effects are already contained in some
-/// participant's snapshot but not this shard's own — recovery must
-/// treat it as roll-forward evidence regardless of its stamp (set by
-/// checkpoint rewrites; see `ptm-server`'s durability layer).
-pub const FLAG_STRAGGLER: u8 = 1 << 0;
 
 /// Flag bit: a log-file header record (era and shard identity), not a
 /// committed write set. Always the first record of a well-formed log.
@@ -85,18 +79,13 @@ pub struct Record {
     /// Commit tick drawn inside the publish critical section (0 for
     /// meta records).
     pub stamp: u64,
-    /// Flag bits ([`FLAG_STRAGGLER`], [`FLAG_META`]).
+    /// Flag bits ([`FLAG_META`]).
     pub flags: u8,
     /// Opaque payload (the server's encoded write set).
     pub payload: Vec<u8>,
 }
 
 impl Record {
-    /// Whether the straggler flag is set.
-    pub fn straggler(&self) -> bool {
-        self.flags & FLAG_STRAGGLER != 0
-    }
-
     /// Whether this is a log-file header record.
     pub fn is_meta(&self) -> bool {
         self.flags & FLAG_META != 0
@@ -319,7 +308,7 @@ mod tests {
             },
             Record {
                 stamp: 9,
-                flags: FLAG_STRAGGLER,
+                flags: 0,
                 payload: Vec::new(),
             },
         ];
@@ -337,7 +326,6 @@ mod tests {
         assert_eq!(d.clean_len, buf.len());
         assert_eq!(d.corruption, None);
         assert!(d.records[0].is_meta());
-        assert!(d.records[2].straggler());
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub mod codec;
 pub mod sink;
 mod writer;
 
-pub use codec::{Corruption, Decoded, Record, WalValue, FLAG_META, FLAG_STRAGGLER};
+pub use codec::{Corruption, Decoded, Record, WalValue, FLAG_META};
 pub use sink::{fsync_parent_dir, FaultPlan, FaultSink, FileSink, LogSink, MemSink};
-pub use writer::{RewriteStats, Wal};
+pub use writer::Wal;
 
 use crate::stats::StmStats;
 use std::fmt;

@@ -24,12 +24,12 @@
 //!
 //! A failed write or fsync poisons the `Wal`: the batch's durability is
 //! unknown, so pretending otherwise could acknowledge a commit the disk
-//! never got. Every later [`Wal::wait_durable`] (and rewrite/read)
+//! never got. Every later [`Wal::wait_durable`] (and truncate/read)
 //! returns the original error; the serving layer above translates that
 //! into a crash-and-recover (see `ptm-server`), the same discipline as
 //! a database PANIC on WAL failure.
 
-use super::codec::{self, Decoded, Record};
+use super::codec::{self, Decoded};
 use super::sink::{FileSink, LogSink};
 use crate::stats::StmStats;
 use std::io;
@@ -60,15 +60,6 @@ pub struct Wal {
     poison: Mutex<Option<String>>,
     /// Instance counters, attached when an `Stm` adopts this log.
     stats: OnceLock<Arc<StmStats>>,
-}
-
-/// What a [`Wal::rewrite`] pass did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RewriteStats {
-    /// Records the keep-closure retained.
-    pub kept: u64,
-    /// Records it dropped.
-    pub dropped: u64,
 }
 
 impl Wal {
@@ -247,45 +238,27 @@ impl Wal {
         Ok(codec::decode_stream(&bytes))
     }
 
-    /// Atomically rewrites the log, keeping (and possibly mutating —
-    /// checkpoints set the straggler flag this way) the records `keep`
-    /// approves. Pending appends are flushed first so the pass sees
-    /// every record; a decode stopping early (which a live log never
-    /// produces on healthy storage) drops the corrupt tail.
+    /// Atomically empties the log. Pending appends are flushed first,
+    /// so every LSN handed out before the call is durable (then dropped)
+    /// when it returns; the next append is the log's first record.
     ///
     /// # Errors
     ///
     /// I/O failure or a poisoned log.
-    pub fn rewrite(&self, mut keep: impl FnMut(&mut Record) -> bool) -> io::Result<RewriteStats> {
+    pub fn truncate(&self) -> io::Result<()> {
         self.flush()?;
         let mut io = self.io.lock().expect("wal io lock");
-        let bytes = io.read_all()?;
-        let decoded = codec::decode_stream(&bytes);
-        let mut out = Vec::new();
-        let mut stats = RewriteStats {
-            kept: 0,
-            dropped: 0,
-        };
-        for mut r in decoded.records {
-            if keep(&mut r) {
-                codec::encode_record(r.stamp, r.flags, &r.payload, &mut out);
-                stats.kept += 1;
-            } else {
-                stats.dropped += 1;
-            }
-        }
-        if let Err(e) = io.reset_to(&out) {
+        if let Err(e) = io.reset_to(&[]) {
             self.poison_with(&e);
             return Err(e);
         }
-        Ok(stats)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::codec::FLAG_STRAGGLER;
     use crate::wal::sink::{FaultPlan, FaultSink, MemSink};
 
     fn mem_wal() -> (Wal, MemSink) {
@@ -384,46 +357,19 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_filters_and_mutates() {
-        let (wal, _sink) = mem_wal();
-        for i in 1..=4u64 {
-            wal.append(i, 0, &[i as u8]);
-        }
-        let st = wal
-            .rewrite(|r| {
-                if r.stamp == 2 {
-                    return false;
-                }
-                if r.stamp == 3 {
-                    r.flags |= FLAG_STRAGGLER;
-                }
-                true
-            })
-            .unwrap();
-        assert_eq!(
-            st,
-            RewriteStats {
-                kept: 3,
-                dropped: 1
-            }
-        );
-        let d = wal.read_records().unwrap();
-        let stamps: Vec<u64> = d.records.iter().map(|r| r.stamp).collect();
-        assert_eq!(stamps, [1, 3, 4]);
-        assert!(d.records[1].straggler());
-        assert_eq!(d.corruption, None);
-    }
-
-    #[test]
-    fn append_after_rewrite_lands_after_the_kept_records() {
-        let (wal, _sink) = mem_wal();
+    fn truncate_flushes_pending_appends_then_empties_the_log() {
+        let (wal, sink) = mem_wal();
         wal.append(1, 0, b"old");
-        wal.rewrite(|_| true).unwrap();
+        let pending = wal.append(2, 0, b"pending");
+        wal.truncate().unwrap();
+        assert_eq!(wal.durable_lsn(), pending, "the pending append was flushed");
+        assert_eq!(sink.durable_bytes(), b"", "and then dropped");
         let lsn = wal.append(9, 0, b"new");
         wal.wait_durable(lsn).unwrap();
         let d = wal.read_records().unwrap();
         let stamps: Vec<u64> = d.records.iter().map(|r| r.stamp).collect();
-        assert_eq!(stamps, [1, 9]);
+        assert_eq!(stamps, [9], "the next append is the log's first record");
+        assert_eq!(d.corruption, None);
     }
 
     #[test]
