@@ -43,7 +43,8 @@
 //! logs are discarded, already covered by the newer snapshot.
 //!
 //! The engine's commit stamps order records *within* one era (the WAL
-//! stamp is drawn from the shard clock inside the publish window), but
+//! stamp is drawn from the shard's clock — the store's one clock for Mv
+//! and Adaptive — inside the publish window), but
 //! clocks restart at process start, so stamps are **not** comparable
 //! across eras — the era rule, not stamp comparison, is what fences
 //! snapshot contents from log replay. Snapshot files record the highest
@@ -446,18 +447,20 @@ impl<K, V> Journal<K, V> {
     }
 
     /// Stages the full record of a cross-shard transaction on every
-    /// prepared shard that `ops` writes, returning each one's ticket.
+    /// prepared shard that `ops` writes (`prepared[i]` is shard
+    /// `shards[i]`'s), returning each one's ticket.
     /// All prepares hold: the commit cannot fail and every
     /// participant's locks are the caller's, so the id drawn here is
     /// conflict-ordered on each shard.
     pub(crate) fn stage(
         &self,
         ops: &[LoggedOp<K, V>],
-        prepared: &mut [(usize, Transaction<'_>, Prepared)],
+        shards: &[usize],
+        prepared: &mut [(Transaction<'_>, Prepared)],
     ) -> Vec<(usize, DurableTicket)> {
         let payload = self.encode(ops);
         let mut tickets = Vec::new();
-        for (shard, tx, _) in prepared {
+        for (shard, (tx, _)) in shards.iter().zip(prepared) {
             if ops.iter().any(|op| op.shard() == *shard) {
                 let ticket = DurableTicket::new();
                 tx.stage_durable(Arc::clone(&payload), &ticket);

@@ -1,9 +1,11 @@
 //! The shard router and cross-shard two-phase commit coordinator.
 //!
-//! A [`ShardedKv`] owns N independent [`Stm`] instances, each carrying a
-//! [`THashMap`] partition. Keys are routed by hash; single-key
-//! operations run as ordinary one-shot transactions on the owning shard
-//! and never pay any cross-shard cost. Multi-key transactions
+//! A [`ShardedKv`] owns N [`Stm`] instances, each carrying a
+//! [`THashMap`] partition: in one timestamp domain (one clock, one
+//! snapshot registry) when the algorithm serves snapshots (Mv,
+//! Adaptive), each with its own clock otherwise. Keys are routed by
+//! hash; single-key operations run as ordinary one-shot transactions on
+//! the owning shard and never pay any cross-shard cost. Multi-key transactions
 //! ([`ShardedKv::transact`]) and consistent scans ([`ShardedKv::scan`])
 //! span shards and commit through the coordinator in this module.
 //!
@@ -19,21 +21,29 @@
 //! ## The coordinator's protocol
 //!
 //! 1. run the body, lazily opening one [`Transaction`] per touched
-//!    shard (a shard untouched by the body costs nothing);
+//!    shard (a shard untouched by the body costs nothing), every one
+//!    after the first beside the first ([`Transaction::beside`]): at
+//!    its snapshot `rv` in one timestamp domain;
 //! 2. **prepare in ascending shard index**:
 //!    [`Transaction::prepare_commit`] acquires that shard's commit locks
 //!    and validates its read set, publishing nothing;
 //! 3. if every prepare held, stage the journaled write set on every
 //!    writing shard (durable stores only) and **publish all**
-//!    ([`Transaction::commit_prepared`]); if any failed, abort the ones
-//!    already prepared ([`Transaction::abort_prepared`]) — no shard
-//!    observes anything — and re-run the body.
+//!    ([`Transaction::commit_prepared_all`]: at one clock tick in one
+//!    timestamp domain, shard by shard otherwise); if any failed, abort
+//!    the ones already prepared ([`Transaction::abort_prepared`]) — no
+//!    shard observes anything — and re-run the body.
 //!
 //! Atomicity (no torn cross-shard reads) follows from the engine's
-//! prepare/publish split: the coordinator holds *every* shard's commit
-//! locks from before its first publish until after that shard's own
-//! publish, and a consistent scan is itself a read-only 2PC that
-//! revalidates every shard at prepare time — the per-algorithm torn-cut
+//! prepare/publish split. In one timestamp domain a transaction reads
+//! every shard at one `rv` and publishes every shard at one tick `wv`,
+//! so a snapshot sees all of a commit or none of it, and a consistent
+//! scan — a read-only 2PC — is one snapshot that prepares without
+//! revalidating; under the Mv hooks it cannot abort on a concurrent
+//! put. Across separate
+//! clocks the coordinator holds *every* shard's commit locks from before
+//! its first publish until after that shard's own publish, and a scan
+//! revalidates every shard at prepare time. The per-algorithm torn-cut
 //! argument lives in `ptm_stm`'s `twophase` module docs. Deadlock
 //! freedom is this module's obligation and comes from the single global
 //! prepare order: stripe-locking prepares are try-lock fail-fast, and
@@ -212,23 +222,34 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
     /// to `wals[i]` (none when `wals` is empty): what
     /// [`ShardedKv::open`] replays recovered records into — unlogged —
     /// before attaching its journal.
+    ///
+    /// The shards of a store whose algorithm serves snapshots (Mv,
+    /// Adaptive) are built beside shard 0, in one timestamp domain: one
+    /// clock and one snapshot registry, so a cross-shard transaction
+    /// reads every shard at one snapshot and publishes at one tick. The
+    /// other algorithms keep a clock per shard.
     pub(crate) fn build(cfg: ServiceConfig, wals: &[Arc<Wal>]) -> Self {
+        let one_domain = matches!(cfg.algorithm, Algorithm::Mv | Algorithm::Adaptive);
+        let mut shards: Vec<Shard<K, V>> = Vec::with_capacity(cfg.shard_count());
+        for i in 0..cfg.shard_count() {
+            let mut b = Stm::builder(cfg.algorithm);
+            if let Some(a) = cfg.adaptive {
+                b = b.adaptive_config(a);
+            }
+            if let Some(wal) = wals.get(i) {
+                b = b.durability_hook(Arc::clone(wal) as _);
+            }
+            let stm = match shards.first() {
+                Some(first) if one_domain => b.build_beside(&first.stm),
+                _ => b.build(),
+            };
+            shards.push(Shard {
+                stm,
+                map: THashMap::with_buckets(cfg.buckets_per_shard),
+            });
+        }
         ShardedKv {
-            shards: (0..cfg.shard_count())
-                .map(|i| {
-                    let mut b = Stm::builder(cfg.algorithm);
-                    if let Some(a) = cfg.adaptive {
-                        b = b.adaptive_config(a);
-                    }
-                    if let Some(wal) = wals.get(i) {
-                        b = b.durability_hook(Arc::clone(wal) as _);
-                    }
-                    Shard {
-                        stm: b.build(),
-                        map: THashMap::with_buckets(cfg.buckets_per_shard),
-                    }
-                })
-                .collect(),
+            shards: shards.into_boxed_slice(),
             journal: None,
         }
     }
@@ -320,11 +341,15 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
     /// A **consistent** snapshot of the whole store: every entry of
     /// every shard, as of one serialization point across all shards.
     ///
-    /// Implemented as a read-only cross-shard transaction: snapshot each
-    /// shard, then prepare each shard in ascending order — a read-only
-    /// prepare revalidates the shard's whole read set, so a multi-shard
-    /// commit that landed between two of the snapshots fails the prepare
-    /// and the scan re-runs. This is the operation the atomicity stress
+    /// Implemented as a read-only cross-shard transaction. In one
+    /// timestamp domain (Mv, Adaptive) every shard is read at the
+    /// snapshot the first drew, and the scan commits without
+    /// revalidating: under the Mv hooks it never aborts, whatever
+    /// commits meanwhile. Otherwise each shard is read on its own clock
+    /// and prepared in ascending order — a read-only prepare
+    /// revalidates the shard's whole read set, so a multi-shard commit
+    /// that landed between two of the snapshots fails the prepare and
+    /// the scan re-runs. This is the operation the atomicity stress
     /// test aims at concurrent transfers: the returned entries never
     /// show a transfer half-applied.
     pub fn scan(&self) -> Vec<(K, V)> {
@@ -387,6 +412,8 @@ pub struct ServiceTx<'kv, K, V> {
     /// `slots[i]` is the open transaction on shard `i`, if touched.
     /// Index order doubles as the global prepare order.
     slots: Vec<Option<Transaction<'kv>>>,
+    /// The first shard touched: every later one opens beside it.
+    opener: Option<usize>,
     /// The mutations so far, which become the WAL record at commit.
     /// Stays empty on a store without a journal.
     ops: Vec<LoggedOp<K, V>>,
@@ -398,17 +425,31 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
         ServiceTx {
             kv,
             slots: (0..kv.shards.len()).map(|_| None).collect(),
+            opener: None,
             ops: Vec::new(),
         }
     }
 
     /// The shard's partition and this transaction's (lazily opened)
-    /// attempt on it.
+    /// attempt on it. Every shard after the first opens beside the
+    /// first ([`Transaction::beside`]): at its snapshot when the store is
+    /// one timestamp domain, as an ordinary transaction otherwise.
     fn on(&mut self, shard: usize) -> (&'kv THashMap<K, V>, &mut Transaction<'kv>) {
-        let kv = self.kv;
-        let s = &kv.shards[shard];
-        let tx = self.slots[shard].get_or_insert_with(|| s.stm.transaction());
-        (&s.map, tx)
+        let s = &self.kv.shards[shard];
+        if self.slots[shard].is_none() {
+            let tx = match self.opener {
+                Some(first) => self.slots[first]
+                    .as_mut()
+                    .expect("the opener stays open")
+                    .beside(&s.stm),
+                None => {
+                    self.opener = Some(shard);
+                    s.stm.transaction()
+                }
+            };
+            self.slots[shard] = Some(tx);
+        }
+        (&s.map, self.slots[shard].as_mut().expect("just opened"))
     }
 
     /// Reads `key` within the transaction (never journaled).
@@ -481,18 +522,26 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
     /// draw order matches publish order). The return then waits for
     /// every participant's ack.
     fn commit(self) -> bool {
-        let mut prepared: Vec<(usize, Transaction<'kv>, Prepared)> = Vec::new();
+        let logged = self.kv.journal.is_some() && !self.ops.is_empty();
+        let mut prepared: Vec<(Transaction<'kv>, Prepared)> = Vec::new();
+        // The prepared shards' indices, for the journal only.
+        let mut shards: Vec<usize> = Vec::new();
         // `slots` is indexed by shard, so iteration order *is* the
         // global prepare order the deadlock-freedom argument needs.
         for (shard, slot) in self.slots.into_iter().enumerate() {
             let Some(mut tx) = slot else { continue };
             match tx.prepare_commit() {
-                Ok(p) => prepared.push((shard, tx, p)),
+                Ok(p) => {
+                    prepared.push((tx, p));
+                    if logged {
+                        shards.push(shard);
+                    }
+                }
                 Err(Retry) => {
                     // This shard rolled its own locks back (and is
                     // poisoned); undo the ones already holding theirs,
                     // in reverse for symmetry.
-                    for (_, t, p) in prepared.into_iter().rev() {
+                    for (t, p) in prepared.into_iter().rev() {
                         t.abort_prepared(p);
                     }
                     return false;
@@ -500,14 +549,12 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
             }
         }
         let staged = match &self.kv.journal {
-            Some(journal) if !self.ops.is_empty() => {
-                Some((journal, journal.stage(&self.ops, &mut prepared)))
+            Some(journal) if logged => {
+                Some((journal, journal.stage(&self.ops, &shards, &mut prepared)))
             }
             _ => None,
         };
-        for (_, tx, p) in prepared {
-            tx.commit_prepared(p);
-        }
+        Transaction::commit_prepared_all(prepared);
         if let Some((journal, tickets)) = staged {
             for (shard, ticket) in &tickets {
                 journal.ack(*shard, ticket);

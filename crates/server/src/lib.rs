@@ -3,22 +3,27 @@
 //! This crate is the serving tier the ROADMAP's north star asks for: it
 //! turns the single-instance [`Stm`](ptm_stm::Stm) engine into a system
 //! that answers get/put/scan/multi-key-transact over **N shards**, each
-//! shard an independent `Stm` instance (own clock, own orec table) with
-//! a hash-partitioned [`THashMap`](ptm_structs::THashMap) on top.
+//! shard its own `Stm` instance (own orec table) with a
+//! hash-partitioned [`THashMap`](ptm_structs::THashMap) on top. The
+//! shards of a store whose algorithm serves snapshots (Mv, Adaptive)
+//! share one clock and one snapshot registry — one timestamp domain;
+//! every other algorithm keeps a clock per shard.
 //!
 //! The interesting part is the cross-shard path. A multi-key transaction
 //! whose keys land on several shards commits through an **ordered
 //! two-phase commit** built from the engine's
 //! [`prepare_commit`](ptm_stm::Transaction::prepare_commit) /
-//! [`commit_prepared`](ptm_stm::Transaction::commit_prepared) split:
-//! prepare every touched shard in ascending shard index (lock + validate,
-//! nothing published), and only when *all* prepares hold, publish them
-//! one by one. Each shard's prepare acquires exactly the locks that
+//! [`commit_prepared_all`](ptm_stm::Transaction::commit_prepared_all)
+//! split: prepare every touched shard in ascending shard index (lock +
+//! validate, nothing published), and only when *all* prepares hold,
+//! publish them — at one clock tick in one timestamp domain, one by one
+//! otherwise. Each shard's prepare acquires exactly the locks that
 //! shard's single-instance commit would have held across its own write
 //! back, so the established per-algorithm serialization arguments carry
-//! over unchanged — a concurrent consistent [`scan`](ShardedKv::scan)
-//! (itself a read-only 2PC that revalidates every shard) can never
-//! observe a multi-shard transfer torn. See
+//! over — a concurrent consistent [`scan`](ShardedKv::scan) (itself a
+//! read-only 2PC: one snapshot of every shard in one timestamp domain,
+//! a revalidation of every shard otherwise) can never observe a
+//! multi-shard transfer torn. See
 //! `ptm_stm::engine::twophase`'s module docs for the full torn-cut and
 //! deadlock-freedom arguments; this crate's obligation is the ascending
 //! prepare order.

@@ -223,3 +223,36 @@ fn closed_loop_of_gets_scans_and_transfers_conserves_the_sum() {
         assert_eq!(total, KEYS * INITIAL, "{algo:?}: transfers moved, not lost");
     }
 }
+
+/// The shards of an Mv store share one timestamp domain, so a scan
+/// reads every shard at one snapshot and a put on any shard cannot
+/// invalidate it: 200 scans against a put storm commit at their first
+/// attempt, and the only writer never conflicts either.
+#[test]
+fn mv_scans_never_abort_under_a_put_storm() {
+    const KEYS: u64 = 256;
+    const SCANS: usize = 200;
+
+    let kv: ShardedKv<u64, u64> = ShardedKv::new(4, Algorithm::Mv);
+    preload(&kv, KEYS, 1);
+    let before: u64 = (0..kv.shard_count())
+        .map(|s| kv.shard_stats(s).snapshot().aborts)
+        .sum();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut state = 0x9E37_79B9u64;
+            while !done.load(Ordering::Acquire) {
+                kv.put(next_rand(&mut state) % KEYS, 1);
+            }
+        });
+        for _ in 0..SCANS {
+            assert_eq!(kv.scan().len(), KEYS as usize);
+        }
+        done.store(true, Ordering::Release);
+    });
+    let aborts: u64 = (0..kv.shard_count())
+        .map(|s| kv.shard_stats(s).snapshot().aborts)
+        .sum();
+    assert_eq!(aborts - before, 0, "a one-domain scan never aborts");
+}

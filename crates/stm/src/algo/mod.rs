@@ -28,7 +28,9 @@
 //! without calling back in here. (A read-only *two-phase* prepare does
 //! call `prepare`, which with an empty write set locks nothing and
 //! revalidates the read set — the re-check a coordinator needs to rule
-//! out torn cross-instance cuts.) Likewise generic is read-lock release
+//! out torn cross-instance cuts — unless the attempt belongs to a
+//! sibling group that read one cut of one timestamp domain and wrote
+//! nothing.) Likewise generic is read-lock release
 //! — the engine undoes `TxLog::rw_reads` on every exit path, including
 //! `Drop`, so a panicking body cannot leak a visible read's lock.
 //!

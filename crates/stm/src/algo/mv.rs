@@ -27,8 +27,9 @@
 //!    locks);
 //! 2. draw `wv` with one `fetch_add` on the clock (every versioned
 //!    commit draws its tick this way);
-//! 3. resolve the pending stamps to `wv` (readers that raced into the
-//!    one-RMW window spin it out rather than guessing);
+//! 3. withdraw the committer's own snapshot, then resolve the pending
+//!    stamps to `wv` (readers that raced into the one-RMW window spin
+//!    it out rather than guessing);
 //! 4. trim each written chain against the registry's low watermark —
 //!    the clock floor while no snapshot is pinned, an exact slot scan
 //!    otherwise (see `crate::epoch`) — then enforce the optional
@@ -51,6 +52,15 @@
 //! snapshot names — which the watermark (a lower bound on every active
 //! `rv`) keeps alive.
 //!
+//! Instances that share one timestamp domain (one clock, one registry:
+//! `StmBuilder::build_beside`) publish a coordinator's group the same
+//! way, step 1 on **every** participant before the one draw of step 2,
+//! then steps 3–5 on each (`Transaction::commit_prepared_all`). The
+//! argument above then covers the group: a reader with `rv >= wv` drew
+//! it after every participant's appends, one with `rv < wv` skips them
+//! all, so no snapshot sees part of the group. Drawing a tick per
+//! participant would let a snapshot fall between two of them.
+//!
 //! That argument needs more than program order: the reader must
 //! *happens-after* the appends. Snapshot reads do zero orec probes and
 //! read-only transactions never validate, so the clock itself is the
@@ -68,7 +78,7 @@
 //! `snapshot_reads` counts the reads that paid no validation for it.
 
 use super::versioned;
-use crate::engine::{Retry, Transaction};
+use crate::engine::{Retry, Stm, Transaction};
 use crate::epoch;
 use crate::orec::stamped;
 use crate::tvar::{Evicted, TVar, TxValue};
@@ -121,15 +131,39 @@ pub(crate) fn read<T: TxValue, R>(
 
 /// Append publish, for every commit of an instance that serves
 /// snapshots (Mv, and Adaptive whichever read hooks the attempt ran):
-/// append the pending versions, stamp, trim, and release under the
-/// locks `versioned::prepare` acquired. Infallible.
+/// [`append`], draw `wv`, [`finish`], under the locks
+/// `versioned::prepare` acquired. Infallible. A group of participants
+/// sharing one timestamp domain publishes through the same three steps,
+/// appending on every participant before its one draw
+/// (`Transaction::commit_prepared_all`).
 pub(crate) fn publish(tx: &mut Transaction<'_>) {
-    // Point of no return: append pending versions, then make them real.
-    // Snapshot readers probe no orecs, so this release write to the
-    // clock is the only happens-before edge from the appends above to a
-    // reader drawing `rv >= wv` — see the module docs.
+    append(tx);
+    let wv = draw(tx.stm);
+    finish(tx, wv);
+}
+
+/// Point of no return, first half: append the write set as pending
+/// versions. Must precede the [`draw`] that stamps them.
+pub(crate) fn append(tx: &mut Transaction<'_>) {
     tx.log.append_writes();
-    let wv = tx.stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
+}
+
+/// The commit tick: one always-writing `fetch_add` on the domain clock.
+/// Snapshot readers probe no orecs, so this release write is the only
+/// happens-before edge from the appends before it to a reader drawing
+/// `rv >= wv` — see the module docs.
+pub(crate) fn draw(stm: &Stm) -> u64 {
+    stm.clock.fetch_add(1, Ordering::AcqRel) + 1
+}
+
+/// Point of no return, second half: withdraw the committer's snapshot,
+/// log the durability payload, stamp the pending versions `wv`, trim,
+/// release the stripe locks and wake their waiters.
+pub(crate) fn finish(tx: &mut Transaction<'_>, wv: u64) {
+    // The committer reads nothing more, and its own snapshot is the
+    // oldest pin it could hold against the trim below: withdrawn, a
+    // lone committer trims each written chain to its new head.
+    tx.snap = None;
     // Log the staged durability payload before the pending stamps
     // resolve: a snapshot reader cannot consume a `wv` version until
     // `stamp_head` lands, so the record is in the log before anything

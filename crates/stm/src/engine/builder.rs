@@ -4,7 +4,7 @@ use super::{Algorithm, MvConfig, Stm};
 use crate::algo::adaptive::{AdaptiveConfig, AdaptiveState};
 use crate::cm::{ContentionManager, ExponentialBackoff};
 use crate::epoch::SnapshotRegistry;
-use crate::orec::{self, OrecTable};
+use crate::orec::{self, CachePadded, OrecTable};
 use crate::recorder::HistoryRecorder;
 use crate::stats::StmStats;
 use crate::wal::DurabilityHook;
@@ -129,6 +129,60 @@ impl StmBuilder {
     /// Panics if the algorithm is [`Algorithm::Adaptive`] and the
     /// [`AdaptiveConfig`] is inconsistent (see its field docs).
     pub fn build(self) -> Stm {
+        // The instances that serve snapshots. Adaptive does whenever
+        // its controller picks the Mv hooks, so it carries the registry
+        // from birth — and with it the append publish for every commit
+        // (`Transaction::prepare`).
+        let snapshots = serves_snapshots(self.algorithm).then(SnapshotRegistry::new);
+        self.assemble(Arc::new(CachePadded(AtomicU64::new(0))), snapshots)
+    }
+
+    /// Builds the instance in `other`'s timestamp domain: the two share
+    /// one version clock and one snapshot registry, and keep their own
+    /// orec tables, statistics and configuration. A transaction can then
+    /// read both at one snapshot ([`Transaction::beside`]) and publish
+    /// both at one clock tick ([`Transaction::commit_prepared_all`]) —
+    /// what `ptm-server` builds the shards of an Mv or Adaptive store
+    /// with.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both instances serve snapshots ([`Algorithm::Mv`]
+    /// or [`Algorithm::Adaptive`]): the single-version algorithms gain
+    /// nothing from a shared clock, and NOrec's clock is its sequence
+    /// lock, which two instances' ordered prepares would deadlock on.
+    /// Also as [`build`](Self::build).
+    ///
+    /// [`Transaction::beside`]: crate::Transaction::beside
+    /// [`Transaction::commit_prepared_all`]: crate::Transaction::commit_prepared_all
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ptm_stm::{Algorithm, Stm};
+    ///
+    /// let first = Stm::mv();
+    /// let second = Stm::builder(Algorithm::Mv).build_beside(&first);
+    /// assert_eq!(second.algorithm(), Algorithm::Mv);
+    /// ```
+    pub fn build_beside(self, other: &Stm) -> Stm {
+        assert!(
+            serves_snapshots(self.algorithm) && other.snapshots.is_some(),
+            "build_beside: both instances must serve snapshots (Mv or Adaptive), \
+             got {:?} beside {:?}",
+            self.algorithm,
+            other.algorithm
+        );
+        let (clock, snapshots) = (Arc::clone(&other.clock), other.snapshots.clone());
+        self.assemble(clock, snapshots)
+    }
+
+    /// The instance around a clock and a registry, fresh or shared.
+    fn assemble(
+        self,
+        clock: Arc<CachePadded<AtomicU64>>,
+        snapshots: Option<SnapshotRegistry>,
+    ) -> Stm {
         // NOrec never touches orecs; don't pay ~128 KB of padded words
         // for a table no code path reads.
         let stripes = match self.algorithm {
@@ -146,21 +200,13 @@ impl StmBuilder {
             }
             _ => None,
         };
-        // The instances that serve snapshots. Adaptive does whenever
-        // its controller picks the Mv hooks, so it carries the registry
-        // from birth — and with it the append publish for every commit
-        // (`Transaction::prepare`).
-        let snapshots = match self.algorithm {
-            Algorithm::Mv | Algorithm::Adaptive => Some(SnapshotRegistry::new()),
-            _ => None,
-        };
         let stats = Arc::new(StmStats::default());
         if let Some(hook) = &self.durability {
             hook.attach_stats(stats.clone());
         }
         Stm {
             algorithm: self.algorithm,
-            clock: AtomicU64::new(0),
+            clock,
             orecs: OrecTable::new(stripes),
             stats,
             max_attempts: self.max_attempts,
@@ -172,4 +218,10 @@ impl StmBuilder {
             durability: self.durability,
         }
     }
+}
+
+/// Whether `algorithm` serves snapshots: Mv always, Adaptive whenever
+/// its controller picks the Mv hooks.
+fn serves_snapshots(algorithm: Algorithm) -> bool {
+    matches!(algorithm, Algorithm::Mv | Algorithm::Adaptive)
 }

@@ -85,7 +85,7 @@ use crate::algo::adaptive::AdaptiveState;
 use crate::algo::Hooks;
 use crate::cm::ContentionManager;
 use crate::epoch::SnapshotRegistry;
-use crate::orec::OrecTable;
+use crate::orec::{CachePadded, OrecTable};
 use crate::recorder::HistoryRecorder;
 use crate::stats::StmStats;
 use crate::wal::DurabilityHook;
@@ -248,11 +248,19 @@ impl std::error::Error for RetriesExhausted {}
 /// sequence lock and its orec table; variables
 /// ([`TVar`](crate::TVar)) are free-standing and may be used with any
 /// `Stm`, but must not be shared between instances running concurrently.
+/// Instances that serve snapshots (Mv, Adaptive) may share one
+/// *timestamp domain* — the clock and the snapshot registry — while
+/// keeping their own orec tables ([`StmBuilder::build_beside`]); a
+/// transaction then reads several of them at one snapshot
+/// ([`Transaction::beside`]) and publishes them at one tick
+/// ([`Transaction::commit_prepared_all`]).
 pub struct Stm {
     pub(crate) algorithm: Algorithm,
     /// TL2/Incremental/Mv: version clock. NOrec: sequence lock (odd =
     /// busy). Tlrw: unused (consistency comes from held read locks).
-    pub(crate) clock: AtomicU64,
+    /// On its own cache line, and shared by every instance of one
+    /// timestamp domain ([`StmBuilder::build_beside`]).
+    pub(crate) clock: Arc<CachePadded<AtomicU64>>,
     /// Striped metadata words: versioned locks (TL2/Incremental/Mv) or
     /// reader–writer locks (Tlrw); unused by NOrec.
     pub(crate) orecs: OrecTable,
@@ -266,9 +274,10 @@ pub struct Stm {
     pub(crate) adaptive: Option<AdaptiveState>,
     /// Present on the instances that serve snapshots, `Algorithm::Mv`
     /// and `Algorithm::Adaptive`: the active snapshots whose minimum is
-    /// the version-chain low watermark (and its cached copy, see
-    /// [`crate::epoch`]). Its presence also selects the append publish
-    /// for every commit of the instance.
+    /// the version-chain low watermark (see [`crate::epoch`]), shared
+    /// like the clock by every instance of one timestamp domain. Its
+    /// presence also selects the append publish for every commit of the
+    /// instance.
     pub(crate) snapshots: Option<SnapshotRegistry>,
     /// Space-budget knobs for the Mv hooks ([`StmBuilder::mv_config`]).
     pub(crate) mv: MvConfig,
@@ -390,6 +399,13 @@ impl Stm {
     /// if any.
     pub fn recorder(&self) -> Option<&HistoryRecorder> {
         self.recorder.as_ref()
+    }
+
+    /// Whether `other` shares this instance's timestamp domain: both
+    /// serve snapshots from one clock and one registry
+    /// ([`StmBuilder::build_beside`]).
+    pub(crate) fn shares_domain(&self, other: &Stm) -> bool {
+        self.snapshots.is_some() && Arc::ptr_eq(&self.clock, &other.clock)
     }
 
     /// Wakes every waiter parked on one of `stripes` (a committing

@@ -930,6 +930,85 @@ fn twophase_prepared_token_cannot_cross_instances() {
     tx_b.commit_prepared(prepared);
 }
 
+#[test]
+fn beside_reads_at_the_openers_snapshot() {
+    let first = Stm::mv();
+    let second = StmBuilder::new(Algorithm::Mv).build_beside(&first);
+    let (a, b) = (TVar::new(1u64), TVar::new(2u64));
+
+    // A commit on the second instance after the opener's first read is
+    // past the opener's snapshot, so the sibling does not see it.
+    let mut tx = first.transaction();
+    assert_eq!(tx.read(&a), Ok(1));
+    second.atomically(|t| t.write(&b, 20));
+    let mut sibling = tx.beside(&second);
+    assert_eq!(sibling.rv, tx.rv);
+    assert_eq!(
+        sibling.read(&b),
+        Ok(2),
+        "the sibling reads the opener's cut"
+    );
+
+    // The read-only group is one cut at one `rv`: it prepares without
+    // a single revalidation probe, and commits on both instances.
+    let before = [first.stats().snapshot(), second.stats().snapshot()];
+    let (p0, p1) = (
+        tx.prepare_commit().expect("read-only prepare"),
+        sibling.prepare_commit().expect("read-only prepare"),
+    );
+    Transaction::commit_prepared_all(vec![(tx, p0), (sibling, p1)]);
+    for (stm, before) in [&first, &second].into_iter().zip(&before) {
+        let d = stm.stats().snapshot().since(before);
+        assert_eq!((d.commits, d.aborts), (1, 0));
+        assert_eq!(
+            d.validation_probes, 0,
+            "a one-cut group revalidates nothing"
+        );
+    }
+
+    // An updating group publishes both instances at one tick.
+    let tick = first.clock.load(Ordering::SeqCst);
+    let mut tx = first.transaction();
+    let x = tx.read(&a).expect("fresh read");
+    let mut sibling = tx.beside(&second);
+    let y = sibling.read(&b).expect("fresh read");
+    tx.write(&a, x + y).expect("buffer write");
+    sibling.write(&b, x + y).expect("buffer write");
+    let (p0, p1) = (
+        tx.prepare_commit().expect("uncontended prepare"),
+        sibling.prepare_commit().expect("uncontended prepare"),
+    );
+    Transaction::commit_prepared_all(vec![(tx, p0), (sibling, p1)]);
+    assert_eq!((a.load(), b.load()), (21, 21));
+    assert_eq!(first.clock.load(Ordering::SeqCst), tick + 1, "one draw");
+    for (stm, var) in [(&first, &a), (&second, &b)] {
+        let word = stm.orecs.word(stm.orecs.stripe_of(var.id()));
+        assert_eq!(orec::version_of(word.load(Ordering::SeqCst)), tick + 1);
+        assert_eq!(var.versions_retained(), 1, "no pin outlives the group");
+        assert_orecs_quiescent(stm);
+    }
+
+    // Instances in separate domains open an ordinary transaction, which
+    // revalidates at prepare as before.
+    let other = Stm::mv();
+    let mut tx = first.transaction();
+    tx.read(&a).expect("fresh read");
+    let mut stranger = tx.beside(&other);
+    stranger.read(&b).expect("fresh read");
+    let before = other.stats().snapshot();
+    let p = stranger.prepare_commit().expect("read-only prepare");
+    stranger.commit_prepared(p);
+    assert_eq!(other.stats().snapshot().since(&before).validation_probes, 1);
+    tx.rollback();
+}
+
+#[test]
+#[should_panic(expected = "both instances must serve snapshots")]
+fn build_beside_refuses_an_instance_that_serves_no_snapshots() {
+    let first = Stm::mv();
+    let _ = StmBuilder::new(Algorithm::Norec).build_beside(&first);
+}
+
 /// Where a transaction's log lives — the identity of its loan.
 fn log_addr(tx: &Transaction<'_>) -> *const TxLog {
     &*tx.log

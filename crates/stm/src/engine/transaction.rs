@@ -13,7 +13,9 @@ use crate::tvar::{TVar, TxValue, WriteNode};
 use crate::txlog::LogLoan;
 use crate::wal::DurableTicket;
 use ptm_sim::{TOpDesc, TOpResult};
+use std::cell::Cell;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -78,6 +80,11 @@ pub struct Transaction<'s> {
     /// `None` on instances without a durability hook and on attempts
     /// that staged nothing.
     staged: Option<(Arc<[u8]>, DurableTicket)>,
+    /// Present on the members of a sibling group
+    /// ([`Transaction::beside`]): one flag they share, set once any
+    /// member buffers a write. While it stays clear, the group reads one
+    /// cut at one `rv` and its members prepare without revalidating.
+    pub(super) group: Option<Rc<Cell<bool>>>,
     /// Epoch pin: keeps every pointer this transaction may dereference
     /// alive for its whole lifetime (also makes `Transaction: !Send`).
     pub(crate) pin: epoch::Guard,
@@ -122,8 +129,66 @@ impl<'s> Transaction<'s> {
             rec: stm.recorder.as_ref().map(HistoryRecorder::begin_tx),
             tally: OpTally::default(),
             staged: None,
+            group: None,
             pin: epoch::pin(),
         }
+    }
+
+    /// Opens a transaction on `other` that reads at this transaction's
+    /// snapshot: a *sibling*. When `other` shares this instance's
+    /// timestamp domain ([`StmBuilder::build_beside`]), the sibling
+    /// takes this attempt's `rv` and read hooks — drawing the snapshot
+    /// here first if no operation has yet — and pins it as a nested pin
+    /// of the shared snapshot registry, which costs no shared write. Its
+    /// reads and this attempt's then form one cut: a read-only group
+    /// prepares without revalidating, and an updating group publishes
+    /// at one clock tick through [`Transaction::commit_prepared_all`].
+    /// Otherwise the sibling is an ordinary [`Stm::transaction`] on
+    /// `other`, and prepare revalidates as for any coordinator.
+    ///
+    /// A sibling's snapshot is its opener's, so it predates the
+    /// sibling's first recorded history marker: histories recorded
+    /// across instances are not yet checked for opacity.
+    ///
+    /// [`StmBuilder::build_beside`]: crate::StmBuilder::build_beside
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ptm_stm::{Algorithm, Stm, TVar, Transaction};
+    ///
+    /// let (a, b) = (TVar::new(1u64), TVar::new(2u64));
+    /// let first = Stm::mv();
+    /// let second = Stm::builder(Algorithm::Mv).build_beside(&first);
+    /// let mut tx = first.transaction();
+    /// let x = tx.read(&a).unwrap();
+    /// let mut sibling = tx.beside(&second);
+    /// sibling.write(&b, x + 10).unwrap();
+    /// let (p0, p1) = (tx.prepare_commit().unwrap(), sibling.prepare_commit().unwrap());
+    /// Transaction::commit_prepared_all(vec![(tx, p0), (sibling, p1)]);
+    /// assert_eq!(b.load(), 11);
+    /// ```
+    pub fn beside<'o>(&mut self, other: &'o Stm) -> Transaction<'o> {
+        let mut sibling = Transaction::begin(other);
+        if !self.stm.shares_domain(other) {
+            return sibling;
+        }
+        debug_assert!(!self.resolved, "a sibling needs a live opener");
+        self.ensure_started();
+        sibling.rv = self.rv;
+        sibling.mode = self.mode;
+        sibling.started = true;
+        if self.mode == Hooks::Mv {
+            let reg = other
+                .snapshots
+                .as_ref()
+                .expect("instances of one domain share its snapshot registry");
+            sibling.snap = Some(reg.nest());
+        }
+        let wrote = !self.log.writes.is_empty();
+        let group = self.group.get_or_insert_with(|| Rc::new(Cell::new(wrote)));
+        sibling.group = Some(Rc::clone(group));
+        sibling
     }
 
     /// Lazily samples the snapshot time at the first operation.
@@ -365,6 +430,9 @@ impl<'s> Transaction<'s> {
         // Boxed once, as the version node the commit will publish.
         self.log
             .buffer_write(var.id(), var.as_dyn(), WriteNode::new(value));
+        if let Some(group) = &self.group {
+            group.set(true);
+        }
         if let Some(op) = op {
             self.rec_respond(op, TOpResult::Ok);
         }

@@ -10,28 +10,47 @@
 //! — and every outcome, one-shot or two-phase, ends in the one resolve
 //! point ([`Transaction::committed`] / [`Transaction::aborted`]).
 //!
-//! This is what makes a **cross-instance atomic commit** possible
-//! without any new global metadata: each [`Stm`] keeps its own clock and
-//! orec table, and a coordinator that prepares every instance before
-//! publishing any reuses each algorithm's single-instance commit
-//! protocol unchanged — the stripe locks (or NOrec's sequence lock) a
-//! prepare acquires are exactly the locks the one-shot commit would have
-//! held across its own publish, just held a little longer.
+//! This is what makes a **cross-instance atomic commit** possible: each
+//! [`Stm`] keeps its own orec table, and a coordinator that prepares
+//! every instance before publishing any reuses each algorithm's
+//! single-instance commit protocol unchanged — the stripe locks (or
+//! NOrec's sequence lock) a prepare acquires are exactly the locks the
+//! one-shot commit would have held across its own publish, just held a
+//! little longer. Instances that serve snapshots may also share one
+//! **timestamp domain** — one clock, one snapshot registry
+//! ([`StmBuilder::build_beside`](crate::StmBuilder::build_beside)) —
+//! and then a coordinator reads them at one snapshot
+//! ([`Transaction::beside`]) and publishes them at one tick
+//! ([`Transaction::commit_prepared_all`]); every other instance keeps
+//! its own clock.
 //!
 //! ## Why a multi-instance commit is never observed torn
 //!
-//! An updating coordinator holds **every** instance's commit locks from
-//! before its first publish until after that instance's own publish. A
-//! reader that could observe instance *i* post-publish and instance *j*
-//! pre-publish must therefore get its reads of *j* past metadata the
-//! coordinator still owns:
+//! **In one timestamp domain** (Mv, Adaptive) a cut is a timestamp. A
+//! group publishes at one tick `wv`, drawn after it appended on every
+//! participant: a reader whose `rv >= wv` loaded the clock after that
+//! draw, which synchronizes with it, so it finds every participant's
+//! new version (pending until stamped, and then stamped `wv`); a reader
+//! with `rv < wv` skips them all. A group of siblings reads every
+//! instance at one `rv`, so a read-only group is one cut at one
+//! timestamp and prepares without revalidating, as a lone read-only
+//! attempt commits. A Tl2-hook read of an adaptive instance sees the
+//! same cut: a stripe the group still holds, or stamped past `rv`,
+//! aborts it.
 //!
-//! * **Tl2 / Incremental / Mv** — the *j*-stripes are either still
-//!   locked (read/validation fails on the lock bit) or already
-//!   restamped past the reader's snapshot (version check fails). A
-//!   reader that validates *every* instance after reading all of them
-//!   — which is exactly what a read-only [`prepare_commit`] does —
-//!   cannot pass both checks on a torn cut.
+//! **Across separate clocks** an updating coordinator holds **every**
+//! instance's commit locks from before its first publish until after
+//! that instance's own publish. A reader that could observe instance
+//! *i* post-publish and instance *j* pre-publish must therefore get its
+//! reads of *j* past metadata the coordinator still owns:
+//!
+//! * **Tl2 / Incremental** — the *j*-stripes are either still locked
+//!   (read/validation fails on the lock bit) or already restamped past
+//!   the reader's snapshot (version check fails). A reader that
+//!   validates *every* instance after reading all of them — which is
+//!   exactly what a read-only [`prepare_commit`] does — cannot pass
+//!   both checks on a torn cut. (Mv and Adaptive instances in separate
+//!   domains prepare the same way.)
 //! * **NOrec** — the *j*-instance's sequence lock is odd (held) until
 //!   its publish, so value validation spins until the publish lands
 //!   and then sees the changed values.
@@ -136,7 +155,9 @@ impl Transaction<'_> {
     /// A read-only attempt acquires nothing but **revalidates its whole
     /// read set** (where the algorithm has anything to validate) — that
     /// re-check at prepare time is what lets a coordinator rule out torn
-    /// cuts across instances (see the module docs).
+    /// cuts across instances (see the module docs). The exception is a
+    /// sibling group ([`Transaction::beside`]) none of whose members
+    /// wrote: it read one cut at one timestamp, and revalidates nothing.
     ///
     /// # Errors
     ///
@@ -182,7 +203,10 @@ impl Transaction<'_> {
         self.rec_invoke(TOpDesc::TryCommit);
         self.ensure_started();
         let read_only = self.log.writes.is_empty();
-        if read_only && !revalidate {
+        // A sibling group no member of which wrote read one cut at one
+        // `rv` of one clock: already serialized, like a lone attempt.
+        let one_cut = self.group.as_ref().is_some_and(|wrote| !wrote.get());
+        if read_only && (!revalidate || one_cut) {
             return Some(Plan::ReadOnly);
         }
         // With an empty write set each hook locks nothing and only
@@ -243,6 +267,63 @@ impl Transaction<'_> {
             "Prepared token crossed between Stm instances"
         );
         self.publish(prepared.plan);
+    }
+
+    /// Publishes a coordinator's prepared participants together, then
+    /// retires each as committed. When every participant shares one
+    /// timestamp domain ([`Transaction::beside`]) and every plan is
+    /// read-only or appending (Mv, Adaptive), the group publishes at
+    /// **one** clock tick: it appends on every participant, draws one
+    /// `fetch_add`, withdraws every participant's snapshot, then
+    /// stamps, trims and releases each — so a snapshot reader sees all
+    /// of the group's writes or none. Any other group publishes part by
+    /// part, as [`Transaction::commit_prepared`] would. Infallible.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if a [`Prepared`] came from a different
+    /// [`Stm`] instance's transaction than the one it is paired with.
+    pub fn commit_prepared_all(mut parts: Vec<(Transaction<'_>, Prepared)>) {
+        let one_tick = parts.first().is_some_and(|(first, _)| {
+            parts.iter().all(|(tx, p)| {
+                matches!(p.plan, Plan::ReadOnly | Plan::Append) && first.stm.shares_domain(tx.stm)
+            })
+        });
+        if !one_tick {
+            for (tx, p) in parts {
+                tx.commit_prepared(p);
+            }
+            return;
+        }
+        let appending = |p: &Prepared| matches!(p.plan, Plan::Append);
+        for (tx, p) in &mut parts {
+            debug_assert!(
+                std::ptr::eq(p.stm, tx.stm),
+                "Prepared token crossed between Stm instances"
+            );
+            if appending(p) {
+                mv::append(tx);
+            }
+        }
+        if let Some((tx, _)) = parts.iter().find(|(_, p)| appending(p)) {
+            let wv = mv::draw(tx.stm);
+            // Every participant's snapshot goes before the first trim,
+            // or a sibling's nested pin would keep the superseded
+            // versions the trim could otherwise take.
+            for (tx, _) in &mut parts {
+                tx.snap = None;
+            }
+            for (tx, p) in &mut parts {
+                if appending(p) {
+                    mv::finish(tx, wv);
+                }
+            }
+        }
+        // The writes are out: what is left of each publish is the
+        // read-only plan's — close the marker and resolve.
+        for (mut tx, _) in parts {
+            tx.publish(Plan::ReadOnly);
+        }
     }
 
     /// Abandons a prepared commit: every lock `prepared` holds is

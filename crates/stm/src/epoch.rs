@@ -91,7 +91,8 @@
 //! is live. [`SnapshotRegistry`] answers it: every Mv transaction
 //! publishes its snapshot timestamp in a per-thread, cache-padded slot
 //! for its duration, and the **low watermark** — the minimum over all
-//! active slots, floored by the instance clock read *before* the scan —
+//! active slots, floored by the clock of the timestamp domain (an
+//! instance and those built beside it) read *before* the scan —
 //! bounds which versions any live or future snapshot can still reach.
 //! Committers trim version chains against it
 //! ([`AnyTVar::trim_chain`](crate::tvar::AnyTVar::trim_chain)) and
@@ -414,8 +415,8 @@ struct SnapSlot {
 }
 
 struct SnapShared {
-    /// Distinguishes registries (one per Mv instance) in the per-thread
-    /// slot cache.
+    /// Distinguishes registries (one per timestamp domain) in the
+    /// per-thread slot cache.
     id: u64,
     /// All live slots; scanned (under the lock) by `watermark`.
     slots: Mutex<Vec<Arc<SnapSlot>>>,
@@ -462,9 +463,12 @@ thread_local! {
     static SNAPSHOTS: RefCell<HashMap<u64, SnapEntry>> = RefCell::new(HashMap::new());
 }
 
-/// Active-snapshot registry of one multi-version [`Stm`](crate::Stm)
-/// instance: who is reading at which timestamp, and therefore how far
-/// back version chains must reach (the low watermark).
+/// Active-snapshot registry of one timestamp domain — a multi-version
+/// [`Stm`](crate::Stm) instance and the instances built beside it,
+/// which share it by cloning: who is reading at which timestamp, and
+/// therefore how far back version chains must reach (the low
+/// watermark).
+#[derive(Clone)]
 pub(crate) struct SnapshotRegistry {
     shared: Arc<SnapShared>,
 }
@@ -559,7 +563,33 @@ impl SnapshotRegistry {
         )
     }
 
-    /// The oldest snapshot any live transaction of this instance may be
+    /// One more pin under the snapshot this thread already publishes
+    /// here: no clock read, no shared write — the slot keeps publishing
+    /// the outer (older, more conservative) snapshot until the last
+    /// guard goes. What a sibling transaction
+    /// ([`Transaction::beside`](crate::Transaction::beside)) pins with,
+    /// since it reads at its opener's `rv`, which the slot already
+    /// protects.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this thread holds no pin on the registry.
+    pub(crate) fn nest(&self) -> SnapshotGuard<'_> {
+        SNAPSHOTS.with(|m| {
+            let mut m = m.borrow_mut();
+            let e = m
+                .get_mut(&self.shared.id)
+                .filter(|e| e.depth > 0)
+                .expect("a nested snapshot pin needs an outer one on this thread");
+            e.depth += 1;
+        });
+        SnapshotGuard {
+            shared: &self.shared,
+            _not_send: std::marker::PhantomData,
+        }
+    }
+
+    /// The oldest snapshot any live transaction of this domain may be
     /// reading under — floored by the clock read *before* the slot scan,
     /// so a registering reader the scan misses is provably protected
     /// (its re-checked snapshot postdates this floor). With no pin

@@ -36,6 +36,14 @@ pub(crate) const DEFAULT_STRIPES: usize = 1024;
 #[repr(align(128))]
 pub(crate) struct CachePadded<T>(pub T);
 
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 /// Whether the lock bit of an orec word is set.
 pub(crate) fn is_locked(word: u64) -> bool {
     word & 1 == 1

@@ -17,6 +17,7 @@ use progressive_tm::stm::{
     AdaptiveConfig, Algorithm, HistoryRecorder, MvConfig, RetriesExhausted, Retry, Stm, TVar,
     Transaction,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
 const ALGOS: [Algorithm; 6] = [
@@ -593,11 +594,8 @@ fn mv_version_chains_trim_back_after_writers_and_readers_quiesce() {
             tx.write(&b, Counted::new(&live, 1000 + i))
         });
     }
-    // O(1), not exactly 1: the final committer's own snapshot (drawn one
-    // tick before its write stamp) pins the version just below the head
-    // until the transaction resolves, which is after its trim pass.
-    assert!(a.versions_retained() <= 2, "{}", a.versions_retained());
-    assert!(b.versions_retained() <= 2, "{}", b.versions_retained());
+    assert_eq!(a.versions_retained(), 1);
+    assert_eq!(b.versions_retained(), 1);
     let snap = stm.stats().snapshot();
     assert!(
         snap.versions_trimmed >= 2 * ROUNDS,
@@ -686,18 +684,51 @@ fn mv_nested_updater_sees_fresh_snapshots_and_cannot_livelock() {
 }
 
 #[test]
+fn mv_commit_alone_trims_to_one_version() {
+    // A committer withdraws its own snapshot before it trims: with no
+    // other reader, the superseded version goes at once.
+    let stm = Stm::mv();
+    let v = TVar::new(0u64);
+    for i in 1..=3u64 {
+        stm.atomically(|tx| tx.modify(&v, |x| x + i));
+        assert_eq!(v.versions_retained(), 1, "after commit {i}");
+    }
+    assert_eq!(v.load(), 6);
+}
+
+#[test]
 fn mv_sequential_handoff_reads_the_current_value() {
     // A variable written under one (now finished) Mv instance and read
     // under a fresh one: the fresh clock sits below every retained
     // stamp, and the snapshot walk must agree with `load()` — the
-    // current value — not whatever stale version the chain ends on
-    // (Mv instances leave 2 retained versions behind).
+    // current value — not whatever stale version the chain ends on.
+    // The chain is built under a reader camped on another thread after
+    // the first commit, so the walk has versions to pass and none of
+    // them is stamped at the fresh clock.
     let v = TVar::new(0u64);
     {
         let a = Stm::mv();
-        for i in 1..=3u64 {
-            a.atomically(|tx| tx.write(&v, i * 10));
-        }
+        a.atomically(|tx| tx.write(&v, 10));
+        let (camped, release) = (AtomicBool::new(false), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                a.atomically(|tx| {
+                    tx.read(&v)?;
+                    camped.store(true, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    Ok(())
+                })
+            });
+            while !camped.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            for i in 2..=3u64 {
+                a.atomically(|tx| tx.write(&v, i * 10));
+            }
+            release.store(true, Ordering::SeqCst);
+        });
     }
     assert!(v.versions_retained() >= 2, "handoff leaves a real chain");
     let b = Stm::mv();
