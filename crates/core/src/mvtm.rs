@@ -1,5 +1,5 @@
 //! A multi-version TM — the "keep old versions" design point the paper
-//! contrasts with (Perelman–Fan–Keidar, PODC'10, cited as [22]).
+//! contrasts with (Perelman–Fan–Keidar, PODC'10, cited as \[22\]).
 //!
 //! Read-only transactions never validate *and* never abort: they read
 //! from the consistent snapshot defined by their start time, served from

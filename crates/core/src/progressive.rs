@@ -1,7 +1,7 @@
 //! The paper's matching upper bound: a progressive, opaque, weak-DAP TM
 //! with **invisible reads** and **incremental validation**.
 //!
-//! This is the construction the paper points to ([19]/DSTM-style) as tight
+//! This is the construction the paper points to (\[19\]/DSTM-style) as tight
 //! for Theorem 3: metadata is strictly per-t-object (one versioned-lock
 //! word and one value word per item — *strict data partitioning*, hence
 //! weak DAP), reads apply only trivial primitives (invisible), and opacity

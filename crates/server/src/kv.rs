@@ -237,7 +237,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
                 b = b.adaptive_config(a);
             }
             if let Some(wal) = wals.get(i) {
-                b = b.durability_hook(Arc::clone(wal) as _);
+                b = b.durability_hook(Arc::clone(wal));
             }
             let stm = match shards.first() {
                 Some(first) if one_domain => b.build_beside(&first.stm),

@@ -46,18 +46,14 @@ pub enum Decision {
 /// A retry policy consulted between transaction attempts.
 ///
 /// The policy is split into a **pure decision** and an **optional
-/// blocking wait**: one step, two ways to wait. The engine's one attempt
-/// step calls [`ContentionManager::decide`] after every conflict abort,
-/// whichever driver runs it; what differs is the waiting:
-///
-/// * the blocking driver ([`Stm::run`](crate::Stm::run)) follows a
-///   [`Decision::Retry`] with [`ContentionManager::wait`] — wait however
-///   the policy likes (spin, yield, sleep) — before the next attempt;
-/// * the async driver ([`Stm::run_async`](crate::Stm::run_async)) never
-///   calls `wait` — a future must never burn or block its executor
-///   thread, so the engine translates the wait the policy would have
-///   performed into waker-mediated yields and waiter-list parking
-///   instead.
+/// blocking wait**, so that the engine can resolve an aborted attempt
+/// between the two. Its one attempt step calls
+/// [`ContentionManager::decide`] after every conflict abort, then
+/// releases what the attempt holds — Tlrw read locks, its epoch pin, an
+/// Mv snapshot — and only then does the blocking driver
+/// ([`Stm::run`](crate::Stm::run)) follow a [`Decision::Retry`] with
+/// [`ContentionManager::wait`]. A backoff therefore never holds a lock
+/// another transaction is trying to write through.
 ///
 /// Deciding before waiting (rather than waiting, then deciding) is sound
 /// because `decide` is pure: it depends on `attempt` alone, so the
@@ -69,7 +65,8 @@ pub enum Decision {
 /// one logical transaction (counting from 0).
 pub trait ContentionManager: Send + Sync + fmt::Debug {
     /// Decides what the engine should do next, **without blocking** —
-    /// no spinning, yielding, or sleeping. Called on executor threads.
+    /// no spinning, yielding, or sleeping. Called before the aborted
+    /// attempt is resolved.
     fn decide(&self, attempt: u64) -> Decision;
 
     /// Waits as the policy dictates before a [`Decision::Retry`] is acted
@@ -227,8 +224,9 @@ mod tests {
 
     #[test]
     fn decide_is_pure_across_the_tiers() {
-        // The async driver never calls `wait`; `decide` must reproduce
-        // the tier boundaries without any of its side effects.
+        // `try_once` never calls `wait`, and `run` calls it only after
+        // the attempt is resolved; `decide` must reproduce the tier
+        // boundaries without any of its side effects.
         let cm = ExponentialBackoff::default();
         assert_eq!(cm.decide(0), Decision::Retry);
         assert_eq!(cm.decide(cm.park_threshold), Decision::Retry);

@@ -3,10 +3,10 @@
 //!
 //! [`Attempts::step`] runs exactly one attempt and says what the
 //! transaction does next ([`Step`]); it owns the attempt budget, the
-//! contention-manager consultation and the park protocol. The three
-//! drivers — [`Stm::run`], [`Stm::run_async`](super::run_async) and
-//! [`Stm::try_once`] — differ only in *how they wait* between steps:
-//! block the thread, suspend the task, or not at all.
+//! contention-manager consultation and the park protocol. The two
+//! drivers — [`Stm::run`] and [`Stm::try_once`] — differ only in
+//! *whether they wait* between steps: `run` blocks the thread,
+//! `try_once` stops after one step.
 
 use super::{RetriesExhausted, Retry, Stm, Transaction};
 use crate::cm::Decision;
@@ -25,11 +25,10 @@ pub(super) struct Attempts<'s> {
 /// What one attempt came to, and so what its driver does next.
 pub(super) enum Step<A> {
     Committed(A),
-    /// Run the body again: after the policy's [`wait`]`(n)` if the driver
-    /// may block and this was the `n`-th consecutive conflict (`Some(n)`:
-    /// the policy's `decide` said retry), at once otherwise (`None`: a
-    /// park found its footprint already overwritten, or the driver
-    /// supplied no cell to park on).
+    /// Run the body again: after the policy's [`wait`]`(n)` if this was
+    /// the `n`-th consecutive conflict (`Some(n)`: the policy's `decide`
+    /// said retry), at once otherwise (`None`: a park found its footprint
+    /// already overwritten, or the driver may not park).
     ///
     /// [`wait`]: crate::ContentionManager::wait
     Again(Option<u64>),
@@ -52,9 +51,9 @@ impl<'s> Attempts<'s> {
         Attempts { stm, conflicts: 0 }
     }
 
-    /// Runs `body` in one attempt and resolves it. `new_cell` builds the
-    /// cell a parked attempt is woken through (a thread handle or a
-    /// task's waker); a driver that cannot wait answers `None`.
+    /// Runs `body` in one attempt and resolves it. `may_park` is the
+    /// driver's answer to whether it can sleep: `run` parks the calling
+    /// thread, `try_once` never parks.
     ///
     /// Generic over the body and inlined into each driver, so a first
     /// attempt that commits touches no cell, no stripe list, no policy.
@@ -62,7 +61,7 @@ impl<'s> Attempts<'s> {
     pub(super) fn step<A>(
         &mut self,
         body: impl FnOnce(&mut Transaction<'s>) -> Result<A, Retry>,
-        new_cell: impl FnOnce() -> Option<Arc<WaitCell>>,
+        may_park: bool,
     ) -> Step<A> {
         let mut tx = Transaction::begin(self.stm);
         if let Ok(out) = body(&mut tx) {
@@ -93,7 +92,8 @@ impl<'s> Attempts<'s> {
                 attempts: self.conflicts,
             }),
             Decision::Retry => Step::Again(Some(self.conflicts - 1)),
-            Decision::Park => self.park(&tx, !tx.waiting, new_cell()),
+            Decision::Park if may_park => self.park(&tx, !tx.waiting),
+            Decision::Park => Step::Again(None),
         };
         tx.aborted();
         next
@@ -109,17 +109,10 @@ impl<'s> Attempts<'s> {
     /// `crate::waiter`.) The caller resolves the attempt *after* this
     /// registration — Tlrw's still-held read locks are what order any
     /// conflicting commit after it — and *before* the driver sleeps, so
-    /// a parked thread or task pins no epoch, holds no read lock, blocks
-    /// no adaptive mode switch, and anchors no Mv snapshot.
-    fn park<A>(
-        &self,
-        tx: &Transaction<'_>,
-        conflict: bool,
-        cell: Option<Arc<WaitCell>>,
-    ) -> Step<A> {
-        let Some(cell) = cell else {
-            return Step::Again(None);
-        };
+    /// a parked thread pins no epoch, holds no read lock, blocks no
+    /// adaptive mode switch, and anchors no Mv snapshot.
+    fn park<A>(&self, tx: &Transaction<'_>, conflict: bool) -> Step<A> {
+        let cell = WaitCell::for_thread();
         // A conflict park waits on reads ∪ writes: the winner is as
         // likely to have beaten us on a write stripe.
         let stripes = tx.wait_stripes(conflict);
@@ -169,7 +162,7 @@ impl Stm {
         // The blocking driver: between steps it waits on this thread.
         let mut attempts = Attempts::new(self);
         loop {
-            match attempts.step(&mut body, || Some(WaitCell::for_thread())) {
+            match attempts.step(&mut body, true) {
                 Step::Committed(out) => return Ok(out),
                 Step::Again(Some(n)) => self.cm.wait(n),
                 Step::Again(None) => {}
@@ -202,7 +195,7 @@ impl Stm {
         body: impl FnOnce(&mut Transaction<'_>) -> Result<A, Retry>,
     ) -> Option<A> {
         // The driver that may not wait: one step, nothing to park on.
-        match Attempts::new(self).step(body, || None) {
+        match Attempts::new(self).step(body, false) {
             Step::Committed(out) => Some(out),
             _ => None,
         }

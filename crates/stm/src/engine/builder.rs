@@ -7,7 +7,7 @@ use crate::epoch::SnapshotRegistry;
 use crate::orec::{self, CachePadded, OrecTable};
 use crate::recorder::HistoryRecorder;
 use crate::stats::StmStats;
-use crate::wal::DurabilityHook;
+use crate::wal::Wal;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -34,7 +34,7 @@ pub struct StmBuilder {
     recorder: Option<HistoryRecorder>,
     adaptive: AdaptiveConfig,
     mv: MvConfig,
-    durability: Option<Arc<dyn DurabilityHook>>,
+    durability: Option<Arc<Wal>>,
 }
 
 impl StmBuilder {
@@ -94,13 +94,13 @@ impl StmBuilder {
 
     /// Logs every committed write set that staged a durability payload
     /// ([`Transaction::stage_durable`](crate::Transaction::stage_durable))
-    /// through `hook` — typically a [`Wal`](crate::wal::Wal) — from
-    /// inside the publish critical section, stamped with the commit
-    /// tick. See [`crate::wal`] for the ordering guarantee this buys
-    /// and `ptm-server`'s durability layer for the recovery path built
-    /// on it. Off by default; instances without a hook pay nothing.
-    pub fn durability_hook(mut self, hook: Arc<dyn DurabilityHook>) -> Self {
-        self.durability = Some(hook);
+    /// to `wal` from inside the publish critical section, stamped with
+    /// the commit tick. See [`crate::wal`] for the ordering guarantee
+    /// this buys and `ptm-server`'s durability layer for the recovery
+    /// path built on it. Off by default; instances without a log pay
+    /// nothing.
+    pub fn durability_hook(mut self, wal: Arc<Wal>) -> Self {
+        self.durability = Some(wal);
         self
     }
 
@@ -201,8 +201,8 @@ impl StmBuilder {
             _ => None,
         };
         let stats = Arc::new(StmStats::default());
-        if let Some(hook) = &self.durability {
-            hook.attach_stats(stats.clone());
+        if let Some(wal) = &self.durability {
+            wal.attach_stats(stats.clone());
         }
         Stm {
             algorithm: self.algorithm,

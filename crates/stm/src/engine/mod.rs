@@ -46,9 +46,9 @@
 //! * [`attempt`] — the attempt lifecycle, written once: a step machine
 //!   that runs one attempt (begin → body → commit → resolve) and owns
 //!   the attempt budget, the contention-manager consultation and the
-//!   park protocol, under three thin drivers that differ only in how
+//!   park protocol, under two thin drivers that differ only in whether
 //!   they wait — [`Stm::run`] / [`Stm::atomically`] block the thread,
-//!   [`run_async`] suspends the task, [`Stm::try_once`] does not wait;
+//!   [`Stm::try_once`] does not wait;
 //! * [`twophase`] — the one commit pipeline, prepare then publish: run
 //!   back to back by the attempt step, and split
 //!   ([`Transaction::prepare_commit`] / [`Prepared`]) for a coordinator
@@ -60,24 +60,20 @@
 //! All modes buffer writes in the shared transaction log
 //! ([`crate::txlog`]) and publish them only at commit, so a failed
 //! transaction never dirties shared state. Retry behaviour is a pluggable
-//! [`ContentionManager`](crate::ContentionManager) chosen through
-//! [`StmBuilder`]; past its park threshold (and always for
-//! [`Transaction::retry`] logical waits) the transaction stops
-//! consuming CPU entirely and blocks on the orec table's per-stripe
-//! waiter lists until a committing writer overlaps the attempt's
-//! footprint. The same lists back [`Stm::run_async`] ([`run_async`]),
-//! which suspends a future instead of a thread.
+//! [`ContentionManager`] chosen through [`StmBuilder`]; past its park
+//! threshold (and always for [`Transaction::retry`] logical waits) the
+//! transaction stops consuming CPU entirely and blocks on the orec
+//! table's per-stripe waiter lists until a committing writer overlaps
+//! the attempt's footprint.
 
 mod attempt;
 mod builder;
-mod run_async;
 #[cfg(test)]
 mod tests;
 mod transaction;
 mod twophase;
 
 pub use builder::StmBuilder;
-pub use run_async::RunAsync;
 pub use transaction::Transaction;
 pub use twophase::Prepared;
 
@@ -88,7 +84,7 @@ use crate::epoch::SnapshotRegistry;
 use crate::orec::{CachePadded, OrecTable};
 use crate::recorder::HistoryRecorder;
 use crate::stats::StmStats;
-use crate::wal::DurabilityHook;
+use crate::wal::Wal;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -282,10 +278,10 @@ pub struct Stm {
     /// Space-budget knobs for the Mv hooks ([`StmBuilder::mv_config`]).
     pub(crate) mv: MvConfig,
     /// Present when this instance logs committed write sets for
-    /// durability ([`StmBuilder::durability_hook`]): called inside each
-    /// publish critical section with the commit tick (see
+    /// durability ([`StmBuilder::durability_hook`]): appended to inside
+    /// each publish critical section with the commit tick (see
     /// [`crate::wal`] for the ordering argument).
-    pub(crate) durability: Option<Arc<dyn DurabilityHook>>,
+    pub(crate) durability: Option<Arc<Wal>>,
 }
 
 impl fmt::Debug for Stm {

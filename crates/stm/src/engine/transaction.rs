@@ -440,10 +440,10 @@ impl<'s> Transaction<'s> {
     }
 
     /// Stages the durability payload this attempt will log if it
-    /// commits: the publish critical section hands `payload` to the
-    /// instance's [`DurabilityHook`](crate::wal::DurabilityHook),
-    /// stamped with the commit tick, and delivers the resulting LSN
-    /// through `ticket` — the caller then makes the commit durable with
+    /// commits: the publish critical section appends `payload` to the
+    /// instance's [`Wal`](crate::wal::Wal), stamped with the commit
+    /// tick, and delivers the resulting LSN through `ticket` — the
+    /// caller then makes the commit durable with
     /// [`Wal::wait_durable`](crate::wal::Wal::wait_durable) before
     /// acknowledging it.
     ///
@@ -474,12 +474,12 @@ impl<'s> Transaction<'s> {
     /// later), so the critical section stays I/O-free.
     pub(crate) fn durability_record(&mut self, stamp: u64) {
         if let Some((payload, ticket)) = self.staged.take() {
-            let hook = self
+            let wal = self
                 .stm
                 .durability
                 .as_ref()
                 .expect("staged payload implies a durability hook");
-            ticket.set(hook.record(stamp, &payload));
+            ticket.set(wal.append(stamp, 0, &payload));
         }
     }
 

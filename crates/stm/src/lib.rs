@@ -76,7 +76,7 @@
 //!
 //! | module | concern |
 //! |--------|---------|
-//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] and the one resolve point (`engine::transaction`), the one attempt step and its three drivers (`engine::attempt`, `engine::run_async`), the prepare → publish commit pipeline every commit runs and cross-instance coordinators split ([`Prepared`], `engine::twophase`) |
+//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] and the one resolve point (`engine::transaction`), the one attempt step and its two drivers (`engine::attempt`), the prepare → publish commit pipeline every commit runs and cross-instance coordinators split ([`Prepared`], `engine::twophase`) |
 //! | `algo`  | the strategy layer: one module per algorithm (begin / read / prepare / publish hooks), including the adaptive mode controller |
 //! | `txlog` | read-set / write-set log shared by all algorithms |
 //! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
@@ -122,9 +122,9 @@ pub mod wal;
 pub use algo::adaptive::AdaptiveConfig;
 pub use cm::{ContentionManager, Decision, ExponentialBackoff, ImmediateRetry};
 pub use engine::{
-    Algorithm, MvConfig, Prepared, RetriesExhausted, Retry, RunAsync, Stm, StmBuilder, Transaction,
+    Algorithm, MvConfig, Prepared, RetriesExhausted, Retry, Stm, StmBuilder, Transaction,
 };
 pub use recorder::HistoryRecorder;
 pub use stats::{StatsSnapshot, StmStats};
 pub use tvar::{TVar, TxValue};
-pub use wal::{DurabilityHook, DurableTicket};
+pub use wal::DurableTicket;

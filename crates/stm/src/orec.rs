@@ -2,10 +2,10 @@
 //! behind every orec-based algorithm.
 //!
 //! Instead of a lock word *inside* every [`TVar`](crate::TVar) (the seed
-//! design, which also kept the value under a mutex), each [`Stm`]
-//! (crate::Stm) owns a fixed, cache-padded table of words. A variable
-//! maps to a stripe by hashing its address, the way production TL2
-//! implementations key their global lock table. The same table serves
+//! design, which also kept the value under a mutex), each
+//! [`Stm`](crate::Stm) owns a fixed, cache-padded table of words. A
+//! variable maps to a stripe by hashing its address, the way production
+//! TL2 implementations key their global lock table. The same table serves
 //! two word formats, chosen by the instance's algorithm (one instance
 //! runs one algorithm, so the formats never mix):
 //!

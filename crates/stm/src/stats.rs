@@ -314,13 +314,6 @@ counters! {
     /// wake — the lost-wakeup canary (≈ 0 in a healthy run; an idle
     /// `retry` with nothing ever committing also lands here).
     spurious_wakes: sum, "spurious";
-    /// Cooperative yields taken by [`Stm::run_async`](crate::Stm::run_async)
-    /// polls: the async driver's translation of the contention manager's
-    /// wait tiers (a poll that exhausted its inline retry budget
-    /// reschedules itself instead of spinning on the executor thread).
-    /// Observes the degradation the async path accepts under contention;
-    /// always 0 for purely blocking workloads.
-    async_yields: sum, "yields";
     /// Committed write sets appended to an attached write-ahead log
     /// ([`crate::wal`]): one per durable commit. Always 0 without a
     /// durability hook.
@@ -412,13 +405,6 @@ impl StmStats {
     /// Records a park that ended by timeout instead of a wake.
     pub(crate) fn spurious_wake(&self) {
         self.local().spurious_wakes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records an async poll rescheduling itself (waker-mediated yield)
-    /// instead of spinning out the contention manager's wait on the
-    /// executor thread.
-    pub(crate) fn async_yield(&self) {
-        self.local().async_yields.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one write set appended to the attached write-ahead log
@@ -513,8 +499,6 @@ mod tests {
         s.woke(3);
         s.woke(0);
         s.spurious_wake();
-        s.async_yield();
-        s.async_yield();
         s.log_append();
         s.log_append();
         s.log_append();
@@ -539,7 +523,6 @@ mod tests {
         assert_eq!(snap.parks, 2);
         assert_eq!(snap.wakes, 3);
         assert_eq!(snap.spurious_wakes, 1);
-        assert_eq!(snap.async_yields, 2);
         assert_eq!(snap.log_appends, 3);
         assert_eq!(snap.fsyncs, 1);
         assert_eq!(snap.group_commit_records, 3);
@@ -557,14 +540,13 @@ mod tests {
         });
         s.park();
         s.woke(1);
-        s.async_yield();
         let line = s.snapshot().to_string();
         assert_eq!(
             line,
             "commits=1 aborts=0 reads=0 writes=0 probes=2 reader_conflicts=1 snapshot_reads=0 \
              walk_steps=0 trimmed=0 evicted=0 eviction_aborts=0 max_chain=0 retained=0 \
              recorded=6 transitions=0 ro_commits=0 ro_reads=0 parks=1 wakes=1 spurious=0 \
-             yields=1 log_appends=0 fsyncs=0 group_commit=0"
+             log_appends=0 fsyncs=0 group_commit=0"
         );
         s.mode_transition();
         s.read_only_commit(64);
@@ -573,7 +555,7 @@ mod tests {
         let line = s.snapshot().to_string();
         assert!(
             line.ends_with(
-                "transitions=1 ro_commits=1 ro_reads=64 parks=1 wakes=1 spurious=0 yields=1 \
+                "transitions=1 ro_commits=1 ro_reads=64 parks=1 wakes=1 spurious=0 \
                  log_appends=1 fsyncs=1 group_commit=1"
             ),
             "{line}"

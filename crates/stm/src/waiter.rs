@@ -42,10 +42,8 @@
 //! is counted as a `spurious_wake` in [`StmStats`](crate::StmStats), and
 //! the torture suite asserts the net stays unused.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Once, OnceLock, Weak};
-use std::task::Waker;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Safety-net ceiling on a logical wait (`Transaction::retry`): a parked
@@ -53,30 +51,19 @@ use std::time::{Duration, Instant};
 /// were lost. Long, because the wake path makes expiry the exception.
 pub(crate) const RETRY_PARK_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Park slice for a contention-manager [`Decision::Park`]
-/// (crate::Decision::Park): short, because a conflict park has a weaker
-/// wake guarantee — the conflicting commit may already be finished, with
-/// no later commit due on any overlapping stripe.
+/// Park slice for a contention-manager
+/// [`Decision::Park`](crate::Decision::Park): short, because a conflict
+/// park has a weaker wake guarantee — the conflicting commit may already
+/// be finished, with no later commit due on any overlapping stripe.
 pub(crate) const CONFLICT_PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
-/// What a wake delivers to: a parked thread or a pending future's waker.
-enum WakeTarget {
-    Thread(std::thread::Thread),
-    Waker(Waker),
-}
-
-/// One parked (or pending) attempt: a notification flag plus the wake
-/// target. Shared between the waiter buckets it is registered in and the
-/// parked attempt itself; `notify` delivers at most once however many
-/// buckets drain it.
+/// One parked attempt: a notification flag plus the thread to unpark.
+/// Shared between the waiter buckets it is registered in and the parked
+/// attempt itself; `notify` delivers at most once however many buckets
+/// drain it.
 pub(crate) struct WaitCell {
     notified: AtomicBool,
-    /// Set (before the wake fires) when the delivering notifier was the
-    /// timer watchdog rather than a committing writer, so an async park
-    /// can count the expiry as a spurious wake — the same ledger the
-    /// blocking path keeps via `park`'s return value.
-    timed_out: AtomicBool,
-    target: WakeTarget,
+    thread: std::thread::Thread,
 }
 
 impl WaitCell {
@@ -84,59 +71,23 @@ impl WaitCell {
     pub(crate) fn for_thread() -> Arc<Self> {
         Arc::new(WaitCell {
             notified: AtomicBool::new(false),
-            timed_out: AtomicBool::new(false),
-            target: WakeTarget::Thread(std::thread::current()),
+            thread: std::thread::current(),
         })
     }
 
-    /// A cell that wakes a future (`Waker::wake_by_ref`).
-    pub(crate) fn for_waker(waker: Waker) -> Arc<Self> {
-        Arc::new(WaitCell {
-            notified: AtomicBool::new(false),
-            timed_out: AtomicBool::new(false),
-            target: WakeTarget::Waker(waker),
-        })
-    }
-
-    /// Whether the cell has been notified (a pending future polls this
-    /// indirectly by being woken; tests poll it directly).
+    /// Whether the cell has been notified.
     pub(crate) fn is_notified(&self) -> bool {
         self.notified.load(Ordering::Acquire)
-    }
-
-    /// Whether the delivering notifier was the timer watchdog. Read
-    /// after the wake arrived.
-    pub(crate) fn was_timeout(&self) -> bool {
-        self.timed_out.load(Ordering::Acquire)
     }
 
     /// Delivers the wake exactly once; returns whether this call was the
     /// delivering one (a cell drained from several buckets is woken by
     /// the first and counted once).
     pub(crate) fn notify(&self) -> bool {
-        self.deliver(false)
-    }
-
-    /// The timer watchdog's notify: same once-only delivery, but labels
-    /// the wake a timeout so the woken poll can count it spurious. A
-    /// cell a real commit already woke stays labelled real.
-    pub(crate) fn notify_timeout(&self) -> bool {
-        self.deliver(true)
-    }
-
-    fn deliver(&self, timed_out: bool) -> bool {
         if self.notified.swap(true, Ordering::SeqCst) {
             return false;
         }
-        if timed_out {
-            // Labelled before the wake fires, so the woken side's load
-            // (which the wake itself orders after this store) sees it.
-            self.timed_out.store(true, Ordering::Release);
-        }
-        match &self.target {
-            WakeTarget::Thread(t) => t.unpark(),
-            WakeTarget::Waker(w) => w.wake_by_ref(),
-        }
+        self.thread.unpark();
         true
     }
 
@@ -249,8 +200,8 @@ impl WaiterTable {
                 }
                 std::mem::take(&mut *cells)
             };
-            // Notify outside the bucket lock: an async wake can run
-            // arbitrary waker code.
+            // Notify outside the bucket lock: the woken thread's first
+            // act is to deregister, which takes bucket locks.
             for cell in drained {
                 if cell.notify() {
                     woken += 1;
@@ -261,120 +212,9 @@ impl WaiterTable {
     }
 }
 
-/// The async parking path's safety net: a lazily-started global timer
-/// thread that [`WaitCell::notify_timeout`]s registered cells when their
-/// deadline passes.
-///
-/// A *blocking* park carries its own timeout (`park_timeout`), but a
-/// pending future is only re-polled when something fires its waker — and
-/// a conflict park's wake guarantee is weak (the conflicting winner may
-/// have committed and gone before the registration landed). Without a
-/// runtime to lean on (the engine is executor-agnostic), this thread is
-/// what re-polls such a future if no commit ever does. Cells are held
-/// weakly, so a cancelled (dropped) future costs the timer nothing but a
-/// failed upgrade; an already-woken cell's `notify_timeout` is a no-op.
-/// One thread serves every `Stm` instance in the process — it spends its
-/// life asleep in `Condvar::wait` and wakes at most once per outstanding
-/// async conflict park.
-struct TimerQueue {
-    heap: Mutex<BinaryHeap<TimerEntry>>,
-    cv: Condvar,
-}
-
-struct TimerEntry {
-    deadline: Instant,
-    cell: Weak<WaitCell>,
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline
-    }
-}
-
-impl Eq for TimerEntry {}
-
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TimerEntry {
-    /// Reversed: `BinaryHeap` is a max-heap and the timer wants the
-    /// earliest deadline on top.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.deadline.cmp(&self.deadline)
-    }
-}
-
-/// Arms the watchdog for `cell`: after `timeout`, the timer thread
-/// delivers [`WaitCell::notify_timeout`] unless a real wake (or a
-/// dropped future) got there first.
-pub(crate) fn watchdog(cell: &Arc<WaitCell>, timeout: Duration) {
-    let q = timer();
-    let mut heap = q.heap.lock().expect("timer heap poisoned");
-    heap.push(TimerEntry {
-        deadline: Instant::now() + timeout,
-        cell: Arc::downgrade(cell),
-    });
-    drop(heap);
-    q.cv.notify_one();
-}
-
-fn timer() -> &'static TimerQueue {
-    static TIMER: OnceLock<TimerQueue> = OnceLock::new();
-    static SPAWN: Once = Once::new();
-    let q = TIMER.get_or_init(|| TimerQueue {
-        heap: Mutex::new(BinaryHeap::new()),
-        cv: Condvar::new(),
-    });
-    SPAWN.call_once(|| {
-        std::thread::Builder::new()
-            .name("ptm-stm-timer".into())
-            .spawn(move || timer_loop(q))
-            .expect("spawn timer thread");
-    });
-    q
-}
-
-fn timer_loop(q: &'static TimerQueue) -> ! {
-    let mut due: Vec<Arc<WaitCell>> = Vec::new();
-    let mut heap = q.heap.lock().expect("timer heap poisoned");
-    loop {
-        let now = Instant::now();
-        while heap.peek().is_some_and(|e| e.deadline <= now) {
-            let entry = heap.pop().expect("peeked entry");
-            // A dead Weak is a cancelled or already-resolved future.
-            if let Some(cell) = entry.cell.upgrade() {
-                due.push(cell);
-            }
-        }
-        if !due.is_empty() {
-            // Notify outside the heap lock: a waker can run arbitrary
-            // executor code, and `watchdog` must never block behind it.
-            drop(heap);
-            for cell in due.drain(..) {
-                cell.notify_timeout();
-            }
-            heap = q.heap.lock().expect("timer heap poisoned");
-            continue;
-        }
-        heap = match heap.peek() {
-            Some(e) => {
-                let wait = e.deadline.saturating_duration_since(now);
-                q.cv.wait_timeout(heap, wait).expect("timer condvar").0
-            }
-            None => q.cv.wait(heap).expect("timer condvar"),
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::task::Wake;
 
     #[test]
     fn notify_delivers_exactly_once() {
@@ -430,62 +270,6 @@ mod tests {
         assert_eq!(t.wake_stripes(&[2]), 1, "only b remains to wake");
         assert!(b.is_notified());
         assert!(!a.is_notified());
-    }
-
-    #[test]
-    fn waker_cells_fire_the_waker() {
-        struct CountingWaker(AtomicUsize);
-        impl Wake for CountingWaker {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let counter = Arc::new(CountingWaker(AtomicUsize::new(0)));
-        let cell = WaitCell::for_waker(Waker::from(Arc::clone(&counter)));
-        let t = WaiterTable::new(2);
-        t.register(&[0, 1], &cell);
-        assert_eq!(t.wake_stripes(&[0, 1]), 1);
-        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "woken exactly once");
-    }
-
-    #[test]
-    fn timeout_label_rides_only_the_delivering_wake() {
-        // A real wake first: the later timeout delivery is suppressed
-        // and must not relabel the cell.
-        let real = WaitCell::for_thread();
-        assert!(real.notify());
-        assert!(!real.notify_timeout(), "second delivery suppressed");
-        assert!(!real.was_timeout(), "a commit-delivered wake stays real");
-
-        // A timeout first: labelled before the wake fires.
-        let timed = WaitCell::for_thread();
-        assert!(timed.notify_timeout());
-        assert!(timed.was_timeout());
-        assert!(!timed.notify(), "late real wake suppressed");
-    }
-
-    #[test]
-    fn watchdog_delivers_a_timeout_wake() {
-        let cell = WaitCell::for_thread();
-        watchdog(&cell, Duration::from_millis(5));
-        assert!(
-            cell.park(Duration::from_secs(30)),
-            "the timer thread's notify counts as a wake"
-        );
-        assert!(cell.was_timeout(), "watchdog wakes are labelled timeouts");
-    }
-
-    #[test]
-    fn watchdog_tolerates_a_dropped_cell() {
-        // A cancelled future drops its cell; the timer's Weak upgrade
-        // fails and the expiry is a no-op. Arm a sibling afterwards to
-        // prove the thread survived the dead entry.
-        let doomed = WaitCell::for_thread();
-        watchdog(&doomed, Duration::from_millis(1));
-        drop(doomed);
-        let cell = WaitCell::for_thread();
-        watchdog(&cell, Duration::from_millis(10));
-        assert!(cell.park(Duration::from_secs(30)));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! > order.** If committed transaction B read or overwrote anything A
 //! > wrote, A's record precedes B's record, and A's stamp < B's stamp.
 //!
-//! It holds because the engine calls [`DurabilityHook::record`] *inside
-//! the publish critical section, after the commit tick is drawn but
-//! before the write set becomes reader-visible*:
+//! It holds because the engine calls [`Wal::append`] *inside the publish
+//! critical section, after the commit tick is drawn but before the write
+//! set becomes reader-visible*:
 //!
 //! * **Tl2 / Incremental** — between drawing `wv` and releasing the
 //!   write stripes. B conflicting with A must acquire or validate a
@@ -35,10 +35,10 @@
 //! system actually passed through — the prefix-closure property the
 //! crash-point harness in `ptm-server` asserts.
 //!
-//! Acknowledgement is the caller's second step: [`DurabilityHook::record`]
-//! only buffers (so the critical section stays I/O-free) and returns an
-//! LSN; the caller acks its client after [`Wal::wait_durable`] on that
-//! LSN — commit, then log, then fsync, then ack.
+//! Acknowledgement is the caller's second step: [`Wal::append`] only
+//! buffers (so the critical section stays I/O-free) and returns an LSN;
+//! the caller acks its client after [`Wal::wait_durable`] on that LSN —
+//! commit, then log, then fsync, then ack.
 //!
 //! The pieces: [`codec`] (record framing, CRC-64, clean-prefix
 //! decoding, the [`WalValue`] wire trait), [`sink`] (file / memory /
@@ -53,40 +53,8 @@ pub use codec::{Corruption, Decoded, Record, WalValue, FLAG_META};
 pub use sink::{fsync_parent_dir, FaultPlan, FaultSink, FileSink, LogSink, MemSink};
 pub use writer::Wal;
 
-use crate::stats::StmStats;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The engine-side durability callback, installed per instance with
-/// [`StmBuilder::durability_hook`](crate::StmBuilder::durability_hook).
-///
-/// [`DurabilityHook::record`] is called from inside the publish
-/// critical section of every committing transaction that staged a
-/// payload ([`Transaction::stage_durable`](crate::Transaction::stage_durable)),
-/// with the commit tick the algorithm drew for that transaction. The
-/// implementation must be **fast and infallible** — memory-only
-/// buffering; fsync happens later, outside every lock, when somebody
-/// waits on the returned LSN.
-pub trait DurabilityHook: Send + Sync + fmt::Debug {
-    /// Logs one committed write set; returns the LSN to wait on.
-    fn record(&self, stamp: u64, payload: &[u8]) -> u64;
-
-    /// Adopts the owning instance's counters (called once at build).
-    fn attach_stats(&self, stats: Arc<StmStats>) {
-        let _ = stats;
-    }
-}
-
-impl DurabilityHook for Wal {
-    fn record(&self, stamp: u64, payload: &[u8]) -> u64 {
-        self.append(stamp, 0, payload)
-    }
-
-    fn attach_stats(&self, stats: Arc<StmStats>) {
-        Wal::attach_stats(self, stats);
-    }
-}
 
 /// Carries a staged commit's LSN from the publish critical section back
 /// to the committer: cloneable, cheap, and reusable across retried
@@ -157,16 +125,5 @@ mod tests {
         assert_eq!(clone.lsn(), Some(3), "clones share the slot");
         t.reset();
         assert_eq!(clone.lsn(), None);
-    }
-
-    #[test]
-    fn wal_implements_the_hook() {
-        let wal = Wal::with_sink(Box::new(MemSink::new()));
-        let hook: &dyn DurabilityHook = &wal;
-        assert_eq!(hook.record(9, b"p"), 1);
-        assert_eq!(hook.record(10, b"q"), 2);
-        wal.flush().unwrap();
-        let d = wal.read_records().unwrap();
-        assert_eq!(d.records[1].stamp, 10);
     }
 }

@@ -28,8 +28,10 @@
 //! * [`server`] — the serving tier: a sharded transactional KV store
 //!   (`ShardedKv`) routing keys across N independent `Stm` shards, with
 //!   cross-shard transactions and consistent scans committed via an
-//!   ordered two-phase commit over the per-shard clocks, and optional
-//!   per-shard write-ahead logs with crash recovery.
+//!   ordered two-phase commit — at one snapshot and one clock tick on
+//!   an Mv or Adaptive store, whose shards share one timestamp domain,
+//!   over per-shard clocks otherwise — and optional per-shard
+//!   write-ahead logs with crash recovery.
 //!
 //! See `README.md` for the quick start, the crate map, and how to run
 //! the benchmarks.

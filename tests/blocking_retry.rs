@@ -1,7 +1,8 @@
 //! Torture tests for the blocking `retry`/`or_else` tier: lost-wakeup
 //! hunting across all six algorithms, the adaptive mode switch with
 //! consumers parked, the register-vs-commit interleaving window, the
-//! `or_else` rollback semantics, and the async bridge.
+//! `or_else` rollback semantics, and one differential table that drives
+//! every script through both drivers, `run` and `try_once`.
 //!
 //! Every blocking scenario runs under a watchdog: a lost wakeup
 //! manifests as a hang (the 250 ms safety-net timeout would eventually
@@ -9,15 +10,13 @@
 //! watchdog converts "hung" into "failed" instead of stalling CI.
 
 use progressive_tm::stm::{
-    AdaptiveConfig, Algorithm, RetriesExhausted, Retry, Stm, TVar, Transaction,
+    AdaptiveConfig, Algorithm, ContentionManager, Decision, RetriesExhausted, Retry, StatsSnapshot,
+    Stm, TVar, Transaction,
 };
 use progressive_tm::structs::TQueue;
 use std::collections::HashSet;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -366,233 +365,7 @@ fn or_else_refuses_a_poisoned_attempt() {
     assert!(!fallback_ran.get(), "fallback must not run either");
 }
 
-// --- async bridge --------------------------------------------------------
-
-/// Minimal single-future executor: parks the test thread between polls.
-fn block_on<F: Future>(mut fut: Pin<&mut F>) -> F::Output {
-    struct Unpark(thread::Thread);
-    impl Wake for Unpark {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-    let waker = Waker::from(Arc::new(Unpark(thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(out) => return out,
-            Poll::Pending => thread::park(),
-        }
-    }
-}
-
-#[test]
-fn run_async_commits_without_waiting_when_ready() {
-    let stm = Stm::tl2();
-    let v = TVar::new(41u64);
-    let fut = stm.run_async(|tx| {
-        let x = tx.read(&v)?;
-        tx.write(&v, x + 1)?;
-        Ok(x + 1)
-    });
-    assert_eq!(block_on(std::pin::pin!(fut)), Ok(42));
-    assert_eq!(v.load(), 42);
-}
-
-#[test]
-fn run_async_suspends_on_retry_and_resumes_on_commit() {
-    watchdog(Duration::from_secs(60), || {
-        let stm = Arc::new(Stm::tl2());
-        let inbox = Arc::new(TVar::new(None::<u64>));
-        thread::scope(|s| {
-            let (stm2, inbox2) = (Arc::clone(&stm), Arc::clone(&inbox));
-            s.spawn(move || {
-                let fut = stm2.run_async(|tx| match tx.read(&inbox2)? {
-                    Some(v) => Ok(v),
-                    None => tx.retry(),
-                });
-                assert_eq!(block_on(std::pin::pin!(fut)), Ok(9));
-            });
-            thread::sleep(Duration::from_millis(50)); // let it suspend
-            stm.atomically(|tx| tx.write(&inbox, Some(9)));
-        });
-        let snap = stm.stats().snapshot();
-        assert!(snap.parks >= 1, "the future should have registered: {snap}");
-    });
-}
-
-/// A waker that only counts, for polling futures by hand.
-struct CountingWaker(std::sync::atomic::AtomicUsize);
-
-impl CountingWaker {
-    fn new() -> Arc<Self> {
-        Arc::new(CountingWaker(std::sync::atomic::AtomicUsize::new(0)))
-    }
-
-    fn count(&self) -> usize {
-        self.0.load(std::sync::atomic::Ordering::SeqCst)
-    }
-}
-
-impl Wake for CountingWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
-#[test]
-fn run_async_poll_bounds_inline_work() {
-    // Regression for the executor-blocking abort path: `poll` used to
-    // run the contention manager's blocking `on_abort` (up to a 2^12
-    // busy-spin plus `yield_now` per abort) and, under Decision::Retry,
-    // loop attempts inline without ever yielding — one poll could burn
-    // the entire retry budget on the executor thread. The fixed loop
-    // consults the non-blocking `decide` tier and reschedules itself
-    // after a small inline attempt budget, counting each reschedule.
-    use progressive_tm::stm::ImmediateRetry;
-
-    let stm = Stm::builder(Algorithm::Tl2)
-        .max_attempts(40)
-        .contention_manager(ImmediateRetry)
-        .build();
-    let v = TVar::new(0u64);
-    let body_runs = std::cell::Cell::new(0u32);
-    // Deterministic conflict: every attempt reads `v`, then commits an
-    // overlapping write through a nested one-shot transaction, so the
-    // outer attempt's validation always fails.
-    let fut = stm.run_async(|tx| {
-        body_runs.set(body_runs.get() + 1);
-        let x = tx.read(&v)?;
-        stm.try_once(|t2| t2.modify(&v, |y| y + 1))
-            .expect("nested bump commits");
-        tx.write(&v, x)?;
-        Ok(())
-    });
-    let mut fut = std::pin::pin!(fut);
-    let counter = CountingWaker::new();
-    let waker = Waker::from(Arc::clone(&counter));
-    let mut cx = Context::from_waker(&waker);
-
-    let mut polls = 0u32;
-    let mut max_runs_per_poll = 0u32;
-    let out = loop {
-        let before = body_runs.get();
-        let wakes_before = counter.count();
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(out) => break out,
-            Poll::Pending => {
-                polls += 1;
-                max_runs_per_poll = max_runs_per_poll.max(body_runs.get() - before);
-                assert_eq!(
-                    counter.count(),
-                    wakes_before + 1,
-                    "a yielding poll reschedules itself exactly once"
-                );
-                assert!(polls < 1_000, "future never resolved");
-            }
-        }
-    };
-    assert!(out.is_err(), "every attempt conflicts: budget must exhaust");
-    assert!(
-        max_runs_per_poll <= 4,
-        "one poll ran {max_runs_per_poll} attempts inline; the per-poll budget must bound it"
-    );
-    assert!(
-        polls >= 8,
-        "40 attempts cannot fit in {polls} bounded polls"
-    );
-    let snap = stm.stats().snapshot();
-    assert_eq!(
-        snap.async_yields,
-        u64::from(polls),
-        "every yield is counted: {snap}"
-    );
-}
-
-#[test]
-fn run_async_conflict_park_registers_instead_of_self_waking() {
-    // Regression for the unthrottled Decision::Park degradation: the
-    // old path answered a conflict park with `wake_by_ref` + `Pending`,
-    // re-polling at executor speed (a pegged core) for as long as the
-    // conflict lasted, and never registered on the waiter lists. The
-    // fixed path registers the conflict footprint and suspends for
-    // real: no wake until an overlapping commit (or the timer
-    // watchdog) delivers one.
-    #[derive(Debug)]
-    struct AlwaysPark;
-    impl progressive_tm::stm::ContentionManager for AlwaysPark {
-        fn decide(&self, _attempt: u64) -> progressive_tm::stm::Decision {
-            progressive_tm::stm::Decision::Park
-        }
-    }
-
-    let stm = Stm::builder(Algorithm::Tl2)
-        .contention_manager(AlwaysPark)
-        .build();
-    let w = TVar::new(0u64);
-
-    // A prepared (locked, unpublished) writer on `w`'s stripe makes the
-    // future's commit fail deterministically while its (empty) read set
-    // stays valid — the exact shape that must park, not spin.
-    let mut blocker = stm.transaction();
-    blocker.write(&w, 7u64).expect("buffer write");
-    let prepared = blocker.prepare_commit().expect("uncontended prepare");
-
-    let fut = stm.run_async(|tx| {
-        tx.write(&w, 8u64)?;
-        Ok(())
-    });
-    let mut fut = std::pin::pin!(fut);
-    let counter = CountingWaker::new();
-    let waker = Waker::from(Arc::clone(&counter));
-    let mut cx = Context::from_waker(&waker);
-
-    assert!(fut.as_mut().poll(&mut cx).is_pending());
-    // The old code had already fired the waker here (and `parks` stayed
-    // 0, since nothing registered). Note the 1 ms watchdog *can* fire
-    // once enough wall time passes — which is why the no-self-wake
-    // check runs immediately after the poll.
-    assert_eq!(counter.count(), 0, "a parked poll must not wake itself");
-    let snap = stm.stats().snapshot();
-    assert!(snap.parks >= 1, "conflict park must register: {snap}");
-    assert_eq!(snap.async_yields, 0, "parked, not degraded: {snap}");
-
-    // Publishing the blocker overlaps the parked footprint (the write
-    // stripe registers too); its wake sweep delivers synchronously.
-    blocker.commit_prepared(prepared);
-    assert_eq!(counter.count(), 1, "overlapping commit wakes the future");
-    assert!(fut.as_mut().poll(&mut cx).is_ready(), "woken and unblocked");
-    assert_eq!(w.load(), 8, "the future's write landed on top");
-}
-
-#[test]
-fn run_async_is_cancel_safe() {
-    // Poll once (registers a waiter), then drop the future: the
-    // registration must come off the lists, and later commits must not
-    // touch freed state.
-    let stm = Stm::tl2();
-    let inbox = TVar::new(None::<u64>);
-    {
-        let fut = stm.run_async(|tx| match tx.read(&inbox)? {
-            Some(v) => Ok(v),
-            None => tx.retry(),
-        });
-        let mut fut = std::pin::pin!(fut);
-        struct Noop;
-        impl Wake for Noop {
-            fn wake(self: Arc<Self>) {}
-        }
-        let waker = Waker::from(Arc::new(Noop));
-        let mut cx = Context::from_waker(&waker);
-        assert!(fut.as_mut().poll(&mut cx).is_pending());
-    } // dropped while registered
-    for i in 0..100 {
-        stm.atomically(|tx| tx.write(&inbox, Some(i)));
-    }
-    assert_eq!(inbox.load(), Some(99));
-}
-
-// --- one lifecycle, three drivers -----------------------------------------
+// --- one lifecycle, two drivers -------------------------------------------
 
 /// A scripted transaction body over one shared counter.
 type Script = fn(&Stm, &TVar<u64>, &mut Transaction<'_>) -> Result<u64, Retry>;
@@ -639,10 +412,26 @@ fn wait_already_satisfied(
     }
 }
 
+/// Overwrites the counter without reading it: a conflict park can then
+/// only be woken through its write stripes.
+fn blind_write(_: &Stm, v: &TVar<u64>, tx: &mut Transaction<'_>) -> Result<u64, Retry> {
+    tx.write(v, 8)?;
+    Ok(8)
+}
+
+/// A policy that answers every conflict with [`Decision::Park`].
+#[derive(Debug)]
+struct AlwaysPark;
+
+impl ContentionManager for AlwaysPark {
+    fn decide(&self, _attempt: u64) -> Decision {
+        Decision::Park
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Driver {
     Run,
-    RunAsync,
     TryOnce,
 }
 
@@ -656,11 +445,21 @@ fn drive(
 ) -> Result<u64, Option<RetriesExhausted>> {
     match driver {
         Driver::Run => stm.run(|tx| script(stm, v, tx)).map_err(Some),
-        Driver::RunAsync => {
-            block_on(std::pin::pin!(stm.run_async(|tx| script(stm, v, tx)))).map_err(Some)
-        }
         Driver::TryOnce => stm.try_once(|tx| script(stm, v, tx)).ok_or(None),
     }
+}
+
+/// What ends a parked attempt's wait, once the attempt is on the waiter
+/// lists.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Release {
+    /// Nothing: the script never sleeps.
+    Nobody,
+    /// Another thread commits 9 to the counter.
+    Writer,
+    /// A writer that prepared 9 before the attempt began, and so holds
+    /// the counter's stripe through every attempt's commit, publishes.
+    Blocker,
 }
 
 /// One row of the differential table: an instance, a script, and what
@@ -669,21 +468,122 @@ struct Case {
     name: &'static str,
     build: fn(Algorithm) -> Stm,
     script: Script,
-    /// Whether the script needs another thread to fill the counter once
-    /// the attempt has parked.
-    released_by_writer: bool,
-    /// Nested overlapping commits need invisible reads: a Tlrw outer read
-    /// lock would exclude the nested writer instead of losing to it.
-    tlrw: bool,
+    release: Release,
+    /// Algorithms the row cannot run on. Nested overlapping commits need
+    /// invisible reads: a Tlrw outer read lock would exclude the nested
+    /// writer instead of losing to it. A prepared NOrec blocker holds the
+    /// one sequence lock, which the attempt spins on instead of aborting.
+    skip: &'static [Algorithm],
     /// `Ok(value)`, or `Err(attempts)` when the budget runs out.
     expect: Result<u64, u64>,
     /// Whether a single non-waiting step reaches the same end.
     try_once: bool,
-    /// `(commits, aborts, parks)` on the instance afterwards, nested and
-    /// writer commits included.
+    /// `(commits, aborts, parks)` on the instance afterwards, nested,
+    /// writer and blocker commits included.
     stats: (u64, u64, u64),
 }
 
+/// Runs one row on one algorithm through one driver and returns the
+/// instance's counters afterwards.
+fn run_case(case: &Case, algo: Algorithm, driver: Driver, ctx: &str) -> StatsSnapshot {
+    let stm = Arc::new((case.build)(algo));
+    let v = Arc::new(TVar::new(0u64));
+    let (stm2, v2, ctx2) = (Arc::clone(&stm), Arc::clone(&v), ctx.to_owned());
+    let (script, release, expect) = (case.script, case.release, case.expect);
+    watchdog(Duration::from_secs(60), move || {
+        let blocker = (release == Release::Blocker).then(|| {
+            let mut tx = stm2.transaction();
+            tx.write(&v2, 9u64).expect("buffer write");
+            let prepared = tx.prepare_commit().expect("uncontended prepare");
+            (tx, prepared)
+        });
+        // A fresh thread per run: a wake that beat its park leaves an
+        // unpark token behind, which must not cut the next run's park
+        // short.
+        thread::scope(|s| {
+            let runner = s.spawn(|| drive(driver, &stm2, &v2, script));
+            if release != Release::Nobody {
+                // The park is counted once the attempt is on the waiter
+                // lists, so this commit wakes it.
+                while stm2.stats().snapshot().parks == 0 {
+                    thread::yield_now();
+                }
+                match blocker {
+                    Some((tx, prepared)) => tx.commit_prepared(prepared),
+                    None => stm2.atomically(|tx| tx.write(&v2, 9)),
+                }
+            }
+            let got = runner.join().expect("runner");
+            match driver {
+                Driver::TryOnce => assert_eq!(got.ok(), expect.ok(), "{ctx2}"),
+                Driver::Run => assert_eq!(
+                    got,
+                    expect.map_err(|attempts| Some(RetriesExhausted { attempts })),
+                    "{ctx2}"
+                ),
+            }
+        });
+    });
+    if let Ok(value) = case.expect {
+        assert_eq!(v.load(), value, "{ctx}: the committed write is the last");
+    }
+    stm.stats().snapshot()
+}
+
+#[test]
+fn run_async_conflict_park_registers_instead_of_self_waking() {
+    // A policy-chosen park must register the conflict footprint and
+    // sleep until an overlapping commit wakes it, not spin on the
+    // conflict. The blocking driver is the only one left, so the check
+    // runs through `run`; the name is kept from the async driver's days.
+    let stm = Arc::new(
+        Stm::builder(Algorithm::Tl2)
+            .contention_manager(AlwaysPark)
+            .build(),
+    );
+    let w = Arc::new(TVar::new(0u64));
+    let (stm2, w2) = (Arc::clone(&stm), Arc::clone(&w));
+    watchdog(Duration::from_secs(60), move || {
+        // A prepared (locked, unpublished) writer on `w`'s stripe makes
+        // the attempt's commit fail deterministically while its (empty)
+        // read set stays valid: the exact shape that must park, not spin.
+        let mut blocker = stm2.transaction();
+        blocker.write(&w2, 7u64).expect("buffer write");
+        let prepared = blocker.prepare_commit().expect("uncontended prepare");
+
+        thread::scope(|s| {
+            let runner = s.spawn(|| {
+                stm2.run(|tx| {
+                    tx.write(&w2, 8u64)?;
+                    Ok(())
+                })
+            });
+            while stm2.stats().snapshot().parks == 0 {
+                thread::yield_now();
+            }
+            // The blocker still holds the stripe, so no attempt can have
+            // committed, however often the 1 ms safety net fired.
+            assert!(!runner.is_finished(), "a parked attempt cannot commit");
+            assert_eq!(w2.load(), 0, "nothing published yet");
+
+            // Publishing the blocker overlaps the parked footprint (the
+            // write stripe registers too) and wakes the runner.
+            blocker.commit_prepared(prepared);
+            runner.join().expect("runner").expect("commits once woken");
+        });
+    });
+    assert_eq!(w.load(), 8, "the parked write landed on top");
+    let snap = stm.stats().snapshot();
+    assert!(snap.parks >= 1, "conflict park must register: {snap}");
+    assert!(
+        snap.wakes >= 1,
+        "the blocker's publish wakes the park: {snap}"
+    );
+    assert_eq!(snap.commits, 2, "blocker and runner, nothing else: {snap}");
+}
+
+/// The name is kept from when a third driver, `run_async`, shared the
+/// table; `run` and `try_once` are the drivers left.
 #[test]
 fn run_run_async_and_try_once_agree_on_every_script() {
     use progressive_tm::stm::ImmediateRetry;
@@ -696,8 +596,8 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             name: "first-try commit",
             build: Stm::new,
             script: bump,
-            released_by_writer: false,
-            tlrw: true,
+            release: Release::Nobody,
+            skip: &[],
             expect: Ok(1),
             try_once: true,
             stats: (1, 0, 0),
@@ -711,8 +611,8 @@ fn run_run_async_and_try_once_agree_on_every_script() {
                     .build()
             },
             script: always_conflicts,
-            released_by_writer: false,
-            tlrw: false,
+            release: Release::Nobody,
+            skip: &[Algorithm::Tlrw],
             expect: Err(3),
             try_once: false,
             stats: (3, 3, 0),
@@ -721,8 +621,8 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             name: "one conflict against a budget of one",
             build: one_attempt,
             script: always_conflicts,
-            released_by_writer: false,
-            tlrw: false,
+            release: Release::Nobody,
+            skip: &[Algorithm::Tlrw],
             expect: Err(1),
             try_once: true,
             stats: (1, 1, 0),
@@ -731,8 +631,8 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             name: "retry() released by a writer, budget of one",
             build: one_attempt,
             script: wait_for_value,
-            released_by_writer: true,
-            tlrw: true,
+            release: Release::Writer,
+            skip: &[],
             expect: Ok(9),
             try_once: false,
             stats: (2, 1, 1),
@@ -741,58 +641,56 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             name: "retry() already satisfied at registration, budget of one",
             build: one_attempt,
             script: wait_already_satisfied,
-            released_by_writer: false,
-            tlrw: false,
+            release: Release::Nobody,
+            skip: &[Algorithm::Tlrw],
             expect: Ok(9),
             try_once: false,
             stats: (2, 1, 0),
         },
+        Case {
+            name: "conflict parked by the policy, released by the blocker's publish",
+            build: |algo| Stm::builder(algo).contention_manager(AlwaysPark).build(),
+            script: blind_write,
+            release: Release::Blocker,
+            skip: &[Algorithm::Norec],
+            expect: Ok(8),
+            try_once: false,
+            stats: (2, 1, 1),
+        },
     ];
 
-    for case in cases {
+    for case in &cases {
         for algo in all_algorithms() {
-            if algo == Algorithm::Tlrw && !case.tlrw {
+            if case.skip.contains(&algo) {
                 continue;
             }
-            for driver in [Driver::Run, Driver::RunAsync, Driver::TryOnce] {
+            for driver in [Driver::Run, Driver::TryOnce] {
                 if driver == Driver::TryOnce && !case.try_once {
                     continue;
                 }
                 let ctx = format!("{} / {algo:?} / {driver:?}", case.name);
-                let stm = Arc::new((case.build)(algo));
-                let v = Arc::new(TVar::new(0u64));
-                let (stm2, v2, ctx2) = (Arc::clone(&stm), Arc::clone(&v), ctx.clone());
-                watchdog(Duration::from_secs(60), move || {
-                    // A fresh thread per run: a wake that beat its park
-                    // leaves an unpark token behind, which must not
-                    // re-poll the next run's future early.
-                    thread::scope(|s| {
-                        let runner = s.spawn(|| drive(driver, &stm2, &v2, case.script));
-                        if case.released_by_writer {
-                            // The park is counted once the attempt is on
-                            // the waiter lists, so this write wakes it.
-                            while stm2.stats().snapshot().parks == 0 {
-                                thread::yield_now();
-                            }
-                            stm2.atomically(|tx| tx.write(&v2, 9));
-                        }
-                        let got = runner.join().expect("runner");
-                        match driver {
-                            Driver::TryOnce => assert_eq!(got.ok(), case.expect.ok(), "{ctx2}"),
-                            _ => assert_eq!(
-                                got,
-                                case.expect
-                                    .map_err(|attempts| Some(RetriesExhausted { attempts })),
-                                "{ctx2}"
-                            ),
-                        }
-                    });
-                });
-                let snap = stm.stats().snapshot();
+                let mut snap = run_case(case, algo, driver, &ctx);
+                // A conflict park sleeps at most 1 ms: a releaser
+                // descheduled for longer lets that safety net expire,
+                // and the attempt conflicts and parks again. Such a run
+                // exercised the net, not the wake, so the blocker row
+                // repeats it. A retry() park's net is 250 ms and must
+                // never fire here.
+                let mut runs = 1;
+                while case.release == Release::Blocker && snap.spurious_wakes > 0 {
+                    assert!(runs < 20, "{ctx}: the 1 ms net expired in 20 runs: {snap}");
+                    snap = run_case(case, algo, driver, &ctx);
+                    runs += 1;
+                }
                 assert_eq!(
                     (snap.commits, snap.aborts, snap.parks),
                     case.stats,
                     "{ctx}: (commits, aborts, parks) in {snap}"
+                );
+                assert_eq!(
+                    (snap.wakes, snap.spurious_wakes),
+                    (snap.parks, 0),
+                    "{ctx}: every park must end by a commit's wake: {snap}"
                 );
             }
         }
