@@ -745,6 +745,7 @@ where
         };
         let shards = self.shard_count();
         let era = journal.era.load(Ordering::Relaxed) + 1;
+        let mut entries = Vec::new();
         for (i, wal) in journal.wals.iter().enumerate() {
             wal.flush()?;
             let decoded = wal.read_records()?;
@@ -755,7 +756,10 @@ where
                 .map(|r| r.stamp)
                 .max()
                 .unwrap_or(0);
-            let entries = self.transact(|tx| tx.shard_snapshot(i));
+            self.transact(|tx| {
+                entries.clear();
+                tx.shard_snapshot(i, &mut entries)
+            });
             write_snapshot(
                 &snap_path(&journal.dir, i),
                 era,

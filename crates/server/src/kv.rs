@@ -352,14 +352,20 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
     /// the scan re-runs. This is the operation the atomicity stress
     /// test aims at concurrent transfers: the returned entries never
     /// show a transfer half-applied.
+    ///
+    /// Every shard appends to one vector ([`ServiceTx::shard_snapshot`]),
+    /// so each entry is written once; a re-run clears the vector and
+    /// keeps its capacity.
     pub fn scan(&self) -> Vec<(K, V)> {
+        let mut out = Vec::new();
         self.transact(|tx| {
-            let mut out = Vec::new();
+            out.clear();
             for s in 0..tx.kv.shard_count() {
-                out.extend(tx.shard_snapshot(s)?);
+                tx.shard_snapshot(s, &mut out)?;
             }
-            Ok(out)
-        })
+            Ok(())
+        });
+        out
     }
 
     /// Runs `body` as one atomic transaction over however many shards
@@ -500,14 +506,17 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
         map.remove(tx, key)
     }
 
-    /// Every entry of one shard, read into this transaction's footprint.
+    /// Appends every entry of one shard to `out`, read into this
+    /// transaction's footprint.
     ///
     /// # Errors
     ///
     /// [`Retry`] on a shard-level conflict; the coordinator re-runs.
-    pub fn shard_snapshot(&mut self, shard: usize) -> Result<Vec<(K, V)>, Retry> {
+    /// `out` may then hold part of the shard after what it held before:
+    /// clear it at the start of each attempt.
+    pub fn shard_snapshot(&mut self, shard: usize, out: &mut Vec<(K, V)>) -> Result<(), Retry> {
         let (map, tx) = self.on(shard);
-        map.snapshot(tx)
+        map.snapshot_into(tx, out)
     }
 
     /// The ordered two-phase commit: prepare ascending, then publish

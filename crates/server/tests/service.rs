@@ -31,6 +31,22 @@ fn preload(kv: &ShardedKv<u64, u64>, keys: u64, initial: u64) {
     }
 }
 
+/// One consistent scan of a store preloaded with `0..keys`, checked to
+/// hold every key exactly once — a retried scan that kept part of a
+/// failed attempt would show a key twice — and summed.
+fn scan_sum(kv: &ShardedKv<u64, u64>, keys: u64, what: &str) -> u64 {
+    let entries = kv.scan();
+    assert_eq!(entries.len(), keys as usize, "{what}: scan length");
+    let mut seen = vec![false; keys as usize];
+    for &(k, _) in &entries {
+        assert!(
+            !std::mem::replace(&mut seen[k as usize], true),
+            "{what}: key {k} scanned twice"
+        );
+    }
+    entries.iter().map(|&(_, v)| v).sum()
+}
+
 #[test]
 fn single_key_roundtrip_every_algorithm_and_shard_count() {
     for &algo in ALGOS {
@@ -128,13 +144,14 @@ fn cross_shard_transfers_are_never_observed_torn() {
                 let scanner = {
                     let (kv, done) = (&kv, &done);
                     s.spawn(move || {
+                        let what = format!("{algo:?}/{shards} shards");
                         let mut scans = 0u64;
                         loop {
                             // Load *before* the scan so the last scan
                             // runs entirely after the writers stopped
                             // and checks the final state too.
                             let finished = done.load(Ordering::Acquire);
-                            let total: u64 = kv.scan().into_iter().map(|(_, v)| v).sum();
+                            let total = scan_sum(kv, KEYS, &what);
                             assert_eq!(
                                 total,
                                 KEYS * INITIAL,
@@ -190,7 +207,7 @@ fn closed_loop_of_gets_scans_and_transfers_conserves_the_sum() {
                             if roll < 80 {
                                 assert!(kv.get(&a).is_some(), "{algo:?}: preloaded key {a}");
                             } else if roll < 82 {
-                                let total: u64 = kv.scan().into_iter().map(|(_, v)| v).sum();
+                                let total = scan_sum(kv, KEYS, &format!("{algo:?}"));
                                 assert_eq!(total, KEYS * INITIAL, "{algo:?}: torn scan");
                                 scans += 1;
                             } else {

@@ -23,7 +23,10 @@ const DEFAULT_BUCKETS: usize = 64;
 ///
 /// Reads borrow: `get`, `contains_key`, `len`, `is_empty` and `snapshot`
 /// look at each bucket in place ([`Transaction::read_with`]) and clone
-/// only what they return — `get` one `V`, the tests nothing. Writers are
+/// only what they return — `get` one `V`, the tests nothing, `snapshot`
+/// each entry once. [`snapshot_into`](THashMap::snapshot_into) appends
+/// those entries to a buffer the caller owns, so a scan over several
+/// maps fills one vector instead of copying one per map. Writers are
 /// copy-on-write: `insert` / `remove` clone the bucket once, edit the
 /// copy and buffer it.
 ///
@@ -277,10 +280,28 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     /// [`Retry`] on conflict.
     pub fn snapshot(&self, tx: &mut Transaction<'_>) -> Result<Vec<(K, V)>, Retry> {
         let mut out = Vec::new();
+        self.snapshot_into(tx, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`snapshot`](Self::snapshot) appended to `out`: each bucket is
+    /// copied in place, once, into the caller's buffer, so a caller
+    /// gathering several maps (or re-running) reuses one allocation.
+    ///
+    /// # Errors
+    ///
+    /// [`Retry`] on conflict. `out` may then hold a partial prefix of
+    /// this map's entries after what it held before; the caller
+    /// discards it.
+    pub fn snapshot_into(
+        &self,
+        tx: &mut Transaction<'_>,
+        out: &mut Vec<(K, V)>,
+    ) -> Result<(), Retry> {
         for b in self.buckets.iter() {
             tx.read_with(b, |bucket| out.extend_from_slice(bucket))?;
         }
-        Ok(out)
+        Ok(())
     }
 }
 

@@ -197,3 +197,31 @@ fn an_in_memory_put_is_pinned_at_two() {
     });
     assert_eq!(n, PER_PUT * OPS, "{OPS} puts allocated {n} times");
 }
+
+#[test]
+fn a_scan_fills_one_buffer() {
+    let _alone = alone();
+    // One warm `scan()` of the 256-key store: the result vector doubling
+    // from 4 to 256 entries (7), the cross-shard transaction's slot
+    // table and its commit's list of prepared shards, and on Mv the
+    // `Rc` its shards share. Parent commit: 26 (Tl2) and 27 (Mv) — each
+    // shard's entries went into a `Vec` of their own, doubling, and were
+    // then copied into a result vector that doubled again.
+    const SCANS: u64 = 100;
+    for (algorithm, per_scan) in [(Algorithm::Tl2, 9), (Algorithm::Mv, 10)] {
+        let kv = warm_store(algorithm);
+        for _ in 0..8 {
+            assert_eq!(kv.scan().len(), KEYS as usize);
+        }
+        let n = allocations_in(|| {
+            for _ in 0..SCANS {
+                std::hint::black_box(kv.scan());
+            }
+        });
+        assert_eq!(
+            n,
+            per_scan * SCANS,
+            "{algorithm:?}: {SCANS} scans allocated {n} times"
+        );
+    }
+}
