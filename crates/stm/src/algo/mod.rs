@@ -2,8 +2,8 @@
 //! four hooks each.
 //!
 //! The engine ([`crate::Stm`] / [`crate::Transaction`]) owns everything
-//! algorithm-*independent* — the transaction log, the attempt step,
-//! contention management, epoch pinning, history recording, statistics —
+//! algorithm-*independent* — the transaction log, the attempt loop and
+//! its retry schedule, epoch pinning, history recording, statistics —
 //! and delegates the algorithm-*specific* steps to this layer through
 //! exactly four hooks, dispatched once each:
 //!
@@ -15,7 +15,7 @@
 //! | `publish(tx)` | infallible: write the buffered values back under the locks `prepare` holds, log the staged durability payload, release, wake waiters |
 //!
 //! A commit is `prepare` then `publish` — always. The one-shot commit of
-//! the attempt step runs the two back to back; the two-phase surface
+//! the attempt loop runs the two back to back; the two-phase surface
 //! ([`Transaction::prepare_commit`](crate::Transaction::prepare_commit))
 //! hands the caller the window in between. Both dispatch through the
 //! same two matches in the engine's `twophase` module, so there is one

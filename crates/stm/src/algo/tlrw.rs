@@ -33,8 +33,8 @@
 //! Aborts happen only when the lock word proves a concurrent conflicting
 //! transaction — progressive. It is **not strongly progressive**: two
 //! read-to-write upgraders on the same stripe each see the other's read
-//! lock and both abort; the pluggable contention manager (backoff) is
-//! what makes them eventually diverge.
+//! lock and both abort; the retry schedule's backoff is what makes them
+//! eventually diverge.
 
 use crate::engine::{Retry, Stm, Transaction};
 use crate::epoch;

@@ -1,133 +1,63 @@
 //! The attempt lifecycle, written once: begin → body → commit →
-//! resolve → run again / wait / give up.
-//!
-//! [`Attempts::step`] runs exactly one attempt and says what the
-//! transaction does next ([`Step`]); it owns the attempt budget, the
-//! contention-manager consultation and the park protocol. The two
-//! drivers — [`Stm::run`] and [`Stm::try_once`] — differ only in
-//! *whether they wait* between steps: `run` blocks the thread,
-//! `try_once` stops after one step.
+//! resolve → run again / back off / park / give up, as one loop in
+//! [`Stm::run`] over the engine's one retry schedule ([`Tier`]).
 
 use super::{RetriesExhausted, Retry, Stm, Transaction};
-use crate::cm::Decision;
-use crate::tvar::{TVar, TxValue};
 use crate::waiter::{WaitCell, CONFLICT_PARK_TIMEOUT, RETRY_PARK_TIMEOUT};
 use std::sync::Arc;
 
-/// One logical transaction's run of attempts.
-pub(super) struct Attempts<'s> {
-    pub(super) stm: &'s Stm,
-    /// Conflict aborts so far — what `max_attempts` and the contention
-    /// manager count. Logical waits are not conflicts.
-    pub(super) conflicts: u64,
+/// Conflicts at or below this attempt index retry without waiting.
+const SPIN_AFTER: u64 = 2;
+/// Cap on the spin exponent: no spin runs longer than 2^12 iterations.
+const MAX_SPIN_SHIFT: u64 = 12;
+/// Conflicts beyond this attempt index yield instead of spinning.
+const YIELD_AFTER: u64 = 16;
+/// Conflicts beyond this attempt index park instead of yielding.
+const PARK_AFTER: u64 = 64;
+
+/// What the retry schedule does after a conflict abort. Each tier
+/// *replaces* the cheaper one rather than stacking on top of it: once
+/// the conflict has outlived a spin window, spinning before the yield is
+/// pure CPU waste.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// Run again at once.
+    Now,
+    /// Busy-wait this many iterations, then run again.
+    Spin(u64),
+    /// Yield the scheduler, then run again.
+    Yield,
+    /// Get out of the way: register the attempt's footprint (read ∪
+    /// write stripes) on the orec table's waiter lists and sleep until a
+    /// committing writer touches an overlapping stripe (bounded by a
+    /// short safety net), then run again. A transaction that keeps
+    /// losing stops costing the winners CPU.
+    Park,
 }
 
-/// What one attempt came to, and so what its driver does next.
-pub(super) enum Step<A> {
-    Committed(A),
-    /// Run the body again: after the policy's [`wait`]`(n)` if this was
-    /// the `n`-th consecutive conflict (`Some(n)`: the policy's `decide`
-    /// said retry), at once otherwise (`None`: a park found its footprint
-    /// already overwritten, or the driver may not park).
-    ///
-    /// [`wait`]: crate::ContentionManager::wait
-    Again(Option<u64>),
-    /// Registered on `stripes`' waiter lists, revalidated, resolved and
-    /// counted: the only thing left is to sleep until `cell` is
-    /// notified, then deregister. `conflict` tells a [`Decision::Park`]
-    /// escalation — whose wake is only likely, the winner may have
-    /// committed and gone — from a logical wait.
-    Parked {
-        cell: Arc<WaitCell>,
-        stripes: Vec<usize>,
-        conflict: bool,
-    },
-    /// `max_attempts` conflicts, or the policy gave up.
-    Exhausted(RetriesExhausted),
-}
-
-impl<'s> Attempts<'s> {
-    pub(super) fn new(stm: &'s Stm) -> Self {
-        Attempts { stm, conflicts: 0 }
-    }
-
-    /// Runs `body` in one attempt and resolves it. `may_park` is the
-    /// driver's answer to whether it can sleep: `run` parks the calling
-    /// thread, `try_once` never parks.
-    ///
-    /// Generic over the body and inlined into each driver, so a first
-    /// attempt that commits touches no cell, no stripe list, no policy.
-    #[inline]
-    pub(super) fn step<A>(
-        &mut self,
-        body: impl FnOnce(&mut Transaction<'s>) -> Result<A, Retry>,
-        may_park: bool,
-    ) -> Step<A> {
-        let mut tx = Transaction::begin(self.stm);
-        if let Ok(out) = body(&mut tx) {
-            if let Some(plan) = tx.prepare(false) {
-                tx.publish(plan);
-                return Step::Committed(out);
-            }
+impl Tier {
+    /// The schedule: the tier for the `attempt`-th consecutive conflict
+    /// abort of one transaction, counting from 0. Pure, so the tier is
+    /// chosen before the attempt is resolved and waited out after.
+    fn after(attempt: u64) -> Tier {
+        if attempt <= SPIN_AFTER {
+            Tier::Now
+        } else if attempt <= YIELD_AFTER {
+            Tier::Spin(1 << attempt.min(MAX_SPIN_SHIFT))
+        } else if attempt <= PARK_AFTER {
+            Tier::Yield
+        } else {
+            Tier::Park
         }
-        // A logical wait (`tx.retry()`) is not contention: no budget, no
-        // contention manager — it parks on its read footprint and re-runs
-        // when a writer overlaps it. A conflict spends budget and asks
-        // the policy's non-blocking tier; the driver does whatever
-        // waiting the answer implies after this attempt is resolved, so
-        // backoff never holds visible-read locks other transactions are
-        // trying to write through.
-        let decision = if tx.waiting {
-            Decision::Park
-        } else {
-            self.conflicts += 1;
-            if self.conflicts >= self.stm.max_attempts {
-                Decision::GiveUp
-            } else {
-                self.stm.cm.decide(self.conflicts - 1)
-            }
-        };
-        let next = match decision {
-            Decision::GiveUp => Step::Exhausted(RetriesExhausted {
-                attempts: self.conflicts,
-            }),
-            Decision::Retry => Step::Again(Some(self.conflicts - 1)),
-            Decision::Park if may_park => self.park(&tx, !tx.waiting),
-            Decision::Park => Step::Again(None),
-        };
-        tx.aborted();
-        next
     }
 
-    /// The park protocol, up to the sleep. Ordering is the whole point —
-    /// register, *then* revalidate, *then* (the driver) sleep: a writer
-    /// that commits after registration finds the cell on the lists and
-    /// notifies it; a writer that committed before registration shows up
-    /// in the revalidation, which then skips the sleep. (The SeqCst
-    /// fences pairing register's tail with `wake_stripes`' head close the
-    /// remaining store-buffering window — see the proof in
-    /// `crate::waiter`.) The caller resolves the attempt *after* this
-    /// registration — Tlrw's still-held read locks are what order any
-    /// conflicting commit after it — and *before* the driver sleeps, so
-    /// a parked thread pins no epoch, holds no read lock, blocks no
-    /// adaptive mode switch, and anchors no Mv snapshot.
-    fn park<A>(&self, tx: &Transaction<'_>, conflict: bool) -> Step<A> {
-        let cell = WaitCell::for_thread();
-        // A conflict park waits on reads ∪ writes: the winner is as
-        // likely to have beaten us on a write stripe.
-        let stripes = tx.wait_stripes(conflict);
-        let waiters = self.stm.orecs.waiters();
-        waiters.register(&stripes, &cell);
-        if tx.revalidate_for_park() {
-            self.stm.stats.park();
-            Step::Parked {
-                cell,
-                stripes,
-                conflict,
-            }
-        } else {
-            waiters.deregister(&stripes, &cell);
-            Step::Again(None)
+    /// Waits as the tier says. The park tier waits on the waiter lists,
+    /// not here.
+    fn wait(self) {
+        match self {
+            Tier::Spin(n) => (0..n).for_each(|_| std::hint::spin_loop()),
+            Tier::Yield => std::thread::yield_now(),
+            Tier::Now | Tier::Park => {}
         }
     }
 }
@@ -138,9 +68,9 @@ impl Stm {
     ///
     /// # Panics
     ///
-    /// Panics if the retry budget runs out — `max_attempts` is reached
-    /// (default: ten million) or the contention manager gives up. Use
-    /// [`Stm::run`] to handle exhaustion as a value instead.
+    /// Panics if `max_attempts` attempts all conflict (default: ten
+    /// million). Use [`Stm::run`] to handle exhaustion as a value
+    /// instead.
     pub fn atomically<A>(&self, body: impl FnMut(&mut Transaction<'_>) -> Result<A, Retry>) -> A {
         match self.run(body) {
             Ok(out) => out,
@@ -151,26 +81,64 @@ impl Stm {
     /// Runs `body` in a transaction, retrying on conflict, and reports
     /// retry-budget exhaustion as an error instead of panicking.
     ///
+    /// Between conflicts it backs off on a fixed schedule: attempts 0–2
+    /// (counting conflicts from 0) run again at once, attempts up to 16
+    /// spin `2^min(attempt, 12)` iterations, attempts up to 64 yield the
+    /// thread, and later ones park until an overlapping commit.
+    /// [`Transaction::retry`] is not a conflict: it parks on the read
+    /// footprint and spends no budget.
+    ///
     /// # Errors
     ///
-    /// [`RetriesExhausted`] if `max_attempts` attempts all aborted or the
-    /// contention manager returned [`Decision::GiveUp`].
+    /// [`RetriesExhausted`] if `max_attempts` attempts all conflicted.
     pub fn run<A>(
         &self,
         mut body: impl FnMut(&mut Transaction<'_>) -> Result<A, Retry>,
     ) -> Result<A, RetriesExhausted> {
-        // The blocking driver: between steps it waits on this thread.
-        let mut attempts = Attempts::new(self);
+        // Conflict aborts so far: what the budget and the schedule count.
+        // Logical waits are not conflicts.
+        let mut conflicts = 0;
         loop {
-            match attempts.step(&mut body, true) {
-                Step::Committed(out) => return Ok(out),
-                Step::Again(Some(n)) => self.cm.wait(n),
-                Step::Again(None) => {}
-                Step::Parked {
-                    cell,
-                    stripes,
-                    conflict,
-                } => {
+            // A first attempt that commits touches no cell, no stripe
+            // list and no schedule.
+            let mut tx = Transaction::begin(self);
+            if let Ok(out) = body(&mut tx) {
+                if let Some(plan) = tx.prepare(false) {
+                    tx.publish(plan);
+                    return Ok(out);
+                }
+            }
+            // A logical wait (`tx.retry()`) parks on its read footprint
+            // and re-runs when a writer overlaps it. A conflict spends
+            // budget — checked first, so the exhausting abort waits for
+            // nothing — and then picks its tier. Whatever waiting the
+            // tier implies happens after this attempt is resolved, so a
+            // backoff never holds visible-read locks other transactions
+            // are trying to write through.
+            let conflict = !tx.waiting;
+            let tier = if conflict {
+                conflicts += 1;
+                if conflicts >= self.max_attempts {
+                    tx.aborted();
+                    return Err(RetriesExhausted {
+                        attempts: conflicts,
+                    });
+                }
+                Tier::after(conflicts - 1)
+            } else {
+                Tier::Park
+            };
+            let parked = if tier == Tier::Park {
+                self.register_park(&tx, conflict)
+            } else {
+                None
+            };
+            tx.aborted();
+            // The epoch pin goes with the transaction: nothing below
+            // sleeps pinned.
+            drop(tx);
+            match parked {
+                Some((cell, stripes)) => {
                     // A conflict park's weaker wake guarantee gets the
                     // short safety net.
                     let timeout = if conflict {
@@ -183,27 +151,70 @@ impl Stm {
                     }
                     self.orecs.waiters().deregister(&stripes, &cell);
                 }
-                Step::Exhausted(e) => return Err(e),
+                None => tier.wait(),
             }
         }
     }
 
-    /// Runs `body` once, committing if it succeeds; returns `None` on
-    /// conflict instead of retrying.
-    pub fn try_once<A>(
+    /// The park protocol, up to the sleep; `None` if the attempt's
+    /// footprint was already overwritten, and it should run again at
+    /// once. Ordering is the whole point — register, *then* revalidate,
+    /// *then* (the caller) resolve, sleep and deregister: a writer that
+    /// commits after registration finds the cell on the lists and
+    /// notifies it; a writer that committed before registration shows up
+    /// in the revalidation, which then skips the sleep. (The SeqCst
+    /// fences pairing register's tail with `wake_stripes`' head close the
+    /// remaining store-buffering window — see the proof in
+    /// `crate::waiter`.) The attempt is resolved *after* this
+    /// registration — Tlrw's still-held read locks are what order any
+    /// conflicting commit after it — and *before* the sleep, so a parked
+    /// thread pins no epoch, holds no read lock, blocks no adaptive mode
+    /// switch, and anchors no Mv snapshot.
+    #[cold]
+    fn register_park(
         &self,
-        body: impl FnOnce(&mut Transaction<'_>) -> Result<A, Retry>,
-    ) -> Option<A> {
-        // The driver that may not wait: one step, nothing to park on.
-        match Attempts::new(self).step(body, false) {
-            Step::Committed(out) => Some(out),
-            _ => None,
+        tx: &Transaction<'_>,
+        conflict: bool,
+    ) -> Option<(Arc<WaitCell>, Vec<usize>)> {
+        let cell = WaitCell::for_thread();
+        // A conflict park waits on reads ∪ writes: the winner is as
+        // likely to have beaten us on a write stripe.
+        let stripes = tx.wait_stripes(conflict);
+        let waiters = self.orecs.waiters();
+        waiters.register(&stripes, &cell);
+        if tx.revalidate_for_park() {
+            self.stats.park();
+            Some((cell, stripes))
+        } else {
+            waiters.deregister(&stripes, &cell);
+            None
         }
     }
+}
 
-    /// Reads a variable outside any transaction (single-variable
-    /// snapshot).
-    pub fn read_now<T: TxValue>(&self, var: &TVar<T>) -> T {
-        var.load()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_schedule_keeps_its_tier_boundaries() {
+        assert_eq!(Tier::after(0), Tier::Now);
+        assert_eq!(Tier::after(2), Tier::Now);
+        assert_eq!(Tier::after(3), Tier::Spin(8));
+        assert_eq!(Tier::after(12), Tier::Spin(1 << 12));
+        assert_eq!(Tier::after(16), Tier::Spin(1 << 12), "the shift is capped");
+        // The yield tier replaces the spin: 2^12 spins before every
+        // yield would burn a core per hopeless attempt.
+        assert_eq!(Tier::after(17), Tier::Yield);
+        assert_eq!(Tier::after(64), Tier::Yield);
+        assert_eq!(Tier::after(65), Tier::Park);
+        assert_eq!(Tier::after(u64::MAX), Tier::Park);
+    }
+
+    #[test]
+    fn every_tier_waits_and_returns() {
+        for attempt in [0, 3, 16, 17, 65] {
+            Tier::after(attempt).wait();
+        }
     }
 }

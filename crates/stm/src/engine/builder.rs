@@ -2,7 +2,6 @@
 
 use super::{Algorithm, MvConfig, Stm};
 use crate::algo::adaptive::{AdaptiveConfig, AdaptiveState};
-use crate::cm::{ContentionManager, ExponentialBackoff};
 use crate::epoch::SnapshotRegistry;
 use crate::orec::{self, CachePadded, OrecTable};
 use crate::recorder::HistoryRecorder;
@@ -16,12 +15,11 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```
-/// use ptm_stm::{Algorithm, ImmediateRetry, Stm};
+/// use ptm_stm::{Algorithm, Stm};
 ///
 /// let stm = Stm::builder(Algorithm::Tl2)
 ///     .max_attempts(1_000)
 ///     .orec_stripes(256)
-///     .contention_manager(ImmediateRetry)
 ///     .build();
 /// assert!(format!("{stm:?}").contains("max_attempts: 1000"));
 /// ```
@@ -30,7 +28,6 @@ pub struct StmBuilder {
     algorithm: Algorithm,
     max_attempts: u64,
     orec_stripes: usize,
-    cm: Box<dyn ContentionManager>,
     recorder: Option<HistoryRecorder>,
     adaptive: AdaptiveConfig,
     mv: MvConfig,
@@ -38,15 +35,13 @@ pub struct StmBuilder {
 }
 
 impl StmBuilder {
-    /// Starts from the defaults: 10 million attempts, exponential
-    /// backoff, 1024 orec stripes, no history recording, default
-    /// adaptive tuning.
+    /// Starts from the defaults: 10 million attempts, 1024 orec stripes,
+    /// no history recording, default adaptive tuning.
     pub fn new(algorithm: Algorithm) -> Self {
         StmBuilder {
             algorithm,
             max_attempts: 10_000_000,
             orec_stripes: orec::DEFAULT_STRIPES,
-            cm: Box::new(ExponentialBackoff::default()),
             recorder: None,
             adaptive: AdaptiveConfig::default(),
             mv: MvConfig::default(),
@@ -71,12 +66,6 @@ impl StmBuilder {
     /// Ignored by NOrec, which has no orecs.
     pub fn orec_stripes(mut self, stripes: usize) -> Self {
         self.orec_stripes = stripes;
-        self
-    }
-
-    /// The retry policy consulted between aborted attempts.
-    pub fn contention_manager(mut self, cm: impl ContentionManager + 'static) -> Self {
-        self.cm = Box::new(cm);
         self
     }
 
@@ -210,7 +199,6 @@ impl StmBuilder {
             orecs: OrecTable::new(stripes),
             stats,
             max_attempts: self.max_attempts,
-            cm: self.cm,
             recorder: self.recorder,
             adaptive,
             snapshots,

@@ -43,14 +43,12 @@
 //!   every attempt ends in — release what it holds, flush its tallies,
 //!   then count the outcome and run the adaptive hook, in that order
 //!   everywhere;
-//! * [`attempt`] — the attempt lifecycle, written once: a step machine
-//!   that runs one attempt (begin → body → commit → resolve) and owns
-//!   the attempt budget, the contention-manager consultation and the
-//!   park protocol, under two thin drivers that differ only in whether
-//!   they wait — [`Stm::run`] / [`Stm::atomically`] block the thread,
-//!   [`Stm::try_once`] does not wait;
+//! * [`attempt`] — the attempt lifecycle, written once: one loop in
+//!   [`Stm::run`] (begin → body → commit → resolve) that owns the
+//!   attempt budget, the engine's one retry schedule and the park
+//!   protocol; [`Stm::atomically`] is `run` plus a panic on exhaustion;
 //! * [`twophase`] — the one commit pipeline, prepare then publish: run
-//!   back to back by the attempt step, and split
+//!   back to back by [`Stm::run`], and split
 //!   ([`Transaction::prepare_commit`] / [`Prepared`]) for a coordinator
 //!   that holds several instances' commit locks open and publishes them
 //!   together (the `ptm-server` cross-shard commit);
@@ -59,12 +57,12 @@
 //!
 //! All modes buffer writes in the shared transaction log
 //! ([`crate::txlog`]) and publish them only at commit, so a failed
-//! transaction never dirties shared state. Retry behaviour is a pluggable
-//! [`ContentionManager`] chosen through [`StmBuilder`]; past its park
-//! threshold (and always for [`Transaction::retry`] logical waits) the
-//! transaction stops consuming CPU entirely and blocks on the orec
-//! table's per-stripe waiter lists until a committing writer overlaps
-//! the attempt's footprint.
+//! transaction never dirties shared state. Retries follow one fixed
+//! schedule — run again, spin, yield, then park; past its park tier (and
+//! always for [`Transaction::retry`] logical waits) the transaction stops
+//! consuming CPU entirely and blocks on the orec table's per-stripe
+//! waiter lists until a committing writer overlaps the attempt's
+//! footprint.
 
 mod attempt;
 mod builder;
@@ -79,7 +77,6 @@ pub use twophase::Prepared;
 
 use crate::algo::adaptive::AdaptiveState;
 use crate::algo::Hooks;
-use crate::cm::ContentionManager;
 use crate::epoch::SnapshotRegistry;
 use crate::orec::{CachePadded, OrecTable};
 use crate::recorder::HistoryRecorder;
@@ -217,9 +214,9 @@ impl fmt::Display for Retry {
 
 impl std::error::Error for Retry {}
 
-/// The retry budget ran out before the transaction committed: either the
-/// instance's `max_attempts` was reached or its contention manager gave
-/// up. Returned by [`Stm::run`].
+/// The retry budget ran out before the transaction committed: the
+/// instance's `max_attempts` attempts all conflicted. Returned by
+/// [`Stm::run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetriesExhausted {
     /// Attempts consumed before giving up.
@@ -262,7 +259,6 @@ pub struct Stm {
     pub(crate) orecs: OrecTable,
     pub(crate) stats: Arc<StmStats>,
     pub(super) max_attempts: u64,
-    pub(super) cm: Box<dyn ContentionManager>,
     /// Present when this instance records t-operation histories.
     pub(super) recorder: Option<HistoryRecorder>,
     /// Present on `Algorithm::Adaptive` instances: the live mode and the
@@ -292,7 +288,6 @@ impl fmt::Debug for Stm {
             .field("clock", &self.clock.load(Ordering::Relaxed))
             .field("orec_stripes", &self.orecs.len())
             .field("max_attempts", &self.max_attempts)
-            .field("contention_manager", &self.cm)
             .field("recording", &self.recorder.is_some())
             .field("durable", &self.durability.is_some())
             .finish()
@@ -381,20 +376,9 @@ impl Stm {
         }
     }
 
-    /// The per-transaction attempt ceiling.
-    pub fn max_attempts(&self) -> u64 {
-        self.max_attempts
-    }
-
     /// Progress statistics for this instance.
     pub fn stats(&self) -> &StmStats {
         &self.stats
-    }
-
-    /// The history recorder attached via [`StmBuilder::record_history`],
-    /// if any.
-    pub fn recorder(&self) -> Option<&HistoryRecorder> {
-        self.recorder.as_ref()
     }
 
     /// Whether `other` shares this instance's timestamp domain: both

@@ -4,11 +4,10 @@
 
 use super::*;
 use crate::algo::adaptive::AdaptiveConfig;
-use crate::cm::{ContentionManager, Decision, ImmediateRetry};
 use crate::orec;
 use crate::tvar::TVar;
 use crate::txlog::{LogLoan, TxLog, POOL_DEPTH, POOL_RETAINED_CAP};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 fn engines() -> Vec<Stm> {
@@ -20,6 +19,16 @@ fn engines() -> Vec<Stm> {
         Stm::mv(),
         Stm::adaptive(),
     ]
+}
+
+/// [`engines`] with a budget of one attempt: `run` reports the first
+/// conflict (or user `Retry`) as an error instead of retrying.
+fn one_attempt_engines() -> Vec<Stm> {
+    Algorithm::ALL.into_iter().map(one_attempt).collect()
+}
+
+fn one_attempt(algorithm: Algorithm) -> Stm {
+    Stm::builder(algorithm).max_attempts(1).build()
 }
 
 /// An adaptive instance tuned to switch after a handful of commits,
@@ -75,23 +84,23 @@ fn read_own_write_all_modes() {
 
 #[test]
 fn aborted_attempt_leaves_no_trace() {
-    for stm in engines() {
+    for stm in one_attempt_engines() {
         let v = TVar::new(0u64);
-        let out = stm.try_once(|tx| {
+        let out = stm.run(|tx| {
             tx.write(&v, 99)?;
             Err::<(), Retry>(Retry)
         });
-        assert!(out.is_none());
+        assert!(out.is_err());
         assert_eq!(v.load(), 0);
     }
 }
 
 #[test]
 fn stats_track_commits_and_aborts() {
-    let stm = Stm::tl2();
+    let stm = one_attempt(Algorithm::Tl2);
     let v = TVar::new(0u64);
     stm.atomically(|tx| tx.write(&v, 1));
-    let _ = stm.try_once(|tx| {
+    let _ = stm.run(|tx| {
         tx.read(&v)?;
         Err::<(), Retry>(Retry)
     });
@@ -154,7 +163,7 @@ fn tlrw_read_only_transactions_validate_nothing() {
 
 #[test]
 fn tlrw_upgrade_commit_and_abort_leave_locks_quiescent() {
-    let stm = Stm::tlrw();
+    let stm = one_attempt(Algorithm::Tlrw);
     let v = TVar::new(3u64);
     let w = TVar::new(0u64);
     // Read-then-write upgrade: the commit CAS consumes the read lock.
@@ -165,12 +174,12 @@ fn tlrw_upgrade_commit_and_abort_leave_locks_quiescent() {
     assert_eq!(v.load(), 4);
     assert_orecs_quiescent(&stm);
     // A user-aborted attempt releases its read locks too.
-    let out = stm.try_once(|tx| {
+    let out = stm.run(|tx| {
         tx.read(&v)?;
         tx.read(&w)?;
         Err::<(), Retry>(Retry)
     });
-    assert!(out.is_none());
+    assert!(out.is_err());
     assert_orecs_quiescent(&stm);
     // And so does a panicking body (the Drop path).
     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -192,7 +201,12 @@ fn tlrw_upgrade_rollback_restores_and_releases_read_locks() {
     // rollback must restore A's read lock AND release it at abort —
     // dropping it from the read set while restoring the count would
     // leak the lock and starve writers forever.
-    let stm = Arc::new(Stm::builder(Algorithm::Tlrw).orec_stripes(2).build());
+    let stm = Arc::new(
+        Stm::builder(Algorithm::Tlrw)
+            .orec_stripes(2)
+            .max_attempts(1)
+            .build(),
+    );
     // Find two vars on different stripes; `a` must sort first so the
     // commit upgrades a's stripe before failing on b's. The pool
     // keeps rejected allocations alive so fresh addresses keep
@@ -233,13 +247,13 @@ fn tlrw_upgrade_rollback_restores_and_releases_read_locks() {
         }
         // Reads both stripes, writes both: upgrade of a succeeds,
         // upgrade of b hits the foreign reader and rolls back.
-        let out = stm.try_once(|tx| {
+        let out = stm.run(|tx| {
             let x = tx.read(&a)?;
             let y = tx.read(&b)?;
             tx.write(&a, x + 1)?;
             tx.write(&b, y + 1)
         });
-        assert!(out.is_none(), "foreign reader must abort the upgrade");
+        assert!(out.is_err(), "foreign reader must abort the upgrade");
         assert!(stm.stats().snapshot().reader_conflicts >= 1);
         release.store(true, Ordering::SeqCst);
     });
@@ -602,63 +616,6 @@ fn run_reports_exhaustion_instead_of_panicking() {
     assert_eq!(stm.stats().snapshot().aborts, 3);
 }
 
-/// A policy that retries (counting its waits) until `give_up_at`
-/// aborts, then gives up.
-#[derive(Debug)]
-struct CountingPolicy {
-    give_up_at: u64,
-    waits: Arc<AtomicU64>,
-}
-
-impl ContentionManager for CountingPolicy {
-    fn decide(&self, attempt: u64) -> Decision {
-        if attempt + 1 >= self.give_up_at {
-            Decision::GiveUp
-        } else {
-            Decision::Retry
-        }
-    }
-
-    fn wait(&self, _attempt: u64) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-#[test]
-fn contention_manager_give_up_is_honored() {
-    let waits = Arc::new(AtomicU64::new(0));
-    let stm = Stm::builder(Algorithm::Norec)
-        .contention_manager(CountingPolicy {
-            give_up_at: 2,
-            waits: Arc::clone(&waits),
-        })
-        .build();
-    let out = stm.run(|_tx| Err::<(), Retry>(Retry));
-    assert_eq!(out, Err(RetriesExhausted { attempts: 2 }));
-    assert_eq!(waits.load(Ordering::Relaxed), 1, "no wait after giving up");
-}
-
-#[test]
-fn max_attempts_gives_up_without_waiting_out_the_last_backoff() {
-    // The budget check runs before the policy is consulted, so the
-    // exhausting abort waits for nothing whatever the policy would do.
-    let waits = Arc::new(AtomicU64::new(0));
-    let stm = Stm::builder(Algorithm::Tl2)
-        .max_attempts(3)
-        .contention_manager(CountingPolicy {
-            give_up_at: u64::MAX,
-            waits: Arc::clone(&waits),
-        })
-        .build();
-    let out = stm.run(|_tx| Err::<(), Retry>(Retry));
-    assert_eq!(out, Err(RetriesExhausted { attempts: 3 }));
-    assert_eq!(
-        waits.load(Ordering::Relaxed),
-        2,
-        "waits after aborts 1 and 2 only"
-    );
-}
-
 #[test]
 #[should_panic(expected = "failed to commit after 1 attempts")]
 fn atomically_panics_when_budget_runs_out() {
@@ -667,14 +624,12 @@ fn atomically_panics_when_budget_runs_out() {
 }
 
 #[test]
-fn debug_output_names_policy_and_budget() {
+fn debug_output_names_algorithm_and_budget() {
     let stm = Stm::builder(Algorithm::Incremental)
         .max_attempts(42)
-        .contention_manager(ImmediateRetry)
         .build();
     let s = format!("{stm:?}");
     assert!(s.contains("max_attempts: 42"), "{s}");
-    assert!(s.contains("ImmediateRetry"), "{s}");
     assert!(s.contains("Incremental"), "{s}");
 }
 
@@ -815,12 +770,12 @@ fn twophase_prepare_detects_overlapping_commits_all_modes() {
     //   bump, so the bump fails and the outer prepare must succeed.
     //
     // Either way, exactly one of the two writers wins.
-    for stm in engines() {
+    for stm in one_attempt_engines() {
         let v = TVar::new(0u64);
         let w = TVar::new(0u64);
         let mut tx = stm.transaction();
         let seen = tx.read(&v).expect("fresh read");
-        let bumped = stm.try_once(|t2| t2.modify(&v, |y| y + 1)).is_some();
+        let bumped = stm.run(|t2| t2.modify(&v, |y| y + 1)).is_ok();
         tx.write(&w, seen + 1).expect("buffer write");
         match tx.prepare_commit() {
             Ok(prepared) => {
@@ -852,11 +807,11 @@ fn twophase_read_only_prepare_revalidates_all_modes() {
     // invisible-read algorithm saw a snapshot that a later commit
     // invalidated, the prepare must say so. (Visible readers exclude the
     // overlapping commit instead, so their prepare succeeds trivially.)
-    for stm in engines() {
+    for stm in one_attempt_engines() {
         let v = TVar::new(0u64);
         let mut tx = stm.transaction();
         let _ = tx.read(&v).expect("fresh read");
-        let bumped = stm.try_once(|t2| t2.modify(&v, |y| y + 1)).is_some();
+        let bumped = stm.run(|t2| t2.modify(&v, |y| y + 1)).is_ok();
         match tx.prepare_commit() {
             Ok(prepared) => {
                 assert!(

@@ -35,10 +35,10 @@ pub struct Transaction<'s> {
     /// whose prepare failed.)
     pub(super) poisoned: bool,
     /// Set by [`Transaction::retry`]: the attempt aborted because the
-    /// *data* said wait, not because a conflict said hurry. The step
-    /// machine parks such attempts on their read footprint's waiter lists
-    /// instead of consulting the contention manager (a logical wait is
-    /// not contention — it must not consume backoff or attempt budget).
+    /// *data* said wait, not because a conflict said hurry. The attempt
+    /// loop parks such attempts on their read footprint's waiter lists
+    /// instead of running the retry schedule (a logical wait is not
+    /// contention — it must not consume backoff or attempt budget).
     pub(super) waiting: bool,
     /// Set by the resolve point: the attempt's outcome is counted and
     /// everything it held is released, so `Drop` has nothing left to do
@@ -258,7 +258,7 @@ impl<'s> Transaction<'s> {
     }
 
     /// The resolve point, abort side: a failed body or commit in the
-    /// attempt step, a failed [`Transaction::prepare_commit`],
+    /// attempt loop, a failed [`Transaction::prepare_commit`],
     /// [`Transaction::abort_prepared`], [`Transaction::rollback`]. An
     /// abort's *cause* belongs here.
     ///
@@ -489,7 +489,7 @@ impl<'s> Transaction<'s> {
     /// Composable-Memory-Transactions-style `retry`.
     ///
     /// Unlike a conflict abort, a logical wait consumes no attempt
-    /// budget and no contention-manager backoff: the thread parks on the
+    /// budget and no retry-schedule backoff: the thread parks on the
     /// read footprint's per-stripe waiter lists (a short safety-net
     /// timeout bounds the sleep even if no writer ever shows up). An
     /// attempt that retries before reading anything has an empty

@@ -1,7 +1,7 @@
 //! The commit pipeline: every commit is a *prepare* half (acquire the
 //! commit locks, validate — everything that can fail) followed by a
-//! *publish* half (write back and release — infallible). The step
-//! machine's one-shot commit runs the two back to back
+//! *publish* half (write back and release — infallible). The attempt
+//! loop's one-shot commit runs the two back to back
 //! ([`Transaction::prepare`] then [`Transaction::publish`]); the
 //! two-phase surface ([`Transaction::prepare_commit`]) hands the window
 //! in between to a coordinator, which can hold several instances'
@@ -354,7 +354,7 @@ impl Transaction<'_> {
     /// Abandons an unprepared transaction: nothing was published, so
     /// this only closes the attempt (read locks released, history marker
     /// closed aborted, abort counted). Equivalent to dropping it, plus
-    /// the bookkeeping the step machine would have done; after a failed
+    /// the bookkeeping the attempt loop would have done; after a failed
     /// [`Transaction::prepare_commit`], which already resolved the
     /// attempt, it counts nothing a second time.
     pub fn rollback(mut self) {

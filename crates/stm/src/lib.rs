@@ -56,18 +56,20 @@
 //! assert_eq!(checking.load() + savings.load(), 100);
 //! ```
 //!
-//! Retry policy and orec geometry are configurable per instance:
+//! The attempt budget and orec geometry are configurable per instance;
+//! [`Stm::run`] reports a spent budget as a value:
 //!
 //! ```
-//! use ptm_stm::{Algorithm, ExponentialBackoff, Stm};
+//! use ptm_stm::{Algorithm, RetriesExhausted, Retry, Stm};
 //!
 //! let stm = Stm::builder(Algorithm::Tl2)
-//!     .max_attempts(10_000)
-//!     .contention_manager(ExponentialBackoff::default())
+//!     .max_attempts(3)
 //!     .orec_stripes(4096)
 //!     .build();
 //! let v = ptm_stm::TVar::new(1u64);
 //! assert_eq!(stm.run(|tx| tx.read(&v)), Ok(1));
+//! let gave_up = stm.run(|_tx| Err::<u64, _>(Retry));
+//! assert_eq!(gave_up, Err(RetriesExhausted { attempts: 3 }));
 //! ```
 //!
 //! ## Architecture
@@ -76,13 +78,12 @@
 //!
 //! | module | concern |
 //! |--------|---------|
-//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] and the one resolve point (`engine::transaction`), the one attempt step and its two drivers (`engine::attempt`), the prepare → publish commit pipeline every commit runs and cross-instance coordinators split ([`Prepared`], `engine::twophase`) |
+//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] and the one resolve point (`engine::transaction`), the one attempt loop and its retry schedule (`engine::attempt`), the prepare → publish commit pipeline every commit runs and cross-instance coordinators split ([`Prepared`], `engine::twophase`) |
 //! | `algo`  | the strategy layer: one module per algorithm (begin / read / prepare / publish hooks), including the adaptive mode controller |
 //! | `txlog` | read-set / write-set log shared by all algorithms |
 //! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
 //! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer with Fenwick-shaped skip links for sublinear snapshot walks (static Tl2, Incremental, NOrec and Tlrw swap the head; Mv and Adaptive append, trim, and bound via [`MvConfig`]) |
 //! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (the clock floor while no snapshot is pinned, an exact slot scan otherwise) bounds version-chain trimming |
-//! | [`cm`](ContentionManager) | pluggable retry policies |
 //! | `stats` | commit/abort/validation-probe counters |
 //! | [`recorder`] | opt-in t-operation history recording for the `ptm-model` checkers |
 //! | [`wal`] | opt-in durability: a group-committed, checksummed write-ahead log appended from inside each publish critical section (the `ptm-server` recovery path builds on it) |
@@ -106,7 +107,6 @@
 #![deny(unsafe_code)]
 
 mod algo;
-pub mod cm;
 mod engine;
 #[allow(unsafe_code)]
 mod epoch;
@@ -120,7 +120,6 @@ mod waiter;
 pub mod wal;
 
 pub use algo::adaptive::AdaptiveConfig;
-pub use cm::{ContentionManager, Decision, ExponentialBackoff, ImmediateRetry};
 pub use engine::{
     Algorithm, MvConfig, Prepared, RetriesExhausted, Retry, Stm, StmBuilder, Transaction,
 };

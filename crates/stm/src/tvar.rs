@@ -572,7 +572,7 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
 ///     tx.write(&acct, v + 1)?;
 ///     Ok(())
 /// });
-/// assert_eq!(stm.read_now(&acct), 101);
+/// assert_eq!(acct.load(), 101);
 /// ```
 pub struct TVar<T> {
     pub(crate) inner: Arc<TVarInner<T>>,

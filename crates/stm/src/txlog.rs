@@ -158,7 +158,7 @@ thread_local! {
 /// A transaction's loan of a [`TxLog`] from its thread's pool: taken at
 /// `Transaction::begin`, reset and returned when the transaction drops.
 /// One mechanism covers retry-to-retry and transaction-to-transaction
-/// reuse, for the step machine and [`Stm::transaction`](crate::Stm::transaction)
+/// reuse, for the attempt loop and [`Stm::transaction`](crate::Stm::transaction)
 /// alike.
 ///
 /// Invariants:

@@ -1,10 +1,10 @@
 //! Per-stripe waiter parking: the blocking half of `retry`/`or_else`.
 //!
 //! A transaction that cannot proceed — logically (`Transaction::retry`:
-//! the data it read says "wait") or physically (the contention manager
-//! answered [`Decision::Park`](crate::Decision::Park)) — must get out of
-//! the way instead of stealing cycles from the transaction that can
-//! proceed. This module supplies the mechanism: one [`WaitBucket`] per
+//! the data it read says "wait") or physically (its conflicts outlasted
+//! the yield tier of [`Stm::run`](crate::Stm::run)'s retry schedule) —
+//! must get out of the way instead of stealing cycles from the
+//! transaction that can proceed. This module supplies the mechanism: one [`WaitBucket`] per
 //! orec stripe (hung off the [`OrecTable`](crate::orec::OrecTable), so
 //! the wait channels are keyed exactly like the conflict metadata), a
 //! [`WaitCell`] per parked attempt, and a wake sweep that committing
@@ -51,8 +51,8 @@ use std::time::{Duration, Instant};
 /// were lost. Long, because the wake path makes expiry the exception.
 pub(crate) const RETRY_PARK_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Park slice for a contention-manager
-/// [`Decision::Park`](crate::Decision::Park): short, because a conflict
+/// Park slice for a conflict that reached the retry schedule's park
+/// tier ([`Stm::run`](crate::Stm::run)): short, because a conflict
 /// park has a weaker wake guarantee — the conflicting commit may already
 /// be finished, with no later commit due on any overlapping stripe.
 pub(crate) const CONFLICT_PARK_TIMEOUT: Duration = Duration::from_millis(1);

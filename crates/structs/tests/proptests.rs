@@ -107,9 +107,9 @@ proptest! {
         // none of the batch may be visible afterwards; then apply it
         // without the failure and compare against the reference applied
         // wholesale.
-        let stm = Stm::tl2();
+        let stm = Stm::builder(Algorithm::Tl2).max_attempts(1).build();
         let map: THashMap<u64, u64> = THashMap::with_buckets(4);
-        let aborted = stm.try_once(|tx| {
+        let aborted = stm.run(|tx| {
             for (i, &(_, key, val)) in ops.iter().enumerate() {
                 map.insert(tx, key, val)?;
                 if i == fail_at {
@@ -119,7 +119,7 @@ proptest! {
             Ok(())
         });
         if fail_at < ops.len() {
-            prop_assert_eq!(aborted, None);
+            prop_assert!(aborted.is_err());
             prop_assert!(stm.atomically(|tx| map.is_empty(tx)));
         }
         let mut reference: HashMap<u64, u64> = HashMap::new();

@@ -12,7 +12,7 @@
 //! cargo run --release --example bank
 //! ```
 
-use progressive_tm::stm::{Algorithm, ExponentialBackoff, Stm, TVar};
+use progressive_tm::stm::{Algorithm, Stm, TVar};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -22,15 +22,9 @@ const TRANSFERS_PER_THREAD: usize = 20_000;
 const INITIAL: u64 = 1_000;
 
 fn run(algorithm: Algorithm) {
-    // The builder exposes the retry policy and orec geometry; these are
-    // the defaults, spelled out.
-    let stm = Arc::new(
-        Stm::builder(algorithm)
-            .max_attempts(10_000_000)
-            .orec_stripes(1024)
-            .contention_manager(ExponentialBackoff::default())
-            .build(),
-    );
+    // The builder exposes the orec geometry; this is the default, spelled
+    // out.
+    let stm = Arc::new(Stm::builder(algorithm).orec_stripes(1024).build());
     let accounts: Vec<TVar<u64>> = (0..ACCOUNTS).map(|_| TVar::new(INITIAL)).collect();
 
     let start = Instant::now();

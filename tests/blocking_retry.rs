@@ -1,8 +1,8 @@
 //! Torture tests for the blocking `retry`/`or_else` tier: lost-wakeup
 //! hunting across all six algorithms, the adaptive mode switch with
 //! consumers parked, the register-vs-commit interleaving window, the
-//! `or_else` rollback semantics, and one differential table that drives
-//! every script through both drivers, `run` and `try_once`.
+//! `or_else` rollback semantics, and one table of scripts that `run`
+//! must end as each row says, the retry schedule's park tier included.
 //!
 //! Every blocking scenario runs under a watchdog: a lost wakeup
 //! manifests as a hang (the 250 ms safety-net timeout would eventually
@@ -10,8 +10,7 @@
 //! watchdog converts "hung" into "failed" instead of stalling CI.
 
 use progressive_tm::stm::{
-    AdaptiveConfig, Algorithm, ContentionManager, Decision, RetriesExhausted, Retry, StatsSnapshot,
-    Stm, TVar, Transaction,
+    AdaptiveConfig, Algorithm, RetriesExhausted, Retry, StatsSnapshot, Stm, TVar, Transaction,
 };
 use progressive_tm::structs::TQueue;
 use std::collections::HashSet;
@@ -349,23 +348,28 @@ fn or_else_refuses_a_poisoned_attempt() {
     // combinator stands in for any doomed attempt) must get Err from
     // or_else without either branch running — running a fallback on a
     // dead attempt would do work the commit can never honor.
+    // Driven by hand: `run` would park the waiting attempt.
     let stm = Stm::tl2();
     let fallback_ran = std::cell::Cell::new(false);
-    let out = stm.try_once(|tx| {
-        let _: Result<u64, Retry> = tx.retry(); // swallowed: poisons the attempt
-        tx.or_else(
-            |_tx| -> Result<u64, Retry> { panic!("first branch must not run") },
-            |_tx| {
-                fallback_ran.set(true);
-                Ok(0)
-            },
-        )
-    });
-    assert_eq!(out, None, "a poisoned attempt cannot commit");
+    let mut tx = stm.transaction();
+    let _: Result<u64, Retry> = tx.retry(); // swallowed: poisons the attempt
+    let out = tx.or_else(
+        |_tx| -> Result<u64, Retry> { panic!("first branch must not run") },
+        |_tx| {
+            fallback_ran.set(true);
+            Ok(0)
+        },
+    );
+    assert_eq!(out, Err(Retry), "a poisoned attempt gets no fallback");
     assert!(!fallback_ran.get(), "fallback must not run either");
+    assert!(
+        tx.prepare_commit().is_err(),
+        "a poisoned attempt cannot commit"
+    );
+    tx.rollback();
 }
 
-// --- one lifecycle, two drivers -------------------------------------------
+// --- one lifecycle, one driver --------------------------------------------
 
 /// A scripted transaction body over one shared counter.
 type Script = fn(&Stm, &TVar<u64>, &mut Transaction<'_>) -> Result<u64, Retry>;
@@ -377,12 +381,11 @@ fn bump(_: &Stm, v: &TVar<u64>, tx: &mut Transaction<'_>) -> Result<u64, Retry> 
     Ok(x + 1)
 }
 
-/// Conflicts on every attempt: a nested one-shot transaction commits an
+/// Conflicts on every attempt: a nested transaction commits an
 /// overlapping write between the outer read and the outer commit.
 fn always_conflicts(stm: &Stm, v: &TVar<u64>, tx: &mut Transaction<'_>) -> Result<u64, Retry> {
     let x = tx.read(v)?;
-    stm.try_once(|t| t.modify(v, |y| y + 1))
-        .expect("nested bump commits");
+    stm.atomically(|t| t.modify(v, |y| y + 1));
     tx.write(v, x)?;
     Ok(x)
 }
@@ -404,8 +407,7 @@ fn wait_already_satisfied(
 ) -> Result<u64, Retry> {
     match tx.read(v)? {
         0 => {
-            stm.try_once(|t| t.write(v, 9))
-                .expect("nested fill commits");
+            stm.atomically(|t| t.write(v, 9));
             tx.retry()
         }
         x => Ok(x),
@@ -417,36 +419,6 @@ fn wait_already_satisfied(
 fn blind_write(_: &Stm, v: &TVar<u64>, tx: &mut Transaction<'_>) -> Result<u64, Retry> {
     tx.write(v, 8)?;
     Ok(8)
-}
-
-/// A policy that answers every conflict with [`Decision::Park`].
-#[derive(Debug)]
-struct AlwaysPark;
-
-impl ContentionManager for AlwaysPark {
-    fn decide(&self, _attempt: u64) -> Decision {
-        Decision::Park
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Driver {
-    Run,
-    TryOnce,
-}
-
-/// Runs `script` to its end through one driver. `Err(None)` is
-/// `try_once` declining to retry.
-fn drive(
-    driver: Driver,
-    stm: &Stm,
-    v: &TVar<u64>,
-    script: Script,
-) -> Result<u64, Option<RetriesExhausted>> {
-    match driver {
-        Driver::Run => stm.run(|tx| script(stm, v, tx)).map_err(Some),
-        Driver::TryOnce => stm.try_once(|tx| script(stm, v, tx)).ok_or(None),
-    }
 }
 
 /// What ends a parked attempt's wait, once the attempt is on the waiter
@@ -462,8 +434,8 @@ enum Release {
     Blocker,
 }
 
-/// One row of the differential table: an instance, a script, and what
-/// every driver must make of them.
+/// One row of the table: an instance, a script, and what `run` must
+/// make of them.
 struct Case {
     name: &'static str,
     build: fn(Algorithm) -> Stm,
@@ -476,16 +448,14 @@ struct Case {
     skip: &'static [Algorithm],
     /// `Ok(value)`, or `Err(attempts)` when the budget runs out.
     expect: Result<u64, u64>,
-    /// Whether a single non-waiting step reaches the same end.
-    try_once: bool,
     /// `(commits, aborts, parks)` on the instance afterwards, nested,
     /// writer and blocker commits included.
     stats: (u64, u64, u64),
 }
 
-/// Runs one row on one algorithm through one driver and returns the
-/// instance's counters afterwards.
-fn run_case(case: &Case, algo: Algorithm, driver: Driver, ctx: &str) -> StatsSnapshot {
+/// Runs one row on one algorithm and returns the instance's counters
+/// afterwards.
+fn run_case(case: &Case, algo: Algorithm, ctx: &str) -> StatsSnapshot {
     let stm = Arc::new((case.build)(algo));
     let v = Arc::new(TVar::new(0u64));
     let (stm2, v2, ctx2) = (Arc::clone(&stm), Arc::clone(&v), ctx.to_owned());
@@ -501,7 +471,7 @@ fn run_case(case: &Case, algo: Algorithm, driver: Driver, ctx: &str) -> StatsSna
         // unpark token behind, which must not cut the next run's park
         // short.
         thread::scope(|s| {
-            let runner = s.spawn(|| drive(driver, &stm2, &v2, script));
+            let runner = s.spawn(|| stm2.run(|tx| script(&stm2, &v2, tx)));
             if release != Release::Nobody {
                 // The park is counted once the attempt is on the waiter
                 // lists, so this commit wakes it.
@@ -514,14 +484,11 @@ fn run_case(case: &Case, algo: Algorithm, driver: Driver, ctx: &str) -> StatsSna
                 }
             }
             let got = runner.join().expect("runner");
-            match driver {
-                Driver::TryOnce => assert_eq!(got.ok(), expect.ok(), "{ctx2}"),
-                Driver::Run => assert_eq!(
-                    got,
-                    expect.map_err(|attempts| Some(RetriesExhausted { attempts })),
-                    "{ctx2}"
-                ),
-            }
+            assert_eq!(
+                got,
+                expect.map_err(|attempts| RetriesExhausted { attempts }),
+                "{ctx2}"
+            );
         });
     });
     if let Ok(value) = case.expect {
@@ -531,22 +498,18 @@ fn run_case(case: &Case, algo: Algorithm, driver: Driver, ctx: &str) -> StatsSna
 }
 
 #[test]
-fn run_async_conflict_park_registers_instead_of_self_waking() {
-    // A policy-chosen park must register the conflict footprint and
-    // sleep until an overlapping commit wakes it, not spin on the
-    // conflict. The blocking driver is the only one left, so the check
-    // runs through `run`; the name is kept from the async driver's days.
-    let stm = Arc::new(
-        Stm::builder(Algorithm::Tl2)
-            .contention_manager(AlwaysPark)
-            .build(),
-    );
+fn conflict_park_registers_instead_of_self_waking() {
+    // A conflict that reaches the retry schedule's park tier must
+    // register the conflict footprint and sleep until an overlapping
+    // commit wakes it, not spin on the conflict.
+    let stm = Arc::new(Stm::tl2());
     let w = Arc::new(TVar::new(0u64));
     let (stm2, w2) = (Arc::clone(&stm), Arc::clone(&w));
     watchdog(Duration::from_secs(60), move || {
         // A prepared (locked, unpublished) writer on `w`'s stripe makes
-        // the attempt's commit fail deterministically while its (empty)
-        // read set stays valid: the exact shape that must park, not spin.
+        // every attempt's commit fail deterministically while its (empty)
+        // read set stays valid: the exact shape that must park, not spin,
+        // once the schedule's spin and yield tiers are spent.
         let mut blocker = stm2.transaction();
         blocker.write(&w2, 7u64).expect("buffer write");
         let prepared = blocker.prepare_commit().expect("uncontended prepare");
@@ -582,12 +545,8 @@ fn run_async_conflict_park_registers_instead_of_self_waking() {
     assert_eq!(snap.commits, 2, "blocker and runner, nothing else: {snap}");
 }
 
-/// The name is kept from when a third driver, `run_async`, shared the
-/// table; `run` and `try_once` are the drivers left.
 #[test]
-fn run_run_async_and_try_once_agree_on_every_script() {
-    use progressive_tm::stm::ImmediateRetry;
-
+fn run_ends_every_script_as_its_row_says() {
     // A budget of one attempt: the first conflict exhausts it, so a
     // script that still commits after waiting proves the wait spent none.
     let one_attempt = |algo| Stm::builder(algo).max_attempts(1).build();
@@ -599,22 +558,15 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             release: Release::Nobody,
             skip: &[],
             expect: Ok(1),
-            try_once: true,
             stats: (1, 0, 0),
         },
         Case {
-            name: "always conflicting, max_attempts(3) under ImmediateRetry",
-            build: |algo| {
-                Stm::builder(algo)
-                    .max_attempts(3)
-                    .contention_manager(ImmediateRetry)
-                    .build()
-            },
+            name: "always conflicting, max_attempts(3)",
+            build: |algo| Stm::builder(algo).max_attempts(3).build(),
             script: always_conflicts,
             release: Release::Nobody,
             skip: &[Algorithm::Tlrw],
             expect: Err(3),
-            try_once: false,
             stats: (3, 3, 0),
         },
         Case {
@@ -624,7 +576,6 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             release: Release::Nobody,
             skip: &[Algorithm::Tlrw],
             expect: Err(1),
-            try_once: true,
             stats: (1, 1, 0),
         },
         Case {
@@ -634,7 +585,6 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             release: Release::Writer,
             skip: &[],
             expect: Ok(9),
-            try_once: false,
             stats: (2, 1, 1),
         },
         Case {
@@ -644,18 +594,17 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             release: Release::Nobody,
             skip: &[Algorithm::Tlrw],
             expect: Ok(9),
-            try_once: false,
             stats: (2, 1, 0),
         },
         Case {
-            name: "conflict parked by the policy, released by the blocker's publish",
-            build: |algo| Stm::builder(algo).contention_manager(AlwaysPark).build(),
+            // 65 conflicts spin and yield; the 66th reaches the park tier.
+            name: "conflict parked by the schedule, released by the blocker's publish",
+            build: Stm::new,
             script: blind_write,
             release: Release::Blocker,
             skip: &[Algorithm::Norec],
             expect: Ok(8),
-            try_once: false,
-            stats: (2, 1, 1),
+            stats: (2, 66, 1),
         },
     ];
 
@@ -664,35 +613,29 @@ fn run_run_async_and_try_once_agree_on_every_script() {
             if case.skip.contains(&algo) {
                 continue;
             }
-            for driver in [Driver::Run, Driver::TryOnce] {
-                if driver == Driver::TryOnce && !case.try_once {
-                    continue;
-                }
-                let ctx = format!("{} / {algo:?} / {driver:?}", case.name);
-                let mut snap = run_case(case, algo, driver, &ctx);
-                // A conflict park sleeps at most 1 ms: a releaser
-                // descheduled for longer lets that safety net expire,
-                // and the attempt conflicts and parks again. Such a run
-                // exercised the net, not the wake, so the blocker row
-                // repeats it. A retry() park's net is 250 ms and must
-                // never fire here.
-                let mut runs = 1;
-                while case.release == Release::Blocker && snap.spurious_wakes > 0 {
-                    assert!(runs < 20, "{ctx}: the 1 ms net expired in 20 runs: {snap}");
-                    snap = run_case(case, algo, driver, &ctx);
-                    runs += 1;
-                }
-                assert_eq!(
-                    (snap.commits, snap.aborts, snap.parks),
-                    case.stats,
-                    "{ctx}: (commits, aborts, parks) in {snap}"
-                );
-                assert_eq!(
-                    (snap.wakes, snap.spurious_wakes),
-                    (snap.parks, 0),
-                    "{ctx}: every park must end by a commit's wake: {snap}"
-                );
+            let ctx = format!("{} / {algo:?}", case.name);
+            let mut snap = run_case(case, algo, &ctx);
+            // A conflict park sleeps at most 1 ms: a releaser descheduled
+            // for longer lets that safety net expire, and the attempt
+            // conflicts and parks again. Such a run exercised the net,
+            // not the wake, so the blocker row repeats it. A retry()
+            // park's net is 250 ms and must never fire here.
+            let mut runs = 1;
+            while case.release == Release::Blocker && snap.spurious_wakes > 0 {
+                assert!(runs < 20, "{ctx}: the 1 ms net expired in 20 runs: {snap}");
+                snap = run_case(case, algo, &ctx);
+                runs += 1;
             }
+            assert_eq!(
+                (snap.commits, snap.aborts, snap.parks),
+                case.stats,
+                "{ctx}: (commits, aborts, parks) in {snap}"
+            );
+            assert_eq!(
+                (snap.wakes, snap.spurious_wakes),
+                (snap.parks, 0),
+                "{ctx}: every park must end by a commit's wake: {snap}"
+            );
         }
     }
 }

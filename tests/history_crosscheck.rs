@@ -301,9 +301,15 @@ fn user_retries_and_try_once_close_their_transactions() {
             }
         }
         assert!(gave_up > 0, "odd iterations exhausted their budget");
-        // try_once aborts are closed the same way.
-        let _ = stm.try_once(|tx| {
-            tx.read(&v)?;
+        // A one-attempt budget's abort is closed the same way. (Its own
+        // variable: instances with separate clocks must not share one.)
+        let one_shot = Stm::builder(algo)
+            .max_attempts(1)
+            .record_history(rec.clone())
+            .build();
+        let w = TVar::new(0u64);
+        let _ = one_shot.run(|tx| {
+            tx.read(&w)?;
             Err::<(), Retry>(Retry)
         });
         let h = history_of(&rec.drain());

@@ -265,15 +265,17 @@ mod conformance {
         let stm = Stm::new(algo);
         let v = TVar::new(5u64);
         let mut called = false;
-        let out = stm.try_once(|tx| {
-            let _ = tx.retry::<()>();
-            tx.read_with(&v, |x| {
-                called = true;
-                *x
-            })
+        // Driven by hand: `run` would park the waiting attempt.
+        let mut tx = stm.transaction();
+        let _ = tx.retry::<()>();
+        let out = tx.read_with(&v, |x| {
+            called = true;
+            *x
         });
-        assert_eq!(out, None, "{algo:?}");
+        assert_eq!(out, Err(Retry), "{algo:?}");
         assert!(!called, "{algo:?}: closure ran on a poisoned attempt");
+        assert!(tx.prepare_commit().is_err(), "{algo:?}: poisoned attempt");
+        tx.rollback();
     }
 
     /// `read(v)` and `read_with(v, Clone::clone)` are the same read:
@@ -1148,18 +1150,22 @@ fn norec_value_validation_survives_equal_write_back() {
 
 #[test]
 fn try_once_reports_conflicts_without_retrying() {
-    let stm = Stm::tl2();
+    // Named for the one-shot driver it once called: a budget of one
+    // attempt is that driver now.
+    let stm = Stm::builder(Algorithm::Tl2).max_attempts(1).build();
     let v = TVar::new(1u64);
     // A transaction that always requests retry commits nothing.
-    assert!(stm
-        .try_once(|tx| {
+    assert_eq!(
+        stm.run(|tx| {
             tx.write(&v, 2)?;
             Err::<(), Retry>(Retry)
-        })
-        .is_none());
+        }),
+        Err(RetriesExhausted { attempts: 1 })
+    );
     assert_eq!(v.load(), 1);
+    assert_eq!(stm.stats().snapshot().aborts, 1, "one attempt, no retry");
     // A clean one commits.
-    assert_eq!(stm.try_once(|tx| tx.read(&v)), Some(1));
+    assert_eq!(stm.run(|tx| tx.read(&v)), Ok(1));
 }
 
 #[test]
@@ -1183,19 +1189,21 @@ fn heterogeneous_value_types() {
 }
 
 #[test]
-fn capped_contention_manager_reports_exhaustion() {
-    // The attempt budget caps every policy; the default backoff's park
-    // tier never runs inside a five-attempt budget.
-    let stm = Stm::builder(Algorithm::Tl2).max_attempts(5).build();
+fn budget_is_checked_before_the_park_tier() {
+    // The retry schedule parks from the 66th consecutive conflict on, so
+    // a budget of 66 attempts is spent by exactly the first abort the
+    // schedule would park. The budget check comes first: the run gives
+    // up there, having parked never.
+    let stm = Stm::builder(Algorithm::Tl2).max_attempts(66).build();
     let v = TVar::new(0u64);
     let out = stm.run(|tx| {
         tx.read(&v)?;
         Err::<(), Retry>(Retry)
     });
-    assert_eq!(out, Err(RetriesExhausted { attempts: 5 }));
-    assert_eq!(stm.stats().snapshot().parks, 0);
-    // The instance advertises its budget and its policy.
+    assert_eq!(out, Err(RetriesExhausted { attempts: 66 }));
+    let snap = stm.stats().snapshot();
+    assert_eq!((snap.aborts, snap.parks), (66, 0), "{snap}");
+    // The instance advertises its budget.
     let dbg = format!("{stm:?}");
-    assert!(dbg.contains("max_attempts: 5"), "{dbg}");
-    assert!(dbg.contains("ExponentialBackoff"), "{dbg}");
+    assert!(dbg.contains("max_attempts: 66"), "{dbg}");
 }

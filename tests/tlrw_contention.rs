@@ -1,15 +1,14 @@
-//! Contention management under Tlrw's reader–writer conflicts.
+//! The retry schedule under Tlrw's reader–writer conflicts.
 //!
 //! Visible reads create a conflict shape the invisible-read algorithms
 //! never see: a *writer* aborted by mere readers. These tests pin down
-//! how the pluggable contention managers behave in that regime — a
-//! writer facing readers must eventually commit under the default
-//! [`ExponentialBackoff`], and under [`ImmediateRetry`] it must be
-//! *bounded* (exhaustion reported, no livelock) — and that the engine
-//! releases every read lock before the policy's wait runs, so backing
-//! off never blocks other transactions.
+//! how the engine's one retry schedule behaves in that regime — a writer
+//! facing readers must eventually commit, and under an attempt budget it
+//! must be *bounded* (exhaustion reported, no livelock) — and that the
+//! engine releases every read lock before the schedule's wait runs, so
+//! backing off never blocks other transactions.
 
-use progressive_tm::stm::{Algorithm, ImmediateRetry, RetriesExhausted, Stm, TVar};
+use progressive_tm::stm::{Algorithm, RetriesExhausted, Stm, TVar};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -46,15 +45,12 @@ fn with_held_read_lock<T>(
 #[test]
 fn writer_facing_a_persistent_reader_is_bounded_under_immediate_retry() {
     // The deterministic no-livelock assertion: a reader camps on the
-    // stripe for the whole test, so an ImmediateRetry writer would spin
-    // forever — the attempt budget must stop it at *exactly* its bound,
-    // with every attempt accounted as a reader conflict.
-    let stm = Arc::new(
-        Stm::builder(Algorithm::Tlrw)
-            .max_attempts(64)
-            .contention_manager(ImmediateRetry)
-            .build(),
-    );
+    // stripe for the whole test, so the writer would retry forever — the
+    // attempt budget must stop it at *exactly* its bound, with every
+    // attempt accounted as a reader conflict. A budget of 64 runs out
+    // before the schedule's park tier (from the 66th conflict on), so
+    // every wait was a spin or a yield.
+    let stm = Arc::new(Stm::builder(Algorithm::Tlrw).max_attempts(64).build());
     let v = TVar::new(0u64);
     with_held_read_lock(&stm, &v, |release| {
         let out = stm.run(|tx| tx.write(&v, 1));
@@ -74,10 +70,10 @@ fn writer_facing_a_persistent_reader_is_bounded_under_immediate_retry() {
 
 #[test]
 fn writer_facing_a_persistent_reader_commits_under_backoff_once_readers_drain() {
-    // ExponentialBackoff keeps retrying (it never gives up), so the
+    // The schedule keeps retrying (only the budget gives up), so the
     // writer must survive an arbitrarily long reader occupation and
     // commit as soon as the stripe drains.
-    let stm = Arc::new(Stm::new(Algorithm::Tlrw)); // default CM: backoff
+    let stm = Arc::new(Stm::new(Algorithm::Tlrw));
     let v = TVar::new(0u64);
     let writer_done = Arc::new(AtomicBool::new(false));
     with_held_read_lock(&stm, &v, |release| {
@@ -140,9 +136,9 @@ fn writer_eventually_commits_through_a_stream_of_transient_readers() {
 #[test]
 fn symmetric_upgraders_diverge_under_backoff() {
     // The not-strongly-progressive shape: two read-to-write upgraders on
-    // one variable abort each other when truly concurrent. The
-    // contention manager's job is to make them diverge; with the
-    // default backoff both increments must eventually land.
+    // one variable abort each other when truly concurrent. The retry
+    // schedule's job is to make them diverge; both increments must
+    // eventually land.
     let stm = Arc::new(Stm::new(Algorithm::Tlrw));
     let v = TVar::new(0u64);
     let rounds = 500u64;
