@@ -88,7 +88,7 @@
 
 use crate::kv::{ServiceConfig, ShardedKv, SHARD_HASHER_ID};
 use ptm_stm::wal::{codec, fsync_parent_dir, DurableTicket, Wal, WalValue, FLAG_META};
-use ptm_stm::{Prepared, Transaction, TxValue};
+use ptm_stm::{Transaction, TxValue};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs;
@@ -447,20 +447,19 @@ impl<K, V> Journal<K, V> {
     }
 
     /// Stages the full record of a cross-shard transaction on every
-    /// prepared shard that `ops` writes (`prepared[i]` is shard
-    /// `shards[i]`'s), returning each one's ticket.
-    /// All prepares hold: the commit cannot fail and every
-    /// participant's locks are the caller's, so the id drawn here is
-    /// conflict-ordered on each shard.
+    /// participant that `ops` writes (`group[i]` is shard `shards[i]`'s),
+    /// returning each one's ticket. Called from the group commit's stage
+    /// step: the commit cannot fail and every participant's locks are
+    /// held, so the id drawn here is conflict-ordered on each shard.
     pub(crate) fn stage(
         &self,
         ops: &[LoggedOp<K, V>],
         shards: &[usize],
-        prepared: &mut [(Transaction<'_>, Prepared)],
+        group: &mut [Transaction<'_>],
     ) -> Vec<(usize, DurableTicket)> {
         let payload = self.encode(ops);
         let mut tickets = Vec::new();
-        for (shard, (tx, _)) in shards.iter().zip(prepared) {
+        for (shard, tx) in shards.iter().zip(group) {
             if ops.iter().any(|op| op.shard() == *shard) {
                 let ticket = DurableTicket::new();
                 tx.stage_durable(Arc::clone(&payload), &ticket);

@@ -1,4 +1,4 @@
-//! The shard router and cross-shard two-phase commit coordinator.
+//! The shard router and cross-shard group commit coordinator.
 //!
 //! A [`ShardedKv`] owns N [`Stm`] instances, each carrying a
 //! [`THashMap`] partition: in one timestamp domain (one clock, one
@@ -7,7 +7,8 @@
 //! hash; single-key operations run as ordinary one-shot transactions on
 //! the owning shard and never pay any cross-shard cost. Multi-key transactions
 //! ([`ShardedKv::transact`]) and consistent scans ([`ShardedKv::scan`])
-//! span shards and commit through the coordinator in this module.
+//! span shards and commit as one group through the coordinator in this
+//! module.
 //!
 //! Durability is a property of the store, not a second store: a
 //! `ShardedKv` opened over a directory ([`ShardedKv::open`]) carries a
@@ -24,35 +25,39 @@
 //!    shard (a shard untouched by the body costs nothing), every one
 //!    after the first beside the first ([`Transaction::beside`]): at
 //!    its snapshot `rv` in one timestamp domain;
-//! 2. **prepare in ascending shard index**:
-//!    [`Transaction::prepare_commit`] acquires that shard's commit locks
-//!    and validates its read set, publishing nothing;
-//! 3. if every prepare held, stage the journaled write set on every
-//!    writing shard (durable stores only) and **publish all**
-//!    ([`Transaction::commit_prepared_all`]: at one clock tick in one
-//!    timestamp domain, shard by shard otherwise); if any failed, abort
-//!    the ones already prepared ([`Transaction::abort_prepared`]) — no
-//!    shard observes anything — and re-run the body.
+//! 2. commit them as one group, in ascending shard index
+//!    ([`Transaction::commit_all`]): **lock** every shard's commit
+//!    locks, then **validate** every shard's read set, then **stage**
+//!    the journaled write set on every writing shard (durable stores
+//!    only), then **publish** every shard — at one clock tick in one
+//!    timestamp domain, shard by shard otherwise;
+//! 3. if any lock or validation failed, the group commit has already
+//!    rolled every shard back — no shard observes anything — and the
+//!    body re-runs.
 //!
-//! Atomicity (no torn cross-shard reads) follows from the engine's
-//! prepare/publish split. In one timestamp domain a transaction reads
-//! every shard at one `rv` and publishes every shard at one tick `wv`,
-//! so a snapshot sees all of a commit or none of it, and a consistent
-//! scan — a read-only 2PC — is one snapshot that prepares without
-//! revalidating; under the Mv hooks it cannot abort on a concurrent
-//! put. Across separate
-//! clocks the coordinator holds *every* shard's commit locks from before
-//! its first publish until after that shard's own publish, and a scan
-//! revalidates every shard at prepare time. The per-algorithm torn-cut
-//! argument lives in `ptm_stm`'s `twophase` module docs. Deadlock
-//! freedom is this module's obligation and comes from the single global
-//! prepare order: stripe-locking prepares are try-lock fail-fast, and
-//! NOrec's sequence-lock spin only ever waits on a lower-indexed holder
-//! chain that terminates at a coordinator free to publish.
+//! Serializability comes from the order of step 2: every shard's
+//! write locks are held before any shard's reads are validated, so the
+//! group is two-phase across shards and no two transactions can each
+//! validate against a write the other has not yet locked (the write
+//! skew a lock-then-validate per shard would commit). Atomicity (no
+//! torn cross-shard reads) comes from the publish: in one timestamp
+//! domain a transaction reads every shard at one `rv` and publishes
+//! every shard at one tick `wv`, so a snapshot sees all of a commit or
+//! none of it, and a consistent scan — a read-only group — is one
+//! snapshot that commits without locking or validating; under the Mv
+//! hooks it cannot abort on a concurrent put. Across separate clocks
+//! the group holds *every* shard's commit locks from before its first
+//! publish until after that shard's own publish, and a scan validates
+//! every shard. The per-algorithm arguments live in `ptm_stm`'s
+//! `twophase` module docs. Deadlock freedom is this module's
+//! obligation and comes from the single global lock order: the
+//! stripe-locking halves are try-lock fail-fast, and NOrec's
+//! sequence-lock spin only ever waits on a lower-indexed holder chain
+//! that terminates at a group free to publish.
 
 use crate::durability::{Journal, LoggedOp};
 use ptm_stm::wal::{DurableTicket, Wal};
-use ptm_stm::{AdaptiveConfig, Algorithm, Prepared, Retry, Stm, StmStats, Transaction, TxValue};
+use ptm_stm::{AdaptiveConfig, Algorithm, Retry, Stm, StmStats, Transaction, TxValue};
 use ptm_structs::THashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -343,13 +348,12 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
     ///
     /// Implemented as a read-only cross-shard transaction. In one
     /// timestamp domain (Mv, Adaptive) every shard is read at the
-    /// snapshot the first drew, and the scan commits without
-    /// revalidating: under the Mv hooks it never aborts, whatever
-    /// commits meanwhile. Otherwise each shard is read on its own clock
-    /// and prepared in ascending order — a read-only prepare
-    /// revalidates the shard's whole read set, so a multi-shard commit
-    /// that landed between two of the snapshots fails the prepare and
-    /// the scan re-runs. This is the operation the atomicity stress
+    /// snapshot the first drew, and the scan commits without locking or
+    /// validating: under the Mv hooks it never aborts, whatever commits
+    /// meanwhile. Otherwise each shard is read on its own clock and the
+    /// group commit validates every shard's whole read set, so a
+    /// multi-shard commit that landed between two of the snapshots
+    /// fails the validation and the scan re-runs. This is the operation the atomicity stress
     /// test aims at concurrent transfers: the returned entries never
     /// show a transfer half-applied.
     ///
@@ -369,9 +373,9 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
     }
 
     /// Runs `body` as one atomic transaction over however many shards
-    /// it touches, committing via the ordered two-phase protocol in the
-    /// module docs. Re-runs the body on conflict ([`Retry`] from any
-    /// operation, a failed prepare, or an `Err(Retry)` return).
+    /// it touches, committing as one group in the order the module docs
+    /// give. Re-runs the body on conflict ([`Retry`] from any operation,
+    /// a failed commit, or an `Err(Retry)` return).
     ///
     /// On a durable store the full write set is logged on **every**
     /// shard it writes (inside the publish window, all locks held) and
@@ -416,7 +420,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
 pub struct ServiceTx<'kv, K, V> {
     kv: &'kv ShardedKv<K, V>,
     /// `slots[i]` is the open transaction on shard `i`, if touched.
-    /// Index order doubles as the global prepare order.
+    /// Index order doubles as the global lock order.
     slots: Vec<Option<Transaction<'kv>>>,
     /// The first shard touched: every later one opens beside it.
     opener: Option<usize>,
@@ -519,57 +523,48 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
         map.snapshot_into(tx, out)
     }
 
-    /// The ordered two-phase commit: prepare ascending, then publish
-    /// all or abort all. Returns whether the transaction committed.
+    /// The group commit ([`Transaction::commit_all`]) over every touched
+    /// shard, in ascending shard index. Returns whether the transaction
+    /// committed; on failure every shard is already rolled back.
     ///
-    /// Between the last prepare and the first publish — the commit can
-    /// no longer fail and every participant's locks are held — a
-    /// durable store draws one global transaction id and stages the
-    /// encoded write set on each writing shard, which is what makes WAL
-    /// ids conflict-ordered per shard (two cross-shard transactions
-    /// sharing a shard have disjoint lock-hold windows there, so id
-    /// draw order matches publish order). The return then waits for
-    /// every participant's ack.
+    /// Between validation and the first publish — the commit can no
+    /// longer fail and every participant's locks are held — a durable
+    /// store draws one global transaction id and stages the encoded
+    /// write set on each writing shard, which is what makes WAL ids
+    /// conflict-ordered per shard (two cross-shard transactions sharing
+    /// a shard have disjoint lock-hold windows there, so id draw order
+    /// matches publish order). The return then waits for every
+    /// participant's ack.
     fn commit(self) -> bool {
-        let logged = self.kv.journal.is_some() && !self.ops.is_empty();
-        let mut prepared: Vec<(Transaction<'kv>, Prepared)> = Vec::new();
-        // The prepared shards' indices, for the journal only.
-        let mut shards: Vec<usize> = Vec::new();
-        // `slots` is indexed by shard, so iteration order *is* the
-        // global prepare order the deadlock-freedom argument needs.
-        for (shard, slot) in self.slots.into_iter().enumerate() {
-            let Some(mut tx) = slot else { continue };
-            match tx.prepare_commit() {
-                Ok(p) => {
-                    prepared.push((tx, p));
-                    if logged {
-                        shards.push(shard);
-                    }
+        let ServiceTx { kv, slots, ops, .. } = self;
+        let journal = kv.journal.as_ref().filter(|_| !ops.is_empty());
+        // The participants' shard indices, for the journal only.
+        let mut shards = Vec::new();
+        // `slots` is indexed by shard, so this is the global lock order
+        // the deadlock-freedom argument needs.
+        let group = slots
+            .into_iter()
+            .enumerate()
+            .filter_map(|(shard, slot)| {
+                if journal.is_some() && slot.is_some() {
+                    shards.push(shard);
                 }
-                Err(Retry) => {
-                    // This shard rolled its own locks back (and is
-                    // poisoned); undo the ones already holding theirs,
-                    // in reverse for symmetry.
-                    for (t, p) in prepared.into_iter().rev() {
-                        t.abort_prepared(p);
-                    }
-                    return false;
-                }
+                slot
+            })
+            .collect();
+        let mut tickets = Vec::new();
+        let committed = Transaction::commit_all(group, |group| {
+            if let Some(journal) = journal {
+                tickets = journal.stage(&ops, &shards, group);
             }
-        }
-        let staged = match &self.kv.journal {
-            Some(journal) if logged => {
-                Some((journal, journal.stage(&self.ops, &shards, &mut prepared)))
-            }
-            _ => None,
-        };
-        Transaction::commit_prepared_all(prepared);
-        if let Some((journal, tickets)) = staged {
+        })
+        .is_ok();
+        if let Some(journal) = journal {
             for (shard, ticket) in &tickets {
                 journal.ack(*shard, ticket);
             }
         }
-        true
+        committed
     }
 
     /// Abandons every open shard transaction (body said [`Retry`]).

@@ -10,23 +10,23 @@
 //! every other algorithm keeps a clock per shard.
 //!
 //! The interesting part is the cross-shard path. A multi-key transaction
-//! whose keys land on several shards commits through an **ordered
-//! two-phase commit** built from the engine's
-//! [`prepare_commit`](ptm_stm::Transaction::prepare_commit) /
-//! [`commit_prepared_all`](ptm_stm::Transaction::commit_prepared_all)
-//! split: prepare every touched shard in ascending shard index (lock +
-//! validate, nothing published), and only when *all* prepares hold,
-//! publish them — at one clock tick in one timestamp domain, one by one
-//! otherwise. Each shard's prepare acquires exactly the locks that
-//! shard's single-instance commit would have held across its own write
-//! back, so the established per-algorithm serialization arguments carry
-//! over — a concurrent consistent [`scan`](ShardedKv::scan) (itself a
-//! read-only 2PC: one snapshot of every shard in one timestamp domain,
-//! a revalidation of every shard otherwise) can never observe a
-//! multi-shard transfer torn. See
-//! `ptm_stm::engine::twophase`'s module docs for the full torn-cut and
-//! deadlock-freedom arguments; this crate's obligation is the ascending
-//! prepare order.
+//! whose keys land on several shards commits as **one group** through
+//! the engine's [`commit_all`](ptm_stm::Transaction::commit_all), taking
+//! the shards in ascending index: lock every touched shard's commit
+//! locks, validate every shard's read set, stage the write-ahead record,
+//! and only then publish — at one clock tick in one timestamp domain,
+//! shard by shard otherwise. Every shard's write locks are held before
+//! any shard's reads are validated, so the cross-shard commit is
+//! two-phase and serializable (no write skew across shards), and each
+//! shard's locks are exactly those its single-instance commit would
+//! have held across its own write back, so the per-algorithm
+//! serialization arguments carry over — a concurrent consistent
+//! [`scan`](ShardedKv::scan) (itself a read-only group: one snapshot of
+//! every shard in one timestamp domain, a validation of every shard
+//! otherwise) can never observe a multi-shard transfer torn. See
+//! `ptm_stm::engine::twophase`'s module docs for the full
+//! serializability, torn-cut and deadlock-freedom arguments; this
+//! crate's obligation is the ascending lock order.
 //!
 //! Durability is a property of the same store, not a second type:
 //! [`ShardedKv::open`] (also reachable as [`DurableKv::open`] —

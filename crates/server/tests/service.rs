@@ -1,10 +1,12 @@
 //! Service-tier integration tests: routing, cross-shard atomicity under
-//! concurrency (the 2PC acceptance test), and a mixed closed loop that
+//! concurrency (the group-commit acceptance test), cross-shard
+//! serializability (a write-skew stress), and a mixed closed loop that
 //! must conserve the store's total.
 
 use ptm_server::{ServiceConfig, ShardedKv};
 use ptm_stm::Algorithm;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 const ALGOS: &[Algorithm] = &[
     Algorithm::Tl2,
@@ -174,6 +176,60 @@ fn cross_shard_transfers_are_never_observed_torn() {
             let total: u64 = kv.scan().into_iter().map(|(_, v)| v).sum();
             assert_eq!(total, KEYS * INITIAL, "{algo:?}/{shards}: final sum");
         }
+    }
+}
+
+/// Write skew, the anomaly sum conservation cannot see: pairs of keys
+/// on different shards, and for each pair one transaction per thread
+/// that reads both keys and writes its own key to 1 only if the pair
+/// sums to 0. Serializable commits let at most one such write land per
+/// pair, so every pair ends at a sum of at most 1; a cross-shard commit
+/// that validated one shard before locking the other lets two land.
+/// The threads meet at a barrier before each pair, so every pair is
+/// raced.
+#[test]
+fn cross_shard_write_skew_never_commits_both_halves() {
+    const PAIRS: usize = 1000;
+    const THREADS: usize = 4;
+
+    for &algo in ALGOS {
+        let kv: ShardedKv<u64, u64> = ShardedKv::new(2, algo);
+        let mut pairs = Vec::with_capacity(PAIRS);
+        let mut k = 0u64;
+        while pairs.len() < PAIRS {
+            if kv.shard_of(&k) != kv.shard_of(&(k + 1)) {
+                pairs.push((k, k + 1));
+            }
+            k += 2;
+        }
+        for &(a, b) in &pairs {
+            kv.put(a, 0);
+            kv.put(b, 0);
+        }
+        let barrier = Barrier::new(THREADS);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (kv, pairs, barrier) = (&kv, &pairs, &barrier);
+                s.spawn(move || {
+                    for &(a, b) in pairs {
+                        barrier.wait();
+                        let mine = if t % 2 == 0 { a } else { b };
+                        kv.transact(|tx| {
+                            let sum = tx.get(&a)?.unwrap_or(0) + tx.get(&b)?.unwrap_or(0);
+                            if sum == 0 {
+                                tx.put(mine, 1)?;
+                            }
+                            Ok(())
+                        });
+                    }
+                });
+            }
+        });
+        let skewed = pairs
+            .iter()
+            .filter(|&&(a, b)| kv.get(&a).unwrap_or(0) + kv.get(&b).unwrap_or(0) > 1)
+            .count();
+        assert_eq!(skewed, 0, "{algo:?}: pairs that committed both halves");
     }
 }
 

@@ -68,7 +68,7 @@
 //!   appends to any reader that drew `rv >= wv` (see `mv`).
 //!
 //! Updaters of either kind validate under their held write locks
-//! before drawing `wv` (`versioned::prepare`: version equality for
+//! before drawing `wv` (`versioned::validate`: version equality for
 //! Tl2-hook reads, an upper bound for snapshot reads), so attempts of
 //! both kinds serialize by timestamp while running side by side, and a
 //! switch needs no quiescence: it is one relaxed store of the mode,

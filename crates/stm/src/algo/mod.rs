@@ -3,36 +3,38 @@
 //!
 //! The engine ([`crate::Stm`] / [`crate::Transaction`]) owns everything
 //! algorithm-*independent* — the transaction log, the attempt loop and
-//! its retry schedule, epoch pinning, history recording, statistics —
-//! and delegates the algorithm-*specific* steps to this layer through
-//! exactly four hooks, dispatched once each:
+//! its retry schedule, the group commit's phase order, epoch pinning,
+//! history recording, statistics — and delegates the
+//! algorithm-*specific* steps to this layer: two hooks for running an
+//! attempt and three halves of its commit, dispatched once each.
 //!
 //! | hook | contract |
 //! |------|----------|
 //! | `begin(tx)` | sample the snapshot time (clock, sequence lock, or nothing) at the transaction's first operation |
-//! | `read(tx, var, f) -> Result<R, Retry>` | apply `f`, in place, to a value consistent with every earlier read of the attempt (no clone unless `f` makes one), recording whatever the prepare hook needs (versioned read, value snapshot, or a held read lock) |
-//! | `prepare(tx) -> bool` | everything of a commit that can fail: acquire the write set's commit locks (recorded in `TxLog::{stripe_buf, held_buf}`) and validate the read set, publishing nothing; on `false` every lock taken is already rolled back |
-//! | `publish(tx)` | infallible: write the buffered values back under the locks `prepare` holds, log the staged durability payload, release, wake waiters |
+//! | `read(tx, var, f) -> Result<R, Retry>` | apply `f`, in place, to a value consistent with every earlier read of the attempt (no clone unless `f` makes one), recording whatever validation needs (versioned read, value snapshot, or a held read lock) |
+//! | lock `(tx) -> bool` | acquire the write set's commit locks (recorded in `TxLog::{stripe_buf, held_buf}`; NOrec: the sequence lock), publishing nothing; on `false` every lock taken is already rolled back |
+//! | validate `(tx) -> bool` | the read set is still current under the held locks (versioned only: Tlrw's read locks and NOrec's sequence lock leave nothing to check) |
+//! | `publish(tx)` | infallible: write the buffered values back under the held locks, log the staged durability payload, release, wake waiters |
 //!
-//! A commit is `prepare` then `publish` — always. The one-shot commit of
-//! the attempt loop runs the two back to back; the two-phase surface
-//! ([`Transaction::prepare_commit`](crate::Transaction::prepare_commit))
-//! hands the caller the window in between. Both dispatch through the
-//! same two matches in the engine's `twophase` module, so there is one
-//! commit path per algorithm to cost, not two.
+//! A commit is every participant's lock, then every participant's
+//! validate, then every participant's publish — always, whether the
+//! group is [`Stm::run`](crate::Stm::run)'s lone attempt or a
+//! coordinator's [`Transaction::commit_all`](crate::Transaction::commit_all)
+//! over several instances. The phase order lives in the engine's
+//! `twophase` module, so there is one commit path per algorithm to cost.
 //!
-//! Read-only one-shot commits are generic: an attempt whose last read
+//! Read-only lone commits are generic: an attempt whose last read
 //! validated (invisible-read algorithms), whose read locks are still
 //! held (Tlrw), or whose every read resolved against its start-time
 //! snapshot (Mv) is already serialized, so the engine commits it
-//! without calling back in here. (A read-only *two-phase* prepare does
-//! call `prepare`, which with an empty write set locks nothing and
-//! revalidates the read set — the re-check a coordinator needs to rule
-//! out torn cross-instance cuts — unless the attempt belongs to a
-//! sibling group that read one cut of one timestamp domain and wrote
-//! nothing.) Likewise generic is read-lock release
-//! — the engine undoes `TxLog::rw_reads` on every exit path, including
-//! `Drop`, so a panicking body cannot leak a visible read's lock.
+//! without calling back in here. A read-only participant of a larger
+//! group does lock and validate — with an empty write set the lock half
+//! takes nothing but NOrec's sequence lock — which is what rules out a
+//! torn or skewed cut across instances, unless the group is one sibling
+//! group that read one cut of one timestamp domain and wrote nothing.
+//! Likewise generic is read-lock release — the engine undoes
+//! `TxLog::rw_reads` on every exit path, including `Drop`, so a
+//! panicking body cannot leak a visible read's lock.
 //!
 //! The hooks dispatch on the attempt's [`Hooks`], not on the instance's
 //! [`Algorithm`]: `Algorithm::Adaptive` is not a hook set but a choice
@@ -42,7 +44,7 @@
 //! whichever read hooks the committing attempt ran (see [`adaptive`]).
 //!
 //! Validation helpers shared between algorithms live in [`versioned`]
-//! (the per-read currency check and the stripe-locking protocol, used by
+//! (the per-read currency check and the stripe-locking half, used by
 //! Tl2, Incremental and Mv) and in the modules that own them; a new
 //! algorithm is one new module plus one arm in each dispatch — exactly
 //! how [`mv`] arrived, swapping the read hook for a version-chain

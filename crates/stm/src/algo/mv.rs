@@ -17,10 +17,11 @@
 //! Updating transactions pay the usual single-version price: commit
 //! locks the write set's stripes in sorted order (the same versioned
 //! orec words TL2 uses) and validates that no stripe a read touched has
-//! advanced past the snapshot — `versioned::prepare`, whose per-read
-//! check is an upper bound for snapshot reads — and then **appends** a
-//! version stamped with a freshly drawn commit timestamp instead of
-//! replacing the value:
+//! advanced past the snapshot — `versioned::lock_write_stripes`, then
+//! `versioned::validate`, whose per-read check is an upper bound for
+//! snapshot reads — and then **appends** a version stamped with a
+//! freshly drawn commit timestamp instead of replacing the value
+//! ([`publish`]):
 //!
 //! 1. append each written value with a *pending* stamp (past this point
 //!    the commit cannot fail — validation already passed under the held
@@ -53,13 +54,14 @@
 //! `rv`) keeps alive.
 //!
 //! Instances that share one timestamp domain (one clock, one registry:
-//! `StmBuilder::build_beside`) publish a coordinator's group the same
-//! way, step 1 on **every** participant before the one draw of step 2,
-//! then steps 3–5 on each (`Transaction::commit_prepared_all`). The
-//! argument above then covers the group: a reader with `rv >= wv` drew
-//! it after every participant's appends, one with `rv < wv` skips them
-//! all, so no snapshot sees part of the group. Drawing a tick per
-//! participant would let a snapshot fall between two of them.
+//! `StmBuilder::build_beside`) publish a group the same way: [`publish`]
+//! takes the group — a lone commit is a group of one — and runs step 1
+//! on **every** participant before the one draw of step 2, then steps
+//! 3–5 on each. The argument above then covers the group: a reader with
+//! `rv >= wv` drew it after every participant's appends, one with
+//! `rv < wv` skips them all, so no snapshot sees part of the group.
+//! Drawing a tick per participant would let a snapshot fall between two
+//! of them.
 //!
 //! That argument needs more than program order: the reader must
 //! *happens-after* the appends. Snapshot reads do zero orec probes and
@@ -76,9 +78,23 @@
 //! `versions_trimmed` / `max_chain_len` in
 //! [`StatsSnapshot`](crate::StatsSnapshot) watch that budget, and
 //! `snapshot_reads` counts the reads that paid no validation for it.
+//!
+//! ## Open: validation before the draw (the T/C/R cycle)
+//!
+//! An updater validates, *then* draws `wv`, and a commit landing in
+//! between can close a cycle no check sees. *T* reads `x`, writes `y`,
+//! locks `y` and validates `x`; *C* commits `x`; a read-only *R* draws
+//! `rv` past *C*'s stamp, sees the new `x` and the old `y` (*T* has not
+//! appended), and commits; *T* draws `wv > rv` and publishes. *T*
+//! precedes *C* (*C* overwrote what *T* read), *C* precedes *R*, and *R*
+//! precedes *T* (*T* overwrote what *R* read): snapshot isolation's
+//! read-only anomaly (Fekete, O'Neil & O'Neil, 2004), open for a lone
+//! commit and a one-domain group alike. The fix — append, draw,
+//! validate, then stamp or unlink — moves one place: the append and
+//! draw at the start of [`publish`], ahead of the group's validate-all.
 
 use super::versioned;
-use crate::engine::{Retry, Stm, Transaction};
+use crate::engine::{Retry, Transaction};
 use crate::epoch;
 use crate::orec::stamped;
 use crate::tvar::{Evicted, TVar, TxValue};
@@ -130,40 +146,46 @@ pub(crate) fn read<T: TxValue, R>(
 }
 
 /// Append publish, for every commit of an instance that serves
-/// snapshots (Mv, and Adaptive whichever read hooks the attempt ran):
-/// [`append`], draw `wv`, [`finish`], under the locks
-/// `versioned::prepare` acquired. Infallible. A group of participants
-/// sharing one timestamp domain publishes through the same three steps,
-/// appending on every participant before its one draw
-/// (`Transaction::commit_prepared_all`).
-pub(crate) fn publish(tx: &mut Transaction<'_>) {
-    append(tx);
-    let wv = draw(tx.stm);
-    finish(tx, wv);
+/// snapshots (Mv, and Adaptive whichever read hooks the attempt ran),
+/// under the locks the group's lock half took. `group` shares one
+/// timestamp domain; a lone commit is a group of one. Infallible.
+///
+/// Step 1 appends every writer's versions pending — past this point
+/// the commit cannot fail — then step 2 draws the one commit tick `wv`
+/// with an always-writing `fetch_add` on the domain clock: snapshot
+/// readers probe no orecs, so this release write is the only
+/// happens-before edge from the appends to a reader drawing
+/// `rv >= wv` (module docs). Then every participant withdraws its
+/// snapshot and each writer [`finish`]es at `wv`.
+pub(crate) fn publish(group: &mut [Transaction<'_>]) {
+    let mut clock = None;
+    for tx in group.iter_mut() {
+        if !tx.log.writes.is_empty() {
+            tx.log.append_writes();
+            clock = Some(&tx.stm.clock);
+        }
+    }
+    let Some(clock) = clock else { return };
+    let wv = clock.fetch_add(1, Ordering::AcqRel) + 1;
+    // The committers read nothing more, and their own snapshots are the
+    // oldest pins they could hold against the trims below: every one
+    // goes before the first trim (a sibling's nested pin would keep the
+    // superseded versions alive), so a lone committer trims each written
+    // chain to its new head.
+    for tx in group.iter_mut() {
+        tx.snap = None;
+    }
+    for tx in group.iter_mut() {
+        if !tx.log.written.is_empty() {
+            finish(tx, wv);
+        }
+    }
 }
 
-/// Point of no return, first half: append the write set as pending
-/// versions. Must precede the [`draw`] that stamps them.
-pub(crate) fn append(tx: &mut Transaction<'_>) {
-    tx.log.append_writes();
-}
-
-/// The commit tick: one always-writing `fetch_add` on the domain clock.
-/// Snapshot readers probe no orecs, so this release write is the only
-/// happens-before edge from the appends before it to a reader drawing
-/// `rv >= wv` — see the module docs.
-pub(crate) fn draw(stm: &Stm) -> u64 {
-    stm.clock.fetch_add(1, Ordering::AcqRel) + 1
-}
-
-/// Point of no return, second half: withdraw the committer's snapshot,
-/// log the durability payload, stamp the pending versions `wv`, trim,
-/// release the stripe locks and wake their waiters.
-pub(crate) fn finish(tx: &mut Transaction<'_>, wv: u64) {
-    // The committer reads nothing more, and its own snapshot is the
-    // oldest pin it could hold against the trim below: withdrawn, a
-    // lone committer trims each written chain to its new head.
-    tx.snap = None;
+/// Steps 3–5 for one writer of the group: log the durability payload,
+/// stamp the pending versions `wv`, trim, release the stripe locks and
+/// wake their waiters.
+fn finish(tx: &mut Transaction<'_>, wv: u64) {
     // Log the staged durability payload before the pending stamps
     // resolve: a snapshot reader cannot consume a `wv` version until
     // `stamp_head` lands, so the record is in the log before anything

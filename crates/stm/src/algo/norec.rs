@@ -69,23 +69,23 @@ pub(crate) fn validate(tx: &Transaction<'_>) -> Result<u64, Retry> {
     }
 }
 
-/// Prepare half. An updating attempt wins the sequence lock (CAS even
-/// `rv` to the odd `rv + 1`), revalidating by value after every lost
-/// race; `false` means validation proved a conflicting commit. On
-/// success the instance's clock is odd and owned by this transaction —
-/// every other reader and committer of the instance waits — so the
-/// caller must promptly [`publish`] or [`release_seqlock`]. A read-only
-/// attempt takes no lock and just revalidates by value.
-pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
-    let read_only = tx.log.writes.is_empty();
+/// Lock half: win the sequence lock (CAS even `rv` to the odd
+/// `rv + 1`), revalidating by value after every lost race; `false`
+/// means validation proved a conflicting commit. The CAS only lands at
+/// an `rv` the read set was validated at, and the held lock freezes the
+/// instance, so there is no validate half. On success the instance's
+/// clock is odd and owned by this transaction — every other reader and
+/// committer of the instance waits — so the caller must promptly
+/// [`publish`] or [`release_seqlock`]. A group commit locks its
+/// read-only participants too (see the engine's `twophase` module).
+pub(crate) fn lock(tx: &mut Transaction<'_>) -> bool {
     loop {
         let rv = tx.rv;
-        if !read_only
-            && tx
-                .stm
-                .clock
-                .compare_exchange(rv, rv + 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
+        if tx
+            .stm
+            .clock
+            .compare_exchange(rv, rv + 1, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
         {
             return true;
         }
@@ -93,9 +93,6 @@ pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
             return false;
         };
         tx.rv = t;
-        if read_only {
-            return true;
-        }
     }
 }
 
@@ -118,8 +115,9 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
 }
 
 /// Abandons a won sequence lock without publishing: restore the even
-/// pre-acquire value so readers and committers proceed as if the prepare
-/// never happened. For the engine's two-phase abort path.
+/// pre-acquire value so readers and committers proceed as if the lock
+/// half never happened. For a failed group commit, and for a read-only
+/// participant of a committed one.
 pub(crate) fn release_seqlock(tx: &Transaction<'_>) {
     tx.stm.clock.store(tx.rv, Ordering::Release);
 }

@@ -71,15 +71,16 @@ pub(crate) fn read<T: TxValue, R>(
     Ok(var.inner.read_snapshot(&tx.pin, f))
 }
 
-/// Prepare half: upgrade/acquire the write set's locks stripe by stripe
-/// in sorted order, publishing nothing. `TxLog::held_buf` entries are
+/// Lock half (Tlrw's whole commit-time check): upgrade/acquire the
+/// write set's locks stripe by stripe in sorted order, publishing
+/// nothing. `TxLog::held_buf` entries are
 /// `(stripe, was_read)`: whether the write lock was acquired by
 /// upgrading our own read lock (1) or from an unowned word (0) —
 /// rollback and release must undo exactly what was done. On failure
 /// every acquired lock is rolled back (consumed read locks restored and
 /// re-registered). A read-only attempt acquires nothing: its held read
-/// locks already are its validation.
-pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
+/// locks already are its validation, so there is no validate half.
+pub(crate) fn lock(tx: &mut Transaction<'_>) -> bool {
     tx.log.collect_write_stripes(&tx.stm.orecs);
     for i in 0..tx.log.stripe_buf.len() {
         let stripe = tx.log.stripe_buf[i];
@@ -104,7 +105,7 @@ pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
     true
 }
 
-/// Publish half: write back under the write locks [`prepare`] acquired
+/// Publish half: write back under the write locks [`lock`] acquired
 /// and drop them. Infallible. (Read locks that were not upgraded stay
 /// held; the engine releases them right after.)
 pub(crate) fn publish(tx: &mut Transaction<'_>) {
@@ -130,10 +131,9 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
     tx.stm.wake_stripes(&tx.log.stripe_buf);
 }
 
-/// Undoes the write locks a failed or abandoned prepare acquired:
-/// upgraded stripes get their read lock back (and re-registered),
-/// fresh acquisitions drop to unowned. `pub(crate)` for the engine's
-/// two-phase abort path.
+/// Undoes the write locks a failed lock half, or a failed group commit,
+/// acquired: upgraded stripes get their read lock back (and
+/// re-registered), fresh acquisitions drop to unowned.
 pub(crate) fn rollback(tx: &mut Transaction<'_>) {
     for i in 0..tx.log.held_buf.len() {
         let (stripe, was_read) = tx.log.held_buf[i];

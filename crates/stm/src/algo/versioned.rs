@@ -1,6 +1,7 @@
 //! Shared machinery of the versioned-orec hook sets (Tl2, Incremental
-//! and Mv): validation of the read set, the stripe-locking prepare, and
-//! the swap publish of the instances that serve no snapshots.
+//! and Mv): the two halves of their commit — lock the write set's
+//! stripes, validate the read set — and the swap publish of the
+//! instances that serve no snapshots.
 
 use super::Hooks;
 use crate::engine::{Retry, Stm, Transaction};
@@ -54,9 +55,9 @@ pub(crate) fn still_current(mode: Hooks, word: u64, meta: u64) -> bool {
     }
 }
 
-/// Validation of the read set ([`still_current`] per read). Stripes
+/// Validate half: the read set, [`still_current`] per read. Stripes
 /// this transaction has locked (`TxLog::held_buf`, empty outside a
-/// prepare) validate against their pre-lock words.
+/// commit) validate against their pre-lock words.
 pub(crate) fn validate(tx: &Transaction<'_>) -> Result<(), Retry> {
     tx.tally.probes(tx.log.reads.len() as u64);
     for r in &tx.log.reads {
@@ -71,31 +72,11 @@ pub(crate) fn validate(tx: &Transaction<'_>) -> Result<(), Retry> {
     Ok(())
 }
 
-/// Prepare half (every versioned-orec hook set: Tl2, Incremental, Mv):
-/// try-lock the write set's stripes in sorted order and validate the
-/// read set once against the held locks, publishing nothing. A
-/// read-only attempt locks nothing and just revalidates. On failure
-/// every lock taken is released. One-shot commits and the two-phase
-/// [`Transaction::prepare_commit`] both come through here, and either
-/// publish — this module's swap or `mv::publish`'s append — follows.
-///
-/// [`Transaction::prepare_commit`]: crate::Transaction::prepare_commit
-pub(crate) fn prepare(tx: &mut Transaction<'_>) -> bool {
-    if !lock_write_stripes(tx) {
-        return false;
-    }
-    if validate(tx).is_err() {
-        rollback(tx);
-        return false;
-    }
-    true
-}
-
 /// Swap publish, for instances that serve no snapshots (static Tl2 and
-/// Incremental): write back under the locks [`prepare`] acquired and
-/// release them stamped with a commit timestamp drawn by one
-/// `fetch_add` on the clock, as `mv::publish` draws it. Infallible — the
-/// prepare already decided the outcome.
+/// Incremental): write back under the locks [`lock_write_stripes`]
+/// acquired and release them stamped with a commit timestamp drawn by
+/// one `fetch_add` on the clock, as `mv::publish` draws it. Infallible —
+/// validation already decided the outcome.
 pub(crate) fn publish(tx: &mut Transaction<'_>) {
     let wv = tx.stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
     // Log the staged durability payload before the release below makes
@@ -115,12 +96,12 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
     tx.stm.wake_stripes(&tx.log.stripe_buf);
 }
 
-/// Collects the write set's stripes into `TxLog::stripe_buf` (sorted,
-/// deduplicated) and try-locks them in that order, recording each
-/// `(stripe, pre-lock word)` in `TxLog::held_buf`. On any already-locked
-/// word or lost CAS, releases everything taken so far and returns
-/// `false`. The stripe-locking half of [`prepare`].
-fn lock_write_stripes(tx: &mut Transaction<'_>) -> bool {
+/// Lock half: collects the write set's stripes into `TxLog::stripe_buf`
+/// (sorted, deduplicated) and try-locks them in that order, recording
+/// each `(stripe, pre-lock word)` in `TxLog::held_buf`. On any
+/// already-locked word or lost CAS, releases everything taken so far
+/// and returns `false`. A read-only attempt locks nothing.
+pub(crate) fn lock_write_stripes(tx: &mut Transaction<'_>) -> bool {
     tx.log.collect_write_stripes(&tx.stm.orecs);
     for i in 0..tx.log.stripe_buf.len() {
         let stripe = tx.log.stripe_buf[i];
@@ -139,9 +120,9 @@ fn lock_write_stripes(tx: &mut Transaction<'_>) -> bool {
     true
 }
 
-/// Abandons the held stripe locks, restoring every pre-lock word: a
-/// failed prepare's cleanup, and the engine's two-phase abort of a
-/// prepared (locked, validated, unpublished) attempt.
+/// Abandons the held stripe locks, restoring every pre-lock word: the
+/// cleanup of a failed lock half, and of a group commit that failed
+/// after this participant locked.
 pub(crate) fn rollback(tx: &mut Transaction<'_>) {
     release(tx.stm, &tx.log.held_buf, None);
     tx.log.held_buf.clear();

@@ -2,6 +2,7 @@
 //! resolve → run again / back off / park / give up, as one loop in
 //! [`Stm::run`] over the engine's one retry schedule ([`Tier`]).
 
+use super::twophase::commit_group;
 use super::{RetriesExhausted, Retry, Stm, Transaction};
 use crate::waiter::{WaitCell, CONFLICT_PARK_TIMEOUT, RETRY_PARK_TIMEOUT};
 use std::sync::Arc;
@@ -103,8 +104,8 @@ impl Stm {
             // list and no schedule.
             let mut tx = Transaction::begin(self);
             if let Ok(out) = body(&mut tx) {
-                if let Some(plan) = tx.prepare(false) {
-                    tx.publish(plan);
+                // The one commit body, on a group of one.
+                if commit_group(std::slice::from_mut(&mut tx), |_| {}).is_ok() {
                     return Ok(out);
                 }
             }

@@ -121,7 +121,7 @@ impl StmBuilder {
         // The instances that serve snapshots. Adaptive does whenever
         // its controller picks the Mv hooks, so it carries the registry
         // from birth — and with it the append publish for every commit
-        // (`Transaction::prepare`).
+        // (`twophase::publish`).
         let snapshots = serves_snapshots(self.algorithm).then(SnapshotRegistry::new);
         self.assemble(Arc::new(CachePadded(AtomicU64::new(0))), snapshots)
     }
@@ -130,7 +130,7 @@ impl StmBuilder {
     /// one version clock and one snapshot registry, and keep their own
     /// orec tables, statistics and configuration. A transaction can then
     /// read both at one snapshot ([`Transaction::beside`]) and publish
-    /// both at one clock tick ([`Transaction::commit_prepared_all`]) —
+    /// both at one clock tick ([`Transaction::commit_all`]) —
     /// what `ptm-server` builds the shards of an Mv or Adaptive store
     /// with.
     ///
@@ -139,11 +139,11 @@ impl StmBuilder {
     /// Panics unless both instances serve snapshots ([`Algorithm::Mv`]
     /// or [`Algorithm::Adaptive`]): the single-version algorithms gain
     /// nothing from a shared clock, and NOrec's clock is its sequence
-    /// lock, which two instances' ordered prepares would deadlock on.
+    /// lock, which a group's second lock half would spin on forever.
     /// Also as [`build`](Self::build).
     ///
     /// [`Transaction::beside`]: crate::Transaction::beside
-    /// [`Transaction::commit_prepared_all`]: crate::Transaction::commit_prepared_all
+    /// [`Transaction::commit_all`]: crate::Transaction::commit_all
     ///
     /// # Examples
     ///

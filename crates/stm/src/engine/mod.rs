@@ -47,11 +47,11 @@
 //!   [`Stm::run`] (begin → body → commit → resolve) that owns the
 //!   attempt budget, the engine's one retry schedule and the park
 //!   protocol; [`Stm::atomically`] is `run` plus a panic on exhaustion;
-//! * [`twophase`] — the one commit pipeline, prepare then publish: run
-//!   back to back by [`Stm::run`], and split
-//!   ([`Transaction::prepare_commit`] / [`Prepared`]) for a coordinator
-//!   that holds several instances' commit locks open and publishes them
-//!   together (the `ptm-server` cross-shard commit);
+//! * [`twophase`] — the one commit body, lock all → validate all →
+//!   stage → publish all over a group of transactions: [`Stm::run`]
+//!   runs it on a group of one, and [`Transaction::commit_all`] on a
+//!   coordinator's group over several instances (the `ptm-server`
+//!   cross-shard commit);
 //! * this file — [`Stm`] itself, the [`Algorithm`] selector, and the
 //!   error types.
 //!
@@ -73,7 +73,6 @@ mod twophase;
 
 pub use builder::StmBuilder;
 pub use transaction::Transaction;
-pub use twophase::Prepared;
 
 use crate::algo::adaptive::AdaptiveState;
 use crate::algo::Hooks;
@@ -246,7 +245,7 @@ impl std::error::Error for RetriesExhausted {}
 /// keeping their own orec tables ([`StmBuilder::build_beside`]); a
 /// transaction then reads several of them at one snapshot
 /// ([`Transaction::beside`]) and publishes them at one tick
-/// ([`Transaction::commit_prepared_all`]).
+/// ([`Transaction::commit_all`]).
 pub struct Stm {
     pub(crate) algorithm: Algorithm,
     /// TL2/Incremental/Mv: version clock. NOrec: sequence lock (odd =

@@ -705,18 +705,44 @@ fn tiny_orec_table_still_serializes_correctly() {
 }
 
 // ---------------------------------------------------------------------
-// Two-phase commit surface (engine/twophase.rs)
+// Group commit (engine/twophase.rs): lock all → validate all → stage →
+// publish all, public through `Transaction::commit_all` and driven here
+// phase by phase where a test needs a commit held open.
 // ---------------------------------------------------------------------
 
+/// Everything of a group commit that can fail, and no more: on `Ok` the
+/// group holds every commit lock until [`publish_held`]. On `Err` it is
+/// rolled back and poisoned, for the caller to resolve.
+fn hold(group: &mut [Transaction<'_>]) -> Result<(), Retry> {
+    assert!(
+        twophase::open(group)?,
+        "a held window needs a group that locks"
+    );
+    twophase::lock(group)?;
+    twophase::validate(group)
+}
+
+/// Publishes and resolves a group [`hold`] left holding its locks.
+fn publish_held(group: &mut [Transaction<'_>]) {
+    twophase::publish(group);
+    twophase::resolve(group);
+}
+
 #[test]
-fn twophase_prepare_then_commit_publishes_all_modes() {
+fn group_commit_of_one_publishes_and_stages_once_all_modes() {
     for stm in engines() {
         let v = TVar::new(1u64);
         let mut tx = stm.transaction();
         let seen = tx.read(&v).expect("fresh read");
         tx.write(&v, seen + 10).expect("buffer write");
-        let prepared = tx.prepare_commit().expect("uncontended prepare");
-        tx.commit_prepared(prepared);
+        let mut staged = 0;
+        Transaction::commit_all(vec![tx], |group| {
+            staged += 1;
+            assert_eq!(group.len(), 1);
+            assert_eq!(v.load(), 1, "stage runs before the publish");
+        })
+        .expect("uncontended commit");
+        assert_eq!(staged, 1, "{:?}", stm.algorithm());
         assert_eq!(v.load(), 11, "{:?}", stm.algorithm());
         assert_orecs_quiescent(&stm);
         assert_eq!(stm.stats().snapshot().commits, 1);
@@ -724,24 +750,37 @@ fn twophase_prepare_then_commit_publishes_all_modes() {
 }
 
 #[test]
-fn twophase_abort_prepared_observes_nothing_all_modes() {
-    for stm in engines() {
-        let v = TVar::new(1u64);
-        let mut tx = stm.transaction();
-        tx.write(&v, 99).expect("buffer write");
-        let prepared = tx.prepare_commit().expect("uncontended prepare");
-        tx.abort_prepared(prepared);
-        assert_eq!(
-            v.load(),
-            1,
-            "{:?}: abort must publish nothing",
-            stm.algorithm()
-        );
-        assert_orecs_quiescent(&stm);
-        // The instance is not wedged: a plain commit goes through.
-        stm.atomically(|tx| tx.write(&v, 2));
-        assert_eq!(v.load(), 2);
-        assert_eq!(stm.stats().snapshot().aborts, 1);
+fn a_failed_group_commit_observes_nothing_all_modes() {
+    // The first participant locks; the second fails — at validation
+    // under invisible reads (a commit overwrote what it read), at its
+    // lock half under Tlrw (a foreign read lock on what it writes). The
+    // first participant's locks go back as they were: nothing published,
+    // nothing wedged, one abort counted on each instance.
+    for algo in Algorithm::ALL {
+        let (a, b) = (Stm::new(algo), Stm::new(algo));
+        let (v, w) = (TVar::new(1u64), TVar::new(0u64));
+        let mut first = a.transaction();
+        first.write(&v, 99).expect("buffer write");
+        let mut second = b.transaction();
+        second.read(&w).expect("fresh read");
+        let mut reader = b.transaction();
+        if algo == Algorithm::Tlrw {
+            second.write(&w, 5).expect("buffer write");
+            reader.read(&w).expect("a second read lock");
+        } else {
+            b.atomically(|t| t.write(&w, 7));
+        }
+        let out = Transaction::commit_all(vec![first, second], |_| {
+            unreachable!("stage runs only once the commit cannot fail")
+        });
+        assert_eq!(out, Err(Retry), "{algo:?}");
+        reader.rollback();
+        assert_eq!(v.load(), 1, "{algo:?}: a failed group publishes nothing");
+        assert_orecs_quiescent(&a);
+        assert_orecs_quiescent(&b);
+        assert_eq!(a.stats().snapshot().aborts, 1, "{algo:?}");
+        a.atomically(|t| t.write(&v, 2));
+        assert_eq!(v.load(), 2, "{algo:?}: the instance is not wedged");
     }
 }
 
@@ -760,14 +799,14 @@ fn twophase_rollback_closes_the_attempt_all_modes() {
 }
 
 #[test]
-fn twophase_prepare_detects_overlapping_commits_all_modes() {
+fn group_commit_detects_overlapping_commits_all_modes() {
     // The invariant cuts two ways, depending on whether the algorithm
     // uses invisible or visible reads:
     //
     // * invisible (Tl2/Incremental/NOrec/Mv, and so Adaptive): the
-    //   nested bump commits, so the outer prepare's validation must fail;
+    //   nested bump commits, so the outer commit's validation must fail;
     // * visible (Tlrw): the outer read lock physically excludes the
-    //   bump, so the bump fails and the outer prepare must succeed.
+    //   bump, so the bump fails and the outer commit must succeed.
     //
     // Either way, exactly one of the two writers wins.
     for stm in one_attempt_engines() {
@@ -777,112 +816,84 @@ fn twophase_prepare_detects_overlapping_commits_all_modes() {
         let seen = tx.read(&v).expect("fresh read");
         let bumped = stm.run(|t2| t2.modify(&v, |y| y + 1)).is_ok();
         tx.write(&w, seen + 1).expect("buffer write");
-        match tx.prepare_commit() {
-            Ok(prepared) => {
-                assert!(
-                    !bumped,
-                    "{:?}: prepare passed over a committed conflict",
-                    stm.algorithm()
-                );
-                tx.commit_prepared(prepared);
-            }
-            Err(Retry) => {
-                assert!(
-                    bumped,
-                    "{:?}: prepare failed with no conflict",
-                    stm.algorithm()
-                );
-                // The failed prepare rolled its locks back and poisoned
-                // the attempt; retrying it stays refused.
-                assert!(tx.prepare_commit().is_err(), "poisoned attempt");
-            }
+        let mut group = [tx];
+        let committed = twophase::commit_group(&mut group, |_| {}).is_ok();
+        assert_ne!(
+            committed,
+            bumped,
+            "{:?}: exactly one writer wins",
+            stm.algorithm()
+        );
+        if !committed {
+            // The failed commit rolled its locks back and poisoned the
+            // attempt; committing it again stays refused.
+            assert_eq!(twophase::commit_group(&mut group, |_| {}), Err(Retry));
+            let [tx] = group;
+            tx.rollback();
         }
         assert_orecs_quiescent(&stm);
     }
 }
 
 #[test]
-fn twophase_read_only_prepare_revalidates_all_modes() {
-    // A read-only prepare is the coordinator's torn-cut detector: if an
-    // invisible-read algorithm saw a snapshot that a later commit
-    // invalidated, the prepare must say so. (Visible readers exclude the
-    // overlapping commit instead, so their prepare succeeds trivially.)
-    for stm in one_attempt_engines() {
-        let v = TVar::new(0u64);
+fn a_read_only_participant_validates_all_modes() {
+    // A lone read-only attempt is already serialized and skips both
+    // halves, but a read-only participant of a group is the group's
+    // torn-cut detector: if an invisible-read algorithm saw a snapshot
+    // that a later commit invalidated, the group must fail. (Visible
+    // readers exclude the overlapping commit instead, so the group
+    // commits.)
+    for algo in Algorithm::ALL {
+        let (stm, other) = (one_attempt(algo), Stm::new(algo));
+        let (v, w) = (TVar::new(0u64), TVar::new(0u64));
         let mut tx = stm.transaction();
-        let _ = tx.read(&v).expect("fresh read");
+        tx.read(&v).expect("fresh read");
+        let mut writer = other.transaction();
+        writer.write(&w, 1).expect("buffer write");
         let bumped = stm.run(|t2| t2.modify(&v, |y| y + 1)).is_ok();
-        match tx.prepare_commit() {
-            Ok(prepared) => {
-                assert!(
-                    !bumped,
-                    "{:?}: read-only prepare ignored an overlapping commit",
-                    stm.algorithm()
-                );
-                tx.commit_prepared(prepared);
-            }
-            Err(Retry) => {
-                assert!(bumped, "{:?}: spurious read-only refusal", stm.algorithm());
-                tx.rollback();
-            }
-        }
+        let committed = Transaction::commit_all(vec![tx, writer], |_| {}).is_ok();
+        assert_ne!(committed, bumped, "{algo:?}: a torn cut committed");
+        assert_eq!(w.load(), u64::from(committed), "{algo:?}");
         assert_orecs_quiescent(&stm);
+        assert_orecs_quiescent(&other);
     }
 }
 
 #[test]
-fn twophase_prepared_blocker_excludes_a_second_writer() {
-    // A held prepare owns the commit locks; a second writer on the same
-    // stripes must fail its own prepare (try-lock, no waiting) until the
-    // first resolves. NOrec is exercised cross-thread further down in
-    // the server crate's 2PC tests: its prepare *spins* on the held
-    // sequence lock, which single-threaded would self-deadlock.
+fn twophase_held_group_excludes_a_second_writer() {
+    // A group held between validation and publish owns the commit
+    // locks; a second writer on the same stripes must fail its commit
+    // (try-lock, no waiting) until the first publishes. NOrec is left
+    // to the write-skew script below, which runs each group on its own
+    // thread: a commit there *spins* on the held sequence lock, which
+    // single-threaded would self-deadlock.
     for stm in engines() {
-        let blocked_algo = matches!(stm.algorithm(), Algorithm::Norec);
-        if blocked_algo {
+        if stm.algorithm() == Algorithm::Norec {
             continue;
         }
         let v = TVar::new(0u64);
         let mut first = stm.transaction();
         first.write(&v, 1).expect("buffer write");
-        let held = first.prepare_commit().expect("first prepare");
+        let mut held = [first];
+        hold(&mut held).expect("uncontended lock and validate");
 
         let mut second = stm.transaction();
         let blocked = match second.write(&v, 2) {
             // Tlrw takes the write lock eagerly, so the conflict can
-            // surface at write time rather than prepare time.
+            // surface at write time rather than commit time.
             Err(Retry) => true,
-            Ok(()) => second.prepare_commit().is_err(),
+            Ok(()) => Transaction::commit_all(vec![second], |_| {}).is_err(),
         };
         assert!(
             blocked,
             "{:?}: second writer got past held locks",
             stm.algorithm()
         );
-        drop(second);
 
-        first.commit_prepared(held);
+        publish_held(&mut held);
         assert_eq!(v.load(), 1, "{:?}", stm.algorithm());
         assert_orecs_quiescent(&stm);
     }
-}
-
-#[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "crossed between Stm instances")]
-fn twophase_prepared_token_cannot_cross_instances() {
-    let a = Stm::tl2();
-    let b = Stm::tl2();
-    let v = TVar::new(0u64);
-    let mut tx_a = a.transaction();
-    tx_a.write(&v, 1).expect("buffer write");
-    let prepared = tx_a.prepare_commit().expect("prepare");
-    let mut tx_b = b.transaction();
-    tx_b.write(&v, 2).expect("buffer write");
-    // Publishing a's plan through b's transaction is a coordinator bug;
-    // debug builds refuse it. (The leaked locks don't matter here: the
-    // panic ends the test.)
-    tx_b.commit_prepared(prepared);
 }
 
 #[test]
@@ -904,21 +915,14 @@ fn beside_reads_at_the_openers_snapshot() {
         "the sibling reads the opener's cut"
     );
 
-    // The read-only group is one cut at one `rv`: it prepares without
-    // a single revalidation probe, and commits on both instances.
+    // The read-only group is one cut at one `rv`: it commits without
+    // a single validation probe, on both instances.
     let before = [first.stats().snapshot(), second.stats().snapshot()];
-    let (p0, p1) = (
-        tx.prepare_commit().expect("read-only prepare"),
-        sibling.prepare_commit().expect("read-only prepare"),
-    );
-    Transaction::commit_prepared_all(vec![(tx, p0), (sibling, p1)]);
+    Transaction::commit_all(vec![tx, sibling], |_| {}).expect("read-only group");
     for (stm, before) in [&first, &second].into_iter().zip(&before) {
         let d = stm.stats().snapshot().since(before);
         assert_eq!((d.commits, d.aborts), (1, 0));
-        assert_eq!(
-            d.validation_probes, 0,
-            "a one-cut group revalidates nothing"
-        );
+        assert_eq!(d.validation_probes, 0, "a one-cut group validates nothing");
     }
 
     // An updating group publishes both instances at one tick.
@@ -929,11 +933,7 @@ fn beside_reads_at_the_openers_snapshot() {
     let y = sibling.read(&b).expect("fresh read");
     tx.write(&a, x + y).expect("buffer write");
     sibling.write(&b, x + y).expect("buffer write");
-    let (p0, p1) = (
-        tx.prepare_commit().expect("uncontended prepare"),
-        sibling.prepare_commit().expect("uncontended prepare"),
-    );
-    Transaction::commit_prepared_all(vec![(tx, p0), (sibling, p1)]);
+    Transaction::commit_all(vec![tx, sibling], |_| {}).expect("uncontended group");
     assert_eq!((a.load(), b.load()), (21, 21));
     assert_eq!(first.clock.load(Ordering::SeqCst), tick + 1, "one draw");
     for (stm, var) in [(&first, &a), (&second, &b)] {
@@ -944,17 +944,15 @@ fn beside_reads_at_the_openers_snapshot() {
     }
 
     // Instances in separate domains open an ordinary transaction, which
-    // revalidates at prepare as before.
+    // the group commit validates like any read-only participant.
     let other = Stm::mv();
     let mut tx = first.transaction();
     tx.read(&a).expect("fresh read");
     let mut stranger = tx.beside(&other);
     stranger.read(&b).expect("fresh read");
     let before = other.stats().snapshot();
-    let p = stranger.prepare_commit().expect("read-only prepare");
-    stranger.commit_prepared(p);
+    Transaction::commit_all(vec![tx, stranger], |_| {}).expect("read-only group");
     assert_eq!(other.stats().snapshot().since(&before).validation_probes, 1);
-    tx.rollback();
 }
 
 #[test]
@@ -962,6 +960,129 @@ fn beside_reads_at_the_openers_snapshot() {
 fn build_beside_refuses_an_instance_that_serves_no_snapshots() {
     let first = Stm::mv();
     let _ = StmBuilder::new(Algorithm::Norec).build_beside(&first);
+}
+
+// ---------------------------------------------------------------------
+// Cross-instance write skew: the script a lock-then-validate per
+// instance commits twice, and lock all → validate all at most once.
+// ---------------------------------------------------------------------
+
+/// One group of the write-skew script, on its own thread: reads `x` (on
+/// `a`) and `y` (on `b`, beside `a`) and, if `x + y == 0`, writes 1 to
+/// `x` (`writes_x`) or to `y`. It then waits for two steps — lock all,
+/// then validate all and publish — reporting each step's outcome on
+/// `done`, and returns whether it committed.
+fn skew_group(
+    (a, b): (&Stm, &Stm),
+    (x, y): (&TVar<u64>, &TVar<u64>),
+    writes_x: bool,
+    steps: std::sync::mpsc::Receiver<()>,
+    done: std::sync::mpsc::Sender<bool>,
+) -> bool {
+    let mut first = a.transaction();
+    let seen_x = first.read(x).expect("fresh read");
+    let mut second = first.beside(b);
+    let seen_y = second.read(y).expect("fresh read");
+    if seen_x + seen_y == 0 {
+        let out = if writes_x {
+            first.write(x, 1)
+        } else {
+            second.write(y, 1)
+        };
+        out.expect("buffer write");
+    }
+    let mut group = [first, second];
+    done.send(true).expect("driver alive");
+    steps.recv().expect("lock step");
+    let locked = twophase::open(&mut group).and_then(|locks| {
+        assert!(locks, "an updating group locks");
+        twophase::lock(&mut group)
+    });
+    done.send(locked.is_ok()).expect("driver alive");
+    steps.recv().expect("validate step");
+    let committed = locked.and_then(|()| twophase::validate(&mut group)).is_ok();
+    if committed {
+        publish_held(&mut group);
+    } else {
+        for tx in &mut group {
+            tx.aborted();
+        }
+    }
+    done.send(committed).expect("driver alive");
+    committed
+}
+
+/// Runs the write-skew script on instances `a` and `b`: two groups *T*
+/// (writes `y`) and *C* (writes `x`) both read `x = y = 0`, then step
+/// as *T*@a, *C*@a, *C*@b, *T*@b: *T*'s first step, *C*'s first and
+/// second, *T*'s second. The one step that can block — a NOrec lock
+/// half spinning on a sequence lock the other group holds — is left to
+/// finish in the background while the script goes on; every other step
+/// is waited out. Returns how many groups committed, and `x + y`.
+fn write_skew_script(a: &Stm, b: &Stm) -> (usize, u64) {
+    use std::sync::mpsc::channel;
+    use std::time::Duration;
+    let (x, y) = (TVar::new(0u64), TVar::new(0u64));
+    let seqlock_held = |stm: &Stm| {
+        stm.algorithm() == Algorithm::Norec && stm.clock.load(Ordering::SeqCst) % 2 == 1
+    };
+    let committed = std::thread::scope(|s| {
+        let mut groups = Vec::new();
+        for writes_x in [false, true] {
+            let (step_tx, step_rx) = channel();
+            let (done_tx, done_rx) = channel();
+            let (stms, vars) = ((a, b), (&x, &y));
+            let h = s.spawn(move || skew_group(stms, vars, writes_x, step_rx, done_tx));
+            done_rx.recv().expect("the group has read");
+            groups.push((step_tx, done_rx, h, 0usize));
+        }
+        for g in [0, 1, 1, 0] {
+            let (steps, done, _, pending) = &mut groups[g];
+            steps.send(()).expect("group alive");
+            *pending += 1;
+            while *pending > 0 {
+                match done.recv_timeout(Duration::from_millis(1)) {
+                    Ok(_) => *pending -= 1,
+                    // Blocked behind the other group: go on with the
+                    // script. (A group's own sequence locks held just
+                    // before its reply are as good as its reply.)
+                    Err(_) if seqlock_held(a) || seqlock_held(b) => break,
+                    Err(_) => {}
+                }
+            }
+        }
+        groups
+            .into_iter()
+            .map(|(_, _, h, _)| h.join().expect("group thread"))
+            .filter(|&c| c)
+            .count()
+    });
+    (committed, x.load() + y.load())
+}
+
+#[test]
+fn write_skew_across_two_instances_commits_at_most_one_group() {
+    for algo in Algorithm::ALL {
+        let (a, b) = (Stm::new(algo), Stm::new(algo));
+        let (committed, sum) = write_skew_script(&a, &b);
+        assert!(committed <= 1, "{algo:?}: both groups committed a skew");
+        assert_eq!(sum, committed as u64, "{algo:?}");
+        assert_orecs_quiescent(&a);
+        assert_orecs_quiescent(&b);
+    }
+}
+
+#[test]
+fn write_skew_in_one_domain_commits_at_most_one_group() {
+    for algo in [Algorithm::Mv, Algorithm::Adaptive] {
+        let a = Stm::new(algo);
+        let b = StmBuilder::new(algo).build_beside(&a);
+        let (committed, sum) = write_skew_script(&a, &b);
+        assert!(committed <= 1, "{algo:?}: both groups committed a skew");
+        assert_eq!(sum, committed as u64, "{algo:?}");
+        assert_orecs_quiescent(&a);
+        assert_orecs_quiescent(&b);
+    }
 }
 
 /// Where a transaction's log lives — the identity of its loan.

@@ -31,8 +31,8 @@ pub struct Transaction<'s> {
     /// short-circuits to `Retry` and commit refuses. User code that
     /// swallows a `Retry` instead of propagating it therefore cannot
     /// commit an attempt the engine already aborted. (`pub(super)` so the
-    /// two-phase commit path can refuse a doomed attempt and doom one
-    /// whose prepare failed.)
+    /// group commit can refuse a doomed attempt and doom one whose
+    /// commit failed.)
     pub(super) poisoned: bool,
     /// Set by [`Transaction::retry`]: the attempt aborted because the
     /// *data* said wait, not because a conflict said hurry. The attempt
@@ -42,8 +42,7 @@ pub struct Transaction<'s> {
     pub(super) waiting: bool,
     /// Set by the resolve point: the attempt's outcome is counted and
     /// everything it held is released, so `Drop` has nothing left to do
-    /// and a second resolution (a `rollback` after a failed
-    /// `prepare_commit`) counts nothing twice.
+    /// and a second resolution counts nothing twice.
     resolved: bool,
     /// Read set, write set and commit scratch, on loan from this
     /// thread's pool: the loan's own `Drop` resets the log and hands it
@@ -83,7 +82,7 @@ pub struct Transaction<'s> {
     /// Present on the members of a sibling group
     /// ([`Transaction::beside`]): one flag they share, set once any
     /// member buffers a write. While it stays clear, the group reads one
-    /// cut at one `rv` and its members prepare without revalidating.
+    /// cut at one `rv` and commits without locking or validating.
     pub(super) group: Option<Rc<Cell<bool>>>,
     /// Epoch pin: keeps every pointer this transaction may dereference
     /// alive for its whole lifetime (also makes `Transaction: !Send`).
@@ -141,10 +140,11 @@ impl<'s> Transaction<'s> {
     /// here first if no operation has yet — and pins it as a nested pin
     /// of the shared snapshot registry, which costs no shared write. Its
     /// reads and this attempt's then form one cut: a read-only group
-    /// prepares without revalidating, and an updating group publishes
-    /// at one clock tick through [`Transaction::commit_prepared_all`].
+    /// commits without locking or validating, and an updating group
+    /// publishes at one clock tick through [`Transaction::commit_all`].
     /// Otherwise the sibling is an ordinary [`Stm::transaction`] on
-    /// `other`, and prepare revalidates as for any coordinator.
+    /// `other`, which the group commit locks and validates as any
+    /// participant.
     ///
     /// A sibling's snapshot is its opener's, so it predates the
     /// sibling's first recorded history marker: histories recorded
@@ -164,8 +164,7 @@ impl<'s> Transaction<'s> {
     /// let x = tx.read(&a).unwrap();
     /// let mut sibling = tx.beside(&second);
     /// sibling.write(&b, x + 10).unwrap();
-    /// let (p0, p1) = (tx.prepare_commit().unwrap(), sibling.prepare_commit().unwrap());
-    /// Transaction::commit_prepared_all(vec![(tx, p0), (sibling, p1)]);
+    /// Transaction::commit_all(vec![tx, sibling], |_| {}).unwrap();
     /// assert_eq!(b.load(), 11);
     /// ```
     pub fn beside<'o>(&mut self, other: &'o Stm) -> Transaction<'o> {
@@ -242,8 +241,9 @@ impl<'s> Transaction<'s> {
         self.resolved = true;
     }
 
-    /// The resolve point, commit side: every committed attempt, one-shot
-    /// or two-phase, arrives here from [`Transaction::publish`].
+    /// The resolve point, commit side: every committed attempt, lone or
+    /// in a group, arrives here from the one commit body
+    /// (`twophase::resolve`).
     ///
     /// One order, here and in [`Transaction::aborted`]: release what the
     /// attempt holds (flushing its tallies), *then* count the outcome,
@@ -258,16 +258,14 @@ impl<'s> Transaction<'s> {
     }
 
     /// The resolve point, abort side: a failed body or commit in the
-    /// attempt loop, a failed [`Transaction::prepare_commit`],
-    /// [`Transaction::abort_prepared`], [`Transaction::rollback`]. An
-    /// abort's *cause* belongs here.
+    /// attempt loop, a failed [`Transaction::commit_all`],
+    /// [`Transaction::rollback`]. An abort's *cause* belongs here.
     ///
     /// Closes the recorded history first if the attempt left it open: a
     /// user body that returned its own error never reaches commit, but
     /// the history needs every transaction t-complete (`tryC -> A_k`)
-    /// before its process starts the next one. Idempotent: `rollback`
-    /// is the documented cleanup after a failed `prepare_commit`, which
-    /// already resolved the attempt here.
+    /// before its process starts the next one. Idempotent: a resolved
+    /// attempt counts nothing twice.
     pub(super) fn aborted(&mut self) {
         if self.resolved {
             return;

@@ -1,30 +1,53 @@
-//! The commit pipeline: every commit is a *prepare* half (acquire the
-//! commit locks, validate — everything that can fail) followed by a
-//! *publish* half (write back and release — infallible). The attempt
-//! loop's one-shot commit runs the two back to back
-//! ([`Transaction::prepare`] then [`Transaction::publish`]); the
-//! two-phase surface ([`Transaction::prepare_commit`]) hands the window
-//! in between to a coordinator, which can hold several instances'
-//! prepares open and publish them together. Both go through the same
-//! two per-algorithm dispatches below — there is no second commit path
-//! — and every outcome, one-shot or two-phase, ends in the one resolve
-//! point ([`Transaction::committed`] / [`Transaction::aborted`]).
+//! The commit pipeline, written once. Every commit — a lone attempt of
+//! [`Stm::run`] or a coordinator's group over several instances
+//! ([`Transaction::commit_all`]) — is one body over a group of
+//! transactions, taken in the caller's lock order: **open** (refuse a
+//! doomed group, open every `tryC` marker) → **lock all** → **validate
+//! all** → **stage** (the caller's closure, once, with every lock held
+//! and nothing able to fail) → **publish all** (infallible; at one
+//! clock draw when the group shares a timestamp domain) → resolve each
+//! ([`Transaction::committed`]). A failed open, lock or validation
+//! unlocks what the group took, closes every marker aborted and poisons
+//! every participant, for the caller to resolve
+//! ([`Transaction::aborted`]). Each algorithm's lock and validate halves
+//! are in `crate::algo`'s hook table.
 //!
-//! This is what makes a **cross-instance atomic commit** possible: each
-//! [`Stm`] keeps its own orec table, and a coordinator that prepares
-//! every instance before publishing any reuses each algorithm's
-//! single-instance commit protocol unchanged — the stripe locks (or
-//! NOrec's sequence lock) a prepare acquires are exactly the locks the
-//! one-shot commit would have held across its own publish, just held a
-//! little longer. Instances that serve snapshots may also share one
-//! **timestamp domain** — one clock, one snapshot registry
-//! ([`StmBuilder::build_beside`](crate::StmBuilder::build_beside)) —
-//! and then a coordinator reads them at one snapshot
-//! ([`Transaction::beside`]) and publishes them at one tick
-//! ([`Transaction::commit_prepared_all`]); every other instance keeps
-//! its own clock.
+//! A lone read-only attempt is already serialized — at its last
+//! validation, under its held read locks, or at its snapshot — and
+//! skips lock and validate. So does a sibling group
+//! ([`Transaction::beside`]) none of whose members wrote: it read one
+//! cut at one timestamp of one clock. Every other participant locks and
+//! validates, read-only ones included: their validation is what rules
+//! out a torn or skewed cut across instances.
 //!
-//! ## Why a multi-instance commit is never observed torn
+//! ## Why a group commit is serializable
+//!
+//! Locking and validating one instance, then the next, would validate
+//! instance *a*'s reads before locking instance *b*'s writes. That is
+//! not two-phase locking, and it commits write skew: two groups each
+//! read `x` (on *a*) and `y` (on *b*) and each writes one of them; run
+//! *T@a, C@a, C@b, T@b* and both pass, neither seeing the other's write.
+//!
+//! Lock all, then validate all, closes it. Every read of a group
+//! happened in the body, before its lock phase; every validation runs
+//! after its *last* lock. A validated read's stripe was unlocked and
+//! unchanged from the read to its validation, so at the instant `L` the
+//! group took its last lock **every read is current and every write
+//! stripe is held** — held until publish. The group serializes at `L`.
+//! In particular no group validates against a write another group has
+//! not yet locked: if group *C* writes `x`, which *T* read, either *C*
+//! locked `x` before *T* validated it — and *T*'s validation sees the
+//! lock or *C*'s new stamp and fails — or *C* locked `x` after, so
+//! `L_C > L_T`. In the second case every read of *C*'s validated after
+//! `L_T`, when *T* held all its write stripes (or had published them
+//! past *C*'s reads): if *C* read anything *T* writes, *C* fails. A
+//! cycle *T* → *C* → *T* would need `L_T < L_C < L_T`.
+//!
+//! NOrec's halves give the same instant: once a group holds every
+//! participant's sequence lock, each instance is frozen at a state its
+//! reads were validated against.
+//!
+//! ## Why a group commit is never observed torn
 //!
 //! **In one timestamp domain** (Mv, Adaptive) a cut is a timestamp. A
 //! group publishes at one tick `wv`, drawn after it appended on every
@@ -33,108 +56,77 @@
 //! new version (pending until stamped, and then stamped `wv`); a reader
 //! with `rv < wv` skips them all. A group of siblings reads every
 //! instance at one `rv`, so a read-only group is one cut at one
-//! timestamp and prepares without revalidating, as a lone read-only
-//! attempt commits. A Tl2-hook read of an adaptive instance sees the
-//! same cut: a stripe the group still holds, or stamped past `rv`,
+//! timestamp and commits without locking or validating, as a lone
+//! read-only attempt does. A Tl2-hook read of an adaptive instance sees
+//! the same cut: a stripe the group still holds, or stamped past `rv`,
 //! aborts it.
 //!
-//! **Across separate clocks** an updating coordinator holds **every**
+//! **Across separate clocks** an updating group holds **every**
 //! instance's commit locks from before its first publish until after
 //! that instance's own publish. A reader that could observe instance
 //! *i* post-publish and instance *j* pre-publish must therefore get its
-//! reads of *j* past metadata the coordinator still owns:
+//! reads of *j* past metadata the group still owns:
 //!
 //! * **Tl2 / Incremental** — the *j*-stripes are either still locked
 //!   (read/validation fails on the lock bit) or already restamped past
 //!   the reader's snapshot (version check fails). A reader that
 //!   validates *every* instance after reading all of them — which is
-//!   exactly what a read-only [`prepare_commit`] does — cannot pass
-//!   both checks on a torn cut. (Mv and Adaptive instances in separate
-//!   domains prepare the same way.)
+//!   what a read-only participant of a group does — cannot pass both
+//!   checks on a torn cut. (Mv and Adaptive instances in separate
+//!   domains commit the same way.)
 //! * **NOrec** — the *j*-instance's sequence lock is odd (held) until
-//!   its publish, so value validation spins until the publish lands
-//!   and then sees the changed values.
-//! * **Tlrw** — visible read locks exclude the coordinator's prepare
+//!   its publish, so the reader's lock half spins until the publish
+//!   lands and then sees the changed values.
+//! * **Tlrw** — visible read locks exclude the group's lock half
 //!   physically: a reader holding any conflicting stripe's read lock
-//!   blocks the whole multi-instance commit from reaching its first
-//!   publish, so there is no window to tear.
+//!   blocks the whole group from reaching its first publish, so there
+//!   is no window to tear.
 //!
-//! Deadlock freedom is the coordinator's obligation: prepare instances
-//! in one global order (`ptm-server` uses ascending shard index). The
-//! stripe-locking prepares are try-lock fail-fast — they never wait —
-//! and NOrec's sequence-lock spin only waits on a holder that either
-//! publishes promptly or aborts; with one prepare order there is no
-//! cycle to wait on.
+//! ## Why a group commit never deadlocks
 //!
-//! [`prepare_commit`]: Transaction::prepare_commit
+//! Deadlock freedom is the caller's obligation: every group takes its
+//! instances in one global order (`ptm-server` uses ascending shard
+//! index). The stripe-locking halves are try-lock fail-fast — they never
+//! wait. NOrec's lock half waits, spinning on a held (odd) sequence
+//! lock, but only in the lock phase and only in group order: a group
+//! waits for instance *j* holding only instances before *j*, and the
+//! holder of *j* is either past its lock phase or itself waiting on an
+//! instance after *j*. The chain of waits climbs the order and ends at a
+//! group free to validate and publish; a lone commit holds one lock and
+//! waits while holding none.
+//! That is why NOrec locks its read-only participants too: left
+//! unlocked, a read-only participant's validation would spin on its
+//! instance *out of order* — group *T* holding *b* and spinning on *a*,
+//! group *C* holding *a* and spinning on *b* — and neither would ever
+//! publish.
 
 use super::{Retry, Stm, Transaction};
 use crate::algo::{mv, norec, tlrw, versioned, Hooks};
 use ptm_sim::{TOpDesc, TOpResult};
-
-/// A successfully prepared commit: locks held, validation passed, nothing
-/// published. Consume it with [`Transaction::commit_prepared`] (publish)
-/// or [`Transaction::abort_prepared`] (undo); dropping it without either
-/// **leaks the held commit locks** and will wedge the instance — the
-/// type is `#[must_use]` to make that hard to do by accident.
-#[must_use = "a prepared commit holds the instance's commit locks; publish or abort it"]
-#[derive(Debug)]
-pub struct Prepared {
-    plan: Plan,
-    /// Identity of the instance that prepared this commit, for the
-    /// debug-mode guard against crossing `Prepared` tokens between
-    /// shards. Never dereferenced.
-    stm: *const Stm,
-}
-
-/// What the publish/abort half must do, per algorithm family. The locks
-/// a plan stands for live in the attempt's own log
-/// (`TxLog::{stripe_buf, held_buf}`, filled by the prepare half), so a
-/// commit allocates nothing to carry them from prepare to publish.
-#[derive(Debug, Clone, Copy)]
-pub(super) enum Plan {
-    /// No writes: the attempt is already serialized (at its last
-    /// validation, under its held read locks, or at its snapshot time);
-    /// nothing is locked and nothing needs publishing.
-    ReadOnly,
-    /// Versioned stripe locks held on an instance that serves no
-    /// snapshots (static Tl2/Incremental); publishes by swapping values.
-    Swap,
-    /// Versioned stripe locks held on an instance that serves snapshots
-    /// (Mv, Adaptive); publishes by appending versions.
-    Append,
-    /// Tlrw write locks held.
-    Tlrw,
-    /// The instance's sequence lock is held (clock parked at the odd
-    /// `rv + 1`).
-    Norec,
-}
+use std::rc::Rc;
 
 impl Stm {
-    /// Begins a transaction whose attempts the *caller* drives —
-    /// the manual counterpart of [`Stm::atomically`], for coordinators
-    /// that need to hold the commit open across instances (see
-    /// [`Transaction::prepare_commit`]).
+    /// Begins a transaction whose commit the *caller* drives — the
+    /// manual counterpart of [`Stm::atomically`], for coordinators that
+    /// commit several instances' transactions as one group (see
+    /// [`Transaction::commit_all`]).
     ///
     /// The caller owns the outcome: finish with
-    /// [`Transaction::prepare_commit`] +
-    /// [`Transaction::commit_prepared`] / [`Transaction::abort_prepared`],
-    /// or discard with [`Transaction::rollback`]. There is no automatic
-    /// retry — on [`Retry`] build a fresh transaction and re-run the
-    /// reads/writes.
+    /// [`Transaction::commit_all`], or discard with
+    /// [`Transaction::rollback`]. There is no automatic retry — on
+    /// [`Retry`] build a fresh transaction and re-run the reads/writes.
     ///
     /// # Examples
     ///
     /// ```
-    /// use ptm_stm::{Stm, TVar};
+    /// use ptm_stm::{Stm, TVar, Transaction};
     ///
     /// let stm = Stm::tl2();
     /// let v = TVar::new(1u64);
     /// let mut tx = stm.transaction();
     /// let seen = tx.read(&v).unwrap();
     /// tx.write(&v, seen + 1).unwrap();
-    /// let prepared = tx.prepare_commit().unwrap();
-    /// tx.commit_prepared(prepared);
+    /// Transaction::commit_all(vec![tx], |_| {}).unwrap();
     /// assert_eq!(v.load(), 2);
     /// ```
     pub fn transaction(&self) -> Transaction<'_> {
@@ -142,222 +134,228 @@ impl Stm {
     }
 }
 
-impl Transaction<'_> {
-    /// First commit half: acquire this attempt's commit locks and
-    /// validate its read set, publishing nothing. On `Ok` the attempt
-    /// holds whatever its algorithm's commit holds across the write back
-    /// (write-stripe locks, the sequence lock, Tlrw's still-held read
-    /// locks) and *cannot fail anymore* — the returned [`Prepared`]
-    /// must be resolved promptly with [`Transaction::commit_prepared`]
-    /// or [`Transaction::abort_prepared`], since other transactions
-    /// conflict against the held locks in the meantime.
+impl<'s> Transaction<'s> {
+    /// Commits `group` as one atomic transaction over every instance
+    /// its members run on: lock all, validate all, `stage`, publish all
+    /// (see the module docs). `group` is in the caller's lock order,
+    /// which must be one global order across every group that can run
+    /// concurrently — a coordinator over shards takes them in ascending
+    /// shard index.
     ///
-    /// A read-only attempt acquires nothing but **revalidates its whole
-    /// read set** (where the algorithm has anything to validate) — that
-    /// re-check at prepare time is what lets a coordinator rule out torn
-    /// cuts across instances (see the module docs). The exception is a
-    /// sibling group ([`Transaction::beside`]) none of whose members
-    /// wrote: it read one cut at one timestamp, and revalidates nothing.
+    /// `stage` runs once, after validation and before the first
+    /// publish: the commit can no longer fail and every participant's
+    /// locks are held, so whatever it stages
+    /// ([`Transaction::stage_durable`]) is ordered like the commit
+    /// itself. When the group shares one timestamp domain
+    /// ([`Transaction::beside`]) it publishes at one clock tick: a
+    /// snapshot reader sees all of its writes or none.
     ///
     /// # Errors
     ///
-    /// [`Retry`] if the locks could not be acquired or validation found
-    /// a conflicting commit. The attempt is poisoned and its acquired
-    /// locks are already rolled back; drop it or [`Transaction::rollback`]
-    /// it and start over.
-    pub fn prepare_commit(&mut self) -> Result<Prepared, Retry> {
-        // An attempt that was already doomed failed (and was counted)
-        // at the operation that doomed it, not here.
-        if self.poisoned {
-            return Err(Retry);
-        }
-        match self.prepare(true) {
-            Some(plan) => Ok(Prepared {
-                plan,
-                stm: self.stm as *const Stm,
-            }),
-            None => {
-                self.aborted();
-                Err(Retry)
+    /// [`Retry`] if a member was already doomed, a lock could not be
+    /// acquired, or validation found a conflicting commit. Every
+    /// participant is then rolled back and resolved as aborted; start
+    /// over with fresh transactions.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ptm_stm::{Stm, TVar, Transaction};
+    ///
+    /// let (a, b) = (Stm::tl2(), Stm::tl2());
+    /// let (x, y) = (TVar::new(1u64), TVar::new(2u64));
+    /// // Move y's value onto x, across the two instances.
+    /// let mut first = a.transaction();
+    /// let mut second = b.transaction();
+    /// let moved = second.read(&y).unwrap();
+    /// first.modify(&x, |v| v + moved).unwrap();
+    /// second.write(&y, 0).unwrap();
+    /// Transaction::commit_all(vec![first, second], |_| {}).unwrap();
+    /// assert_eq!((x.load(), y.load()), (3, 0));
+    /// ```
+    pub fn commit_all(
+        mut group: Vec<Transaction<'s>>,
+        stage: impl FnOnce(&mut [Transaction<'s>]),
+    ) -> Result<(), Retry> {
+        let out = commit_group(&mut group, stage);
+        if out.is_err() {
+            for tx in &mut group {
+                tx.aborted();
             }
         }
+        out
     }
 
-    /// The prepare half of every commit, one-shot or two-phase: opens
-    /// the `tryC` history marker and runs the algorithm's prepare hook.
-    /// `None` means the attempt aborted — every acquired commit lock is
-    /// rolled back, the marker is closed aborted, and the attempt is
-    /// poisoned; the caller resolves it ([`Transaction::aborted`]).
-    ///
-    /// A read-only attempt is already serialized (see
-    /// [`Plan::ReadOnly`]) and prepares trivially, unless `revalidate`
-    /// asks for the read-set re-check a cross-instance coordinator
-    /// needs.
-    pub(super) fn prepare(&mut self, revalidate: bool) -> Option<Plan> {
-        if self.poisoned {
-            return None;
+    /// Abandons an uncommitted transaction: nothing was published, so
+    /// this only closes the attempt (read locks released, history marker
+    /// closed aborted, abort counted). Equivalent to dropping it, plus
+    /// the bookkeeping the attempt loop would have done.
+    pub fn rollback(mut self) {
+        self.aborted();
+    }
+}
+
+/// The one commit body: [`Transaction::commit_all`]'s, and
+/// [`Stm::run`]'s on a group of one. On `Ok` every participant has
+/// committed and resolved; on `Err` every participant is rolled back,
+/// poisoned and left for the caller to resolve — the attempt loop
+/// registers a park before it does.
+///
+/// Only this shell is generic (over `stage`), so it compiles into each
+/// caller's `Stm::run`; the phases it calls are plain functions, each
+/// compiled once here with the marker, snapshot and resolve helpers
+/// inlined into it. Marked `#[inline]`, the phases moved into the
+/// caller's crate and every helper became a cross-crate call: `point_read`
+/// lost 9 % throughput (median of eight alternating 5 s pairs, 2
+/// hardware threads).
+pub(super) fn commit_group<'s>(
+    group: &mut [Transaction<'s>],
+    stage: impl FnOnce(&mut [Transaction<'s>]),
+) -> Result<(), Retry> {
+    if open(group)? {
+        lock(group)?;
+        validate(group)?;
+        stage(group);
+        publish(group);
+    } else {
+        stage(group);
+    }
+    resolve(group);
+    Ok(())
+}
+
+/// Step 1: refuses a group with a doomed member, then opens every
+/// participant's `tryC` marker. Returns whether the group must lock and
+/// validate — `false` for a group already serialized: a lone read-only
+/// attempt, or one sibling group none of whose members wrote.
+pub(super) fn open(group: &mut [Transaction<'_>]) -> Result<bool, Retry> {
+    // An attempt that was already doomed failed (and is counted) where
+    // it was doomed, not here.
+    if group.iter().any(|tx| tx.poisoned) {
+        for tx in group.iter_mut() {
+            tx.poisoned = true;
         }
+        return Err(Retry);
+    }
+    for tx in group.iter_mut() {
         // Marker first: an attempt whose first operation is its commit
         // samples its snapshot inside the `tryC` interval (see
         // `ensure_started`).
-        self.rec_invoke(TOpDesc::TryCommit);
-        self.ensure_started();
-        let read_only = self.log.writes.is_empty();
-        // A sibling group no member of which wrote read one cut at one
-        // `rv` of one clock: already serialized, like a lone attempt.
-        let one_cut = self.group.as_ref().is_some_and(|wrote| !wrote.get());
-        if read_only && (!revalidate || one_cut) {
-            return Some(Plan::ReadOnly);
+        tx.rec_invoke(TOpDesc::TryCommit);
+        tx.ensure_started();
+    }
+    let serialized = match &*group {
+        [tx] => tx.log.writes.is_empty(),
+        [first, rest @ ..] => first.group.as_ref().is_some_and(|wrote| {
+            !wrote.get()
+                && rest
+                    .iter()
+                    .all(|tx| tx.group.as_ref().is_some_and(|g| Rc::ptr_eq(g, wrote)))
+        }),
+        [] => true,
+    };
+    Ok(!serialized)
+}
+
+/// Step 2: takes every participant's commit locks, in group order.
+pub(super) fn lock(group: &mut [Transaction<'_>]) -> Result<(), Retry> {
+    for i in 0..group.len() {
+        // A failed lock half has already released what it took.
+        if !lock_one(&mut group[i]) {
+            return Err(fail(group, i));
         }
-        // With an empty write set each hook locks nothing and only
-        // revalidates the read set.
-        let (ok, plan) = match self.mode {
+    }
+    Ok(())
+}
+
+/// Step 3: validates every participant's read set under the group's
+/// held locks.
+pub(super) fn validate(group: &mut [Transaction<'_>]) -> Result<(), Retry> {
+    if group.iter().all(validate_one) {
+        Ok(())
+    } else {
+        Err(fail(group, group.len()))
+    }
+}
+
+/// Step 5: writes every participant's buffered values back under the
+/// held locks and releases them. Infallible. A group in one timestamp
+/// domain publishes at one draw; any other publishes participant by
+/// participant.
+pub(super) fn publish(group: &mut [Transaction<'_>]) {
+    let first = group[0].stm;
+    if group.iter().all(|tx| first.shares_domain(tx.stm)) {
+        return mv::publish(group);
+    }
+    for tx in group.iter_mut() {
+        if tx.log.writes.is_empty() {
+            // Nothing to write back: drop whatever the lock half took
+            // (NOrec's sequence lock; nothing, elsewhere).
+            unlock_one(tx);
+            continue;
+        }
+        match tx.mode {
             // The read hooks are the attempt's, the publish is the
             // instance's: one that serves snapshots (it carries the
-            // registry) appends every commit, so its Tl2-hook and Mv-hook
-            // attempts serialize by timestamp (see `algo::adaptive`).
-            Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => {
-                let plan = if self.stm.snapshots.is_some() {
-                    Plan::Append
-                } else {
-                    Plan::Swap
-                };
-                (versioned::prepare(self), plan)
-            }
-            Hooks::Tlrw => (tlrw::prepare(self), Plan::Tlrw),
-            Hooks::Norec => (norec::prepare(self), Plan::Norec),
-        };
-        if !ok {
-            self.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);
-            self.poisoned = true;
-            return None;
-        }
-        Some(if read_only { Plan::ReadOnly } else { plan })
-    }
-
-    /// The publish half of every commit: write the buffered values back
-    /// under the locks `plan` holds, close the `tryC` marker committed,
-    /// and resolve the attempt ([`Transaction::committed`], which
-    /// releases the read locks visible-read algorithms hold until the
-    /// outcome is decided). Infallible.
-    pub(super) fn publish(&mut self, plan: Plan) {
-        match plan {
-            Plan::ReadOnly => {}
-            Plan::Swap => versioned::publish(self),
-            Plan::Append => mv::publish(self),
-            Plan::Tlrw => tlrw::publish(self),
-            Plan::Norec => norec::publish(self),
-        }
-        self.rec_respond(TOpDesc::TryCommit, TOpResult::Committed);
-        self.committed();
-    }
-
-    /// Second commit half: publish the write set under the locks
-    /// `prepared` holds, release everything, and retire the transaction
-    /// as committed. Infallible — [`Transaction::prepare_commit`]
-    /// already decided the outcome.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if `prepared` came from a different [`Stm`]
-    /// instance's transaction.
-    pub fn commit_prepared(mut self, prepared: Prepared) {
-        debug_assert!(
-            std::ptr::eq(prepared.stm, self.stm),
-            "Prepared token crossed between Stm instances"
-        );
-        self.publish(prepared.plan);
-    }
-
-    /// Publishes a coordinator's prepared participants together, then
-    /// retires each as committed. When every participant shares one
-    /// timestamp domain ([`Transaction::beside`]) and every plan is
-    /// read-only or appending (Mv, Adaptive), the group publishes at
-    /// **one** clock tick: it appends on every participant, draws one
-    /// `fetch_add`, withdraws every participant's snapshot, then
-    /// stamps, trims and releases each — so a snapshot reader sees all
-    /// of the group's writes or none. Any other group publishes part by
-    /// part, as [`Transaction::commit_prepared`] would. Infallible.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if a [`Prepared`] came from a different
-    /// [`Stm`] instance's transaction than the one it is paired with.
-    pub fn commit_prepared_all(mut parts: Vec<(Transaction<'_>, Prepared)>) {
-        let one_tick = parts.first().is_some_and(|(first, _)| {
-            parts.iter().all(|(tx, p)| {
-                matches!(p.plan, Plan::ReadOnly | Plan::Append) && first.stm.shares_domain(tx.stm)
-            })
-        });
-        if !one_tick {
-            for (tx, p) in parts {
-                tx.commit_prepared(p);
-            }
-            return;
-        }
-        let appending = |p: &Prepared| matches!(p.plan, Plan::Append);
-        for (tx, p) in &mut parts {
-            debug_assert!(
-                std::ptr::eq(p.stm, tx.stm),
-                "Prepared token crossed between Stm instances"
-            );
-            if appending(p) {
-                mv::append(tx);
-            }
-        }
-        if let Some((tx, _)) = parts.iter().find(|(_, p)| appending(p)) {
-            let wv = mv::draw(tx.stm);
-            // Every participant's snapshot goes before the first trim,
-            // or a sibling's nested pin would keep the superseded
-            // versions the trim could otherwise take.
-            for (tx, _) in &mut parts {
-                tx.snap = None;
-            }
-            for (tx, p) in &mut parts {
-                if appending(p) {
-                    mv::finish(tx, wv);
-                }
-            }
-        }
-        // The writes are out: what is left of each publish is the
-        // read-only plan's — close the marker and resolve.
-        for (mut tx, _) in parts {
-            tx.publish(Plan::ReadOnly);
+            // registry) appends every commit, so its Tl2-hook and
+            // Mv-hook attempts serialize by timestamp (see
+            // `algo::adaptive`).
+            _ if tx.stm.snapshots.is_some() => mv::publish(std::slice::from_mut(tx)),
+            Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => versioned::publish(tx),
+            Hooks::Tlrw => tlrw::publish(tx),
+            Hooks::Norec => norec::publish(tx),
         }
     }
+}
 
-    /// Abandons a prepared commit: every lock `prepared` holds is
-    /// released to its pre-prepare state — other transactions observe
-    /// nothing — and the attempt retires as aborted. A coordinator calls
-    /// this on instances that prepared successfully when a later
-    /// instance's prepare failed.
-    ///
-    /// # Panics
-    ///
-    /// Debug builds panic if `prepared` came from a different [`Stm`]
-    /// instance's transaction.
-    pub fn abort_prepared(mut self, prepared: Prepared) {
-        debug_assert!(
-            std::ptr::eq(prepared.stm, self.stm),
-            "Prepared token crossed between Stm instances"
-        );
-        match prepared.plan {
-            Plan::ReadOnly => {}
-            Plan::Swap | Plan::Append => versioned::rollback(&mut self),
-            Plan::Tlrw => tlrw::rollback(&mut self),
-            Plan::Norec => norec::release_seqlock(&self),
-        }
-        self.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);
-        self.aborted();
+/// Closes every participant's marker committed and resolves it
+/// ([`Transaction::committed`], which releases the read locks
+/// visible-read algorithms hold until the outcome is decided).
+pub(super) fn resolve(group: &mut [Transaction<'_>]) {
+    for tx in group {
+        tx.rec_respond(TOpDesc::TryCommit, TOpResult::Committed);
+        tx.committed();
     }
+}
 
-    /// Abandons an unprepared transaction: nothing was published, so
-    /// this only closes the attempt (read locks released, history marker
-    /// closed aborted, abort counted). Equivalent to dropping it, plus
-    /// the bookkeeping the attempt loop would have done; after a failed
-    /// [`Transaction::prepare_commit`], which already resolved the
-    /// attempt, it counts nothing a second time.
-    pub fn rollback(mut self) {
-        self.aborted();
+/// Ends a failed commit: unlocks the first `locked` participants,
+/// closes every marker aborted and poisons every participant.
+fn fail(group: &mut [Transaction<'_>], locked: usize) -> Retry {
+    for tx in &mut group[..locked] {
+        unlock_one(tx);
+    }
+    for tx in group.iter_mut() {
+        tx.rec_respond(TOpDesc::TryCommit, TOpResult::Aborted);
+        tx.poisoned = true;
+    }
+    Retry
+}
+
+/// One participant's lock half; on `false` it holds nothing.
+fn lock_one(tx: &mut Transaction<'_>) -> bool {
+    match tx.mode {
+        Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => versioned::lock_write_stripes(tx),
+        Hooks::Tlrw => tlrw::lock(tx),
+        Hooks::Norec => norec::lock(tx),
+    }
+}
+
+/// One participant's validate half.
+fn validate_one(tx: &Transaction<'_>) -> bool {
+    match tx.mode {
+        Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => versioned::validate(tx).is_ok(),
+        // Tlrw's read locks, and NOrec's sequence lock taken at a
+        // validated `rv`, already exclude every conflicting commit.
+        Hooks::Tlrw | Hooks::Norec => true,
+    }
+}
+
+/// Undoes one participant's lock half, restoring every lock word it
+/// took to its pre-lock state.
+fn unlock_one(tx: &mut Transaction<'_>) {
+    match tx.mode {
+        Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => versioned::rollback(tx),
+        Hooks::Tlrw => tlrw::rollback(tx),
+        Hooks::Norec => norec::release_seqlock(tx),
     }
 }

@@ -78,8 +78,8 @@
 //!
 //! | module | concern |
 //! |--------|---------|
-//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] and the one resolve point (`engine::transaction`), the one attempt loop and its retry schedule (`engine::attempt`), the prepare → publish commit pipeline every commit runs and cross-instance coordinators split ([`Prepared`], `engine::twophase`) |
-//! | `algo`  | the strategy layer: one module per algorithm (begin / read / prepare / publish hooks), including the adaptive mode controller |
+//! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] and the one resolve point (`engine::transaction`), the one attempt loop and its retry schedule (`engine::attempt`), the one commit body every commit runs, lock all → validate all → stage → publish all, on a group of one or a cross-instance group ([`Transaction::commit_all`], `engine::twophase`) |
+//! | `algo`  | the strategy layer: one module per algorithm (begin / read hooks, and the lock / validate / publish halves of its commit), including the adaptive mode controller |
 //! | `txlog` | read-set / write-set log shared by all algorithms |
 //! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
 //! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer with Fenwick-shaped skip links for sublinear snapshot walks (static Tl2, Incremental, NOrec and Tlrw swap the head; Mv and Adaptive append, trim, and bound via [`MvConfig`]) |
@@ -120,9 +120,7 @@ mod waiter;
 pub mod wal;
 
 pub use algo::adaptive::AdaptiveConfig;
-pub use engine::{
-    Algorithm, MvConfig, Prepared, RetriesExhausted, Retry, Stm, StmBuilder, Transaction,
-};
+pub use engine::{Algorithm, MvConfig, RetriesExhausted, Retry, Stm, StmBuilder, Transaction};
 pub use recorder::HistoryRecorder;
 pub use stats::{StatsSnapshot, StmStats};
 pub use tvar::{TVar, TxValue};

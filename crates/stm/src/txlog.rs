@@ -107,10 +107,10 @@ pub(crate) struct TxLog {
     /// stale and unused (the next crossing rebuilds).
     write_index: HashMap<usize, usize>,
     /// The write set's stripes, sorted and deduplicated, filled by
-    /// [`TxLog::collect_write_stripes`] at prepare time and read by the
+    /// [`TxLog::collect_write_stripes`] by the lock half and read by the
     /// publish half (kept so retries do not reallocate).
     pub stripe_buf: Vec<usize>,
-    /// The commit locks a successful prepare holds until its publish or
+    /// The commit locks a successful lock half holds until its publish or
     /// abort: `(stripe, pre-lock word)` for the versioned algorithms,
     /// `(stripe, was_read)` for Tlrw. Empty outside that window.
     pub held_buf: Vec<(usize, u64)>,
@@ -426,9 +426,9 @@ impl TxLog {
 
     /// Fills `stripe_buf` with the write set's stripes, sorted and
     /// deduplicated (several variables may share a stripe): the lock
-    /// order of every stripe-locking prepare.
+    /// order of every stripe-locking lock half.
     pub(crate) fn collect_write_stripes(&mut self, orecs: &OrecTable) {
-        debug_assert!(self.held_buf.is_empty(), "a prepare already holds locks");
+        debug_assert!(self.held_buf.is_empty(), "a lock half already holds locks");
         self.stripe_buf.clear();
         self.stripe_buf
             .extend(self.writes.iter().map(|w| orecs.stripe_of(w.id)));

@@ -203,12 +203,11 @@ fn a_scan_fills_one_buffer() {
     let _alone = alone();
     // One warm `scan()` of the 256-key store: the result vector doubling
     // from 4 to 256 entries (7), the cross-shard transaction's slot
-    // table and its commit's list of prepared shards, and on Mv the
-    // `Rc` its shards share. Parent commit: 26 (Tl2) and 27 (Mv) — each
-    // shard's entries went into a `Vec` of their own, doubling, and were
-    // then copied into a result vector that doubled again.
+    // table — which its group commit reuses in place as the group — and
+    // on Mv the `Rc` its shards share. Parent commit: 9 (Tl2) and 10
+    // (Mv) — the commit collected a separate list of prepared shards.
     const SCANS: u64 = 100;
-    for (algorithm, per_scan) in [(Algorithm::Tl2, 9), (Algorithm::Mv, 10)] {
+    for (algorithm, per_scan) in [(Algorithm::Tl2, 8), (Algorithm::Mv, 9)] {
         let kv = warm_store(algorithm);
         for _ in 0..8 {
             assert_eq!(kv.scan().len(), KEYS as usize);

@@ -362,11 +362,11 @@ fn or_else_refuses_a_poisoned_attempt() {
     );
     assert_eq!(out, Err(Retry), "a poisoned attempt gets no fallback");
     assert!(!fallback_ran.get(), "fallback must not run either");
-    assert!(
-        tx.prepare_commit().is_err(),
+    assert_eq!(
+        Transaction::commit_all(vec![tx], |_| {}),
+        Err(Retry),
         "a poisoned attempt cannot commit"
     );
-    tx.rollback();
 }
 
 // --- one lifecycle, one driver --------------------------------------------
@@ -429,8 +429,9 @@ enum Release {
     Nobody,
     /// Another thread commits 9 to the counter.
     Writer,
-    /// A writer that prepared 9 before the attempt began, and so holds
-    /// the counter's stripe through every attempt's commit, publishes.
+    /// A writer that locked and validated 9 before the attempt began,
+    /// and so holds the counter's stripe through every attempt's commit,
+    /// publishes.
     Blocker,
 }
 
@@ -443,7 +444,7 @@ struct Case {
     release: Release,
     /// Algorithms the row cannot run on. Nested overlapping commits need
     /// invisible reads: a Tlrw outer read lock would exclude the nested
-    /// writer instead of losing to it. A prepared NOrec blocker holds the
+    /// writer instead of losing to it. A held NOrec blocker holds the
     /// one sequence lock, which the attempt spins on instead of aborting.
     skip: &'static [Algorithm],
     /// `Ok(value)`, or `Err(attempts)` when the budget runs out.
@@ -451,6 +452,32 @@ struct Case {
     /// `(commits, aborts, parks)` on the instance afterwards, nested,
     /// writer and blocker commits included.
     stats: (u64, u64, u64),
+}
+
+/// Commits a write of `value` to `v` on its own scoped thread and holds
+/// it open between validation and publish — `v`'s stripe locked,
+/// nothing published — in the stage step of [`Transaction::commit_all`].
+/// Returns once the lock is held; the commit publishes when the
+/// returned sender fires.
+fn hold_write<'scope>(
+    s: &'scope thread::Scope<'scope, '_>,
+    stm: &'scope Stm,
+    v: &'scope TVar<u64>,
+    value: u64,
+) -> mpsc::Sender<()> {
+    let (held_tx, held_rx) = mpsc::channel();
+    let (publish_tx, publish_rx) = mpsc::channel();
+    s.spawn(move || {
+        let mut tx = stm.transaction();
+        tx.write(v, value).expect("buffer write");
+        Transaction::commit_all(vec![tx], |_| {
+            held_tx.send(()).expect("the test waits for the hold");
+            publish_rx.recv().expect("the test releases the hold");
+        })
+        .expect("uncontended commit");
+    });
+    held_rx.recv().expect("the blocker holds its lock");
+    publish_tx
 }
 
 /// Runs one row on one algorithm and returns the instance's counters
@@ -461,16 +488,11 @@ fn run_case(case: &Case, algo: Algorithm, ctx: &str) -> StatsSnapshot {
     let (stm2, v2, ctx2) = (Arc::clone(&stm), Arc::clone(&v), ctx.to_owned());
     let (script, release, expect) = (case.script, case.release, case.expect);
     watchdog(Duration::from_secs(60), move || {
-        let blocker = (release == Release::Blocker).then(|| {
-            let mut tx = stm2.transaction();
-            tx.write(&v2, 9u64).expect("buffer write");
-            let prepared = tx.prepare_commit().expect("uncontended prepare");
-            (tx, prepared)
-        });
         // A fresh thread per run: a wake that beat its park leaves an
         // unpark token behind, which must not cut the next run's park
         // short.
         thread::scope(|s| {
+            let blocker = (release == Release::Blocker).then(|| hold_write(s, &stm2, &v2, 9));
             let runner = s.spawn(|| stm2.run(|tx| script(&stm2, &v2, tx)));
             if release != Release::Nobody {
                 // The park is counted once the attempt is on the waiter
@@ -479,7 +501,7 @@ fn run_case(case: &Case, algo: Algorithm, ctx: &str) -> StatsSnapshot {
                     thread::yield_now();
                 }
                 match blocker {
-                    Some((tx, prepared)) => tx.commit_prepared(prepared),
+                    Some(publish) => publish.send(()).expect("the blocker holds"),
                     None => stm2.atomically(|tx| tx.write(&v2, 9)),
                 }
             }
@@ -506,15 +528,13 @@ fn conflict_park_registers_instead_of_self_waking() {
     let w = Arc::new(TVar::new(0u64));
     let (stm2, w2) = (Arc::clone(&stm), Arc::clone(&w));
     watchdog(Duration::from_secs(60), move || {
-        // A prepared (locked, unpublished) writer on `w`'s stripe makes
-        // every attempt's commit fail deterministically while its (empty)
-        // read set stays valid: the exact shape that must park, not spin,
-        // once the schedule's spin and yield tiers are spent.
-        let mut blocker = stm2.transaction();
-        blocker.write(&w2, 7u64).expect("buffer write");
-        let prepared = blocker.prepare_commit().expect("uncontended prepare");
-
         thread::scope(|s| {
+            // A held (locked, unpublished) writer on `w`'s stripe makes
+            // every attempt's commit fail deterministically while its
+            // (empty) read set stays valid: the exact shape that must
+            // park, not spin, once the schedule's spin and yield tiers
+            // are spent.
+            let blocker = hold_write(s, &stm2, &w2, 7);
             let runner = s.spawn(|| {
                 stm2.run(|tx| {
                     tx.write(&w2, 8u64)?;
@@ -531,7 +551,7 @@ fn conflict_park_registers_instead_of_self_waking() {
 
             // Publishing the blocker overlaps the parked footprint (the
             // write stripe registers too) and wakes the runner.
-            blocker.commit_prepared(prepared);
+            blocker.send(()).expect("the blocker holds");
             runner.join().expect("runner").expect("commits once woken");
         });
     });

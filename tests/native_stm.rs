@@ -274,8 +274,11 @@ mod conformance {
         });
         assert_eq!(out, Err(Retry), "{algo:?}");
         assert!(!called, "{algo:?}: closure ran on a poisoned attempt");
-        assert!(tx.prepare_commit().is_err(), "{algo:?}: poisoned attempt");
-        tx.rollback();
+        assert_eq!(
+            Transaction::commit_all(vec![tx], |_| {}),
+            Err(Retry),
+            "{algo:?}: poisoned attempt"
+        );
     }
 
     /// `read(v)` and `read_with(v, Clone::clone)` are the same read:
