@@ -4,8 +4,8 @@
 //! per-transaction state ([`SimTxn`]) whose operations apply primitives
 //! through a [`Ctx`], so each algorithm's step counts, RMRs and base-object
 //! access patterns are measured exactly. A TM also self-describes the
-//! paper-level properties it claims ([`TmProperties`]); the test suite
-//! validates each claim with the `ptm-model` checkers.
+//! design-space properties it claims ([`TmProperties`]); the test suite
+//! validates each claim against the base-object log.
 
 use ptm_sim::{Ctx, TObjId, TxId, Word};
 use std::fmt;
@@ -27,9 +27,11 @@ impl fmt::Display for Aborted {
 
 impl std::error::Error for Aborted {}
 
-/// Paper-level properties a TM implementation claims. Each claim is
-/// checked by the test suite against the `ptm-model` checkers; the
-/// experiment harness uses them to label table rows.
+/// The two design-space coordinates on which the TMs of this crate
+/// differ. (Every one of them is opaque and strongly progressive; the
+/// test suite asserts both on every TM's histories unconditionally.)
+/// `tests/visibility_dap.rs` checks each claim against the base-object
+/// log of the TM's executions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TmProperties {
     /// Weak disjoint-access parallelism: disjoint-access transactions
@@ -38,14 +40,6 @@ pub struct TmProperties {
     /// Invisible reads: read-only transactions apply no nontrivial
     /// primitive (implies weak invisible reads).
     pub invisible_reads: bool,
-    /// Opacity (vs. only strict serializability).
-    pub opaque: bool,
-    /// Strong progressiveness (Definition 1).
-    pub strongly_progressive: bool,
-    /// Whether operations can block (spin) rather than abort — a blocking
-    /// TM trivially avoids aborts but gives up interval-contention-free
-    /// liveness under contention.
-    pub blocking: bool,
 }
 
 /// A TM implementation over the simulated shared memory.

@@ -42,7 +42,7 @@ pub struct TxScript {
 
 /// Commands understood by [`tm_process_body`].
 #[derive(Debug, Clone)]
-pub enum TxCommand {
+pub(crate) enum TxCommand {
     /// Start a transaction with the given id.
     Begin(TxId),
     /// Issue `read_k(X)`.
@@ -163,7 +163,7 @@ fn run_script(tm: &dyn SimTm, ctx: &Ctx, script: &TxScript, attempt_base: &mut u
 }
 
 /// The command-loop body run by every harness process.
-pub fn tm_process_body(tm: Arc<dyn SimTm>, ctx: &Ctx) {
+pub(crate) fn tm_process_body(tm: Arc<dyn SimTm>, ctx: &Ctx) {
     let mut current: Option<(TxId, Box<dyn SimTxn>)> = None;
     let mut script_counter = 0u64;
     loop {
@@ -213,8 +213,8 @@ pub struct OpCost {
     pub rmr_dsm: u64,
 }
 
-/// Harness owning a simulation whose processes all run
-/// [`tm_process_body`] over a shared TM.
+/// Harness owning a simulation whose processes all run one command loop
+/// over a shared TM.
 #[derive(Debug)]
 pub struct TmHarness {
     sim: Sim,

@@ -57,9 +57,6 @@ impl SimTm for GlockTm {
         TmProperties {
             weak_dap: false,
             invisible_reads: false,
-            opaque: true,
-            strongly_progressive: true,
-            blocking: true,
         }
     }
 
@@ -172,7 +169,6 @@ mod tests {
         let mut b = SimBuilder::new(1);
         let tm = GlockTm::install(&mut b, 1);
         let p = tm.properties();
-        assert!(p.strongly_progressive && p.opaque && p.blocking);
         assert!(!p.weak_dap && !p.invisible_reads);
     }
 }

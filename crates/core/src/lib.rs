@@ -48,29 +48,26 @@
 mod api;
 mod driver;
 mod glock;
-mod mvtm;
 mod norec;
 mod progressive;
 mod tl2;
-mod tlrw;
 mod tm_mutex;
 mod visible;
 
 pub use api::{Aborted, SimTm, SimTxn, TmProperties};
-pub use driver::{tm_process_body, OpCost, ScriptOp, TmHarness, TxCommand, TxScript};
+pub use driver::{OpCost, ScriptOp, TmHarness, TxScript};
 pub use glock::GlockTm;
-pub use mvtm::{MvTm, DEFAULT_VERSIONS};
 pub use norec::NorecTm;
 pub use progressive::ProgressiveTm;
 pub use tl2::Tl2Tm;
-pub use tlrw::TlrwTm;
 pub use tm_mutex::TmMutex;
 pub use visible::VisibleReadTm;
 
 use ptm_sim::SimBuilder;
 use std::sync::Arc;
 
-/// The TM implementations swept by the experiment harness, in table order.
+/// Every TM implementation, in table order: the set the experiment
+/// harness sweeps and the test suite audits.
 pub const ALL_TMS: &[TmKind] = &[
     TmKind::Progressive,
     TmKind::Visible,
@@ -92,14 +89,6 @@ pub enum TmKind {
     Norec,
     /// [`GlockTm`] — single global lock.
     Glock,
-    /// [`MvTm`] — bounded multi-version (extension; not part of
-    /// [`ALL_TMS`] because its progress guarantee is weaker — see the
-    /// module docs).
-    Mv,
-    /// [`TlrwTm`] — pessimistic read-write locks (extension; not in
-    /// [`ALL_TMS`] because its abort-on-upgrade variant is not strongly
-    /// progressive — see the module docs).
-    Tlrw,
 }
 
 impl TmKind {
@@ -111,8 +100,6 @@ impl TmKind {
             TmKind::Tl2 => Arc::new(Tl2Tm::install(builder, n_tobjects)),
             TmKind::Norec => Arc::new(NorecTm::install(builder, n_tobjects)),
             TmKind::Glock => Arc::new(GlockTm::install(builder, n_tobjects)),
-            TmKind::Mv => Arc::new(MvTm::install(builder, n_tobjects)),
-            TmKind::Tlrw => Arc::new(TlrwTm::install(builder, n_tobjects)),
         }
     }
 
@@ -124,8 +111,6 @@ impl TmKind {
             TmKind::Tl2 => "tl2",
             TmKind::Norec => "norec",
             TmKind::Glock => "glock",
-            TmKind::Mv => "mv",
-            TmKind::Tlrw => "tlrw",
         }
     }
 }

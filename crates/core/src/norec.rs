@@ -66,9 +66,6 @@ impl SimTm for NorecTm {
         TmProperties {
             weak_dap: false, // single global sequence lock
             invisible_reads: true,
-            opaque: true,
-            strongly_progressive: true,
-            blocking: true, // readers/committers wait out an active writer
         }
     }
 
@@ -293,7 +290,6 @@ mod tests {
         let tm = NorecTm::install(&mut b, 1);
         let p = tm.properties();
         assert!(!p.weak_dap);
-        assert!(p.invisible_reads && p.opaque && p.strongly_progressive);
-        assert!(p.blocking);
+        assert!(p.invisible_reads);
     }
 }

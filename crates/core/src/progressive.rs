@@ -115,9 +115,6 @@ impl SimTm for ProgressiveTm {
         TmProperties {
             weak_dap: true,
             invisible_reads: true,
-            opaque: true,
-            strongly_progressive: true,
-            blocking: false,
         }
     }
 
@@ -431,8 +428,7 @@ mod tests {
         let mut b = SimBuilder::new(1);
         let tm = ProgressiveTm::install(&mut b, 1);
         let p = tm.properties();
-        assert!(p.weak_dap && p.invisible_reads && p.opaque && p.strongly_progressive);
-        assert!(!p.blocking);
+        assert!(p.weak_dap && p.invisible_reads);
         assert_eq!(tm.name(), "ir-progressive");
         assert_eq!(tm.n_tobjects(), 1);
     }

@@ -70,9 +70,6 @@ impl SimTm for Tl2Tm {
         TmProperties {
             weak_dap: false, // the global clock is shared metadata
             invisible_reads: true,
-            opaque: true,
-            strongly_progressive: true,
-            blocking: false,
         }
     }
 
@@ -325,6 +322,6 @@ mod tests {
         let tm = Tl2Tm::install(&mut b, 1);
         let p = tm.properties();
         assert!(!p.weak_dap);
-        assert!(p.invisible_reads && p.opaque && p.strongly_progressive);
+        assert!(p.invisible_reads);
     }
 }

@@ -100,9 +100,6 @@ impl SimTm for VisibleReadTm {
         TmProperties {
             weak_dap: true, // metadata is per-object / per-process
             invisible_reads: false,
-            opaque: true,
-            strongly_progressive: true,
-            blocking: false,
         }
     }
 
@@ -393,7 +390,6 @@ mod tests {
         let mut b = SimBuilder::new(1);
         let tm = VisibleReadTm::install(&mut b, 1);
         let p = tm.properties();
-        assert!(p.weak_dap && p.opaque && p.strongly_progressive);
-        assert!(!p.invisible_reads && !p.blocking);
+        assert!(p.weak_dap && !p.invisible_reads);
     }
 }

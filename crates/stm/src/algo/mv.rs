@@ -1,6 +1,5 @@
 //! Mv: multi-version invisible reads — the paper's *space* axis on real
-//! threads (Perelman–Fan–Keidar, PODC'10, the design `ptm-core`'s
-//! simulated `MvTm` models with a bounded ring).
+//! threads (Perelman–Fan–Keidar, PODC'10).
 //!
 //! Every transaction draws a snapshot timestamp from the global clock at
 //! its first operation and registers it in the instance's
@@ -9,10 +8,9 @@
 //! or before the snapshot — **zero orec probes, zero validation, zero
 //! shared-memory writes** — so a read-only transaction observes the
 //! consistent cut named by its start time and commits without ever
-//! aborting, no matter how hard writers storm. Where the bounded-ring
-//! simulator aborts a reader whose snapshot aged out of the ring, the
-//! native chain is trimmed by *liveness* (the low watermark), so a
-//! retained snapshot is never evicted.
+//! aborting, no matter how hard writers storm. The chain is trimmed by
+//! *liveness* (the low watermark), so a retained snapshot is never
+//! evicted.
 //!
 //! Updating transactions pay the usual single-version price: commit
 //! locks the write set's stripes in sorted order (the same versioned
@@ -39,11 +37,11 @@
 //!    collector;
 //! 5. release the stripe locks restamped to `wv`.
 //!
-//! Under a `max_versions` bound Mv recovers the simulator's ring
-//! semantics: a camped snapshot whose version was evicted aborts at its
-//! next read (`eviction_aborts` in [`StatsSnapshot`](crate::StatsSnapshot))
-//! and retries on a fresh, retained snapshot — space stays bounded no
-//! matter how long a reader camps.
+//! Under a `max_versions` bound a camped snapshot whose version was
+//! evicted aborts at its next read (`eviction_aborts` in
+//! [`StatsSnapshot`](crate::StatsSnapshot)) and retries on a fresh,
+//! retained snapshot — space stays bounded no matter how long a reader
+//! camps.
 //!
 //! The clock-draw-after-append order is what makes snapshots sound: a
 //! reader can only draw `rv >= wv` after the clock reached `wv`, by

@@ -27,8 +27,7 @@
 //! survive. A failed upgrade CAS restores the consumed read lock *and*
 //! re-registers it in `TxLog::rw_reads` — dropping it from the set while
 //! restoring the count would leak the lock and starve every later writer
-//! on the stripe (the simulated twin in `ptm-core` had exactly this bug
-//! in its rollback path).
+//! on the stripe.
 //!
 //! Aborts happen only when the lock word proves a concurrent conflicting
 //! transaction — progressive. It is **not strongly progressive**: two

@@ -125,8 +125,7 @@ pub enum Algorithm {
     /// with one shared-memory RMW inside every first read of a stripe,
     /// and with writers aborting whenever foreign readers are present.
     /// Progressive but *not* strongly progressive (two read-to-write
-    /// upgraders on one stripe abort each other). The native twin of
-    /// `ptm-core`'s simulated `TlrwTm`.
+    /// upgraders on one stripe abort each other).
     Tlrw,
     /// Multi-version invisible reads (Perelman–Fan–Keidar style): every
     /// read resolves against the transaction's start-time snapshot by
@@ -138,9 +137,8 @@ pub enum Algorithm {
     /// rather than replacing it; superseded versions are reclaimed by
     /// the low-watermark collector once no live snapshot can reach them
     /// (watch `snapshot_reads` / `versions_trimmed` / `max_chain_len` in
-    /// [`StatsSnapshot`](crate::StatsSnapshot)). The native twin of
-    /// `ptm-core`'s simulated `MvTm` — with chains trimmed by liveness
-    /// instead of a fixed ring, so snapshots are never evicted.
+    /// [`StatsSnapshot`](crate::StatsSnapshot)). Chains are trimmed by
+    /// liveness, so by default snapshots are never evicted.
     Mv,
     /// Workload-driven switching across the paper's time–space
     /// separation: a controller samples stats deltas over commit windows
@@ -191,9 +189,8 @@ pub struct MvConfig {
     /// under which a retained snapshot is never evicted — but a camped
     /// reader holds every later version alive on every chain it shadows.
     /// `Some(k)` bounds each chain to `k` versions by evicting the
-    /// oldest suffix at commit (the simulator's ring semantics as a
-    /// config point): a snapshot older than the cut **aborts at its next
-    /// read** of that chain and retries on a fresh snapshot
+    /// oldest suffix at commit: a snapshot older than the cut **aborts
+    /// at its next read** of that chain and retries on a fresh snapshot
     /// (`eviction_aborts` in [`StatsSnapshot`](crate::StatsSnapshot)),
     /// so a pathological camper can cost retries, never unbounded
     /// memory.

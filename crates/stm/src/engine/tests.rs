@@ -267,6 +267,38 @@ fn tlrw_upgrade_rollback_restores_and_releases_read_locks() {
 }
 
 #[test]
+fn two_tlrw_upgraders_abort_each_other() {
+    // The negative specimen of strong progressiveness (Definition 1):
+    // two transactions conflict on one item only, and neither commits.
+    // Each holds a read lock on `v`, so each one's upgrade finds the
+    // other's reader and aborts instead of waiting.
+    let stm = one_attempt(Algorithm::Tlrw);
+    let v = TVar::new(5u64);
+    let mut upgraders = [stm.transaction(), stm.transaction()];
+    let seen: Vec<u64> = upgraders
+        .iter_mut()
+        .map(|tx| tx.read(&v).expect("a shared read lock"))
+        .collect();
+    for (tx, x) in upgraders.iter_mut().zip(seen) {
+        tx.write(&v, x + 1).expect("buffer write");
+    }
+    // Each lock half runs as its own group, while the peer still holds
+    // its read lock.
+    for tx in &mut upgraders {
+        let group = std::slice::from_mut(tx);
+        assert_eq!(twophase::open(group), Ok(true), "an upgrader locks");
+        assert_eq!(twophase::lock(group), Err(Retry), "the peer reads v");
+    }
+    for tx in &mut upgraders {
+        tx.aborted();
+    }
+    let d = stm.stats().snapshot();
+    assert_eq!((d.reader_conflicts, d.commits), (2, 0));
+    assert_eq!(v.load(), 5);
+    assert_orecs_quiescent(&stm);
+}
+
+#[test]
 fn tlrw_writer_aborts_while_reader_holds_the_stripe() {
     let stm = Arc::new(Stm::builder(Algorithm::Tlrw).max_attempts(3).build());
     let v = TVar::new(0u64);

@@ -1,15 +1,16 @@
 //! Using the formal-model checkers as a library: build TM executions,
 //! parse their histories, and audit them against the paper's definitions
-//! — including one *negative* specimen (the TLRW upgrade deadlock) that
-//! violates strong progressiveness, caught by the Definition 1 checker.
+//! — including one *negative* specimen (a committed read of a value
+//! nothing wrote) that the opacity and strict-serializability checkers
+//! reject.
 //!
 //! ```text
 //! cargo run --example history_audit
 //! ```
 
-use progressive_tm::core::{TmHarness, TmKind, TxCommand};
+use progressive_tm::core::{TmHarness, TmKind};
 use progressive_tm::model;
-use progressive_tm::sim::{ProcessId, TObjId};
+use progressive_tm::sim::{LogEntry, LogPayload, Marker, ProcessId, TObjId, TOpDesc, TOpResult};
 
 fn audit(name: &str, hist: &model::History) {
     println!("== {name} ==");
@@ -40,7 +41,7 @@ fn audit(name: &str, hist: &model::History) {
     println!();
 }
 
-fn happy_path() -> model::History {
+fn happy_path_log() -> Vec<LogEntry> {
     // Two sequential transfers on the progressive TM.
     let mut h = TmHarness::new(2, |b| TmKind::Progressive.install(b, 2));
     let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
@@ -50,7 +51,7 @@ fn happy_path() -> model::History {
     let _ = h.read(p1, TObjId::new(1));
     let _ = h.try_commit(p1);
     h.stop_all();
-    h.history()
+    h.log()
 }
 
 fn aborted_reader() -> model::History {
@@ -66,38 +67,33 @@ fn aborted_reader() -> model::History {
     h.history()
 }
 
-fn tlrw_upgrade_deadlock() -> model::History {
-    // The negative specimen: two read-to-write upgraders on one item both
-    // abort — Definition 1 is violated and the checker proves it.
-    let mut h = TmHarness::new(2, |b| TmKind::Tlrw.install(b, 1));
-    let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
-    h.begin(p0);
-    h.begin(p1);
-    let _ = h.read(p0, TObjId::new(0));
-    let _ = h.read(p1, TObjId::new(0));
-    let _ = h.write(p0, TObjId::new(0), 1);
-    let _ = h.write(p1, TObjId::new(0), 2);
-    // Interleave both commits step by step so each sees the other's lock.
-    h.sim().send(p0, TxCommand::TryCommit);
-    h.sim().send(p1, TxCommand::TryCommit);
-    loop {
-        let runnable = h.sim().runnable();
-        if runnable.is_empty() {
-            break;
-        }
-        for pid in runnable {
-            let _ = h.sim().step(pid);
-        }
-    }
-    h.stop_all();
-    h.history()
+fn corrupted_read() -> model::History {
+    // The negative specimen: the sequential transfers' log with the
+    // committed reader's first read response flipped to a value nothing
+    // wrote. No serialization explains that read, and the checkers say so.
+    let mut log = happy_path_log();
+    // The writer reads nothing, so the first read response is the reader's.
+    let read = log
+        .iter_mut()
+        .find_map(|e| match &mut e.payload {
+            LogPayload::Marker(Marker::TxResponse {
+                op: TOpDesc::Read(_),
+                res: res @ TOpResult::Value(_),
+                ..
+            }) => Some(res),
+            _ => None,
+        })
+        .expect("the reader read");
+    *read = TOpResult::Value(1_000_003);
+    model::History::from_log(&log).expect("flipping a value keeps the history well formed")
 }
 
 fn main() {
-    audit("sequential transfers (ir-progressive)", &happy_path());
+    let happy = model::History::from_log(&happy_path_log()).expect("well-formed history");
+    audit("sequential transfers (ir-progressive)", &happy);
     audit("reader aborted by concurrent writer", &aborted_reader());
     audit(
-        "TLRW upgrade deadlock (negative specimen)",
-        &tlrw_upgrade_deadlock(),
+        "corrupted read value (negative specimen)",
+        &corrupted_read(),
     );
 }

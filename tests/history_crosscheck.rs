@@ -274,7 +274,7 @@ fn tarray_workload_histories_are_opaque() {
 }
 
 #[test]
-fn user_retries_and_try_once_close_their_transactions() {
+fn user_retries_and_one_attempt_budgets_close_their_transactions() {
     for algo in ALGOS {
         let rec = HistoryRecorder::new();
         // Tiny attempt budget: the always-failing bodies below must not

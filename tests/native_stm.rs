@@ -744,11 +744,10 @@ fn mv_sequential_handoff_reads_the_current_value() {
 
 #[test]
 fn mv_capped_chains_stay_bounded_and_evictions_stay_opaque() {
-    // `MvConfig::max_versions` restores the simulated ring's oldest-
-    // snapshot-abort semantics: a camped snapshot the ring rolled past
-    // pays an observable eviction abort and retries at a fresh snapshot,
-    // retention stays bounded by the cap, concurrent transfers still
-    // conserve, and the whole recorded run — eviction abort included —
+    // `MvConfig::max_versions` bounds each chain: a camped snapshot
+    // whose version was evicted pays an observable eviction abort and
+    // retries at a fresh snapshot, retention stays bounded by the cap,
+    // concurrent transfers still conserve, and the whole recorded run — eviction abort included —
     // passes the opacity checker.
     let rec = HistoryRecorder::new();
     let stm = Arc::new(
@@ -1152,9 +1151,7 @@ fn norec_value_validation_survives_equal_write_back() {
 }
 
 #[test]
-fn try_once_reports_conflicts_without_retrying() {
-    // Named for the one-shot driver it once called: a budget of one
-    // attempt is that driver now.
+fn a_one_attempt_budget_reports_exhaustion_without_retrying() {
     let stm = Stm::builder(Algorithm::Tl2).max_attempts(1).build();
     let v = TVar::new(1u64);
     // A transaction that always requests retry commits nothing.
