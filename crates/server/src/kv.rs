@@ -511,7 +511,8 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
     }
 
     /// Appends every entry of one shard to `out`, read into this
-    /// transaction's footprint.
+    /// transaction's footprint: the shard map's buckets in one
+    /// [`Transaction::read_each`] call.
     ///
     /// # Errors
     ///

@@ -143,6 +143,25 @@ pub(crate) fn read<T: TxValue, R>(
     }
 }
 
+/// [`read`] of every variable of `vars` in order, stopping at the first
+/// eviction abort: the body of `Transaction::read_each` on an Mv-hook
+/// attempt that records no history and has buffered no write, so no
+/// variable needs the engine's own-write lookup or history markers.
+/// The engine has drawn the snapshot; the read set is reserved once,
+/// and each variable costs its read tally plus [`read`] itself.
+pub(crate) fn read_each<T: TxValue>(
+    tx: &mut Transaction<'_>,
+    vars: &[TVar<T>],
+    mut f: impl FnMut(&T),
+) -> Result<(), Retry> {
+    tx.log.reads.reserve(vars.len());
+    for var in vars {
+        tx.tally.read();
+        read(tx, var, &mut f)?;
+    }
+    Ok(())
+}
+
 /// Append publish, for every commit of an instance that serves
 /// snapshots (Mv, and Adaptive whichever read hooks the attempt ran),
 /// under the locks the group's lock half took. `group` shares one

@@ -5,6 +5,7 @@
 use super::*;
 use crate::algo::adaptive::AdaptiveConfig;
 use crate::orec;
+use crate::stats::StatsSnapshot;
 use crate::tvar::TVar;
 use crate::txlog::{LogLoan, TxLog, POOL_DEPTH, POOL_RETAINED_CAP};
 use std::sync::atomic::Ordering;
@@ -1115,6 +1116,182 @@ fn write_skew_in_one_domain_commits_at_most_one_group() {
         assert_orecs_quiescent(&a);
         assert_orecs_quiescent(&b);
     }
+}
+
+// ---------------------------------------------------------------------
+// Batched reads: `Transaction::read_each` is defined as the `read_with`
+// loop, whichever of its two bodies runs.
+// ---------------------------------------------------------------------
+
+/// How a scan reads its variables: the batched call, or the loop it is
+/// defined as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scan {
+    Batch,
+    Loop,
+}
+
+/// Reads every variable of `vars` the `how` way, pushing what each read
+/// saw onto `seen`.
+fn scan(
+    tx: &mut Transaction<'_>,
+    how: Scan,
+    vars: &[TVar<u64>],
+    seen: &mut Vec<u64>,
+) -> Result<(), Retry> {
+    match how {
+        Scan::Batch => tx.read_each(vars, |v| seen.push(*v)),
+        Scan::Loop => {
+            for var in vars {
+                tx.read_with(var, |v| seen.push(*v))?;
+            }
+            Ok(())
+        }
+    }
+}
+
+fn scan_vars() -> Vec<TVar<u64>> {
+    (0..16).map(TVar::new).collect()
+}
+
+/// What one scripted scan left behind: its outcome, the values it saw in
+/// order, and the instance's stats once the attempt resolved.
+type ScanTrace = (Result<(), Retry>, Vec<u64>, StatsSnapshot);
+
+/// A fresh `algo` instance; one attempt that draws its snapshot on an
+/// unrelated variable, lets three commits overwrite scanned variables,
+/// scans them all the `how` way, then commits (a quiet scan) or rolls
+/// back.
+fn scripted_scan(algo: Algorithm, how: Scan, overwrite: bool) -> ScanTrace {
+    let stm = Stm::new(algo);
+    let (anchor, vars) = (TVar::new(0u64), scan_vars());
+    let mut tx = stm.transaction();
+    tx.read(&anchor).expect("fresh read");
+    if overwrite {
+        for i in [3, 7, 11] {
+            stm.atomically(|t| t.write(&vars[i], 100 + i as u64));
+        }
+    }
+    let mut seen = Vec::new();
+    let out = scan(&mut tx, how, &vars, &mut seen);
+    if out.is_ok() && !overwrite {
+        Transaction::commit_all(vec![tx], |_| {}).expect("read-only commit");
+    } else {
+        tx.rollback();
+    }
+    assert_orecs_quiescent(&stm);
+    (out, seen, stm.stats().snapshot())
+}
+
+#[test]
+fn read_each_is_the_read_with_loop_all_modes() {
+    // Same values in the same order, same outcome, and the same stats —
+    // `reads`, `snapshot_reads`, `chain_walk_steps`, `validation_probes`
+    // and every other counter — on a quiet scan and on one whose
+    // snapshot three commits overtook (Mv walks back a version for each,
+    // Tl2 and Incremental abort at the first, NOrec revalidates and
+    // reads on).
+    for algo in Algorithm::ALL {
+        for overwrite in [false, true] {
+            let batch = scripted_scan(algo, Scan::Batch, overwrite);
+            let looped = scripted_scan(algo, Scan::Loop, overwrite);
+            assert_eq!(batch, looped, "{algo:?}, overwrite: {overwrite}");
+            let (out, seen, stats) = batch;
+            if !overwrite {
+                assert_eq!(out, Ok(()), "{algo:?}");
+                assert_eq!(seen, (0..16).collect::<Vec<_>>(), "{algo:?}");
+                assert_eq!(stats.reads, 17, "{algo:?}");
+            }
+            if algo == Algorithm::Mv {
+                assert_eq!(stats.snapshot_reads, 17);
+                assert_eq!(stats.chain_walk_steps, if overwrite { 3 } else { 0 });
+                assert_eq!(stats.validation_probes, 0);
+            }
+        }
+    }
+}
+
+#[test]
+fn read_each_leaves_the_read_with_loops_footprint_all_modes() {
+    // An attempt that batch-reads and then writes is as exposed as one
+    // that read the same variables one by one: a commit on any of them
+    // aborts it (invisible reads), or cannot land (Tlrw's read locks).
+    for algo in Algorithm::ALL {
+        for i in [0, 7, 15] {
+            let outcomes = [Scan::Batch, Scan::Loop].map(|how| {
+                let stm = one_attempt(algo);
+                let (vars, out) = (scan_vars(), TVar::new(0u64));
+                let mut tx = stm.transaction();
+                scan(&mut tx, how, &vars, &mut Vec::new()).expect("fresh scan");
+                tx.write(&out, 1).expect("buffer write");
+                let bumped = stm.run(|t| t.modify(&vars[i], |x| x + 1)).is_ok();
+                let committed = Transaction::commit_all(vec![tx], |_| {}).is_ok();
+                assert_ne!(committed, bumped, "{algo:?} {how:?}: var {i}");
+                assert_orecs_quiescent(&stm);
+                committed
+            });
+            assert_eq!(outcomes[0], outcomes[1], "{algo:?}: var {i}");
+            assert_eq!(outcomes[0], algo == Algorithm::Tlrw, "{algo:?}: var {i}");
+        }
+    }
+}
+
+#[test]
+fn read_each_on_a_poisoned_attempt_skips_the_closure_all_modes() {
+    for stm in engines() {
+        let vars = scan_vars();
+        let mut tx = stm.transaction();
+        assert_eq!(tx.retry::<()>(), Err(Retry));
+        let mut called = false;
+        assert_eq!(tx.read_each(&vars, |_| called = true), Err(Retry));
+        assert!(!called, "{:?}", stm.algorithm());
+        tx.rollback();
+    }
+}
+
+#[test]
+fn read_each_sees_the_attempts_own_write_all_modes() {
+    for stm in engines() {
+        let vars = scan_vars();
+        let mut seen = Vec::new();
+        let mut tx = stm.transaction();
+        tx.write(&vars[2], 99).expect("buffer write");
+        tx.read_each(&vars, |v| seen.push(*v)).expect("fresh scan");
+        Transaction::commit_all(vec![tx], |_| {}).expect("uncontended commit");
+        let mut want: Vec<u64> = (0..16).collect();
+        want[2] = 99;
+        assert_eq!(seen, want, "{:?}", stm.algorithm());
+    }
+}
+
+#[test]
+fn read_each_of_an_evicted_snapshot_aborts_and_poisons() {
+    // A snapshot camped past a `max_versions` bound: the batch aborts at
+    // the evicted variable, as `mv::read` does, counts one eviction abort
+    // and dooms the attempt.
+    let stm = Stm::builder(Algorithm::Mv)
+        .mv_config(MvConfig {
+            max_versions: Some(2),
+        })
+        .build();
+    let (anchor, vars) = (TVar::new(0u64), scan_vars());
+    let mut tx = stm.transaction();
+    tx.read(&anchor).expect("fresh read");
+    for _ in 0..8 {
+        stm.atomically(|t| t.modify(&vars[5], |x| x + 1));
+    }
+    let before = stm.stats().snapshot();
+    let mut seen = Vec::new();
+    assert_eq!(tx.read_each(&vars, |v| seen.push(*v)), Err(Retry));
+    assert_eq!(seen, vec![0, 1, 2, 3, 4], "the prefix before the eviction");
+    assert_eq!(tx.read(&anchor), Err(Retry), "the attempt is poisoned");
+    tx.rollback();
+    let d = stm.stats().snapshot().since(&before);
+    assert_eq!(d.eviction_aborts, 1);
+    assert_eq!(
+        d.snapshot_reads, 7,
+        "the anchor, the five reads before the eviction and the evicted one"
+    );
 }
 
 /// Where a transaction's log lives — the identity of its loan.

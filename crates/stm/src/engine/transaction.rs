@@ -4,7 +4,7 @@
 //! every way an attempt can end goes through.
 
 use super::{Retry, Stm};
-use crate::algo::{self, adaptive, versioned, Hooks};
+use crate::algo::{self, adaptive, mv, versioned, Hooks};
 use crate::epoch;
 use crate::orec;
 use crate::recorder::{word_of, HistoryRecorder, RecTx};
@@ -362,6 +362,66 @@ impl<'s> Transaction<'s> {
                 Err(Retry)
             }
         }
+    }
+
+    /// Reads every variable of `vars`, in order, applying `f` to each
+    /// value in place: exactly `for v in vars { self.read_with(v, &mut f)? }`
+    /// — the same values, read-set entries, recorded history markers,
+    /// tallies and poisoning. It is how a whole-structure scan reads. On
+    /// an Mv-hook attempt that records no history and has buffered no
+    /// write, the engine's per-read checks (poisoned, recorder, snapshot
+    /// start, own-write lookup) run once per call and the scan is one
+    /// loop of snapshot reads in the read hook; every other attempt runs
+    /// the loop above.
+    ///
+    /// `f` runs inside each variable's read window, as
+    /// [`read_with`](Self::read_with)'s closure does, and may have run on
+    /// a prefix of `vars` when the call returns [`Retry`]: whatever it
+    /// gathered is then to be discarded.
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Self::read), at the first variable whose read fails;
+    /// a poisoned attempt returns [`Retry`] without calling `f`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ptm_stm::{Stm, TVar};
+    ///
+    /// let stm = Stm::mv();
+    /// let slots: Vec<TVar<u64>> = (1..=4).map(TVar::new).collect();
+    /// let total = stm.atomically(|tx| {
+    ///     let mut sum = 0;
+    ///     tx.read_each(&slots, |v| sum += v)?;
+    ///     Ok(sum)
+    /// });
+    /// assert_eq!(total, 10);
+    /// ```
+    pub fn read_each<T: TxValue>(
+        &mut self,
+        vars: &[TVar<T>],
+        mut f: impl FnMut(&T),
+    ) -> Result<(), Retry> {
+        // An empty batch, like an empty loop, neither checks nor starts
+        // the attempt.
+        if self.mode != Hooks::Mv
+            || self.rec.is_some()
+            || !self.log.writes.is_empty()
+            || vars.is_empty()
+        {
+            for var in vars {
+                self.read_with(var, &mut f)?;
+            }
+            return Ok(());
+        }
+        if self.poisoned {
+            return Err(Retry);
+        }
+        self.ensure_started();
+        let out = mv::read_each(self, vars, f);
+        self.poisoned = out.is_err();
+        out
     }
 
     /// The algorithm-specific read path (the [`crate::algo`] read hook),

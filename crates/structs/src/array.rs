@@ -143,13 +143,17 @@ impl<T: TxValue> TArray<T> {
         tx.write(&self.slots[j], a)
     }
 
-    /// A consistent snapshot of every slot, in index order.
+    /// A consistent snapshot of every slot, in index order: one
+    /// [`Transaction::read_each`] over the slots, cloning each value once
+    /// into a vector sized up front.
     ///
     /// # Errors
     ///
     /// [`Retry`] on conflict.
     pub fn snapshot(&self, tx: &mut Transaction<'_>) -> Result<Vec<T>, Retry> {
-        self.slots.iter().map(|s| tx.read(s)).collect()
+        let mut out = Vec::with_capacity(self.slots.len());
+        tx.read_each(&self.slots, |v| out.push(v.clone()))?;
+        Ok(out)
     }
 
     /// Reads every slot non-transactionally (per-slot snapshots; use

@@ -22,9 +22,13 @@ const DEFAULT_BUCKETS: usize = 64;
 /// pair on one hot variable and destroy the parallelism striping buys.
 ///
 /// Reads borrow: `get`, `contains_key`, `len`, `is_empty` and `snapshot`
-/// look at each bucket in place ([`Transaction::read_with`]) and clone
-/// only what they return — `get` one `V`, the tests nothing, `snapshot`
-/// each entry once. [`snapshot_into`](THashMap::snapshot_into) appends
+/// look at each bucket in place and clone only what they return — `get`
+/// one `V`, the tests nothing, `snapshot` each entry once. `get` and
+/// `contains_key` read their one bucket with [`Transaction::read_with`];
+/// `len`, `is_empty` and `snapshot` read every bucket in one
+/// [`Transaction::read_each`] call, which on an Mv snapshot runs the
+/// engine's per-read checks once per scan instead of once per bucket.
+/// [`snapshot_into`](THashMap::snapshot_into) appends
 /// those entries to a buffer the caller owns, so a scan over several
 /// maps fills one vector instead of copying one per map. Writers are
 /// copy-on-write: `insert` / `remove` clone the bucket once, edit the
@@ -253,24 +257,20 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     /// [`Retry`] on conflict.
     pub fn len(&self, tx: &mut Transaction<'_>) -> Result<usize, Retry> {
         let mut n = 0;
-        for b in self.buckets.iter() {
-            n += tx.read_with(b, Vec::len)?;
-        }
+        tx.read_each(&self.buckets, |bucket| n += bucket.len())?;
         Ok(n)
     }
 
-    /// Whether the map has no entries (scans every bucket).
+    /// Whether the map has no entries (scans every bucket, even past the
+    /// first non-empty one: the scan is one batched read).
     ///
     /// # Errors
     ///
     /// [`Retry`] on conflict.
     pub fn is_empty(&self, tx: &mut Transaction<'_>) -> Result<bool, Retry> {
-        for b in self.buckets.iter() {
-            if !tx.read_with(b, Vec::is_empty)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let mut empty = true;
+        tx.read_each(&self.buckets, |bucket| empty &= bucket.is_empty())?;
+        Ok(empty)
     }
 
     /// A consistent snapshot of every entry, in unspecified order.
@@ -284,9 +284,10 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
         Ok(out)
     }
 
-    /// [`snapshot`](Self::snapshot) appended to `out`: each bucket is
-    /// copied in place, once, into the caller's buffer, so a caller
-    /// gathering several maps (or re-running) reuses one allocation.
+    /// [`snapshot`](Self::snapshot) appended to `out`: one
+    /// [`Transaction::read_each`] over the buckets copies each in place,
+    /// once, into the caller's buffer, so a caller gathering several
+    /// maps (or re-running) reuses one allocation.
     ///
     /// # Errors
     ///
@@ -298,17 +299,14 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
         tx: &mut Transaction<'_>,
         out: &mut Vec<(K, V)>,
     ) -> Result<(), Retry> {
-        for b in self.buckets.iter() {
-            tx.read_with(b, |bucket| out.extend_from_slice(bucket))?;
-        }
-        Ok(())
+        tx.read_each(&self.buckets, |bucket| out.extend_from_slice(bucket))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ptm_stm::Stm;
+    use ptm_stm::{AdaptiveConfig, Algorithm, Stm};
 
     /// All six algorithms: `get_wait`'s park/wake path must work under
     /// visible reads (Tlrw), mode switching (Adaptive) and snapshot
@@ -371,6 +369,36 @@ mod tests {
         snap.sort_unstable();
         assert_eq!(snap.len(), 32);
         assert_eq!(snap[31], (31, 310));
+    }
+
+    #[test]
+    fn batched_snapshots_still_vote_an_adaptive_instance_to_mv() {
+        // A snapshot reads its buckets through `read_each`, which counts
+        // each bucket as a read whichever body runs: 64-bucket read-only
+        // scans switch the instance to Mv (reads counted on the Tl2
+        // hooks), and keep it there once every scan takes the batched
+        // Mv body — a scan that tallied no reads would vote it back.
+        let stm = Stm::builder(Algorithm::Adaptive)
+            .adaptive_config(AdaptiveConfig {
+                window_commits: 8,
+                hysteresis_windows: 1,
+                mv_scan_reads: 32.0,
+            })
+            .build();
+        let m: THashMap<u64, u64> = THashMap::with_buckets(64);
+        stm.atomically(|tx| m.insert(tx, 1, 10));
+        for _ in 0..32 {
+            assert_eq!(stm.atomically(|tx| m.snapshot(tx)), vec![(1, 10)]);
+        }
+        assert_eq!(stm.active_mode(), Algorithm::Mv);
+        let before = stm.stats().snapshot();
+        for _ in 0..64 {
+            stm.atomically(|tx| m.snapshot(tx));
+        }
+        let d = stm.stats().snapshot().since(&before);
+        assert_eq!(stm.active_mode(), Algorithm::Mv, "the vote stayed Mv");
+        assert_eq!(d.mode_transitions, 0);
+        assert_eq!((d.reads, d.snapshot_reads), (64 * 64, 64 * 64));
     }
 
     #[test]

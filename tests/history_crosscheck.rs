@@ -242,6 +242,66 @@ fn nonzero_initial_values_are_installed_by_the_preamble() {
 }
 
 #[test]
+fn batched_reads_record_one_marker_per_variable() {
+    // `read_each` with a recorder attached is the `read_with` loop: one
+    // invoke/response pair per variable, so the checker sees every read
+    // of a scan that races transfers, and the scans see a conserved sum.
+    const N: usize = 8;
+    for algo in ALGOS {
+        let (stm, rec) = recording_stm(algo);
+        let accounts: Vec<TVar<u64>> = (0..N).map(|_| TVar::new(10)).collect();
+        std::thread::scope(|s| {
+            for t in 0..2usize {
+                let (stm, accounts) = (Arc::clone(&stm), accounts.clone());
+                s.spawn(move || {
+                    for i in 0..3usize {
+                        let (from, to) = ((t + i) % N, (t + 3 * i + 1) % N);
+                        stm.atomically(|tx| {
+                            let a = tx.read(&accounts[from])?;
+                            let b = tx.read(&accounts[to])?;
+                            tx.write(&accounts[from], a - 1)?;
+                            tx.write(&accounts[to], b + 1)
+                        });
+                    }
+                });
+            }
+            let (stm, accounts) = (Arc::clone(&stm), accounts.clone());
+            s.spawn(move || {
+                for _ in 0..3 {
+                    let mut sum = 0;
+                    stm.atomically(|tx| {
+                        sum = 0;
+                        tx.read_each(&accounts, |v| sum += v)
+                    });
+                    assert_eq!(sum, 10 * N as u64, "{algo:?}: a torn scan");
+                }
+            });
+        });
+        // One last scan, alone: its transaction's markers are the log's
+        // last reads.
+        stm.atomically(|tx| tx.read_each(&accounts, |_| {}));
+        let log = rec.drain();
+        let reads: Vec<TxId> = log
+            .iter()
+            .filter_map(|e| match e.marker() {
+                Some(Marker::TxInvoke {
+                    tx,
+                    op: TOpDesc::Read(_),
+                }) => Some(*tx),
+                _ => None,
+            })
+            .collect();
+        let last = *reads.last().expect("the scans recorded reads");
+        assert_eq!(
+            reads.iter().filter(|&&tx| tx == last).count(),
+            N,
+            "{algo:?}: one read marker per variable"
+        );
+        assert_checker_accepts(&history_of(&log), &format!("{algo:?}/read_each"));
+    }
+}
+
+#[test]
 fn tarray_workload_histories_are_opaque() {
     // The data-structure layer over the recorder: TArray slots hold u64,
     // so recorded words are the real values and the checker validates
