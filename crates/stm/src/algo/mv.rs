@@ -76,6 +76,11 @@
 //! `versions_trimmed` / `max_chain_len` in
 //! [`StatsSnapshot`](crate::StatsSnapshot) watch that budget, and
 //! `snapshot_reads` counts the reads that paid no validation for it.
+//! In time, a read-only transaction pays per t-read one walk of the
+//! chain: it visits 1 + k nodes, k the retained versions stamped after
+//! its `rv` (one `prev` hop each, `chain_walk_steps`), and performs no
+//! RMW and no fence. A reader no commit has overtaken reads the head;
+//! a camped one pays linearly in how far it has fallen behind.
 //!
 //! ## Open: validation before the draw (the T/C/R cycle)
 //!

@@ -1294,6 +1294,33 @@ fn read_each_of_an_evicted_snapshot_aborts_and_poisons() {
     );
 }
 
+#[test]
+fn a_snapshot_whose_initial_version_was_evicted_aborts() {
+    // The first commits are stamped 1 and 2, so a snapshot drawn before
+    // them names the initial value, stamped 0. The second commit's cap
+    // evicts only that version; the camper's read must abort, not serve
+    // the head.
+    let stm = Stm::builder(Algorithm::Mv)
+        .mv_config(MvConfig {
+            max_versions: Some(2),
+        })
+        .build();
+    let (anchor, v) = (TVar::new(0u64), TVar::new(0u64));
+    let mut tx = stm.transaction();
+    tx.read(&anchor).expect("fresh read");
+    for _ in 0..2 {
+        stm.atomically(|t| t.modify(&v, |x| x + 1));
+    }
+    assert_eq!(
+        v.versions_retained(),
+        2,
+        "the cap evicted the initial value"
+    );
+    assert_eq!(tx.read(&v), Err(Retry));
+    tx.rollback();
+    assert_eq!(stm.stats().snapshot().eviction_aborts, 1);
+}
+
 /// Where a transaction's log lives — the identity of its loan.
 fn log_addr(tx: &Transaction<'_>) -> *const TxLog {
     &*tx.log

@@ -250,9 +250,10 @@ counters! {
     snapshot_reads: sum, "snapshot_reads";
     /// Version-chain hops snapshot reads performed past the head
     /// ([`Algorithm::Mv`](crate::Algorithm::Mv)): 0 when every read was
-    /// served by the newest version. The cost of camping — with skip
-    /// pointers it grows logarithmically in the chain length, not
-    /// linearly (see the `long_scan` camped-reader bench rung).
+    /// served by the newest version. The cost of camping: one hop per
+    /// retained version stamped after the snapshot, linear in how far
+    /// the reader has fallen behind (see the `long_scan_camped` bench
+    /// rows).
     chain_walk_steps: sum, "walk_steps";
     /// Superseded versions detached from their chains by the
     /// low-watermark collector (`Algorithm::Mv` commits). The space the

@@ -45,7 +45,7 @@
 use crate::epoch::{Guard, Retired};
 use std::any::Any;
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Values storable in a [`TVar`]: cloneable (reads snapshot), comparable
@@ -83,30 +83,16 @@ struct Version<T> {
     stamp: AtomicU64,
     /// Next-older retained version; null at the chain's end.
     prev: AtomicPtr<Version<T>>,
-    /// Append-order index (0 for nodes installed outside Mv appends),
-    /// driving the Fenwick-style skip targeting. Strictly decreasing
-    /// down any chain; never mutated once the node is reachable.
-    idx: u64,
-    /// Skip link to a strictly older retained node (null: none), letting
-    /// [`TVarInner::read_at_counted`] descend a long chain in
-    /// O(log² chain) hops instead of O(chain). Purely an accelerator —
-    /// every skip target is also reachable through `prev` — but a
-    /// *clamped* one: trims re-aim any skip that would cross the cut
-    /// (see `detach_below`), so following a skip can never
-    /// leave the retained chain.
-    skip: AtomicPtr<Version<T>>,
 }
 
 impl<T> Version<T> {
-    /// An unlinked node: stamp 0, no `prev`, index 0, no skip — what a
-    /// swap publishes as is, and what an append links in place.
+    /// An unlinked node: stamp 0, no `prev` — what a swap publishes as
+    /// is, and what an append links in place.
     fn unlinked(value: T) -> Self {
         Version {
             value,
             stamp: AtomicU64::new(0),
             prev: AtomicPtr::new(std::ptr::null_mut()),
-            idx: 0,
-            skip: AtomicPtr::new(std::ptr::null_mut()),
         }
     }
 
@@ -218,8 +204,8 @@ pub(crate) trait AnyTVar: Send + Sync {
     /// Cuts the chain to at most `max` newest versions *regardless of
     /// the watermark* — the [`crate::MvConfig::max_versions`] space
     /// bound. Evicted versions may still be named by an active snapshot;
-    /// the chain remembers the newest evicted stamp so such a snapshot's
-    /// walk aborts ([`Evicted`]) instead of reading a wrong value.
+    /// the chain remembers that it evicted, so such a snapshot's walk
+    /// aborts ([`Evicted`]) instead of reading a wrong value.
     /// Returns the number evicted. Caller holds the stripe lock.
     fn cap_chain(&self, max: usize, out: &mut Vec<Retired>) -> usize;
 
@@ -233,18 +219,18 @@ pub(crate) struct TVarInner<T> {
     /// writer's exclusion); displaced or trimmed versions are freed by
     /// the epoch collector, and the final chain by `Drop`.
     head: AtomicPtr<Version<T>>,
-    /// Newest stamp ever evicted past the watermark by `cap_chain` (0:
-    /// never). A snapshot walk that falls off the chain's end consults
-    /// it to tell eviction (abort) from sequential handoff (fall back to
-    /// the head). Monotone via `fetch_max`.
-    evicted_stamp: AtomicU64,
+    /// Whether `cap_chain` has ever evicted a version past the
+    /// watermark; never cleared. A snapshot walk that falls off the
+    /// chain's end consults it to tell eviction (abort) from sequential
+    /// handoff (fall back to the head).
+    evicted: AtomicBool,
 }
 
 impl<T: TxValue> TVarInner<T> {
     fn new(value: T) -> Self {
         TVarInner {
             head: AtomicPtr::new(Box::into_raw(Box::new(Version::unlinked(value)))),
-            evicted_stamp: AtomicU64::new(0),
+            evicted: AtomicBool::new(false),
         }
     }
 
@@ -294,15 +280,10 @@ impl<T: TxValue> TVarInner<T> {
     /// is the *current* value: fall back to the head, agreeing with
     /// [`Self::read_snapshot`] and every single-version algorithm.
     ///
-    /// The walk descends by skip pointer where it can: a skip target
-    /// whose stamp still exceeds `rv` can be jumped to directly, because
-    /// every node between is *newer* than the target (stamps strictly
-    /// decrease down an appended chain) and therefore also exceeds `rv`.
-    /// A skip whose target is at or below `rv` is refused — the answer
-    /// could be a node between — and the walk takes `prev` instead.
-    /// Against the Fenwick-shaped skips `append_boxed` builds this is
-    /// O(log² chain) hops; correctness never depends on the skips, only
-    /// on `prev`.
+    /// The walk follows `prev`, so it visits one node per retained
+    /// version stamped after `rv`: free at the head (the common case, a
+    /// snapshot no commit has overtaken), linear in how far a camped
+    /// reader has fallen behind.
     pub(crate) fn read_at_counted<R>(
         &self,
         pin: &Guard,
@@ -315,27 +296,16 @@ impl<T: TxValue> TVarInner<T> {
             // SAFETY: as in `read_snapshot` — every node reachable from
             // the head was fully published and is kept alive by the pin;
             // trimming detaches only suffixes no snapshot `>= watermark`
-            // can walk into, this snapshot is `>= watermark` by the
-            // registry's floor-first scan (see `SnapshotRegistry`), and
-            // skip pointers are clamped inside the retained chain before
-            // any detach.
+            // can walk into, and this snapshot is `>= watermark` by the
+            // registry's floor-first scan (see `SnapshotRegistry`).
             let node = unsafe { &*p };
             if node.stamp() <= rv {
                 return Ok((f(&node.value), steps));
             }
             steps += 1;
-            let skip = node.skip.load(Ordering::Acquire);
-            if !skip.is_null() {
-                // SAFETY: clamped within the chain, alive under the pin.
-                let s = unsafe { &*skip };
-                if s.stamp() > rv {
-                    p = skip;
-                    continue;
-                }
-            }
             let prev = node.prev.load(Ordering::Acquire);
             if prev.is_null() {
-                return if self.evicted_stamp.load(Ordering::Acquire) != 0 {
+                return if self.evicted.load(Ordering::Acquire) {
                     Err(Evicted)
                 } else {
                     Ok((self.read_snapshot(pin, f), steps))
@@ -345,69 +315,21 @@ impl<T: TxValue> TVarInner<T> {
         }
     }
 
-    /// Computes the append-order index and skip target for a node about
-    /// to be pushed over `prev`. A node with index `i` aims its skip at
-    /// the live node nearest index `i & (i - 1)` (lowest set bit
-    /// cleared) — the implicit tree a Fenwick array uses — reachable
-    /// from `prev` in O(log i) hops, because repeatedly clearing the
-    /// lowest set bit of `i - 1` descends exactly through that index's
-    /// prefixes. Trimming may have freed the exact target; the walk then
-    /// settles on the chain's end, which only shortens future skips,
-    /// never breaks them.
-    fn skip_for(prev: *mut Version<T>) -> (u64, *mut Version<T>) {
-        // SAFETY: `prev` is the live head (the caller holds the stripe
-        // lock), and every skip/prev pointer reachable from it stays
-        // within the retained chain (the clamping invariant upheld by
-        // `detach_below`).
-        unsafe {
-            let i = (*prev).idx.wrapping_add(1);
-            let target = i & i.wrapping_sub(1);
-            let mut cur = prev;
-            while (*cur).idx > target {
-                let s = (*cur).skip.load(Ordering::Relaxed);
-                if !s.is_null() && (*s).idx >= target {
-                    cur = s;
-                } else {
-                    let p = (*cur).prev.load(Ordering::Relaxed);
-                    if p.is_null() {
-                        break;
-                    }
-                    cur = p;
-                }
-            }
-            (i, cur)
-        }
-    }
-
     /// Makes `tail` the chain's oldest retained version and returns how
-    /// many versions that detached. Every skip in the retained prefix
-    /// that aims below `tail` is first re-aimed at `tail` itself — skips
-    /// must never escape the retained chain (readers would chase freed
-    /// nodes), and `tail` preserves most of the jump distance — and
-    /// `tail`'s own skip, whose target always has a strictly smaller
-    /// index, is cleared. The detached suffix goes to `out` for epoch
-    /// retirement; in-flight readers that already loaded a pointer into
-    /// it hold epoch pins, which keep it alive until they unpin.
+    /// many versions that detached. The detached suffix goes to `out`
+    /// for epoch retirement; in-flight readers that already loaded a
+    /// pointer into it hold epoch pins, which keep it alive until they
+    /// unpin.
     ///
     /// # Safety
     ///
     /// `tail` must be reachable from the head, and the caller must be the
     /// chain's only mutator (it holds the stripe lock).
     unsafe fn detach_below(&self, tail: *mut Version<T>, out: &mut Vec<Retired>) -> usize {
-        // SAFETY: head..=tail are live (reachable, lock held), per the
-        // caller's contract; the detached suffix is this thread's alone
-        // once the swap below unlinks it.
+        // SAFETY: `tail` is live (reachable, lock held), per the caller's
+        // contract; the detached suffix is this thread's alone once the
+        // swap unlinks it.
         unsafe {
-            let tail_idx = (*tail).idx;
-            let mut p = self.head.load(Ordering::Relaxed);
-            while p != tail {
-                let s = (*p).skip.load(Ordering::Relaxed);
-                if !s.is_null() && (*s).idx < tail_idx {
-                    (*p).skip.store(tail, Ordering::Release);
-                }
-                p = (*p).prev.load(Ordering::Relaxed);
-            }
-            (*tail).skip.store(std::ptr::null_mut(), Ordering::Release);
             let dropped = (*tail).prev.swap(std::ptr::null_mut(), Ordering::AcqRel);
             if dropped.is_null() {
                 return 0;
@@ -430,8 +352,8 @@ impl<T: TxValue> TVarInner<T> {
         let mut p = self.head.load(Ordering::Acquire);
         while !p.is_null() {
             n += 1;
-            // SAFETY: reachable nodes are live (see `read_at`); callers
-            // hold an epoch pin via `TVar::versions_retained`.
+            // SAFETY: reachable nodes are live (see `read_snapshot`);
+            // callers hold an epoch pin via `TVar::versions_retained`.
             p = unsafe { (*p).prev.load(Ordering::Acquire) };
         }
         n
@@ -454,8 +376,8 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
         // The node goes in as `WriteNode::new` built it. Stamp 0:
         // single-version algorithms never read stamps, and 0 keeps the
         // value visible to every snapshot if the variable is later
-        // handed (sequentially) to an Mv instance. Index 0 and null
-        // links — the swapped-in node heads a fresh one-element chain.
+        // handed (sequentially) to an Mv instance. A null `prev` — the
+        // swapped-in node heads a fresh one-element chain.
         let node = Box::into_raw(node.into_version::<T>());
         let old = self.head.swap(node, Ordering::AcqRel);
         // The displaced node still owns its `prev` chain; retiring it
@@ -465,13 +387,9 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
 
     fn append_boxed(&self, node: WriteNode) {
         let mut node = node.into_version::<T>();
-        let prev = self.head.load(Ordering::Relaxed);
-        let (idx, skip) = TVarInner::<T>::skip_for(prev);
         // The node is still this committer's alone: plain field writes.
         *node.stamp.get_mut() = PENDING;
-        *node.prev.get_mut() = prev;
-        node.idx = idx;
-        *node.skip.get_mut() = skip;
+        *node.prev.get_mut() = self.head.load(Ordering::Relaxed);
         // Plain store, not a swap: the stripe lock gives this committer
         // sole write access to the chain; Release publishes the node's
         // initialization to readers.
@@ -536,15 +454,12 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
         if evicted.is_null() {
             return 0;
         }
-        // Record the newest stamp we evict *before* detaching it: a
-        // snapshot walk that falls off the new chain end acquires the
-        // detaching swap, so it sees this mark and aborts rather than
-        // mis-read (oldest-snapshot-abort).
-        // SAFETY: `evicted` is live (reachable, lock held).
-        self.evicted_stamp.fetch_max(
-            unsafe { (*evicted).stamp.load(Ordering::Acquire) },
-            Ordering::AcqRel,
-        );
+        // Mark the eviction *before* detaching: a snapshot walk that
+        // falls off the new chain end acquires the detaching swap, so it
+        // sees this mark and aborts rather than mis-read
+        // (oldest-snapshot-abort). A flag, not the evicted stamp: an
+        // evicted initial value is stamped 0, as is "never evicted".
+        self.evicted.store(true, Ordering::Release);
         // SAFETY: `last` is reachable from the head; stripe lock held.
         unsafe { self.detach_below(last, out) }
     }
@@ -801,50 +716,27 @@ mod tests {
         drop(v);
     }
 
-    /// Skip-free reference walk: the newest version stamped `<= rv` by
-    /// `prev` pointers only, or `None` off the chain's end.
-    fn linear_read(v: &TVar<u64>, rv: u64) -> Option<u64> {
-        let mut p = v.inner.head.load(Ordering::Acquire);
-        // SAFETY: reachable nodes are live (tests hold no concurrent
-        // trimmer; single-threaded).
-        unsafe {
-            loop {
-                let node = &*p;
-                if node.stamp.load(Ordering::Acquire) <= rv {
-                    return Some(node.value);
-                }
-                let prev = node.prev.load(Ordering::Acquire);
-                if prev.is_null() {
-                    return None;
-                }
-                p = prev;
-            }
-        }
+    #[test]
+    fn version_nodes_are_three_words() {
+        // Value, stamp, `prev`: a `u64` bucket node is 24 bytes.
+        assert_eq!(std::mem::size_of::<Version<u64>>(), 24);
     }
 
     #[test]
-    fn camped_snapshot_walks_are_sublinear_in_chain_length() {
-        // A reader camped at the chain's old end is the pathological
-        // case skip pointers exist for: the linear walk is O(chain),
-        // the Fenwick-shaped skips bound it to O(log² chain).
+    fn snapshot_walks_take_one_hop_per_newer_version() {
+        // A reader camped at the chain's old end pays one hop per
+        // retained version stamped after its snapshot.
         let v = TVar::new(0u64);
         for wv in 1..=1024u64 {
             v.inner.append_boxed(WriteNode::new(wv));
             v.inner.stamp_head(wv);
         }
         let pin = epoch::pin();
-        let (val, steps) = v.inner.read_at_counted(&pin, 0, |v| *v).unwrap();
-        assert_eq!(val, 0);
-        assert!(
-            steps <= 150,
-            "camped walk took {steps} hops on a 1024-version chain"
-        );
-        let (val, steps) = v.inner.read_at_counted(&pin, 512, |v| *v).unwrap();
-        assert_eq!(val, 512);
-        assert!(steps <= 150, "mid-chain walk took {steps} hops");
-        // The head fast path stays free.
-        let (val, steps) = v.inner.read_at_counted(&pin, 1024, |v| *v).unwrap();
-        assert_eq!((val, steps), (1024, 0));
+        let read = |rv| v.inner.read_at_counted(&pin, rv, |v| *v).unwrap();
+        assert_eq!(read(0), (0, 1024));
+        assert_eq!(read(512), (512, 512));
+        // The head costs nothing.
+        assert_eq!(read(1024), (1024, 0));
     }
 
     #[test]
@@ -862,7 +754,7 @@ mod tests {
         // Cap to the 3 newest (stamps 6, 7, 8): stamps 0..=5 go.
         assert_eq!(v.inner.cap_chain(3, &mut out), 6);
         assert_eq!(v.versions_retained(), 3);
-        assert_eq!(v.inner.evicted_stamp.load(Ordering::Relaxed), 5);
+        assert!(v.inner.evicted.load(Ordering::Relaxed));
         let pin = epoch::pin();
         // Snapshots at or past the cut still resolve...
         assert_eq!(v.inner.read_at_counted(&pin, 6, |v| *v).unwrap().0, 60);
@@ -877,11 +769,10 @@ mod tests {
     }
 
     #[test]
-    fn skips_are_clamped_inside_the_retained_chain_across_trims() {
-        // Interleave appends with trims and caps so later `skip_for`
-        // walks and snapshot reads traverse chains whose skips were
-        // re-aimed at cut nodes — and whose detached targets were really
-        // freed (regression: the cut node's own skip must be cleared).
+    fn reads_resolve_across_interleaved_trims_and_caps() {
+        // Interleave appends with trims and caps so later appends and
+        // snapshot reads traverse chains cut at many points — and whose
+        // detached suffixes were really freed.
         let v = TVar::new(0u64);
         let mut out = Vec::new();
         for wv in 1..=96u64 {
@@ -904,7 +795,7 @@ mod tests {
         }
     }
 
-    mod skip_equivalence {
+    mod chain_model {
         use super::*;
         use proptest::prelude::*;
 
@@ -913,16 +804,51 @@ mod tests {
             proptest::collection::vec((0u8..4, 0u64..12), 1..60)
         }
 
+        /// What a chain should hold: its `(stamp, value)` versions,
+        /// newest first, and whether a cap has ever evicted one.
+        struct Model {
+            versions: Vec<(u64, u64)>,
+            evicted: bool,
+        }
+
+        impl Model {
+            fn trim(&mut self, watermark: u64) {
+                if let Some(keep) = self.versions.iter().position(|&(s, _)| s <= watermark) {
+                    self.versions.truncate(keep + 1);
+                }
+            }
+
+            fn cap(&mut self, max: usize) {
+                let max = max.max(1);
+                if self.versions.len() > max {
+                    self.versions.truncate(max);
+                    self.evicted = true;
+                }
+            }
+
+            /// The snapshot read at `rv`: the newest version stamped
+            /// `<= rv` and one hop per newer one; off the end, an abort
+            /// if a cap ever evicted, else the head after every hop.
+            fn read(&self, rv: u64) -> Result<(u64, u64), Evicted> {
+                match self.versions.iter().position(|&(s, _)| s <= rv) {
+                    Some(i) => Ok((self.versions[i].1, i as u64)),
+                    None if self.evicted => Err(Evicted),
+                    None => Ok((self.versions[0].1, self.versions.len() as u64)),
+                }
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            // The acceptance oracle for skip pointers: over arbitrary
-            // append/trim/cap histories (with the monotone stamps real
-            // commits produce), the skip walk returns exactly what the
-            // naive linear walk returns, for every snapshot time.
+            // Over arbitrary append/trim/cap histories (with the
+            // monotone stamps real commits produce), every snapshot read
+            // returns the model's value and hop count, and aborts or
+            // falls back to the head exactly where the model does.
             #[test]
-            fn skip_walks_agree_with_linear_walks(ops in ops_strategy()) {
+            fn reads_match_the_chain_model(ops in ops_strategy()) {
                 let v = TVar::new(0u64);
+                let mut model = Model { versions: vec![(0, 0)], evicted: false };
                 let mut clock = 0u64;
                 let mut out = Vec::new();
                 for (kind, arg) in ops {
@@ -930,45 +856,35 @@ mod tests {
                         // Appends dominate the mix so chains get long.
                         0 | 1 => {
                             clock += 1 + arg % 3;
-                            v.inner.append_boxed(WriteNode::new(clock));
+                            v.inner.append_boxed(WriteNode::new(clock * 10));
                             v.inner.stamp_head(clock);
+                            model.versions.insert(0, (clock, clock * 10));
                         }
                         2 => {
-                            v.inner.trim_chain(clock.saturating_sub(arg), &mut out);
+                            let watermark = clock.saturating_sub(arg);
+                            v.inner.trim_chain(watermark, &mut out);
+                            model.trim(watermark);
                         }
                         _ => {
                             v.inner.cap_chain(1 + arg as usize, &mut out);
+                            model.cap(1 + arg as usize);
                         }
                     }
                     epoch::retire_batch(&mut out);
+                    prop_assert_eq!(v.versions_retained(), model.versions.len());
                     let pin = epoch::pin();
                     for rv in 0..=clock + 1 {
-                        match (v.inner.read_at_counted(&pin, rv, |v| *v), linear_read(&v, rv)) {
-                            (Ok((val, _)), Some(lin)) => prop_assert_eq!(val, lin),
-                            (Err(Evicted), None) => {
-                                // Both walked off the end of a capped
-                                // chain: the abort is the contract.
-                                prop_assert!(
-                                    v.inner.evicted_stamp.load(Ordering::Relaxed) != 0
-                                );
-                            }
-                            (Ok((val, _)), None) => {
-                                // Sequential-handoff fallback: only on a
-                                // never-evicted chain, answering the
-                                // current value.
-                                prop_assert_eq!(
-                                    v.inner.evicted_stamp.load(Ordering::Relaxed),
-                                    0
-                                );
-                                prop_assert_eq!(val, v.load());
-                            }
-                            (Err(Evicted), Some(lin)) => {
-                                prop_assert!(
-                                    false,
-                                    "skip walk aborted where the linear walk found {}",
-                                    lin
-                                );
-                            }
+                        let got = v.inner.read_at_counted(&pin, rv, |v| *v);
+                        match (got, model.read(rv)) {
+                            (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "rv {}", rv),
+                            (Err(Evicted), Err(Evicted)) => {}
+                            (got, want) => prop_assert!(
+                                false,
+                                "rv {}: read {:?}, model {:?}",
+                                rv,
+                                got,
+                                want
+                            ),
                         }
                     }
                 }
