@@ -540,19 +540,20 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
         let ServiceTx { kv, slots, ops, .. } = self;
         let journal = kv.journal.as_ref().filter(|_| !ops.is_empty());
         // The participants' shard indices, for the journal only.
-        let mut shards = Vec::new();
+        let shards: Vec<usize> = match journal {
+            Some(_) => slots
+                .iter()
+                .enumerate()
+                .filter_map(|(shard, slot)| slot.as_ref().map(|_| shard))
+                .collect(),
+            None => Vec::new(),
+        };
         // `slots` is indexed by shard, so this is the global lock order
-        // the deadlock-freedom argument needs.
-        let group = slots
-            .into_iter()
-            .enumerate()
-            .filter_map(|(shard, slot)| {
-                if journal.is_some() && slot.is_some() {
-                    shards.push(shard);
-                }
-                slot
-            })
-            .collect();
+        // the deadlock-freedom argument needs. `filter_map` collects in
+        // place, reusing the slot table as the group; `flatten`, the
+        // lint's suggestion, allocates a new one per commit.
+        #[allow(clippy::filter_map_identity)]
+        let group = slots.into_iter().filter_map(|slot| slot).collect();
         let mut tickets = Vec::new();
         let committed = Transaction::commit_all(group, |group| {
             if let Some(journal) = journal {

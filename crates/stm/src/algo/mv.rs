@@ -30,11 +30,11 @@
 //!    stamps to `wv` (readers that raced into the one-RMW window spin
 //!    it out rather than guessing);
 //! 4. trim each written chain against the registry's low watermark —
-//!    the clock floor while no snapshot is pinned, an exact slot scan
-//!    otherwise (see `crate::epoch`) — then enforce the optional
-//!    [`MvConfig::max_versions`](crate::MvConfig) bound by evicting the
-//!    oldest suffix, retiring detached versions through the epoch
-//!    collector;
+//!    one floor-first slot scan per publish (see `crate::epoch`), taken
+//!    after the committers' snapshots are withdrawn — then enforce the
+//!    optional [`MvConfig::max_versions`](crate::MvConfig) bound by
+//!    evicting the oldest suffix, retiring detached versions through the
+//!    epoch collector;
 //! 5. release the stripe locks restamped to `wv`.
 //!
 //! Under a `max_versions` bound a camped snapshot whose version was
@@ -178,36 +178,45 @@ pub(crate) fn read_each<T: TxValue>(
 /// readers probe no orecs, so this release write is the only
 /// happens-before edge from the appends to a reader drawing
 /// `rv >= wv` (module docs). Then every participant withdraws its
-/// snapshot and each writer [`finish`]es at `wv`.
+/// snapshot, the group reads the domain's low watermark once, and each
+/// writer [`finish`]es at `wv` against it.
 pub(crate) fn publish(group: &mut [Transaction<'_>]) {
-    let mut clock = None;
+    let mut domain = None;
     for tx in group.iter_mut() {
         if !tx.log.writes.is_empty() {
             tx.log.append_writes();
-            clock = Some(&tx.stm.clock);
+            domain = Some(tx.stm);
         }
     }
-    let Some(clock) = clock else { return };
-    let wv = clock.fetch_add(1, Ordering::AcqRel) + 1;
+    let Some(stm) = domain else { return };
+    let wv = stm.clock.fetch_add(1, Ordering::AcqRel) + 1;
     // The committers read nothing more, and their own snapshots are the
     // oldest pins they could hold against the trims below: every one
-    // goes before the first trim (a sibling's nested pin would keep the
-    // superseded versions alive), so a lone committer trims each written
-    // chain to its new head.
+    // goes before the watermark is read (a sibling's nested pin would
+    // keep the superseded versions alive), so a lone committer trims
+    // each written chain to its new head.
     for tx in group.iter_mut() {
         tx.snap = None;
     }
+    // One scan for the group: its participants share the registry, and
+    // a watermark lower-bounds every live and future snapshot for as
+    // long as the trims below run.
+    let watermark = stm
+        .snapshots
+        .as_ref()
+        .expect("snapshot-serving instances carry a snapshot registry")
+        .watermark(&stm.clock);
     for tx in group.iter_mut() {
         if !tx.log.written.is_empty() {
-            finish(tx, wv);
+            finish(tx, wv, watermark);
         }
     }
 }
 
 /// Steps 3–5 for one writer of the group: log the durability payload,
-/// stamp the pending versions `wv`, trim, release the stripe locks and
-/// wake their waiters.
-fn finish(tx: &mut Transaction<'_>, wv: u64) {
+/// stamp the pending versions `wv`, trim against the group's
+/// `watermark`, release the stripe locks and wake their waiters.
+fn finish(tx: &mut Transaction<'_>, wv: u64, watermark: u64) {
     // Log the staged durability payload before the pending stamps
     // resolve: a snapshot reader cannot consume a `wv` version until
     // `stamp_head` lands, so the record is in the log before anything
@@ -221,11 +230,6 @@ fn finish(tx: &mut Transaction<'_>, wv: u64) {
     // Trim under the still-held stripe locks (one chain mutator at a
     // time); the watermark lower-bounds every active and future
     // snapshot, so nothing a reader can still walk to is detached.
-    let reg = stm
-        .snapshots
-        .as_ref()
-        .expect("snapshot-serving instances carry a snapshot registry");
-    let watermark = reg.watermark(&stm.clock);
     for var in &log.written {
         let (retained, trimmed) = var.trim_chain(watermark, &mut log.retired);
         stm.stats.trim((retained + trimmed) as u64, trimmed as u64);

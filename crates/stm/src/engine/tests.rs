@@ -988,6 +988,80 @@ fn beside_reads_at_the_openers_snapshot() {
     assert_eq!(other.stats().snapshot().since(&before).validation_probes, 1);
 }
 
+/// One updating group in `first`'s timestamp domain: writes `n` to `a`
+/// on `first` and to `b` on `second`, beside it.
+fn group_write(first: &Stm, second: &Stm, (a, b): (&TVar<u64>, &TVar<u64>), n: u64) {
+    let mut tx = first.transaction();
+    tx.write(a, n).expect("buffer write");
+    let mut sibling = tx.beside(second);
+    sibling.write(b, n).expect("buffer write");
+    Transaction::commit_all(vec![tx, sibling], |_| {}).expect("uncontended group");
+}
+
+#[test]
+fn a_group_trims_every_writers_chain_like_lone_commits() {
+    // The group reads the watermark once, after both writers withdrew
+    // their snapshots: with no reader live, each chain trims to its new
+    // head, and each instance counts what its lone commits would.
+    let trims = |grouped: bool| {
+        let first = Stm::mv();
+        let second = StmBuilder::new(Algorithm::Mv).build_beside(&first);
+        let (a, b) = (TVar::new(0u64), TVar::new(0u64));
+        for n in 1..=3 {
+            if grouped {
+                group_write(&first, &second, (&a, &b), n);
+            } else {
+                first.atomically(|tx| tx.write(&a, n));
+                second.atomically(|tx| tx.write(&b, n));
+            }
+            assert_eq!((a.versions_retained(), b.versions_retained()), (1, 1));
+        }
+        [&first, &second].map(|stm| {
+            let s = stm.stats().snapshot();
+            (s.max_chain_len, s.versions_trimmed)
+        })
+    };
+    assert_eq!(trims(true), trims(false));
+    assert_eq!(trims(true), [(2, 3); 2]);
+}
+
+#[test]
+fn a_group_keeps_the_versions_a_live_snapshot_names() {
+    use std::sync::mpsc;
+    let first = Stm::mv();
+    let second = StmBuilder::new(Algorithm::Mv).build_beside(&first);
+    let (a, b) = (TVar::new(0u64), TVar::new(0u64));
+    let (domain, vars) = ((&first, &second), (&a, &b));
+    let (pinned_tx, pinned_rx) = mpsc::channel();
+    let (wrote_tx, wrote_rx) = mpsc::channel();
+    // The main thread asserts after the scope: a panic inside it would
+    // hold `wrote_tx` while the scope joins the waiting reader.
+    let retained = std::thread::scope(|s| {
+        s.spawn(move || {
+            let mut reader = domain.0.transaction();
+            assert_eq!(reader.read(vars.0), Ok(0));
+            pinned_tx.send(()).expect("main thread");
+            wrote_rx.recv().expect("main thread");
+            let mut sibling = reader.beside(domain.1);
+            assert_eq!(sibling.read(vars.1), Ok(0), "the snapshot's version");
+            assert_eq!(reader.read(vars.0), Ok(0), "the snapshot's version");
+            Transaction::commit_all(vec![reader, sibling], |_| {}).expect("read-only group");
+        });
+        pinned_rx.recv().expect("reader");
+        group_write(&first, &second, (&a, &b), 1);
+        let retained = (a.versions_retained(), b.versions_retained());
+        wrote_tx.send(()).expect("reader");
+        retained
+    });
+    assert_eq!(
+        retained,
+        (2, 2),
+        "the reader's snapshot holds the superseded versions"
+    );
+    group_write(&first, &second, (&a, &b), 2);
+    assert_eq!((a.versions_retained(), b.versions_retained()), (1, 1));
+}
+
 #[test]
 #[should_panic(expected = "both instances must serve snapshots")]
 fn build_beside_refuses_an_instance_that_serves_no_snapshots() {

@@ -107,18 +107,21 @@
 //! re-checked snapshot is at least that floor and everything the scanner
 //! trims is older than what the reader can reach.
 //!
-//! ### The zero-pin fast path
+//! ### Finding the slot
 //!
-//! Committers trim inside their stripe-locked section, so
-//! [`SnapshotRegistry::watermark`] skips the slot lock and the scan when
-//! no snapshot is pinned: each outermost pin counts itself in the
-//! registry's `active` word *before* publishing, and a count of zero
-//! makes the clock floor the watermark — a pin the count read missed
-//! re-checks the clock after publishing, so its snapshot is at least the
-//! floor returned. With any pin live the answer is the exact scan.
+//! A thread keeps its snapshot slots in a thread-local `Vec`, one entry
+//! per registry it has pinned, searched linearly by registry id: a
+//! thread pins a handful of domains (a sharded store is one), so the
+//! search is a compare or two, with no hashing. The first pin on a
+//! registry registers a slot under the registry's lock, pruning the
+//! entries (and slots) of registries dropped since. After that a pin or
+//! an unpin writes only the thread's own slot — no shared
+//! read-modify-write — so the watermark cannot know that nothing is
+//! pinned without looking: [`SnapshotRegistry::watermark`] always takes
+//! the slot lock and runs the floor-first scan above. Committers compute
+//! it once per publish group, inside their stripe-locked section.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
@@ -420,16 +423,14 @@ struct SnapShared {
     id: u64,
     /// All live slots; scanned (under the lock) by `watermark`.
     slots: Mutex<Vec<Arc<SnapSlot>>>,
-    /// Outermost pins currently published (nested pins share the outer
-    /// slot and do not count). Zero lets `watermark` return the clock
-    /// floor without scanning.
-    active: AtomicU64,
 }
 
 /// This thread's cached slot for one registry, with its reentrancy
 /// depth (nested transactions on one instance share the outer — older,
 /// more conservative — snapshot).
 struct SnapEntry {
+    /// The registry's `id`, the key a pin searches for.
+    id: u64,
     registry: Weak<SnapShared>,
     slot: Arc<SnapSlot>,
     depth: usize,
@@ -437,20 +438,14 @@ struct SnapEntry {
 
 impl Drop for SnapEntry {
     fn drop(&mut self) {
-        // Thread teardown: make sure a dying thread's slot never clamps
-        // the watermark forever, and deregister it so a long-lived
-        // instance serving many short-lived threads does not accumulate
-        // dead slots (each one padded, and scanned by every watermark
-        // computation) — the same discipline `Local::drop` applies to
-        // the epoch registry above.
+        // Thread teardown, or a pruned entry of a dropped registry: make
+        // sure the slot never clamps the watermark forever, and
+        // deregister it so a long-lived instance serving many
+        // short-lived threads does not accumulate dead slots (each one
+        // padded, and scanned by every watermark computation) — the same
+        // discipline `Local::drop` applies to the epoch registry above.
         self.slot.rv.store(NO_SNAPSHOT, Ordering::SeqCst);
         if let Some(reg) = self.registry.upgrade() {
-            if self.depth > 0 {
-                // The thread died with a pin still published (its guard's
-                // unpin raced thread-local teardown); release the active
-                // count the guard no longer can.
-                reg.active.fetch_sub(1, Ordering::SeqCst);
-            }
             if let Ok(mut slots) = reg.slots.lock() {
                 slots.retain(|s| !Arc::ptr_eq(s, &self.slot));
             }
@@ -459,8 +454,10 @@ impl Drop for SnapEntry {
 }
 
 thread_local! {
-    /// This thread's slot per registry id.
-    static SNAPSHOTS: RefCell<HashMap<u64, SnapEntry>> = RefCell::new(HashMap::new());
+    /// This thread's slot per registry, searched linearly by registry
+    /// id: a thread pins a handful of timestamp domains at most (a
+    /// `ShardedKv` store is one), so the search is a compare or two.
+    static SNAPSHOTS: RefCell<Vec<SnapEntry>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Active-snapshot registry of one timestamp domain — a multi-version
@@ -490,7 +487,6 @@ impl SnapshotRegistry {
             shared: Arc::new(SnapShared {
                 id: SNAP_REGISTRY_IDS.fetch_add(1, Ordering::Relaxed),
                 slots: Mutex::new(Vec::new()),
-                active: AtomicU64::new(0),
             }),
         }
     }
@@ -509,41 +505,20 @@ impl SnapshotRegistry {
     /// this slot (see the module docs); it retries only when a commit
     /// ticks the clock inside the three-instruction window. The nested
     /// path needs no such loop: the slot already publishes a value no
-    /// newer than any rv returned here.
+    /// newer than any rv returned here. Neither path writes a location
+    /// another thread writes.
     pub(crate) fn pin(&self, clock: &AtomicU64) -> (u64, SnapshotGuard<'_>) {
         let rv = SNAPSHOTS.with(|m| {
             let mut m = m.borrow_mut();
-            if let Some(e) = m.get_mut(&self.shared.id) {
-                if e.depth > 0 {
-                    e.depth += 1;
-                    return clock.load(Ordering::SeqCst);
-                }
-            } else {
-                m.retain(|_, e| e.registry.strong_count() > 0);
-                let slot = Arc::new(SnapSlot {
-                    rv: AtomicU64::new(NO_SNAPSHOT),
-                });
-                self.shared
-                    .slots
-                    .lock()
-                    .expect("snapshot registry poisoned")
-                    .push(Arc::clone(&slot));
-                m.insert(
-                    self.shared.id,
-                    SnapEntry {
-                        registry: Arc::downgrade(&self.shared),
-                        slot,
-                        depth: 0,
-                    },
-                );
+            let i = match m.iter().position(|e| e.id == self.shared.id) {
+                Some(i) => i,
+                None => self.register(&mut m),
+            };
+            let e = &mut m[i];
+            if e.depth > 0 {
+                e.depth += 1;
+                return clock.load(Ordering::SeqCst);
             }
-            let e = m.get_mut(&self.shared.id).expect("just ensured");
-            // Announce the pin *before* publishing the snapshot: a
-            // watermark fast path that reads `active == 0` after this
-            // increment cannot exist, and one that read it before is
-            // ordered (SeqCst) before the clock re-check below, so the
-            // floor it returned is at most the snapshot we settle on.
-            self.shared.active.fetch_add(1, Ordering::SeqCst);
             let rv = loop {
                 let rv = clock.load(Ordering::SeqCst);
                 e.slot.rv.store(rv, Ordering::SeqCst);
@@ -563,6 +538,29 @@ impl SnapshotRegistry {
         )
     }
 
+    /// This thread's first pin here: prunes the entries of dropped
+    /// registries (their slots go with them), then adds a slot to the
+    /// registry and an entry for it to `cache`; returns the entry's
+    /// index.
+    fn register(&self, cache: &mut Vec<SnapEntry>) -> usize {
+        cache.retain(|e| e.registry.strong_count() > 0);
+        let slot = Arc::new(SnapSlot {
+            rv: AtomicU64::new(NO_SNAPSHOT),
+        });
+        self.shared
+            .slots
+            .lock()
+            .expect("snapshot registry poisoned")
+            .push(Arc::clone(&slot));
+        cache.push(SnapEntry {
+            id: self.shared.id,
+            registry: Arc::downgrade(&self.shared),
+            slot,
+            depth: 0,
+        });
+        cache.len() - 1
+    }
+
     /// One more pin under the snapshot this thread already publishes
     /// here: no clock read, no shared write — the slot keeps publishing
     /// the outer (older, more conservative) snapshot until the last
@@ -578,8 +576,8 @@ impl SnapshotRegistry {
         SNAPSHOTS.with(|m| {
             let mut m = m.borrow_mut();
             let e = m
-                .get_mut(&self.shared.id)
-                .filter(|e| e.depth > 0)
+                .iter_mut()
+                .find(|e| e.id == self.shared.id && e.depth > 0)
                 .expect("a nested snapshot pin needs an outer one on this thread");
             e.depth += 1;
         });
@@ -592,17 +590,10 @@ impl SnapshotRegistry {
     /// The oldest snapshot any live transaction of this domain may be
     /// reading under — floored by the clock read *before* the slot scan,
     /// so a registering reader the scan misses is provably protected
-    /// (its re-checked snapshot postdates this floor). With no pin
-    /// counted in `active`, the floor itself, without the lock or the
-    /// scan (see the module docs).
+    /// (its re-checked snapshot postdates this floor; see the module
+    /// docs). One lock and one load per slot of the domain.
     pub(crate) fn watermark(&self, clock: &AtomicU64) -> u64 {
         let floor = clock.load(Ordering::SeqCst);
-        // No outer pin was published when `active` was read; any pin
-        // racing in re-checks the clock after that read, so its snapshot
-        // is >= `floor`.
-        if self.shared.active.load(Ordering::SeqCst) == 0 {
-            return floor;
-        }
         let slots = self
             .shared
             .slots
@@ -618,9 +609,8 @@ impl SnapshotRegistry {
 }
 
 /// Withdraws a snapshot published by [`SnapshotRegistry::pin`] when
-/// dropped. Borrows the registry it pinned, so the outermost unpin
-/// reaches `active` directly. Not `Send` — the snapshot lives in a
-/// thread-local slot.
+/// dropped. Borrows the registry it pinned, whose id finds the slot.
+/// Not `Send` — the snapshot lives in a thread-local slot.
 pub(crate) struct SnapshotGuard<'a> {
     shared: &'a SnapShared,
     _not_send: std::marker::PhantomData<*mut ()>,
@@ -629,15 +619,13 @@ pub(crate) struct SnapshotGuard<'a> {
 impl Drop for SnapshotGuard<'_> {
     fn drop(&mut self) {
         // Thread-local teardown before a late guard is handled by
-        // `SnapEntry::drop`, which clears the slot and releases the
-        // count; decrementing only in here keeps it released once.
+        // `SnapEntry::drop`, which clears and deregisters the slot.
         let _ = SNAPSHOTS.try_with(|m| {
             let mut m = m.borrow_mut();
-            if let Some(e) = m.get_mut(&self.shared.id) {
+            if let Some(e) = m.iter_mut().find(|e| e.id == self.shared.id) {
                 e.depth -= 1;
                 if e.depth == 0 {
                     e.slot.rv.store(NO_SNAPSHOT, Ordering::SeqCst);
-                    self.shared.active.fetch_sub(1, Ordering::SeqCst);
                 }
             }
         });
@@ -873,10 +861,10 @@ mod tests {
     fn watermark_is_the_clock_with_no_active_snapshot() {
         let reg = SnapshotRegistry::new();
         let clock = AtomicU64::new(17);
-        assert_eq!(reg.watermark(&clock), 17, "fast path: clock floor");
+        assert_eq!(reg.watermark(&clock), 17, "no pin: clock floor");
         clock.store(99, Ordering::SeqCst);
         assert_eq!(reg.watermark(&clock), 99);
-        // A pin/unpin cycle leaves the fast path intact.
+        // A pin/unpin cycle leaves nothing behind.
         let (_, g) = reg.pin(&clock);
         drop(g);
         clock.store(120, Ordering::SeqCst);
@@ -910,37 +898,90 @@ mod tests {
     }
 
     #[test]
-    fn nested_pins_count_once_toward_the_fast_path() {
+    fn nested_pins_hold_the_watermark_until_the_outermost_unpin() {
         let reg = SnapshotRegistry::new();
         let clock = AtomicU64::new(2);
         let (_, g1) = reg.pin(&clock);
+        clock.store(7, Ordering::SeqCst);
         let (_, g2) = reg.pin(&clock);
-        assert_eq!(reg.shared.active.load(Ordering::SeqCst), 1);
-        drop(g2);
-        assert_eq!(reg.shared.active.load(Ordering::SeqCst), 1);
-        drop(g1);
-        assert_eq!(reg.shared.active.load(Ordering::SeqCst), 0);
+        let g3 = reg.nest();
         clock.store(50, Ordering::SeqCst);
-        assert_eq!(reg.watermark(&clock), 50);
+        assert_eq!(reg.watermark(&clock), 2);
+        drop(g2);
+        assert_eq!(reg.watermark(&clock), 2, "the nest still holds the slot");
+        drop(g3);
+        assert_eq!(reg.watermark(&clock), 2, "the outer pin still holds it");
+        drop(g1);
+        assert_eq!(reg.watermark(&clock), 50, "released once, at the last");
     }
 
     #[test]
-    fn dead_threads_release_their_active_count() {
+    fn dead_threads_release_the_watermark() {
         let reg = Arc::new(SnapshotRegistry::new());
+        let clock = AtomicU64::new(30);
         for _ in 0..4 {
             let reg2 = Arc::clone(&reg);
             std::thread::spawn(move || {
                 let c = AtomicU64::new(9);
-                let (_, _g) = reg2.pin(&c);
+                let (_, g) = reg2.pin(&c);
+                // The guard outlives nothing: the thread exits pinned, and
+                // its slot's teardown must release the snapshot.
+                std::mem::forget(g);
             })
             .join()
             .expect("worker");
         }
         assert_eq!(
-            reg.shared.active.load(Ordering::SeqCst),
-            0,
-            "exited threads must not wedge the fast path"
+            reg.watermark(&clock),
+            30,
+            "exited threads must not hold the watermark back"
         );
+    }
+
+    #[test]
+    fn two_domains_on_one_thread_keep_their_own_slots() {
+        let (a, b) = (SnapshotRegistry::new(), SnapshotRegistry::new());
+        let (ca, cb) = (AtomicU64::new(1), AtomicU64::new(100));
+        let marks = |want: (u64, u64)| {
+            assert_eq!((a.watermark(&ca), b.watermark(&cb)), want);
+        };
+        let (ra, ga) = a.pin(&ca);
+        ca.store(5, Ordering::SeqCst);
+        marks((1, 100));
+        let (rb, gb) = b.pin(&cb);
+        cb.store(200, Ordering::SeqCst);
+        assert_eq!((ra, rb), (1, 100));
+        marks((1, 100));
+        let ga2 = a.nest();
+        marks((1, 100));
+        drop(ga);
+        marks((1, 100));
+        drop(gb);
+        marks((1, 200));
+        let (rb, gb) = b.pin(&cb);
+        assert_eq!(rb, 200);
+        drop(ga2);
+        marks((5, 200));
+        cb.store(300, Ordering::SeqCst);
+        drop(gb);
+        marks((5, 300));
+    }
+
+    #[test]
+    fn a_dropped_registrys_entry_leaves_at_the_next_registration() {
+        let cached = || SNAPSHOTS.with(|m| m.borrow().iter().map(|e| e.id).collect::<Vec<_>>());
+        let clock = AtomicU64::new(3);
+        let gone = SnapshotRegistry::new();
+        let gone_id = gone.shared.id;
+        drop(gone.pin(&clock));
+        assert!(cached().contains(&gone_id));
+        drop(gone);
+        assert!(cached().contains(&gone_id), "pruned at registration only");
+        let next = SnapshotRegistry::new();
+        drop(next.pin(&clock));
+        let ids = cached();
+        assert!(!ids.contains(&gone_id), "the dead entry left the cache");
+        assert!(ids.contains(&next.shared.id));
     }
 
     #[test]
@@ -960,7 +1001,9 @@ mod tests {
         let clock = Arc::new(AtomicU64::new(7));
         let hold = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        std::thread::scope(|s| {
+        // Asserted after the scope: a panic inside it would leave the
+        // pinner spinning on `release` while the scope joins it.
+        let seen = std::thread::scope(|s| {
             let (reg2, clock2) = (Arc::clone(&reg), Arc::clone(&clock));
             let (hold2, release2) = (Arc::clone(&hold), Arc::clone(&release));
             s.spawn(move || {
@@ -976,9 +1019,11 @@ mod tests {
                 std::thread::yield_now();
             }
             clock.store(30, Ordering::SeqCst);
-            assert_eq!(reg.watermark(&clock), 7, "remote pin visible");
+            let seen = reg.watermark(&clock);
             release.store(true, Ordering::SeqCst);
+            seen
         });
+        assert_eq!(seen, 7, "remote pin visible");
         assert_eq!(reg.watermark(&clock), 30);
     }
 }

@@ -83,7 +83,7 @@
 //! | `txlog` | read-set / write-set log shared by all algorithms |
 //! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
 //! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer; a snapshot read walks `prev` to the newest version at or before its snapshot (static Tl2, Incremental, NOrec and Tlrw swap the head; Mv and Adaptive append, trim, and bound via [`MvConfig`]) |
-//! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (the clock floor while no snapshot is pinned, an exact slot scan otherwise) bounds version-chain trimming |
+//! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (an exact floor-first slot scan, read once per publish group) bounds version-chain trimming |
 //! | `stats` | commit/abort/validation-probe counters |
 //! | [`recorder`] | opt-in t-operation history recording for the `ptm-model` checkers |
 //! | [`wal`] | opt-in durability: a group-committed, checksummed write-ahead log appended from inside each publish critical section (the `ptm-server` recovery path builds on it) |
