@@ -8,15 +8,6 @@ use ptm_stm::Algorithm;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-const ALGOS: &[Algorithm] = &[
-    Algorithm::Tl2,
-    Algorithm::Incremental,
-    Algorithm::Norec,
-    Algorithm::Tlrw,
-    Algorithm::Mv,
-    Algorithm::Adaptive,
-];
-
 /// The tests' PRNG: an LCG, PCG-style step.
 fn next_rand(state: &mut u64) -> u64 {
     *state = state
@@ -51,7 +42,7 @@ fn scan_sum(kv: &ShardedKv<u64, u64>, keys: u64, what: &str) -> u64 {
 
 #[test]
 fn single_key_roundtrip_every_algorithm_and_shard_count() {
-    for &algo in ALGOS {
+    for algo in Algorithm::ALL {
         for shards in [1, 4] {
             let kv: ShardedKv<u64, u64> = ShardedKv::new(shards, algo);
             assert_eq!(kv.shard_count(), shards);
@@ -114,7 +105,7 @@ fn cross_shard_transfers_are_never_observed_torn() {
     const WRITERS: usize = 3;
     const TRANSFERS: u64 = 400;
 
-    for &algo in ALGOS {
+    for algo in Algorithm::ALL {
         for shards in [2, 5] {
             let kv: ShardedKv<u64, u64> = ShardedKv::new(shards, algo);
             preload(&kv, KEYS, INITIAL);
@@ -192,7 +183,7 @@ fn cross_shard_write_skew_never_commits_both_halves() {
     const PAIRS: usize = 1000;
     const THREADS: usize = 4;
 
-    for &algo in ALGOS {
+    for algo in Algorithm::ALL {
         let kv: ShardedKv<u64, u64> = ShardedKv::new(2, algo);
         let mut pairs = Vec::with_capacity(PAIRS);
         let mut k = 0u64;
@@ -246,7 +237,7 @@ fn closed_loop_of_gets_scans_and_transfers_conserves_the_sum() {
     const THREADS: u64 = 3;
     const OPS: usize = 500;
 
-    for &algo in ALGOS {
+    for algo in Algorithm::ALL {
         let kv: ShardedKv<u64, u64> = ShardedKv::new(3, algo);
         preload(&kv, KEYS, INITIAL);
         let (mut scans, mut cross_shard) = (0u32, 0u32);

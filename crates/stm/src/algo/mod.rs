@@ -30,8 +30,8 @@
 //! without calling back in here. A read-only participant of a larger
 //! group does lock and validate — with an empty write set the lock half
 //! takes nothing but NOrec's sequence lock — which is what rules out a
-//! torn or skewed cut across instances, unless the group is one sibling
-//! group that read one cut of one timestamp domain and wrote nothing.
+//! torn or skewed cut across instances, unless the group wrote nothing
+//! and every member read at one `rv` of one timestamp domain.
 //! Likewise generic is read-lock release — the engine undoes
 //! `TxLog::rw_reads` on every exit path, including `Drop`, so a
 //! panicking body cannot leak a visible read's lock.
@@ -105,6 +105,11 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) {
 /// inside whatever window the algorithm brackets the value load with —
 /// so it may see a value the hook then rejects (its result is dropped
 /// and the read returns [`Retry`]).
+///
+/// Always inlined, so that in `Transaction::read_each`'s batch loop the
+/// Mv arm's read inlines too: left to the heuristic, the dispatch stayed
+/// a call there.
+#[inline(always)]
 pub(crate) fn read<T: TxValue, R>(
     tx: &mut Transaction<'_>,
     var: &TVar<T>,

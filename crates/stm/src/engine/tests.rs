@@ -988,6 +988,41 @@ fn beside_reads_at_the_openers_snapshot() {
     assert_eq!(other.stats().snapshot().since(&before).validation_probes, 1);
 }
 
+#[test]
+fn a_mixed_group_stamps_its_domain_members_alike_all_outsiders() {
+    // Two members of one domain with an outsider between them in lock
+    // order — any algorithm; an Mv or Adaptive one is a domain of its
+    // own — publish the domain at one draw: both writes carry one stamp.
+    for outsider in Algorithm::ALL {
+        let first = Stm::mv();
+        let second = StmBuilder::new(Algorithm::Mv).build_beside(&first);
+        let third = Stm::new(outsider);
+        let (x, y, z) = (TVar::new(0u64), TVar::new(0u64), TVar::new(0u64));
+        let tick = first.clock.load(Ordering::SeqCst);
+        let mut tx = first.transaction();
+        tx.write(&x, 1).expect("buffer write");
+        let mut sibling = tx.beside(&second);
+        sibling.write(&y, 1).expect("buffer write");
+        let mut other = third.transaction();
+        other.write(&z, 1).expect("buffer write");
+        Transaction::commit_all(vec![tx, other, sibling], |_| {}).expect("uncontended group");
+        assert_eq!((x.load(), y.load(), z.load()), (1, 1, 1), "{outsider:?}");
+        let stamp = |stm: &Stm, var: &TVar<u64>| {
+            let word = stm.orecs.word(stm.orecs.stripe_of(var.id()));
+            orec::version_of(word.load(Ordering::SeqCst))
+        };
+        assert_eq!(
+            [stamp(&first, &x), stamp(&second, &y)],
+            [tick + 1; 2],
+            "{outsider:?}: one stamp for the domain"
+        );
+        assert_eq!(first.clock.load(Ordering::SeqCst), tick + 1, "{outsider:?}");
+        for stm in [&first, &second, &third] {
+            assert_orecs_quiescent(stm);
+        }
+    }
+}
+
 /// One updating group in `first`'s timestamp domain: writes `n` to `a`
 /// on `first` and to `b` on `second`, beside it.
 fn group_write(first: &Stm, second: &Stm, (a, b): (&TVar<u64>, &TVar<u64>), n: u64) {
@@ -1228,6 +1263,33 @@ fn scan_vars() -> Vec<TVar<u64>> {
     (0..16).map(TVar::new).collect()
 }
 
+/// [`scan_vars`], each on a stripe of `stm` that no other and not
+/// `anchor` maps to. A variable's stripe follows its address, so two
+/// runs' variables collide differently, and a Tl2-hook scan aborts at
+/// the first variable sharing a stripe with an overwritten one: on
+/// private stripes it aborts exactly at the first overwritten variable
+/// in every run. (NOrec's table is one stripe, which no read consults.)
+fn scan_vars_on_own_stripes(stm: &Stm, anchor: &TVar<u64>) -> Vec<TVar<u64>> {
+    if stm.orecs.len() == 1 {
+        return scan_vars();
+    }
+    let mut taken = vec![stm.orecs.stripe_of(anchor.id())];
+    // Rejected variables stay alive until the end, so their addresses —
+    // and stripes — are not handed out again.
+    let (mut vars, mut rejected) = (Vec::new(), Vec::new());
+    while vars.len() < 16 {
+        let var = TVar::new(vars.len() as u64);
+        let stripe = stm.orecs.stripe_of(var.id());
+        if taken.contains(&stripe) {
+            rejected.push(var);
+        } else {
+            taken.push(stripe);
+            vars.push(var);
+        }
+    }
+    vars
+}
+
 /// What one scripted scan left behind: its outcome, the values it saw in
 /// order, and the instance's stats once the attempt resolved.
 type ScanTrace = (Result<(), Retry>, Vec<u64>, StatsSnapshot);
@@ -1238,7 +1300,8 @@ type ScanTrace = (Result<(), Retry>, Vec<u64>, StatsSnapshot);
 /// back.
 fn scripted_scan(algo: Algorithm, how: Scan, overwrite: bool) -> ScanTrace {
     let stm = Stm::new(algo);
-    let (anchor, vars) = (TVar::new(0u64), scan_vars());
+    let anchor = TVar::new(0u64);
+    let vars = scan_vars_on_own_stripes(&stm, &anchor);
     let mut tx = stm.transaction();
     tx.read(&anchor).expect("fresh read");
     if overwrite {
@@ -1263,8 +1326,8 @@ fn read_each_is_the_read_with_loop_all_modes() {
     // `reads`, `snapshot_reads`, `chain_walk_steps`, `validation_probes`
     // and every other counter — on a quiet scan and on one whose
     // snapshot three commits overtook (Mv walks back a version for each,
-    // Tl2 and Incremental abort at the first, NOrec revalidates and
-    // reads on).
+    // the Tl2 hooks abort at the first, Incremental, NOrec and Tlrw read
+    // the new values on).
     for algo in Algorithm::ALL {
         for overwrite in [false, true] {
             let batch = scripted_scan(algo, Scan::Batch, overwrite);
@@ -1275,6 +1338,16 @@ fn read_each_is_the_read_with_loop_all_modes() {
                 assert_eq!(out, Ok(()), "{algo:?}");
                 assert_eq!(seen, (0..16).collect::<Vec<_>>(), "{algo:?}");
                 assert_eq!(stats.reads, 17, "{algo:?}");
+            }
+            if overwrite {
+                let expect: Vec<u64> = match algo {
+                    Algorithm::Tl2 | Algorithm::Adaptive => vec![0, 1, 2],
+                    Algorithm::Mv => (0..16).collect(),
+                    _ => (0..16)
+                        .map(|i| if [3, 7, 11].contains(&i) { 100 + i } else { i })
+                        .collect(),
+                };
+                assert_eq!(seen, expect, "{algo:?}");
             }
             if algo == Algorithm::Mv {
                 assert_eq!(stats.snapshot_reads, 17);

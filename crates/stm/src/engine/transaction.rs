@@ -4,7 +4,7 @@
 //! every way an attempt can end goes through.
 
 use super::{Retry, Stm};
-use crate::algo::{self, adaptive, mv, versioned, Hooks};
+use crate::algo::{self, adaptive, versioned, Hooks};
 use crate::epoch;
 use crate::orec;
 use crate::recorder::{word_of, HistoryRecorder, RecTx};
@@ -13,9 +13,7 @@ use crate::tvar::{TVar, TxValue, WriteNode};
 use crate::txlog::LogLoan;
 use crate::wal::DurableTicket;
 use ptm_sim::{TOpDesc, TOpResult};
-use std::cell::Cell;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -79,11 +77,6 @@ pub struct Transaction<'s> {
     /// `None` on instances without a durability hook and on attempts
     /// that staged nothing.
     staged: Option<(Arc<[u8]>, DurableTicket)>,
-    /// Present on the members of a sibling group
-    /// ([`Transaction::beside`]): one flag they share, set once any
-    /// member buffers a write. While it stays clear, the group reads one
-    /// cut at one `rv` and commits without locking or validating.
-    pub(super) group: Option<Rc<Cell<bool>>>,
     /// Epoch pin: keeps every pointer this transaction may dereference
     /// alive for its whole lifetime (also makes `Transaction: !Send`).
     pub(crate) pin: epoch::Guard,
@@ -128,7 +121,6 @@ impl<'s> Transaction<'s> {
             rec: stm.recorder.as_ref().map(HistoryRecorder::begin_tx),
             tally: OpTally::default(),
             staged: None,
-            group: None,
             pin: epoch::pin(),
         }
     }
@@ -140,11 +132,12 @@ impl<'s> Transaction<'s> {
     /// here first if no operation has yet — and pins it as a nested pin
     /// of the shared snapshot registry, which costs no shared write. Its
     /// reads and this attempt's then form one cut: a read-only group
-    /// commits without locking or validating, and an updating group
-    /// publishes at one clock tick through [`Transaction::commit_all`].
-    /// Otherwise the sibling is an ordinary [`Stm::transaction`] on
-    /// `other`, which the group commit locks and validates as any
-    /// participant.
+    /// commits without locking or validating, as does any group that
+    /// wrote nothing and read at one `rv` of one domain, and an updating
+    /// group publishes each domain at one clock tick through
+    /// [`Transaction::commit_all`]. Otherwise the sibling is an ordinary
+    /// [`Stm::transaction`] on `other`, which the group commit locks and
+    /// validates as any participant.
     ///
     /// A sibling's snapshot is its opener's, so it predates the
     /// sibling's first recorded history marker: histories recorded
@@ -184,9 +177,6 @@ impl<'s> Transaction<'s> {
                 .expect("instances of one domain share its snapshot registry");
             sibling.snap = Some(reg.nest());
         }
-        let wrote = !self.log.writes.is_empty();
-        let group = self.group.get_or_insert_with(|| Rc::new(Cell::new(wrote)));
-        sibling.group = Some(Rc::clone(group));
         sibling
     }
 
@@ -368,11 +358,12 @@ impl<'s> Transaction<'s> {
     /// value in place: exactly `for v in vars { self.read_with(v, &mut f)? }`
     /// — the same values, read-set entries, recorded history markers,
     /// tallies and poisoning. It is how a whole-structure scan reads. On
-    /// an Mv-hook attempt that records no history and has buffered no
-    /// write, the engine's per-read checks (poisoned, recorder, snapshot
-    /// start, own-write lookup) run once per call and the scan is one
-    /// loop of snapshot reads in the read hook; every other attempt runs
-    /// the loop above.
+    /// an attempt that records no history and has buffered no write,
+    /// under every algorithm, the engine's per-read checks (poisoned,
+    /// recorder, snapshot start, own-write lookup) run once per call and
+    /// the scan is one loop of the read hook, each variable costing its
+    /// read tally and the hook's read; an attempt that records or wrote
+    /// runs the loop above.
     ///
     /// `f` runs inside each variable's read window, as
     /// [`read_with`](Self::read_with)'s closure does, and may have run on
@@ -405,11 +396,7 @@ impl<'s> Transaction<'s> {
     ) -> Result<(), Retry> {
         // An empty batch, like an empty loop, neither checks nor starts
         // the attempt.
-        if self.mode != Hooks::Mv
-            || self.rec.is_some()
-            || !self.log.writes.is_empty()
-            || vars.is_empty()
-        {
+        if self.rec.is_some() || !self.log.writes.is_empty() || vars.is_empty() {
             for var in vars {
                 self.read_with(var, &mut f)?;
             }
@@ -419,9 +406,14 @@ impl<'s> Transaction<'s> {
             return Err(Retry);
         }
         self.ensure_started();
-        let out = mv::read_each(self, vars, f);
-        self.poisoned = out.is_err();
-        out
+        for var in vars {
+            self.tally.read();
+            if algo::read(self, var, &mut f).is_err() {
+                self.poisoned = true;
+                return Err(Retry);
+            }
+        }
+        Ok(())
     }
 
     /// The algorithm-specific read path (the [`crate::algo`] read hook),
@@ -488,9 +480,6 @@ impl<'s> Transaction<'s> {
         // Boxed once, as the version node the commit will publish.
         self.log
             .buffer_write(var.id(), var.as_dyn(), WriteNode::new(value));
-        if let Some(group) = &self.group {
-            group.set(true);
-        }
         if let Some(op) = op {
             self.rec_respond(op, TOpResult::Ok);
         }

@@ -5,20 +5,43 @@
 //! doomed group, open every `tryC` marker) → **lock all** → **validate
 //! all** → **stage** (the caller's closure, once, with every lock held
 //! and nothing able to fail) → **publish all** (infallible; at one
-//! clock draw when the group shares a timestamp domain) → resolve each
+//! clock draw per timestamp domain the group spans) → resolve each
 //! ([`Transaction::committed`]). A failed open, lock or validation
 //! unlocks what the group took, closes every marker aborted and poisons
 //! every participant, for the caller to resolve
 //! ([`Transaction::aborted`]). Each algorithm's lock and validate halves
 //! are in `crate::algo`'s hook table.
 //!
-//! A lone read-only attempt is already serialized — at its last
-//! validation, under its held read locks, or at its snapshot — and
-//! skips lock and validate. So does a sibling group
-//! ([`Transaction::beside`]) none of whose members wrote: it read one
-//! cut at one timestamp of one clock. Every other participant locks and
-//! validates, read-only ones included: their validation is what rules
-//! out a torn or skewed cut across instances.
+//! Two rules, each about every member rather than about the group's
+//! shape, decide what a group skips and how it publishes:
+//!
+//! * **A group that wrote nothing is already serialized** — and skips
+//!   lock and validate — when it is one attempt (serialized at its last
+//!   validation, under its held read locks, or at its snapshot), or when
+//!   every member read at one `rv` of one timestamp domain: siblings
+//!   opened with [`Transaction::beside`] do, and so do attempts begun
+//!   apart with no commit between their draws. Every other participant
+//!   locks and validates, read-only ones included: their validation is
+//!   what rules out a torn or skewed cut across instances.
+//! * **Each timestamp domain publishes once** — every member of the
+//!   domain at one clock draw, through `mv::publish` — whatever else the
+//!   group spans; every participant outside a domain publishes on its
+//!   own.
+//!
+//! ## Why a read-only group at one `rv` needs no validation
+//!
+//! One `rv` of one clock is one cut, whoever drew it: the state after
+//! exactly the commits stamped `wv <= rv`. An Mv snapshot read walks to
+//! the newest version stamped at or before `rv`. A Tl2-hook read of an
+//! adaptive instance returns the head only while its stripe is unlocked
+//! and stamped at or before `rv`, and aborts otherwise; a commit with
+//! `wv <= rv` took its locks before its draw, which the reader's load of
+//! the clock synchronizes with, so the reader finds that commit's lock
+//! or its stamp, never the value before it. Both hook sets thus return
+//! the same value at one `rv`, and members reading at one `rv` of one
+//! domain read one cut — there is nothing left for validation to find.
+//! Members at different `rv`s, or in different domains, share no
+//! timestamp, so they lock and validate.
 //!
 //! ## Why a group commit is serializable
 //!
@@ -50,20 +73,21 @@
 //! ## Why a group commit is never observed torn
 //!
 //! **In one timestamp domain** (Mv, Adaptive) a cut is a timestamp. A
-//! group publishes at one tick `wv`, drawn after it appended on every
-//! participant: a reader whose `rv >= wv` loaded the clock after that
-//! draw, which synchronizes with it, so it finds every participant's
-//! new version (pending until stamped, and then stamped `wv`); a reader
-//! with `rv < wv` skips them all. A group of siblings reads every
-//! instance at one `rv`, so a read-only group is one cut at one
-//! timestamp and commits without locking or validating, as a lone
-//! read-only attempt does. A Tl2-hook read of an adaptive instance sees
-//! the same cut: a stripe the group still holds, or stamped past `rv`,
-//! aborts it.
+//! group publishes each domain at one tick `wv`, drawn after it appended
+//! on every member of that domain: a reader whose `rv >= wv` loaded the
+//! clock after that draw, which synchronizes with it, so it finds every
+//! member's new version (pending until stamped, and then stamped `wv`);
+//! a reader with `rv < wv` skips them all. A read-only group at one
+//! `rv` (above) therefore never sees part of a group. So does a *mixed*
+//! group — two members of one domain beside a Tl2, NOrec or Tlrw member,
+//! or a member of another domain: the domain still draws once, so no
+//! snapshot falls between two of its members.
 //!
 //! **Across separate clocks** an updating group holds **every**
 //! instance's commit locks from before its first publish until after
-//! that instance's own publish. A reader that could observe instance
+//! that instance's own publish — for the members of a domain, the
+//! domain's one publish, taken at its first member's place in the
+//! group. A reader that could observe instance
 //! *i* post-publish and instance *j* pre-publish must therefore get its
 //! reads of *j* past metadata the group still owns:
 //!
@@ -103,7 +127,6 @@
 use super::{Retry, Stm, Transaction};
 use crate::algo::{mv, norec, tlrw, versioned, Hooks};
 use ptm_sim::{TOpDesc, TOpResult};
-use std::rc::Rc;
 
 impl Stm {
     /// Begins a transaction whose commit the *caller* drives — the
@@ -146,9 +169,12 @@ impl<'s> Transaction<'s> {
     /// publish: the commit can no longer fail and every participant's
     /// locks are held, so whatever it stages
     /// ([`Transaction::stage_durable`]) is ordered like the commit
-    /// itself. When the group shares one timestamp domain
-    /// ([`Transaction::beside`]) it publishes at one clock tick: a
-    /// snapshot reader sees all of its writes or none.
+    /// itself. Each timestamp domain the group spans
+    /// ([`Transaction::beside`]) publishes at one clock tick, whatever
+    /// else the group holds: a snapshot reader sees all of the group's
+    /// writes in that domain or none. A group that wrote nothing commits
+    /// without locking or validating when it is one attempt, or when
+    /// every member read at one `rv` of one domain.
     ///
     /// # Errors
     ///
@@ -226,8 +252,8 @@ pub(super) fn commit_group<'s>(
 
 /// Step 1: refuses a group with a doomed member, then opens every
 /// participant's `tryC` marker. Returns whether the group must lock and
-/// validate — `false` for a group already serialized: a lone read-only
-/// attempt, or one sibling group none of whose members wrote.
+/// validate — `false` for a group already serialized: one that wrote
+/// nothing and is one attempt, or read at one `rv` of one domain.
 pub(super) fn open(group: &mut [Transaction<'_>]) -> Result<bool, Retry> {
     // An attempt that was already doomed failed (and is counted) where
     // it was doomed, not here.
@@ -245,13 +271,12 @@ pub(super) fn open(group: &mut [Transaction<'_>]) -> Result<bool, Retry> {
         tx.ensure_started();
     }
     let serialized = match &*group {
-        [tx] => tx.log.writes.is_empty(),
-        [first, rest @ ..] => first.group.as_ref().is_some_and(|wrote| {
-            !wrote.get()
+        [first, rest @ ..] => {
+            group.iter().all(|tx| tx.log.writes.is_empty())
                 && rest
                     .iter()
-                    .all(|tx| tx.group.as_ref().is_some_and(|g| Rc::ptr_eq(g, wrote)))
-        }),
+                    .all(|tx| first.stm.shares_domain(tx.stm) && tx.rv == first.rv)
+        }
         [] => true,
     };
     Ok(!serialized)
@@ -279,15 +304,23 @@ pub(super) fn validate(group: &mut [Transaction<'_>]) -> Result<(), Retry> {
 }
 
 /// Step 5: writes every participant's buffered values back under the
-/// held locks and releases them. Infallible. A group in one timestamp
-/// domain publishes at one draw; any other publishes participant by
-/// participant.
+/// held locks and releases them. Infallible. Each timestamp domain
+/// publishes all of its members at one draw, at its first member's
+/// place in the group; every other participant publishes on its own.
 pub(super) fn publish(group: &mut [Transaction<'_>]) {
-    let first = group[0].stm;
-    if group.iter().all(|tx| first.shares_domain(tx.stm)) {
-        return mv::publish(group);
-    }
-    for tx in group.iter_mut() {
+    for i in 0..group.len() {
+        let stm = group[i].stm;
+        // The read hooks are the attempt's, the publish is the
+        // instance's: one that serves snapshots (it carries the
+        // registry) appends every commit, so its Tl2-hook and Mv-hook
+        // attempts serialize by timestamp (see `algo::adaptive`).
+        if stm.snapshots.is_some() {
+            if !group[..i].iter().any(|tx| tx.stm.shares_domain(stm)) {
+                mv::publish(group, stm);
+            }
+            continue;
+        }
+        let tx = &mut group[i];
         if tx.log.writes.is_empty() {
             // Nothing to write back: drop whatever the lock half took
             // (NOrec's sequence lock; nothing, elsewhere).
@@ -295,12 +328,6 @@ pub(super) fn publish(group: &mut [Transaction<'_>]) {
             continue;
         }
         match tx.mode {
-            // The read hooks are the attempt's, the publish is the
-            // instance's: one that serves snapshots (it carries the
-            // registry) appends every commit, so its Tl2-hook and
-            // Mv-hook attempts serialize by timestamp (see
-            // `algo::adaptive`).
-            _ if tx.stm.snapshots.is_some() => mv::publish(std::slice::from_mut(tx)),
             Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => versioned::publish(tx),
             Hooks::Tlrw => tlrw::publish(tx),
             Hooks::Norec => norec::publish(tx),

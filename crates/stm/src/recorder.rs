@@ -23,7 +23,7 @@
 //! ## Values
 //!
 //! The model's t-objects hold [`Word`]s (`u64`). Recorded reads and
-//! writes project the stored value through [`word_of`]: primitive integer
+//! writes project the stored value through `word_of`: primitive integer
 //! and `bool` values map faithfully (so read legality is checked for
 //! real), any other type maps to `0` (structure-typed values degrade the
 //! value check to a tautology while real-time order, commit/abort
@@ -62,7 +62,7 @@ use std::sync::{Arc, Mutex, Weak};
 /// value check a tautology for that object (but never a false
 /// rejection); real-time order and commit/abort structure are still
 /// fully checked.
-pub fn word_of<T: TxValue>(v: &T) -> Word {
+pub(crate) fn word_of<T: TxValue>(v: &T) -> Word {
     let any: &dyn Any = v;
     if let Some(x) = any.downcast_ref::<u64>() {
         *x

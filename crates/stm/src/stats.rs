@@ -324,7 +324,7 @@ counters! {
     fsyncs: sum, "fsyncs";
     /// Records covered by those fsync batches (every record is covered
     /// exactly once, so this equals `log_appends` once quiescent);
-    /// [`StatsSnapshot::group_commit_size`] derives the mean batch.
+    /// divided by `fsyncs` it is the mean batch.
     group_commit_records: sum, "group_commit";
 }
 
@@ -447,18 +447,6 @@ impl StmStats {
     }
 }
 
-impl StatsSnapshot {
-    /// Mean records per fsync batch — the group-commit amortization
-    /// factor (1.0 means every commit paid its own fsync; 0.0 means no
-    /// batch has flushed yet).
-    pub fn group_commit_size(&self) -> f64 {
-        if self.fsyncs == 0 {
-            return 0.0;
-        }
-        self.group_commit_records as f64 / self.fsyncs as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,7 +515,6 @@ mod tests {
         assert_eq!(snap.log_appends, 3);
         assert_eq!(snap.fsyncs, 1);
         assert_eq!(snap.group_commit_records, 3);
-        assert_eq!(snap.group_commit_size(), 3.0);
     }
 
     #[test]

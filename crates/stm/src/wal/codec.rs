@@ -93,7 +93,7 @@ impl Record {
 }
 
 /// Appends one framed record to `out`.
-pub fn encode_record(stamp: u64, flags: u8, payload: &[u8], out: &mut Vec<u8>) {
+pub(crate) fn encode_record(stamp: u64, flags: u8, payload: &[u8], out: &mut Vec<u8>) {
     assert!(payload.len() <= u32::MAX as usize, "payload too large");
     let start = out.len();
     out.extend_from_slice(&MAGIC);

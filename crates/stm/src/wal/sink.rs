@@ -98,11 +98,6 @@ impl FileSink {
         let (file, dsync) = open_log(&path, true)?;
         Ok(FileSink { path, file, dsync })
     }
-
-    /// The file this sink appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 impl LogSink for FileSink {

@@ -86,7 +86,7 @@ impl Wal {
 
     /// Attaches the instance counters new appends and fsyncs bump.
     /// First attach wins; later calls are ignored.
-    pub fn attach_stats(&self, stats: Arc<StmStats>) {
+    pub(crate) fn attach_stats(&self, stats: Arc<StmStats>) {
         let _ = self.stats.set(stats);
     }
 
@@ -121,7 +121,7 @@ impl Wal {
     }
 
     /// LSN of the last record known durable (0 before any fsync).
-    pub fn durable_lsn(&self) -> u64 {
+    pub(crate) fn durable_lsn(&self) -> u64 {
         self.durable.load(Ordering::Acquire)
     }
 
@@ -179,7 +179,7 @@ impl Wal {
     /// callers must stop acknowledging.
     pub fn wait_durable(&self, lsn: u64) -> io::Result<()> {
         loop {
-            if self.durable.load(Ordering::Acquire) >= lsn {
+            if self.durable_lsn() >= lsn {
                 return Ok(());
             }
             if self.poisoned.load(Ordering::Acquire) {
@@ -189,7 +189,7 @@ impl Wal {
             // A convoy predecessor may have flushed our record while we
             // queued; the watermark is published before the lock drops,
             // so this re-check under the lock is authoritative.
-            if self.durable.load(Ordering::Acquire) >= lsn {
+            if self.durable_lsn() >= lsn {
                 return Ok(());
             }
             let (buf, records, upto) = {

@@ -26,8 +26,9 @@ const DEFAULT_BUCKETS: usize = 64;
 /// one `V`, the tests nothing, `snapshot` each entry once. `get` and
 /// `contains_key` read their one bucket with [`Transaction::read_with`];
 /// `len`, `is_empty` and `snapshot` read every bucket in one
-/// [`Transaction::read_each`] call, which on an Mv snapshot runs the
-/// engine's per-read checks once per scan instead of once per bucket.
+/// [`Transaction::read_each`] call, which runs the engine's per-read
+/// checks once per scan instead of once per bucket (on an attempt that
+/// records no history and has written nothing).
 /// [`snapshot_into`](THashMap::snapshot_into) appends
 /// those entries to a buffer the caller owns, so a scan over several
 /// maps fills one vector instead of copying one per map. Writers are

@@ -10,15 +10,6 @@ use ptm_stm::{Algorithm, Stm};
 use ptm_structs::{THashMap, TSet};
 use std::collections::{BTreeSet, HashMap};
 
-const ALGOS: [Algorithm; 6] = [
-    Algorithm::Tl2,
-    Algorithm::Incremental,
-    Algorithm::Norec,
-    Algorithm::Tlrw,
-    Algorithm::Mv,
-    Algorithm::Adaptive,
-];
-
 /// One scripted operation: `(kind, key, value)`.
 type Op = (u8, u64, u64);
 
@@ -33,7 +24,7 @@ proptest! {
 
     #[test]
     fn hashmap_matches_std_reference(ops in ops_strategy()) {
-        for algo in ALGOS {
+        for algo in Algorithm::ALL {
             let stm = Stm::new(algo);
             // Few buckets: force collision chains to be exercised.
             let map: THashMap<u64, u64> = THashMap::with_buckets(4);
@@ -69,7 +60,7 @@ proptest! {
 
     #[test]
     fn set_matches_std_reference(ops in ops_strategy()) {
-        for algo in ALGOS {
+        for algo in Algorithm::ALL {
             let stm = Stm::new(algo);
             let set: TSet<u64> = TSet::new();
             let mut reference: BTreeSet<u64> = BTreeSet::new();

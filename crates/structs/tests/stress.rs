@@ -9,15 +9,6 @@ use ptm_structs::{TArray, THashMap, TQueue, TSet};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-const ALGOS: [Algorithm; 6] = [
-    Algorithm::Tl2,
-    Algorithm::Incremental,
-    Algorithm::Norec,
-    Algorithm::Tlrw,
-    Algorithm::Mv,
-    Algorithm::Adaptive,
-];
-
 /// Small deterministic PRNG so the stress mixes are reproducible.
 fn next_rand(state: &mut u64) -> u64 {
     *state = state
@@ -28,7 +19,7 @@ fn next_rand(state: &mut u64) -> u64 {
 
 #[test]
 fn array_transfers_conserve_sum_under_contention() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let stm = Arc::new(Stm::new(algo));
         let arr = TArray::new(8, 1_000u64);
         let threads = 4;
@@ -62,7 +53,7 @@ fn array_transfers_conserve_sum_under_contention() {
 
 #[test]
 fn map_disjoint_key_ranges_survive_concurrent_churn() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let stm = Arc::new(Stm::new(algo));
         let map: THashMap<u64, u64> = THashMap::with_buckets(16);
         let threads = 4u64;
@@ -97,7 +88,7 @@ fn map_disjoint_key_ranges_survive_concurrent_churn() {
 
 #[test]
 fn queue_producers_consumers_deliver_exactly_once_in_fifo_order() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let stm = Arc::new(Stm::new(algo));
         let q: TQueue<u64> = TQueue::new();
         let producers = 3u64;
@@ -170,7 +161,7 @@ fn queue_producers_consumers_deliver_exactly_once_in_fifo_order() {
 
 #[test]
 fn set_concurrent_insert_remove_reaches_expected_membership() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let stm = Arc::new(Stm::new(algo));
         let set: TSet<u64> = TSet::new();
         let threads = 4u64;
@@ -217,7 +208,7 @@ fn map_ops_linearize_in_commit_stamp_order() {
     // transaction as its map operation, so the stamp order IS the
     // serialization order. Replaying the ops against a std HashMap in
     // stamp order must reproduce every observed result exactly.
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let stm = Arc::new(Stm::new(algo));
         let map: THashMap<u64, u64> = THashMap::with_buckets(8);
         let stamp = TVar::new(0u64);

@@ -458,26 +458,33 @@ struct Case {
 /// it open between validation and publish — `v`'s stripe locked,
 /// nothing published — in the stage step of [`Transaction::commit_all`].
 /// Returns once the lock is held; the commit publishes when the
-/// returned sender fires.
+/// returned sender fires, and the thread then yields the instance's
+/// counters read just before and just after its publish.
 fn hold_write<'scope>(
     s: &'scope thread::Scope<'scope, '_>,
     stm: &'scope Stm,
     v: &'scope TVar<u64>,
     value: u64,
-) -> mpsc::Sender<()> {
+) -> (
+    mpsc::Sender<()>,
+    thread::ScopedJoinHandle<'scope, [StatsSnapshot; 2]>,
+) {
     let (held_tx, held_rx) = mpsc::channel();
     let (publish_tx, publish_rx) = mpsc::channel();
-    s.spawn(move || {
+    let blocker = s.spawn(move || {
         let mut tx = stm.transaction();
         tx.write(v, value).expect("buffer write");
+        let mut before = None;
         Transaction::commit_all(vec![tx], |_| {
             held_tx.send(()).expect("the test waits for the hold");
             publish_rx.recv().expect("the test releases the hold");
+            before = Some(stm.stats().snapshot());
         })
         .expect("uncontended commit");
+        [before.expect("stage ran"), stm.stats().snapshot()]
     });
     held_rx.recv().expect("the blocker holds its lock");
-    publish_tx
+    (publish_tx, blocker)
 }
 
 /// Runs one row on one algorithm and returns the instance's counters
@@ -501,7 +508,7 @@ fn run_case(case: &Case, algo: Algorithm, ctx: &str) -> StatsSnapshot {
                     thread::yield_now();
                 }
                 match blocker {
-                    Some(publish) => publish.send(()).expect("the blocker holds"),
+                    Some((publish, _)) => publish.send(()).expect("the blocker holds"),
                     None => stm2.atomically(|tx| tx.write(&v2, 9)),
                 }
             }
@@ -523,46 +530,59 @@ fn run_case(case: &Case, algo: Algorithm, ctx: &str) -> StatsSnapshot {
 fn conflict_park_registers_instead_of_self_waking() {
     // A conflict that reaches the retry schedule's park tier must
     // register the conflict footprint and sleep until an overlapping
-    // commit wakes it, not spin on the conflict.
-    let stm = Arc::new(Stm::tl2());
-    let w = Arc::new(TVar::new(0u64));
-    let (stm2, w2) = (Arc::clone(&stm), Arc::clone(&w));
+    // commit wakes it, not spin on the conflict. Each park lasts at most
+    // the 1 ms safety net, and the runner re-parks after each, so the
+    // blocker's publish may land between two parks, when no wake is
+    // due. What the protocol guarantees is that a publish landing while
+    // the runner sits in one park wakes it: a round whose publish no
+    // park spanned shows nothing, and the next round runs.
+    const ROUNDS: usize = 20;
+    let (spans_tx, spans_rx) = mpsc::channel();
     watchdog(Duration::from_secs(60), move || {
-        thread::scope(|s| {
-            // A held (locked, unpublished) writer on `w`'s stripe makes
-            // every attempt's commit fail deterministically while its
-            // (empty) read set stays valid: the exact shape that must
-            // park, not spin, once the schedule's spin and yield tiers
-            // are spent.
-            let blocker = hold_write(s, &stm2, &w2, 7);
-            let runner = s.spawn(|| {
-                stm2.run(|tx| {
-                    tx.write(&w2, 8u64)?;
-                    Ok(())
-                })
+        for _ in 0..ROUNDS {
+            let stm = Stm::tl2();
+            let w = TVar::new(0u64);
+            // A fresh thread per round, as in `run_case`.
+            let [before, after] = thread::scope(|s| {
+                // A held (locked, unpublished) writer on `w`'s stripe
+                // makes every attempt's commit fail deterministically
+                // while its (empty) read set stays valid: the exact
+                // shape that must park, not spin, once the schedule's
+                // spin and yield tiers are spent.
+                let (publish, blocker) = hold_write(s, &stm, &w, 7);
+                let runner = s.spawn(|| stm.run(|tx| tx.write(&w, 8u64)));
+                while stm.stats().snapshot().parks == 0 {
+                    thread::yield_now();
+                }
+                // The blocker still holds the stripe, so no attempt can
+                // have committed, however often the safety net fired.
+                assert!(!runner.is_finished(), "a parked attempt cannot commit");
+                assert_eq!(w.load(), 0, "nothing published yet");
+                publish.send(()).expect("the blocker holds");
+                runner.join().expect("runner").expect("commits once woken");
+                blocker.join().expect("blocker")
             });
-            while stm2.stats().snapshot().parks == 0 {
-                thread::yield_now();
+            assert_eq!(w.load(), 8, "the parked write landed on top");
+            let snap = stm.stats().snapshot();
+            assert!(snap.parks >= 1, "conflict park must register: {snap}");
+            assert_eq!(snap.commits, 2, "blocker and runner, nothing else: {snap}");
+            // Until the publish no park was woken, so every park but one
+            // still in progress ended at its timeout. The same park in
+            // progress on both sides of the publish — one more park than
+            // timeouts, neither count moving — spanned it.
+            let parked = |s: &StatsSnapshot| (s.parks, s.spurious_wakes);
+            let spanned =
+                before.parks == before.spurious_wakes + 1 && parked(&after) == parked(&before);
+            if spanned {
+                spans_tx.send(snap).expect("the test waits");
+                return;
             }
-            // The blocker still holds the stripe, so no attempt can have
-            // committed, however often the 1 ms safety net fired.
-            assert!(!runner.is_finished(), "a parked attempt cannot commit");
-            assert_eq!(w2.load(), 0, "nothing published yet");
-
-            // Publishing the blocker overlaps the parked footprint (the
-            // write stripe registers too) and wakes the runner.
-            blocker.send(()).expect("the blocker holds");
-            runner.join().expect("runner").expect("commits once woken");
-        });
+        }
     });
-    assert_eq!(w.load(), 8, "the parked write landed on top");
-    let snap = stm.stats().snapshot();
-    assert!(snap.parks >= 1, "conflict park must register: {snap}");
-    assert!(
-        snap.wakes >= 1,
-        "the blocker's publish wakes the park: {snap}"
-    );
-    assert_eq!(snap.commits, 2, "blocker and runner, nothing else: {snap}");
+    let snap = spans_rx
+        .try_recv()
+        .unwrap_or_else(|_| panic!("no publish in {ROUNDS} rounds landed inside a park"));
+    assert!(snap.wakes >= 1, "a publish inside a park wakes it: {snap}");
 }
 
 #[test]

@@ -17,21 +17,6 @@ use progressive_tm::structs::TArray;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-const ALGOS: [Algorithm; 6] = [
-    Algorithm::Tl2,
-    Algorithm::Incremental,
-    Algorithm::Norec,
-    Algorithm::Tlrw,
-    // Mv histories are the interesting multi-version case: a snapshot
-    // reader may return values writers have long since superseded, and
-    // the checker must still find the serialization its start time
-    // names.
-    Algorithm::Mv,
-    // Default tuning: these short runs stay in the invisible mode; the
-    // forced mid-switch recording lives in `tests/native_stm.rs`.
-    Algorithm::Adaptive,
-];
-
 /// Builds a recording instance and hands back the recorder for draining.
 fn recording_stm(algo: Algorithm) -> (Arc<Stm>, HistoryRecorder) {
     let rec = HistoryRecorder::new();
@@ -113,7 +98,13 @@ fn record_counter_run(algo: Algorithm, threads: usize, per: u64) -> (Vec<LogEntr
 
 #[test]
 fn native_counter_histories_are_opaque_all_algorithms() {
-    for algo in ALGOS {
+    // Mv histories are the interesting multi-version case: a snapshot
+    // reader may return values writers have long since superseded, and
+    // the checker must still find the serialization its start time
+    // names. Adaptive runs at default tuning: these short runs stay in
+    // the invisible mode; the forced mid-switch recording lives in
+    // `tests/native_stm.rs`.
+    for algo in Algorithm::ALL {
         for threads in [2usize, 4] {
             let per = 4;
             let (log, total) = record_counter_run(algo, threads, per);
@@ -128,7 +119,7 @@ fn native_counter_histories_are_opaque_all_algorithms() {
 
 #[test]
 fn eight_thread_histories_parse_and_serialize() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let (log, total) = record_counter_run(algo, 8, 2);
         assert_eq!(total, expected_counter_total(8, 2), "{algo:?}");
         let h = history_of(&log);
@@ -147,7 +138,7 @@ fn projected_reads_record_the_whole_value() {
     // history must carry the value the read *saw*. A marker holding the
     // projection instead (here a bool: word 0 or 1) would make every
     // observation of a counter past 1 an illegal read.
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let (stm, rec) = recording_stm(algo);
         let counter = TVar::new(0u64);
         let sightings = TVar::new(0u64);
@@ -194,7 +185,7 @@ fn projected_reads_record_the_whole_value() {
 
 #[test]
 fn nonzero_initial_values_are_installed_by_the_preamble() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let (stm, rec) = recording_stm(algo);
         let accounts: Vec<TVar<u64>> = (0..4).map(|_| TVar::new(100)).collect();
         std::thread::scope(|s| {
@@ -247,7 +238,7 @@ fn batched_reads_record_one_marker_per_variable() {
     // invoke/response pair per variable, so the checker sees every read
     // of a scan that races transfers, and the scans see a conserved sum.
     const N: usize = 8;
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let (stm, rec) = recording_stm(algo);
         let accounts: Vec<TVar<u64>> = (0..N).map(|_| TVar::new(10)).collect();
         std::thread::scope(|s| {
@@ -306,7 +297,7 @@ fn tarray_workload_histories_are_opaque() {
     // The data-structure layer over the recorder: TArray slots hold u64,
     // so recorded words are the real values and the checker validates
     // the structure's behaviour, not just its event shape.
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let (stm, rec) = recording_stm(algo);
         let arr = TArray::new(4, 5u64);
         std::thread::scope(|s| {
@@ -335,7 +326,7 @@ fn tarray_workload_histories_are_opaque() {
 
 #[test]
 fn user_retries_and_one_attempt_budgets_close_their_transactions() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let rec = HistoryRecorder::new();
         // Tiny attempt budget: the always-failing bodies below must not
         // spin for the default ten million attempts.
@@ -402,7 +393,7 @@ fn poisoned_transactions_cannot_commit_after_a_swallowed_retry() {
 
 #[test]
 fn corrupted_read_value_is_rejected_by_the_checker() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let (mut log, _) = record_counter_run(algo, 2, 3);
         assert!(is_opaque(&history_of(&log)), "{algo:?}: pristine log");
         // Flip the first read response of a *committed* transaction to a
@@ -626,7 +617,7 @@ fn max_tx(log: &[LogEntry]) -> u64 {
 /// as a prefix of the very history the first instance recorded.
 #[test]
 fn recovered_history_concatenates_opaquely_all_algorithms() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let (ops, acked) = (12u64, 7u64);
         let (log_a, durable) = durable_recorded_run(algo, ops, acked);
         assert!(is_opaque(&history_of(&log_a)), "{algo:?}: pre-crash log");

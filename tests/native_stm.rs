@@ -20,15 +20,6 @@ use progressive_tm::stm::{
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 
-const ALGOS: [Algorithm; 6] = [
-    Algorithm::Tl2,
-    Algorithm::Incremental,
-    Algorithm::Norec,
-    Algorithm::Tlrw,
-    Algorithm::Mv,
-    Algorithm::Adaptive,
-];
-
 /// Deterministic per-thread transfer stream shared by the bank runs, so
 /// the final balances are a pure function of the transfer set.
 fn bank_run(algo: Algorithm) -> Vec<u64> {
@@ -1170,7 +1161,7 @@ fn a_one_attempt_budget_reports_exhaustion_without_retrying() {
 
 #[test]
 fn heterogeneous_value_types() {
-    for algo in ALGOS {
+    for algo in Algorithm::ALL {
         let stm = Stm::new(algo);
         let name = TVar::new(String::from("alice"));
         let balance = TVar::new(10u64);
