@@ -106,11 +106,24 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) {
 /// so it may see a value the hook then rejects (its result is dropped
 /// and the read returns [`Retry`]).
 ///
-/// Always inlined, so that in `Transaction::read_each`'s batch loop the
-/// Mv arm's read inlines too: left to the heuristic, the dispatch stayed
-/// a call there.
-#[inline(always)]
+/// Kept out of line, so a single read (`Transaction::read_with`) calls
+/// one dispatch instead of carrying all five hooks' reads inline (left
+/// to the heuristic, it inlined them); [`read_inline`] is the batch
+/// loop's copy.
+#[inline(never)]
 pub(crate) fn read<T: TxValue, R>(
+    tx: &mut Transaction<'_>,
+    var: &TVar<T>,
+    f: impl FnOnce(&T) -> R,
+) -> Result<R, Retry> {
+    read_inline(tx, var, f)
+}
+
+/// [`read`], always inlined: in `Transaction::read_each`'s batch loop,
+/// so the Mv arm's read inlines there too (left to the heuristic, the
+/// dispatch stayed a call in the loop).
+#[inline(always)]
+pub(crate) fn read_inline<T: TxValue, R>(
     tx: &mut Transaction<'_>,
     var: &TVar<T>,
     f: impl FnOnce(&T) -> R,

@@ -223,7 +223,7 @@ fn finish(tx: &mut Transaction<'_>, wv: u64, watermark: u64) {
     // snapshot, so nothing a reader can still walk to is detached.
     for var in &log.written {
         let (retained, trimmed) = var.trim_chain(watermark, &mut log.retired);
-        stm.stats.trim((retained + trimmed) as u64, trimmed as u64);
+        tx.tally.trim((retained + trimmed) as u64, trimmed as u64);
         // The space bound: if liveness-based trimming still leaves the
         // chain over `max_versions`, evict the oldest suffix anyway and
         // record the cut — a camped snapshot older than the cut aborts

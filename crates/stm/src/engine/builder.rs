@@ -172,15 +172,17 @@ impl StmBuilder {
         clock: Arc<CachePadded<AtomicU64>>,
         snapshots: Option<SnapshotRegistry>,
     ) -> Stm {
-        // NOrec never touches orecs; don't pay ~128 KB of padded words
-        // for a table no code path reads.
-        let stripes = match self.algorithm {
-            Algorithm::Norec => 1,
-            Algorithm::Tl2
-            | Algorithm::Incremental
-            | Algorithm::Tlrw
-            | Algorithm::Mv
-            | Algorithm::Adaptive => self.orec_stripes,
+        // NOrec never touches orecs and parks every waiter on stripe 0,
+        // so one stripe still earns its arm: it saves 8 KB of words at
+        // the default stripe count, and 40 KB of waiter buckets at the
+        // first park. Tlrw's reads RMW their words, so it keeps one word
+        // per cache line pair (`OrecTable::spread_out`).
+        let orecs = match self.algorithm {
+            Algorithm::Norec => OrecTable::new(1),
+            Algorithm::Tlrw => OrecTable::spread_out(self.orec_stripes),
+            Algorithm::Tl2 | Algorithm::Incremental | Algorithm::Mv | Algorithm::Adaptive => {
+                OrecTable::new(self.orec_stripes)
+            }
         };
         let adaptive = match self.algorithm {
             Algorithm::Adaptive => {
@@ -196,7 +198,7 @@ impl StmBuilder {
         Stm {
             algorithm: self.algorithm,
             clock,
-            orecs: OrecTable::new(stripes),
+            orecs,
             stats,
             max_attempts: self.max_attempts,
             recorder: self.recorder,

@@ -408,7 +408,7 @@ impl<'s> Transaction<'s> {
         self.ensure_started();
         for var in vars {
             self.tally.read();
-            if algo::read(self, var, &mut f).is_err() {
+            if algo::read_inline(self, var, &mut f).is_err() {
                 self.poisoned = true;
                 return Err(Retry);
             }

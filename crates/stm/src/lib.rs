@@ -81,7 +81,7 @@
 //! | [`mod@engine`](crate::Stm) | generic machinery, split by concern: [`Stm`] + [`Algorithm`] (`engine`), [`StmBuilder`] (`engine::builder`), [`Transaction`] and the one resolve point (`engine::transaction`), the one attempt loop and its retry schedule (`engine::attempt`), the one commit body every commit runs, lock all → validate all → stage → publish all, on a group of one or a cross-instance group ([`Transaction::commit_all`], `engine::twophase`) |
 //! | `algo`  | the strategy layer: one module per algorithm (begin / read hooks, and the lock / validate / publish halves of its commit), including the adaptive mode controller |
 //! | `txlog` | read-set / write-set log shared by all algorithms |
-//! | `orec`  | striped, cache-padded metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
+//! | `orec`  | striped, dense metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
 //! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer; a snapshot read walks `prev` to the newest version at or before its snapshot (static Tl2, Incremental, NOrec and Tlrw swap the head; Mv and Adaptive append, trim, and bound via [`MvConfig`]) |
 //! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (an exact floor-first slot scan, read once per publish group) bounds version-chain trimming |
 //! | `stats` | commit/abort/validation-probe counters |

@@ -3,7 +3,7 @@
 //!
 //! Instead of a lock word *inside* every [`TVar`](crate::TVar) (the seed
 //! design, which also kept the value under a mutex), each
-//! [`Stm`](crate::Stm) owns a fixed, cache-padded table of words. A
+//! [`Stm`](crate::Stm) owns a fixed, dense table of words. A
 //! variable maps to a stripe by hashing its address, the way production
 //! TL2 implementations key their global lock table. The same table serves
 //! two word formats, chosen by the instance's algorithm (one instance
@@ -24,6 +24,30 @@
 //! abort each other) for constant space and zero per-variable metadata.
 //! The stripe count is a power of two, tunable per instance via
 //! [`StmBuilder::orec_stripes`](crate::StmBuilder::orec_stripes).
+//!
+//! ## Why the words are dense
+//!
+//! The words sit eight to a 64-byte line, 8 bytes a stripe (8 KB at the
+//! default 1 024 stripes, where one word per 128-byte line pair took
+//! 128 KB). A versioned word is written only by commits — the lock CAS
+//! and the releasing store — so a neighbour sharing the line costs a
+//! reader at most one extra coherence miss when that neighbour commits;
+//! TL2 and TinySTM ship the same dense lock array. The stripe, not the
+//! line, stays the conflict unit: which attempts abort, progressiveness
+//! and every ordering argument are unchanged by the layout. The price is
+//! paid by writers of neighbouring stripes, whose commits now pass one
+//! line back and forth: two threads committing one-write Tl2
+//! transactions on stripes `s` and `s ^ 1` took about 30 % longer per
+//! commit than on padded words (a two-core x86-64 probe), a pair that
+//! two given variables form with probability 7 in 1 023 at 1 024
+//! stripes.
+//!
+//! Tlrw is the exception. Its reads are visible: each one `fetch_add`s
+//! its word and the release `fetch_sub`s it, so two readers of
+//! neighbouring stripes write one line on every read, and in the same
+//! probe a Tlrw read-only transaction took twice as long on dense words.
+//! A Tlrw table is therefore [`spread out`](OrecTable::spread_out), one
+//! word per 128-byte line pair, and read at par with the padded table.
 
 use crate::waiter::WaiterTable;
 use std::sync::atomic::AtomicU64;
@@ -31,8 +55,12 @@ use std::sync::atomic::AtomicU64;
 /// Default number of stripes per [`Stm`](crate::Stm) instance.
 pub(crate) const DEFAULT_STRIPES: usize = 1024;
 
-/// Pads a word to its own cache line pair so stripe traffic never
-/// false-shares.
+/// How far apart [`OrecTable::spread_out`] puts two stripes' words: 16
+/// words, 128 bytes, one word per cache line pair.
+const SPREAD_SHIFT: u32 = 4;
+
+/// Pads a value to its own cache line pair so traffic on it never
+/// false-shares: the version clock, which every commit draws from.
 #[repr(align(128))]
 pub(crate) struct CachePadded<T>(pub T);
 
@@ -78,11 +106,14 @@ pub(crate) fn rw_reader_count(word: u64) -> u64 {
     word >> 1
 }
 
-/// A power-of-two table of versioned lock words, with a waiter bucket
-/// per stripe for parked `retry`/`or_else` transactions.
+/// A power-of-two table of versioned lock words, with the waiter lists
+/// of parked `retry`/`or_else` transactions keyed by the same stripes.
 pub(crate) struct OrecTable {
-    words: Box<[CachePadded<AtomicU64>]>,
+    words: Box<[AtomicU64]>,
     mask: usize,
+    /// A stripe's word is `words[stripe << spread]`: 0 (dense) but in a
+    /// [`spread_out`](Self::spread_out) table.
+    spread: u32,
     /// Per-stripe parked-waiter lists, keyed exactly like the words
     /// above so a committing writer's write stripes name the wait
     /// channels it must sweep — whichever algorithm (or adaptive mode)
@@ -94,11 +125,24 @@ impl OrecTable {
     /// Builds a table of at least `stripes` words (rounded up to a power
     /// of two, minimum 1).
     pub(crate) fn new(stripes: usize) -> Self {
+        Self::with_spread(stripes, 0)
+    }
+
+    /// [`new`](Self::new), with each word alone on its cache line pair:
+    /// for Tlrw, whose every read RMWs its stripe's word, so two readers
+    /// of neighbouring stripes would otherwise pass one line back and
+    /// forth (see the module docs). 16 times the words' space.
+    pub(crate) fn spread_out(stripes: usize) -> Self {
+        Self::with_spread(stripes, SPREAD_SHIFT)
+    }
+
+    fn with_spread(stripes: usize, spread: u32) -> Self {
         let n = stripes.max(1).next_power_of_two();
-        let words = (0..n).map(|_| CachePadded(AtomicU64::new(0))).collect();
+        let words = (0..n << spread).map(|_| AtomicU64::new(0)).collect();
         OrecTable {
             words,
             mask: n - 1,
+            spread,
             waiters: WaiterTable::new(n),
         }
     }
@@ -110,7 +154,7 @@ impl OrecTable {
 
     /// Number of stripes.
     pub(crate) fn len(&self) -> usize {
-        self.words.len()
+        self.mask + 1
     }
 
     /// Maps a variable identity (its heap address) to a stripe index.
@@ -124,7 +168,7 @@ impl OrecTable {
 
     /// The lock word of a stripe.
     pub(crate) fn word(&self, stripe: usize) -> &AtomicU64 {
-        &self.words[stripe].0
+        &self.words[stripe << self.spread]
     }
 }
 
@@ -185,9 +229,27 @@ mod tests {
 
     #[test]
     fn words_start_unlocked_at_version_zero() {
-        let t = OrecTable::new(4);
-        for s in 0..t.len() {
-            assert_eq!(t.word(s).load(Ordering::Relaxed), 0);
+        for t in [OrecTable::new(4), OrecTable::spread_out(4)] {
+            for s in 0..t.len() {
+                assert_eq!(t.word(s).load(Ordering::Relaxed), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn dense_words_share_lines_spread_words_do_not() {
+        let line = |t: &OrecTable, s: usize| t.word(s) as *const AtomicU64 as usize / 128;
+        let (dense, spread) = (OrecTable::new(64), OrecTable::spread_out(64));
+        assert_eq!(spread.len(), 64);
+        assert_eq!(
+            (0..64)
+                .filter(|&s| line(&dense, s) == line(&dense, 0))
+                .count(),
+            16 - (dense.word(0) as *const AtomicU64 as usize % 128) / 8,
+            "dense: 16 words to a 128-byte line pair"
+        );
+        for s in 1..64 {
+            assert_ne!(line(&spread, s), line(&spread, s - 1));
         }
     }
 }

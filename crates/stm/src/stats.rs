@@ -18,10 +18,12 @@
 //!
 //! * **per-transaction tallies** ([`OpTally`]): the per-operation
 //!   counters (reads, writes, probes, snapshot reads, reader conflicts,
-//!   recorder markers) are plain non-atomic bumps on the transaction's
-//!   own stack, flushed into the shared counters exactly once when the
-//!   attempt resolves — so the per-read cost is an add on an
-//!   already-hot line, zero RMWs;
+//!   recorder markers, and an Mv commit's trim counts and chain-length
+//!   marks) are plain non-atomic bumps on the transaction's own stack,
+//!   flushed into the shared counters exactly once when the attempt
+//!   resolves — so the per-read cost is an add on an already-hot line,
+//!   zero RMWs, and a commit that trims many chains pays one add and at
+//!   most two `fetch_max`es, only when a plain load shows a mark beaten;
 //! * **thread-hashed shards**: the shared counters themselves are a
 //!   fixed array of cache-line-padded slots indexed by a hash of the
 //!   thread id (uniform under thread churn — see [`SHARDS`]), so the
@@ -96,6 +98,9 @@ pub(crate) struct OpTally {
     snapshot_reads: Cell<u64>,
     chain_walk_steps: Cell<u64>,
     recorded_events: Cell<u64>,
+    versions_trimmed: Cell<u64>,
+    max_chain_len: Cell<u64>,
+    versions_retained: Cell<u64>,
 }
 
 fn bump(c: &Cell<u64>, n: u64) {
@@ -129,6 +134,16 @@ impl OpTally {
 
     pub(crate) fn recorded(&self, n: u64) {
         bump(&self.recorded_events, n);
+    }
+
+    /// Records a trim pass: `trimmed` versions detached from a chain
+    /// that held `chain_len` versions before the trim (so `chain_len -
+    /// trimmed` survive, feeding the retained high-water mark).
+    pub(crate) fn trim(&self, chain_len: u64, trimmed: u64) {
+        bump(&self.versions_trimmed, trimmed);
+        let raise = |c: &Cell<u64>, n: u64| c.set(c.get().max(n));
+        raise(&self.max_chain_len, chain_len);
+        raise(&self.versions_retained, chain_len.saturating_sub(trimmed));
     }
 
     /// The attempt's read count if it performed no write: the scan
@@ -352,6 +367,17 @@ impl StmStats {
         add(&s.snapshot_reads, &t.snapshot_reads);
         add(&s.chain_walk_steps, &t.chain_walk_steps);
         add(&s.recorded_events, &t.recorded_events);
+        add(&s.versions_trimmed, &t.versions_trimmed);
+        // High-water marks: an RMW only when a plain load shows the
+        // shard's mark is beaten, which a steady workload rarely does.
+        let raise = |mark: &AtomicU64, cell: &Cell<u64>| {
+            let n = cell.get();
+            if n > mark.load(Ordering::Relaxed) {
+                mark.fetch_max(n, Ordering::Relaxed);
+            }
+        };
+        raise(&s.max_chain_len, &t.max_chain_len);
+        raise(&s.versions_retained, &t.versions_retained);
     }
 
     pub(crate) fn commit(&self) {
@@ -362,15 +388,13 @@ impl StmStats {
         self.local().aborts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a trim pass: `trimmed` versions detached from a chain
-    /// that held `chain_len` versions before the trim (so `chain_len -
-    /// trimmed` survive, feeding the retained high-water mark).
+    /// Records a trim pass straight into the shared counters, as a
+    /// one-off tally flushed at once.
+    #[cfg(test)]
     pub(crate) fn trim(&self, chain_len: u64, trimmed: u64) {
-        let s = self.local();
-        s.versions_trimmed.fetch_add(trimmed, Ordering::Relaxed);
-        s.max_chain_len.fetch_max(chain_len, Ordering::Relaxed);
-        s.versions_retained
-            .fetch_max(chain_len.saturating_sub(trimmed), Ordering::Relaxed);
+        let t = OpTally::default();
+        t.trim(chain_len, trimmed);
+        self.flush(&t);
     }
 
     /// Records `evicted` versions cut past the watermark by the

@@ -37,13 +37,30 @@
 //! follows registration in program order — its count load is ordered
 //! after the push by the lock-word synchronization itself.
 //!
+//! ## The buckets are built at the first park
+//!
+//! Most instances never park (a store serving gets and puts has no
+//! `retry`), so the buckets — 40 bytes a stripe, 40 KB at the default
+//! 1 024 stripes — are built by the first [`WaiterTable::register`],
+//! through a `OnceLock` that lets racing first parkers build one table.
+//! Until then [`WaiterTable::deregister`] and
+//! [`WaiterTable::wake_stripes`] have nothing to do, and the commit
+//! path's skip stays one load of `population`. That load is `Acquire`:
+//! a parker raises `population` (a `SeqCst` RMW, hence a release) only
+//! after `get_or_init` returned the built table in its own program
+//! order, so a writer that reads a non-zero count also sees the table
+//! that parker registered in. The handshake above is unchanged: the
+//! table's construction happens before the parker's fence, so a writer
+//! whose sweep misses it also misses the parker's count, and the
+//! parker's revalidation then sees the writer's stamps.
+//!
 //! Parks still carry a timeout ([`RETRY_PARK_TIMEOUT`] /
 //! [`CONFLICT_PARK_TIMEOUT`]) purely as a safety net — a timeout expiry
 //! is counted as a `spurious_wake` in [`StmStats`](crate::StmStats), and
 //! the torture suite asserts the net stays unused.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Safety-net ceiling on a logical wait (`Transaction::retry`): a parked
@@ -126,33 +143,40 @@ struct WaitBucket {
     cells: Mutex<Vec<Arc<WaitCell>>>,
 }
 
-/// The waiter lists for one orec table: one bucket per stripe, plus a
-/// table-wide population count that lets an uncontended commit skip the
-/// whole sweep with a single load. Buckets are deliberately *not*
-/// cache-padded: they are touched only by parking transactions and by
-/// the (read-mostly) skip loads, never on the per-read hot path.
+/// The waiter lists for one orec table: one bucket per stripe, built at
+/// the first park, plus a table-wide population count that lets an
+/// uncontended commit skip the whole sweep with a single load. Buckets
+/// are deliberately *not* cache-padded: they are touched only by
+/// parking transactions and by the (read-mostly) skip loads, never on
+/// the per-read hot path.
 #[derive(Debug)]
 pub(crate) struct WaiterTable {
-    buckets: Box<[WaitBucket]>,
+    buckets: OnceLock<Box<[WaitBucket]>>,
+    stripes: usize,
     population: AtomicUsize,
 }
 
 impl WaiterTable {
-    /// A table with one bucket per stripe.
+    /// A table of one bucket per stripe, none of them built yet.
     pub(crate) fn new(stripes: usize) -> Self {
         WaiterTable {
-            buckets: (0..stripes).map(|_| WaitBucket::default()).collect(),
+            buckets: OnceLock::new(),
+            stripes,
             population: AtomicUsize::new(0),
         }
     }
 
-    /// Registers `cell` on every stripe in `stripes`, then issues the
+    /// Registers `cell` on every stripe in `stripes`, building the
+    /// buckets if this is the table's first park, then issues the
     /// `SeqCst` fence that orders the registration before the caller's
     /// revalidation loads (the parker's half of the store-buffering
     /// handshake — see the module docs).
     pub(crate) fn register(&self, stripes: &[usize], cell: &Arc<WaitCell>) {
+        let buckets = self
+            .buckets
+            .get_or_init(|| (0..self.stripes).map(|_| WaitBucket::default()).collect());
         for &s in stripes {
-            let b = &self.buckets[s];
+            let b = &buckets[s];
             let mut cells = b.cells.lock().expect("waiter bucket poisoned");
             cells.push(Arc::clone(cell));
             b.count.fetch_add(1, Ordering::SeqCst);
@@ -165,8 +189,11 @@ impl WaiterTable {
     /// (or timed-out) attempt must not leave dangling registrations for
     /// later commits to re-notify.
     pub(crate) fn deregister(&self, stripes: &[usize], cell: &Arc<WaitCell>) {
+        let Some(buckets) = self.buckets.get() else {
+            return;
+        };
         for &s in stripes {
-            let b = &self.buckets[s];
+            let b = &buckets[s];
             let mut cells = b.cells.lock().expect("waiter bucket poisoned");
             if let Some(i) = cells.iter().position(|c| Arc::ptr_eq(c, cell)) {
                 cells.swap_remove(i);
@@ -182,12 +209,17 @@ impl WaiterTable {
     /// nobody parked anywhere the cost is the fence plus one load.
     pub(crate) fn wake_stripes(&self, stripes: &[usize]) -> u64 {
         fence(Ordering::SeqCst);
-        if self.population.load(Ordering::Relaxed) == 0 {
+        // `Acquire`: a count some parker raised comes with the buckets
+        // that parker built (see the module docs).
+        if self.population.load(Ordering::Acquire) == 0 {
             return 0;
         }
+        let Some(buckets) = self.buckets.get() else {
+            return 0;
+        };
         let mut woken = 0;
         for &s in stripes {
-            let b = &self.buckets[s];
+            let b = &buckets[s];
             if b.count.load(Ordering::Relaxed) == 0 {
                 continue;
             }
@@ -256,6 +288,22 @@ mod tests {
         t.deregister(&[1, 3], &a);
         t.deregister(&[3, 5], &b);
         assert_eq!(t.population.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn the_buckets_wait_for_the_first_park() {
+        let t = WaiterTable::new(1024);
+        let a = WaitCell::for_thread();
+        assert_eq!(t.wake_stripes(&[3]), 0);
+        t.deregister(&[3], &a);
+        assert!(
+            t.buckets.get().is_none(),
+            "a sweep or a deregister builds nothing"
+        );
+        t.register(&[3], &a);
+        assert_eq!(t.buckets.get().map(|b| b.len()), Some(1024));
+        assert_eq!(t.wake_stripes(&[3]), 1);
+        assert!(a.is_notified());
     }
 
     #[test]

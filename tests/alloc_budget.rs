@@ -20,22 +20,31 @@ use progressive_tm::server::{ServiceConfig, ShardedKv};
 use progressive_tm::stm::{Algorithm, Stm, TVar};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     /// Allocations made by this thread. Per thread, so the test
     /// harness's other threads cannot disturb a count; `const` and
     /// without a destructor, so the allocator may touch it at any time.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread requested (a `realloc` counts its new size),
+    /// kept like `ALLOCATIONS`.
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one request of `size` bytes on the calling thread.
+fn count(size: usize) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 struct Counting;
 
-// SAFETY: defers every request to `System` unchanged; the counter is a
-// plain thread-local `Cell` whose access neither allocates nor unwinds.
+// SAFETY: defers every request to `System` unchanged; the counters are
+// plain thread-local `Cell`s whose access neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         // SAFETY: the caller's contract, passed through.
         unsafe { System.alloc(layout) }
     }
@@ -46,7 +55,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         // SAFETY: as in `dealloc`, and the caller's contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -70,6 +79,13 @@ fn allocations_in(work: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     work();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Bytes this thread requests while `work` runs.
+fn bytes_in(work: impl FnOnce()) -> u64 {
+    let before = BYTES.with(Cell::get);
+    work();
+    BYTES.with(Cell::get) - before
 }
 
 /// A 4-shard store holding keys `0..KEYS`, warmed by one get per key on
@@ -223,4 +239,79 @@ fn a_scan_fills_one_buffer() {
             "{algorithm:?}: {SCANS} scans allocated {n} times"
         );
     }
+}
+
+/// Stripes per instance in the space tests: the default.
+const STRIPES: usize = 1024;
+
+/// What building an instance may request besides its lock words: the
+/// statistics' 16 cache-padded counter shards (4 KB), the padded clock,
+/// and an Mv or Adaptive instance's snapshot registry and adaptive
+/// state, a few hundred bytes between them. Less than a waiter bucket
+/// per stripe (40 KB at 1 024 stripes), so an instance that built its
+/// waiter table up front fails here.
+const INSTANCE_ALLOWANCE: u64 = 8 * 1024;
+
+#[test]
+fn an_instance_requests_its_lock_words_and_a_fixed_allowance() {
+    let _alone = alone();
+    // Parent commit: 131 072 bytes of padded words and 40 960 of waiter
+    // buckets per instance, NOrec's one-stripe table aside.
+    for algorithm in Algorithm::ALL {
+        // One 8-byte word a stripe; Tlrw's readers RMW their words, so
+        // its table keeps one word per 128-byte line pair.
+        let per_stripe = if algorithm == Algorithm::Tlrw { 128 } else { 8 };
+        let words = per_stripe * STRIPES as u64;
+        let n = bytes_in(|| drop(Stm::builder(algorithm).orec_stripes(STRIPES).build()));
+        assert!(
+            n <= words + INSTANCE_ALLOWANCE,
+            "{algorithm:?}: building an instance requested {n} bytes, \
+             over {words} of words and {INSTANCE_ALLOWANCE} allowed besides"
+        );
+    }
+}
+
+#[test]
+fn the_first_park_builds_the_waiter_table_and_the_second_reuses_it() {
+    let _alone = alone();
+    let stm = Arc::new(Stm::builder(Algorithm::Tl2).orec_stripes(STRIPES).build());
+    let v = Arc::new(TVar::new(0u64));
+    let waiter = {
+        let (stm, v) = (Arc::clone(&stm), Arc::clone(&v));
+        std::thread::spawn(move || {
+            // Warm: the thread's log pool and epoch record.
+            assert_eq!(stm.atomically(|tx| tx.read(&v)), 0);
+            let wait_for = |target: u64| {
+                bytes_in(|| {
+                    stm.atomically(|tx| {
+                        if tx.read(&v)? < target {
+                            tx.retry()
+                        } else {
+                            Ok(())
+                        }
+                    })
+                })
+            };
+            [wait_for(1), wait_for(2)]
+        })
+    };
+    // Each commit comes once the waiter is parked on it.
+    for target in 1..=2 {
+        while stm.stats().snapshot().parks < target {
+            std::thread::yield_now();
+        }
+        stm.atomically(|tx| tx.write(&v, target));
+    }
+    let [first, second] = waiter.join().expect("waiter");
+    let snap = stm.stats().snapshot();
+    assert_eq!((snap.parks, snap.spurious_wakes), (2, 0), "{snap}");
+    // A bucket is a counter and a locked list, 40 bytes on x86-64.
+    assert!(
+        first >= 32 * STRIPES as u64,
+        "the first park requested {first} bytes: no waiter table built"
+    );
+    assert!(
+        second < 1024,
+        "the second park requested {second} bytes: a second table?"
+    );
 }

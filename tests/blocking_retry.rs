@@ -1,6 +1,7 @@
 //! Torture tests for the blocking `retry`/`or_else` tier: lost-wakeup
 //! hunting across all six algorithms, the adaptive mode switch with
-//! consumers parked, the register-vs-commit interleaving window, the
+//! consumers parked, the register-vs-commit interleaving window, first
+//! parks racing to build a fresh instance's waiter table, the
 //! `or_else` rollback semantics, and one table of scripts that `run`
 //! must end as each row says, the retry schedule's park tier included.
 //!
@@ -15,7 +16,7 @@ use progressive_tm::stm::{
 use progressive_tm::structs::TQueue;
 use std::collections::HashSet;
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -231,6 +232,72 @@ fn register_vs_commit_interleaving_never_strands_the_waiter() {
         assert!(
             elapsed < Duration::from_secs(30),
             "rounds took {elapsed:?} — waiters are being stranded ({snap})"
+        );
+    });
+}
+
+#[test]
+fn first_parks_race_to_build_the_waiter_table() {
+    // An instance builds its waiter table at its first park, so on a
+    // fresh instance the waiters' first parks race each other to build
+    // it and the writer's wake sweeps race them to find it. Every round
+    // takes a fresh instance (each algorithm in turn); the writer starts
+    // a little later each round, from before any waiter has read to
+    // after all have parked. A waiter registered in a table the sweep
+    // missed sleeps out its 250 ms safety net, a `spurious_wake`. Under
+    // Tlrw a waiter holds its read lock while it registers, so the
+    // writer aborts against it and may reach the conflict-park tier,
+    // whose 1 ms net also counts as spurious: there the waiters' time
+    // bound alone checks the wake.
+    const WAITERS: usize = 3;
+    const ROUNDS: u64 = 60;
+    watchdog(Duration::from_secs(120), || {
+        let mut parks = 0;
+        for round in 0..ROUNDS {
+            let algo = Algorithm::ALL[round as usize % Algorithm::ALL.len()];
+            let stm = Arc::new(Stm::new(algo));
+            let keys: Arc<Vec<TVar<u64>>> = Arc::new((0..WAITERS).map(|_| TVar::new(0)).collect());
+            let start = Arc::new(Barrier::new(WAITERS + 1));
+            let waiters: Vec<_> = (0..WAITERS)
+                .map(|i| {
+                    let (stm, keys, start) =
+                        (Arc::clone(&stm), Arc::clone(&keys), Arc::clone(&start));
+                    thread::spawn(move || {
+                        start.wait();
+                        let t0 = Instant::now();
+                        let got = stm.atomically(|tx| match tx.read(&keys[i])? {
+                            0 => tx.retry(),
+                            x => Ok(x),
+                        });
+                        (got, t0.elapsed())
+                    })
+                })
+                .collect();
+            start.wait();
+            let stagger = Instant::now() + Duration::from_micros(round % 10 * 25);
+            while Instant::now() < stagger {
+                std::hint::spin_loop();
+            }
+            for (i, key) in keys.iter().enumerate() {
+                stm.atomically(|tx| tx.write(key, i as u64 + 1));
+            }
+            for (i, waiter) in waiters.into_iter().enumerate() {
+                let (got, waited) = waiter.join().expect("waiter");
+                assert_eq!(got, i as u64 + 1);
+                assert!(
+                    waited < Duration::from_millis(125),
+                    "round {round} ({algo:?}): waiter {i} returned after {waited:?}"
+                );
+            }
+            let snap = stm.stats().snapshot();
+            if algo != Algorithm::Tlrw {
+                assert_eq!(snap.spurious_wakes, 0, "round {round} ({algo:?}): {snap}");
+            }
+            parks += snap.parks;
+        }
+        assert!(
+            parks > 0,
+            "no waiter parked in {ROUNDS} rounds: nothing raced"
         );
     });
 }
