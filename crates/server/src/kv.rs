@@ -419,9 +419,13 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
 /// transaction automatically.
 pub struct ServiceTx<'kv, K, V> {
     kv: &'kv ShardedKv<K, V>,
-    /// `slots[i]` is the open transaction on shard `i`, if touched.
-    /// Index order doubles as the global lock order.
-    slots: Vec<Option<Transaction<'kv>>>,
+    /// The open transactions, one per touched shard, in ascending shard
+    /// index — the global lock order, so the commit hands this vector
+    /// to the group commit as it is.
+    open: Vec<Transaction<'kv>>,
+    /// The shards `open` holds: a shard's transaction sits at the rank
+    /// of its shard among them.
+    touched: ShardSet,
     /// The first shard touched: every later one opens beside it.
     opener: Option<usize>,
     /// The mutations so far, which become the WAL record at commit.
@@ -434,7 +438,8 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
     fn begin(kv: &'kv ShardedKv<K, V>) -> Self {
         ServiceTx {
             kv,
-            slots: (0..kv.shards.len()).map(|_| None).collect(),
+            open: Vec::with_capacity(kv.shards.len()),
+            touched: ShardSet::default(),
             opener: None,
             ops: Vec::new(),
         }
@@ -446,20 +451,19 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
     /// one timestamp domain, as an ordinary transaction otherwise.
     fn on(&mut self, shard: usize) -> (&'kv THashMap<K, V>, &mut Transaction<'kv>) {
         let s = &self.kv.shards[shard];
-        if self.slots[shard].is_none() {
+        let at = self.touched.rank(shard);
+        if !self.touched.contains(shard) {
             let tx = match self.opener {
-                Some(first) => self.slots[first]
-                    .as_mut()
-                    .expect("the opener stays open")
-                    .beside(&s.stm),
+                Some(first) => self.open[self.touched.rank(first)].beside(&s.stm),
                 None => {
                     self.opener = Some(shard);
                     s.stm.transaction()
                 }
             };
-            self.slots[shard] = Some(tx);
+            self.open.insert(at, tx);
+            self.touched.insert(shard);
         }
-        (&s.map, self.slots[shard].as_mut().expect("just opened"))
+        (&s.map, &mut self.open[at])
     }
 
     /// Reads `key` within the transaction (never journaled).
@@ -537,25 +541,21 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
     /// matches publish order). The return then waits for every
     /// participant's ack.
     fn commit(self) -> bool {
-        let ServiceTx { kv, slots, ops, .. } = self;
+        let ServiceTx {
+            kv,
+            open,
+            touched,
+            ops,
+            ..
+        } = self;
         let journal = kv.journal.as_ref().filter(|_| !ops.is_empty());
         // The participants' shard indices, for the journal only.
         let shards: Vec<usize> = match journal {
-            Some(_) => slots
-                .iter()
-                .enumerate()
-                .filter_map(|(shard, slot)| slot.as_ref().map(|_| shard))
-                .collect(),
+            Some(_) => touched.iter().collect(),
             None => Vec::new(),
         };
-        // `slots` is indexed by shard, so this is the global lock order
-        // the deadlock-freedom argument needs. `filter_map` collects in
-        // place, reusing the slot table as the group; `flatten`, the
-        // lint's suggestion, allocates a new one per commit.
-        #[allow(clippy::filter_map_identity)]
-        let group = slots.into_iter().filter_map(|slot| slot).collect();
         let mut tickets = Vec::new();
-        let committed = Transaction::commit_all(group, |group| {
+        let committed = Transaction::commit_all(open, |group| {
             if let Some(journal) = journal {
                 tickets = journal.stage(&ops, &shards, group);
             }
@@ -571,19 +571,73 @@ impl<'kv, K: TxValue + Hash + Eq, V: TxValue> ServiceTx<'kv, K, V> {
 
     /// Abandons every open shard transaction (body said [`Retry`]).
     fn rollback(self) {
-        for tx in self.slots.into_iter().flatten() {
+        for tx in self.open {
             tx.rollback();
         }
+    }
+}
+
+/// A set of shard indices, one bit each: shards below 64 inline, any
+/// others in `rest`, which stays empty (and unallocated) on a store of
+/// up to 64 shards.
+#[derive(Debug, Default)]
+struct ShardSet {
+    low: u64,
+    rest: Vec<u64>,
+}
+
+impl ShardSet {
+    /// The `i`-th 64-bit word of the set.
+    fn word(&self, i: usize) -> u64 {
+        match i {
+            0 => self.low,
+            _ => self.rest.get(i - 1).copied().unwrap_or(0),
+        }
+    }
+
+    fn contains(&self, shard: usize) -> bool {
+        self.word(shard / 64) >> (shard % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, shard: usize) {
+        let bit = 1 << (shard % 64);
+        match shard / 64 {
+            0 => self.low |= bit,
+            i => {
+                if self.rest.len() < i {
+                    self.rest.resize(i, 0);
+                }
+                self.rest[i - 1] |= bit;
+            }
+        }
+    }
+
+    /// How many members are below `shard`.
+    fn rank(&self, shard: usize) -> usize {
+        let below = (0..shard / 64)
+            .map(|i| self.word(i).count_ones())
+            .sum::<u32>();
+        let partial = self.word(shard / 64) & ((1 << (shard % 64)) - 1);
+        (below + partial.count_ones()) as usize
+    }
+
+    /// The members, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::once(self.low)
+            .chain(self.rest.iter().copied())
+            .enumerate()
+            .flat_map(|(i, w)| {
+                (0..64)
+                    .filter(move |b| w >> b & 1 == 1)
+                    .map(move |b| i * 64 + b)
+            })
     }
 }
 
 impl<K, V> fmt::Debug for ServiceTx<'_, K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServiceTx")
-            .field(
-                "touched",
-                &self.slots.iter().filter(|s| s.is_some()).count(),
-            )
+            .field("touched", &self.open.len())
             .finish()
     }
 }
@@ -626,5 +680,37 @@ mod tests {
             seen[s] = true;
         }
         assert!(seen.iter().all(|&s| s), "256 keys left a shard empty");
+    }
+
+    #[test]
+    fn a_shard_set_ranks_its_members_past_the_inline_word() {
+        let mut set = ShardSet::default();
+        for shard in [130, 3, 64, 0, 63] {
+            assert!(!set.contains(shard));
+            set.insert(shard);
+            assert!(set.contains(shard));
+        }
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 3, 63, 64, 130]);
+        let ranks: Vec<usize> = [0, 3, 4, 63, 64, 65, 130, 131]
+            .into_iter()
+            .map(|shard| set.rank(shard))
+            .collect();
+        assert_eq!(ranks, [0, 1, 2, 2, 3, 4, 4, 5]);
+    }
+
+    #[test]
+    fn a_transaction_over_many_shards_commits_them_all() {
+        // 130 shards: the shard set spills past its inline word, and the
+        // open transactions must still reach the group in shard order.
+        let kv: ShardedKv<u64, u64> = ShardedKv::new(130, Algorithm::Tl2);
+        let keys: Vec<u64> = (0..2_000).collect();
+        kv.transact(|tx| {
+            for &k in keys.iter().rev() {
+                tx.put(k, k + 1)?;
+            }
+            Ok(())
+        });
+        assert!(keys.iter().all(|k| kv.get(k) == Some(k + 1)));
+        assert_eq!(kv.scan().len(), keys.len());
     }
 }

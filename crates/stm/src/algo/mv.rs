@@ -242,6 +242,6 @@ fn finish(tx: &mut Transaction<'_>, wv: u64, watermark: u64) {
     epoch::retire_batch(&mut log.retired);
     // Wake waiters parked on the written stripes (after the release
     // restamp, so a woken reader's revalidation sees version > bound).
-    stm.wake_stripes(&log.stripe_buf);
+    stm.wake_stripes(log.stripe_buf.iter().copied());
     log.written.clear();
 }

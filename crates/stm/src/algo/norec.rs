@@ -111,7 +111,7 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
     // One sequence lock means one conflict channel: every commit may
     // ready every waiter (they all wait on the clock, registered under
     // stripe 0 — see `Transaction::wait_stripes`).
-    tx.stm.wake_stripes(&[0]);
+    tx.stm.wake_stripes([0]);
 }
 
 /// Abandons a won sequence lock without publishing: restore the even

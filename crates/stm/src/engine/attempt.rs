@@ -4,7 +4,7 @@
 
 use super::twophase::commit_group;
 use super::{RetriesExhausted, Retry, Stm, Transaction};
-use crate::waiter::{WaitCell, CONFLICT_PARK_TIMEOUT, RETRY_PARK_TIMEOUT};
+use crate::waiter::{Buckets, WaitCell, PARK_TIMEOUT};
 use std::sync::Arc;
 
 /// Conflicts at or below this attempt index retry without waiting.
@@ -28,11 +28,13 @@ enum Tier {
     Spin(u64),
     /// Yield the scheduler, then run again.
     Yield,
-    /// Get out of the way: register the attempt's footprint (read ∪
-    /// write stripes) on the orec table's waiter lists and sleep until a
-    /// committing writer touches an overlapping stripe (bounded by a
-    /// short safety net), then run again. A transaction that keeps
-    /// losing stops costing the winners CPU.
+    /// Get out of the way: register on the orec table's waiter lists
+    /// — the footprint (read ∪ write stripes) and the stripe whose lock
+    /// the attempt lost to — and sleep until that lock's holder
+    /// releases it or a commit touches an overlapping stripe, then run
+    /// again. A transaction that keeps losing stops costing the winners
+    /// CPU. A conflict that lost to no held lock has no holder to wait
+    /// for, and yields instead.
     Park,
 }
 
@@ -53,12 +55,13 @@ impl Tier {
     }
 
     /// Waits as the tier says. The park tier waits on the waiter lists,
-    /// not here.
+    /// not here: it comes here only when it found no lock holder to
+    /// park on, and then yields.
     fn wait(self) {
         match self {
             Tier::Spin(n) => (0..n).for_each(|_| std::hint::spin_loop()),
-            Tier::Yield => std::thread::yield_now(),
-            Tier::Now | Tier::Park => {}
+            Tier::Yield | Tier::Park => std::thread::yield_now(),
+            Tier::Now => {}
         }
     }
 }
@@ -85,7 +88,8 @@ impl Stm {
     /// Between conflicts it backs off on a fixed schedule: attempts 0–2
     /// (counting conflicts from 0) run again at once, attempts up to 16
     /// spin `2^min(attempt, 12)` iterations, attempts up to 64 yield the
-    /// thread, and later ones park until an overlapping commit.
+    /// thread, and later ones park until the holder of the lock they
+    /// lost to releases it (or yield, if they lost to no held lock).
     /// [`Transaction::retry`] is not a conflict: it parks on the read
     /// footprint and spends no budget.
     ///
@@ -139,34 +143,32 @@ impl Stm {
             // sleeps pinned.
             drop(tx);
             match parked {
-                Some((cell, stripes)) => {
-                    // A conflict park's weaker wake guarantee gets the
-                    // short safety net.
-                    let timeout = if conflict {
-                        CONFLICT_PARK_TIMEOUT
-                    } else {
-                        RETRY_PARK_TIMEOUT
-                    };
-                    if !cell.park(timeout) {
+                Some((cell, buckets)) => {
+                    if !cell.park(PARK_TIMEOUT) {
                         self.stats.spurious_wake();
                     }
-                    self.orecs.waiters().deregister(&stripes, &cell);
+                    self.orecs.waiters().deregister(buckets, &cell);
                 }
+                // A logical wait whose data already changed runs again
+                // at once.
+                None if !conflict => {}
                 None => tier.wait(),
             }
         }
     }
 
-    /// The park protocol, up to the sleep; `None` if the attempt's
-    /// footprint was already overwritten, and it should run again at
-    /// once. Ordering is the whole point — register, *then* revalidate,
-    /// *then* (the caller) resolve, sleep and deregister: a writer that
-    /// commits after registration finds the cell on the lists and
-    /// notifies it; a writer that committed before registration shows up
-    /// in the revalidation, which then skips the sleep. (The SeqCst
-    /// fences pairing register's tail with `wake_stripes`' head close the
-    /// remaining store-buffering window — see the proof in
-    /// `crate::waiter`.) The attempt is resolved *after* this
+    /// The park protocol, up to the sleep; `None` if there is nothing to
+    /// wait for: a logical wait's footprint was already overwritten, or
+    /// a conflict's lock is already released (or was never recorded —
+    /// such a conflict registers nothing). Ordering is the whole point —
+    /// register, *then* revalidate, *then* (the caller) resolve, sleep
+    /// and deregister: a holder that releases (or a writer that commits)
+    /// after registration finds the cell on the lists and notifies it;
+    /// one that did before registration shows up in the revalidation,
+    /// which then skips the sleep. (The SeqCst fences pairing register's
+    /// tail with `wake_stripes`' head close the remaining
+    /// store-buffering window — see the proof in `crate::waiter`.) The
+    /// attempt is resolved *after* this
     /// registration — Tlrw's still-held read locks are what order any
     /// conflicting commit after it — and *before* the sleep, so a parked
     /// thread pins no epoch, holds no read lock, blocks no adaptive mode
@@ -176,18 +178,19 @@ impl Stm {
         &self,
         tx: &Transaction<'_>,
         conflict: bool,
-    ) -> Option<(Arc<WaitCell>, Vec<usize>)> {
+    ) -> Option<(Arc<WaitCell>, Buckets)> {
+        if conflict && tx.log.conflict.is_none() {
+            return None;
+        }
         let cell = WaitCell::for_thread();
-        // A conflict park waits on reads ∪ writes: the winner is as
-        // likely to have beaten us on a write stripe.
-        let stripes = tx.wait_stripes(conflict);
+        let buckets = tx.wait_stripes(conflict);
         let waiters = self.orecs.waiters();
-        waiters.register(&stripes, &cell);
-        if tx.revalidate_for_park() {
+        waiters.register(buckets, &cell);
+        if tx.revalidate_for_park(conflict) {
             self.stats.park();
-            Some((cell, stripes))
+            Some((cell, buckets))
         } else {
-            waiters.deregister(&stripes, &cell);
+            waiters.deregister(buckets, &cell);
             None
         }
     }

@@ -174,9 +174,9 @@ impl StmBuilder {
     ) -> Stm {
         // NOrec never touches orecs and parks every waiter on stripe 0,
         // so one stripe still earns its arm: it saves 8 KB of words at
-        // the default stripe count, and 40 KB of waiter buckets at the
-        // first park. Tlrw's reads RMW their words, so it keeps one word
-        // per cache line pair (`OrecTable::spread_out`).
+        // the default stripe count (the waiter table is a fixed 16
+        // buckets whatever the count). Tlrw's reads RMW their words, so
+        // it keeps one word per cache line pair (`OrecTable::spread_out`).
         let orecs = match self.algorithm {
             Algorithm::Norec => OrecTable::new(1),
             Algorithm::Tlrw => OrecTable::spread_out(self.orec_stripes),

@@ -384,11 +384,11 @@ impl Stm {
         self.snapshots.is_some() && Arc::ptr_eq(&self.clock, &other.clock)
     }
 
-    /// Wakes every waiter parked on one of `stripes` (a committing
-    /// writer's write set): the commit-side half of the parking
-    /// protocol. Cheap when nobody waits — one fence and one counter
-    /// load.
-    pub(crate) fn wake_stripes(&self, stripes: &[usize]) {
+    /// Wakes every waiter parked on one of `stripes` (the stripes a
+    /// lock holder just released, by publish or by rollback): the
+    /// holder's half of the parking protocol. Cheap when nobody waits —
+    /// one fence and one counter load.
+    pub(crate) fn wake_stripes(&self, stripes: impl IntoIterator<Item = usize>) {
         let n = self.orecs.waiters().wake_stripes(stripes);
         self.stats.woke(n);
     }

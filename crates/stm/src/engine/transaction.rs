@@ -11,6 +11,7 @@ use crate::recorder::{word_of, HistoryRecorder, RecTx};
 use crate::stats::OpTally;
 use crate::tvar::{TVar, TxValue, WriteNode};
 use crate::txlog::LogLoan;
+use crate::waiter::Buckets;
 use crate::wal::DurableTicket;
 use ptm_sim::{TOpDesc, TOpResult};
 use std::fmt;
@@ -537,8 +538,8 @@ impl<'s> Transaction<'s> {
     ///
     /// Unlike a conflict abort, a logical wait consumes no attempt
     /// budget and no retry-schedule backoff: the thread parks on the
-    /// read footprint's per-stripe waiter lists (a short safety-net
-    /// timeout bounds the sleep even if no writer ever shows up). An
+    /// read footprint's per-stripe waiter lists (a safety-net timeout
+    /// bounds the sleep even if no writer ever shows up). An
     /// attempt that retries before reading anything has an empty
     /// footprint and simply sleeps out the timeout.
     ///
@@ -663,43 +664,59 @@ impl<'s> Transaction<'s> {
         }
     }
 
-    /// The orec stripes a parked instance of this attempt must be woken
-    /// by: the read footprint, plus the write footprint when parking on
-    /// a *conflict* (`include_writes` — the conflicting winner is as
-    /// likely to have beaten us on a write stripe as a read stripe).
-    /// Sorted and deduplicated.
-    pub(super) fn wait_stripes(&self, include_writes: bool) -> Vec<usize> {
-        let mut stripes = match self.mode {
+    /// The waiter buckets a parked instance of this attempt must be
+    /// woken through: those of the read footprint, plus, when parking on
+    /// a *conflict* (`conflict`), of the write footprint (the winner is
+    /// as likely to have beaten us on a write stripe as a read stripe)
+    /// and of the lock the attempt lost to.
+    pub(super) fn wait_stripes(&self, conflict: bool) -> Buckets {
+        let reads = match self.mode {
             Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => {
-                self.log.reads.iter().map(|r| r.stripe).collect()
+                Buckets::of(self.log.reads.iter().map(|r| r.stripe))
             }
-            Hooks::Tlrw => self.log.rw_reads.clone(),
+            Hooks::Tlrw => Buckets::of(self.log.rw_reads.iter().copied()),
             // NOrec has one conflict channel — the global sequence lock —
             // so every waiter hangs off stripe 0 and every commit sweeps
             // it.
-            Hooks::Norec => vec![0],
+            Hooks::Norec => Buckets::of([0]),
         };
-        if include_writes && self.mode != Hooks::Norec {
-            stripes.extend(
-                self.log
-                    .writes
-                    .iter()
-                    .map(|w| self.stm.orecs.stripe_of(w.id)),
-            );
+        if !conflict || self.mode == Hooks::Norec {
+            return reads;
         }
-        stripes.sort_unstable();
-        stripes.dedup();
-        stripes
+        let writes = self
+            .log
+            .writes
+            .iter()
+            .map(|w| self.stm.orecs.stripe_of(w.id));
+        let lost_to = self.log.conflict.map(|(stripe, _)| stripe);
+        reads.with(Buckets::of(writes.chain(lost_to)))
     }
 
     /// Re-checks, after registering on the waiter lists but before
-    /// sleeping, that no commit has already invalidated (= readied) this
-    /// attempt's read set. Parking on a stale snapshot would sleep
+    /// sleeping, that the attempt still has something to wait for.
+    ///
+    /// A conflict waits for the lock it lost to: it parks only while
+    /// that stripe's word still shows the lock — unchanged for the
+    /// versioned words, still write-locked for Tlrw's, whose reader
+    /// count moves under a held writer flag. A conflict that recorded
+    /// no lock has no holder whose release would wake it. A logical
+    /// wait parks only while no commit has already invalidated (=
+    /// readied) its read set: parking on a stale snapshot would sleep
     /// through a wake-up that already happened.
     ///
     /// Deliberately tallies no validation probes: a parked-idle instance
     /// must read as idle in the stats.
-    pub(super) fn revalidate_for_park(&self) -> bool {
+    pub(super) fn revalidate_for_park(&self, conflict: bool) -> bool {
+        if conflict {
+            let Some((stripe, seen)) = self.log.conflict else {
+                return false;
+            };
+            let now = self.stm.orecs.word(stripe).load(Ordering::Acquire);
+            return match self.mode {
+                Hooks::Tlrw => orec::rw_write_locked(now),
+                _ => now == seen,
+            };
+        }
         match self.mode {
             Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => self.log.reads.iter().all(|r| {
                 let word = self.stm.orecs.word(r.stripe).load(Ordering::Acquire);

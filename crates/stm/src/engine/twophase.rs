@@ -347,7 +347,7 @@ pub(super) fn resolve(group: &mut [Transaction<'_>]) {
 
 /// Ends a failed commit: unlocks the first `locked` participants,
 /// closes every marker aborted and poisons every participant.
-fn fail(group: &mut [Transaction<'_>], locked: usize) -> Retry {
+pub(super) fn fail(group: &mut [Transaction<'_>], locked: usize) -> Retry {
     for tx in &mut group[..locked] {
         unlock_one(tx);
     }

@@ -107,17 +107,17 @@ pub(crate) fn rw_reader_count(word: u64) -> u64 {
 }
 
 /// A power-of-two table of versioned lock words, with the waiter lists
-/// of parked `retry`/`or_else` transactions keyed by the same stripes.
+/// of parked transactions keyed by the same stripes.
 pub(crate) struct OrecTable {
     words: Box<[AtomicU64]>,
     mask: usize,
     /// A stripe's word is `words[stripe << spread]`: 0 (dense) but in a
     /// [`spread_out`](Self::spread_out) table.
     spread: u32,
-    /// Per-stripe parked-waiter lists, keyed exactly like the words
-    /// above so a committing writer's write stripes name the wait
-    /// channels it must sweep — whichever algorithm (or adaptive mode)
-    /// stamped the stripe.
+    /// Parked-waiter lists, keyed by the stripes of the words above
+    /// (hashed into a fixed number of buckets), so the stripes a lock
+    /// holder releases name the wait channels it must sweep — whichever
+    /// algorithm (or adaptive mode) stamped the stripe.
     waiters: WaiterTable,
 }
 
@@ -143,11 +143,11 @@ impl OrecTable {
             words,
             mask: n - 1,
             spread,
-            waiters: WaiterTable::new(n),
+            waiters: WaiterTable::new(),
         }
     }
 
-    /// The per-stripe waiter lists.
+    /// The waiter lists.
     pub(crate) fn waiters(&self) -> &WaiterTable {
         &self.waiters
     }

@@ -1,78 +1,136 @@
-//! Per-stripe waiter parking: the blocking half of `retry`/`or_else`.
+//! Per-stripe waiter parking: the blocking half of `retry`/`or_else`,
+//! and the wait of a conflict that reached the retry schedule's park
+//! tier.
 //!
 //! A transaction that cannot proceed — logically (`Transaction::retry`:
-//! the data it read says "wait") or physically (its conflicts outlasted
-//! the yield tier of [`Stm::run`](crate::Stm::run)'s retry schedule) —
-//! must get out of the way instead of stealing cycles from the
-//! transaction that can proceed. This module supplies the mechanism: one [`WaitBucket`] per
-//! orec stripe (hung off the [`OrecTable`](crate::orec::OrecTable), so
-//! the wait channels are keyed exactly like the conflict metadata), a
-//! [`WaitCell`] per parked attempt, and a wake sweep that committing
-//! writers run over their write stripes after releasing their locks.
+//! the data it read says "wait") or physically (it lost to a commit
+//! lock that outlasted the yield tier of [`Stm::run`](crate::Stm::run)'s
+//! retry schedule) — must get out of the way instead of stealing cycles
+//! from the transaction that can proceed. This module supplies the
+//! mechanism: a fixed table of [`BUCKETS`] wait buckets per orec table
+//! (stripe `s` waits in bucket `s % BUCKETS`, so the wait channels are
+//! keyed by the conflict metadata's stripes), a [`WaitCell`] per parked
+//! attempt, and a wake sweep that every lock holder runs over the
+//! stripes it held, right after releasing them: a commit after its
+//! publish, a failed lock half or group commit after its rollback.
+//!
+//! ## What a park waits for
+//!
+//! A logical wait parks on its read footprint: any commit that
+//! overwrites what it read may ready it. A conflict park waits for one
+//! *lock holder*: the read or lock half that lost recorded the stripe
+//! and the locked word it saw (`TxLog::conflict`), and the attempt
+//! parks on that stripe (with its read and write footprint) only while
+//! the word still shows the lock. A conflict with no such lock — a
+//! stale read, a newer stamp, a Tlrw writer that lost to read locks —
+//! has nobody whose release is due to wake it, so it yields and runs
+//! again instead of parking.
 //!
 //! ## The lost-wakeup argument
 //!
-//! The parker and the committing writer race: the parker decides "no
-//! relevant commit has happened" and sleeps; the writer decides "nobody
-//! is waiting" and skips the wake. The protocol closes the window with a
-//! registration-then-revalidate handshake ordered by `SeqCst` fences —
-//! the classic store-buffering shape:
+//! The parker and the releasing holder race: the parker decides "the
+//! lock is still held" (or "no relevant commit has happened") and
+//! sleeps; the holder decides "nobody is waiting" and skips the wake.
+//! The protocol closes the window with a registration-then-revalidate
+//! handshake ordered by `SeqCst` fences — the classic store-buffering
+//! shape:
 //!
 //! * **parker**: push cell + bump `count` (under the bucket lock) for
-//!   every footprint stripe, `fence(SeqCst)` (the tail of
-//!   [`WaiterTable::register`]), then *revalidate* the read set against
-//!   the orec words / clock, and only park if still consistent;
-//! * **writer**: release-store its stripe words (the commit's normal
-//!   lock release), `fence(SeqCst)` (the head of
-//!   [`WaiterTable::wake_stripes`]), then load the waiter counts.
+//!   every bucket its stripes hash to, `fence(SeqCst)` (the tail of
+//!   [`WaiterTable::register`]), then *revalidate* — the conflict
+//!   stripe's word still shows the lock it lost to, or the read set
+//!   is still current against the orec words / clock — and only park
+//!   if so;
+//! * **holder**: release its stripe words (the commit's release-store,
+//!   or the rollback's store of the pre-lock word; Tlrw: the
+//!   `fetch_sub` of its writer flag), `fence(SeqCst)` (the head of
+//!   [`WaiterTable::wake_stripes`]), then load the waiter counts of the
+//!   buckets its released stripes hash to.
 //!
 //! Sequentially-consistent fences forbid the outcome where *both* the
-//! parker misses the writer's stripe stamps *and* the writer misses the
+//! parker misses the holder's release *and* the holder misses the
 //! parker's count increment. So either the parker's revalidation fails
-//! (it reruns immediately — no sleep, nothing to wake) or the writer
-//! observes `count > 0` and drains the bucket, whose mutex guarantees
-//! the pushed cell is visible to the drain. Tlrw needs no fence argument
-//! at all: registration happens while the parker still *holds* its read
-//! locks, so a conflicting writer can only commit after the release that
-//! follows registration in program order — its count load is ordered
-//! after the push by the lock-word synchronization itself.
+//! (it reruns — no sleep, nothing to wake) or the holder observes
+//! `count > 0` and drains the bucket, whose mutex guarantees the pushed
+//! cell is visible to the drain. A parker that sees the lock still set
+//! after a *later* holder took it (the first released, the second
+//! locked) parks on the second, which sweeps the same bucket when it
+//! releases: some holder of the word the parker last saw is always
+//! still to release, after the parker's fence.
 //!
-//! ## The buckets are built at the first park
+//! **Hashed buckets** change none of this. Stripe `s` registers in and
+//! is swept from the one bucket `s % BUCKETS`, so a sweep of `s` drains
+//! every cell registered on `s`; what the sharing adds is cells of
+//! *other* stripes in the same bucket, woken along with them. Such a
+//! waiter runs again and, if still blocked, parks again: a hashed
+//! bucket can wake extra waiters, never miss one.
 //!
-//! Most instances never park (a store serving gets and puts has no
-//! `retry`), so the buckets — 40 bytes a stripe, 40 KB at the default
-//! 1 024 stripes — are built by the first [`WaiterTable::register`],
-//! through a `OnceLock` that lets racing first parkers build one table.
-//! Until then [`WaiterTable::deregister`] and
-//! [`WaiterTable::wake_stripes`] have nothing to do, and the commit
-//! path's skip stays one load of `population`. That load is `Acquire`:
-//! a parker raises `population` (a `SeqCst` RMW, hence a release) only
-//! after `get_or_init` returned the built table in its own program
-//! order, so a writer that reads a non-zero count also sees the table
-//! that parker registered in. The handshake above is unchanged: the
-//! table's construction happens before the parker's fence, so a writer
-//! whose sweep misses it also misses the parker's count, and the
-//! parker's revalidation then sees the writer's stamps.
+//! **Rollbacks** sweep like commits: a holder that locked and then
+//! failed (a lock half that met a held stripe further on, a group
+//! commit whose validation failed) restores its words and sweeps, so a
+//! conflict park on one of them ends when the lock it waited on goes,
+//! whether the holder published or not. The only lock release that
+//! does not sweep is a Tlrw *read* lock's, which would put a fence on
+//! every Tlrw resolve; that is why a Tlrw writer that lost to readers
+//! yields instead of parking.
 //!
-//! Parks still carry a timeout ([`RETRY_PARK_TIMEOUT`] /
-//! [`CONFLICT_PARK_TIMEOUT`]) purely as a safety net — a timeout expiry
-//! is counted as a `spurious_wake` in [`StmStats`](crate::StmStats), and
-//! the torture suite asserts the net stays unused.
+//! Tlrw's logical waits need no fence argument at all: registration
+//! happens while the parker still *holds* its read locks, so a
+//! conflicting writer can only commit after the release that follows
+//! registration in program order — its count load is ordered after the
+//! push by the lock-word synchronization itself.
+//!
+//! ## The buckets come with the instance
+//!
+//! The table is [`BUCKETS`] buckets of 40 bytes, built with its
+//! instance (about 640 bytes), whatever the stripe count. An instance
+//! that never parks pays that and nothing more; a park allocates only
+//! its cell and a bucket list's slot. The commit path's skip stays one
+//! load of `population` after the fence.
+//!
+//! Parks still carry a timeout ([`PARK_TIMEOUT`]) purely as a safety
+//! net: every park has a release or a commit due to wake it. A
+//! timeout expiry is counted as a `spurious_wake` in
+//! [`StmStats`](crate::StmStats), and the torture suite asserts the net
+//! stays unused.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Safety-net ceiling on a logical wait (`Transaction::retry`): a parked
-/// thread re-checks its predicate at least this often even if every wake
-/// were lost. Long, because the wake path makes expiry the exception.
-pub(crate) const RETRY_PARK_TIMEOUT: Duration = Duration::from_millis(250);
+/// Safety-net ceiling on a park: a parked thread re-checks at least this
+/// often even if every wake were lost. Long, because the wake path makes
+/// expiry the exception — for a logical wait and a conflict park alike.
+pub(crate) const PARK_TIMEOUT: Duration = Duration::from_millis(250);
 
-/// Park slice for a conflict that reached the retry schedule's park
-/// tier ([`Stm::run`](crate::Stm::run)): short, because a conflict
-/// park has a weaker wake guarantee — the conflicting commit may already
-/// be finished, with no later commit due on any overlapping stripe.
-pub(crate) const CONFLICT_PARK_TIMEOUT: Duration = Duration::from_millis(1);
+/// Wait buckets per table. Stripe `s` waits in bucket `s % BUCKETS`.
+const BUCKETS: usize = 16;
+
+/// A set of wait buckets, one bit each: the stripes a parked attempt
+/// waits on, hashed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Buckets(u16);
+
+impl Buckets {
+    /// The buckets `stripes` hash to.
+    pub(crate) fn of(stripes: impl IntoIterator<Item = usize>) -> Self {
+        Buckets(
+            stripes
+                .into_iter()
+                .fold(0, |mask, s| mask | 1 << (s % BUCKETS)),
+        )
+    }
+
+    /// Both sets' buckets.
+    pub(crate) fn with(self, other: Buckets) -> Buckets {
+        Buckets(self.0 | other.0)
+    }
+
+    /// The bucket indices, ascending.
+    fn iter(self) -> impl Iterator<Item = usize> {
+        (0..BUCKETS).filter(move |&b| self.0 >> b & 1 == 1)
+    }
+}
 
 /// One parked attempt: a notification flag plus the thread to unpark.
 /// Shared between the waiter buckets it is registered in and the parked
@@ -134,49 +192,43 @@ impl std::fmt::Debug for WaitCell {
     }
 }
 
-/// One stripe's waiter list. `count` mirrors `cells.len()` so the commit
-/// hot path can skip cold stripes with one relaxed load instead of a
-/// lock acquisition.
+/// One bucket's waiter list. `count` mirrors `cells.len()` so the
+/// commit hot path can skip cold buckets with one relaxed load instead
+/// of a lock acquisition.
 #[derive(Debug, Default)]
 struct WaitBucket {
     count: AtomicUsize,
     cells: Mutex<Vec<Arc<WaitCell>>>,
 }
 
-/// The waiter lists for one orec table: one bucket per stripe, built at
-/// the first park, plus a table-wide population count that lets an
-/// uncontended commit skip the whole sweep with a single load. Buckets
-/// are deliberately *not* cache-padded: they are touched only by
-/// parking transactions and by the (read-mostly) skip loads, never on
-/// the per-read hot path.
+/// The waiter lists for one orec table: [`BUCKETS`] buckets that the
+/// stripes hash to, built with the table, plus a table-wide population
+/// count that lets an uncontended commit skip the whole sweep with a
+/// single load. Buckets are deliberately *not* cache-padded: they are
+/// touched only by parking transactions and by the (read-mostly) skip
+/// loads, never on the per-read hot path.
 #[derive(Debug)]
 pub(crate) struct WaiterTable {
-    buckets: OnceLock<Box<[WaitBucket]>>,
-    stripes: usize,
+    buckets: Box<[WaitBucket; BUCKETS]>,
     population: AtomicUsize,
 }
 
 impl WaiterTable {
-    /// A table of one bucket per stripe, none of them built yet.
-    pub(crate) fn new(stripes: usize) -> Self {
+    /// A table with every bucket empty.
+    pub(crate) fn new() -> Self {
         WaiterTable {
-            buckets: OnceLock::new(),
-            stripes,
+            buckets: Box::default(),
             population: AtomicUsize::new(0),
         }
     }
 
-    /// Registers `cell` on every stripe in `stripes`, building the
-    /// buckets if this is the table's first park, then issues the
+    /// Registers `cell` in every bucket of `buckets`, then issues the
     /// `SeqCst` fence that orders the registration before the caller's
     /// revalidation loads (the parker's half of the store-buffering
     /// handshake — see the module docs).
-    pub(crate) fn register(&self, stripes: &[usize], cell: &Arc<WaitCell>) {
-        let buckets = self
-            .buckets
-            .get_or_init(|| (0..self.stripes).map(|_| WaitBucket::default()).collect());
-        for &s in stripes {
-            let b = &buckets[s];
+    pub(crate) fn register(&self, buckets: Buckets, cell: &Arc<WaitCell>) {
+        for b in buckets.iter() {
+            let b = &self.buckets[b];
             let mut cells = b.cells.lock().expect("waiter bucket poisoned");
             cells.push(Arc::clone(cell));
             b.count.fetch_add(1, Ordering::SeqCst);
@@ -185,15 +237,12 @@ impl WaiterTable {
         fence(Ordering::SeqCst);
     }
 
-    /// Removes `cell` from whichever of `stripes` still hold it: a woken
+    /// Removes `cell` from whichever of `buckets` still hold it: a woken
     /// (or timed-out) attempt must not leave dangling registrations for
-    /// later commits to re-notify.
-    pub(crate) fn deregister(&self, stripes: &[usize], cell: &Arc<WaitCell>) {
-        let Some(buckets) = self.buckets.get() else {
-            return;
-        };
-        for &s in stripes {
-            let b = &buckets[s];
+    /// later sweeps to re-notify.
+    pub(crate) fn deregister(&self, buckets: Buckets, cell: &Arc<WaitCell>) {
+        for b in buckets.iter() {
+            let b = &self.buckets[b];
             let mut cells = b.cells.lock().expect("waiter bucket poisoned");
             if let Some(i) = cells.iter().position(|c| Arc::ptr_eq(c, cell)) {
                 cells.swap_remove(i);
@@ -203,23 +252,19 @@ impl WaiterTable {
         }
     }
 
-    /// The committing writer's wake sweep: fence (its half of the
-    /// handshake), then drain and notify every waiter on the given
-    /// stripes. Returns how many waiters this call actually woke. With
-    /// nobody parked anywhere the cost is the fence plus one load.
-    pub(crate) fn wake_stripes(&self, stripes: &[usize]) -> u64 {
+    /// A releasing holder's wake sweep: fence (its half of the
+    /// handshake), then drain and notify every waiter in the buckets the
+    /// released `stripes` hash to. Returns how many waiters this call
+    /// actually woke. With nobody parked anywhere the cost is the fence
+    /// plus one load; the stripes are not even hashed.
+    pub(crate) fn wake_stripes(&self, stripes: impl IntoIterator<Item = usize>) -> u64 {
         fence(Ordering::SeqCst);
-        // `Acquire`: a count some parker raised comes with the buckets
-        // that parker built (see the module docs).
-        if self.population.load(Ordering::Acquire) == 0 {
+        if self.population.load(Ordering::Relaxed) == 0 {
             return 0;
         }
-        let Some(buckets) = self.buckets.get() else {
-            return 0;
-        };
         let mut woken = 0;
-        for &s in stripes {
-            let b = &buckets[s];
+        for b in Buckets::of(stripes).iter() {
+            let b = &self.buckets[b];
             if b.count.load(Ordering::Relaxed) == 0 {
                 continue;
             }
@@ -269,65 +314,72 @@ mod tests {
         assert!(start.elapsed() >= Duration::from_millis(10));
     }
 
+    /// The buckets of `stripes`.
+    fn on(stripes: &[usize]) -> Buckets {
+        Buckets::of(stripes.iter().copied())
+    }
+
     #[test]
     fn register_wake_deregister_keep_counts_balanced() {
-        let t = WaiterTable::new(8);
+        let t = WaiterTable::new();
         let a = WaitCell::for_thread();
         let b = WaitCell::for_thread();
-        t.register(&[1, 3], &a);
-        t.register(&[3, 5], &b);
+        t.register(on(&[1, 3]), &a);
+        t.register(on(&[3, 5]), &b);
         assert_eq!(t.population.load(Ordering::Relaxed), 4);
         // Waking stripe 3 drains both cells there; each is notified once.
-        assert_eq!(t.wake_stripes(&[3]), 2);
+        assert_eq!(t.wake_stripes([3]), 2);
         assert_eq!(t.population.load(Ordering::Relaxed), 2);
         // Re-waking their other stripes drains the cells but delivers
         // nothing new.
-        assert_eq!(t.wake_stripes(&[1, 5]), 0);
+        assert_eq!(t.wake_stripes([1, 5]), 0);
         assert_eq!(t.population.load(Ordering::Relaxed), 0);
         // Deregistration after the drain is a no-op, not a double-count.
-        t.deregister(&[1, 3], &a);
-        t.deregister(&[3, 5], &b);
+        t.deregister(on(&[1, 3]), &a);
+        t.deregister(on(&[3, 5]), &b);
         assert_eq!(t.population.load(Ordering::Relaxed), 0);
     }
 
     #[test]
-    fn the_buckets_wait_for_the_first_park() {
-        let t = WaiterTable::new(1024);
+    fn stripes_sharing_a_bucket_register_once_and_wake_together() {
+        let t = WaiterTable::new();
         let a = WaitCell::for_thread();
-        assert_eq!(t.wake_stripes(&[3]), 0);
-        t.deregister(&[3], &a);
-        assert!(
-            t.buckets.get().is_none(),
-            "a sweep or a deregister builds nothing"
-        );
-        t.register(&[3], &a);
-        assert_eq!(t.buckets.get().map(|b| b.len()), Some(1024));
-        assert_eq!(t.wake_stripes(&[3]), 1);
+        let b = WaitCell::for_thread();
+        // 2 and 2 + BUCKETS hash alike: one registration for both.
+        t.register(on(&[2, 2 + BUCKETS]), &a);
+        assert_eq!(t.population.load(Ordering::Relaxed), 1);
+        t.register(on(&[3]), &b);
+        // A sweep of a third stripe in the bucket wakes `a` (an extra
+        // wake, never a missed one) and leaves `b`'s bucket alone.
+        assert_eq!(t.wake_stripes([2 + 7 * BUCKETS]), 1);
         assert!(a.is_notified());
+        assert!(!b.is_notified());
+        assert_eq!(t.wake_stripes([3 + BUCKETS]), 1);
+        assert!(b.is_notified());
     }
 
     #[test]
     fn deregister_removes_only_the_given_cell() {
-        let t = WaiterTable::new(4);
+        let t = WaiterTable::new();
         let a = WaitCell::for_thread();
         let b = WaitCell::for_thread();
-        t.register(&[2], &a);
-        t.register(&[2], &b);
-        t.deregister(&[2], &a);
+        t.register(on(&[2]), &a);
+        t.register(on(&[2]), &b);
+        t.deregister(on(&[2]), &a);
         assert_eq!(t.population.load(Ordering::Relaxed), 1);
-        assert_eq!(t.wake_stripes(&[2]), 1, "only b remains to wake");
+        assert_eq!(t.wake_stripes([2]), 1, "only b remains to wake");
         assert!(b.is_notified());
         assert!(!a.is_notified());
     }
 
     #[test]
     fn cross_thread_wake_unparks() {
-        let t = Arc::new(WaiterTable::new(1));
+        let t = Arc::new(WaiterTable::new());
         let cell = WaitCell::for_thread();
-        t.register(&[0], &cell);
+        t.register(on(&[0]), &cell);
         let waker = {
             let t = Arc::clone(&t);
-            std::thread::spawn(move || t.wake_stripes(&[0]))
+            std::thread::spawn(move || t.wake_stripes([0]))
         };
         assert!(cell.park(Duration::from_secs(30)), "woken, not timed out");
         assert_eq!(waker.join().expect("waker thread"), 1);

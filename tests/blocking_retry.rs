@@ -1,9 +1,10 @@
 //! Torture tests for the blocking `retry`/`or_else` tier: lost-wakeup
 //! hunting across all six algorithms, the adaptive mode switch with
 //! consumers parked, the register-vs-commit interleaving window, first
-//! parks racing to build a fresh instance's waiter table, the
-//! `or_else` rollback semantics, and one table of scripts that `run`
-//! must end as each row says, the retry schedule's park tier included.
+//! parks racing to register on fresh instances, conflict parks woken by
+//! the lock holder's release, the `or_else` rollback semantics, and one
+//! table of scripts that `run` must end as each row says, the retry
+//! schedule's park tier included.
 //!
 //! Every blocking scenario runs under a watchdog: a lost wakeup
 //! manifests as a hang (the 250 ms safety-net timeout would eventually
@@ -237,18 +238,18 @@ fn register_vs_commit_interleaving_never_strands_the_waiter() {
 }
 
 #[test]
-fn first_parks_race_to_build_the_waiter_table() {
-    // An instance builds its waiter table at its first park, so on a
-    // fresh instance the waiters' first parks race each other to build
-    // it and the writer's wake sweeps race them to find it. Every round
-    // takes a fresh instance (each algorithm in turn); the writer starts
-    // a little later each round, from before any waiter has read to
-    // after all have parked. A waiter registered in a table the sweep
-    // missed sleeps out its 250 ms safety net, a `spurious_wake`. Under
-    // Tlrw a waiter holds its read lock while it registers, so the
-    // writer aborts against it and may reach the conflict-park tier,
-    // whose 1 ms net also counts as spurious: there the waiters' time
-    // bound alone checks the wake.
+fn first_parks_race_to_register_on_fresh_instances() {
+    // On a fresh instance the waiters' first parks race each other to
+    // register (their keys' stripes may share a wait bucket, whose list
+    // and counts they then update together) and the writer's wake sweeps
+    // race them to find the registrations. Every round takes a fresh
+    // instance (each algorithm in turn); the writer starts a little later
+    // each round, from before any waiter has read to after all have
+    // parked. A registration a sweep missed leaves its waiter to sleep
+    // out the 250 ms safety net, a `spurious_wake`. Under Tlrw a waiter
+    // holds its read lock while it registers, so the writer aborts
+    // against it; it lost to read locks, which wake no park, so it
+    // yields rather than parks.
     const WAITERS: usize = 3;
     const ROUNDS: u64 = 60;
     watchdog(Duration::from_secs(120), || {
@@ -290,9 +291,7 @@ fn first_parks_race_to_build_the_waiter_table() {
                 );
             }
             let snap = stm.stats().snapshot();
-            if algo != Algorithm::Tlrw {
-                assert_eq!(snap.spurious_wakes, 0, "round {round} ({algo:?}): {snap}");
-            }
+            assert_eq!(snap.spurious_wakes, 0, "round {round} ({algo:?}): {snap}");
             parks += snap.parks;
         }
         assert!(
@@ -597,59 +596,107 @@ fn run_case(case: &Case, algo: Algorithm, ctx: &str) -> StatsSnapshot {
 fn conflict_park_registers_instead_of_self_waking() {
     // A conflict that reaches the retry schedule's park tier must
     // register the conflict footprint and sleep until an overlapping
-    // commit wakes it, not spin on the conflict. Each park lasts at most
-    // the 1 ms safety net, and the runner re-parks after each, so the
-    // blocker's publish may land between two parks, when no wake is
-    // due. What the protocol guarantees is that a publish landing while
-    // the runner sits in one park wakes it: a round whose publish no
-    // park spanned shows nothing, and the next round runs.
-    const ROUNDS: usize = 20;
-    let (spans_tx, spans_rx) = mpsc::channel();
+    // commit wakes it, not spin on the conflict: here a blind writer
+    // that loses its lock half to a held writer on the same stripe.
     watchdog(Duration::from_secs(60), move || {
-        for _ in 0..ROUNDS {
-            let stm = Stm::tl2();
-            let w = TVar::new(0u64);
-            // A fresh thread per round, as in `run_case`.
-            let [before, after] = thread::scope(|s| {
-                // A held (locked, unpublished) writer on `w`'s stripe
-                // makes every attempt's commit fail deterministically
-                // while its (empty) read set stays valid: the exact
-                // shape that must park, not spin, once the schedule's
-                // spin and yield tiers are spent.
-                let (publish, blocker) = hold_write(s, &stm, &w, 7);
-                let runner = s.spawn(|| stm.run(|tx| tx.write(&w, 8u64)));
+        let stm = Stm::tl2();
+        let w = TVar::new(0u64);
+        // A fresh thread per run, as in `run_case`.
+        let [before, after] = thread::scope(|s| {
+            // A held (locked, unpublished) writer on `w`'s stripe makes
+            // every attempt's commit fail deterministically while its
+            // (empty) read set stays valid: the exact shape that must
+            // park, not spin, once the schedule's spin and yield tiers
+            // are spent.
+            let (publish, blocker) = hold_write(s, &stm, &w, 7);
+            let runner = s.spawn(|| stm.run(|tx| tx.write(&w, 8u64)));
+            while stm.stats().snapshot().parks == 0 {
+                thread::yield_now();
+            }
+            // The blocker still holds the stripe, so no attempt can
+            // have committed.
+            assert!(!runner.is_finished(), "a parked attempt cannot commit");
+            assert_eq!(w.load(), 0, "nothing published yet");
+            publish.send(()).expect("the blocker holds");
+            runner.join().expect("runner").expect("commits once woken");
+            blocker.join().expect("blocker")
+        });
+        assert_eq!(w.load(), 8, "the parked write landed on top");
+        let snap = stm.stats().snapshot();
+        assert_eq!(snap.commits, 2, "blocker and runner, nothing else: {snap}");
+        // One park, in progress on both sides of the publish, which
+        // woke it.
+        assert_eq!((before.parks, before.spurious_wakes), (1, 0), "{before}");
+        assert_eq!((after.parks, after.spurious_wakes), (1, 0), "{after}");
+        assert!(snap.wakes >= 1, "the publish wakes the park: {snap}");
+    });
+}
+
+/// What a conflict-park scenario's runner does to the held variable.
+#[derive(Debug, Clone, Copy)]
+enum Loser {
+    /// Reads it: loses in the read hook.
+    Reader,
+    /// Overwrites it without reading: loses in the lock half.
+    Writer,
+}
+
+#[test]
+fn conflict_park_wakes_on_the_lock_holders_release() {
+    // A runner that loses to a held stripe lock records that lock, and
+    // once the retry schedule's spin and yield tiers are spent it parks
+    // on the lock until its holder releases it: the release, not the
+    // safety net, ends the park. Readers lose in the read hook (Tl2 and
+    // Incremental on a locked versioned word, Tlrw on a writer flag);
+    // an Mv reader reads its snapshot past a lock, so under Mv the
+    // runner loses its lock half instead.
+    let cases = [
+        (Algorithm::Tl2, Loser::Reader),
+        (Algorithm::Incremental, Loser::Reader),
+        (Algorithm::Tlrw, Loser::Reader),
+        (Algorithm::Mv, Loser::Writer),
+    ];
+    watchdog(Duration::from_secs(60), move || {
+        for (algo, loser) in cases {
+            let stm = Stm::new(algo);
+            let v = TVar::new(0u64);
+            // A fresh thread per run, as in `run_case`.
+            let got = thread::scope(|s| {
+                let (publish, blocker) = hold_write(s, &stm, &v, 7);
+                let runner = s.spawn(|| {
+                    stm.run(|tx| match loser {
+                        Loser::Reader => tx.read(&v),
+                        Loser::Writer => tx.write(&v, 8).map(|()| 8),
+                    })
+                });
                 while stm.stats().snapshot().parks == 0 {
                     thread::yield_now();
                 }
-                // The blocker still holds the stripe, so no attempt can
-                // have committed, however often the safety net fired.
-                assert!(!runner.is_finished(), "a parked attempt cannot commit");
-                assert_eq!(w.load(), 0, "nothing published yet");
+                assert!(
+                    !runner.is_finished(),
+                    "{algo:?}: a parked attempt cannot finish"
+                );
                 publish.send(()).expect("the blocker holds");
-                runner.join().expect("runner").expect("commits once woken");
-                blocker.join().expect("blocker")
+                blocker.join().expect("blocker");
+                runner.join().expect("runner").expect("finishes once woken")
             });
-            assert_eq!(w.load(), 8, "the parked write landed on top");
+            let want = match loser {
+                Loser::Reader => 7,
+                Loser::Writer => 8,
+            };
+            assert_eq!(got, want, "{algo:?}: the runner ran after the publish");
             let snap = stm.stats().snapshot();
-            assert!(snap.parks >= 1, "conflict park must register: {snap}");
-            assert_eq!(snap.commits, 2, "blocker and runner, nothing else: {snap}");
-            // Until the publish no park was woken, so every park but one
-            // still in progress ended at its timeout. The same park in
-            // progress on both sides of the publish — one more park than
-            // timeouts, neither count moving — spanned it.
-            let parked = |s: &StatsSnapshot| (s.parks, s.spurious_wakes);
-            let spanned =
-                before.parks == before.spurious_wakes + 1 && parked(&after) == parked(&before);
-            if spanned {
-                spans_tx.send(snap).expect("the test waits");
-                return;
-            }
+            assert!(snap.parks >= 1, "{algo:?}: {snap}");
+            assert!(
+                snap.wakes >= 1,
+                "{algo:?}: the release wakes the park: {snap}"
+            );
+            assert_eq!(
+                snap.spurious_wakes, 0,
+                "{algo:?}: a park outlived its lock: {snap}"
+            );
         }
     });
-    let snap = spans_rx
-        .try_recv()
-        .unwrap_or_else(|_| panic!("no publish in {ROUNDS} rounds landed inside a park"));
-    assert!(snap.wakes >= 1, "a publish inside a park wakes it: {snap}");
 }
 
 #[test]
@@ -721,18 +768,7 @@ fn run_ends_every_script_as_its_row_says() {
                 continue;
             }
             let ctx = format!("{} / {algo:?}", case.name);
-            let mut snap = run_case(case, algo, &ctx);
-            // A conflict park sleeps at most 1 ms: a releaser descheduled
-            // for longer lets that safety net expire, and the attempt
-            // conflicts and parks again. Such a run exercised the net,
-            // not the wake, so the blocker row repeats it. A retry()
-            // park's net is 250 ms and must never fire here.
-            let mut runs = 1;
-            while case.release == Release::Blocker && snap.spurious_wakes > 0 {
-                assert!(runs < 20, "{ctx}: the 1 ms net expired in 20 runs: {snap}");
-                snap = run_case(case, algo, &ctx);
-                runs += 1;
-            }
+            let snap = run_case(case, algo, &ctx);
             assert_eq!(
                 (snap.commits, snap.aborts, snap.parks),
                 case.stats,
