@@ -18,37 +18,41 @@
 //! ## On-disk layout and the era protocol
 //!
 //! `dir/shard-<i>.wal` is shard `i`'s log; `dir/shard-<i>.snap` its
-//! snapshot. `dir/LOCK` is an advisory `flock` guard held for the
-//! store's lifetime: recovery and checkpoints truncate logs and replace
-//! snapshots, so two processes working the same directory would destroy
-//! each other's evidence — the second [`open`](ShardedKv::open) fails
-//! instead. (The kernel drops the lock when the holder dies, so a
-//! SIGKILLed store never wedges the directory.) Snapshots and meta
-//! records both carry the shard-routing hasher id alongside the
-//! geometry, because shard assignment is itself persisted state: a
-//! binary routing keys differently would recover data it can no longer
-//! reach, so a mismatch fails the open loudly.
+//! snapshot, in the log's own record format (`ptm_stm::wal::codec`): the
+//! log's meta record, then one data record holding the shard's entries
+//! (a count, then key/value pairs). A snapshot that is not exactly those
+//! two intact records fails the open. `dir/LOCK` is an advisory `flock`
+//! guard held for the store's lifetime: recovery and checkpoints rewrite
+//! logs and replace snapshots, so two processes working the same
+//! directory would destroy each other's evidence — the second
+//! [`open`](ShardedKv::open) fails instead. (The kernel drops the lock
+//! when the holder dies, so a SIGKILLed store never wedges the
+//! directory.)
 //!
-//! The first log record is always a **meta record** (stamp 0,
-//! `FLAG_META`) naming the store geometry and the shard's **era** — a
-//! monotone incarnation counter bumped by every checkpoint/recovery
-//! rebaseline. The rebaseline sequence is: quiesce, write *all* shard
-//! snapshots at the new era (atomic tmp+rename each), then truncate
-//! *all* logs and stamp them with the new era. Because snapshots always
-//! land before log rewrites, a crash anywhere in the window leaves each
-//! shard either wholly at the old era or with a new-era snapshot whose
-//! state is a superset of its old-era log — so recovery can apply one
-//! uniform rule: **a shard's log evidence counts only if its era equals
-//! the shard's effective era** (`max(snapshot era, log era)`); stale
-//! logs are discarded, already covered by the newer snapshot.
+//! Both files begin with the **meta record** (stamp 0, `FLAG_META`): the
+//! store geometry, the shard-routing hasher id and the shard's **era** —
+//! a monotone incarnation counter bumped by every checkpoint/recovery
+//! rebaseline. The hasher id is there because shard assignment is itself
+//! persisted state: a binary routing keys differently would recover
+//! data it can no longer reach, so a mismatch fails the open loudly. The
+//! rebaseline sequence is: quiesce, flush every log, write *all* shard
+//! snapshots at the new era, then rewrite *all* logs as the new era's
+//! meta record alone — each file through one atomic replace
+//! (`ptm_stm::wal::replace_file`: tmp write, sync, rename, directory
+//! fsync). Because snapshots always land before log rewrites, a crash
+//! anywhere in the window leaves each shard either wholly at the old era
+//! or with a new-era snapshot whose state is a superset of its old-era
+//! log — so recovery can apply one uniform rule: **a shard's log
+//! evidence counts only if its era equals the shard's effective era**
+//! (`max(snapshot era, log era)`, an absent snapshot counting as era 0);
+//! stale logs are discarded, already covered by the newer snapshot.
 //!
 //! The engine's commit stamps order records *within* one era (the WAL
 //! stamp is drawn from the shard's clock — the store's one clock for Mv
 //! and Adaptive — inside the publish window), but
 //! clocks restart at process start, so stamps are **not** comparable
 //! across eras — the era rule, not stamp comparison, is what fences
-//! snapshot contents from log replay. Snapshot files record the highest
-//! stamp they absorbed as a watermark for observability.
+//! snapshot contents from log replay.
 //!
 //! ## Recovery
 //!
@@ -70,7 +74,8 @@
 //!    so recovering them keeps the state a superset of the acked
 //!    prefix without breaking atomicity.
 //! 4. Rebaseline to `max(eras) + 1`: fresh snapshots of the recovered
-//!    state, empty logs. This also makes the restart of the global
+//!    state, logs holding only their new meta record (a checkpoint).
+//!    This also makes the restart of the global
 //!    transaction-id counter safe — all old evidence is retired.
 //!
 //! The recovered state is therefore exactly: snapshot state, plus a
@@ -87,7 +92,7 @@
 //! prefix is the correctness path (the PANIC discipline databases use).
 
 use crate::kv::{ServiceConfig, ShardedKv, SHARD_HASHER_ID};
-use ptm_stm::wal::{codec, fsync_parent_dir, DurableTicket, Wal, WalValue, FLAG_META};
+use ptm_stm::wal::{codec, replace_file, DurableTicket, Wal, WalValue, FLAG_META};
 use ptm_stm::{Transaction, TxValue};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -97,9 +102,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Magic prefix of a snapshot file.
-const SNAP_MAGIC: &[u8; 4] = b"PSNP";
 
 /// Durability knobs for [`ShardedKv::open`].
 #[derive(Debug, Clone)]
@@ -241,123 +243,103 @@ fn encode_meta(era: u64, shards: usize, shard: usize) -> Vec<u8> {
     out
 }
 
-fn decode_meta(mut buf: &[u8]) -> Option<(u64, usize, usize, u64)> {
-    let era = u64::decode_wal(&mut buf)?;
-    let shards = usize::decode_wal(&mut buf)?;
-    let shard = usize::decode_wal(&mut buf)?;
-    let hasher = u64::decode_wal(&mut buf)?;
-    buf.is_empty().then_some((era, shards, shard, hasher))
+/// Decodes a meta record, checks it against this store and returns its
+/// era. Logs and snapshots begin with the same record, so this is the one
+/// place a foreign routing hasher or a geometry change is caught.
+fn meta_era(mut buf: &[u8], shard: usize, shards: usize) -> Result<u64, String> {
+    let mut field = || u64::decode_wal(&mut buf).ok_or("undecodable meta record");
+    let (era, got_shards, got_shard, hasher) = (field()?, field()?, field()?, field()?);
+    if !buf.is_empty() {
+        return Err("meta record has trailing bytes".into());
+    }
+    if hasher != SHARD_HASHER_ID {
+        return Err(format!(
+            "shard-hasher mismatch: routed with hasher {hasher}, this binary uses {SHARD_HASHER_ID}"
+        ));
+    }
+    if (got_shards, got_shard) != (shards as u64, shard as u64) {
+        return Err(format!(
+            "geometry mismatch: file is shard {got_shard}/{got_shards}, store wants {shard}/{shards}"
+        ));
+    }
+    Ok(era)
 }
 
-fn wal_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.wal"))
+/// A snapshot's data record: the entry count, then key/value pairs.
+fn decode_entries<K: WalValue, V: WalValue>(mut buf: &[u8]) -> Option<Vec<(K, V)>> {
+    let n = usize::decode_wal(&mut buf)?;
+    let mut entries = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        entries.push((K::decode_wal(&mut buf)?, V::decode_wal(&mut buf)?));
+    }
+    buf.is_empty().then_some(entries)
 }
 
-fn snap_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("shard-{shard}.snap"))
+/// `dir/shard-<i>.<ext>`: the shard's log (`wal`) or snapshot (`snap`).
+fn shard_file(dir: &Path, shard: usize, ext: &str) -> PathBuf {
+    dir.join(format!("shard-{shard}.{ext}"))
 }
 
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// A decoded snapshot file.
-struct Snapshot<K, V> {
-    era: u64,
-    entries: Vec<(K, V)>,
-}
-
-/// Reads and validates `dir/shard-<i>.snap`. Absent file → `None`; a
-/// present-but-invalid file is a hard error (snapshot writes are atomic
-/// via rename, so an invalid file means real corruption or a geometry
-/// change — silently dropping it would silently drop data).
+/// Reads `dir/shard-<i>.snap` as its era and entries; an absent file
+/// reads as era 0 with no entries, like a fresh log. A present file must
+/// decode to exactly a meta record and one data record, intact and with
+/// nothing after them; anything else is a hard error (snapshots are
+/// replaced atomically, so a bad one means real damage or a geometry
+/// change — dropping it would drop data).
 fn read_snapshot<K: WalValue, V: WalValue>(
-    path: &Path,
+    dir: &Path,
     shard: usize,
     shards: usize,
-) -> io::Result<Option<Snapshot<K, V>>> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
+) -> io::Result<(u64, Vec<(K, V)>)> {
+    let path = shard_file(dir, shard, "snap");
+    let bytes = match fs::read(&path) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((0, Vec::new())),
+        read => read?,
     };
-    let fail = |what: &str| bad_data(format!("snapshot {}: {what}", path.display()));
-    if bytes.len() < SNAP_MAGIC.len() + 8 || &bytes[..4] != SNAP_MAGIC {
-        return Err(fail("bad magic"));
-    }
-    let body_len = bytes.len() - 8;
-    let mut crc = [0u8; 8];
-    crc.copy_from_slice(&bytes[body_len..]);
-    if codec::crc64(&bytes[..body_len]) != u64::from_le_bytes(crc) {
-        return Err(fail("checksum mismatch"));
-    }
-    let mut buf = &bytes[4..body_len];
-    let mut foreign_hasher = None;
-    let mut decode = || -> Option<Snapshot<K, V>> {
-        let era = u64::decode_wal(&mut buf)?;
-        let got_shards = usize::decode_wal(&mut buf)?;
-        let got_shard = usize::decode_wal(&mut buf)?;
-        let got_hasher = u64::decode_wal(&mut buf)?;
-        if got_hasher != SHARD_HASHER_ID {
-            foreign_hasher = Some(got_hasher);
-            return None;
+    let fail = |what: String| bad_data(format!("snapshot {}: {what}", path.display()));
+    let decoded = codec::decode_stream(&bytes);
+    let (meta, data) = match (&decoded.records[..], decoded.corruption) {
+        ([meta, data], None) if meta.is_meta() && !data.is_meta() => (meta, data),
+        (records, corruption) => {
+            return Err(fail(format!(
+                "want one meta and one data record, found {} intact ({corruption:?})",
+                records.len()
+            )))
         }
-        let _watermark = u64::decode_wal(&mut buf)?;
-        if got_shards != shards || got_shard != shard {
-            return None;
-        }
-        let n = usize::decode_wal(&mut buf)?;
-        let mut entries = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            entries.push((K::decode_wal(&mut buf)?, V::decode_wal(&mut buf)?));
-        }
-        buf.is_empty().then_some(Snapshot { era, entries })
     };
-    match decode() {
-        Some(snap) => Ok(Some(snap)),
-        None => match foreign_hasher {
-            Some(id) => Err(fail(&format!(
-                "shard-hasher mismatch: snapshot routed with hasher {id}, this binary uses {SHARD_HASHER_ID}"
-            ))),
-            None => Err(fail("undecodable or geometry mismatch")),
-        },
-    }
+    let era = meta_era(&meta.payload, shard, shards).map_err(fail)?;
+    let entries =
+        decode_entries(&data.payload).ok_or_else(|| fail("undecodable entries".into()))?;
+    Ok((era, entries))
 }
 
-/// Writes a snapshot atomically: tmp file, fsync, rename.
+/// Writes `dir/shard-<i>.snap` — the shard's meta record, then one data
+/// record of its entries — through the one atomic file replace: durable,
+/// directory entry included, on return.
 fn write_snapshot<K: WalValue, V: WalValue>(
-    path: &Path,
-    era: u64,
-    shards: usize,
+    dir: &Path,
     shard: usize,
-    watermark: u64,
+    meta: &[u8],
     entries: &[(K, V)],
 ) -> io::Result<()> {
-    let mut bytes = SNAP_MAGIC.to_vec();
-    era.encode_wal(&mut bytes);
-    shards.encode_wal(&mut bytes);
-    shard.encode_wal(&mut bytes);
-    SHARD_HASHER_ID.encode_wal(&mut bytes);
-    watermark.encode_wal(&mut bytes);
-    entries.len().encode_wal(&mut bytes);
+    let mut data = Vec::new();
+    entries.len().encode_wal(&mut data);
     for (k, v) in entries {
-        k.encode_wal(&mut bytes);
-        v.encode_wal(&mut bytes);
+        k.encode_wal(&mut data);
+        v.encode_wal(&mut data);
     }
-    let crc = codec::crc64(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    let tmp = path.with_extension("snap.tmp");
-    {
-        let mut f = fs::File::create(&tmp)?;
-        io::Write::write_all(&mut f, &bytes)?;
-        f.sync_all()?;
+    if u32::try_from(data.len()).is_err() {
+        let msg = "a shard snapshot over 4 GiB does not fit one record";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
     }
-    fs::rename(&tmp, path)?;
-    // The era protocol needs the snapshot *durably in place* before any
-    // log truncation — that's a directory-entry barrier, not a
-    // best-effort nicety, so its failure fails the checkpoint.
-    fsync_parent_dir(path)?;
-    Ok(())
+    let mut bytes = Vec::new();
+    codec::encode_record(0, FLAG_META, meta, &mut bytes);
+    codec::encode_record(0, 0, &data, &mut bytes);
+    replace_file(&shard_file(dir, shard, "snap"), &bytes)
 }
 
 /// One parsed shard log: its era and clean-prefix data records.
@@ -376,27 +358,14 @@ fn parse_log<K: WalValue, V: WalValue>(
     let mut era = 0;
     let mut records = Vec::with_capacity(decoded.records.len());
     for (idx, rec) in decoded.records.iter().enumerate() {
-        if rec.is_meta() {
-            if idx != 0 {
-                return Err(fail(format!("meta record at position {idx}")));
+        match (idx, rec.is_meta()) {
+            (0, true) => {
+                era = meta_era(&rec.payload, shard, shards).map_err(fail)?;
+                continue;
             }
-            let (e, got_shards, got_shard, got_hasher) =
-                decode_meta(&rec.payload).ok_or_else(|| fail("undecodable meta record".into()))?;
-            if got_hasher != SHARD_HASHER_ID {
-                return Err(fail(format!(
-                    "shard-hasher mismatch: log routed with hasher {got_hasher}, this binary uses {SHARD_HASHER_ID}"
-                )));
-            }
-            if got_shards != shards || got_shard != shard {
-                return Err(fail(format!(
-                    "geometry mismatch: log is shard {got_shard}/{got_shards}, store wants {shard}/{shards}"
-                )));
-            }
-            era = e;
-            continue;
-        }
-        if idx == 0 {
-            return Err(fail("first record is not a meta record".into()));
+            (0, false) => return Err(fail("first record is not a meta record".into())),
+            (_, true) => return Err(fail(format!("meta record at position {idx}"))),
+            (_, false) => {}
         }
         let (txn_id, ops) = decode_ops::<K, V>(&rec.payload)
             .ok_or_else(|| fail(format!("undecodable record at position {idx}")))?;
@@ -578,12 +547,12 @@ where
         }
         let mut report = RecoveryReport::default();
 
-        let mut snaps: Vec<Option<Snapshot<K, V>>> = Vec::with_capacity(shards);
+        let mut snaps = Vec::with_capacity(shards);
         let mut wals: Vec<Arc<Wal>> = Vec::with_capacity(shards);
         let mut logs: Vec<ShardLog<K, V>> = Vec::with_capacity(shards);
         for i in 0..shards {
-            snaps.push(read_snapshot(&snap_path(&cfg.dir, i), i, shards)?);
-            let wal = Wal::open(wal_path(&cfg.dir, i))?;
+            snaps.push(read_snapshot::<K, V>(&cfg.dir, i, shards)?);
+            let wal = Wal::open(shard_file(&cfg.dir, i, "wal"))?;
             let decoded = wal.read_records()?;
             if decoded.corruption.is_some() {
                 report.torn_tails += 1;
@@ -593,9 +562,7 @@ where
         }
 
         // Effective era per shard; a log only counts at its shard's era.
-        let eras: Vec<u64> = (0..shards)
-            .map(|i| logs[i].era.max(snaps[i].as_ref().map_or(0, |s| s.era)))
-            .collect();
+        let eras: Vec<u64> = (0..shards).map(|i| logs[i].era.max(snaps[i].0)).collect();
         let valid: Vec<bool> = (0..shards).map(|i| logs[i].era == eras[i]).collect();
         for i in 0..shards {
             if !valid[i] && !logs[i].records.is_empty() {
@@ -610,11 +577,9 @@ where
         // Snapshots first, then own-log replay in log order.
         let mut max_txn = 0u64;
         for i in 0..shards {
-            if let Some(snap) = &snaps[i] {
-                report.snapshot_entries += snap.entries.len();
-                for (k, v) in &snap.entries {
-                    kv.put(k.clone(), v.clone());
-                }
+            report.snapshot_entries += snaps[i].1.len();
+            for (k, v) in &snaps[i].1 {
+                kv.put(k.clone(), v.clone());
             }
             if !valid[i] {
                 continue;
@@ -721,21 +686,22 @@ where
         Ok(())
     }
 
-    /// Checkpoint: snapshot every shard's current state and truncate
-    /// every log, bumping the era — snapshot-all then truncate-all at
-    /// `era + 1`; that ordering (all snapshots durable before any log
-    /// rewrite) is what the recovery era rule relies on. Nothing to do
-    /// on a store without a log.
+    /// Checkpoint: snapshot every shard's current state and rewrite
+    /// every log as a lone meta record, bumping the era — snapshot-all
+    /// then rewrite-all at `era + 1`; that ordering (all snapshots
+    /// durable before any log rewrite) is what the recovery era rule
+    /// relies on. Nothing to do on a store without a log.
     ///
-    /// **Requires quiescence** — the snapshot-then-truncate window has
+    /// **Requires quiescence** — the snapshot-then-rewrite window has
     /// no internal synchronization against writers (a record committed
-    /// mid-checkpoint could land in a log about to be truncated);
+    /// mid-checkpoint could land in a log about to be rewritten);
     /// `&mut self` enforces exclusivity against everything borrowing
     /// the store.
     ///
     /// # Errors
     ///
-    /// Snapshot or log I/O failure; the store remains recoverable (the
+    /// Snapshot or log I/O failure, or a shard whose encoded entries
+    /// pass a record's 4 GiB; the store remains recoverable (the
     /// old-era rule covers every crash window, and a failed open leaves
     /// disk state untouched for a retry).
     pub fn checkpoint(&mut self) -> io::Result<()> {
@@ -744,34 +710,21 @@ where
         };
         let shards = self.shard_count();
         let era = journal.era.load(Ordering::Relaxed) + 1;
+        // Every log durable before the first snapshot: a crash between
+        // two snapshot writes then finds each cross-shard record that a
+        // new snapshot absorbed on the old-era logs of the shards it has
+        // not reached yet.
+        self.flush()?;
         let mut entries = Vec::new();
-        for (i, wal) in journal.wals.iter().enumerate() {
-            wal.flush()?;
-            let decoded = wal.read_records()?;
-            let watermark = decoded
-                .records
-                .iter()
-                .filter(|r| !r.is_meta())
-                .map(|r| r.stamp)
-                .max()
-                .unwrap_or(0);
+        for i in 0..shards {
             self.transact(|tx| {
                 entries.clear();
                 tx.shard_snapshot(i, &mut entries)
             });
-            write_snapshot(
-                &snap_path(&journal.dir, i),
-                era,
-                shards,
-                i,
-                watermark,
-                &entries,
-            )?;
+            write_snapshot(&journal.dir, i, &encode_meta(era, shards, i), &entries)?;
         }
         for (i, wal) in journal.wals.iter().enumerate() {
-            wal.truncate()?;
-            wal.append(0, FLAG_META, &encode_meta(era, shards, i));
-            wal.flush()?;
+            wal.rewrite(0, FLAG_META, &encode_meta(era, shards, i))?;
         }
         journal.era.store(era, Ordering::Relaxed);
         Ok(())
@@ -958,26 +911,30 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Logs and snapshots begin with the same meta record, and one check
+    /// rejects a foreign routing hasher at the head of either.
     #[test]
     fn foreign_shard_hasher_is_rejected() {
-        let dir = temp_dir("hasher");
-        fs::create_dir_all(&dir).unwrap();
-        // A well-formed snapshot whose geometry names a routing hasher
-        // this binary doesn't implement.
-        let mut bytes = SNAP_MAGIC.to_vec();
-        1u64.encode_wal(&mut bytes); // era
-        4usize.encode_wal(&mut bytes); // shards
-        0usize.encode_wal(&mut bytes); // shard
-        (SHARD_HASHER_ID + 1).encode_wal(&mut bytes); // foreign hasher
-        0u64.encode_wal(&mut bytes); // watermark
-        0usize.encode_wal(&mut bytes); // entries
-        let crc = codec::crc64(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        fs::write(snap_path(&dir, 0), bytes).unwrap();
-        let err = DurableKv::<u64, u64>::open(cfg(&dir, Algorithm::Tl2)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("hasher"), "{err}");
-        let _ = fs::remove_dir_all(&dir);
+        let mut meta = Vec::new();
+        for field in [1, 4, 0, SHARD_HASHER_ID + 1] {
+            field.encode_wal(&mut meta); // era, shards, shard, hasher
+        }
+        let mut log = Vec::new();
+        codec::encode_record(0, FLAG_META, &meta, &mut log);
+        let mut snap = log.clone();
+        codec::encode_record(0, 0, &0u64.to_le_bytes(), &mut snap); // no entries
+        for (what, file, bytes) in [
+            ("snapshot", "shard-0.snap", snap),
+            ("log", "shard-0.wal", log),
+        ] {
+            let dir = temp_dir(&format!("hasher-{what}"));
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(file), bytes).unwrap();
+            let err = DurableKv::<u64, u64>::open(cfg(&dir, Algorithm::Tl2)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert!(err.to_string().contains("hasher"), "{what}: {err}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

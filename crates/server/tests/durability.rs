@@ -1,7 +1,7 @@
 //! Recovery robustness: determinism of recovery, and file-level fault
 //! injection (truncations and bit flips) against the clean-prefix
 //! contract — values may be lost from the tail, never invented or
-//! reordered.
+//! reordered — and against snapshots, which must refuse to open.
 
 use ptm_server::{DurabilityConfig, DurableKv, ServiceConfig};
 use ptm_stm::Algorithm;
@@ -193,4 +193,43 @@ fn bit_flip_at_every_offset_never_invents_a_value() {
         );
     }
     let _ = fs::remove_dir_all(&base);
+}
+
+/// A snapshot is replaced atomically, so any damage to one is real
+/// corruption: truncated at any offset (a cut at a record boundary and
+/// an empty file included), with any byte flipped or with a byte after
+/// its two records, it must fail the open with `InvalidData` rather than
+/// load a partial or altered state.
+#[test]
+fn a_damaged_snapshot_fails_the_open() {
+    let store = temp_dir("snap");
+    {
+        let mut kv: DurableKv<u64, u64> = DurableKv::open(cfg(&store, Algorithm::Tl2)).unwrap();
+        for k in 0..16u64 {
+            kv.put(k, 100 + k);
+        }
+        kv.checkpoint().unwrap();
+    }
+    let snap = store.join("shard-0.snap");
+    let bytes = fs::read(&snap).unwrap();
+    let open_fails = |damaged: &[u8], what: String| {
+        fs::write(&snap, damaged).unwrap();
+        let err = DurableKv::<u64, u64>::open(cfg(&store, Algorithm::Tl2)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}: {err}");
+    };
+    for cut in 0..bytes.len() {
+        open_fails(&bytes[..cut], format!("truncate at {cut}"));
+    }
+    for off in 0..bytes.len() {
+        let mut corrupt = bytes.clone();
+        corrupt[off] ^= 0x40;
+        open_fails(&corrupt, format!("flip at {off}"));
+    }
+    open_fails(&[&bytes[..], &[0]].concat(), "a trailing byte".into());
+    // The undamaged file still opens: the failures above were the damage.
+    fs::write(&snap, &bytes).unwrap();
+    let kv: DurableKv<u64, u64> = DurableKv::open(cfg(&store, Algorithm::Tl2)).unwrap();
+    assert_eq!(kv.recovery_report().snapshot_entries, 16);
+    drop(kv);
+    let _ = fs::remove_dir_all(&store);
 }

@@ -85,7 +85,7 @@
 //! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer; a snapshot read walks `prev` to the newest version at or before its snapshot (static Tl2, Incremental, NOrec and Tlrw swap the head; Mv and Adaptive append, trim, and bound via [`MvConfig`]) |
 //! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (an exact floor-first slot scan, read once per publish group) bounds version-chain trimming |
 //! | `stats` | commit/abort/validation-probe counters |
-//! | [`recorder`] | opt-in t-operation history recording for the `ptm-model` checkers |
+//! | `recorder` | opt-in t-operation history recording ([`HistoryRecorder`]) for the `ptm-model` checkers |
 //! | [`wal`] | opt-in durability: a group-committed, checksummed write-ahead log appended from inside each publish critical section (the `ptm-server` recovery path builds on it) |
 //!
 //! ## Design notes
@@ -111,7 +111,7 @@ mod engine;
 #[allow(unsafe_code)]
 mod epoch;
 mod orec;
-pub mod recorder;
+mod recorder;
 mod stats;
 #[allow(unsafe_code)]
 mod tvar;

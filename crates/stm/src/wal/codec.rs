@@ -32,7 +32,7 @@ pub const MAGIC: [u8; 4] = *b"PWAL";
 pub const HEADER_LEN: usize = 4 + 1 + 4 + 8;
 
 /// Fixed bytes after the payload: the CRC-64.
-pub const TRAILER_LEN: usize = 8;
+const TRAILER_LEN: usize = 8;
 
 /// Flag bit: a log-file header record (era and shard identity), not a
 /// committed write set. Always the first record of a well-formed log.
@@ -65,7 +65,7 @@ const fn crc64_table() -> [u64; 256] {
 static CRC64_TABLE: [u64; 256] = crc64_table();
 
 /// CRC-64/XZ of `bytes`.
-pub fn crc64(bytes: &[u8]) -> u64 {
+fn crc64(bytes: &[u8]) -> u64 {
     let mut crc = !0u64;
     for &b in bytes {
         crc = CRC64_TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
@@ -92,8 +92,13 @@ impl Record {
     }
 }
 
-/// Appends one framed record to `out`.
-pub(crate) fn encode_record(stamp: u64, flags: u8, payload: &[u8], out: &mut Vec<u8>) {
+/// Appends one framed record to `out`: the inverse of [`decode_stream`]
+/// for one record.
+///
+/// # Panics
+///
+/// If `payload` is longer than `u32::MAX` bytes (the `len` field).
+pub fn encode_record(stamp: u64, flags: u8, payload: &[u8], out: &mut Vec<u8>) {
     assert!(payload.len() <= u32::MAX as usize, "payload too large");
     let start = out.len();
     out.extend_from_slice(&MAGIC);

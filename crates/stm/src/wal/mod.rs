@@ -42,15 +42,15 @@
 //!
 //! The pieces: [`codec`] (record framing, CRC-64, clean-prefix
 //! decoding, the [`WalValue`] wire trait), [`sink`] (file / memory /
-//! fault-injection byte sinks), and [`Wal`] (the two-lock group-commit
-//! writer).
+//! fault-injection byte sinks, and [`replace_file`], the one atomic file
+//! replace), and [`Wal`] (the two-lock group-commit writer).
 
 pub mod codec;
 pub mod sink;
 mod writer;
 
 pub use codec::{Corruption, Decoded, Record, WalValue, FLAG_META};
-pub use sink::{fsync_parent_dir, FaultPlan, FaultSink, FileSink, LogSink, MemSink};
+pub use sink::{replace_file, FaultPlan, FaultSink, LogSink, MemSink};
 pub use writer::Wal;
 
 use std::sync::atomic::{AtomicU64, Ordering};

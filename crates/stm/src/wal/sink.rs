@@ -29,16 +29,16 @@ pub trait LogSink: Send + fmt::Debug {
     fn reset_to(&mut self, bytes: &[u8]) -> io::Result<()>;
 }
 
-/// A log backed by one append-only file. Rewrites go through a
-/// write-new-then-rename sidecar so a crash mid-rewrite leaves either
-/// the old log or the new one, never a splice.
+/// A log backed by one append-only file. Rewrites go through
+/// [`replace_file`]'s write-new-then-rename sidecar so a crash
+/// mid-rewrite leaves either the old log or the new one, never a splice.
 ///
 /// On Linux the file is opened `O_DSYNC`, so the one batch write a
 /// group commit issues carries datasync semantics itself and
 /// [`sync`](LogSink::sync) is a no-op — one syscall per fsync batch
 /// instead of two (the same trade `wal_sync_method = open_datasync`
 /// makes). Elsewhere, `sync` falls back to `fdatasync`.
-pub struct FileSink {
+pub(crate) struct FileSink {
     path: PathBuf,
     file: File,
     /// Writes already carry datasync semantics (`O_DSYNC`).
@@ -83,7 +83,7 @@ fn open_log(path: &Path, create: bool) -> io::Result<(File, bool)> {
 /// Fsyncs the directory containing `path`, making a rename in it
 /// durable. Rename atomicity alone only orders the *contents*; the
 /// directory entry itself needs its own barrier on POSIX.
-pub fn fsync_parent_dir(path: &Path) -> io::Result<()> {
+fn fsync_parent_dir(path: &Path) -> io::Result<()> {
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
@@ -91,9 +91,30 @@ pub fn fsync_parent_dir(path: &Path) -> io::Result<()> {
     File::open(parent)?.sync_all()
 }
 
+/// Atomically replaces the file at `path` with `bytes`: writes and
+/// `sync_all`s a `<path>.tmp` sidecar, renames it over `path`, then
+/// fsyncs the parent directory. A crash leaves the old file or the new
+/// one, never a splice or a missing file; on return the new contents
+/// and the directory entry naming them are both durable.
+///
+/// # Errors
+///
+/// The first failing create, write, sync or rename.
+pub fn replace_file(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)?;
+    fsync_parent_dir(path)
+}
+
 impl FileSink {
     /// Opens (creating if absent) the log file at `path`.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
+    pub(crate) fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let (file, dsync) = open_log(&path, true)?;
         Ok(FileSink { path, file, dsync })
@@ -120,14 +141,7 @@ impl LogSink for FileSink {
     }
 
     fn reset_to(&mut self, bytes: &[u8]) -> io::Result<()> {
-        let tmp = self.path.with_extension("rewrite");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        fsync_parent_dir(&self.path)?;
+        replace_file(&self.path, bytes)?;
         // Reopen: the old handle still points at the unlinked inode.
         // Going through `open_log` keeps O_DSYNC semantics (or the
         // fdatasync fallback) on the new handle — `dsync` must describe

@@ -24,7 +24,7 @@
 //!
 //! A failed write or fsync poisons the `Wal`: the batch's durability is
 //! unknown, so pretending otherwise could acknowledge a commit the disk
-//! never got. Every later [`Wal::wait_durable`] (and truncate/read)
+//! never got. Every later [`Wal::wait_durable`] (and rewrite/read)
 //! returns the original error; the serving layer above translates that
 //! into a crash-and-recover (see `ptm-server`), the same discipline as
 //! a database PANIC on WAL failure.
@@ -126,7 +126,7 @@ impl Wal {
     }
 
     /// LSN of the last record appended (0 on an empty log).
-    pub fn appended_lsn(&self) -> u64 {
+    fn appended_lsn(&self) -> u64 {
         self.pending.lock().expect("wal pending lock").appended
     }
 
@@ -238,17 +238,21 @@ impl Wal {
         Ok(codec::decode_stream(&bytes))
     }
 
-    /// Atomically empties the log. Pending appends are flushed first,
-    /// so every LSN handed out before the call is durable (then dropped)
-    /// when it returns; the next append is the log's first record.
+    /// Atomically replaces the whole log with one record, durable on
+    /// return (a checkpoint's rebaseline to a fresh meta record). Pending
+    /// appends are flushed first, so every LSN handed out before the call
+    /// is durable (then dropped) when it returns; the next append follows
+    /// `payload`'s record.
     ///
     /// # Errors
     ///
     /// I/O failure or a poisoned log.
-    pub fn truncate(&self) -> io::Result<()> {
+    pub fn rewrite(&self, stamp: u64, flags: u8, payload: &[u8]) -> io::Result<()> {
         self.flush()?;
+        let mut bytes = Vec::new();
+        codec::encode_record(stamp, flags, payload, &mut bytes);
         let mut io = self.io.lock().expect("wal io lock");
-        if let Err(e) = io.reset_to(&[]) {
+        if let Err(e) = io.reset_to(&bytes) {
             self.poison_with(&e);
             return Err(e);
         }
@@ -357,18 +361,24 @@ mod tests {
     }
 
     #[test]
-    fn truncate_flushes_pending_appends_then_empties_the_log() {
+    fn rewrite_flushes_pending_appends_then_replaces_the_log() {
         let (wal, sink) = mem_wal();
         wal.append(1, 0, b"old");
         let pending = wal.append(2, 0, b"pending");
-        wal.truncate().unwrap();
+        wal.rewrite(0, codec::FLAG_META, b"meta").unwrap();
         assert_eq!(wal.durable_lsn(), pending, "the pending append was flushed");
-        assert_eq!(sink.durable_bytes(), b"", "and then dropped");
+        let d = codec::decode_stream(&sink.durable_bytes());
+        assert_eq!(d.records.len(), 1, "and then replaced, durably");
+        assert!(d.records[0].is_meta());
         let lsn = wal.append(9, 0, b"new");
         wal.wait_durable(lsn).unwrap();
         let d = wal.read_records().unwrap();
         let stamps: Vec<u64> = d.records.iter().map(|r| r.stamp).collect();
-        assert_eq!(stamps, [9], "the next append is the log's first record");
+        assert_eq!(
+            stamps,
+            [0, 9],
+            "the next append follows the rewritten record"
+        );
         assert_eq!(d.corruption, None);
     }
 
