@@ -478,9 +478,14 @@ impl<'s> Transaction<'s> {
         }
         // After the invocation marker (see `ensure_started`).
         self.ensure_started();
-        // Boxed once, as the version node the commit will publish.
-        self.log
-            .buffer_write(var.id(), var.as_dyn(), WriteNode::new(value));
+        // Boxed once, as the node the commit will publish: a bare value
+        // where the instance swaps, a versioned node where it appends.
+        let node = if self.stm.snapshots.is_some() {
+            WriteNode::versioned(value)
+        } else {
+            WriteNode::bare(value)
+        };
+        self.log.buffer_write(var.id(), var.as_dyn(), node);
         if let Some(op) = op {
             self.rec_respond(op, TOpResult::Ok);
         }

@@ -151,37 +151,52 @@ struct Slot {
     epoch: AtomicU64,
 }
 
-/// A value box swapped out of a `TVar`, awaiting a safe free.
+/// A `TVar` chain (or, in tests, any box) unlinked from where readers
+/// find it, awaiting a safe free.
 pub(crate) struct Retired {
     ptr: *mut (),
     drop_fn: unsafe fn(*mut ()),
     epoch: u64,
 }
 
-// SAFETY: `ptr` is the sole remaining owner of the boxed value (it was
-// swapped out of the `TVar` and exists only in one bag at a time), and
-// `Retired::new` requires `T: Send`, so dropping on another thread is fine.
+// SAFETY: `ptr` is the sole remaining owner of what it points to (it was
+// unlinked from its `TVar` and exists only in one bag at a time), and
+// `Retired::from_raw` requires that freeing it on another thread is fine.
 unsafe impl Send for Retired {}
 
 impl Retired {
+    /// Takes ownership of `ptr`, which `drop_fn` frees once no pinned
+    /// reader can reach it (tagged pointers welcome: `ptr` is only ever
+    /// handed back to `drop_fn`).
+    ///
+    /// # Safety
+    ///
+    /// `drop_fn(ptr)` must free exactly what `ptr` owns, be sound to call
+    /// once on any thread, and nothing else may free it.
+    pub(crate) unsafe fn from_raw(ptr: *mut (), drop_fn: unsafe fn(*mut ())) -> Self {
+        Retired {
+            ptr,
+            drop_fn,
+            epoch: 0,
+        }
+    }
+
     /// Takes ownership of a box previously leaked with `Box::into_raw`.
+    #[cfg(test)]
     pub(crate) fn new<T: Send + 'static>(ptr: *mut T) -> Self {
         unsafe fn drop_box<T>(p: *mut ()) {
             // SAFETY: `p` came from `Box::into_raw::<T>` in `Retired::new`
             // and is dropped exactly once, by `Retired::drop`.
             drop(unsafe { Box::from_raw(p.cast::<T>()) });
         }
-        Retired {
-            ptr: ptr.cast(),
-            drop_fn: drop_box::<T>,
-            epoch: 0,
-        }
+        // SAFETY: `T: Send`, and `drop_box::<T>` frees the one box.
+        unsafe { Retired::from_raw(ptr.cast(), drop_box::<T>) }
     }
 }
 
 impl Drop for Retired {
     fn drop(&mut self) {
-        // SAFETY: see `Retired::new`; the collector only drops a `Retired`
+        // SAFETY: see `Retired::from_raw`; the collector only drops a `Retired`
         // once its epoch is provably unreachable by pinned readers.
         unsafe { (self.drop_fn)(self.ptr) }
     }

@@ -1,21 +1,44 @@
 //! Transactional variables.
 //!
 //! A [`TVar<T>`] is a shared mutable cell readable and writable inside a
-//! transaction. Values live in a **timestamped version chain**: the
-//! newest version is published through an `AtomicPtr` head (the
-//! latest-pointer fast path — single-version algorithms load it and
-//! hand the reader's closure a reference to the value, **no lock, no
-//! reference-count traffic, no tearing, no clone the reader did not ask
-//! for**, exactly the one-load read of the previous single-cell
-//! design), and each
-//! version links to the one it superseded. The chain is what
-//! [`Algorithm::Mv`](crate::Algorithm::Mv) reads: a snapshot reader
-//! traverses to the newest version no newer than its start time and
-//! never validates, never aborts.
+//! transaction. Its cell is one word: a tagged `head` pointer to the
+//! newest value (the latest-pointer fast path — single-version
+//! algorithms load it, mask the tag and hand the reader's closure a
+//! reference to the value, **no lock, no reference-count traffic, no
+//! tearing, no clone the reader did not ask for**, exactly the one-load
+//! read of the previous single-cell design). Behind it hang one of two
+//! node kinds:
 //!
-//! A transactional write allocates the version node it will publish:
-//! the write set holds a [`WriteNode`] — the value already inside an
-//! unlinked `Version` with stamp 0 — and the commit links that very
+//! * a **bare node** — the value alone, what [`TVar::new`] installs and
+//!   what the instances that serve no snapshots publish (Tl2,
+//!   Incremental, NOrec, Tlrw). It carries no version metadata, is
+//!   always the tail of its chain, and a snapshot walk reads it as
+//!   stamped 0 (visible to every snapshot);
+//! * a **versioned node** — the value, then the commit timestamp that
+//!   published it and a link to the version it superseded: the
+//!   **timestamped version chain** [`Algorithm::Mv`](crate::Algorithm::Mv)
+//!   and `Algorithm::Adaptive` append to. A snapshot reader traverses to
+//!   the newest version no newer than its start time and never
+//!   validates, never aborts.
+//!
+//! Both are `#[repr(C)]` with the value first, so a bare node is a
+//! prefix of a versioned one and the value sits at the node's address
+//! whatever its kind; both are aligned to at least 8, so a node pointer
+//! has three free low bits. Two are tags:
+//!
+//! * `VERSIONED` (bit 0), on the head and on every `prev` link: the
+//!   node is a versioned one. Set by whoever leaks the node into the
+//!   chain ([`WriteNode`]'s kind decides it), never changed after.
+//! * `EVICTED` (bit 1), on the head only: [`AnyTVar::cap_chain`] has cut
+//!   versions some snapshot may still name, so a walk that falls off
+//!   the chain's end aborts. `cap_chain` sets it, [`AnyTVar::append_boxed`]
+//!   keeps it (both under the stripe lock), and
+//!   [`AnyTVar::publish_boxed`] drops it: the stamp-0 node it swaps in
+//!   ends every later walk before the walk can fall off the chain.
+//!
+//! A transactional write allocates the node it will publish: the write
+//! set holds a [`WriteNode`] — the value already inside an unlinked node
+//! of the kind the instance publishes — and the commit links that very
 //! node, so a written value is boxed once and never copied. An aborted
 //! attempt drops its nodes directly: no reader ever saw them.
 //!
@@ -34,18 +57,24 @@
 //!   low-watermark rule, see [`crate::epoch::SnapshotRegistry`]),
 //!   retiring the suffix through the same epoch machinery.
 //!
+//! Every chain, whatever its mix of kinds, is freed by one function
+//! (`free_chain`): the cell's drop, and every retired head, trimmed
+//! suffix and evicted suffix through the epoch collector.
+//!
 //! This grew out of the seed design (value under a `parking_lot::Mutex`
 //! beside a per-variable version word, replaced in PR 1 by a single
 //! immutable box behind an `AtomicPtr`): per-read locking was the
 //! shared-memory cost the paper condemns invisible-read TMs to pay, and
 //! the single box was the *space* floor — one version — that made
 //! abort-free read-only transactions impossible. The chain buys the
-//! paper's space axis back.
+//! paper's space axis back, and only the instances that serve snapshots
+//! pay for it.
 
 use crate::epoch::{Guard, Retired};
 use std::any::Any;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Values storable in a [`TVar`]: cloneable (reads snapshot), comparable
@@ -63,6 +92,14 @@ impl<T: Any + Send + Sync + Clone + PartialEq> TxValue for T {}
 /// is not knowable yet), so neither taking nor skipping it is sound.
 const PENDING: u64 = u64::MAX;
 
+/// Tag of a node pointer (the head or a `prev` link): the node is a
+/// [`Version`]. Clear: a [`Bare`] node.
+const VERSIONED: usize = 1;
+
+/// Tag of the head only: [`AnyTVar::cap_chain`] has evicted a version a
+/// snapshot may still name since the last single-version publish.
+const EVICTED: usize = 2;
+
 /// Marker returned by a snapshot read that walked off the end of a chain
 /// the space bound ([`crate::MvConfig::max_versions`]) has evicted from:
 /// the version the snapshot names is gone, and the only sound answer is
@@ -71,23 +108,32 @@ const PENDING: u64 = u64::MAX;
 #[derive(Debug)]
 pub(crate) struct Evicted;
 
+/// A single-version node: the value and nothing else. Always the tail
+/// of its chain; a snapshot walk reads it as stamped 0.
+#[repr(C, align(8))]
+struct Bare<T> {
+    value: T,
+}
+
 /// One link of a [`TVar`]'s version chain: an immutable value, the
 /// commit timestamp that published it, and the version it superseded.
+/// `value` first, so a [`Bare`] node is a prefix of this one.
+#[repr(C, align(8))]
 struct Version<T> {
     /// Never mutated after the node is reachable.
     value: T,
     /// The publishing commit's clock tick ([`PENDING`] while the
-    /// committer is between appending and stamping); 0 for values
-    /// installed outside any Mv commit (initial values, single-version
-    /// publishes), which every snapshot may read.
+    /// committer is between appending and stamping); 0 on a node a swap
+    /// published, which every snapshot may read, as it may a bare node.
     stamp: AtomicU64,
-    /// Next-older retained version; null at the chain's end.
-    prev: AtomicPtr<Version<T>>,
+    /// Next-older retained node, tagged [`VERSIONED`] by its kind; null
+    /// at the chain's end.
+    prev: AtomicPtr<()>,
 }
 
 impl<T> Version<T> {
-    /// An unlinked node: stamp 0, no `prev` — what a swap publishes as
-    /// is, and what an append links in place.
+    /// An unlinked node: stamp 0, no `prev` — what an append links in
+    /// place.
     fn unlinked(value: T) -> Self {
         Version {
             value,
@@ -103,7 +149,19 @@ impl<T> Version<T> {
     /// stretch it to a scheduling quantum, so after a bounded spin the
     /// reader yields its timeslice toward the committer instead of
     /// burning it.
+    #[inline(always)]
     fn stamp(&self) -> u64 {
+        let s = self.stamp.load(Ordering::Acquire);
+        if s != PENDING {
+            return s;
+        }
+        self.wait_stamp()
+    }
+
+    /// [`Self::stamp`]'s wait for a committer mid-stamp, kept out of
+    /// the snapshot walk it would otherwise bloat.
+    #[cold]
+    fn wait_stamp(&self) -> u64 {
         let mut spins = 0u32;
         loop {
             let s = self.stamp.load(Ordering::Acquire);
@@ -120,30 +178,84 @@ impl<T> Version<T> {
     }
 }
 
-impl<T> Drop for Version<T> {
-    fn drop(&mut self) {
-        // Free the rest of the chain iteratively: the natural recursive
-        // drop would overflow the stack on a long-unreclaimed chain.
-        let mut p = *self.prev.get_mut();
-        while !p.is_null() {
-            // SAFETY: each node is owned by exactly one `prev` pointer
-            // (or the head); detaching before dropping keeps the
-            // iteration from re-entering this loop.
-            let mut node = unsafe { Box::from_raw(p) };
-            p = std::mem::replace(node.prev.get_mut(), std::ptr::null_mut());
+/// Whether the tagged node pointer `p` names a [`Version`].
+#[inline(always)]
+fn is_versioned(p: *mut ()) -> bool {
+    p.addr() & VERSIONED != 0
+}
+
+/// The node `p` names, its tags masked off.
+#[inline(always)]
+fn untag<N>(p: *mut ()) -> *mut N {
+    p.map_addr(|a| a & !(VERSIONED | EVICTED)).cast()
+}
+
+/// The value of the node `p` names, whatever its kind.
+///
+/// # Safety
+///
+/// `p` must be a non-null tagged pointer to a live node holding a `T`.
+#[inline(always)]
+unsafe fn value_at<'a, T>(p: *mut ()) -> &'a T {
+    // SAFETY: both node kinds are `repr(C)` with `value` first, so the
+    // value sits at the node's address; the caller vouches it is live.
+    unsafe { &*untag::<T>(p) }
+}
+
+/// Frees the chain `p` heads — every node it links, of either kind,
+/// iteratively (a recursive drop would overflow the stack on a
+/// long-unreclaimed chain). The one way a chain is freed: the cell's
+/// drop calls it, and every retirement hands it to the epoch collector.
+///
+/// # Safety
+///
+/// `p` (tags allowed, null allowed) must be the sole owner of its chain,
+/// leaked from boxes of `Bare<T>` / `Version<T>` as its tags say, and no
+/// reader may reach it any more.
+unsafe fn free_chain<T>(mut p: *mut ()) {
+    while !p.is_null() {
+        if !is_versioned(p) {
+            // SAFETY: an untagged node is a leaked `Bare<T>`, the tail.
+            drop(unsafe { Box::from_raw(untag::<Bare<T>>(p)) });
+            return;
         }
+        // SAFETY: a tagged node is a leaked `Version<T>`; each node is
+        // owned by exactly one link, so it is freed exactly once.
+        let mut node = unsafe { Box::from_raw(untag::<Version<T>>(p)) };
+        p = *node.prev.get_mut();
     }
 }
 
-/// A buffered write: the value inside the unlinked version node its
-/// commit will publish ([`AnyTVar::publish_boxed`] swaps this node in,
-/// [`AnyTVar::append_boxed`] links it). Type-erased for the
-/// heterogeneous write set; [`WriteNode::new`] is the only way to make
-/// one, so every node a publisher receives is still unlinked.
+/// A chain hand-off to the epoch collector, which frees it with
+/// [`free_chain`].
+///
+/// # Safety
+///
+/// As [`free_chain`], except that pinned readers may still reach the
+/// chain: the collector frees it only once none can.
+unsafe fn retire_chain<T: Send + 'static>(p: *mut ()) -> Retired {
+    // SAFETY: `T: Send`, so freeing the chain on any thread is fine, and
+    // `free_chain::<T>` frees exactly what `p` owns.
+    unsafe { Retired::from_raw(p, free_chain::<T>) }
+}
+
+/// A buffered write: the value inside the unlinked node its commit will
+/// publish ([`AnyTVar::publish_boxed`] swaps this node in,
+/// [`AnyTVar::append_boxed`] links it). A [`Bare`] node on the
+/// instances that serve no snapshots, a [`Version`] on those that do.
+/// Type-erased for the heterogeneous write set; [`WriteNode::bare`] and
+/// [`WriteNode::versioned`] are the only ways to make one, so every node
+/// a publisher receives is still unlinked.
 pub(crate) struct WriteNode(Box<dyn Any + Send>);
 
 impl WriteNode {
-    pub(crate) fn new<T: TxValue>(value: T) -> Self {
+    /// A node a swap publishes as is: the value alone.
+    pub(crate) fn bare<T: TxValue>(value: T) -> Self {
+        WriteNode(Box::new(Bare { value }))
+    }
+
+    /// A node an append links in place: stamp 0, no `prev` yet.
+    pub(crate) fn versioned<T: TxValue>(value: T) -> Self {
         WriteNode(Box::new(Version::unlinked(value)))
     }
 
@@ -154,15 +266,33 @@ impl WriteNode {
     /// Panics if `T` is not the type the node was built with
     /// (transaction-engine bug, not reachable from the public API).
     pub(crate) fn value<T: TxValue>(&self) -> &T {
-        &self
-            .0
-            .downcast_ref::<Version<T>>()
-            .expect("write-set type")
-            .value
+        match self.0.downcast_ref::<Bare<T>>() {
+            Some(node) => &node.value,
+            None => {
+                &self
+                    .0
+                    .downcast_ref::<Version<T>>()
+                    .expect("write-set type")
+                    .value
+            }
+        }
     }
 
+    /// Leaks the node as a tagged pointer, tagged [`VERSIONED`] by its
+    /// kind.
+    fn into_link<T: TxValue>(self) -> *mut () {
+        match self.0.downcast::<Bare<T>>() {
+            Ok(node) => Box::into_raw(node).cast(),
+            Err(node) => {
+                let node = node.downcast::<Version<T>>().expect("write-set type");
+                Box::into_raw(node).cast::<()>().map_addr(|a| a | VERSIONED)
+            }
+        }
+    }
+
+    /// The node as the [`Version`] an appending instance's writes build.
     fn into_version<T: TxValue>(self) -> Box<Version<T>> {
-        self.0.downcast().expect("write-set type")
+        self.0.downcast().expect("an appended node is versioned")
     }
 }
 
@@ -171,6 +301,7 @@ impl WriteNode {
 pub(crate) trait AnyTVar: Send + Sync {
     /// Single-version publish: swaps `node` in as the sole retained
     /// version and returns the displaced chain for epoch retirement.
+    /// The new head carries no [`EVICTED`] mark.
     ///
     /// The caller must hold the exclusion covering this variable (its
     /// orec stripe lock, or the NOrec sequence lock) and must retire the
@@ -183,9 +314,10 @@ pub(crate) trait AnyTVar: Send + Sync {
     fn publish_boxed(&self, node: WriteNode) -> Retired;
 
     /// Multi-version publish, step 1: links `node` over the head with a
-    /// pending stamp. The caller must hold the stripe lock and must be
-    /// past the point of no return (validation done — an appended
-    /// version is never unlinked by its own commit).
+    /// pending stamp, keeping the head's [`EVICTED`] mark. The caller
+    /// must hold the stripe lock and must be past the point of no
+    /// return (validation done — an appended version is never unlinked
+    /// by its own commit).
     fn append_boxed(&self, node: WriteNode);
 
     /// Multi-version publish, step 2: resolves the head's pending stamp
@@ -204,8 +336,8 @@ pub(crate) trait AnyTVar: Send + Sync {
     /// Cuts the chain to at most `max` newest versions *regardless of
     /// the watermark* — the [`crate::MvConfig::max_versions`] space
     /// bound. Evicted versions may still be named by an active snapshot;
-    /// the chain remembers that it evicted, so such a snapshot's walk
-    /// aborts ([`Evicted`]) instead of reading a wrong value.
+    /// the head is marked [`EVICTED`], so such a snapshot's walk aborts
+    /// ([`Evicted`]) instead of reading a wrong value.
     /// Returns the number evicted. Caller holds the stripe lock.
     fn cap_chain(&self, max: usize, out: &mut Vec<Retired>) -> usize;
 
@@ -214,34 +346,34 @@ pub(crate) trait AnyTVar: Send + Sync {
 }
 
 pub(crate) struct TVarInner<T> {
-    /// Always points at a live, fully initialized version node — the
-    /// newest. Only `publish_boxed`/`append_boxed` replace it (under the
-    /// writer's exclusion); displaced or trimmed versions are freed by
-    /// the epoch collector, and the final chain by `Drop`.
-    head: AtomicPtr<Version<T>>,
-    /// Whether `cap_chain` has ever evicted a version past the
-    /// watermark; never cleared. A snapshot walk that falls off the
-    /// chain's end consults it to tell eviction (abort) from sequential
-    /// handoff (fall back to the head).
-    evicted: AtomicBool,
+    /// Always a tagged pointer to a live, fully initialized node — the
+    /// newest (see the module docs for the tags). Only
+    /// `publish_boxed`/`append_boxed` replace it and only `cap_chain`
+    /// re-marks it (under the writer's exclusion); displaced or trimmed
+    /// nodes are freed by the epoch collector, and the final chain by
+    /// `Drop`.
+    head: AtomicPtr<()>,
+    /// The chain owns `T`s.
+    values: PhantomData<T>,
 }
 
 impl<T: TxValue> TVarInner<T> {
     fn new(value: T) -> Self {
         TVarInner {
-            head: AtomicPtr::new(Box::into_raw(Box::new(Version::unlinked(value)))),
-            evicted: AtomicBool::new(false),
+            head: AtomicPtr::new(Box::into_raw(Box::new(Bare { value })).cast()),
+            values: PhantomData,
         }
     }
 
     /// Applies `f` to the newest value in place, without any lock — the
-    /// latest-pointer fast path: one load and one dereference, exactly
-    /// the cost the single-cell design paid, chain or no chain, and no
-    /// clone unless `f` makes one.
+    /// latest-pointer fast path: one load, a tag mask and one
+    /// dereference, exactly the cost the single-cell design paid, chain
+    /// or no chain, and no clone unless `f` makes one.
     ///
     /// The `pin` witness proves an epoch guard is held, which is what
     /// keeps the loaded node alive across the dereference — and so for
     /// as long as `f` runs; `R` cannot borrow from the node.
+    #[inline(always)]
     pub(crate) fn read_snapshot<R>(&self, _pin: &Guard, f: impl FnOnce(&T) -> R) -> R {
         let p = self.head.load(Ordering::Acquire);
         // SAFETY: `p` was published by `new`, `publish_boxed` or
@@ -250,7 +382,7 @@ impl<T: TxValue> TVarInner<T> {
         // it cannot be freed while this thread is pinned: retirement tags
         // postdate the unlink, and the collector only frees tags newer
         // than every pinned epoch.
-        f(unsafe { &(*p).value })
+        f(unsafe { value_at(p) })
     }
 
     /// Clones the newest version stamped `<= rv` — the multi-version
@@ -273,7 +405,7 @@ impl<T: TxValue> TVarInner<T> {
     /// from this instance's clock, so in-instance walks always find
     /// their version — except when [`AnyTVar::cap_chain`] evicted it,
     /// which the walk reports as `Err(Evicted)` (abort and retry with a
-    /// fresh snapshot). Walking off the end *without* eviction history
+    /// fresh snapshot). Walking off the end *without* an eviction mark
     /// only arises when a variable written under one `Stm` is later read
     /// under another whose (fresh, smaller) clock is below every
     /// retained stamp — a sequential handoff, where the correct answer
@@ -283,32 +415,48 @@ impl<T: TxValue> TVarInner<T> {
     /// The walk follows `prev`, so it visits one node per retained
     /// version stamped after `rv`: free at the head (the common case, a
     /// snapshot no commit has overtaken), linear in how far a camped
-    /// reader has fallen behind.
+    /// reader has fallen behind. A bare node ends the walk (stamp 0).
+    ///
+    /// Forced inline: `Transaction::read_each`'s batch loop runs it per
+    /// key, and a call there slows a warm Mv scan (CI's benchmark job
+    /// checks that it stays inlined).
+    #[inline(always)]
     pub(crate) fn read_at_counted<R>(
         &self,
-        pin: &Guard,
+        _pin: &Guard,
         rv: u64,
         f: impl FnOnce(&T) -> R,
     ) -> Result<(R, u64), Evicted> {
         let mut steps = 0u64;
         let mut p = self.head.load(Ordering::Acquire);
         loop {
-            // SAFETY: as in `read_snapshot` — every node reachable from
-            // the head was fully published and is kept alive by the pin;
-            // trimming detaches only suffixes no snapshot `>= watermark`
-            // can walk into, and this snapshot is `>= watermark` by the
-            // registry's floor-first scan (see `SnapshotRegistry`).
-            let node = unsafe { &*p };
+            if !is_versioned(p) {
+                // SAFETY: as in `read_snapshot` — every node reachable
+                // from the head was fully published and is kept alive
+                // by the pin.
+                return Ok((f(unsafe { value_at(p) }), steps));
+            }
+            // SAFETY: as above; trimming detaches only suffixes no
+            // snapshot `>= watermark` can walk into, and this snapshot
+            // is `>= watermark` by the registry's floor-first scan (see
+            // `SnapshotRegistry`).
+            let node = unsafe { &*untag::<Version<T>>(p) };
             if node.stamp() <= rv {
                 return Ok((f(&node.value), steps));
             }
             steps += 1;
             let prev = node.prev.load(Ordering::Acquire);
             if prev.is_null() {
-                return if self.evicted.load(Ordering::Acquire) {
+                // Off the end. A cap marks the head *before* its
+                // detaching swap, which this walk's null load acquired,
+                // so the reload sees the mark (or a later publish that
+                // dropped it together with every evicted version).
+                let head = self.head.load(Ordering::Acquire);
+                return if head.addr() & EVICTED != 0 {
                     Err(Evicted)
                 } else {
-                    Ok((self.read_snapshot(pin, f), steps))
+                    // SAFETY: as in `read_snapshot`.
+                    Ok((f(unsafe { value_at(head) }), steps))
                 };
             }
             p = prev;
@@ -316,7 +464,7 @@ impl<T: TxValue> TVarInner<T> {
     }
 
     /// Makes `tail` the chain's oldest retained version and returns how
-    /// many versions that detached. The detached suffix goes to `out`
+    /// many nodes that detached. The detached suffix goes to `out`
     /// for epoch retirement; in-flight readers that already loaded a
     /// pointer into it hold epoch pins, which keep it alive until they
     /// unpin.
@@ -325,36 +473,43 @@ impl<T: TxValue> TVarInner<T> {
     ///
     /// `tail` must be reachable from the head, and the caller must be the
     /// chain's only mutator (it holds the stripe lock).
-    unsafe fn detach_below(&self, tail: *mut Version<T>, out: &mut Vec<Retired>) -> usize {
-        // SAFETY: `tail` is live (reachable, lock held), per the caller's
-        // contract; the detached suffix is this thread's alone once the
-        // swap unlinks it.
-        unsafe {
-            let dropped = (*tail).prev.swap(std::ptr::null_mut(), Ordering::AcqRel);
-            if dropped.is_null() {
-                return 0;
-            }
-            let mut n = 0;
-            let mut p = dropped;
-            while !p.is_null() {
-                n += 1;
-                p = (*p).prev.load(Ordering::Relaxed);
-            }
-            out.push(Retired::new(dropped));
-            n
+    unsafe fn detach_below(&self, tail: &Version<T>, out: &mut Vec<Retired>) -> usize {
+        // The detached suffix is this thread's alone once the swap
+        // unlinks it.
+        let dropped = tail.prev.swap(std::ptr::null_mut(), Ordering::AcqRel);
+        if dropped.is_null() {
+            return 0;
         }
+        let mut n = 1;
+        let mut p = dropped;
+        while is_versioned(p) {
+            // SAFETY: detached nodes stay live until the collector
+            // frees them, after `out` is retired.
+            p = unsafe { (*untag::<Version<T>>(p)).prev.load(Ordering::Relaxed) };
+            if p.is_null() {
+                break;
+            }
+            n += 1;
+        }
+        // SAFETY: `dropped` owns the detached suffix alone, and pinned
+        // readers are what the epoch collector waits out.
+        out.push(unsafe { retire_chain::<T>(dropped) });
+        n
     }
 
     /// Number of versions currently retained (racy snapshot; exact when
     /// no writer is active).
     pub(crate) fn chain_len(&self) -> usize {
-        let mut n = 0;
+        let mut n = 1;
         let mut p = self.head.load(Ordering::Acquire);
-        while !p.is_null() {
-            n += 1;
+        while is_versioned(p) {
             // SAFETY: reachable nodes are live (see `read_snapshot`);
             // callers hold an epoch pin via `TVar::versions_retained`.
-            p = unsafe { (*p).prev.load(Ordering::Acquire) };
+            p = unsafe { (*untag::<Version<T>>(p)).prev.load(Ordering::Acquire) };
+            if p.is_null() {
+                break;
+            }
+            n += 1;
         }
         n
     }
@@ -365,42 +520,47 @@ impl<T> Drop for TVarInner<T> {
         // SAFETY: exclusive access (`&mut self` on the last owner); no
         // reader can hold this pointer without an `Arc` keeping the cell
         // alive, and displaced versions live in epoch bags, not here.
-        // Dropping the head frees the whole retained chain (iteratively,
-        // see `Version::drop`).
-        drop(unsafe { Box::from_raw(*self.head.get_mut()) });
+        unsafe { free_chain::<T>(*self.head.get_mut()) }
     }
 }
 
 impl<T: TxValue> AnyTVar for TVarInner<T> {
     fn publish_boxed(&self, node: WriteNode) -> Retired {
-        // The node goes in as `WriteNode::new` built it. Stamp 0:
-        // single-version algorithms never read stamps, and 0 keeps the
-        // value visible to every snapshot if the variable is later
-        // handed (sequentially) to an Mv instance. A null `prev` — the
-        // swapped-in node heads a fresh one-element chain.
-        let node = Box::into_raw(node.into_version::<T>());
-        let old = self.head.swap(node, Ordering::AcqRel);
+        // The node goes in as the write built it: bare on the instances
+        // that serve no snapshots, which read no stamps. Either kind
+        // reads as stamp 0 with nothing below it, so the value is
+        // visible to every snapshot if the variable is later handed
+        // (sequentially) to an Mv instance, and no walk can fall off
+        // the chain: the swap drops the `EVICTED` mark.
+        let old = self.head.swap(node.into_link::<T>(), Ordering::AcqRel);
         // The displaced node still owns its `prev` chain; retiring it
         // frees the whole suffix once no pinned reader remains.
-        Retired::new(old)
+        // SAFETY: the swap unlinked `old`; pinned readers are what the
+        // epoch collector waits out.
+        unsafe { retire_chain::<T>(old) }
     }
 
     fn append_boxed(&self, node: WriteNode) {
         let mut node = node.into_version::<T>();
+        let head = self.head.load(Ordering::Relaxed);
         // The node is still this committer's alone: plain field writes.
         *node.stamp.get_mut() = PENDING;
-        *node.prev.get_mut() = self.head.load(Ordering::Relaxed);
+        *node.prev.get_mut() = head.map_addr(|a| a & !EVICTED);
         // Plain store, not a swap: the stripe lock gives this committer
         // sole write access to the chain; Release publishes the node's
         // initialization to readers.
-        self.head.store(Box::into_raw(node), Ordering::Release);
+        let link = Box::into_raw(node)
+            .cast::<()>()
+            .map_addr(|a| a | VERSIONED | (head.addr() & EVICTED));
+        self.head.store(link, Ordering::Release);
     }
 
     fn stamp_head(&self, wv: u64) {
         let p = self.head.load(Ordering::Relaxed);
+        debug_assert!(is_versioned(p), "stamp_head on a bare head");
         // SAFETY: the head is this committer's own appended node (stripe
-        // lock still held), so it is live.
-        unsafe { (*p).stamp.store(wv, Ordering::Release) };
+        // lock still held), so it is a live `Version`.
+        unsafe { (*untag::<Version<T>>(p)).stamp.store(wv, Ordering::Release) };
     }
 
     fn trim_chain(&self, watermark: u64, out: &mut Vec<Retired>) -> (usize, usize) {
@@ -409,13 +569,17 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
         // Find the newest version every live snapshot can settle on: the
         // first (walking newest to oldest) stamped `<= watermark`. Only
         // the head can be pending, and the caller (its own committer)
-        // has already stamped it.
-        loop {
+        // has already stamped it. A bare node is stamped 0 and ends the
+        // chain: nothing below it to trim.
+        let keep = loop {
+            if !is_versioned(keep) {
+                return (retained, 0);
+            }
             // SAFETY: reachable nodes are live; the stripe lock makes
             // this thread the only mutator.
-            let node = unsafe { &*keep };
+            let node = unsafe { &*untag::<Version<T>>(keep) };
             if node.stamp.load(Ordering::Acquire) <= watermark {
-                break;
+                break node;
             }
             let prev = node.prev.load(Ordering::Acquire);
             if prev.is_null() {
@@ -426,7 +590,7 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
             }
             retained += 1;
             keep = prev;
-        }
+        };
         // Everything below `keep` is unreachable: an active snapshot has
         // `rv >= watermark >= stamp(keep)`, so its walk stops at `keep`
         // or newer.
@@ -438,28 +602,36 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
 
     fn cap_chain(&self, max: usize, out: &mut Vec<Retired>) -> usize {
         let max = max.max(1);
+        let head = self.head.load(Ordering::Relaxed);
         // Walk `max - 1` prevs from the head to the last version the
-        // bound lets us keep.
-        let mut last = self.head.load(Ordering::Relaxed);
+        // bound lets us keep; a bare node ends the chain within it.
+        let mut last = head;
         for _ in 1..max {
+            if !is_versioned(last) {
+                return 0;
+            }
             // SAFETY: reachable nodes are live; stripe lock held.
-            let prev = unsafe { (*last).prev.load(Ordering::Relaxed) };
+            let prev = unsafe { (*untag::<Version<T>>(last)).prev.load(Ordering::Relaxed) };
             if prev.is_null() {
                 return 0; // chain already within bound
             }
             last = prev;
         }
+        if !is_versioned(last) {
+            return 0;
+        }
         // SAFETY: `last` is live (reachable, lock held).
-        let evicted = unsafe { (*last).prev.load(Ordering::Relaxed) };
-        if evicted.is_null() {
+        let last = unsafe { &*untag::<Version<T>>(last) };
+        if last.prev.load(Ordering::Relaxed).is_null() {
             return 0;
         }
         // Mark the eviction *before* detaching: a snapshot walk that
         // falls off the new chain end acquires the detaching swap, so it
         // sees this mark and aborts rather than mis-read
-        // (oldest-snapshot-abort). A flag, not the evicted stamp: an
+        // (oldest-snapshot-abort). A mark, not the evicted stamp: an
         // evicted initial value is stamped 0, as is "never evicted".
-        self.evicted.store(true, Ordering::Release);
+        self.head
+            .store(head.map_addr(|a| a | EVICTED), Ordering::Release);
         // SAFETY: `last` is reachable from the head; stripe lock held.
         unsafe { self.detach_below(last, out) }
     }
@@ -577,7 +749,7 @@ mod tests {
         assert_eq!(a.id(), b.id());
         epoch::retire_batch(&mut vec![a
             .inner
-            .publish_boxed(WriteNode::new(String::from("y")))]);
+            .publish_boxed(WriteNode::bare(String::from("y")))]);
         assert_eq!(b.load(), "y");
     }
 
@@ -594,7 +766,7 @@ mod tests {
         let pin = epoch::pin();
         let snap: Box<dyn Any + Send> = Box::new(7i64);
         assert!(v.inner.value_eq(&pin, snap.as_ref()));
-        epoch::retire_batch(&mut vec![v.inner.publish_boxed(WriteNode::new(9i64))]);
+        epoch::retire_batch(&mut vec![v.inner.publish_boxed(WriteNode::bare(9i64))]);
         assert!(!v.inner.value_eq(&pin, snap.as_ref()));
         assert_eq!(v.load(), 9);
         assert_eq!(v.versions_retained(), 1, "publish swaps, never chains");
@@ -608,7 +780,7 @@ mod tests {
         let v = TVar::new(10u64);
         let pin = epoch::pin();
         for (wv, val) in [(3u64, 13u64), (5, 15), (9, 19)] {
-            v.inner.append_boxed(WriteNode::new(val));
+            v.inner.append_boxed(WriteNode::versioned(val));
             v.inner.stamp_head(wv);
         }
         assert_eq!(v.versions_retained(), 4);
@@ -629,7 +801,7 @@ mod tests {
     fn trim_detaches_exactly_the_unreachable_suffix() {
         let v = TVar::new(0u64);
         for wv in [2u64, 4, 6, 8] {
-            v.inner.append_boxed(WriteNode::new(wv * 10));
+            v.inner.append_boxed(WriteNode::versioned(wv * 10));
             v.inner.stamp_head(wv);
         }
         assert_eq!(v.versions_retained(), 5);
@@ -663,7 +835,7 @@ mod tests {
         let mut out = Vec::new();
         {
             let pin = epoch::pin();
-            v.inner.append_boxed(WriteNode::new(2u64));
+            v.inner.append_boxed(WriteNode::versioned(2u64));
             v.inner.stamp_head(50);
             let (retained, trimmed) = v.inner.trim_chain(60, &mut out);
             assert_eq!((retained, trimmed), (1, 1)); // initial 0-stamp trimmed
@@ -697,7 +869,7 @@ mod tests {
         for i in 0..10u8 {
             epoch::retire_batch(&mut vec![v
                 .inner
-                .publish_boxed(WriteNode::new(vec![i; 64]))]);
+                .publish_boxed(WriteNode::bare(vec![i; 64]))]);
         }
         assert_eq!(v.load(), vec![9u8; 64]);
         drop(v);
@@ -710,7 +882,7 @@ mod tests {
         let v = TVar::new(vec![0u8; 16]);
         for i in 0..200_000u64 {
             v.inner
-                .append_boxed(WriteNode::new(vec![(i % 251) as u8; 16]));
+                .append_boxed(WriteNode::versioned(vec![(i % 251) as u8; 16]));
             v.inner.stamp_head(i + 1);
         }
         drop(v);
@@ -723,12 +895,48 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_is_one_word_and_a_bare_node_the_value_alone() {
+        use std::mem::{align_of, size_of};
+        assert_eq!(size_of::<TVarInner<u64>>(), size_of::<usize>());
+        assert_eq!(size_of::<TVarInner<String>>(), size_of::<usize>());
+        assert_eq!(size_of::<Bare<u64>>(), 8);
+        // Three free low bits on every node pointer, whatever `T`.
+        assert!(align_of::<Bare<u8>>() >= 8);
+        assert!(align_of::<Bare<()>>() >= 8);
+        assert!(align_of::<Version<u8>>() >= 8);
+        // A bare node is a prefix of a versioned one.
+        assert_eq!(std::mem::offset_of!(Bare<String>, value), 0);
+        assert_eq!(std::mem::offset_of!(Version<String>, value), 0);
+    }
+
+    #[test]
+    fn zero_sized_and_byte_values_round_trip_through_both_kinds() {
+        let unit = TVar::new(());
+        let byte = TVar::new(7u8);
+        let mut out = Vec::new();
+        out.push(unit.inner.publish_boxed(WriteNode::bare(())));
+        out.push(byte.inner.publish_boxed(WriteNode::bare(8u8)));
+        byte.inner.append_boxed(WriteNode::versioned(9u8));
+        byte.inner.stamp_head(5);
+        unit.inner.append_boxed(WriteNode::versioned(()));
+        unit.inner.stamp_head(5);
+        let pin = epoch::pin();
+        assert_eq!(byte.inner.read_at(&pin, 4), 8);
+        assert_eq!(byte.inner.read_at(&pin, 5), 9);
+        assert_eq!(byte.versions_retained(), 2);
+        unit.inner.read_at(&pin, 4);
+        assert_eq!(unit.versions_retained(), 2);
+        drop(pin);
+        epoch::retire_batch(&mut out);
+    }
+
+    #[test]
     fn snapshot_walks_take_one_hop_per_newer_version() {
         // A reader camped at the chain's old end pays one hop per
         // retained version stamped after its snapshot.
         let v = TVar::new(0u64);
         for wv in 1..=1024u64 {
-            v.inner.append_boxed(WriteNode::new(wv));
+            v.inner.append_boxed(WriteNode::versioned(wv));
             v.inner.stamp_head(wv);
         }
         let pin = epoch::pin();
@@ -743,7 +951,7 @@ mod tests {
     fn cap_chain_evicts_oldest_and_aborts_stale_snapshots() {
         let v = TVar::new(0u64);
         for wv in 1..=8u64 {
-            v.inner.append_boxed(WriteNode::new(wv * 10));
+            v.inner.append_boxed(WriteNode::versioned(wv * 10));
             v.inner.stamp_head(wv);
         }
         assert_eq!(v.versions_retained(), 9);
@@ -754,7 +962,7 @@ mod tests {
         // Cap to the 3 newest (stamps 6, 7, 8): stamps 0..=5 go.
         assert_eq!(v.inner.cap_chain(3, &mut out), 6);
         assert_eq!(v.versions_retained(), 3);
-        assert!(v.inner.evicted.load(Ordering::Relaxed));
+        assert!(v.inner.head.load(Ordering::Relaxed).addr() & EVICTED != 0);
         let pin = epoch::pin();
         // Snapshots at or past the cut still resolve...
         assert_eq!(v.inner.read_at_counted(&pin, 6, |v| *v).unwrap().0, 60);
@@ -776,7 +984,7 @@ mod tests {
         let v = TVar::new(0u64);
         let mut out = Vec::new();
         for wv in 1..=96u64 {
-            v.inner.append_boxed(WriteNode::new(wv));
+            v.inner.append_boxed(WriteNode::versioned(wv));
             v.inner.stamp_head(wv);
             if wv % 16 == 0 {
                 v.inner.trim_chain(wv - 5, &mut out);
@@ -801,7 +1009,7 @@ mod tests {
 
         /// One scripted chain mutation: `(kind, magnitude)`.
         fn ops_strategy() -> impl Strategy<Value = Vec<(u8, u64)>> {
-            proptest::collection::vec((0u8..4, 0u64..12), 1..60)
+            proptest::collection::vec((0u8..5, 0u64..12), 1..60)
         }
 
         /// What a chain should hold: its `(stamp, value)` versions,
@@ -816,6 +1024,13 @@ mod tests {
                 if let Some(keep) = self.versions.iter().position(|&(s, _)| s <= watermark) {
                     self.versions.truncate(keep + 1);
                 }
+            }
+
+            /// A single-version publish: one bare node, read as stamp
+            /// 0, and no eviction a walk could still fall into.
+            fn publish(&mut self, value: u64) {
+                self.versions = vec![(0, value)];
+                self.evicted = false;
             }
 
             fn cap(&mut self, max: usize) {
@@ -841,10 +1056,11 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            // Over arbitrary append/trim/cap histories (with the
-            // monotone stamps real commits produce), every snapshot read
-            // returns the model's value and hop count, and aborts or
-            // falls back to the head exactly where the model does.
+            // Over arbitrary append/trim/cap/publish histories (with
+            // the monotone stamps real commits produce, and chains that
+            // mix bare and versioned nodes), every snapshot read returns
+            // the model's value and hop count, and aborts or falls back
+            // to the head exactly where the model does.
             #[test]
             fn reads_match_the_chain_model(ops in ops_strategy()) {
                 let v = TVar::new(0u64);
@@ -856,7 +1072,7 @@ mod tests {
                         // Appends dominate the mix so chains get long.
                         0 | 1 => {
                             clock += 1 + arg % 3;
-                            v.inner.append_boxed(WriteNode::new(clock * 10));
+                            v.inner.append_boxed(WriteNode::versioned(clock * 10));
                             v.inner.stamp_head(clock);
                             model.versions.insert(0, (clock, clock * 10));
                         }
@@ -865,9 +1081,14 @@ mod tests {
                             v.inner.trim_chain(watermark, &mut out);
                             model.trim(watermark);
                         }
-                        _ => {
+                        3 => {
                             v.inner.cap_chain(1 + arg as usize, &mut out);
                             model.cap(1 + arg as usize);
+                        }
+                        _ => {
+                            let value = clock * 10 + 1 + arg;
+                            out.push(v.inner.publish_boxed(WriteNode::bare(value)));
+                            model.publish(value);
                         }
                     }
                     epoch::retire_batch(&mut out);

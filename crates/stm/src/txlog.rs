@@ -11,7 +11,7 @@
 //!   value-based validation;
 //! * `rw_reads` — stripes read-locked by Tlrw's visible reads, held to
 //!   commit (nothing to validate, everything to release);
-//! * `writes` — buffered `(variable, version node)` updates: each value
+//! * `writes` — buffered `(variable, node)` updates: each value
 //!   already sits in the node its commit will publish (see
 //!   [`WriteNode`]).
 //!
@@ -478,8 +478,8 @@ mod tests {
     fn buffer_write_replaces_in_place() {
         let mut log = TxLog::default();
         let v = TVar::new(1u64);
-        log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(10u64));
-        log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(20u64));
+        log.buffer_write(v.id(), v.as_dyn(), WriteNode::versioned(10u64));
+        log.buffer_write(v.id(), v.as_dyn(), WriteNode::versioned(20u64));
         assert_eq!(log.writes.len(), 1);
         let entry = log.lookup_write(v.id()).expect("buffered");
         assert_eq!(*entry.node.value::<u64>(), 20);
@@ -490,7 +490,7 @@ mod tests {
         let mut log = TxLog::default();
         let vars: Vec<TVar<u64>> = (0..32).map(TVar::new).collect();
         for v in &vars {
-            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(0u64));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::versioned(0u64));
             log.reads.push(VersionedRead { stripe: 0, meta: 0 });
         }
         let (rc, wc) = (log.reads.capacity(), log.writes.capacity());
@@ -548,7 +548,7 @@ mod tests {
         // must hit the buffered entry wherever it lives.
         for (i, v) in vars.iter().enumerate() {
             assert_eq!(val_of(&log, v), None, "{i} not yet buffered");
-            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::versioned(i));
             assert_eq!(val_of(&log, v), Some(i), "{i} just buffered");
         }
         assert_eq!(
@@ -556,11 +556,15 @@ mod tests {
             Some(0),
             "pre-threshold entries survive indexing"
         );
-        log.buffer_write(vars[3].id(), vars[3].as_dyn(), WriteNode::new(333usize));
+        log.buffer_write(
+            vars[3].id(),
+            vars[3].as_dyn(),
+            WriteNode::versioned(333usize),
+        );
         log.buffer_write(
             vars[WRITE_INDEX_THRESHOLD + 5].id(),
             vars[WRITE_INDEX_THRESHOLD + 5].as_dyn(),
-            WriteNode::new(555usize),
+            WriteNode::versioned(555usize),
         );
         assert_eq!(
             val_of(&log, &vars[3]),
@@ -575,7 +579,7 @@ mod tests {
         log.reset();
         assert_eq!(val_of(&log, &vars[3]), None, "reset empties the set");
         for (i, v) in vars.iter().enumerate().skip(2) {
-            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(10 * i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::versioned(10 * i));
         }
         assert_eq!(val_of(&log, &vars[0]), None, "pre-reset key stays gone");
         assert_eq!(val_of(&log, &vars[2]), Some(20));
@@ -591,12 +595,12 @@ mod tests {
         let mut log = TxLog::default();
         let a = TVar::new(1u64);
         let b = TVar::new(2u64);
-        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(10u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::versioned(10u64));
         log.checkpoint();
         // Replace a pre-frame entry and create a new one inside the frame.
-        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(11u64));
-        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(12u64));
-        log.buffer_write(b.id(), b.as_dyn(), WriteNode::new(20u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::versioned(11u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::versioned(12u64));
+        log.buffer_write(b.id(), b.as_dyn(), WriteNode::versioned(20u64));
         log.rollback_to_checkpoint();
         assert_eq!(log.writes.len(), 1);
         let w = log.lookup_write(a.id()).expect("kept");
@@ -609,7 +613,7 @@ mod tests {
         let mut log = TxLog::default();
         let a = TVar::new(1u64);
         log.checkpoint();
-        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(5u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::versioned(5u64));
         log.commit_checkpoint();
         let w = log.lookup_write(a.id()).expect("kept");
         assert_eq!(*w.node.value::<u64>(), 5);
@@ -619,11 +623,11 @@ mod tests {
     fn nested_frames_roll_back_independently() {
         let mut log = TxLog::default();
         let a = TVar::new(0u64);
-        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(1u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::versioned(1u64));
         log.checkpoint(); // outer
-        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(2u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::versioned(2u64));
         log.checkpoint(); // inner
-        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(3u64));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::versioned(3u64));
         log.rollback_to_checkpoint(); // undo inner
         let val = |log: &TxLog| {
             *log.lookup_write(a.id())
@@ -643,11 +647,11 @@ mod tests {
         let vars: Vec<TVar<usize>> = (0..(WRITE_INDEX_THRESHOLD + 10)).map(TVar::new).collect();
         let mut log = TxLog::default();
         for (i, v) in vars.iter().take(WRITE_INDEX_THRESHOLD).enumerate() {
-            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::versioned(i));
         }
         log.checkpoint();
         for (i, v) in vars.iter().enumerate().skip(WRITE_INDEX_THRESHOLD) {
-            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::versioned(i));
         }
         assert!(log.writes.len() > WRITE_INDEX_THRESHOLD);
         log.rollback_to_checkpoint();
@@ -657,7 +661,7 @@ mod tests {
             .is_none());
         // Regrow across the threshold: the rebuilt index must be exact.
         for (i, v) in vars.iter().enumerate().skip(WRITE_INDEX_THRESHOLD) {
-            log.buffer_write(v.id(), v.as_dyn(), WriteNode::new(100 + i));
+            log.buffer_write(v.id(), v.as_dyn(), WriteNode::versioned(100 + i));
         }
         let w = log
             .lookup_write(vars[WRITE_INDEX_THRESHOLD + 2].id())
@@ -670,8 +674,12 @@ mod tests {
         let mut log = TxLog::default();
         let a = TVar::new(1u64);
         let b = TVar::new(String::from("old"));
-        log.buffer_write(a.id(), a.as_dyn(), WriteNode::new(7u64));
-        log.buffer_write(b.id(), b.as_dyn(), WriteNode::new(String::from("new")));
+        log.buffer_write(a.id(), a.as_dyn(), WriteNode::versioned(7u64));
+        log.buffer_write(
+            b.id(),
+            b.as_dyn(),
+            WriteNode::versioned(String::from("new")),
+        );
         log.publish_writes();
         assert_eq!(log.retired.len(), 2);
         assert!(log.writes.is_empty());

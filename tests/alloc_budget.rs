@@ -214,6 +214,65 @@ fn an_in_memory_put_is_pinned_at_two() {
     assert_eq!(n, PER_PUT * OPS, "{OPS} puts allocated {n} times");
 }
 
+/// The least number of bytes this thread requests over three runs of
+/// `work`, as [`steady_allocations_in`] counts allocations.
+fn steady_bytes_in(mut work: impl FnMut()) -> u64 {
+    (0..3)
+        .map(|_| bytes_in(&mut work))
+        .min()
+        .expect("three windows")
+}
+
+/// A bucket's value: the `Vec` a node holds.
+const BUCKET: u64 = std::mem::size_of::<Vec<(u64, u64)>>() as u64;
+/// What a versioned node adds to the value: its stamp and its link.
+const VERSION_WORDS: u64 = 16;
+
+#[test]
+fn a_put_requests_its_bucket_clone_and_one_node_of_the_instances_kind() {
+    let _alone = alone();
+    // A one-key store, so the bucket a put clones holds one entry. Tl2
+    // serves no snapshots and publishes the bucket alone; Mv publishes
+    // it with a stamp and a link. Parent commit: 56 bytes a put on
+    // both (every node was versioned).
+    const ENTRY: u64 = std::mem::size_of::<(u64, u64)>() as u64;
+    for (algorithm, node) in [
+        (Algorithm::Tl2, BUCKET),
+        (Algorithm::Mv, BUCKET + VERSION_WORDS),
+    ] {
+        let kv = ShardedKv::with_config(ServiceConfig {
+            shards: 1,
+            algorithm,
+            buckets_per_shard: 16,
+            adaptive: None,
+        });
+        for i in 0..4 * OPS {
+            kv.put(0, i);
+        }
+        let n = steady_bytes_in(|| {
+            for i in 0..OPS {
+                std::hint::black_box(kv.put(0, i));
+            }
+        });
+        assert_eq!(
+            n,
+            (ENTRY + node) * OPS,
+            "{algorithm:?}: {OPS} puts requested {n} bytes"
+        );
+    }
+}
+
+#[test]
+fn a_new_variable_requests_one_word_of_cell_and_a_bare_node() {
+    let _alone = alone();
+    // The `Arc`'s two counts and the head word, then the value alone.
+    // Parent commit: 56 bytes (an eviction flag beside the head, and a
+    // versioned node).
+    const CELL: u64 = 3 * 8;
+    let n = bytes_in(|| drop(std::hint::black_box(TVar::new(0u64))));
+    assert_eq!(n, CELL + 8, "TVar::new(0u64) requested {n} bytes");
+}
+
 #[test]
 fn a_scan_fills_one_buffer() {
     let _alone = alone();

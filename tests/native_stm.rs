@@ -733,6 +733,103 @@ fn mv_sequential_handoff_reads_the_current_value() {
     assert_eq!(v.load(), 30);
 }
 
+/// Moves `amount` from `accounts[from]` to `accounts[to]` on `stm`.
+fn transfer(stm: &Stm, accounts: &[TVar<u64>], from: usize, to: usize, amount: u64) {
+    stm.atomically(|tx| {
+        let a = tx.read(&accounts[from])?;
+        let b = tx.read(&accounts[to])?;
+        tx.write(&accounts[from], a - amount)?;
+        tx.write(&accounts[to], b + amount)
+    });
+}
+
+#[test]
+fn one_variable_crosses_single_and_multi_version_instances() {
+    // Single-version instances publish bare values, Mv and Adaptive
+    // versioned nodes; a variable handed between them carries chains
+    // that mix the two. Snapshots at an old and a new `rv` must each
+    // read their own version across the mix, a single-version publish
+    // must collapse the chain to one value, and an Adaptive instance must
+    // switch modes over the same variables without losing a unit.
+    let accounts: Vec<TVar<u64>> = (0..4).map(|_| TVar::new(100)).collect();
+    let tl2 = Stm::tl2();
+    transfer(&tl2, &accounts, 0, 1, 10);
+    let before: Vec<u64> = accounts.iter().map(TVar::load).collect();
+    assert_eq!(before, [90, 110, 100, 100]);
+
+    // Tl2 → Mv: appends over the bare values, under a camped snapshot.
+    let mv = Stm::mv();
+    let mut old = mv.transaction();
+    assert_eq!(old.read(&accounts[0]).expect("snapshot read"), 90);
+    transfer(&mv, &accounts, 1, 2, 5);
+    transfer(&mv, &accounts, 2, 3, 7);
+    let after: Vec<u64> = accounts.iter().map(TVar::load).collect();
+    assert_eq!(after, [90, 105, 98, 107]);
+    assert_eq!(
+        accounts[2].versions_retained(),
+        3,
+        "two versions over the bare one"
+    );
+    let mut new = mv.transaction();
+    for (i, var) in accounts.iter().enumerate() {
+        assert_eq!(
+            old.read(var).expect("old snapshot"),
+            before[i],
+            "old rv, account {i}"
+        );
+        assert_eq!(
+            new.read(var).expect("new snapshot"),
+            after[i],
+            "new rv, account {i}"
+        );
+    }
+    for tx in [old, new] {
+        Transaction::commit_all(vec![tx], |_| {}).expect("a read-only attempt commits");
+    }
+
+    // Mv → Tl2: one swap leaves one bare value per written variable, and
+    // a fresh Mv clock, below every stamp the first one drew, reads it.
+    transfer(&tl2, &accounts, 3, 0, 7);
+    transfer(&tl2, &accounts, 1, 2, 5);
+    assert!(accounts.iter().all(|v| v.versions_retained() == 1));
+    let current = [97, 100, 103, 100];
+    let mv_again = Stm::mv();
+    let seen: Vec<u64> = mv_again.atomically(|tx| accounts.iter().map(|v| tx.read(v)).collect());
+    assert_eq!(seen, current, "a fresh clock reads the current values");
+
+    // Adaptive over the same variables: scans route it to Mv, transfers
+    // back to Tl2; Tl2 then swaps its versioned chains out again.
+    let adaptive = Stm::builder(Algorithm::Adaptive)
+        .adaptive_config(AdaptiveConfig {
+            window_commits: 4,
+            hysteresis_windows: 1,
+            mv_scan_reads: accounts.len() as f64,
+        })
+        .build();
+    for round in 0..24 {
+        let scanned = adaptive.atomically(|tx| {
+            let mut sum = 0;
+            tx.read_each(&accounts, |v| sum += v)?;
+            Ok(sum)
+        });
+        assert_eq!(scanned, 400, "round {round}: a scan saw a torn total");
+    }
+    for round in 0..24 {
+        transfer(&adaptive, &accounts, round % 4, (round + 1) % 4, 1);
+    }
+    let snap = adaptive.stats().snapshot();
+    assert!(snap.mode_transitions >= 2, "Tl2 → Mv → Tl2, got {snap}");
+    assert!(snap.snapshot_reads > 0, "the Mv hooks served reads");
+    assert_eq!(adaptive.active_mode(), Algorithm::Tl2);
+    for round in 0..4 {
+        transfer(&tl2, &accounts, round, (round + 2) % 4, 1);
+    }
+    assert!(accounts.iter().all(|v| v.versions_retained() == 1));
+    // Every account gave as many units as it received.
+    let last: Vec<u64> = accounts.iter().map(TVar::load).collect();
+    assert_eq!(last, current);
+}
+
 #[test]
 fn mv_capped_chains_stay_bounded_and_evictions_stay_opaque() {
     // `MvConfig::max_versions` bounds each chain: a camped snapshot
