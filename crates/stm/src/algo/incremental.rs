@@ -19,8 +19,7 @@ pub(crate) fn begin(_stm: &Stm) -> u64 {
 
 /// Invisible read followed by full read-set re-validation — every prior
 /// read, every time (the Θ(m²) signature of Theorem 3(1)). A held lock
-/// on the read's stripe aborts and is recorded as the attempt's
-/// conflict, as in Tl2's read.
+/// on the read's stripe aborts, as in Tl2's read.
 pub(crate) fn read<T: TxValue, R>(
     tx: &mut Transaction<'_>,
     var: &TVar<T>,
@@ -30,12 +29,12 @@ pub(crate) fn read<T: TxValue, R>(
     let word = tx.stm.orecs.word(stripe);
     let m1 = word.load(Ordering::Acquire);
     if orec::is_locked(m1) {
-        return Err(super::versioned::lost_to(tx, stripe, m1));
+        return Err(Retry);
     }
     let out = var.inner.read_snapshot(&tx.pin, f);
     let m2 = word.load(Ordering::Acquire);
     if m2 != m1 {
-        return Err(super::versioned::lost_to(tx, stripe, m2));
+        return Err(Retry);
     }
     super::versioned::validate(tx)?;
     super::versioned::record_read(tx, stripe, m1);

@@ -18,10 +18,9 @@ pub(crate) fn begin(stm: &Stm) -> u64 {
 }
 
 /// Optimistic invisible read: any stripe version newer than the
-/// snapshot (or a held lock) means a concurrent commit and aborts; a
-/// held lock is recorded as the attempt's conflict, for a park to wait
-/// on. `f` runs between the check and the re-check; a failed re-check
-/// drops its result.
+/// snapshot (or a held lock) means a concurrent commit and aborts. `f`
+/// runs between the check and the re-check; a failed re-check drops its
+/// result.
 pub(crate) fn read<T: TxValue, R>(
     tx: &mut Transaction<'_>,
     var: &TVar<T>,
@@ -31,12 +30,12 @@ pub(crate) fn read<T: TxValue, R>(
     let word = tx.stm.orecs.word(stripe);
     let m1 = word.load(Ordering::Acquire);
     if orec::is_locked(m1) || orec::version_of(m1) > tx.rv {
-        return Err(super::versioned::lost_to(tx, stripe, m1));
+        return Err(Retry);
     }
     let out = var.inner.read_snapshot(&tx.pin, f);
     let m2 = word.load(Ordering::Acquire);
     if m2 != m1 {
-        return Err(super::versioned::lost_to(tx, stripe, m2));
+        return Err(Retry);
     }
     super::versioned::record_read(tx, stripe, m1);
     Ok(out)

@@ -58,11 +58,9 @@ pub(crate) fn read<T: TxValue, R>(
         let word = tx.stm.orecs.word(stripe);
         let prev = word.fetch_add(RW_READER, Ordering::AcqRel);
         if rw_write_locked(prev) {
-            // A writer owns the stripe: undo the announcement and abort,
-            // recording the writer as the lock this attempt lost to.
+            // A writer owns the stripe: undo the announcement and abort.
             word.fetch_sub(RW_READER, Ordering::AcqRel);
             tx.tally.reader_conflict();
-            tx.log.conflict = Some((stripe, prev));
             return Err(Retry);
         }
         tx.log.rw_insert(stripe);
@@ -88,18 +86,13 @@ pub(crate) fn lock(tx: &mut Transaction<'_>) -> bool {
         let upgrading = tx.log.rw_contains(stripe);
         let expected = if upgrading { RW_READER } else { 0 };
         let word = tx.stm.orecs.word(stripe);
-        if let Err(seen) =
-            word.compare_exchange(expected, RW_WRITER, Ordering::AcqRel, Ordering::Acquire)
+        if word
+            .compare_exchange(expected, RW_WRITER, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
         {
-            // Foreign readers or a writer hold the stripe: roll back. A
-            // writer is a holder whose release wakes a conflict park;
-            // readers release without a sweep, so losing to them records
-            // nothing (see `crate::waiter`).
+            // Foreign readers or a writer hold the stripe: roll back.
             rollback(tx);
             tx.tally.reader_conflict();
-            if rw_write_locked(seen) {
-                tx.log.conflict = Some((stripe, seen));
-            }
             return false;
         }
         if upgrading {
@@ -139,12 +132,9 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
 
 /// Undoes the write locks a failed lock half, or a failed group commit,
 /// acquired: upgraded stripes get their read lock back (and
-/// re-registered), fresh acquisitions drop to unowned. Then wakes
-/// whoever parked on them, as a publish does.
+/// re-registered), fresh acquisitions drop to unowned. It wakes
+/// nobody: a restored word readies no logical wait.
 pub(crate) fn rollback(tx: &mut Transaction<'_>) {
-    if tx.log.held_buf.is_empty() {
-        return;
-    }
     for i in 0..tx.log.held_buf.len() {
         let (stripe, was_read) = tx.log.held_buf[i];
         let word = tx.stm.orecs.word(stripe);
@@ -159,7 +149,5 @@ pub(crate) fn rollback(tx: &mut Transaction<'_>) {
             word.fetch_sub(RW_WRITER, Ordering::AcqRel);
         }
     }
-    tx.stm
-        .wake_stripes(tx.log.held_buf.iter().map(|&(stripe, _)| stripe));
     tx.log.held_buf.clear();
 }

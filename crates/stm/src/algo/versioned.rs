@@ -14,18 +14,6 @@ pub(super) fn record_read(tx: &mut Transaction<'_>, stripe: usize, meta: u64) {
     tx.log.reads.push(VersionedRead { stripe, meta });
 }
 
-/// Records `stripe`, whose word a failed read or lock half saw as
-/// `word`, as the lock this attempt lost to — if `word` is locked: a
-/// holder whose release will wake a conflict park. A stale version is
-/// no holder, and records nothing. Cold: only a failing hook gets here.
-#[cold]
-pub(super) fn lost_to(tx: &mut Transaction<'_>, stripe: usize, word: u64) -> Retry {
-    if orec::is_locked(word) {
-        tx.log.conflict = Some((stripe, word));
-    }
-    Retry
-}
-
 /// Held-stripe counts up to this are probed by linear scan during
 /// validation; larger sets binary-search (the list is sorted — see
 /// [`held_word`]). Same hybrid rationale as the log's registries: tiny
@@ -112,45 +100,33 @@ pub(crate) fn publish(tx: &mut Transaction<'_>) {
 /// (sorted, deduplicated) and try-locks them in that order, recording
 /// each `(stripe, pre-lock word)` in `TxLog::held_buf`. On any
 /// already-locked word or lost CAS, releases everything taken so far
-/// and returns `false`, with the held word it met recorded as the
-/// attempt's conflict ([`lost_to`]). A read-only attempt locks nothing.
+/// and returns `false`. A read-only attempt locks nothing.
 pub(crate) fn lock_write_stripes(tx: &mut Transaction<'_>) -> bool {
     tx.log.collect_write_stripes(&tx.stm.orecs);
     for i in 0..tx.log.stripe_buf.len() {
         let stripe = tx.log.stripe_buf[i];
         let word = tx.stm.orecs.word(stripe);
         let m = word.load(Ordering::Acquire);
-        let seen = if orec::is_locked(m) {
-            m
-        } else {
-            match word.compare_exchange(m, m | 1, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => {
-                    tx.log.held_buf.push((stripe, m));
-                    continue;
-                }
-                Err(now) => now,
-            }
-        };
+        if !orec::is_locked(m)
+            && word
+                .compare_exchange(m, m | 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        {
+            tx.log.held_buf.push((stripe, m));
+            continue;
+        }
         rollback(tx);
-        lost_to(tx, stripe, seen);
         return false;
     }
     true
 }
 
-/// Abandons the held stripe locks, restoring every pre-lock word and
-/// waking whoever parked on them: the cleanup of a failed lock half,
-/// and of a group commit that failed after this participant locked.
+/// Abandons the held stripe locks, restoring every pre-lock word: the
+/// cleanup of a failed lock half, and of a group commit that failed
+/// after this participant locked. It wakes nobody: a restored word
+/// readies no logical wait.
 pub(crate) fn rollback(tx: &mut Transaction<'_>) {
-    if tx.log.held_buf.is_empty() {
-        return;
-    }
     release(tx.stm, &tx.log.held_buf, None);
-    // After the restoring stores, as a publish wakes after its stamps:
-    // a conflict park on one of these locks ends with it (see
-    // `crate::waiter`).
-    tx.stm
-        .wake_stripes(tx.log.held_buf.iter().map(|&(stripe, _)| stripe));
     tx.log.held_buf.clear();
 }
 

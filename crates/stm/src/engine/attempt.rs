@@ -1,6 +1,7 @@
 //! The attempt lifecycle, written once: begin → body → commit →
-//! resolve → run again / back off / park / give up, as one loop in
-//! [`Stm::run`] over the engine's one retry schedule ([`Tier`]).
+//! resolve → run again / back off / give up, or park a logical wait,
+//! as one loop in [`Stm::run`] over the engine's one retry schedule
+//! ([`Tier`]).
 
 use super::twophase::commit_group;
 use super::{RetriesExhausted, Retry, Stm, Transaction};
@@ -13,13 +14,11 @@ const SPIN_AFTER: u64 = 2;
 const MAX_SPIN_SHIFT: u64 = 12;
 /// Conflicts beyond this attempt index yield instead of spinning.
 const YIELD_AFTER: u64 = 16;
-/// Conflicts beyond this attempt index park instead of yielding.
-const PARK_AFTER: u64 = 64;
 
 /// What the retry schedule does after a conflict abort. Each tier
 /// *replaces* the cheaper one rather than stacking on top of it: once
 /// the conflict has outlived a spin window, spinning before the yield is
-/// pure CPU waste.
+/// pure CPU waste. No tier sleeps: a conflict waits on no transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tier {
     /// Run again at once.
@@ -28,14 +27,6 @@ enum Tier {
     Spin(u64),
     /// Yield the scheduler, then run again.
     Yield,
-    /// Get out of the way: register on the orec table's waiter lists
-    /// — the footprint (read ∪ write stripes) and the stripe whose lock
-    /// the attempt lost to — and sleep until that lock's holder
-    /// releases it or a commit touches an overlapping stripe, then run
-    /// again. A transaction that keeps losing stops costing the winners
-    /// CPU. A conflict that lost to no held lock has no holder to wait
-    /// for, and yields instead.
-    Park,
 }
 
 impl Tier {
@@ -47,20 +38,16 @@ impl Tier {
             Tier::Now
         } else if attempt <= YIELD_AFTER {
             Tier::Spin(1 << attempt.min(MAX_SPIN_SHIFT))
-        } else if attempt <= PARK_AFTER {
-            Tier::Yield
         } else {
-            Tier::Park
+            Tier::Yield
         }
     }
 
-    /// Waits as the tier says. The park tier waits on the waiter lists,
-    /// not here: it comes here only when it found no lock holder to
-    /// park on, and then yields.
+    /// Waits as the tier says.
     fn wait(self) {
         match self {
             Tier::Spin(n) => (0..n).for_each(|_| std::hint::spin_loop()),
-            Tier::Yield | Tier::Park => std::thread::yield_now(),
+            Tier::Yield => std::thread::yield_now(),
             Tier::Now => {}
         }
     }
@@ -87,11 +74,10 @@ impl Stm {
     ///
     /// Between conflicts it backs off on a fixed schedule: attempts 0–2
     /// (counting conflicts from 0) run again at once, attempts up to 16
-    /// spin `2^min(attempt, 12)` iterations, attempts up to 64 yield the
-    /// thread, and later ones park until the holder of the lock they
-    /// lost to releases it (or yield, if they lost to no held lock).
-    /// [`Transaction::retry`] is not a conflict: it parks on the read
-    /// footprint and spends no budget.
+    /// spin `2^min(attempt, 12)` iterations, and later ones yield the
+    /// thread. A conflict never sleeps. [`Transaction::retry`] is not a
+    /// conflict: it parks on the read footprint until a commit overlaps
+    /// it, and spends no budget.
     ///
     /// # Errors
     ///
@@ -113,80 +99,60 @@ impl Stm {
                     return Ok(out);
                 }
             }
-            // A logical wait (`tx.retry()`) parks on its read footprint
-            // and re-runs when a writer overlaps it. A conflict spends
-            // budget — checked first, so the exhausting abort waits for
-            // nothing — and then picks its tier. Whatever waiting the
-            // tier implies happens after this attempt is resolved, so a
-            // backoff never holds visible-read locks other transactions
-            // are trying to write through.
-            let conflict = !tx.waiting;
-            let tier = if conflict {
-                conflicts += 1;
-                if conflicts >= self.max_attempts {
-                    tx.aborted();
-                    return Err(RetriesExhausted {
-                        attempts: conflicts,
-                    });
-                }
-                Tier::after(conflicts - 1)
-            } else {
-                Tier::Park
-            };
-            let parked = if tier == Tier::Park {
-                self.register_park(&tx, conflict)
-            } else {
-                None
-            };
-            tx.aborted();
-            // The epoch pin goes with the transaction: nothing below
-            // sleeps pinned.
-            drop(tx);
-            match parked {
-                Some((cell, buckets)) => {
+            if tx.waiting {
+                // A logical wait (`tx.retry()`) parks on its read
+                // footprint and re-runs when a writer overlaps it — at
+                // once if one already has.
+                let parked = self.register_park(&tx);
+                tx.aborted();
+                // The epoch pin goes with the transaction: nothing below
+                // sleeps pinned.
+                drop(tx);
+                if let Some((cell, buckets)) = parked {
                     if !cell.park(PARK_TIMEOUT) {
                         self.stats.spurious_wake();
                     }
                     self.orecs.waiters().deregister(buckets, &cell);
                 }
-                // A logical wait whose data already changed runs again
-                // at once.
-                None if !conflict => {}
-                None => tier.wait(),
+                continue;
             }
+            // A conflict spends budget — checked first, so the exhausting
+            // abort waits for nothing — and then backs off. The backoff
+            // comes after this attempt is resolved, so it never holds
+            // visible-read locks other transactions are trying to write
+            // through.
+            conflicts += 1;
+            tx.aborted();
+            if conflicts >= self.max_attempts {
+                return Err(RetriesExhausted {
+                    attempts: conflicts,
+                });
+            }
+            drop(tx);
+            Tier::after(conflicts - 1).wait();
         }
     }
 
-    /// The park protocol, up to the sleep; `None` if there is nothing to
-    /// wait for: a logical wait's footprint was already overwritten, or
-    /// a conflict's lock is already released (or was never recorded —
-    /// such a conflict registers nothing). Ordering is the whole point —
+    /// A logical wait's park protocol, up to the sleep; `None` if the
+    /// footprint was already overwritten. Ordering is the whole point —
     /// register, *then* revalidate, *then* (the caller) resolve, sleep
-    /// and deregister: a holder that releases (or a writer that commits)
-    /// after registration finds the cell on the lists and notifies it;
-    /// one that did before registration shows up in the revalidation,
-    /// which then skips the sleep. (The SeqCst fences pairing register's
-    /// tail with `wake_stripes`' head close the remaining
-    /// store-buffering window — see the proof in `crate::waiter`.) The
-    /// attempt is resolved *after* this
-    /// registration — Tlrw's still-held read locks are what order any
-    /// conflicting commit after it — and *before* the sleep, so a parked
-    /// thread pins no epoch, holds no read lock, blocks no adaptive mode
-    /// switch, and anchors no Mv snapshot.
+    /// and deregister: a writer that commits after registration finds
+    /// the cell on the lists and notifies it; one that committed before
+    /// registration shows up in the revalidation, which then skips the
+    /// sleep. (The SeqCst fences pairing register's tail with
+    /// `wake_stripes`' head close the remaining store-buffering window —
+    /// see the proof in `crate::waiter`.) The attempt is resolved
+    /// *after* this registration — Tlrw's still-held read locks are what
+    /// order any conflicting commit after it — and *before* the sleep,
+    /// so a parked thread pins no epoch, holds no read lock, blocks no
+    /// adaptive mode switch, and anchors no Mv snapshot.
     #[cold]
-    fn register_park(
-        &self,
-        tx: &Transaction<'_>,
-        conflict: bool,
-    ) -> Option<(Arc<WaitCell>, Buckets)> {
-        if conflict && tx.log.conflict.is_none() {
-            return None;
-        }
+    fn register_park(&self, tx: &Transaction<'_>) -> Option<(Arc<WaitCell>, Buckets)> {
         let cell = WaitCell::for_thread();
-        let buckets = tx.wait_stripes(conflict);
+        let buckets = tx.wait_stripes();
         let waiters = self.orecs.waiters();
         waiters.register(buckets, &cell);
-        if tx.revalidate_for_park(conflict) {
+        if tx.revalidate_for_park() {
             self.stats.park();
             Some((cell, buckets))
         } else {
@@ -211,13 +177,14 @@ mod tests {
         // yield would burn a core per hopeless attempt.
         assert_eq!(Tier::after(17), Tier::Yield);
         assert_eq!(Tier::after(64), Tier::Yield);
-        assert_eq!(Tier::after(65), Tier::Park);
-        assert_eq!(Tier::after(u64::MAX), Tier::Park);
+        // No tier parks: a conflict that keeps losing keeps yielding.
+        assert_eq!(Tier::after(65), Tier::Yield);
+        assert_eq!(Tier::after(u64::MAX), Tier::Yield);
     }
 
     #[test]
     fn every_tier_waits_and_returns() {
-        for attempt in [0, 3, 16, 17, 65] {
+        for attempt in [0, 3, 16, 17] {
             Tier::after(attempt).wait();
         }
     }

@@ -45,8 +45,9 @@
 //!   everywhere;
 //! * [`attempt`] — the attempt lifecycle, written once: one loop in
 //!   [`Stm::run`] (begin → body → commit → resolve) that owns the
-//!   attempt budget, the engine's one retry schedule and the park
-//!   protocol; [`Stm::atomically`] is `run` plus a panic on exhaustion;
+//!   attempt budget, the engine's one retry schedule and the logical
+//!   wait's park protocol; [`Stm::atomically`] is `run` plus a panic on
+//!   exhaustion;
 //! * [`twophase`] — the one commit body, lock all → validate all →
 //!   stage → publish all over a group of transactions: [`Stm::run`]
 //!   runs it on a group of one, and [`Transaction::commit_all`] on a
@@ -57,12 +58,11 @@
 //!
 //! All modes buffer writes in the shared transaction log
 //! ([`crate::txlog`]) and publish them only at commit, so a failed
-//! transaction never dirties shared state. Retries follow one fixed
-//! schedule — run again, spin, yield, then park; past its park tier (and
-//! always for [`Transaction::retry`] logical waits) the transaction stops
-//! consuming CPU entirely and blocks on the orec table's per-stripe
-//! waiter lists until a committing writer overlaps the attempt's
-//! footprint.
+//! transaction never dirties shared state. A conflict retries on one
+//! fixed schedule — run again, spin, then yield — and never sleeps: it
+//! waits on no transaction. Only a [`Transaction::retry`] logical wait
+//! stops consuming CPU, blocked on the orec table's per-stripe waiter
+//! lists until a committing writer overlaps its read footprint.
 
 mod attempt;
 mod builder;
@@ -385,9 +385,9 @@ impl Stm {
     }
 
     /// Wakes every waiter parked on one of `stripes` (the stripes a
-    /// lock holder just released, by publish or by rollback): the
-    /// holder's half of the parking protocol. Cheap when nobody waits —
-    /// one fence and one counter load.
+    /// commit just published): the writer's half of the parking
+    /// protocol. Cheap when nobody waits — one fence and one counter
+    /// load.
     pub(crate) fn wake_stripes(&self, stripes: impl IntoIterator<Item = usize>) {
         let n = self.orecs.waiters().wake_stripes(stripes);
         self.stats.woke(n);

@@ -761,70 +761,13 @@ fn publish_held(group: &mut [Transaction<'_>]) {
     twophase::resolve(group);
 }
 
-/// Rolls back a group [`hold`] left holding its locks, as a commit that
-/// failed after locking does, and resolves it aborted.
-fn roll_back_held(group: &mut [Transaction<'_>]) {
-    let locked = group.len();
-    twophase::fail(group, locked);
-    for tx in group {
-        tx.aborted();
-    }
-}
-
 #[test]
-fn a_rolled_back_lock_wakes_the_conflict_park_waiting_on_it() {
-    // A held group commit on `v`'s stripe; a runner on another thread
-    // loses to that lock (a reader in its read hook, an Mv writer in its
-    // lock half), spends the spin and yield tiers and parks on the lock.
-    // The group then rolls back instead of publishing: the rollback's
-    // release must wake the park, as a publish would.
-    for algo in [
-        Algorithm::Tl2,
-        Algorithm::Incremental,
-        Algorithm::Tlrw,
-        Algorithm::Mv,
-    ] {
-        let stm = Stm::new(algo);
-        let v = TVar::new(1u64);
-        let mut held = [stm.transaction()];
-        held[0].write(&v, 2).expect("buffer write");
-        hold(&mut held).expect("uncontended lock and validate");
-        let got = std::thread::scope(|s| {
-            let runner = s.spawn(|| {
-                stm.run(|tx| match algo {
-                    Algorithm::Mv => tx.write(&v, 3).map(|()| 3),
-                    _ => tx.read(&v),
-                })
-            });
-            while stm.stats().snapshot().parks == 0 {
-                std::thread::yield_now();
-            }
-            roll_back_held(&mut held);
-            runner.join().expect("runner")
-        });
-        let want = if algo == Algorithm::Mv { 3 } else { 1 };
-        assert_eq!(got, Ok(want), "{algo:?}: the runner ran after the rollback");
-        let snap = stm.stats().snapshot();
-        assert!(
-            snap.wakes >= 1,
-            "{algo:?}: the rollback wakes the park: {snap}"
-        );
-        assert_eq!(
-            snap.spurious_wakes, 0,
-            "{algo:?}: the park outlived the rolled-back lock: {snap}"
-        );
-        assert_orecs_quiescent(&stm);
-    }
-}
-
-#[test]
-fn a_conflict_with_no_held_lock_yields_instead_of_parking() {
+fn a_conflict_yields_past_every_tier_and_never_parks() {
     // Every attempt reads `w` (its snapshot), then finds `v` stamped
-    // past that snapshot by a nested commit: it loses to a newer stamp,
-    // never to a held lock, while its read set stays valid. Past the
-    // yield tier there is no holder to park on, so the attempt keeps
-    // yielding; parked on its footprint instead, nothing would wake it
-    // before the safety net.
+    // past that snapshot by a nested commit, while its read set stays
+    // valid. Past the spin tier a conflict keeps yielding until its
+    // budget runs out; parked on its footprint instead, nothing would
+    // wake it before the safety net.
     let stm = Stm::builder(Algorithm::Tl2).max_attempts(80).build();
     let (v, w) = (TVar::new(0u64), TVar::new(0u64));
     let out = stm.run(|tx| {

@@ -669,13 +669,10 @@ impl<'s> Transaction<'s> {
         }
     }
 
-    /// The waiter buckets a parked instance of this attempt must be
-    /// woken through: those of the read footprint, plus, when parking on
-    /// a *conflict* (`conflict`), of the write footprint (the winner is
-    /// as likely to have beaten us on a write stripe as a read stripe)
-    /// and of the lock the attempt lost to.
-    pub(super) fn wait_stripes(&self, conflict: bool) -> Buckets {
-        let reads = match self.mode {
+    /// The waiter buckets a logical wait parks on: those of its read
+    /// footprint, which a commit must overwrite to ready it.
+    pub(super) fn wait_stripes(&self) -> Buckets {
+        match self.mode {
             Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => {
                 Buckets::of(self.log.reads.iter().map(|r| r.stripe))
             }
@@ -684,44 +681,18 @@ impl<'s> Transaction<'s> {
             // so every waiter hangs off stripe 0 and every commit sweeps
             // it.
             Hooks::Norec => Buckets::of([0]),
-        };
-        if !conflict || self.mode == Hooks::Norec {
-            return reads;
         }
-        let writes = self
-            .log
-            .writes
-            .iter()
-            .map(|w| self.stm.orecs.stripe_of(w.id));
-        let lost_to = self.log.conflict.map(|(stripe, _)| stripe);
-        reads.with(Buckets::of(writes.chain(lost_to)))
     }
 
     /// Re-checks, after registering on the waiter lists but before
-    /// sleeping, that the attempt still has something to wait for.
-    ///
-    /// A conflict waits for the lock it lost to: it parks only while
-    /// that stripe's word still shows the lock — unchanged for the
-    /// versioned words, still write-locked for Tlrw's, whose reader
-    /// count moves under a held writer flag. A conflict that recorded
-    /// no lock has no holder whose release would wake it. A logical
-    /// wait parks only while no commit has already invalidated (=
-    /// readied) its read set: parking on a stale snapshot would sleep
-    /// through a wake-up that already happened.
+    /// sleeping, that a logical wait still has something to wait for: no
+    /// commit has already invalidated (= readied) its read set. Parking
+    /// on a stale snapshot would sleep through a wake-up that already
+    /// happened.
     ///
     /// Deliberately tallies no validation probes: a parked-idle instance
     /// must read as idle in the stats.
-    pub(super) fn revalidate_for_park(&self, conflict: bool) -> bool {
-        if conflict {
-            let Some((stripe, seen)) = self.log.conflict else {
-                return false;
-            };
-            let now = self.stm.orecs.word(stripe).load(Ordering::Acquire);
-            return match self.mode {
-                Hooks::Tlrw => orec::rw_write_locked(now),
-                _ => now == seen,
-            };
-        }
+    pub(super) fn revalidate_for_park(&self) -> bool {
         match self.mode {
             Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => self.log.reads.iter().all(|r| {
                 let word = self.stm.orecs.word(r.stripe).load(Ordering::Acquire);

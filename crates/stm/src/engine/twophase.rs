@@ -224,8 +224,7 @@ impl<'s> Transaction<'s> {
 /// The one commit body: [`Transaction::commit_all`]'s, and
 /// [`Stm::run`]'s on a group of one. On `Ok` every participant has
 /// committed and resolved; on `Err` every participant is rolled back,
-/// poisoned and left for the caller to resolve — the attempt loop
-/// registers a park before it does.
+/// poisoned and left for the caller to resolve.
 ///
 /// Only this shell is generic (over `stage`), so it compiles into each
 /// caller's `Stm::run`; the phases it calls are plain functions, each
@@ -347,7 +346,7 @@ pub(super) fn resolve(group: &mut [Transaction<'_>]) {
 
 /// Ends a failed commit: unlocks the first `locked` participants,
 /// closes every marker aborted and poisons every participant.
-pub(super) fn fail(group: &mut [Transaction<'_>], locked: usize) -> Retry {
+fn fail(group: &mut [Transaction<'_>], locked: usize) -> Retry {
     for tx in &mut group[..locked] {
         unlock_one(tx);
     }

@@ -115,8 +115,8 @@ pub(crate) struct OrecTable {
     /// [`spread_out`](Self::spread_out) table.
     spread: u32,
     /// Parked-waiter lists, keyed by the stripes of the words above
-    /// (hashed into a fixed number of buckets), so the stripes a lock
-    /// holder releases name the wait channels it must sweep — whichever
+    /// (hashed into a fixed number of buckets), so the stripes a commit
+    /// publishes name the wait channels it must sweep — whichever
     /// algorithm (or adaptive mode) stamped the stripe.
     waiters: WaiterTable,
 }

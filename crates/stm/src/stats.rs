@@ -318,10 +318,9 @@ counters! {
     /// `ro_commits`.
     ro_reads: sum, "ro_reads";
     /// Attempts that parked on the orec table's waiter lists instead of
-    /// re-running: logical waits (`Transaction::retry`) and conflicts
-    /// that reached the retry schedule's park tier
-    /// ([`Stm::run`](crate::Stm::run)). A parked attempt does no
-    /// spinning and no validation probing until woken.
+    /// re-running: logical waits (`Transaction::retry`) only, since a
+    /// conflict never parks ([`Stm::run`](crate::Stm::run)). A parked
+    /// attempt does no spinning and no validation probing until woken.
     parks: sum, "parks";
     /// Parked waiters actually woken by a committing writer's wake sweep
     /// over an overlapping stripe.

@@ -114,10 +114,6 @@ pub(crate) struct TxLog {
     /// abort: `(stripe, pre-lock word)` for the versioned algorithms,
     /// `(stripe, was_read)` for Tlrw. Empty outside that window.
     pub held_buf: Vec<(usize, u64)>,
-    /// The lock this attempt lost to, if a read or lock half failed on a
-    /// held stripe: `(stripe, word seen)`. A conflict park waits on that
-    /// stripe while its word still shows the lock (see `crate::waiter`).
-    pub conflict: Option<(usize, u64)>,
     /// Open `or_else` checkpoint frames, innermost last. While a frame is
     /// open, `buffer_write` records displaced pre-frame values into
     /// `undo` so [`TxLog::rollback_to_checkpoint`] can restore the write
@@ -269,7 +265,6 @@ impl TxLog {
         self.write_index.clear();
         self.stripe_buf.clear();
         self.held_buf.clear();
-        self.conflict = None;
         self.frames.clear();
         self.undo.clear();
         self.retired.clear();

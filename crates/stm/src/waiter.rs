@@ -1,62 +1,48 @@
-//! Per-stripe waiter parking: the blocking half of `retry`/`or_else`,
-//! and the wait of a conflict that reached the retry schedule's park
-//! tier.
+//! Per-stripe waiter parking: the blocking half of `retry`/`or_else`.
 //!
-//! A transaction that cannot proceed — logically (`Transaction::retry`:
-//! the data it read says "wait") or physically (it lost to a commit
-//! lock that outlasted the yield tier of [`Stm::run`](crate::Stm::run)'s
-//! retry schedule) — must get out of the way instead of stealing cycles
-//! from the transaction that can proceed. This module supplies the
-//! mechanism: a fixed table of [`BUCKETS`] wait buckets per orec table
-//! (stripe `s` waits in bucket `s % BUCKETS`, so the wait channels are
-//! keyed by the conflict metadata's stripes), a [`WaitCell`] per parked
-//! attempt, and a wake sweep that every lock holder runs over the
-//! stripes it held, right after releasing them: a commit after its
-//! publish, a failed lock half or group commit after its rollback.
+//! A transaction whose data says "wait" (`Transaction::retry`) must get
+//! out of the way instead of stealing cycles from the transactions that
+//! can proceed. This module supplies the mechanism: a fixed table of
+//! [`BUCKETS`] wait buckets per orec table (stripe `s` waits in bucket
+//! `s % BUCKETS`, so the wait channels are keyed by the conflict
+//! metadata's stripes), a [`WaitCell`] per parked attempt, and a wake
+//! sweep that every commit runs over the stripes it wrote, right after
+//! its publish releases them.
 //!
 //! ## What a park waits for
 //!
-//! A logical wait parks on its read footprint: any commit that
-//! overwrites what it read may ready it. A conflict park waits for one
-//! *lock holder*: the read or lock half that lost recorded the stripe
-//! and the locked word it saw (`TxLog::conflict`), and the attempt
-//! parks on that stripe (with its read and write footprint) only while
-//! the word still shows the lock. A conflict with no such lock — a
-//! stale read, a newer stamp, a Tlrw writer that lost to read locks —
-//! has nobody whose release is due to wake it, so it yields and runs
-//! again instead of parking.
+//! There is one kind of park: a logical wait, on its read footprint.
+//! Any commit that overwrites what it read may ready it. A conflict
+//! never parks — the retry schedule spins and yields, and waits on no
+//! transaction — so a lock holder that rolls back instead of publishing
+//! wakes nobody: restoring the words it locked leaves every read a
+//! waiter made current.
 //!
 //! ## The lost-wakeup argument
 //!
-//! The parker and the releasing holder race: the parker decides "the
-//! lock is still held" (or "no relevant commit has happened") and
-//! sleeps; the holder decides "nobody is waiting" and skips the wake.
-//! The protocol closes the window with a registration-then-revalidate
-//! handshake ordered by `SeqCst` fences — the classic store-buffering
-//! shape:
+//! The parker and the publishing writer race: the parker decides "no
+//! relevant commit has happened" and sleeps; the writer decides "nobody
+//! is waiting" and skips the wake. The protocol closes the window with a
+//! registration-then-revalidate handshake ordered by `SeqCst` fences —
+//! the classic store-buffering shape:
 //!
 //! * **parker**: push cell + bump `count` (under the bucket lock) for
 //!   every bucket its stripes hash to, `fence(SeqCst)` (the tail of
-//!   [`WaiterTable::register`]), then *revalidate* — the conflict
-//!   stripe's word still shows the lock it lost to, or the read set
-//!   is still current against the orec words / clock — and only park
-//!   if so;
-//! * **holder**: release its stripe words (the commit's release-store,
-//!   or the rollback's store of the pre-lock word; Tlrw: the
-//!   `fetch_sub` of its writer flag), `fence(SeqCst)` (the head of
+//!   [`WaiterTable::register`]), then *revalidate* — the read set is
+//!   still current against the orec words / clock — and only park if
+//!   so;
+//! * **writer**: publish and release its stripe words (the commit's
+//!   release-store; Tlrw: the `fetch_sub` of its writer flag; NOrec: the
+//!   clock store), `fence(SeqCst)` (the head of
 //!   [`WaiterTable::wake_stripes`]), then load the waiter counts of the
-//!   buckets its released stripes hash to.
+//!   buckets its written stripes hash to.
 //!
 //! Sequentially-consistent fences forbid the outcome where *both* the
-//! parker misses the holder's release *and* the holder misses the
+//! parker misses the writer's publish *and* the writer misses the
 //! parker's count increment. So either the parker's revalidation fails
-//! (it reruns — no sleep, nothing to wake) or the holder observes
+//! (it reruns — no sleep, nothing to wake) or the writer observes
 //! `count > 0` and drains the bucket, whose mutex guarantees the pushed
-//! cell is visible to the drain. A parker that sees the lock still set
-//! after a *later* holder took it (the first released, the second
-//! locked) parks on the second, which sweeps the same bucket when it
-//! releases: some holder of the word the parker last saw is always
-//! still to release, after the parker's fence.
+//! cell is visible to the drain.
 //!
 //! **Hashed buckets** change none of this. Stripe `s` registers in and
 //! is swept from the one bucket `s % BUCKETS`, so a sweep of `s` drains
@@ -64,15 +50,6 @@
 //! *other* stripes in the same bucket, woken along with them. Such a
 //! waiter runs again and, if still blocked, parks again: a hashed
 //! bucket can wake extra waiters, never miss one.
-//!
-//! **Rollbacks** sweep like commits: a holder that locked and then
-//! failed (a lock half that met a held stripe further on, a group
-//! commit whose validation failed) restores its words and sweeps, so a
-//! conflict park on one of them ends when the lock it waited on goes,
-//! whether the holder published or not. The only lock release that
-//! does not sweep is a Tlrw *read* lock's, which would put a fence on
-//! every Tlrw resolve; that is why a Tlrw writer that lost to readers
-//! yields instead of parking.
 //!
 //! Tlrw's logical waits need no fence argument at all: registration
 //! happens while the parker still *holds* its read locks, so a
@@ -89,10 +66,9 @@
 //! load of `population` after the fence.
 //!
 //! Parks still carry a timeout ([`PARK_TIMEOUT`]) purely as a safety
-//! net: every park has a release or a commit due to wake it. A
-//! timeout expiry is counted as a `spurious_wake` in
-//! [`StmStats`](crate::StmStats), and the torture suite asserts the net
-//! stays unused.
+//! net: the commit that readies a waiter wakes it. A timeout expiry is
+//! counted as a `spurious_wake` in [`StmStats`](crate::StmStats), and
+//! the torture suite asserts the net stays unused.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -100,7 +76,7 @@ use std::time::{Duration, Instant};
 
 /// Safety-net ceiling on a park: a parked thread re-checks at least this
 /// often even if every wake were lost. Long, because the wake path makes
-/// expiry the exception — for a logical wait and a conflict park alike.
+/// expiry the exception.
 pub(crate) const PARK_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Wait buckets per table. Stripe `s` waits in bucket `s % BUCKETS`.
@@ -119,11 +95,6 @@ impl Buckets {
                 .into_iter()
                 .fold(0, |mask, s| mask | 1 << (s % BUCKETS)),
         )
-    }
-
-    /// Both sets' buckets.
-    pub(crate) fn with(self, other: Buckets) -> Buckets {
-        Buckets(self.0 | other.0)
     }
 
     /// The bucket indices, ascending.
@@ -252,7 +223,7 @@ impl WaiterTable {
         }
     }
 
-    /// A releasing holder's wake sweep: fence (its half of the
+    /// A publishing writer's wake sweep: fence (its half of the
     /// handshake), then drain and notify every waiter in the buckets the
     /// released `stripes` hash to. Returns how many waiters this call
     /// actually woke. With nobody parked anywhere the cost is the fence

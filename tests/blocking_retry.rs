@@ -1,10 +1,9 @@
 //! Torture tests for the blocking `retry`/`or_else` tier: lost-wakeup
 //! hunting across all six algorithms, the adaptive mode switch with
 //! consumers parked, the register-vs-commit interleaving window, first
-//! parks racing to register on fresh instances, conflict parks woken by
-//! the lock holder's release, the `or_else` rollback semantics, and one
-//! table of scripts that `run` must end as each row says, the retry
-//! schedule's park tier included.
+//! parks racing to register on fresh instances, conflicts that never
+//! park however long they lose, the `or_else` rollback semantics, and
+//! one table of scripts that `run` must end as each row says.
 //!
 //! Every blocking scenario runs under a watchdog: a lost wakeup
 //! manifests as a hang (the 250 ms safety-net timeout would eventually
@@ -16,6 +15,7 @@ use progressive_tm::stm::{
 };
 use progressive_tm::structs::TQueue;
 use std::collections::HashSet;
+use std::ops::RangeInclusive;
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
@@ -248,8 +248,7 @@ fn first_parks_race_to_register_on_fresh_instances() {
     // parked. A registration a sweep missed leaves its waiter to sleep
     // out the 250 ms safety net, a `spurious_wake`. Under Tlrw a waiter
     // holds its read lock while it registers, so the writer aborts
-    // against it; it lost to read locks, which wake no park, so it
-    // yields rather than parks.
+    // against it and backs off: a conflict never parks.
     const WAITERS: usize = 3;
     const ROUNDS: u64 = 60;
     watchdog(Duration::from_secs(120), || {
@@ -480,24 +479,28 @@ fn wait_already_satisfied(
     }
 }
 
-/// Overwrites the counter without reading it: a conflict park can then
-/// only be woken through its write stripes.
+/// Overwrites the counter without reading it: it can lose only in its
+/// lock half, never in a read.
 fn blind_write(_: &Stm, v: &TVar<u64>, tx: &mut Transaction<'_>) -> Result<u64, Retry> {
     tx.write(v, 8)?;
     Ok(8)
 }
 
-/// What ends a parked attempt's wait, once the attempt is on the waiter
-/// lists.
+/// Conflicts a runner loses to a held lock before the test releases
+/// it: well past the 66th, where the retry schedule once parked.
+const LOSSES: u64 = 100;
+
+/// What lets the script finish once it is stuck: a logical wait on the
+/// waiter lists, or a conflict that keeps losing to a held lock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Release {
     /// Nothing: the script never sleeps.
     Nobody,
-    /// Another thread commits 9 to the counter.
+    /// Another thread commits 9 to the counter, once the attempt parks.
     Writer,
     /// A writer that locked and validated 9 before the attempt began,
     /// and so holds the counter's stripe through every attempt's commit,
-    /// publishes.
+    /// publishes once the attempt has lost [`LOSSES`] times.
     Blocker,
 }
 
@@ -517,7 +520,7 @@ struct Case {
     expect: Result<u64, u64>,
     /// `(commits, aborts, parks)` on the instance afterwards, nested,
     /// writer and blocker commits included.
-    stats: (u64, u64, u64),
+    stats: (u64, RangeInclusive<u64>, u64),
 }
 
 /// Commits a write of `value` to `v` on its own scoped thread and holds
@@ -567,16 +570,20 @@ fn run_case(case: &Case, algo: Algorithm, ctx: &str) -> StatsSnapshot {
         thread::scope(|s| {
             let blocker = (release == Release::Blocker).then(|| hold_write(s, &stm2, &v2, 9));
             let runner = s.spawn(|| stm2.run(|tx| script(&stm2, &v2, tx)));
-            if release != Release::Nobody {
-                // The park is counted once the attempt is on the waiter
-                // lists, so this commit wakes it.
-                while stm2.stats().snapshot().parks == 0 {
-                    thread::yield_now();
+            match blocker {
+                Some((publish, _)) => {
+                    // A park here would be a conflict's: stop waiting and
+                    // let the row's counts fail.
+                    wait_until(&stm2, |snap| snap.aborts >= LOSSES || snap.parks > 0);
+                    publish.send(()).expect("the blocker holds");
                 }
-                match blocker {
-                    Some((publish, _)) => publish.send(()).expect("the blocker holds"),
-                    None => stm2.atomically(|tx| tx.write(&v2, 9)),
+                None if release == Release::Writer => {
+                    // The park is counted once the attempt is on the
+                    // waiter lists, so this commit wakes it.
+                    wait_until(&stm2, |snap| snap.parks > 0);
+                    stm2.atomically(|tx| tx.write(&v2, 9));
                 }
+                None => {}
             }
             let got = runner.join().expect("runner");
             assert_eq!(
@@ -592,47 +599,14 @@ fn run_case(case: &Case, algo: Algorithm, ctx: &str) -> StatsSnapshot {
     stm.stats().snapshot()
 }
 
-#[test]
-fn conflict_park_registers_instead_of_self_waking() {
-    // A conflict that reaches the retry schedule's park tier must
-    // register the conflict footprint and sleep until an overlapping
-    // commit wakes it, not spin on the conflict: here a blind writer
-    // that loses its lock half to a held writer on the same stripe.
-    watchdog(Duration::from_secs(60), move || {
-        let stm = Stm::tl2();
-        let w = TVar::new(0u64);
-        // A fresh thread per run, as in `run_case`.
-        let [before, after] = thread::scope(|s| {
-            // A held (locked, unpublished) writer on `w`'s stripe makes
-            // every attempt's commit fail deterministically while its
-            // (empty) read set stays valid: the exact shape that must
-            // park, not spin, once the schedule's spin and yield tiers
-            // are spent.
-            let (publish, blocker) = hold_write(s, &stm, &w, 7);
-            let runner = s.spawn(|| stm.run(|tx| tx.write(&w, 8u64)));
-            while stm.stats().snapshot().parks == 0 {
-                thread::yield_now();
-            }
-            // The blocker still holds the stripe, so no attempt can
-            // have committed.
-            assert!(!runner.is_finished(), "a parked attempt cannot commit");
-            assert_eq!(w.load(), 0, "nothing published yet");
-            publish.send(()).expect("the blocker holds");
-            runner.join().expect("runner").expect("commits once woken");
-            blocker.join().expect("blocker")
-        });
-        assert_eq!(w.load(), 8, "the parked write landed on top");
-        let snap = stm.stats().snapshot();
-        assert_eq!(snap.commits, 2, "blocker and runner, nothing else: {snap}");
-        // One park, in progress on both sides of the publish, which
-        // woke it.
-        assert_eq!((before.parks, before.spurious_wakes), (1, 0), "{before}");
-        assert_eq!((after.parks, after.spurious_wakes), (1, 0), "{after}");
-        assert!(snap.wakes >= 1, "the publish wakes the park: {snap}");
-    });
+/// Yields until the instance's counters satisfy `done`.
+fn wait_until(stm: &Stm, done: impl Fn(&StatsSnapshot) -> bool) {
+    while !done(&stm.stats().snapshot()) {
+        thread::yield_now();
+    }
 }
 
-/// What a conflict-park scenario's runner does to the held variable.
+/// What a losing runner does to the held variable.
 #[derive(Debug, Clone, Copy)]
 enum Loser {
     /// Reads it: loses in the read hook.
@@ -642,14 +616,14 @@ enum Loser {
 }
 
 #[test]
-fn conflict_park_wakes_on_the_lock_holders_release() {
-    // A runner that loses to a held stripe lock records that lock, and
-    // once the retry schedule's spin and yield tiers are spent it parks
-    // on the lock until its holder releases it: the release, not the
-    // safety net, ends the park. Readers lose in the read hook (Tl2 and
-    // Incremental on a locked versioned word, Tlrw on a writer flag);
-    // an Mv reader reads its snapshot past a lock, so under Mv the
-    // runner loses its lock half instead.
+fn a_conflict_never_parks_however_long_it_loses() {
+    // A runner that keeps losing to a held stripe lock spends the spin
+    // tier and then yields, attempt after attempt, and never parks: a
+    // conflict waits on no transaction. Once the holder publishes, the
+    // next attempt finishes on top of it. Readers lose in the read hook
+    // (Tl2 and Incremental on a locked versioned word, Tlrw on a writer
+    // flag); an Mv reader reads its snapshot past a lock, so under Mv
+    // the runner loses its lock half instead.
     let cases = [
         (Algorithm::Tl2, Loser::Reader),
         (Algorithm::Incremental, Loser::Reader),
@@ -660,8 +634,10 @@ fn conflict_park_wakes_on_the_lock_holders_release() {
         for (algo, loser) in cases {
             let stm = Stm::new(algo);
             let v = TVar::new(0u64);
-            // A fresh thread per run, as in `run_case`.
-            let got = thread::scope(|s| {
+            // A fresh thread per run, as in `run_case`. The blocker
+            // publishes before any assertion, so a failing one cannot
+            // leave the runner stuck behind the lock.
+            let (stuck, finished_early, got) = thread::scope(|s| {
                 let (publish, blocker) = hold_write(s, &stm, &v, 7);
                 let runner = s.spawn(|| {
                     stm.run(|tx| match loser {
@@ -669,31 +645,29 @@ fn conflict_park_wakes_on_the_lock_holders_release() {
                         Loser::Writer => tx.write(&v, 8).map(|()| 8),
                     })
                 });
-                while stm.stats().snapshot().parks == 0 {
-                    thread::yield_now();
-                }
-                assert!(
-                    !runner.is_finished(),
-                    "{algo:?}: a parked attempt cannot finish"
-                );
+                wait_until(&stm, |snap| snap.aborts >= LOSSES || snap.parks > 0);
+                let stuck = stm.stats().snapshot();
+                let finished_early = runner.is_finished();
                 publish.send(()).expect("the blocker holds");
                 blocker.join().expect("blocker");
-                runner.join().expect("runner").expect("finishes once woken")
+                (stuck, finished_early, runner.join().expect("runner"))
             });
+            assert_eq!(stuck.parks, 0, "{algo:?}: a conflict parked: {stuck}");
+            assert!(
+                !finished_early,
+                "{algo:?}: the runner finished past a held lock"
+            );
+            let got = got.expect("finishes once the lock goes");
             let want = match loser {
                 Loser::Reader => 7,
                 Loser::Writer => 8,
             };
             assert_eq!(got, want, "{algo:?}: the runner ran after the publish");
             let snap = stm.stats().snapshot();
-            assert!(snap.parks >= 1, "{algo:?}: {snap}");
-            assert!(
-                snap.wakes >= 1,
-                "{algo:?}: the release wakes the park: {snap}"
-            );
             assert_eq!(
-                snap.spurious_wakes, 0,
-                "{algo:?}: a park outlived its lock: {snap}"
+                (snap.parks, snap.spurious_wakes),
+                (0, 0),
+                "{algo:?}: {snap}"
             );
         }
     });
@@ -712,7 +686,7 @@ fn run_ends_every_script_as_its_row_says() {
             release: Release::Nobody,
             skip: &[],
             expect: Ok(1),
-            stats: (1, 0, 0),
+            stats: (1, 0..=0, 0),
         },
         Case {
             name: "always conflicting, max_attempts(3)",
@@ -721,7 +695,7 @@ fn run_ends_every_script_as_its_row_says() {
             release: Release::Nobody,
             skip: &[Algorithm::Tlrw],
             expect: Err(3),
-            stats: (3, 3, 0),
+            stats: (3, 3..=3, 0),
         },
         Case {
             name: "one conflict against a budget of one",
@@ -730,7 +704,7 @@ fn run_ends_every_script_as_its_row_says() {
             release: Release::Nobody,
             skip: &[Algorithm::Tlrw],
             expect: Err(1),
-            stats: (1, 1, 0),
+            stats: (1, 1..=1, 0),
         },
         Case {
             name: "retry() released by a writer, budget of one",
@@ -739,7 +713,7 @@ fn run_ends_every_script_as_its_row_says() {
             release: Release::Writer,
             skip: &[],
             expect: Ok(9),
-            stats: (2, 1, 1),
+            stats: (2, 1..=1, 1),
         },
         Case {
             name: "retry() already satisfied at registration, budget of one",
@@ -748,17 +722,18 @@ fn run_ends_every_script_as_its_row_says() {
             release: Release::Nobody,
             skip: &[Algorithm::Tlrw],
             expect: Ok(9),
-            stats: (2, 1, 0),
+            stats: (2, 1..=1, 0),
         },
         Case {
-            // 65 conflicts spin and yield; the 66th reaches the park tier.
-            name: "conflict parked by the schedule, released by the blocker's publish",
+            // Past the 66th conflict, where the schedule once parked, it
+            // still yields.
+            name: "conflict outlasting every tier, released by the blocker's publish",
             build: Stm::new,
             script: blind_write,
             release: Release::Blocker,
             skip: &[Algorithm::Norec],
             expect: Ok(8),
-            stats: (2, 66, 1),
+            stats: (2, LOSSES..=u64::MAX, 0),
         },
     ];
 
@@ -769,10 +744,11 @@ fn run_ends_every_script_as_its_row_says() {
             }
             let ctx = format!("{} / {algo:?}", case.name);
             let snap = run_case(case, algo, &ctx);
-            assert_eq!(
-                (snap.commits, snap.aborts, snap.parks),
-                case.stats,
-                "{ctx}: (commits, aborts, parks) in {snap}"
+            let (commits, aborts, parks) = &case.stats;
+            assert!(
+                snap.commits == *commits && aborts.contains(&snap.aborts) && snap.parks == *parks,
+                "{ctx}: (commits, aborts, parks) {:?} in {snap}",
+                case.stats
             );
             assert_eq!(
                 (snap.wakes, snap.spurious_wakes),

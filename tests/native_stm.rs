@@ -1277,11 +1277,11 @@ fn heterogeneous_value_types() {
 }
 
 #[test]
-fn budget_is_checked_before_the_park_tier() {
-    // The retry schedule parks from the 66th consecutive conflict on, so
-    // a budget of 66 attempts is spent by exactly the first abort the
-    // schedule would park. The budget check comes first: the run gives
-    // up there, having parked never.
+fn an_exhausted_budget_gives_up_without_waiting_or_parking() {
+    // A budget of 66 attempts is spent by the 66th consecutive
+    // conflict, deep in the schedule's yield tier. The budget check
+    // comes before any backoff: the run gives up at that abort, and no
+    // conflict ever parks.
     let stm = Stm::builder(Algorithm::Tl2).max_attempts(66).build();
     let v = TVar::new(0u64);
     let out = stm.run(|tx| {

@@ -47,9 +47,8 @@ fn writer_facing_a_persistent_reader_is_bounded_under_immediate_retry() {
     // The deterministic no-livelock assertion: a reader camps on the
     // stripe for the whole test, so the writer would retry forever — the
     // attempt budget must stop it at *exactly* its bound, with every
-    // attempt accounted as a reader conflict. A budget of 64 runs out
-    // before the schedule's park tier (from the 66th conflict on), so
-    // every wait was a spin or a yield.
+    // attempt accounted as a reader conflict. Every wait between them
+    // was a spin or a yield: a conflict never parks.
     let stm = Arc::new(Stm::builder(Algorithm::Tlrw).max_attempts(64).build());
     let v = TVar::new(0u64);
     with_held_read_lock(&stm, &v, |release| {
