@@ -5,8 +5,7 @@
 
 use super::twophase::commit_group;
 use super::{RetriesExhausted, Retry, Stm, Transaction};
-use crate::waiter::{Buckets, WaitCell, PARK_TIMEOUT};
-use std::sync::Arc;
+use crate::waiter::PARK_TIMEOUT;
 
 /// Conflicts at or below this attempt index retry without waiting.
 const SPIN_AFTER: u64 = 2;
@@ -90,8 +89,8 @@ impl Stm {
         // Logical waits are not conflicts.
         let mut conflicts = 0;
         loop {
-            // A first attempt that commits touches no cell, no stripe
-            // list and no schedule.
+            // A first attempt that commits touches no waiter list and no
+            // schedule.
             let mut tx = Transaction::begin(self);
             if let Ok(out) = body(&mut tx) {
                 // The one commit body, on a group of one.
@@ -108,11 +107,8 @@ impl Stm {
                 // The epoch pin goes with the transaction: nothing below
                 // sleeps pinned.
                 drop(tx);
-                if let Some((cell, buckets)) = parked {
-                    if !cell.park(PARK_TIMEOUT) {
-                        self.stats.spurious_wake();
-                    }
-                    self.orecs.waiters().deregister(buckets, &cell);
+                if parked && !self.waiters.park(PARK_TIMEOUT) {
+                    self.stats.spurious_wake();
                 }
                 continue;
             }
@@ -133,31 +129,28 @@ impl Stm {
         }
     }
 
-    /// A logical wait's park protocol, up to the sleep; `None` if the
-    /// footprint was already overwritten. Ordering is the whole point —
-    /// register, *then* revalidate, *then* (the caller) resolve, sleep
-    /// and deregister: a writer that commits after registration finds
-    /// the cell on the lists and notifies it; one that committed before
-    /// registration shows up in the revalidation, which then skips the
-    /// sleep. (The SeqCst fences pairing register's tail with
-    /// `wake_stripes`' head close the remaining store-buffering window —
-    /// see the proof in `crate::waiter`.) The attempt is resolved
-    /// *after* this registration — Tlrw's still-held read locks are what
-    /// order any conflicting commit after it — and *before* the sleep,
-    /// so a parked thread pins no epoch, holds no read lock, blocks no
-    /// adaptive mode switch, and anchors no Mv snapshot.
+    /// A logical wait's park protocol, up to the sleep; `false` (and
+    /// withdrawn) if the footprint was already overwritten. Ordering is
+    /// the whole point — register, *then* revalidate, *then* (the
+    /// caller) resolve and sleep: a writer that commits after
+    /// registration finds the thread on the list and unparks it; one
+    /// that committed before registration shows up in the revalidation,
+    /// which then skips the sleep. (The SeqCst fences pairing register's
+    /// tail with `wake_stripes`' head close the remaining store-buffering
+    /// window — see the proof in `crate::waiter`.) The attempt is
+    /// resolved *after* this registration — Tlrw's still-held read locks
+    /// are what order any conflicting commit after it — and *before* the
+    /// sleep, so a parked thread pins no epoch, holds no read lock,
+    /// blocks no adaptive mode switch, and anchors no Mv snapshot.
     #[cold]
-    fn register_park(&self, tx: &Transaction<'_>) -> Option<(Arc<WaitCell>, Buckets)> {
-        let cell = WaitCell::for_thread();
-        let buckets = tx.wait_stripes();
-        let waiters = self.orecs.waiters();
-        waiters.register(buckets, &cell);
+    fn register_park(&self, tx: &Transaction<'_>) -> bool {
+        self.waiters.register(tx.wait_footprint());
         if tx.revalidate_for_park() {
             self.stats.park();
-            Some((cell, buckets))
+            true
         } else {
-            waiters.deregister(buckets, &cell);
-            None
+            self.waiters.withdraw();
+            false
         }
     }
 }

@@ -6,6 +6,7 @@ use crate::epoch::SnapshotRegistry;
 use crate::orec::{self, CachePadded, OrecTable};
 use crate::recorder::HistoryRecorder;
 use crate::stats::StmStats;
+use crate::waiter::Waiters;
 use crate::wal::Wal;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -172,11 +173,11 @@ impl StmBuilder {
         clock: Arc<CachePadded<AtomicU64>>,
         snapshots: Option<SnapshotRegistry>,
     ) -> Stm {
-        // NOrec never touches orecs and parks every waiter on stripe 0,
-        // so one stripe still earns its arm: it saves 8 KB of words at
-        // the default stripe count (the waiter table is a fixed 16
-        // buckets whatever the count). Tlrw's reads RMW their words, so
-        // it keeps one word per cache line pair (`OrecTable::spread_out`).
+        // NOrec never touches orecs (its waiters all wait on the clock,
+        // as stripe 0), so one stripe still earns its arm: it saves 8 KB
+        // of words at the default stripe count. Tlrw's reads RMW their
+        // words, so it keeps one word per cache line pair
+        // (`OrecTable::spread_out`).
         let orecs = match self.algorithm {
             Algorithm::Norec => OrecTable::new(1),
             Algorithm::Tlrw => OrecTable::spread_out(self.orec_stripes),
@@ -199,6 +200,7 @@ impl StmBuilder {
             algorithm: self.algorithm,
             clock,
             orecs,
+            waiters: Waiters::default(),
             stats,
             max_attempts: self.max_attempts,
             recorder: self.recorder,

@@ -61,8 +61,8 @@
 //! transaction never dirties shared state. A conflict retries on one
 //! fixed schedule — run again, spin, then yield — and never sleeps: it
 //! waits on no transaction. Only a [`Transaction::retry`] logical wait
-//! stops consuming CPU, blocked on the orec table's per-stripe waiter
-//! lists until a committing writer overlaps its read footprint.
+//! stops consuming CPU, parked on the instance's waiter list until a
+//! committing writer overlaps its read footprint.
 
 mod attempt;
 mod builder;
@@ -80,6 +80,7 @@ use crate::epoch::SnapshotRegistry;
 use crate::orec::{CachePadded, OrecTable};
 use crate::recorder::HistoryRecorder;
 use crate::stats::StmStats;
+use crate::waiter::Waiters;
 use crate::wal::Wal;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -253,6 +254,9 @@ pub struct Stm {
     /// Striped metadata words: versioned locks (TL2/Incremental/Mv) or
     /// reader–writer locks (Tlrw); unused by NOrec.
     pub(crate) orecs: OrecTable,
+    /// Threads parked in a logical wait, with their read footprints
+    /// ([`crate::waiter`]).
+    pub(crate) waiters: Waiters,
     pub(crate) stats: Arc<StmStats>,
     pub(super) max_attempts: u64,
     /// Present when this instance records t-operation histories.
@@ -384,12 +388,11 @@ impl Stm {
         self.snapshots.is_some() && Arc::ptr_eq(&self.clock, &other.clock)
     }
 
-    /// Wakes every waiter parked on one of `stripes` (the stripes a
+    /// Wakes every waiter whose footprint meets `stripes` (the stripes a
     /// commit just published): the writer's half of the parking
-    /// protocol. Cheap when nobody waits — one fence and one counter
-    /// load.
+    /// protocol. Cheap when nobody waits — one fence and one load.
     pub(crate) fn wake_stripes(&self, stripes: impl IntoIterator<Item = usize>) {
-        let n = self.orecs.waiters().wake_stripes(stripes);
+        let n = self.waiters.wake(stripes);
         self.stats.woke(n);
     }
 }

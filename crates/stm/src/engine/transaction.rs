@@ -11,7 +11,7 @@ use crate::recorder::{word_of, HistoryRecorder, RecTx};
 use crate::stats::OpTally;
 use crate::tvar::{TVar, TxValue, WriteNode};
 use crate::txlog::LogLoan;
-use crate::waiter::Buckets;
+use crate::waiter::footprint;
 use crate::wal::DurableTicket;
 use ptm_sim::{TOpDesc, TOpResult};
 use std::fmt;
@@ -35,9 +35,9 @@ pub struct Transaction<'s> {
     pub(super) poisoned: bool,
     /// Set by [`Transaction::retry`]: the attempt aborted because the
     /// *data* said wait, not because a conflict said hurry. The attempt
-    /// loop parks such attempts on their read footprint's waiter lists
-    /// instead of running the retry schedule (a logical wait is not
-    /// contention — it must not consume backoff or attempt budget).
+    /// loop parks such attempts on the waiter list, with their read
+    /// footprint, instead of running the retry schedule (a logical wait is
+    /// not contention — it must not consume backoff or attempt budget).
     pub(super) waiting: bool,
     /// Set by the resolve point: the attempt's outcome is counted and
     /// everything it held is released, so `Drop` has nothing left to do
@@ -543,10 +543,11 @@ impl<'s> Transaction<'s> {
     ///
     /// Unlike a conflict abort, a logical wait consumes no attempt
     /// budget and no retry-schedule backoff: the thread parks on the
-    /// read footprint's per-stripe waiter lists (a safety-net timeout
-    /// bounds the sleep even if no writer ever shows up). An
-    /// attempt that retries before reading anything has an empty
-    /// footprint and simply sleeps out the timeout.
+    /// instance's waiter list with its read footprint until a commit
+    /// writes a stripe of it (a safety-net timeout bounds the sleep even
+    /// if no writer ever shows up). An attempt that retries before
+    /// reading anything has an empty footprint and simply sleeps out the
+    /// timeout.
     ///
     /// Returns [`Retry`] so it slots into any return position; the
     /// attempt is poisoned either way, so swallowing the error cannot
@@ -669,22 +670,22 @@ impl<'s> Transaction<'s> {
         }
     }
 
-    /// The waiter buckets a logical wait parks on: those of its read
-    /// footprint, which a commit must overwrite to ready it.
-    pub(super) fn wait_stripes(&self) -> Buckets {
+    /// The footprint a logical wait parks with: that of its read
+    /// stripes, which a commit must overwrite to ready it.
+    pub(super) fn wait_footprint(&self) -> u64 {
         match self.mode {
             Hooks::Tl2 | Hooks::Incremental | Hooks::Mv => {
-                Buckets::of(self.log.reads.iter().map(|r| r.stripe))
+                footprint(self.log.reads.iter().map(|r| r.stripe))
             }
-            Hooks::Tlrw => Buckets::of(self.log.rw_reads.iter().copied()),
+            Hooks::Tlrw => footprint(self.log.rw_reads.iter().copied()),
             // NOrec has one conflict channel — the global sequence lock —
-            // so every waiter hangs off stripe 0 and every commit sweeps
+            // so every waiter waits on stripe 0 and every commit sweeps
             // it.
-            Hooks::Norec => Buckets::of([0]),
+            Hooks::Norec => footprint([0]),
         }
     }
 
-    /// Re-checks, after registering on the waiter lists but before
+    /// Re-checks, after registering on the waiter list but before
     /// sleeping, that a logical wait still has something to wait for: no
     /// commit has already invalidated (= readied) its read set. Parking
     /// on a stale snapshot would sleep through a wake-up that already

@@ -49,7 +49,6 @@
 //! A Tlrw table is therefore [`spread out`](OrecTable::spread_out), one
 //! word per 128-byte line pair, and read at par with the padded table.
 
-use crate::waiter::WaiterTable;
 use std::sync::atomic::AtomicU64;
 
 /// Default number of stripes per [`Stm`](crate::Stm) instance.
@@ -106,19 +105,13 @@ pub(crate) fn rw_reader_count(word: u64) -> u64 {
     word >> 1
 }
 
-/// A power-of-two table of versioned lock words, with the waiter lists
-/// of parked transactions keyed by the same stripes.
+/// A power-of-two table of versioned lock words.
 pub(crate) struct OrecTable {
     words: Box<[AtomicU64]>,
     mask: usize,
     /// A stripe's word is `words[stripe << spread]`: 0 (dense) but in a
     /// [`spread_out`](Self::spread_out) table.
     spread: u32,
-    /// Parked-waiter lists, keyed by the stripes of the words above
-    /// (hashed into a fixed number of buckets), so the stripes a commit
-    /// publishes name the wait channels it must sweep — whichever
-    /// algorithm (or adaptive mode) stamped the stripe.
-    waiters: WaiterTable,
 }
 
 impl OrecTable {
@@ -143,13 +136,7 @@ impl OrecTable {
             words,
             mask: n - 1,
             spread,
-            waiters: WaiterTable::new(),
         }
-    }
-
-    /// The waiter lists.
-    pub(crate) fn waiters(&self) -> &WaiterTable {
-        &self.waiters
     }
 
     /// Number of stripes.

@@ -317,13 +317,13 @@ counters! {
     /// blind-writer commits cannot dilute. Adaptive only, like
     /// `ro_commits`.
     ro_reads: sum, "ro_reads";
-    /// Attempts that parked on the orec table's waiter lists instead of
+    /// Attempts that parked on the instance's waiter list instead of
     /// re-running: logical waits (`Transaction::retry`) only, since a
     /// conflict never parks ([`Stm::run`](crate::Stm::run)). A parked
     /// attempt does no spinning and no validation probing until woken.
     parks: sum, "parks";
-    /// Parked waiters actually woken by a committing writer's wake sweep
-    /// over an overlapping stripe.
+    /// Parked waiters actually woken by a committing writer's wake sweep:
+    /// those whose footprint meets a written stripe's bit.
     wakes: sum, "wakes";
     /// Parks that ended by safety-net timeout rather than a writer's
     /// wake — the lost-wakeup canary (≈ 0 in a healthy run; an idle
@@ -412,7 +412,7 @@ impl StmStats {
         self.local().eviction_aborts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one attempt parking on the waiter lists. Cold path by
+    /// Records one attempt parking on the waiter list. Cold path by
     /// construction (the attempt is about to sleep), so it writes the
     /// shard directly instead of riding an [`OpTally`].
     pub(crate) fn park(&self) {

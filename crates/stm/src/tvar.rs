@@ -406,11 +406,13 @@ impl<T: TxValue> TVarInner<T> {
     /// their version — except when [`AnyTVar::cap_chain`] evicted it,
     /// which the walk reports as `Err(Evicted)` (abort and retry with a
     /// fresh snapshot). Walking off the end *without* an eviction mark
-    /// only arises when a variable written under one `Stm` is later read
-    /// under another whose (fresh, smaller) clock is below every
-    /// retained stamp — a sequential handoff, where the correct answer
-    /// is the *current* value: fall back to the head, agreeing with
-    /// [`Self::read_snapshot`] and every single-version algorithm.
+    /// only arises when a variable written under one timestamp domain is
+    /// later read under another whose (fresh, smaller) clock is below
+    /// every retained stamp: the walk then falls back to the head. That
+    /// covers only a walk that falls off the chain; one whose chain still
+    /// holds a stamp-0 tail (the initial version, or a bare node) stops
+    /// there and reads that tail, however stale. Snapshot reads are
+    /// defined within one timestamp domain (see [`TVar`]).
     ///
     /// The walk follows `prev`, so it visits one node per retained
     /// version stamped after `rv`: free at the head (the common case, a
@@ -646,6 +648,16 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
 /// A transactional variable holding a `T`.
 ///
 /// Cheap to clone (it is an `Arc` handle); clones refer to the same cell.
+///
+/// Snapshot reads (`Algorithm::Mv`, and `Algorithm::Adaptive` in its Mv
+/// mode) are defined within one timestamp domain: the instances that
+/// share a clock ([`StmBuilder::build_beside`](crate::StmBuilder::build_beside)).
+/// A version carries a tick of the clock that stamped it, so a variable
+/// written under one domain and then read at a snapshot of another may
+/// read an older version its chain still holds instead of the current
+/// value, or, once a bound has evicted from its chain, abort at every
+/// read below its retained stamps. The single-version algorithms and
+/// [`TVar::load`] read the current value under any instance.
 ///
 /// # Examples
 ///

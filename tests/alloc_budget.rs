@@ -305,11 +305,11 @@ const STRIPES: usize = 1024;
 
 /// What building an instance may request besides its lock words: the
 /// statistics' 16 cache-padded counter shards (4 KB), the padded clock,
-/// the waiter table (16 buckets of 40 bytes, whatever the stripe
-/// count), and an Mv or Adaptive instance's snapshot registry and
-/// adaptive state, a few hundred bytes between them. Less than a waiter
-/// bucket per stripe (40 KB at 1 024 stripes), so a table that grew
-/// with the stripe count again fails here.
+/// and an Mv or Adaptive instance's snapshot registry and adaptive
+/// state, a few hundred bytes between them. The waiter list is an empty
+/// `Vec` and requests nothing until the first park. Less than 40 bytes
+/// of waiter state per stripe (40 KB at 1 024 stripes), so waiter state
+/// that grew with the stripe count again fails here.
 const INSTANCE_ALLOWANCE: u64 = 8 * 1024;
 
 #[test]
@@ -332,16 +332,16 @@ fn an_instance_requests_its_lock_words_and_a_fixed_allowance() {
 }
 
 #[test]
-fn the_waiter_table_comes_with_the_instance_and_a_park_stays_under_1_kb() {
+fn the_first_park_stays_under_1_kb_and_a_second_requests_nothing() {
     let _alone = alone();
-    // The parent built a 40 KB table (a bucket per stripe) at the first
-    // park, outside the instance's allowance.
+    // A waiter table built at the first park, or anything allocated per
+    // park, fails here.
     let mut stm = None;
     let built = bytes_in(|| stm = Some(Stm::builder(Algorithm::Tl2).orec_stripes(STRIPES).build()));
     let words = 8 * STRIPES as u64;
     assert!(
         built <= words + INSTANCE_ALLOWANCE,
-        "building the instance and its waiter table requested {built} bytes, \
+        "building the instance and its waiter list requested {built} bytes, \
          over {words} of words and {INSTANCE_ALLOWANCE} allowed besides"
     );
     let stm = Arc::new(stm.expect("built"));
@@ -375,10 +375,11 @@ fn the_waiter_table_comes_with_the_instance_and_a_park_stays_under_1_kb() {
     let [first, second] = waiter.join().expect("waiter");
     let snap = stm.stats().snapshot();
     assert_eq!((snap.parks, snap.spurious_wakes), (2, 0), "{snap}");
-    // A park's cell and its slot in one bucket's list.
+    // The first park grows the list to hold its entry; the second finds
+    // the room it left.
     assert!(
         first < 1024,
         "the first park requested {first} bytes: a table built at the park?"
     );
-    assert!(second < 1024, "the second park requested {second} bytes");
+    assert_eq!(second, 0, "the second park requested {second} bytes");
 }

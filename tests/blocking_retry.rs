@@ -16,7 +16,7 @@ use progressive_tm::stm::{
 use progressive_tm::structs::TQueue;
 use std::collections::HashSet;
 use std::ops::RangeInclusive;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -41,7 +41,16 @@ fn watchdog(timeout: Duration, scenario: impl FnOnce() + Send + 'static) {
         Ok(()) => {
             let _ = t.join();
         }
-        Err(_) => panic!("scenario exceeded its {timeout:?} watchdog — lost wakeup?"),
+        // The scenario panicked before it could report: its sender is
+        // gone, so hand its own panic on, not a hang.
+        Err(RecvTimeoutError::Disconnected) => {
+            if let Err(panic) = t.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("scenario exceeded its {timeout:?} watchdog — lost wakeup?")
+        }
     }
 }
 
@@ -240,8 +249,8 @@ fn register_vs_commit_interleaving_never_strands_the_waiter() {
 #[test]
 fn first_parks_race_to_register_on_fresh_instances() {
     // On a fresh instance the waiters' first parks race each other to
-    // register (their keys' stripes may share a wait bucket, whose list
-    // and counts they then update together) and the writer's wake sweeps
+    // register (their keys' stripes may share a footprint bit, and all
+    // of them update the one list and its union word) and the writer's wake sweeps
     // race them to find the registrations. Every round takes a fresh
     // instance (each algorithm in turn); the writer starts a little later
     // each round, from before any waiter has read to after all have
@@ -491,7 +500,7 @@ fn blind_write(_: &Stm, v: &TVar<u64>, tx: &mut Transaction<'_>) -> Result<u64, 
 const LOSSES: u64 = 100;
 
 /// What lets the script finish once it is stuck: a logical wait on the
-/// waiter lists, or a conflict that keeps losing to a held lock.
+/// waiter list, or a conflict that keeps losing to a held lock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Release {
     /// Nothing: the script never sleeps.
@@ -579,7 +588,7 @@ fn run_case(case: &Case, algo: Algorithm, ctx: &str) -> StatsSnapshot {
                 }
                 None if release == Release::Writer => {
                     // The park is counted once the attempt is on the
-                    // waiter lists, so this commit wakes it.
+                    // waiter list, so this commit wakes it.
                     wait_until(&stm2, |snap| snap.parks > 0);
                     stm2.atomically(|tx| tx.write(&v2, 9));
                 }
