@@ -61,6 +61,7 @@ use ptm_stm::{AdaptiveConfig, Algorithm, Retry, Stm, StmStats, Transaction, TxVa
 use ptm_structs::THashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Identifies the shard-routing hash algorithm. Shard assignment is
@@ -195,6 +196,11 @@ pub struct ShardedKv<K, V> {
     /// The store's write-ahead log set, present on a store opened with
     /// [`ShardedKv::open`]: every write is journaled into it.
     pub(crate) journal: Option<Journal<K, V>>,
+    /// The length of the last scan's result, which sizes the next
+    /// scan's buffer. Only a hint: read and written `Relaxed`, and
+    /// written only when it changes, so scans of a steady store share
+    /// no written line.
+    last_scan_len: AtomicUsize,
 }
 
 impl<K, V> fmt::Debug for ShardedKv<K, V> {
@@ -256,6 +262,7 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
         ShardedKv {
             shards: shards.into_boxed_slice(),
             journal: None,
+            last_scan_len: AtomicUsize::new(0),
         }
     }
 
@@ -358,10 +365,16 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
     /// show a transfer half-applied.
     ///
     /// Every shard appends to one vector ([`ServiceTx::shard_snapshot`]),
-    /// so each entry is written once; a re-run clears the vector and
-    /// keeps its capacity.
+    /// so each entry is written once. The vector is allocated once, at
+    /// the last scan's length plus 1/16 (a store that grew a little
+    /// still fits), and a re-run clears it and keeps its capacity; only
+    /// a store that grew by more than the slack since the last scan
+    /// pays a regrowth. A warm scan of a steady store therefore
+    /// allocates twice: this vector and the cross-shard transaction's
+    /// slot table.
     pub fn scan(&self) -> Vec<(K, V)> {
-        let mut out = Vec::new();
+        let last = self.last_scan_len.load(Ordering::Relaxed);
+        let mut out = Vec::with_capacity(last + last / 16);
         self.transact(|tx| {
             out.clear();
             for s in 0..tx.kv.shard_count() {
@@ -369,6 +382,9 @@ impl<K: TxValue + Hash + Eq, V: TxValue> ShardedKv<K, V> {
             }
             Ok(())
         });
+        if out.len() != last {
+            self.last_scan_len.store(out.len(), Ordering::Relaxed);
+        }
         out
     }
 

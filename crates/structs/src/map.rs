@@ -286,9 +286,11 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
     }
 
     /// [`snapshot`](Self::snapshot) appended to `out`: one
-    /// [`Transaction::read_each`] over the buckets copies each in place,
-    /// once, into the caller's buffer, so a caller gathering several
-    /// maps (or re-running) reuses one allocation.
+    /// [`Transaction::read_each`] over the buckets clones each entry in
+    /// place, once, into the caller's buffer, and allocates nothing
+    /// itself when `out` has room. A caller gathering several maps (or
+    /// re-running) reuses one allocation; one that sizes `out` up front
+    /// makes it the only one.
     ///
     /// # Errors
     ///
@@ -300,7 +302,9 @@ impl<K: TxValue + Hash + Eq, V: TxValue> THashMap<K, V> {
         tx: &mut Transaction<'_>,
         out: &mut Vec<(K, V)>,
     ) -> Result<(), Retry> {
-        tx.read_each(&self.buckets, |bucket| out.extend_from_slice(bucket))
+        // Entry by entry: `extend_from_slice` would make one `memcpy`
+        // call per bucket, dearer than copying its few entries inline.
+        tx.read_each(&self.buckets, |bucket| out.extend(bucket.iter().cloned()))
     }
 }
 

@@ -276,13 +276,14 @@ fn a_new_variable_requests_one_word_of_cell_and_a_bare_node() {
 #[test]
 fn a_scan_fills_one_buffer() {
     let _alone = alone();
-    // One warm `scan()` of the 256-key store: the result vector doubling
-    // from 4 to 256 entries (7) and the cross-shard transaction's slot
-    // table, which its group commit reuses in place as the group. Mv
-    // siblings share nothing on the heap: the group commit reads "wrote
-    // nothing, one `rv`" off its members.
+    // One warm `scan()` of the 256-key store: the result vector, sized
+    // from the last scan's length, and the cross-shard transaction's
+    // slot table, which its group commit reuses in place as the group.
+    // Mv siblings share nothing on the heap: the group commit reads
+    // "wrote nothing, one `rv`" off its members. Parent commit: 8 (the
+    // result vector doubled from 4 to 256 entries, 7 calls).
     const SCANS: u64 = 100;
-    for (algorithm, per_scan) in [(Algorithm::Tl2, 8), (Algorithm::Mv, 8)] {
+    for algorithm in [Algorithm::Tl2, Algorithm::Mv] {
         let kv = warm_store(algorithm);
         for _ in 0..8 {
             assert_eq!(kv.scan().len(), KEYS as usize);
@@ -294,8 +295,67 @@ fn a_scan_fills_one_buffer() {
         });
         assert_eq!(
             n,
-            per_scan * SCANS,
+            2 * SCANS,
             "{algorithm:?}: {SCANS} scans allocated {n} times"
+        );
+    }
+}
+
+/// One scan of `kv`, sorted by key, and the allocations it made.
+fn counted_scan(kv: &ShardedKv<u64, u64>) -> (Vec<(u64, u64)>, u64) {
+    let mut out = Vec::new();
+    let n = allocations_in(|| out = kv.scan());
+    out.sort_unstable();
+    (out, n)
+}
+
+#[test]
+fn the_scan_size_hint_never_changes_what_a_scan_returns() {
+    let _alone = alone();
+    // The store grows by a quarter, past the hint's 1/16 slack: the
+    // next scan regrows its vector once and still returns every key
+    // exactly once. It shrinks by half: the scan after the one that
+    // saw it is sized to the survivors.
+    for algorithm in [Algorithm::Tl2, Algorithm::Mv] {
+        let kv = warm_store(algorithm);
+        assert_eq!(kv.scan().len(), KEYS as usize);
+
+        const GROWN: u64 = KEYS + KEYS / 4;
+        for k in KEYS..GROWN {
+            kv.put(k, k * 10);
+        }
+        let all: Vec<(u64, u64)> = (0..GROWN).map(|k| (k, k * 10)).collect();
+        let (out, n) = counted_scan(&kv);
+        assert_eq!(out, all, "{algorithm:?}: the first scan after growth");
+        assert!(
+            n <= 3,
+            "{algorithm:?}: the first scan after growth allocated {n} times"
+        );
+        let (out, n) = counted_scan(&kv);
+        assert_eq!(out, all, "{algorithm:?}: the second scan after growth");
+        assert_eq!(
+            n, 2,
+            "{algorithm:?}: the second scan after growth allocated {n} times"
+        );
+
+        for k in (0..GROWN).step_by(2) {
+            assert_eq!(kv.remove(&k), Some(k * 10));
+        }
+        let survivors: Vec<(u64, u64)> = (1..GROWN).step_by(2).map(|k| (k, k * 10)).collect();
+        let (out, _) = counted_scan(&kv);
+        assert_eq!(
+            out, survivors,
+            "{algorithm:?}: the first scan after removal"
+        );
+        let (out, _) = counted_scan(&kv);
+        let (len, capacity) = (out.len(), out.capacity());
+        assert_eq!(
+            out, survivors,
+            "{algorithm:?}: the second scan after removal"
+        );
+        assert!(
+            capacity <= len + len / 16 + 1,
+            "{algorithm:?}: {len} survivors in a vector of capacity {capacity}"
         );
     }
 }
