@@ -35,7 +35,8 @@
 //!   shared instance per algorithm driven through `scan_heavy →
 //!   write_heavy → mixed` phases, each timed separately. The scan-heavy
 //!   phase (full-array read-only scans racing one blind writer, whose
-//!   commits outnumber the scans) routes Adaptive into multiversion
+//!   commits outnumber the scans, paced so that every sampling window
+//!   holds a scan commit) routes Adaptive into multiversion
 //!   mode; the transfers, which commit nothing read-only, route it back
 //!   to invisible; the mixed tail's 32-read scans are too short to leave
 //!   it. The acceptance picture is Adaptive within its switching lag of
@@ -64,7 +65,7 @@ use crate::harness::{
     doublings, measure, next_rand, run_threads, thread_ladder, timed, Algo, Cell, Cells, Family,
     Spec,
 };
-use ptm_stm::{Algorithm, Retry, StatsSnapshot, Stm, TVar, Transaction};
+use ptm_stm::{AdaptiveConfig, Algorithm, Retry, StatsSnapshot, Stm, TVar, Transaction};
 use ptm_structs::TQueue;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -98,21 +99,35 @@ fn sum_all(tx: &mut Transaction<'_>, vars: &[TVar<u64>]) -> Result<u64, Retry> {
 /// no validation probes and the probe counter isolates the read-only
 /// side). The storm is what separates the engines: multi-version scans
 /// resolve against start-time snapshots and never retry, single-version
-/// scans revalidate or abort. Returns `(nanos, reader aborts)` —
-/// attempts minus commits, counted reader-side.
+/// scans revalidate or abort. A writer commits at most `lead` times
+/// between two scan commits it sees, then yields until the next one
+/// (`u64::MAX`: unpaced). Returns `(nanos, reader aborts)` — attempts
+/// minus commits, counted reader-side.
 fn pass_scans(
     stm: &Stm,
     vars: &[TVar<u64>],
     writers: usize,
     readers: usize,
     txns: u64,
+    lead: u64,
 ) -> (u128, u64) {
     let readers_done = AtomicU64::new(0);
+    let scans = AtomicU64::new(0);
     let aborts = AtomicU64::new(0);
     let nanos = run_threads(writers + readers, |t| {
         if t < writers {
             let mut seed = t as u64 + 1;
+            let (mut seen, mut ahead) = (0, 0);
             while readers_done.load(Ordering::Relaxed) < readers as u64 {
+                let now = scans.load(Ordering::Relaxed);
+                if now != seen {
+                    (seen, ahead) = (now, 0);
+                }
+                if ahead >= lead {
+                    std::thread::yield_now();
+                    continue;
+                }
+                ahead += 1;
                 let j = next_rand(&mut seed) as usize % vars.len();
                 stm.atomically(|tx| tx.write(&vars[j], 1));
             }
@@ -124,6 +139,7 @@ fn pass_scans(
                     sum_all(tx, vars)
                 });
                 assert_eq!(sum, vars.len() as u64);
+                scans.fetch_add(1, Ordering::Relaxed);
             }
             aborts.fetch_add(attempts - txns, Ordering::Relaxed);
             readers_done.fetch_add(1, Ordering::Relaxed);
@@ -135,13 +151,19 @@ fn pass_scans(
 /// One timed pass of uncontested read-only scans: `txns` full-array
 /// scans on each of `threads` threads.
 fn pass_read_only(stm: &Stm, vars: &[TVar<u64>], threads: usize, txns: u64) -> u128 {
-    pass_scans(stm, vars, 0, threads, txns).0
+    pass_scans(stm, vars, 0, threads, txns, u64::MAX).0
 }
 
 /// One timed pass of the scan-heavy phase shape: [`pass_scans`] with
-/// one blind writer against `threads − 1` scanners.
+/// one blind writer against `threads − 1` scanners, the writer paced to
+/// one adaptive sampling window less one commit per scan commit. So
+/// every window holds a scan however the scheduler slices the threads:
+/// unpaced, a writer left alone for a time slice on a loaded host fills
+/// whole windows with writes, which vote invisible and can send
+/// Adaptive back to Tl2 before any scan begins on the Mv hooks.
 fn pass_scan_heavy(stm: &Stm, vars: &[TVar<u64>], threads: usize, txns: u64) -> u128 {
-    pass_scans(stm, vars, 1, threads - 1, txns).0
+    let lead = AdaptiveConfig::default().window_commits - 1;
+    pass_scans(stm, vars, 1, threads - 1, txns, lead).0
 }
 
 /// One timed pass of the read-mostly shape over one shared array: every
@@ -369,7 +391,8 @@ fn bench_long_scan(algos: &[Algo], m: usize, writers: usize, txns: u64) -> Cells
         .iter()
         .map(|&(_, algo)| Instance::new(algo, m, 0))
         .collect();
-    let pass = |inst: &Instance, txns| pass_scans(&inst.stm, &inst.vars, writers, 1, txns);
+    let pass =
+        |inst: &Instance, txns| pass_scans(&inst.stm, &inst.vars, writers, 1, txns, u64::MAX);
     let best = measure(
         &mut instances,
         |inst| {

@@ -32,11 +32,8 @@
 //! commit (`ro_reads / ro_commits` in [`StatsSnapshot`]; a read counts
 //! the same under either mode's hooks). The window votes multiversion iff
 //! its read-only commits averaged at least
-//! [`AdaptiveConfig::mv_scan_reads`] reads and no snapshot read was
-//! aborted by a [`MvConfig`](crate::MvConfig) space bound
-//! (`eviction_aborts`: the bound no longer fits the camping pattern, and
-//! invisible reads need no chains). Otherwise it votes invisible — also
-//! when the window held no read-only commit at all.
+//! [`AdaptiveConfig::mv_scan_reads`] reads. Otherwise it votes invisible
+//! — also when the window held no read-only commit at all.
 //!
 //! Counting per read-only commit, not per commit, makes the vote
 //! flood-proof: ten 256-read scans racing 990 blind one-write commits
@@ -255,11 +252,9 @@ fn sample(stm: &Stm, ad: &AdaptiveState, ctl: &mut Ctl) {
 }
 
 /// The mode this window votes for: `Mv` iff its read-only commits
-/// averaged at least `mv_scan_reads` reads and no snapshot read was
-/// evicted, `Tl2` otherwise.
+/// averaged at least `mv_scan_reads` reads, `Tl2` otherwise.
 fn desired(cfg: &AdaptiveConfig, d: &StatsSnapshot) -> Hooks {
-    let scans = d.ro_commits > 0 && d.ro_reads as f64 / d.ro_commits as f64 >= cfg.mv_scan_reads;
-    if scans && d.eviction_aborts == 0 {
+    if d.ro_commits > 0 && d.ro_reads as f64 / d.ro_commits as f64 >= cfg.mv_scan_reads {
         Hooks::Mv
     } else {
         Hooks::Tl2
@@ -313,18 +308,6 @@ mod tests {
         };
         assert_eq!(desired(&cfg, &d), Hooks::Tl2);
         assert_eq!(desired(&cfg, &window(0, 0, 0)), Hooks::Tl2);
-    }
-
-    #[test]
-    fn eviction_aborts_vote_invisible_even_for_scans() {
-        // Still scan-heavy, but snapshots are aging out of capped chains:
-        // the space bound no longer fits the camping pattern.
-        let cfg = AdaptiveConfig::default();
-        let d = StatsSnapshot {
-            eviction_aborts: 3,
-            ..window(100, 100, 10_000)
-        };
-        assert_eq!(desired(&cfg, &d), Hooks::Tl2);
     }
 
     #[test]

@@ -133,6 +133,6 @@ pub(crate) fn read_inline<T: TxValue, R>(
         Hooks::Incremental => incremental::read(tx, var, f),
         Hooks::Norec => norec::read(tx, var, f),
         Hooks::Tlrw => tlrw::read(tx, var, f),
-        Hooks::Mv => mv::read(tx, var, f),
+        Hooks::Mv => Ok(mv::read(tx, var, f)),
     }
 }

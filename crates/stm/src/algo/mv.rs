@@ -9,8 +9,8 @@
 //! shared-memory writes** — so a read-only transaction observes the
 //! consistent cut named by its start time and commits without ever
 //! aborting, no matter how hard writers storm. The chain is trimmed by
-//! *liveness* (the low watermark), so a retained snapshot is never
-//! evicted.
+//! *liveness* alone (the low watermark), so every version a live
+//! snapshot names stays reachable.
 //!
 //! Updating transactions pay the usual single-version price: commit
 //! locks the write set's stripes in sorted order (the same versioned
@@ -31,17 +31,9 @@
 //!    it out rather than guessing);
 //! 4. trim each written chain against the registry's low watermark —
 //!    one floor-first slot scan per publish (see `crate::epoch`), taken
-//!    after the committers' snapshots are withdrawn — then enforce the
-//!    optional [`MvConfig::max_versions`](crate::MvConfig) bound by
-//!    evicting the oldest suffix, retiring detached versions through the
-//!    epoch collector;
+//!    after the committers' snapshots are withdrawn — retiring detached
+//!    versions through the epoch collector;
 //! 5. release the stripe locks restamped to `wv`.
-//!
-//! Under a `max_versions` bound a camped snapshot whose version was
-//! evicted aborts at its next read (`eviction_aborts` in
-//! [`StatsSnapshot`](crate::StatsSnapshot)) and retries on a fresh,
-//! retained snapshot — space stays bounded no matter how long a reader
-//! camps.
 //!
 //! The clock-draw-after-append order is what makes snapshots sound: a
 //! reader can only draw `rv >= wv` after the clock reached `wv`, by
@@ -98,10 +90,10 @@
 //! draw at the start of [`publish`], ahead of the group's validate-all.
 
 use super::versioned;
-use crate::engine::{Retry, Stm, Transaction};
+use crate::engine::{Stm, Transaction};
 use crate::epoch;
 use crate::orec::stamped;
-use crate::tvar::{Evicted, TVar, TxValue};
+use crate::tvar::{TVar, TxValue};
 use crate::txlog::VersionedRead;
 use std::sync::atomic::Ordering;
 
@@ -122,10 +114,8 @@ pub(crate) fn begin(tx: &mut Transaction<'_>) -> u64 {
 /// Snapshot read: walk the chain to the newest version stamped at or
 /// before `rv`. No orec probe, no validation; the read set records only
 /// the stripe and the snapshot bound, for the *commit-time* validation
-/// an updating transaction must still pass. The only abort is the
-/// oldest-snapshot rule: under a [`max_versions`](crate::MvConfig)
-/// bound, a snapshot whose version was evicted retries with a fresh
-/// (hence retained) snapshot.
+/// an updating transaction must still pass. Never aborts: the version
+/// the snapshot names is retained for as long as the snapshot lives.
 ///
 /// Inlined into `Transaction::read_each`'s batch loop: called out of
 /// line there, a warm Mv scan ran about 30 % slower per key.
@@ -134,23 +124,16 @@ pub(crate) fn read<T: TxValue, R>(
     tx: &mut Transaction<'_>,
     var: &TVar<T>,
     f: impl FnOnce(&T) -> R,
-) -> Result<R, Retry> {
+) -> R {
     let stripe = tx.stm.orecs.stripe_of(var.id());
     tx.log.reads.push(VersionedRead {
         stripe,
         meta: tx.rv,
     });
     tx.tally.snapshot_read();
-    match var.inner.read_at_counted(&tx.pin, tx.rv, f) {
-        Ok((out, steps)) => {
-            tx.tally.chain_walk(steps);
-            Ok(out)
-        }
-        Err(Evicted) => {
-            tx.stm.stats.eviction_abort();
-            Err(Retry)
-        }
-    }
+    let (out, steps) = var.inner.read_at_counted(&tx.pin, tx.rv, f);
+    tx.tally.chain_walk(steps);
+    out
 }
 
 /// Append publish, for every commit of an instance that serves
@@ -224,17 +207,6 @@ fn finish(tx: &mut Transaction<'_>, wv: u64, watermark: u64) {
     for var in &log.written {
         let (retained, trimmed) = var.trim_chain(watermark, &mut log.retired);
         tx.tally.trim((retained + trimmed) as u64, trimmed as u64);
-        // The space bound: if liveness-based trimming still leaves the
-        // chain over `max_versions`, evict the oldest suffix anyway and
-        // record the cut — a camped snapshot older than the cut aborts
-        // at its next read of this chain (oldest-snapshot-abort) instead
-        // of holding memory hostage.
-        if let Some(max) = stm.mv.max_versions {
-            if retained > max {
-                let evicted = var.cap_chain(max, &mut log.retired);
-                stm.stats.evict(evicted as u64);
-            }
-        }
     }
     versioned::release(stm, &log.held_buf, Some(stamped(wv)));
     // Retire only after every append above: the epoch tag must postdate

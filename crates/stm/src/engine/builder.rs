@@ -1,6 +1,6 @@
 //! [`StmBuilder`]: per-instance configuration and assembly.
 
-use super::{Algorithm, MvConfig, Stm};
+use super::{Algorithm, Stm};
 use crate::algo::adaptive::{AdaptiveConfig, AdaptiveState};
 use crate::epoch::SnapshotRegistry;
 use crate::orec::{self, CachePadded, OrecTable};
@@ -31,7 +31,6 @@ pub struct StmBuilder {
     orec_stripes: usize,
     recorder: Option<HistoryRecorder>,
     adaptive: AdaptiveConfig,
-    mv: MvConfig,
     durability: Option<Arc<Wal>>,
 }
 
@@ -45,7 +44,6 @@ impl StmBuilder {
             orec_stripes: orec::DEFAULT_STRIPES,
             recorder: None,
             adaptive: AdaptiveConfig::default(),
-            mv: MvConfig::default(),
             durability: None,
         }
     }
@@ -99,16 +97,6 @@ impl StmBuilder {
     /// Ignored by the static algorithms.
     pub fn adaptive_config(mut self, cfg: AdaptiveConfig) -> Self {
         self.adaptive = cfg;
-        self
-    }
-
-    /// Space-budget knobs for [`Algorithm::Mv`]'s version chains (also
-    /// in force for [`Algorithm::Adaptive`], whose every commit appends
-    /// a version): see
-    /// [`MvConfig::max_versions`] for the oldest-snapshot-abort
-    /// semantics. Ignored by the single-version algorithms.
-    pub fn mv_config(mut self, cfg: MvConfig) -> Self {
-        self.mv = cfg;
         self
     }
 
@@ -206,7 +194,6 @@ impl StmBuilder {
             recorder: self.recorder,
             adaptive,
             snapshots,
-            mv: self.mv,
             durability: self.durability,
         }
     }

@@ -139,7 +139,7 @@ pub enum Algorithm {
     /// the low-watermark collector once no live snapshot can reach them
     /// (watch `snapshot_reads` / `versions_trimmed` / `max_chain_len` in
     /// [`StatsSnapshot`](crate::StatsSnapshot)). Chains are trimmed by
-    /// liveness, so by default snapshots are never evicted.
+    /// liveness alone, so a live snapshot's versions are never freed.
     Mv,
     /// Workload-driven switching across the paper's time–space
     /// separation: a controller samples stats deltas over commit windows
@@ -165,37 +165,6 @@ impl Algorithm {
         Algorithm::Mv,
         Algorithm::Adaptive,
     ];
-}
-
-/// Space-budget knobs for [`Algorithm::Mv`]'s version chains, set
-/// through [`StmBuilder::mv_config`]; also governs the Mv mode of
-/// [`Algorithm::Adaptive`].
-///
-/// # Examples
-///
-/// ```
-/// use ptm_stm::{Algorithm, MvConfig, Stm};
-///
-/// let stm = Stm::builder(Algorithm::Mv)
-///     .mv_config(MvConfig {
-///         max_versions: Some(8),
-///     })
-///     .build();
-/// assert_eq!(stm.algorithm(), Algorithm::Mv);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct MvConfig {
-    /// Hard cap on versions retained per variable. `None` (the default)
-    /// trims purely by liveness: the snapshot-registry low watermark,
-    /// under which a retained snapshot is never evicted — but a camped
-    /// reader holds every later version alive on every chain it shadows.
-    /// `Some(k)` bounds each chain to `k` versions by evicting the
-    /// oldest suffix at commit: a snapshot older than the cut **aborts
-    /// at its next read** of that chain and retries on a fresh snapshot
-    /// (`eviction_aborts` in [`StatsSnapshot`](crate::StatsSnapshot)),
-    /// so a pathological camper can cost retries, never unbounded
-    /// memory.
-    pub max_versions: Option<usize>,
 }
 
 /// The transaction aborted and should be retried; returned by
@@ -271,8 +240,6 @@ pub struct Stm {
     /// presence also selects the append publish for every commit of the
     /// instance.
     pub(crate) snapshots: Option<SnapshotRegistry>,
-    /// Space-budget knobs for the Mv hooks ([`StmBuilder::mv_config`]).
-    pub(crate) mv: MvConfig,
     /// Present when this instance logs committed write sets for
     /// durability ([`StmBuilder::durability_hook`]): appended to inside
     /// each publish critical section with the commit tick (see

@@ -1430,63 +1430,6 @@ fn read_each_sees_the_attempts_own_write_all_modes() {
     }
 }
 
-#[test]
-fn read_each_of_an_evicted_snapshot_aborts_and_poisons() {
-    // A snapshot camped past a `max_versions` bound: the batch aborts at
-    // the evicted variable, as `mv::read` does, counts one eviction abort
-    // and dooms the attempt.
-    let stm = Stm::builder(Algorithm::Mv)
-        .mv_config(MvConfig {
-            max_versions: Some(2),
-        })
-        .build();
-    let (anchor, vars) = (TVar::new(0u64), scan_vars());
-    let mut tx = stm.transaction();
-    tx.read(&anchor).expect("fresh read");
-    for _ in 0..8 {
-        stm.atomically(|t| t.modify(&vars[5], |x| x + 1));
-    }
-    let before = stm.stats().snapshot();
-    let mut seen = Vec::new();
-    assert_eq!(tx.read_each(&vars, |v| seen.push(*v)), Err(Retry));
-    assert_eq!(seen, vec![0, 1, 2, 3, 4], "the prefix before the eviction");
-    assert_eq!(tx.read(&anchor), Err(Retry), "the attempt is poisoned");
-    tx.rollback();
-    let d = stm.stats().snapshot().since(&before);
-    assert_eq!(d.eviction_aborts, 1);
-    assert_eq!(
-        d.snapshot_reads, 7,
-        "the anchor, the five reads before the eviction and the evicted one"
-    );
-}
-
-#[test]
-fn a_snapshot_whose_initial_version_was_evicted_aborts() {
-    // The first commits are stamped 1 and 2, so a snapshot drawn before
-    // them names the initial value, stamped 0. The second commit's cap
-    // evicts only that version; the camper's read must abort, not serve
-    // the head.
-    let stm = Stm::builder(Algorithm::Mv)
-        .mv_config(MvConfig {
-            max_versions: Some(2),
-        })
-        .build();
-    let (anchor, v) = (TVar::new(0u64), TVar::new(0u64));
-    let mut tx = stm.transaction();
-    tx.read(&anchor).expect("fresh read");
-    for _ in 0..2 {
-        stm.atomically(|t| t.modify(&v, |x| x + 1));
-    }
-    assert_eq!(
-        v.versions_retained(),
-        2,
-        "the cap evicted the initial value"
-    );
-    assert_eq!(tx.read(&v), Err(Retry));
-    tx.rollback();
-    assert_eq!(stm.stats().snapshot().eviction_aborts, 1);
-}
-
 /// Where a transaction's log lives — the identity of its loan.
 fn log_addr(tx: &Transaction<'_>) -> *const TxLog {
     &*tx.log

@@ -82,7 +82,7 @@
 //! | `algo`  | the strategy layer: one module per algorithm (begin / read hooks, and the lock / validate / publish halves of its commit), including the adaptive mode controller |
 //! | `txlog` | read-set / write-set log shared by all algorithms |
 //! | `orec`  | striped, dense metadata words: versioned locks (TL2 / Incremental / Mv, and both Adaptive modes, across a switch untouched) or reader–writer locks (Tlrw) |
-//! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer; a snapshot read walks `prev` to the newest version at or before its snapshot (static Tl2, Incremental, NOrec and Tlrw swap the head; Mv and Adaptive append, trim, and bound via [`MvConfig`]) |
+//! | `tvar`  | value cells: timestamped version chains behind an atomic latest-pointer; a snapshot read walks `prev` to the newest version at or before its snapshot (static Tl2, Incremental, NOrec and Tlrw swap the head; Mv and Adaptive append and trim by liveness) |
 //! | `epoch` | deferred reclamation that keeps lock-free reads memory-safe, plus the snapshot registry whose low watermark (an exact floor-first slot scan, read once per publish group) bounds version-chain trimming |
 //! | `stats` | commit/abort/validation-probe counters |
 //! | `recorder` | opt-in t-operation history recording ([`HistoryRecorder`]) for the `ptm-model` checkers |
@@ -120,7 +120,7 @@ mod waiter;
 pub mod wal;
 
 pub use algo::adaptive::AdaptiveConfig;
-pub use engine::{Algorithm, MvConfig, RetriesExhausted, Retry, Stm, StmBuilder, Transaction};
+pub use engine::{Algorithm, RetriesExhausted, Retry, Stm, StmBuilder, Transaction};
 pub use recorder::HistoryRecorder;
 pub use stats::{StatsSnapshot, StmStats};
 pub use tvar::{TVar, TxValue};

@@ -274,16 +274,6 @@ counters! {
     /// low-watermark collector (`Algorithm::Mv` commits). The space the
     /// multi-version design pays — and reclaims.
     versions_trimmed: sum, "trimmed";
-    /// Versions cut *past* the low watermark by the
-    /// [`MvConfig::max_versions`](crate::MvConfig::max_versions) bound —
-    /// versions an active snapshot might still have needed. Always 0
-    /// without the bound.
-    versions_evicted: sum, "evicted";
-    /// Snapshot reads aborted because the version their snapshot named
-    /// had been evicted by the space bound (the oldest-snapshot-abort
-    /// rule; the retried attempt draws a fresh snapshot and succeeds).
-    /// Always 0 without the bound.
-    eviction_aborts: sum, "eviction_aborts";
     /// The longest version chain any trim pass observed — a high-water
     /// mark, not a counter: [`since`](StatsSnapshot::since) carries the
     /// *later* snapshot's value through unchanged. Bounded by the span
@@ -295,9 +285,7 @@ counters! {
     /// standing space bill (versions no watermark could free), where
     /// `max_chain_len` is the pre-trim spike. A high-water mark like
     /// `max_chain_len`: [`since`](StatsSnapshot::since) carries the
-    /// later snapshot's value through. Watch it against
-    /// [`MvConfig::max_versions`](crate::MvConfig::max_versions) to see
-    /// eviction pressure building.
+    /// later snapshot's value through.
     versions_retained: max, "retained";
     /// History markers captured by an attached
     /// [`HistoryRecorder`](crate::HistoryRecorder) (0 when recording is
@@ -396,22 +384,6 @@ impl StmStats {
         self.flush(&t);
     }
 
-    /// Records `evicted` versions cut past the watermark by the
-    /// `max_versions` bound.
-    pub(crate) fn evict(&self, evicted: u64) {
-        if evicted != 0 {
-            self.local()
-                .versions_evicted
-                .fetch_add(evicted, Ordering::Relaxed);
-        }
-    }
-
-    /// Records a snapshot read aborted by eviction (cold path — the
-    /// attempt is about to retry — so it writes the shard directly).
-    pub(crate) fn eviction_abort(&self) {
-        self.local().eviction_aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one attempt parking on the waiter list. Cold path by
     /// construction (the attempt is about to sleep), so it writes the
     /// shard directly instead of riding an [`OpTally`].
@@ -500,9 +472,6 @@ mod tests {
         });
         s.trim(5, 3);
         s.trim(2, 1);
-        s.evict(2);
-        s.evict(0);
-        s.eviction_abort();
         s.mode_transition();
         s.read_only_commit(256);
         s.read_only_commit(0);
@@ -526,8 +495,6 @@ mod tests {
         assert_eq!(snap.snapshot_reads, 2);
         assert_eq!(snap.chain_walk_steps, 7);
         assert_eq!(snap.versions_trimmed, 4);
-        assert_eq!(snap.versions_evicted, 2);
-        assert_eq!(snap.eviction_aborts, 1);
         assert_eq!(snap.max_chain_len, 5, "high-water mark, not a sum");
         assert_eq!(snap.versions_retained, 2, "post-trim high-water mark");
         assert_eq!(snap.mode_transitions, 1);
@@ -555,8 +522,8 @@ mod tests {
         assert_eq!(
             line,
             "commits=1 aborts=0 reads=0 writes=0 probes=2 reader_conflicts=1 snapshot_reads=0 \
-             walk_steps=0 trimmed=0 evicted=0 eviction_aborts=0 max_chain=0 retained=0 \
-             recorded=6 transitions=0 ro_commits=0 ro_reads=0 parks=1 wakes=1 spurious=0 \
+             walk_steps=0 trimmed=0 max_chain=0 retained=0 recorded=6 \
+             transitions=0 ro_commits=0 ro_reads=0 parks=1 wakes=1 spurious=0 \
              log_appends=0 fsyncs=0 group_commit=0"
         );
         s.mode_transition();

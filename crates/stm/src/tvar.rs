@@ -24,17 +24,10 @@
 //! Both are `#[repr(C)]` with the value first, so a bare node is a
 //! prefix of a versioned one and the value sits at the node's address
 //! whatever its kind; both are aligned to at least 8, so a node pointer
-//! has three free low bits. Two are tags:
-//!
-//! * `VERSIONED` (bit 0), on the head and on every `prev` link: the
-//!   node is a versioned one. Set by whoever leaks the node into the
-//!   chain ([`WriteNode`]'s kind decides it), never changed after.
-//! * `EVICTED` (bit 1), on the head only: [`AnyTVar::cap_chain`] has cut
-//!   versions some snapshot may still name, so a walk that falls off
-//!   the chain's end aborts. `cap_chain` sets it, [`AnyTVar::append_boxed`]
-//!   keeps it (both under the stripe lock), and
-//!   [`AnyTVar::publish_boxed`] drops it: the stamp-0 node it swaps in
-//!   ends every later walk before the walk can fall off the chain.
+//! has three free low bits. One is a tag, `VERSIONED` (bit 0), on the
+//! head and on every `prev` link: the node is a versioned one. Set by
+//! whoever leaks the node into the chain ([`WriteNode`]'s kind decides
+//! it), never changed after.
 //!
 //! A transactional write allocates the node it will publish: the write
 //! set holds a [`WriteNode`] — the value already inside an unlinked node
@@ -58,8 +51,8 @@
 //!   retiring the suffix through the same epoch machinery.
 //!
 //! Every chain, whatever its mix of kinds, is freed by one function
-//! (`free_chain`): the cell's drop, and every retired head, trimmed
-//! suffix and evicted suffix through the epoch collector.
+//! (`free_chain`): the cell's drop, and every retired head and trimmed
+//! suffix through the epoch collector.
 //!
 //! This grew out of the seed design (value under a `parking_lot::Mutex`
 //! beside a per-variable version word, replaced in PR 1 by a single
@@ -95,18 +88,6 @@ const PENDING: u64 = u64::MAX;
 /// Tag of a node pointer (the head or a `prev` link): the node is a
 /// [`Version`]. Clear: a [`Bare`] node.
 const VERSIONED: usize = 1;
-
-/// Tag of the head only: [`AnyTVar::cap_chain`] has evicted a version a
-/// snapshot may still name since the last single-version publish.
-const EVICTED: usize = 2;
-
-/// Marker returned by a snapshot read that walked off the end of a chain
-/// the space bound ([`crate::MvConfig::max_versions`]) has evicted from:
-/// the version the snapshot names is gone, and the only sound answer is
-/// to abort the attempt (the retry draws a fresh snapshot that the
-/// retained chain can serve) — the oldest-snapshot-abort rule.
-#[derive(Debug)]
-pub(crate) struct Evicted;
 
 /// A single-version node: the value and nothing else. Always the tail
 /// of its chain; a snapshot walk reads it as stamped 0.
@@ -184,10 +165,10 @@ fn is_versioned(p: *mut ()) -> bool {
     p.addr() & VERSIONED != 0
 }
 
-/// The node `p` names, its tags masked off.
+/// The node `p` names, its tag masked off.
 #[inline(always)]
 fn untag<N>(p: *mut ()) -> *mut N {
-    p.map_addr(|a| a & !(VERSIONED | EVICTED)).cast()
+    p.map_addr(|a| a & !VERSIONED).cast()
 }
 
 /// The value of the node `p` names, whatever its kind.
@@ -301,7 +282,6 @@ impl WriteNode {
 pub(crate) trait AnyTVar: Send + Sync {
     /// Single-version publish: swaps `node` in as the sole retained
     /// version and returns the displaced chain for epoch retirement.
-    /// The new head carries no [`EVICTED`] mark.
     ///
     /// The caller must hold the exclusion covering this variable (its
     /// orec stripe lock, or the NOrec sequence lock) and must retire the
@@ -314,10 +294,9 @@ pub(crate) trait AnyTVar: Send + Sync {
     fn publish_boxed(&self, node: WriteNode) -> Retired;
 
     /// Multi-version publish, step 1: links `node` over the head with a
-    /// pending stamp, keeping the head's [`EVICTED`] mark. The caller
-    /// must hold the stripe lock and must be past the point of no
-    /// return (validation done — an appended version is never unlinked
-    /// by its own commit).
+    /// pending stamp. The caller must hold the stripe lock and must be
+    /// past the point of no return (validation done — an appended
+    /// version is never unlinked by its own commit).
     fn append_boxed(&self, node: WriteNode);
 
     /// Multi-version publish, step 2: resolves the head's pending stamp
@@ -333,25 +312,16 @@ pub(crate) trait AnyTVar: Send + Sync {
     /// chain has exactly one mutator at a time).
     fn trim_chain(&self, watermark: u64, out: &mut Vec<Retired>) -> (usize, usize);
 
-    /// Cuts the chain to at most `max` newest versions *regardless of
-    /// the watermark* — the [`crate::MvConfig::max_versions`] space
-    /// bound. Evicted versions may still be named by an active snapshot;
-    /// the head is marked [`EVICTED`], so such a snapshot's walk aborts
-    /// ([`Evicted`]) instead of reading a wrong value.
-    /// Returns the number evicted. Caller holds the stripe lock.
-    fn cap_chain(&self, max: usize, out: &mut Vec<Retired>) -> usize;
-
     /// Whether the current (newest) value equals the given snapshot.
     fn value_eq(&self, pin: &Guard, snapshot: &(dyn Any + Send)) -> bool;
 }
 
 pub(crate) struct TVarInner<T> {
     /// Always a tagged pointer to a live, fully initialized node — the
-    /// newest (see the module docs for the tags). Only
-    /// `publish_boxed`/`append_boxed` replace it and only `cap_chain`
-    /// re-marks it (under the writer's exclusion); displaced or trimmed
-    /// nodes are freed by the epoch collector, and the final chain by
-    /// `Drop`.
+    /// newest (see the module docs for the tag). Only
+    /// `publish_boxed`/`append_boxed` replace it (under the writer's
+    /// exclusion); displaced or trimmed nodes are freed by the epoch
+    /// collector, and the final chain by `Drop`.
     head: AtomicPtr<()>,
     /// The chain owns `T`s.
     values: PhantomData<T>,
@@ -386,29 +356,22 @@ impl<T: TxValue> TVarInner<T> {
     }
 
     /// Clones the newest version stamped `<= rv` — the multi-version
-    /// snapshot read, ignoring eviction and walk accounting. Thin
-    /// wrapper over [`Self::read_at_counted`] for tests that want the
-    /// unbounded-chain semantics (a chain that has never evicted cannot
-    /// return `Evicted`).
+    /// snapshot read without walk accounting. Thin wrapper over
+    /// [`Self::read_at_counted`] for tests.
     #[cfg(test)]
     pub(crate) fn read_at(&self, pin: &Guard, rv: u64) -> T {
-        match self.read_at_counted(pin, rv, T::clone) {
-            Ok((value, _)) => value,
-            Err(Evicted) => self.read_snapshot(pin, T::clone),
-        }
+        self.read_at_counted(pin, rv, T::clone).0
     }
 
     /// The snapshot read proper: applies `f` in place to the newest
     /// version stamped `<= rv` and reports how many chain hops past the
-    /// head the walk took. No orec probe, no validation: the trim rule keeps the
-    /// chain's oldest retained version at or below every snapshot drawn
-    /// from this instance's clock, so in-instance walks always find
-    /// their version — except when [`AnyTVar::cap_chain`] evicted it,
-    /// which the walk reports as `Err(Evicted)` (abort and retry with a
-    /// fresh snapshot). Walking off the end *without* an eviction mark
-    /// only arises when a variable written under one timestamp domain is
-    /// later read under another whose (fresh, smaller) clock is below
-    /// every retained stamp: the walk then falls back to the head. That
+    /// head the walk took. No orec probe, no validation, no abort: the
+    /// trim rule keeps the chain's oldest retained version at or below
+    /// every snapshot drawn from this instance's clock, so in-instance
+    /// walks always find their version. Walking off the end only arises
+    /// when a variable written under one timestamp domain is later read
+    /// under another whose (fresh, smaller) clock is below every
+    /// retained stamp: the walk then falls back to the head. That
     /// covers only a walk that falls off the chain; one whose chain still
     /// holds a stamp-0 tail (the initial version, or a bare node) stops
     /// there and reads that tail, however stale. Snapshot reads are
@@ -428,7 +391,7 @@ impl<T: TxValue> TVarInner<T> {
         _pin: &Guard,
         rv: u64,
         f: impl FnOnce(&T) -> R,
-    ) -> Result<(R, u64), Evicted> {
+    ) -> (R, u64) {
         let mut steps = 0u64;
         let mut p = self.head.load(Ordering::Acquire);
         loop {
@@ -436,7 +399,7 @@ impl<T: TxValue> TVarInner<T> {
                 // SAFETY: as in `read_snapshot` — every node reachable
                 // from the head was fully published and is kept alive
                 // by the pin.
-                return Ok((f(unsafe { value_at(p) }), steps));
+                return (f(unsafe { value_at(p) }), steps);
             }
             // SAFETY: as above; trimming detaches only suffixes no
             // snapshot `>= watermark` can walk into, and this snapshot
@@ -444,22 +407,15 @@ impl<T: TxValue> TVarInner<T> {
             // `SnapshotRegistry`).
             let node = unsafe { &*untag::<Version<T>>(p) };
             if node.stamp() <= rv {
-                return Ok((f(&node.value), steps));
+                return (f(&node.value), steps);
             }
             steps += 1;
             let prev = node.prev.load(Ordering::Acquire);
             if prev.is_null() {
-                // Off the end. A cap marks the head *before* its
-                // detaching swap, which this walk's null load acquired,
-                // so the reload sees the mark (or a later publish that
-                // dropped it together with every evicted version).
+                // Off the end: a cross-domain handoff (see above).
                 let head = self.head.load(Ordering::Acquire);
-                return if head.addr() & EVICTED != 0 {
-                    Err(Evicted)
-                } else {
-                    // SAFETY: as in `read_snapshot`.
-                    Ok((f(unsafe { value_at(head) }), steps))
-                };
+                // SAFETY: as in `read_snapshot`.
+                return (f(unsafe { value_at(head) }), steps);
             }
             p = prev;
         }
@@ -533,7 +489,7 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
         // reads as stamp 0 with nothing below it, so the value is
         // visible to every snapshot if the variable is later handed
         // (sequentially) to an Mv instance, and no walk can fall off
-        // the chain: the swap drops the `EVICTED` mark.
+        // the chain.
         let old = self.head.swap(node.into_link::<T>(), Ordering::AcqRel);
         // The displaced node still owns its `prev` chain; retiring it
         // frees the whole suffix once no pinned reader remains.
@@ -547,13 +503,11 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
         let head = self.head.load(Ordering::Relaxed);
         // The node is still this committer's alone: plain field writes.
         *node.stamp.get_mut() = PENDING;
-        *node.prev.get_mut() = head.map_addr(|a| a & !EVICTED);
+        *node.prev.get_mut() = head;
         // Plain store, not a swap: the stripe lock gives this committer
         // sole write access to the chain; Release publishes the node's
         // initialization to readers.
-        let link = Box::into_raw(node)
-            .cast::<()>()
-            .map_addr(|a| a | VERSIONED | (head.addr() & EVICTED));
+        let link = Box::into_raw(node).cast::<()>().map_addr(|a| a | VERSIONED);
         self.head.store(link, Ordering::Release);
     }
 
@@ -602,42 +556,6 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
         (retained, trimmed)
     }
 
-    fn cap_chain(&self, max: usize, out: &mut Vec<Retired>) -> usize {
-        let max = max.max(1);
-        let head = self.head.load(Ordering::Relaxed);
-        // Walk `max - 1` prevs from the head to the last version the
-        // bound lets us keep; a bare node ends the chain within it.
-        let mut last = head;
-        for _ in 1..max {
-            if !is_versioned(last) {
-                return 0;
-            }
-            // SAFETY: reachable nodes are live; stripe lock held.
-            let prev = unsafe { (*untag::<Version<T>>(last)).prev.load(Ordering::Relaxed) };
-            if prev.is_null() {
-                return 0; // chain already within bound
-            }
-            last = prev;
-        }
-        if !is_versioned(last) {
-            return 0;
-        }
-        // SAFETY: `last` is live (reachable, lock held).
-        let last = unsafe { &*untag::<Version<T>>(last) };
-        if last.prev.load(Ordering::Relaxed).is_null() {
-            return 0;
-        }
-        // Mark the eviction *before* detaching: a snapshot walk that
-        // falls off the new chain end acquires the detaching swap, so it
-        // sees this mark and aborts rather than mis-read
-        // (oldest-snapshot-abort). A mark, not the evicted stamp: an
-        // evicted initial value is stamped 0, as is "never evicted".
-        self.head
-            .store(head.map_addr(|a| a | EVICTED), Ordering::Release);
-        // SAFETY: `last` is reachable from the head; stripe lock held.
-        unsafe { self.detach_below(last, out) }
-    }
-
     fn value_eq(&self, pin: &Guard, snapshot: &(dyn Any + Send)) -> bool {
         snapshot
             .downcast_ref::<T>()
@@ -655,8 +573,7 @@ impl<T: TxValue> AnyTVar for TVarInner<T> {
 /// A version carries a tick of the clock that stamped it, so a variable
 /// written under one domain and then read at a snapshot of another may
 /// read an older version its chain still holds instead of the current
-/// value, or, once a bound has evicted from its chain, abort at every
-/// read below its retained stamps. The single-version algorithms and
+/// value. The single-version algorithms and
 /// [`TVar::load`] read the current value under any instance.
 ///
 /// # Examples
@@ -952,7 +869,7 @@ mod tests {
             v.inner.stamp_head(wv);
         }
         let pin = epoch::pin();
-        let read = |rv| v.inner.read_at_counted(&pin, rv, |v| *v).unwrap();
+        let read = |rv| v.inner.read_at_counted(&pin, rv, |v| *v);
         assert_eq!(read(0), (0, 1024));
         assert_eq!(read(512), (512, 512));
         // The head costs nothing.
@@ -960,39 +877,10 @@ mod tests {
     }
 
     #[test]
-    fn cap_chain_evicts_oldest_and_aborts_stale_snapshots() {
-        let v = TVar::new(0u64);
-        for wv in 1..=8u64 {
-            v.inner.append_boxed(WriteNode::versioned(wv * 10));
-            v.inner.stamp_head(wv);
-        }
-        assert_eq!(v.versions_retained(), 9);
-        let mut out = Vec::new();
-        // Within the bound: no-ops.
-        assert_eq!(v.inner.cap_chain(16, &mut out), 0);
-        assert_eq!(v.inner.cap_chain(9, &mut out), 0);
-        // Cap to the 3 newest (stamps 6, 7, 8): stamps 0..=5 go.
-        assert_eq!(v.inner.cap_chain(3, &mut out), 6);
-        assert_eq!(v.versions_retained(), 3);
-        assert!(v.inner.head.load(Ordering::Relaxed).addr() & EVICTED != 0);
-        let pin = epoch::pin();
-        // Snapshots at or past the cut still resolve...
-        assert_eq!(v.inner.read_at_counted(&pin, 6, |v| *v).unwrap().0, 60);
-        assert_eq!(v.inner.read_at_counted(&pin, 8, |v| *v).unwrap().0, 80);
-        // ...an older snapshot aborts instead of mis-reading.
-        assert!(v.inner.read_at_counted(&pin, 4, |v| *v).is_err());
-        // A zero cap behaves as 1: the head is never evicted.
-        assert_eq!(v.inner.cap_chain(0, &mut out), 2);
-        assert_eq!(v.versions_retained(), 1);
-        drop(pin);
-        epoch::retire_batch(&mut out);
-    }
-
-    #[test]
-    fn reads_resolve_across_interleaved_trims_and_caps() {
-        // Interleave appends with trims and caps so later appends and
-        // snapshot reads traverse chains cut at many points — and whose
-        // detached suffixes were really freed.
+    fn reads_resolve_across_interleaved_trims() {
+        // Interleave appends with trims so later appends and snapshot
+        // reads traverse chains cut at many points — and whose detached
+        // suffixes were really freed.
         let v = TVar::new(0u64);
         let mut out = Vec::new();
         for wv in 1..=96u64 {
@@ -1002,16 +890,13 @@ mod tests {
                 v.inner.trim_chain(wv - 5, &mut out);
                 epoch::retire_batch(&mut out);
             } else if wv % 7 == 0 {
-                v.inner.cap_chain(9, &mut out);
+                v.inner.trim_chain(wv - 2, &mut out);
                 epoch::retire_batch(&mut out);
             }
         }
         let pin = epoch::pin();
         for rv in 91..=97u64 {
-            assert_eq!(
-                v.inner.read_at_counted(&pin, rv, |v| *v).unwrap().0,
-                rv.min(96)
-            );
+            assert_eq!(v.inner.read_at_counted(&pin, rv, |v| *v).0, rv.min(96));
         }
     }
 
@@ -1021,14 +906,13 @@ mod tests {
 
         /// One scripted chain mutation: `(kind, magnitude)`.
         fn ops_strategy() -> impl Strategy<Value = Vec<(u8, u64)>> {
-            proptest::collection::vec((0u8..5, 0u64..12), 1..60)
+            proptest::collection::vec((0u8..4, 0u64..12), 1..60)
         }
 
         /// What a chain should hold: its `(stamp, value)` versions,
-        /// newest first, and whether a cap has ever evicted one.
+        /// newest first.
         struct Model {
             versions: Vec<(u64, u64)>,
-            evicted: bool,
         }
 
         impl Model {
@@ -1039,28 +923,18 @@ mod tests {
             }
 
             /// A single-version publish: one bare node, read as stamp
-            /// 0, and no eviction a walk could still fall into.
+            /// 0.
             fn publish(&mut self, value: u64) {
                 self.versions = vec![(0, value)];
-                self.evicted = false;
-            }
-
-            fn cap(&mut self, max: usize) {
-                let max = max.max(1);
-                if self.versions.len() > max {
-                    self.versions.truncate(max);
-                    self.evicted = true;
-                }
             }
 
             /// The snapshot read at `rv`: the newest version stamped
-            /// `<= rv` and one hop per newer one; off the end, an abort
-            /// if a cap ever evicted, else the head after every hop.
-            fn read(&self, rv: u64) -> Result<(u64, u64), Evicted> {
+            /// `<= rv` and one hop per newer one; off the end, the head
+            /// after every hop.
+            fn read(&self, rv: u64) -> (u64, u64) {
                 match self.versions.iter().position(|&(s, _)| s <= rv) {
-                    Some(i) => Ok((self.versions[i].1, i as u64)),
-                    None if self.evicted => Err(Evicted),
-                    None => Ok((self.versions[0].1, self.versions.len() as u64)),
+                    Some(i) => (self.versions[i].1, i as u64),
+                    None => (self.versions[0].1, self.versions.len() as u64),
                 }
             }
         }
@@ -1068,15 +942,15 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            // Over arbitrary append/trim/cap/publish histories (with
-            // the monotone stamps real commits produce, and chains that
-            // mix bare and versioned nodes), every snapshot read returns
-            // the model's value and hop count, and aborts or falls back
-            // to the head exactly where the model does.
+            // Over arbitrary append/trim/publish histories (with the
+            // monotone stamps real commits produce, and chains that mix
+            // bare and versioned nodes), every snapshot read returns the
+            // model's value and hop count, and falls back to the head
+            // exactly where the model does.
             #[test]
             fn reads_match_the_chain_model(ops in ops_strategy()) {
                 let v = TVar::new(0u64);
-                let mut model = Model { versions: vec![(0, 0)], evicted: false };
+                let mut model = Model { versions: vec![(0, 0)] };
                 let mut clock = 0u64;
                 let mut out = Vec::new();
                 for (kind, arg) in ops {
@@ -1093,10 +967,6 @@ mod tests {
                             v.inner.trim_chain(watermark, &mut out);
                             model.trim(watermark);
                         }
-                        3 => {
-                            v.inner.cap_chain(1 + arg as usize, &mut out);
-                            model.cap(1 + arg as usize);
-                        }
                         _ => {
                             let value = clock * 10 + 1 + arg;
                             out.push(v.inner.publish_boxed(WriteNode::bare(value)));
@@ -1108,17 +978,7 @@ mod tests {
                     let pin = epoch::pin();
                     for rv in 0..=clock + 1 {
                         let got = v.inner.read_at_counted(&pin, rv, |v| *v);
-                        match (got, model.read(rv)) {
-                            (Ok(got), Ok(want)) => prop_assert_eq!(got, want, "rv {}", rv),
-                            (Err(Evicted), Err(Evicted)) => {}
-                            (got, want) => prop_assert!(
-                                false,
-                                "rv {}: read {:?}, model {:?}",
-                                rv,
-                                got,
-                                want
-                            ),
-                        }
+                        prop_assert_eq!(got, model.read(rv), "rv {}", rv);
                     }
                 }
             }

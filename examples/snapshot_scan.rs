@@ -7,17 +7,11 @@
 //! trimmed once the low-watermark collector catches up, and the same
 //! storm's abort bill under single-version TL2 for contrast.
 //!
-//! A third run bounds the space bill with `MvConfig::max_versions`:
-//! each chain keeps at most 8 versions, the collector evicts the rest,
-//! and a scan whose pinned snapshot falls off the ring pays the
-//! single-version currency again — an abort-and-retry — making the
-//! space/time dial visible in one program.
-//!
 //! ```bash
 //! cargo run --release --example snapshot_scan
 //! ```
 
-use progressive_tm::stm::{Algorithm, MvConfig, Stm, TVar};
+use progressive_tm::stm::{Stm, TVar};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,58 +90,6 @@ fn main() {
     );
     assert_eq!(attempts, SCANS, "mv read-only scans never abort");
     assert_eq!(d.validation_probes, 0, "and never validate");
-
-    // The space bill, capped: `max_versions` turns each chain into an
-    // 8-deep ring, oldest evicted first, no matter what snapshot still
-    // pins it. A camped reader demonstrates the price: it pins snapshot
-    // 0, a write storm rolls the ring 100 versions past it, and its next
-    // read pays the single-version currency again — an abort and a
-    // retry at a fresh snapshot (oldest-snapshot-abort semantics).
-    let capped = Stm::builder(Algorithm::Mv)
-        .mv_config(MvConfig {
-            max_versions: Some(8),
-        })
-        .build();
-    let v = TVar::new(0u64);
-    let before = capped.stats().snapshot();
-    let attempts = std::cell::Cell::new(0u64);
-    let last = capped.atomically(|tx| {
-        attempts.set(attempts.get() + 1);
-        let seen = tx.read(&v)?;
-        if attempts.get() == 1 {
-            assert_eq!(seen, 0, "the camper pinned the initial snapshot");
-            // Roll the ring right past the camper: 100 nested commits
-            // against an 8-version cap.
-            for i in 1..=100u64 {
-                capped.atomically(|tx2| tx2.write(&v, i));
-            }
-        }
-        // Attempt 1: snapshot 0 fell off the ring 92 versions ago, so
-        // this read aborts. Attempt 2 reads the current value.
-        tx.read(&v)
-    });
-    let d = capped.stats().snapshot().since(&before);
-    println!(
-        "\nmv/8 (max_versions = 8) camped reader vs a 100-version storm:\n\
-         \x20    space bill, capped: {} versions retained on the slot (ring bound 8), \
-         {} evicted, {} eviction aborts — the camper retried {} time(s) and read {}",
-        v.versions_retained(),
-        d.versions_evicted,
-        d.eviction_aborts,
-        attempts.get() - 1,
-        last,
-    );
-    assert_eq!(last, 100, "the retry reads the current value");
-    assert_eq!(attempts.get(), 2, "exactly one eviction retry");
-    assert!(d.eviction_aborts >= 1, "the eviction was observable");
-    assert!(
-        d.versions_evicted >= 90,
-        "the ring rolled through the storm"
-    );
-    assert!(
-        v.versions_retained() <= 9,
-        "retention must stay bounded by the cap"
-    );
 
     let tl2 = Arc::new(Stm::tl2());
     let before = tl2.stats().snapshot();
